@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +101,18 @@ class ArrayMetadata:
     def num_cells(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    # cached: the mapper reads these on every chunk-ID translation.
+    # cached_property writes the instance __dict__ directly, so it works
+    # on this frozen (non-slotted) dataclass and stays out of the
+    # generated eq/hash/repr, which only read the declared fields;
+    # __getstate__ keeps it out of pickles too.
+    _CACHED = ("chunk_grid", "num_chunks")
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items()
+                if name not in self._CACHED}
+
+    @cached_property
     def chunk_grid(self) -> tuple:
         """Number of chunks along each dimension."""
         return tuple(
@@ -108,7 +120,7 @@ class ArrayMetadata:
             for size, interval in zip(self.shape, self.chunk_shape)
         )
 
-    @property
+    @cached_property
     def num_chunks(self) -> int:
         return int(np.prod(self.chunk_grid))
 

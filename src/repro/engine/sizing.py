@@ -5,6 +5,14 @@ shuffle read/write volumes; our engine needs the same so the cost model
 sees realistic byte counts. The estimator is deliberately simple but exact
 for the types the library actually shuffles: numpy arrays, chunks,
 bitmasks, and small tuples/records around them.
+
+Cost rule: :func:`estimate_size` runs once per task result on the
+scheduler's hot path (the ``result_bytes`` counter), so it must stay
+cheap. Exact builtins (``int``, ``float``, ``tuple``, ``dict``, ...) are
+dispatched on ``type(obj)`` in one dict lookup; everything else walks
+the probe chain. Containers still cost one call per element, so anything
+big should be an array (or a class advertising ``nbytes``) that knows its
+size in O(1) — not a list of small tuples.
 """
 
 from __future__ import annotations
@@ -12,8 +20,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-
-_PRIMITIVE_SIZE = {int: 8, float: 8, bool: 1, complex: 16}
 
 #: exact sizers registered by higher layers; each probe returns a byte
 #: count or None to decline. ``repro.core`` registers a chunk-exact
@@ -25,26 +31,68 @@ _SIZERS = []
 def register_sizer(probe) -> None:
     """Register ``probe(obj) -> int | None`` tried before the generic
     ``nbytes`` path. Used by higher layers so the engine never imports
-    them (the same inversion as the shuffle value codecs)."""
+    them (the same inversion as the shuffle value codecs). Probes see
+    only objects the exact-builtin fast path does not size."""
     _SIZERS.append(probe)
 
 
 def estimate_size(obj) -> int:
     """Best-effort deep size of ``obj`` in bytes.
 
-    Registered exact sizers win first (chunks report payload + mask +
-    rank caches). Otherwise objects may advertise their payload size
-    with a ``nbytes`` attribute (numpy arrays do; so do the library's
-    Bitmask and Chunk classes), which takes priority. Containers are
-    measured recursively with a small per-element overhead to mimic
-    serialization framing.
+    Exact builtin types are sized by a ``type(obj)`` lookup with the
+    same values the probe chain below gives them (``bool`` is 8, as an
+    ``int``). Otherwise registered exact sizers win first (chunks report
+    payload + mask + rank caches), then objects advertising a ``nbytes``
+    attribute (numpy arrays and scalars, Bitmask, RecordBatch).
+    Containers are measured recursively with a small per-element
+    overhead to mimic serialization framing.
     """
+    kind = type(obj)
+    size = _FIXED_SIZE.get(kind)
+    if size is not None:
+        return size
+    exact = _EXACT_SIZERS.get(kind)
+    if exact is not None:
+        return exact(obj)
+    return _probe_size(obj)
+
+
+def _sequence_size(obj) -> int:
+    return 8 + sum(map(estimate_size, obj))
+
+
+def _set_size(obj) -> int:
+    return 16 + sum(map(estimate_size, obj))
+
+
+def _dict_size(obj) -> int:
+    return (16 + sum(map(estimate_size, obj.keys()))
+            + sum(map(estimate_size, obj.values())))
+
+
+def _ndarray_size(obj) -> int:
+    if obj.dtype.hasobject:
+        # object arrays report pointer bytes only; recurse into the
+        # elements for the real payload
+        return 8 * obj.size + sum(map(estimate_size, obj.flat))
+    return int(obj.nbytes)
+
+
+#: exact types only — subclasses (namedtuples, IntEnums, numpy scalars
+#: deriving from float) fall through to the probe chain, which may read
+#: their ``nbytes`` first
+_FIXED_SIZE = {int: 8, bool: 8, float: 8, complex: 16, type(None): 0}
+_EXACT_SIZERS = {
+    tuple: _sequence_size, list: _sequence_size,
+    set: _set_size, frozenset: _set_size, dict: _dict_size,
+    str: len, bytes: len, bytearray: len,
+    np.ndarray: _ndarray_size,
+}
+
+
+def _probe_size(obj) -> int:
     if isinstance(obj, np.ndarray):
-        if obj.dtype.hasobject:
-            # object arrays report pointer bytes only; recurse into the
-            # elements for the real payload
-            return 8 * obj.size + sum(estimate_size(o) for o in obj.flat)
-        return int(obj.nbytes)
+        return _ndarray_size(obj)
     for probe in _SIZERS:
         exact = probe(obj)
         if exact is not None:
@@ -52,21 +100,20 @@ def estimate_size(obj) -> int:
     nbytes = getattr(obj, "nbytes", None)
     if nbytes is not None and isinstance(nbytes, (int, np.integer)):
         return int(nbytes)
-    for primitive, size in _PRIMITIVE_SIZE.items():
-        if isinstance(obj, primitive):
-            return size
+    if isinstance(obj, (int, float)):
+        return 8
+    if isinstance(obj, complex):
+        return 16
     if isinstance(obj, (np.integer, np.floating, np.bool_)):
         return obj.dtype.itemsize
     if isinstance(obj, (str, bytes, bytearray)):
         return len(obj)
     if isinstance(obj, (tuple, list)):
-        return 8 + sum(estimate_size(item) for item in obj)
+        return _sequence_size(obj)
     if isinstance(obj, dict):
-        return 16 + sum(
-            estimate_size(k) + estimate_size(v) for k, v in obj.items()
-        )
+        return _dict_size(obj)
     if isinstance(obj, (set, frozenset)):
-        return 16 + sum(estimate_size(item) for item in obj)
+        return _set_size(obj)
     if obj is None:
         return 0
     return sys.getsizeof(obj)
@@ -82,4 +129,4 @@ def estimate_partition_size(records) -> int:
     nbytes = getattr(records, "nbytes", None)
     if nbytes is not None and isinstance(nbytes, (int, np.integer)):
         return int(nbytes)
-    return sum(estimate_size(record) for record in records)
+    return sum(map(estimate_size, records))

@@ -43,34 +43,31 @@ def load_spangle_dataset(context, band_scenes: dict,
 
 
 def _window_partials(array: ArrayRDD, window: int):
-    """Per-window (sum, count) records keyed ``(image, wr, wc)``.
+    """Per-chunk window partials, one packed record per non-empty chunk.
 
-    Windows tile the (x, y) plane; images stay separate. Windows that
-    straddle chunk boundaries are completed by the reduce.
+    Windows tile the (x, y) plane; images stay separate. Each record is
+    ``(keys int64[n, 3], sums float64[n], counts int64[n])``: row ``i``
+    is the window ``(image, wr, wc)`` with ``counts[i] > 0`` valid cells
+    in this chunk summing to ``sums[i]``. A window straddling chunk
+    boundaries appears in several records; :func:`_merge_windows`
+    completes it on the driver.
     """
     if window <= 0:
         raise ArrayError("window must be positive")
     meta = array.meta
     if meta.ndim != 3:
         raise ArrayError("window queries expect an (x, y, image) array")
-    # when windows tile chunks exactly, no window spans two chunks:
-    # per-chunk results are final and the merge shuffle can be skipped
-    globally_aligned = (
-        meta.chunk_shape[0] % window == 0
-        and meta.chunk_shape[1] % window == 0
-        and meta.starts[0] % window == 0
-        and meta.starts[1] % window == 0
-    )
-
     cx, cy, ci = meta.chunk_shape
 
     def partials(part):
         for chunk_id, chunk in part:
             origin = mapper.chunk_origin(meta, chunk_id)
-            dense = chunk.to_dense(0.0).reshape((cx, cy, ci), order="F")
             valid = chunk.valid_bools().reshape((cx, cy, ci), order="F")
             if not valid.any():
                 continue
+            dense = chunk.to_dense(0.0).reshape((cx, cy, ci), order="F")
+            # dense payloads keep stale values under cleared mask bits
+            filled = np.where(valid, dense, 0.0)
             aligned = (
                 cx % window == 0 and cy % window == 0
                 and origin[0] % window == 0 and origin[1] % window == 0
@@ -82,46 +79,50 @@ def _window_partials(array: ArrayRDD, window: int):
                 wc0 = origin[1] // window
                 nr = cx // window
                 nc = cy // window
-                filled = np.where(valid, dense, 0.0)
                 sums = filled.reshape(nr, window, nc, window, ci) \
                              .sum(axis=(1, 3))
                 counts = valid.reshape(nr, window, nc, window, ci) \
                               .sum(axis=(1, 3))
-                live = np.argwhere(counts > 0)
-                for wr, wc, t in live:
-                    yield ((origin[2] + int(t), wr0 + int(wr),
-                            wc0 + int(wc)),
-                           (float(sums[wr, wc, t]),
-                            int(counts[wr, wc, t])))
-                continue
-            # general path: label every cell with its window and group
-            rows = (origin[0] + np.arange(cx)) // window
-            cols = (origin[1] + np.arange(cy)) // window
-            imgs = origin[2] + np.arange(ci)
-            big = 1 << 20
-            keys = ((imgs[None, None, :] * big + rows[:, None, None])
-                    * big + cols[None, :, None]
-                    + np.zeros((cx, cy, ci), dtype=np.int64))
-            flat_keys = keys.ravel()
-            flat_vals = np.where(valid, dense, 0.0).ravel()
-            flat_valid = valid.ravel().astype(np.float64)
-            uniq, inverse = np.unique(flat_keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=flat_vals,
-                               minlength=uniq.size)
-            counts = np.bincount(inverse, weights=flat_valid,
-                                 minlength=uniq.size)
-            for key, s, n in zip(uniq, sums, counts):
-                if n > 0:
-                    image = int(key) // (big * big)
-                    wr = (int(key) // big) % big
-                    wc = int(key) % big
-                    yield (image, wr, wc), (float(s), int(n))
+            else:
+                # general path: label every cell with its chunk-local
+                # window and group with one bincount per statistic
+                rows = (origin[0] + np.arange(cx)) // window
+                cols = (origin[1] + np.arange(cy)) // window
+                wr0, wc0 = int(rows[0]), int(cols[0])
+                nr = int(rows[-1]) - wr0 + 1
+                nc = int(cols[-1]) - wc0 + 1
+                labels = (((rows - wr0)[:, None, None] * nc
+                           + (cols - wc0)[None, :, None]) * ci
+                          + np.arange(ci)[None, None, :]).ravel()
+                size = nr * nc * ci
+                sums = np.bincount(labels, weights=filled.ravel(),
+                                   minlength=size).reshape(nr, nc, ci)
+                counts = np.bincount(labels, weights=valid.ravel(),
+                                     minlength=size).reshape(nr, nc, ci)
+            wr, wc, t = np.nonzero(counts > 0)
+            keys = np.stack([origin[2] + t, wr0 + wr, wc0 + wc], axis=1)
+            yield (keys.astype(np.int64, copy=False),
+                   sums[wr, wc, t].astype(np.float64, copy=False),
+                   counts[wr, wc, t].astype(np.int64))
 
-    mapped = array.rdd.map_partitions(partials)
-    if globally_aligned:
-        return mapped
-    return mapped.reduce_by_key(
-        lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    return array.rdd.map_partitions(partials)
+
+
+def _merge_windows(records: list):
+    """Complete the windows of :func:`_window_partials` records.
+
+    Returns ``(keys int64[m, 3], sums, counts)`` with one row per
+    distinct window, or None when no chunk had a valid cell.
+    """
+    if not records:
+        return None
+    keys, sums, counts = (np.concatenate(column)
+                          for column in zip(*records))
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()   # numpy 2.0.0 returns it as a column
+    return (uniq,
+            np.bincount(inverse, weights=sums, minlength=len(uniq)),
+            np.bincount(inverse, weights=counts, minlength=len(uniq)))
 
 
 class SpangleRasterQueries:
@@ -148,10 +149,12 @@ class SpangleRasterQueries:
     def q2_regrid(self, band: str, grid: int, box=None) -> dict:
         """Average of adjacent cells onto a grid of ``grid × grid``."""
         array = self._restricted(band, box)
-        merged = _window_partials(array, grid).collect()
-        return {
-            key: s / n for key, (s, n) in merged
-        }
+        merged = _merge_windows(_window_partials(array, grid).collect())
+        if merged is None:
+            return {}
+        keys, sums, counts = merged
+        return dict(zip(map(tuple, keys.tolist()),
+                        (sums / counts).tolist()))
 
     def q3_conditional_aggregation(self, band: str, predicate,
                                    box=None) -> float:
@@ -179,8 +182,11 @@ class SpangleRasterQueries:
         MaskRDD's effect as attributes are added.
         """
         array = self._restricted(band, box)
-        merged = _window_partials(array, window).collect()
-        return sum(1 for _key, (_s, n) in merged if n > min_count)
+        merged = _merge_windows(_window_partials(array, window).collect())
+        if merged is None:
+            return 0
+        _keys, _sums, counts = merged
+        return int(np.count_nonzero(counts > min_count))
 
 
 def reference_window_counts(valid: np.ndarray, window: int) -> dict:

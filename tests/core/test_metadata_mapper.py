@@ -1,5 +1,7 @@
 """Tests for ArrayMetadata and the coordinate/chunk-ID mapper."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,17 @@ class TestMetadata:
         assert meta.num_chunks == 8
         assert meta.cells_per_chunk == 1024
         assert meta.ends == (100, 60)
+
+    def test_cached_geometry_leaves_identity_unchanged(self):
+        meta = ArrayMetadata((100, 60, 3), (32, 32, 1), starts=(7, -5, 0))
+        fresh = ArrayMetadata((100, 60, 3), (32, 32, 1), starts=(7, -5, 0))
+        before = (repr(meta), hash(meta), pickle.dumps(meta))
+        assert meta.chunk_grid is meta.chunk_grid
+        assert meta.num_chunks == 24
+        assert meta == fresh and hash(meta) == hash(fresh)
+        assert (repr(meta), hash(meta), pickle.dumps(meta)) == before
+        clone = pickle.loads(pickle.dumps(meta))
+        assert clone == meta and clone.chunk_grid == (4, 2, 3)
 
     def test_starts(self):
         meta = ArrayMetadata((10, 10), (5, 5), starts=(100, -20))

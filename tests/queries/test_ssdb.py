@@ -34,6 +34,49 @@ def cube(bands):
     return sdss_stack(bands["u"])
 
 
+# window 8 tiles the 32-cell chunks (aligned path); window 12 does not,
+# so windows straddle chunks and partials merge on the driver; the
+# boxes' corners sit off the window grid
+WINDOW_CASES = [
+    pytest.param(12, None, id="w12"),
+    pytest.param(8, ((5, 3, 0), (70, 90, 3)), id="w8-offgrid-box"),
+    pytest.param(12, ((5, 3, 1), (70, 90, 2)), id="w12-offgrid-box"),
+]
+
+
+@pytest.fixture(params=["serial", "thread"])
+def backend_queries(request, bands):
+    context = ClusterContext(num_executors=4, default_parallelism=4,
+                             use_threads=request.param == "thread")
+    ds = load_spangle_dataset(context, bands, chunk_shape=(32, 32, 1))
+    yield SpangleRasterQueries(ds)
+    context.shutdown()
+
+
+def in_box(valid, box):
+    if box is None:
+        return valid
+    (x0, y0, i0), (x1, y1, i1) = box
+    sel = np.zeros_like(valid)
+    sel[x0:x1 + 1, y0:y1 + 1, i0:i1 + 1] = True
+    return valid & sel
+
+
+@pytest.fixture()
+def null_corner_queries(ctx, bands):
+    """Every band is null sky in x, y >= 64, so a box there is empty."""
+    cleared = {}
+    for band, scenes in bands.items():
+        cleared[band] = [scene.copy() for scene in scenes]
+        for scene in cleared[band]:
+            scene[64:, 64:] = np.nan
+    ds = load_spangle_dataset(ctx, cleared, chunk_shape=(32, 32, 1))
+    return SpangleRasterQueries(ds)
+
+
+NULL_BOX = ((64, 64, 0), (95, 95, 3))
+
+
 class TestQ1:
     def test_full(self, queries, cube):
         values, valid = cube
@@ -64,6 +107,22 @@ class TestQ2:
                                  wc * 8:(wc + 1) * 8, img]
             assert result[key] == pytest.approx(
                 window_vals[window_valid].mean())
+
+    @pytest.mark.parametrize("window,box", WINDOW_CASES)
+    def test_unaligned_windows_match_reference(self, backend_queries,
+                                               cube, window, box):
+        values, valid = cube
+        sel = in_box(valid, box)
+        result = backend_queries.q2_regrid("u", window, box)
+        assert set(result) == set(reference_window_counts(sel, window))
+        for (img, wr, wc), mean in result.items():
+            window_cells = (slice(wr * window, (wr + 1) * window),
+                            slice(wc * window, (wc + 1) * window), img)
+            assert mean == pytest.approx(
+                values[window_cells][sel[window_cells]].mean())
+
+    def test_empty_box(self, null_corner_queries):
+        assert null_corner_queries.q2_regrid("u", 8, NULL_BOX) == {}
 
     def test_window_validation(self, queries):
         with pytest.raises(ArrayError):
@@ -108,6 +167,20 @@ class TestQ5:
         _values, valid = cube
         counts = reference_window_counts(valid, 8)
         assert queries.q5_density("u", 8, 0) == len(counts)
+
+    @pytest.mark.parametrize("window,box", WINDOW_CASES)
+    @pytest.mark.parametrize("min_count", [0, 5])
+    def test_unaligned_windows_match_reference(self, backend_queries,
+                                               cube, window, box,
+                                               min_count):
+        _values, valid = cube
+        counts = reference_window_counts(in_box(valid, box), window)
+        expected = sum(1 for n in counts.values() if n > min_count)
+        assert backend_queries.q5_density("u", window, min_count,
+                                          box) == expected
+
+    def test_empty_box(self, null_corner_queries):
+        assert null_corner_queries.q5_density("u", 8, 0, NULL_BOX) == 0
 
 
 class TestCrossSystemAgreement:
