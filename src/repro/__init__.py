@@ -20,12 +20,11 @@ Package map:
 
 - :mod:`repro.engine` -- the mini-Spark substrate.
 - :mod:`repro.bitmask` -- bitmask machinery (popcounts, hierarchy).
-- :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators.
-- :mod:`repro.plan` -- the chunk-kernel fusion layer
-  (``repro.plan.disable_fusion()`` is the eager-execution escape hatch).
-- :mod:`repro.optimizer` -- the cost-based logical rewrite layer
-  (``repro.optimizer.disable()`` lowers plans exactly as written;
-  ``ArrayRDD.explain(optimized=True)`` shows what it rewrote).
+- :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators, the
+  cost-based rewrite optimizer (:mod:`repro.core.optimizer`) and the
+  chunk-kernel fusion layer (:mod:`repro.core.plan`) every recorded
+  plan runs through (``ArrayRDD.explain(optimized=True)`` shows what
+  was rewritten).
 - :mod:`repro.matrix` -- distributed linear algebra.
 - :mod:`repro.ml` -- PageRank and SGD/logistic regression.
 - :mod:`repro.baselines` -- SciSpark/RasterFrames/SciDB/COO/MLlib/GraphX
@@ -35,7 +34,6 @@ Package map:
 - :mod:`repro.io` -- CSV and SNF (NetCDF-like) ingestion.
 """
 
-from repro import optimizer, plan
 from repro.bitmask import Bitmask
 from repro.core import (
     Aggregator,
@@ -52,8 +50,6 @@ from repro.errors import SpangleError
 from repro.matrix import (
     SpangleMatrix,
     SpangleVector,
-    set_sparse_threshold,
-    sparse_config,
 )
 from repro.ml import (
     BitmaskGraph,
@@ -82,10 +78,6 @@ __all__ = [
     "SpangleMatrix",
     "SpangleVector",
     "StorageLevel",
-    "optimizer",
     "pagerank",
-    "plan",
-    "set_sparse_threshold",
-    "sparse_config",
     "__version__",
 ]

@@ -29,12 +29,7 @@ from repro.core.chunk import Chunk, ChunkMode
 from repro.core.dataset import SpangleDataset
 from repro.core.mask_rdd import MaskRDD
 from repro.core.metadata import ArrayMetadata
-from repro.core.plan import (
-    ChunkPlan,
-    disable_fusion,
-    enable_fusion,
-    fusion_enabled,
-)
+from repro.core.plan import ChunkPlan
 
 # teach the engine's columnar shuffle to pack Chunk values; the engine
 # layer itself never imports core
@@ -69,7 +64,4 @@ __all__ = [
     "MinAggregator",
     "SpangleDataset",
     "SumAggregator",
-    "disable_fusion",
-    "enable_fusion",
-    "fusion_enabled",
 ]

@@ -14,23 +14,19 @@ Operators do not touch the engine eagerly: they *record*
 :class:`~repro.core.logical.LogicalOp` nodes. Reading :attr:`rdd` —
 which every action and wide operator does — is the plan barrier: the
 recorded tree is rewritten by the cost-based optimizer
-(:mod:`repro.core.optimizer`, unless disabled) and lowered back to
-ChunkPlan kernel chains (compiled into single fused ``map_partitions``
-passes) and engine joins/shuffles. ``cache()`` and ``materialize()``
-are plan barriers too: they collapse the pending tree so the cached
-data is the computed result. The eager per-chunk path is preserved
-verbatim behind :func:`repro.core.plan.disable_fusion`; ``explain()``
-renders the logical/optimized/physical plans without compiling
-anything into the array's state.
+(:mod:`repro.core.optimizer`) and lowered back to ChunkPlan kernel
+chains (compiled into single fused ``map_partitions`` passes) and
+engine joins/shuffles. ``cache()`` and ``materialize()`` are plan
+barriers too: they collapse the pending tree so the cached data is the
+computed result. ``explain()`` renders the logical/optimized/physical
+plans without compiling anything into the array's state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bitmask import Bitmask
 from repro.core import mapper
-from repro.core import plan as plan_mod
 from repro.core.aggregates import combine_kernel_for, resolve_aggregator
 from repro.core.chunk import Chunk, ChunkMode
 from repro.core.logical import (
@@ -55,144 +51,7 @@ from repro.errors import ArrayError, ShapeMismatchError
 # ----------------------------------------------------------------------
 # module-level task callables
 # ----------------------------------------------------------------------
-# The eager (fusion-disabled) operator path used to build its per-chunk
-# transforms as local closures. Local closures ship to worker processes
-# by value — workable, but heavy — and the repack closure captured the
-# ClusterContext, which cannot cross a process boundary at all. These
-# wrappers are module-level, so tasks pickle them by reference; each
-# exposes the wrapped user callable as ``func`` so the worker's
-# context-binding walk recurses through it (see repro.engine.rdd).
-
-class _MapChunkValues:
-    """Eager ``map_values``: vectorized function over one chunk."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func):
-        self.func = func
-
-    def __call__(self, chunk):
-        return chunk.map_values(self.func)
-
-
-class _FilterChunk:
-    """Eager ``filter``: vectorized predicate over one chunk."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, predicate):
-        self.func = predicate
-
-    def __call__(self, chunk):
-        return chunk.filter(self.func)
-
-
-class _BoundScalarOp:
-    """Eager scalar arithmetic: ``op(values, scalar)`` (or reflected)."""
-
-    __slots__ = ("func", "scalar", "reflected")
-
-    def __init__(self, op, scalar, reflected):
-        self.func = op
-        self.scalar = scalar
-        self.reflected = reflected
-
-    def __call__(self, values):
-        if self.reflected:
-            return self.func(self.scalar, values)
-        return self.func(values, self.scalar)
-
-
-class _RepackOne:
-    """Eager ``repack``: re-choose one chunk's mode, counting changes.
-
-    Records conversions through whichever engine context the task runs
-    under: the driver's metrics in-process, the worker's metrics (merged
-    back with the task reply) under ``backend="process"``. The metrics
-    handle is dropped from the pickled state and re-attached by the
-    worker's context-binding walk.
-    """
-
-    def __init__(self, metrics):
-        self.metrics = metrics
-
-    def __getstate__(self) -> dict:
-        return {"metrics": None}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def bind_engine_context(self, context) -> None:
-        self.metrics = getattr(context, "metrics", None)
-
-    def __call__(self, chunk):
-        new, changed = chunk.repack()
-        if changed and self.metrics is not None:
-            self.metrics.record_repack(1)
-        return new
-
-
-class _RestrictToBox:
-    """Eager ``subarray``: chunk-ID pruning + bitmask AND per partition."""
-
-    __slots__ = ("meta", "lo", "hi", "wanted")
-
-    def __init__(self, meta, lo, hi):
-        self.meta = meta
-        self.lo = lo
-        self.hi = hi
-        self.wanted = frozenset(mapper.chunk_ids_in_range(meta, lo, hi))
-
-    def __call__(self, index, part):
-        for chunk_id, chunk in part:
-            if chunk_id not in self.wanted:
-                continue
-            if mapper.chunk_fully_inside(self.meta, chunk_id, self.lo,
-                                         self.hi):
-                yield chunk_id, chunk
-                continue
-            virtual = Bitmask.from_bools(
-                mapper.range_mask_for_chunk(self.meta, chunk_id,
-                                            self.lo, self.hi)
-            )
-            restricted = chunk.and_mask(virtual)
-            if restricted.valid_count > 0:
-                yield chunk_id, restricted
-
-
-class _MergeAnd:
-    """Eager and-join merge of one joined chunk pair."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, op):
-        self.func = op
-
-    def __call__(self, pair):
-        left, right = pair
-        return left.elementwise(right, self.func, how="and")
-
-
-class _MergeOr:
-    """Eager or-join merge; ``fill`` stands in for a missing side."""
-
-    __slots__ = ("func", "cells", "dtype", "fill")
-
-    def __init__(self, op, cells, dtype, fill):
-        self.func = op
-        self.cells = cells
-        self.dtype = dtype
-        self.fill = fill
-
-    def __call__(self, pair):
-        left, right = pair
-        if left is None:
-            left = Chunk.empty(self.cells, dtype=self.dtype)
-        if right is None:
-            right = Chunk.empty(self.cells, dtype=self.dtype)
-        return left.elementwise(right, self.func, how="or",
-                                fill=self.fill)
-
+# Module-level, so process-backend tasks pickle them by reference.
 
 class _ChunkAggregate:
     """Map side of ``aggregate``: one partial state per partition."""
@@ -277,10 +136,6 @@ class _DecodeGroupKey:
         return tuple(coords), value
 
 
-def _has_valid_cells(kv) -> bool:
-    return kv[1].valid_count > 0
-
-
 def _chunk_valid_count(kv) -> int:
     return kv[1].valid_count
 
@@ -319,11 +174,10 @@ class ArrayRDD:
 
         Accessing this is the plan barrier: actions, wide operators and
         external consumers all read it. The recorded logical tree is
-        rewritten by the cost-based optimizer (when enabled), then
-        lowered — chunk-local chains compile to one fused
-        ``map_partitions`` pass each — and the result is memoized, so
-        repeat actions reuse the same compiled RDD and its cache
-        entries.
+        rewritten by the cost-based optimizer, then lowered —
+        chunk-local chains compile to one fused ``map_partitions`` pass
+        each — and the result is memoized, so repeat actions reuse the
+        same compiled RDD and its cache entries.
         """
         node = self._logical
         if isinstance(node, SourceOp):
@@ -332,7 +186,7 @@ class ArrayRDD:
             from repro.core import optimizer as optimizer_mod
 
             metrics = self.context.metrics
-            node, fired, pruned = optimizer_mod.maybe_optimize(
+            node, fired, pruned = optimizer_mod.optimize(
                 node, self.context)
             if fired:
                 metrics.record_optimizer(len(fired), pruned)
@@ -404,9 +258,6 @@ class ArrayRDD:
         records = [(cid, c) for cid, c in chunk_records
                    if c.valid_count > 0]
         return cls._distribute(context, records, meta, num_partitions)
-
-    def _with_rdd(self, rdd, meta=None) -> "ArrayRDD":
-        return ArrayRDD(rdd, meta or self.meta, self.context)
 
     def _with_logical(self, node) -> "ArrayRDD":
         """Record one more logical node (no RDD is built yet)."""
@@ -505,8 +356,8 @@ class ArrayRDD:
         node = self._logical
         lines = ["Logical plan:", render_tree(node, 1)]
         if optimized:
-            opt, fired, pruned = optimizer_mod.maybe_optimize(
-                node, self.context)
+            opt, fired, pruned = optimizer_mod.optimize(node,
+                                                        self.context)
             rules = ", ".join(fired) if fired else "none"
             lines.append(
                 f"Optimized plan ({len(fired)} rules fired: {rules}; "
@@ -531,11 +382,7 @@ class ArrayRDD:
 
     def map_values(self, func) -> "ArrayRDD":
         """Apply a vectorized function to every valid value."""
-        if plan_mod.fusion_enabled():
-            return self._with_logical(MapOp(self._logical, func))
-        return self._with_rdd(
-            self.rdd.map_values(_MapChunkValues(func))
-        )
+        return self._with_logical(MapOp(self._logical, func))
 
     def filter(self, predicate) -> "ArrayRDD":
         """Invalidate cells whose value fails ``predicate(values)``.
@@ -543,13 +390,7 @@ class ArrayRDD:
         ``predicate`` is vectorized: it receives a value vector and
         returns booleans. Chunks left with no valid cell are dropped.
         """
-        if plan_mod.fusion_enabled():
-            return self._with_logical(FilterOp(self._logical, predicate))
-        filtered = self.rdd.map_values(
-            _FilterChunk(predicate)
-        ).filter(_has_valid_cells)
-        filtered.partitioner = self.rdd.partitioner
-        return self._with_rdd(filtered)
+        return self._with_logical(FilterOp(self._logical, predicate))
 
     def repack(self) -> "ArrayRDD":
         """Re-apply the density mode policy to every chunk.
@@ -557,15 +398,11 @@ class ArrayRDD:
         Filters and masks shrink validity without re-choosing the
         storage mode; repacking re-runs :func:`~repro.core.chunk.choose_mode`
         on each chunk's current density, so a DENSE chunk that a filter
-        left 5% valid re-encodes SPARSE (or SUPER_SPARSE). Fused, the
-        kernel merely retargets the final encode — zero extra passes;
+        left 5% valid re-encodes SPARSE (or SUPER_SPARSE). The kernel
+        merely retargets the fused pass's final encode — zero extra passes;
         ``chunks_repacked`` in the metrics counts the conversions.
         """
-        if plan_mod.fusion_enabled():
-            return self._with_logical(RepackOp(self._logical))
-        return self._with_rdd(
-            self.rdd.map_values(_RepackOne(self.context.metrics))
-        )
+        return self._with_logical(RepackOp(self._logical))
 
     def subarray(self, lo, hi) -> "ArrayRDD":
         """Keep cells inside the closed coordinate box ``[lo, hi]``.
@@ -574,12 +411,7 @@ class ArrayRDD:
         operation — no scan), then AND each chunk's bitmask with the
         virtual bitmask of the range.
         """
-        if plan_mod.fusion_enabled():
-            return self._with_logical(SubarrayOp(self._logical, lo, hi))
-        out = self.rdd.map_partitions_with_index(
-            _RestrictToBox(self.meta, lo, hi), preserves_partitioning=True
-        )
-        return self._with_rdd(out)
+        return self._with_logical(SubarrayOp(self._logical, lo, hi))
 
     def partition_by(self, partitioner) -> "ArrayRDD":
         """Redistribute chunk records under an explicit partitioner.
@@ -589,10 +421,7 @@ class ArrayRDD:
         chunks never cross the network. A no-op at execution time when
         the records already carry an equal partitioner.
         """
-        if plan_mod.fusion_enabled():
-            return self._with_logical(
-                ShuffleOp(self._logical, partitioner))
-        return self._with_rdd(self.rdd.partition_by(partitioner))
+        return self._with_logical(ShuffleOp(self._logical, partitioner))
 
     def repartition(self, num_partitions: int) -> "ArrayRDD":
         """Hash-redistribute into ``num_partitions`` partitions."""
@@ -667,30 +496,12 @@ class ArrayRDD:
             )
         if how not in ("and", "or"):
             raise ArrayError(f"unknown join mode {how!r}; use 'and'/'or'")
-        cells = self.meta.cells_per_chunk
-        dtype = self.meta.dtype
-        if plan_mod.fusion_enabled():
-            # recorded as a logical join; at lowering the merge becomes
-            # a plan *source*, so the drop-empty step and any trailing
-            # chunk-local operators fuse into one pass
-            return self._with_logical(
-                ElementwiseOp(self._logical, other._logical, op, how,
-                              fill, self.meta))
-        # wide operator: reading .rdd on both sides is the plan barrier
-        if how == "and":
-            joined = self.rdd.join(other.rdd)
-        else:
-            joined = self.rdd.full_outer_join(other.rdd)
-        if how == "and":
-            merge = _MergeAnd(op)
-        else:
-            merge = _MergeOr(op, cells, dtype, fill)
-        out = joined.map_values(merge).filter(_has_valid_cells)
-        # the engine's filter preserves partitioning, but keep the
-        # contract explicit (matches the filter() operator above) so
-        # downstream joins stay narrow
-        out.partitioner = joined.partitioner
-        return self._with_rdd(out)
+        # recorded as a logical join; at lowering the merge becomes a
+        # plan *source*, so the drop-empty step and any trailing
+        # chunk-local operators fuse into one pass
+        return self._with_logical(
+            ElementwiseOp(self._logical, other._logical, op, how, fill,
+                          self.meta))
 
     def aggregate(self, aggregator="sum"):
         """Collapse the whole array to one value with an Aggregator."""
@@ -813,11 +624,9 @@ class ArrayRDD:
     # union semantics explicitly.
 
     def _scalar_op(self, op, scalar, reflected, name) -> "ArrayRDD":
-        if plan_mod.fusion_enabled():
-            return self._with_logical(
-                ScalarOp(self._logical, op, scalar, reflected=reflected,
-                         opname=name))
-        return self.map_values(_BoundScalarOp(op, scalar, reflected))
+        return self._with_logical(
+            ScalarOp(self._logical, op, scalar, reflected=reflected,
+                     opname=name))
 
     def _binary_op(self, other, op, name):
         if isinstance(other, ArrayRDD):

@@ -336,8 +336,8 @@ class MaskApplyOp(LogicalOp):
 class MatmulExecPlan:
     """Physical choices the optimizer attached to a :class:`MatmulOp`.
 
-    ``kernel`` is the forced block-pair representation (``"dense"`` /
-    ``"coo"`` / ``"csr"``); ``balance`` swaps the k-shuffle and gather
+    ``kernel`` is the forced block-pair representation (``"dense"`` or
+    ``"csr"``); ``balance`` swaps the k-shuffle and gather
     hash partitioners for nnz-balanced ones built from ``k_weights``
     and ``gather_weights`` (per-key modeled work, measured from the
     operands' per-chunk valid counts). The two imbalance figures are

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.bitmask import Bitmask
 from repro.core import mapper
-from repro.core import plan as plan_mod
 from repro.core.metadata import ArrayMetadata
 from repro.errors import ShapeMismatchError
 
@@ -146,12 +145,8 @@ class MaskRDD:
         validated now (call-site error timing).
         """
         mapper.chunk_ids_in_range(self.meta, lo, hi)
-        if plan_mod.fusion_enabled():
-            return MaskRDD(self._base_rdd, self.meta, self.context,
-                           boxes=self._boxes + ((tuple(lo), tuple(hi)),))
-        return self._with_rdd(self.rdd.map_partitions_with_index(
-            _RestrictMasks(self.meta, ((tuple(lo), tuple(hi)),)),
-            preserves_partitioning=True))
+        return MaskRDD(self._base_rdd, self.meta, self.context,
+                       boxes=self._boxes + ((tuple(lo), tuple(hi)),))
 
     def filter_on(self, array_rdd, predicate) -> "MaskRDD":
         """AND with the cells of ``array_rdd`` passing ``predicate``.
@@ -219,7 +214,7 @@ class MaskRDD:
         chunks with no surviving cell — or no mask entry at all — are
         dropped.
 
-        With fusion enabled the reconciliation is recorded as a logical
+        The reconciliation is recorded as a logical
         :class:`~repro.core.logical.MaskApplyOp`; at lowering the AND
         becomes a :class:`~repro.core.plan.MaskApplySource`, so it and
         any chunk-local operators applied to the result (a dataset's
@@ -230,16 +225,9 @@ class MaskRDD:
         from repro.core.array_rdd import ArrayRDD
         from repro.core.logical import MaskApplyOp
 
-        if plan_mod.fusion_enabled():
-            node = MaskApplyOp(array_rdd._logical, self)
-            return ArrayRDD(None, array_rdd.meta, array_rdd.context,
-                            logical=node)
-        joined = array_rdd.rdd.join(self.rdd)
-        out = joined.map_values(
-            lambda pair: pair[0].and_mask(pair[1])
-        ).filter(lambda kv: kv[1].valid_count > 0)
-        out.partitioner = joined.partitioner
-        return ArrayRDD(out, array_rdd.meta, array_rdd.context)
+        node = MaskApplyOp(array_rdd._logical, self)
+        return ArrayRDD(None, array_rdd.meta, array_rdd.context,
+                        logical=node)
 
     def count_valid(self) -> int:
         return self.rdd.map(lambda kv: kv[1].count()).fold(

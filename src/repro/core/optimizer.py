@@ -7,8 +7,7 @@ a transformed subtree and keeps it only when the
 strictly cheaper — scans via :meth:`scan_seconds` fed with the
 per-chunk density statistics the estimates carry, data movement via
 :meth:`shuffle_seconds`. Rules therefore never fire on plans they
-cannot improve, and the escape hatch :func:`disable` (mirroring
-``repro.plan.disable_fusion``) turns the whole layer off.
+cannot improve; every plan read through ``ArrayRDD.rdd`` is optimized.
 
 Rule catalog
 ------------
@@ -36,7 +35,7 @@ Rule catalog
   counts straight off the bitmasks (the MaskRDD trick, generalized).
 - ``matmul_sparse_execution`` — a matmul over operands with exact
   per-chunk stats gets a :class:`~repro.core.logical.MatmulExecPlan`:
-  the cheapest priced block kernel (dense / COO / CSR) and, when it
+  the cheaper priced block kernel (dense / CSR) and, when it
   lowers the modeled gather skew, nnz-balanced shuffle placement in
   place of hash.
 """
@@ -46,7 +45,6 @@ from __future__ import annotations
 import operator as _operator
 
 from repro.core import mapper
-from repro.core import plan as plan_mod
 from repro.core.logical import (
     ElementwiseOp,
     FilterOp,
@@ -65,9 +63,6 @@ from repro.core.logical import (
 )
 
 __all__ = [
-    "disable",
-    "enable",
-    "enabled",
     "lower_count_valid",
     "optimize",
     "plan_cost",
@@ -76,45 +71,6 @@ __all__ = [
 #: safety valve: rules fired per optimize() call (cost gating already
 #: guarantees termination; this bounds pathological trees)
 MAX_FIRINGS = 64
-
-
-# ----------------------------------------------------------------------
-# optimizer switch (mirrors repro.core.plan's fusion toggle)
-# ----------------------------------------------------------------------
-
-class _OptimizerToggle:
-    """Flips the rewrite switch; restores the prior state when used as
-    a context manager."""
-
-    def __init__(self, on: bool):
-        self._previous = _STATE["enabled"]
-        _STATE["enabled"] = on
-
-    def __enter__(self) -> "_OptimizerToggle":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STATE["enabled"] = self._previous
-        return False
-
-
-_STATE = {"enabled": True}
-
-
-def enabled() -> bool:
-    """Whether lowering runs the rewrite rules (True by default)."""
-    return _STATE["enabled"]
-
-
-def enable() -> _OptimizerToggle:
-    """Turn the rewrite optimizer on (the default)."""
-    return _OptimizerToggle(True)
-
-
-def disable() -> _OptimizerToggle:
-    """Escape hatch: lower recorded plans exactly as written. Usable
-    standalone or as a ``with`` block restoring the previous setting."""
-    return _OptimizerToggle(False)
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +128,7 @@ def _node_cost(node, model) -> float:
                 left.chunks + right.chunks)
         # the partial-product stage itself: kernel kind and placement
         # skew, from the exec plan when one is attached, otherwise the
-        # gated-auto default under hash placement
+        # density-gated default under hash placement
         cost += matmul_stage_seconds(node, model)
         out = estimate(node)
         return cost + model.shuffle_seconds(out.payload_bytes,
@@ -332,7 +288,7 @@ def _rule_subarray_into_matmul(node):
 def _rule_matmul_sparse_execution(node):
     # attach a MatmulExecPlan (kernel kind + nnz-balanced placement)
     # when the operands carry exact per-chunk stats; the cost gate
-    # keeps it only when the priced kernel/skew beats the gated-auto
+    # keeps it only when the priced kernel/skew beats the density-gated
     # default under hash placement
     if not isinstance(node, MatmulOp) or node.exec_plan is not None:
         return None
@@ -375,14 +331,6 @@ def optimize(node, context):
         return node, [], 0
     pruned = max(0, int(round(before - _scanned_chunks(rewritten))))
     return rewritten, fired, pruned
-
-
-def maybe_optimize(node, context):
-    """:func:`optimize` when the optimizer is enabled; identity when
-    not."""
-    if not enabled():
-        return node, [], 0
-    return optimize(node, context)
 
 
 def _rewrite(node, model, fired, budget):
@@ -481,8 +429,6 @@ def lower_count_valid(node, context):
     op (filter, elementwise, mask apply, matmul) whose validity effect
     requires real evaluation.
     """
-    if not (enabled() and plan_mod.fusion_enabled()):
-        return None
     boxes = []
     skipped = 0
     current = node

@@ -11,17 +11,13 @@ operator, or ``cache()``) forces evaluation the whole chain compiles to
 **one** ``map_partitions`` pass — one decode, one kernel pipeline over
 plain offset/value vectors, one encode per surviving chunk.
 
-The contract is strict: a compiled plan is byte-identical to the eager
-path in all three chunk modes. Kernels therefore replicate the eager
-operators' mode policy exactly — ``map_values`` preserves the input
-mode, ``filter``/``mask_and`` re-apply :func:`choose_mode` on the new
-density — and the final encode goes through the same
-:func:`~repro.core.chunk._build_from_bools` construction the eager
-operators use.
-
-Fusion can be turned off globally with :func:`disable_fusion` (also a
-context manager), which routes every operator back through the original
-eager per-chunk code path.
+The contract is strict: a compiled plan is byte-identical to chaining
+the per-chunk :class:`~repro.core.chunk.Chunk` operators one at a time,
+in all three chunk modes. Kernels therefore replicate those operators'
+mode policy exactly — ``map_values`` preserves the input mode,
+``filter``/``mask_and`` re-apply :func:`choose_mode` on the new density
+— and the final encode goes through the same
+:func:`~repro.core.chunk._build_from_bools` construction they use.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from repro.bitmask.popcount import rank_counts
 from repro.core import mapper
 from repro.core.chunk import Chunk, ChunkMode, choose_mode, \
     _build_from_bools
-from repro.engine.worker import register_task_state
 from repro.errors import ArrayError
 
 __all__ = [
@@ -47,63 +42,7 @@ __all__ = [
     "MaskApplySource",
     "RepackKernel",
     "ScalarOpKernel",
-    "disable_fusion",
-    "enable_fusion",
-    "fusion_enabled",
 ]
-
-
-# ----------------------------------------------------------------------
-# fusion switch
-# ----------------------------------------------------------------------
-
-class _FusionToggle:
-    """Flips the global fusion switch; restores the prior state when
-    used as a context manager."""
-
-    def __init__(self, enabled: bool):
-        self._previous = _STATE["enabled"]
-        _STATE["enabled"] = enabled
-
-    def __enter__(self) -> "_FusionToggle":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STATE["enabled"] = self._previous
-        return False
-
-
-_STATE = {"enabled": True}
-
-
-def _capture_fusion():
-    return _STATE["enabled"]
-
-
-def _apply_fusion(value):
-    _STATE["enabled"] = value
-
-
-# ship the fusion toggle to worker processes alongside each task, so a
-# ``with disable_fusion():`` block on the driver governs the workers too
-register_task_state("fusion", _capture_fusion, _apply_fusion)
-
-
-def fusion_enabled() -> bool:
-    """Whether operators build ChunkPlans (True) or run eagerly."""
-    return _STATE["enabled"]
-
-
-def enable_fusion() -> _FusionToggle:
-    """Turn kernel fusion on (the default). Usable as ``with`` block."""
-    return _FusionToggle(True)
-
-
-def disable_fusion() -> _FusionToggle:
-    """Escape hatch: run every operator through the eager per-chunk
-    path. Usable standalone or as a ``with`` block that restores the
-    previous setting on exit."""
-    return _FusionToggle(False)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,8 @@ slice of Spark that Spangle needs, in pure Python:
 - :mod:`repro.engine.batches` — the columnar shuffle data plane: packed
   :class:`~repro.engine.batches.RecordBatch` shuffle blocks, vectorized
   partitioning, and reduceat-style combine kernels, byte-identical to
-  the per-record path (``disable_columnar`` switches back).
+  the per-record path it falls back to when keys or values refuse to
+  pack.
 - :mod:`repro.engine.worker` — the process execution backend
   (``ClusterContext(backend="process")``): forked worker processes run
   task bodies for true multi-core parallelism, with tasks serialized by
@@ -38,12 +39,7 @@ slice of Spark that Spangle needs, in pure Python:
   :mod:`repro.engine.top` renders it as the ``repro top`` dashboard.
 """
 
-from repro.engine.batches import (
-    RecordBatch,
-    columnar_enabled,
-    disable_columnar,
-    enable_columnar,
-)
+from repro.engine.batches import RecordBatch
 from repro.engine.context import ClusterContext
 from repro.engine.costmodel import ClusterCostModel, CostReport
 from repro.engine.explain import memory_report
@@ -55,13 +51,7 @@ from repro.engine.partitioner import (
     RangePartitioner,
 )
 from repro.engine.rdd import RDD
-from repro.engine.scheduler import (
-    ExecutorPool,
-    StageScheduler,
-    disable_pipelining,
-    enable_pipelining,
-    pipelining_enabled,
-)
+from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import (
     CacheManager,
     CostAwareEviction,
@@ -107,12 +97,6 @@ __all__ = [
     "TimeSeriesStore",
     "Tracer",
     "WorkerHeartbeats",
-    "columnar_enabled",
-    "disable_columnar",
-    "disable_pipelining",
-    "enable_columnar",
-    "enable_pipelining",
     "memory_report",
-    "pipelining_enabled",
     "prometheus_text",
 ]

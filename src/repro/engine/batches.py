@@ -30,10 +30,6 @@ tuple path":
   re-associates float adds; min/max refuse NaN (numpy propagates it,
   Python's ``min`` does not); int sums refuse magnitudes that could
   overflow int64 where Python would promote to bignum.
-
-``disable_columnar()`` routes every shuffle back through the generic
-tuple path (standalone or as a context manager), mirroring
-``repro.plan.disable_fusion``.
 """
 
 from __future__ import annotations
@@ -47,56 +43,12 @@ __all__ = [
     "RecordBatch",
     "ScalarValues",
     "VALUE_PACK_BYTE_LIMIT",
-    "columnar_enabled",
     "combine_runs",
-    "disable_columnar",
-    "enable_columnar",
     "group_indices_by_partition",
     "pack_int_keys",
     "pack_values",
     "register_value_codec",
 ]
-
-
-# ----------------------------------------------------------------------
-# columnar switch
-# ----------------------------------------------------------------------
-
-class _ColumnarToggle:
-    """Flips the global columnar-shuffle switch; restores the prior
-    state when used as a context manager."""
-
-    def __init__(self, enabled: bool):
-        self._previous = _STATE["enabled"]
-        _STATE["enabled"] = enabled
-
-    def __enter__(self) -> "_ColumnarToggle":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STATE["enabled"] = self._previous
-        return False
-
-
-_STATE = {"enabled": True}
-
-
-def columnar_enabled() -> bool:
-    """Whether shuffles attempt the packed columnar path (True) or
-    always bucket per record."""
-    return _STATE["enabled"]
-
-
-def enable_columnar() -> _ColumnarToggle:
-    """Turn the columnar shuffle on (the default). Usable as ``with``."""
-    return _ColumnarToggle(True)
-
-
-def disable_columnar() -> _ColumnarToggle:
-    """Escape hatch: bucket and combine one record at a time. Usable
-    standalone or as a ``with`` block that restores the previous
-    setting on exit."""
-    return _ColumnarToggle(False)
 
 
 # ----------------------------------------------------------------------

@@ -75,11 +75,10 @@ class ClusterCostModel:
         # recomputing a block re-runs roughly depth passes over its bytes
         self.recompute_bandwidth_bytes_s = recompute_bandwidth_bytes_s
         # matmul kernel rates: BLAS multiply-adds, partial-product
-        # pairs emitted by the per-k COO join loop vs the vectorized
-        # CSR expansion, and scattered row-updates of the CSR×dense
-        # kernel. The COO/dense ratio is calibrated so the derived
-        # density gate reproduces the legacy SPARSE_KERNEL_THRESHOLD
-        # (0.02) when nothing overrides it: sqrt(8e6 / 2e10) == 0.02.
+        # pairs of a per-k COO join loop vs the vectorized CSR
+        # expansion, and scattered row-updates of the CSR×dense kernel.
+        # The COO/dense ratio sets the sparse density gate, calibrated
+        # to SPARSE_KERNEL_THRESHOLD: sqrt(8e6 / 2e10) == 0.02.
         self.dense_flops_s = dense_flops_s
         self.coo_pairs_s = coo_pairs_s
         self.csr_pairs_s = csr_pairs_s
@@ -124,7 +123,7 @@ class ClusterCostModel:
 
     def serial_job_seconds(self, stage_seconds: dict) -> float:
         """Modeled job time when stages run one at a time behind
-        barriers (``disable_pipelining()``): the sum over stages.
+        barriers (serial contexts): the sum over stages.
 
         ``stage_seconds`` maps a stage key to its modeled seconds; the
         keys only need to match the ``deps`` mapping handed to
@@ -168,9 +167,8 @@ class ClusterCostModel:
         Equating the pair-join cost ``dₐ·d_b·m·k·n / coo_pairs_s`` with
         the dense cost ``m·k·n / dense_flops_s`` at equal operand
         densities gives ``d = sqrt(coo_pairs_s / dense_flops_s)`` —
-        0.02 at the default rates, i.e. the legacy
-        ``SPARSE_KERNEL_THRESHOLD`` falls out of the model instead of
-        being hard-coded.
+        0.02 at the default rates, i.e. ``SPARSE_KERNEL_THRESHOLD``
+        falls out of the model instead of being hard-coded.
         """
         return float(np.sqrt(self.coo_pairs_s / self.dense_flops_s))
 
@@ -185,11 +183,11 @@ class ClusterCostModel:
                               kind: str) -> float:
         """Modeled compute seconds for one ``(m×k) @ (k×n)`` product.
 
-        ``kind`` is the representation pair: ``"dense"`` (BLAS),
-        ``"coo"`` (per-k join loop), ``"csr"`` (vectorized CSR×CSR when
-        both sides qualify, CSR×dense scatter when only one does).
-        Sparse kinds price the expected partial-product pairs
-        ``nnzₐ·nnz_b / k`` plus one pass to build the index structure.
+        ``kind`` is the representation pair: ``"dense"`` (BLAS) or
+        ``"csr"`` (vectorized CSR×CSR when both sides qualify,
+        CSR×dense scatter when only one does). The sparse kind prices
+        the expected partial-product pairs ``nnzₐ·nnz_b / k`` plus one
+        pass to build the index structure.
         """
         da = min(max(float(density_left), 0.0), 1.0)
         db = min(max(float(density_right), 0.0), 1.0)
@@ -199,8 +197,6 @@ class ClusterCostModel:
         nnz_b = db * k * n
         pairs = nnz_a * nnz_b / max(k, 1.0)
         setup = (nnz_a + nnz_b) / self.scatter_ops_s
-        if kind == "coo":
-            return pairs / self.coo_pairs_s + setup
         if kind == "csr":
             gate = self.sparse_kernel_threshold()
             if da < gate and db < gate:

@@ -1108,9 +1108,9 @@ class ShuffledRDD(_ShuffleStageBase):
     narrows: no data moves and no shuffle is recorded — this is precisely
     the property Spangle's matmul local join exploits (Section VI-A).
 
-    When the columnar path is on (the default), map tasks try to pack
-    each partition into :class:`~repro.engine.batches.RecordBatch`
-    buckets: one numpy pass for partition ids, one stable argsort for
+    Map tasks try to pack each partition into
+    :class:`~repro.engine.batches.RecordBatch` buckets: one numpy pass
+    for partition ids, one stable argsort for
     grouping, and — when ``combine_kernel`` names a commutative scalar
     kernel ("sum" | "min" | "max") — a ``reduceat``-style combine over
     sorted key runs before any bucket is emitted. Declaring a kernel
@@ -1174,10 +1174,9 @@ class ShuffledRDD(_ShuffleStageBase):
         """
         parent = self.dependencies[0]
         records = list(parent.iterator(parent_index))
-        if batches.columnar_enabled():
-            out = self._columnar_map_task(records)
-            if out is not None:
-                return out
+        out = self._columnar_map_task(records)
+        if out is not None:
+            return out
         if self._map_side_combine:
             records = list(self._combine_partition(records).items())
             emit_combined = True
@@ -1357,9 +1356,7 @@ class ShuffledRDD(_ShuffleStageBase):
             with tracer.span("narrow_shuffle", "shuffle", narrow=True,
                              partition=index) as span:
                 records = list(parent.iterator(index))
-                out = None
-                if batches.columnar_enabled():
-                    out = self._columnar_narrow_combine(records)
+                out = self._columnar_narrow_combine(records)
                 if out is None:
                     out = list(self._combine_partition(records).items())
                 span.set(records=len(out))
@@ -1372,10 +1369,9 @@ class ShuffledRDD(_ShuffleStageBase):
         # packed batches here, zero-copy over the mapped segment
         segments = [shm_mod.resolve_segment(segment, metrics)
                     for segment in self._fetch_shuffle()[index]]
-        if batches.columnar_enabled():
-            merged = self._merge_columnar(segments)
-            if merged is not None:
-                return merged
+        merged = self._merge_columnar(segments)
+        if merged is not None:
+            return merged
         merged = {}
         for segment in segments:
             if isinstance(segment, BatchSegment):
@@ -1436,10 +1432,9 @@ class CoGroupedRDD(_ShuffleStageBase):
         """
         parent = self.dependencies[which]
         records = list(parent.iterator(parent_index))
-        if batches.columnar_enabled():
-            out = self._columnar_map_task(records)
-            if out is not None:
-                return out
+        out = self._columnar_map_task(records)
+        if out is not None:
+            return out
         buckets = [[] for _ in range(self.num_partitions)]
         partition = self.partitioner.partition
         for key, value in records:

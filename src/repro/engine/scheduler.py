@@ -14,15 +14,15 @@ same for the mini engine:
   graph (explicit dependency edges between the pending shuffle map
   stages), runs the map stages, then the result stage's tasks.
 
-Stage execution is **pipelined** by default on parallel contexts: every
+Stage execution is **pipelined** on parallel contexts: every
 dependency-free stage's map tasks are submitted to the shared
 :class:`ExecutorPool` at once, per-stage completion counts track each
 map output as it lands, and a downstream stage launches the moment its
 last input block arrives — the two sides of a join/cogroup/matmul
-overlap fully instead of serializing at stage barriers.
-``disable_pipelining()`` (mirroring ``repro.plan.disable_fusion`` and
-``repro.engine.batches.disable_columnar``) restores the one-stage-at-
-a-time barrier loop; serial contexts always use it.
+overlap fully instead of serializing at stage barriers. Serial
+contexts, nested jobs inside executor threads, and single-stage jobs
+take the one-stage-at-a-time barrier loop instead (nothing could
+overlap there).
 
 Determinism contract: the serial path (``use_threads=False``, the
 default), the threaded path, and the pipelined path all produce
@@ -51,48 +51,6 @@ from repro.engine.rdd import (
 from repro.engine.sizing import estimate_partition_size, estimate_size
 from repro.engine.storage import StorageLevel
 from repro.errors import EngineError
-
-
-# ----------------------------------------------------------------------
-# pipelining switch
-# ----------------------------------------------------------------------
-
-class _PipeliningToggle:
-    """Flips the global pipelining switch; restores the prior state
-    when used as a context manager."""
-
-    def __init__(self, enabled: bool):
-        self._previous = _STATE["enabled"]
-        _STATE["enabled"] = enabled
-
-    def __enter__(self) -> "_PipeliningToggle":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STATE["enabled"] = self._previous
-        return False
-
-
-_STATE = {"enabled": True}
-
-
-def pipelining_enabled() -> bool:
-    """Whether parallel contexts overlap independent shuffle stages."""
-    return _STATE["enabled"]
-
-
-def enable_pipelining() -> _PipeliningToggle:
-    """Turn stage pipelining on (the default). Usable as ``with`` block."""
-    return _PipeliningToggle(True)
-
-
-def disable_pipelining() -> _PipeliningToggle:
-    """Escape hatch: materialize shuffle stages one at a time behind
-    barriers, as the pre-pipelined scheduler did. Usable standalone or
-    as a ``with`` block that restores the previous setting on exit.
-    Driver-side only: it picks the scheduling strategy, never the task
-    bodies, so results are byte-identical either way."""
-    return _PipeliningToggle(False)
 
 
 class ExecutorPool:
@@ -546,15 +504,14 @@ class StageScheduler:
 
         Pipelined mode needs a pool (map tasks are submitted, not
         awaited in place), more than one stage (a single stage cannot
-        overlap with anything), the global toggle on, and a driver-side
-        caller (nested jobs inside worker threads fall back, mirroring
-        ``map_tasks``).
+        overlap with anything), and a driver-side caller (nested jobs
+        inside worker threads fall back, mirroring ``map_tasks``).
         """
         stages, result_deps = self.stage_graph(rdd)
         if not stages:
             return result_deps
         if (pool is not None and len(stages) > 1
-                and pipelining_enabled() and not pool.in_worker()):
+                and not pool.in_worker()):
             self._run_stages_pipelined(stages, pool, parent_span)
         else:
             self._run_stages_barrier(stages, pool, parent_span)

@@ -11,10 +11,9 @@ process byte-identity contract cheap to hold.
 One round trip:
 
 1. the driver builds a payload — the task (its RDD lineage serialized
-   by :mod:`repro.engine.closure`), the tracing flag, global toggle
-   state (columnar shuffle, kernel fusion), and a handle map for every
-   cached/spilled block in the task's lineage (shared-memory refs,
-   spill-file paths, or inline values — :mod:`repro.engine.shm`);
+   by :mod:`repro.engine.closure`), the tracing flag, and a handle map
+   for every cached/spilled block in the task's lineage (shared-memory
+   refs, spill-file paths, or inline values — :mod:`repro.engine.shm`);
 2. :func:`_worker_entry` rebuilds the task over a
    :class:`WorkerContext` (fresh metrics, fresh tracer, a
    :class:`TaskBlockCache` seeded from the handles) and runs it;
@@ -44,7 +43,6 @@ import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.engine import batches
 from repro.engine import shm as shm_mod
 from repro.engine import spill as spill_mod
 from repro.engine.batches import BatchSegment, RecordBatch
@@ -56,59 +54,6 @@ from repro.engine.tracing import Tracer
 
 class WorkerCrashed(Exception):
     """A worker process died mid-task; the task is retryable."""
-
-
-# ----------------------------------------------------------------------
-# global toggle state shipped with every task
-# ----------------------------------------------------------------------
-
-#: name -> (capture, apply); fork-time snapshots of module toggles go
-#: stale when tests flip them, so current values ride with each task
-_STATE_HOOKS = {}
-
-
-def register_task_state(key: str, capture, apply) -> None:
-    """Register a module-global toggle to ship per task.
-
-    ``capture()`` reads the current value on the driver; ``apply(v)``
-    installs it in the worker (and restores it afterwards). The engine
-    registers the columnar-shuffle switch; ``repro.core`` registers
-    kernel fusion.
-    """
-    _STATE_HOOKS[key] = (capture, apply)
-
-
-def capture_task_state() -> dict:
-    return {key: capture() for key, (capture, _apply)
-            in _STATE_HOOKS.items()}
-
-
-def apply_task_state(values: dict) -> dict:
-    """Install shipped toggle values; returns the displaced ones."""
-    previous = {}
-    for key, value in values.items():
-        hook = _STATE_HOOKS.get(key)
-        if hook is None:
-            continue
-        previous[key] = hook[0]()
-        hook[1](value)
-    return previous
-
-
-def restore_task_state(previous: dict) -> None:
-    for key, value in previous.items():
-        _STATE_HOOKS[key][1](value)
-
-
-def _capture_columnar():
-    return batches.columnar_enabled()
-
-
-def _apply_columnar(value):
-    batches._STATE["enabled"] = value
-
-
-register_task_state("columnar", _capture_columnar, _apply_columnar)
 
 
 # ----------------------------------------------------------------------
@@ -348,10 +293,8 @@ def _worker_entry(payload: bytes) -> bytes:
     tracer = Tracer(enabled=False)
     cache = TaskBlockCache(metrics, {})
     created = []
-    previous_state = {}
     try:
         data = task_loads(payload)
-        previous_state = apply_task_state(data["state"])
         tracer = Tracer(enabled=data["trace"])
         cache = TaskBlockCache(metrics, data["blocks"])
         context = WorkerContext(metrics, tracer, cache)
@@ -367,8 +310,6 @@ def _worker_entry(payload: bytes) -> bytes:
                  "task_wall_s": task_wall_s}
     except BaseException as exc:  # noqa: BLE001 - re-raised driver-side
         reply = {"ok": False, "error": exc}
-    finally:
-        restore_task_state(previous_state)
     # the heartbeat: which process served this task (drivers feed it to
     # the WorkerHeartbeats ledger; rides even on the error path)
     reply["pid"] = os.getpid()
@@ -585,7 +526,6 @@ class ProcessTaskRunner:
         return task_dumps({
             "task": task,
             "trace": context.tracer.enabled,
-            "state": capture_task_state(),
             "blocks": blocks,
             "prefix": context.shm_registry.prefix,
         })

@@ -13,13 +13,7 @@
 """
 
 from repro.matrix.matrix import SpangleMatrix
-from repro.matrix.multiply import (
-    set_nnz_balance,
-    set_sparse_kernel,
-    set_sparse_threshold,
-    sparse_config,
-    sparse_threshold,
-)
+from repro.matrix.multiply import sparse_threshold
 from repro.matrix.offsets import CSRBlock, OffsetArrayChunk, encode_static
 from repro.matrix.vector import SpangleVector
 
@@ -29,9 +23,5 @@ __all__ = [
     "SpangleMatrix",
     "SpangleVector",
     "encode_static",
-    "set_nnz_balance",
-    "set_sparse_kernel",
-    "set_sparse_threshold",
-    "sparse_config",
     "sparse_threshold",
 ]

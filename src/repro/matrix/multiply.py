@@ -16,10 +16,9 @@ kernel.
 
 The **sparse execution tier** layers two decisions on top:
 
-- *kernel*: per block pair, dense BLAS vs the legacy per-k COO join
-  loop vs the vectorized CSR kernels (:func:`_csr_join` for
-  sparse×sparse — bit-identical to the COO join — and the CSR×dense
-  scatter of :func:`_scatter_partial` for one-sided sparsity);
+- *kernel*: per block pair, dense BLAS vs the vectorized CSR kernels
+  (:func:`_csr_join` for sparse×sparse and the CSR×dense scatter of
+  :func:`_scatter_partial` for one-sided sparsity);
 - *placement*: the k-shuffle and the gather shuffle may swap their hash
   partitioners for :class:`~repro.engine.partitioner
   .NnzBalancedPartitioner`\\ s packed from per-chunk valid counts, so a
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import plan as plan_mod
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
 from repro.core.logical import MatmulExecPlan, MatmulOp, SourceOp, estimate
@@ -47,7 +45,7 @@ from repro.engine.partitioner import (
     ExplicitPartitioner,
     NnzBalancedPartitioner,
 )
-from repro.errors import EngineError, ShapeMismatchError
+from repro.errors import ShapeMismatchError
 from repro.matrix.offsets import csc_from_offsets, csr_from_offsets
 
 
@@ -67,77 +65,18 @@ def _check_dims(left, right) -> None:
 #: partial-product path. The *derived* gate normally comes from the
 #: context's cost model (``sparse_kernel_threshold()`` — 0.02 at the
 #: default rates, so the constant and the model agree out of the box);
-#: this constant only applies when no cost model is reachable, and a
-#: ``repro``-level override (:func:`set_sparse_threshold`) beats both.
+#: this constant only applies when no cost model is reachable.
 SPARSE_KERNEL_THRESHOLD = 0.02
-
-#: valid kernel kinds: "auto" resolves per block pair by density gates,
-#: the rest force one representation everywhere
-_KERNEL_KINDS = ("auto", "coo", "csr", "dense")
-
-_SPARSE_CONFIG = {"kernel": "auto", "threshold": None, "balance": True}
-
-
-def set_sparse_kernel(kind: str) -> None:
-    """Force the block-pair kernel: ``auto`` (default), ``coo``,
-    ``csr``, or ``dense``."""
-    if kind not in _KERNEL_KINDS:
-        raise EngineError(
-            f"unknown sparse kernel {kind!r}; pick from {_KERNEL_KINDS}"
-        )
-    _SPARSE_CONFIG["kernel"] = kind
-
-
-def set_sparse_threshold(threshold) -> None:
-    """Override the sparse-kernel density gate; ``None`` restores the
-    cost-model-derived default."""
-    _SPARSE_CONFIG["threshold"] = (
-        None if threshold is None else float(threshold))
-
-
-def set_nnz_balance(enabled: bool) -> None:
-    """Allow (default) or forbid nnz-balanced shuffle placement."""
-    _SPARSE_CONFIG["balance"] = bool(enabled)
 
 
 def sparse_threshold(cost_model=None) -> float:
-    """The effective sparse-kernel density gate.
-
-    Resolution order: the explicit override, then the cost model's
-    derived gate, then the legacy constant (kept for callers with no
-    model in reach — and as the documented default the model
-    reproduces).
+    """The effective sparse-kernel density gate: the cost model's
+    derived gate, or the constant for callers with no model in reach
+    (the documented default the model reproduces).
     """
-    if _SPARSE_CONFIG["threshold"] is not None:
-        return _SPARSE_CONFIG["threshold"]
     if cost_model is not None:
         return cost_model.sparse_kernel_threshold()
     return SPARSE_KERNEL_THRESHOLD
-
-
-class sparse_config:
-    """Scoped override of the sparse execution tier, for benchmarks and
-    tests::
-
-        with sparse_config(kernel="coo", balance=False):
-            ...   # the legacy execution path
-    """
-
-    def __init__(self, kernel=None, threshold=None, balance=None):
-        self._saved = dict(_SPARSE_CONFIG)
-        if kernel is not None:
-            set_sparse_kernel(kernel)
-        if threshold is not None:
-            set_sparse_threshold(threshold)
-        if balance is not None:
-            set_nnz_balance(balance)
-
-    def __enter__(self) -> "sparse_config":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _SPARSE_CONFIG.update(self._saved)
-        return False
 
 
 class _COOPartial:
@@ -190,53 +129,25 @@ def _partial_to_dense(partial) -> np.ndarray:
     return partial
 
 
-def _coo_join(a_rows, a_ks, a_vals, b_ks, b_cols, b_vals, shape):
-    """Join two COO operands on the contraction index.
+def _csr_join(a_rows, a_ks, a_vals, b_ks, b_cols, b_vals, shape):
+    """Join two sparse operands on the contraction index.
 
     ``a`` contributes (row, k, value), ``b`` contributes (k, col,
     value); returns the COO partial of their product, or None when no
     k-index is shared (no arithmetic at all — the COO analogue of the
     bitmask AND in Fig. 5).
-    """
-    shared = np.intersect1d(a_ks, b_ks)
-    if shared.size == 0:
-        return None
-    out_rows, out_cols, out_vals = [], [], []
-    a_order = np.argsort(a_ks, kind="stable")
-    b_order = np.argsort(b_ks, kind="stable")
-    a_ks_sorted = a_ks[a_order]
-    b_ks_sorted = b_ks[b_order]
-    for k in shared:
-        a_lo, a_hi = np.searchsorted(a_ks_sorted, [k, k + 1])
-        b_lo, b_hi = np.searchsorted(b_ks_sorted, [k, k + 1])
-        ar = a_rows[a_order[a_lo:a_hi]]
-        av = a_vals[a_order[a_lo:a_hi]]
-        bc = b_cols[b_order[b_lo:b_hi]]
-        bv = b_vals[b_order[b_lo:b_hi]]
-        out_rows.append(np.repeat(ar, bc.size))
-        out_cols.append(np.tile(bc, ar.size))
-        out_vals.append(np.outer(av, bv).ravel())
-    return _COOPartial(
-        np.concatenate(out_rows), np.concatenate(out_cols),
-        np.concatenate(out_vals), shape,
-    )
 
-
-def _csr_join(a_rows, a_ks, a_vals, b_ks, b_cols, b_vals, shape):
-    """Vectorized row-pointer join — :func:`_coo_join` without the
-    per-k Python loop.
-
-    Both operands sort by k (stable); the b side's sorted k column *is*
+    A vectorized row-pointer join with no per-k Python loop. Both
+    operands sort by k (stable); the b side's sorted k column *is*
     a sparse CSR pointer structure, and the two searchsorteds below are
     its ``indptr`` lookups (``csr_row_pointers`` evaluated only at the
     k values the a side actually holds). Every a entry then expands
     against its b run with pure index arithmetic.
 
-    Bit-identical to the COO join by construction: pairs emit in the
-    same order — shared k ascending, a entries in stable-sorted offset
-    order, each against all matching b entries — and each value is the
-    same two-operand product, so downstream summation sees the same
-    floats in the same sequence.
+    Pairs emit in a fixed order — shared k ascending, a entries in
+    stable-sorted offset order, each against all matching b entries —
+    so downstream summation sees the same floats in the same sequence
+    as a per-k outer-product loop would produce.
     """
     a_order = np.argsort(a_ks, kind="stable")
     b_order = np.argsort(b_ks, kind="stable")
@@ -267,13 +178,12 @@ def _csr_join(a_rows, a_ks, a_vals, b_ks, b_cols, b_vals, shape):
 
 
 def _sparse_partial(left_chunk, right_chunk, left_rows, contraction,
-                    right_cols, join=_coo_join):
+                    right_cols):
     """Sparse product of two sparse blocks; None when no k-index
-    matches. ``join`` picks the loop (COO) or vectorized (CSR)
-    implementation — their outputs are bit-identical."""
+    matches."""
     a_off = left_chunk.indices()
     b_off = right_chunk.indices()
-    return join(
+    return _csr_join(
         a_off % left_rows, a_off // left_rows, left_chunk.values(),
         b_off % contraction, b_off // contraction, right_chunk.values(),
         (left_rows, right_cols),
@@ -321,9 +231,9 @@ class _BlockKernel:
 
     A module-level class (process-backend tasks pickle it by
     reference) holding the *resolved* policy: the kernel kind and the
-    density gates, decided once on the driver from the exec plan /
-    config / cost model. Worker-side module state never participates,
-    so every backend multiplies the same blocks the same way.
+    density gates, decided once on the driver from the exec plan and
+    the cost model, so every backend multiplies the same blocks the
+    same way.
     """
 
     __slots__ = ("left_shape", "right_shape", "kind", "gate",
@@ -333,7 +243,7 @@ class _BlockKernel:
                  scatter_gate):
         self.left_shape = left_shape
         self.right_shape = right_shape
-        self.kind = kind                  # "coo" | "csr" | "dense"
+        self.kind = kind                  # "csr" | "dense"
         self.gate = gate                  # both-sparse density gate
         self.scatter_gate = scatter_gate  # one-sided CSR×dense gate
 
@@ -350,11 +260,10 @@ class _BlockKernel:
             return None
         da = left_chunk.density
         db = right_chunk.density
-        if self.kind != "dense" and da < self.gate and db < self.gate:
-            join = _coo_join if self.kind == "coo" else _csr_join
+        if self.kind == "csr" and da < self.gate and db < self.gate:
             return _sparse_partial(
                 left_chunk, right_chunk, self.left_shape[0],
-                self.left_shape[1], self.right_shape[1], join=join)
+                self.left_shape[1], self.right_shape[1])
         if self.kind == "csr" and min(da, db) < self.scatter_gate:
             return _scatter_partial(left_chunk, right_chunk,
                                     self.left_shape, self.right_shape,
@@ -369,18 +278,13 @@ class _BlockKernel:
 
 
 def _resolve_kernel(left, right, exec_plan=None):
-    """The :class:`_BlockKernel` for one matmul, resolved driver-side.
-
-    Priority: the optimizer's exec plan, then the module config
-    (``auto`` → CSR kernels behind cost-model density gates; the
-    sparse×sparse regime stays bit-identical to the legacy COO path).
+    """The :class:`_BlockKernel` for one matmul, resolved driver-side:
+    the optimizer's exec plan kernel, else CSR kernels behind the cost
+    model's density gates.
     """
-    kind = exec_plan.kernel if exec_plan is not None \
-        else _SPARSE_CONFIG["kernel"]
+    kind = exec_plan.kernel if exec_plan is not None else "csr"
     cost_model = getattr(left.context, "cost_model", None)
     gate = sparse_threshold(cost_model)
-    if kind == "auto":
-        kind = "csr"
     scatter_gate = 0.0
     if kind == "csr":
         scatter_gate = (cost_model.scatter_kernel_threshold()
@@ -388,15 +292,6 @@ def _resolve_kernel(left, right, exec_plan=None):
     return _BlockKernel(tuple(left.block_shape),
                         tuple(right.block_shape), kind, gate,
                         scatter_gate)
-
-
-def _multiply_blocks(left, right, left_chunk, right_chunk):
-    """Legacy entry point: the COO-or-dense kernel at the constant
-    threshold. Kept for callers that predate :class:`_BlockKernel`."""
-    kernel = _BlockKernel(tuple(left.block_shape),
-                          tuple(right.block_shape), "coo",
-                          SPARSE_KERNEL_THRESHOLD, 0.0)
-    return kernel(left_chunk, right_chunk)
 
 
 def _result_meta(left, right) -> ArrayMetadata:
@@ -471,23 +366,17 @@ def prepare_local(left, right, num_partitions=None):
 def block_matmul(left, right, local_join: bool = False):
     """``left × right`` as a SpangleMatrix.
 
-    Recorded as a logical :class:`~repro.core.logical.MatmulOp` (when
-    fusion is on), so a subarray written after the multiply can restrict
-    the operand sides before their shuffles; :func:`lower_matmul` runs
-    the actual three-stage plan when an action forces it.
+    Recorded as a logical :class:`~repro.core.logical.MatmulOp`, so a
+    subarray written after the multiply can restrict the operand sides
+    before their shuffles; :func:`lower_matmul` runs the actual
+    three-stage plan when an action forces it.
     """
     from repro.matrix.matrix import SpangleMatrix
 
     _check_dims(left, right)
     meta = _result_meta(left, right)
-    context = left.context
-    if plan_mod.fusion_enabled():
-        node = MatmulOp(left, right, local_join, meta)
-        return SpangleMatrix(ArrayRDD(None, meta, context,
-                                      logical=node))
-    return SpangleMatrix(ArrayRDD(
-        _run_matmul(left, right, local_join, meta, context),
-        meta, context))
+    node = MatmulOp(left, right, local_join, meta)
+    return SpangleMatrix(ArrayRDD(None, meta, left.context, logical=node))
 
 
 def lower_matmul(node: MatmulOp, context):
@@ -515,8 +404,7 @@ def _run_matmul(left, right, local_join, meta, context,
                 exec_plan=None):
     out_grid_rows = meta.chunk_grid[0]
     kernel = _resolve_kernel(left, right, exec_plan)
-    balance = (exec_plan is not None and exec_plan.balance
-               and _SPARSE_CONFIG["balance"])
+    balance = exec_plan is not None and exec_plan.balance
 
     if local_join:
         partials = _local_join_partials(left, right, kernel)
@@ -713,11 +601,11 @@ def plan_matmul_execution(node: MatmulOp):
     """The optimizer rule body: a candidate MatmulOp with an attached
     :class:`~repro.core.logical.MatmulExecPlan`, or None.
 
-    Picks the cheapest kernel kind the cost model prices (respecting a
-    forced module config) and pairs it with nnz-balanced shuffle
-    placement when that lowers the modeled skew. The optimizer's cost
+    Picks the cheaper kernel kind the cost model prices (dense or CSR)
+    and pairs it with nnz-balanced shuffle placement when that lowers
+    the modeled skew. The optimizer's cost
     gate then accepts the candidate only when the whole plan is
-    strictly cheaper than the gated-auto default.
+    strictly cheaper than the density-gated default.
     """
     if node.exec_plan is not None:
         return None
@@ -731,13 +619,10 @@ def plan_matmul_execution(node: MatmulOp):
     n = node.right.block_shape[1]
     da = profile["density_left"]
     db = profile["density_right"]
-    forced = _SPARSE_CONFIG["kernel"]
-    kinds = ("dense", "coo", "csr") if forced == "auto" else (forced,)
-    kernel = min(kinds, key=lambda kind: model.matmul_kernel_seconds(
-        m, k_dim, n, da, db, kind))
-    balance = (_SPARSE_CONFIG["balance"]
-               and profile["imbalance_nnz"]
-               < profile["imbalance_hash"] - 1e-9)
+    kernel = min(("dense", "csr"),
+                 key=lambda kind: model.matmul_kernel_seconds(
+                     m, k_dim, n, da, db, kind))
+    balance = profile["imbalance_nnz"] < profile["imbalance_hash"] - 1e-9
     plan = MatmulExecPlan(
         kernel=kernel,
         balance=balance,
@@ -757,7 +642,7 @@ def matmul_stage_seconds(node: MatmulOp, model) -> float:
     shuffles.
 
     An un-planned node prices as what :func:`_resolve_kernel` would run
-    (the gated-auto CSR path) under hash placement; a planned node
+    (the density-gated CSR path) under hash placement; a planned node
     prices its chosen kernel under its chosen placement.
     """
     left_est = estimate(node.children[0])
@@ -769,15 +654,13 @@ def matmul_stage_seconds(node: MatmulOp, model) -> float:
     grid_k = max(node.left.meta.chunk_grid[1], 1)
     block_pairs = left_est.chunks * right_est.chunks / grid_k
     plan = node.exec_plan
-    kind = plan.kernel if plan is not None else _SPARSE_CONFIG["kernel"]
-    if kind == "auto":
+    if plan is not None:
+        kind = plan.kernel
+    else:
         gate = sparse_threshold(model)
-        if da < gate and db < gate:
-            kind = "csr"
-        elif min(da, db) < model.scatter_kernel_threshold():
-            kind = "csr"
-        else:
-            kind = "dense"
+        sparse = ((da < gate and db < gate)
+                  or min(da, db) < model.scatter_kernel_threshold())
+        kind = "csr" if sparse else "dense"
     per_pair = model.matmul_kernel_seconds(m, k_dim, n, da, db, kind)
     imbalance = 1.0
     if plan is not None:
@@ -813,11 +696,8 @@ def gram_matmul(matrix):
 
     block_rows = matrix.block_shape[0]
     out_shape = (matrix.block_shape[1], matrix.block_shape[1])
-    # resolve the kernel policy driver-side so process workers agree
-    kind = _SPARSE_CONFIG["kernel"]
-    gate = 0.0 if kind == "dense" else sparse_threshold(
-        getattr(matrix.context, "cost_model", None))
-    join = _coo_join if kind == "coo" else _csr_join
+    # resolve the density gate driver-side so process workers agree
+    gate = sparse_threshold(getattr(matrix.context, "cost_model", None))
 
     def emit(blocks):
         out = []
@@ -827,7 +707,7 @@ def gram_matmul(matrix):
             chunk.density < gate
             for _cb, chunk in live)
         if all_sparse:
-            # COO kernel: a block (k × c) transposes by swapping its
+            # sparse kernel: a block (k × c) transposes by swapping its
             # offset decomposition; only matching k-indices join
             coo = {}
             for cb, chunk in live:
@@ -837,8 +717,8 @@ def gram_matmul(matrix):
                            chunk.values())
             for c1, (a_ks, a_cols, a_vals) in coo.items():
                 for c2, (b_ks, b_cols, b_vals) in coo.items():
-                    partial = join(a_cols, a_ks, a_vals, b_ks,
-                                   b_cols, b_vals, out_shape)
+                    partial = _csr_join(a_cols, a_ks, a_vals, b_ks,
+                                        b_cols, b_vals, out_shape)
                     if partial is not None:
                         out.append(((c1, c2), partial))
             return out

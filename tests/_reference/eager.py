@@ -1,0 +1,164 @@
+"""Eager per-chunk reference for the fused operator layer.
+
+Replays ArrayRDD operators one at a time over driver-side chunks with
+the :class:`~repro.core.chunk.Chunk` primitives — ``map_values``,
+``filter``, ``and_mask``, ``elementwise``, ``repack`` — building a fresh
+chunk per operator and dropping chunks left with no valid cell. A fused
+ChunkPlan pass must be byte-identical to this chain in every chunk mode.
+
+:class:`EagerArray` mirrors the ArrayRDD operator surface, so one test
+lambda (``lambda a: a.subarray(lo, hi) * 2.0``) drives both.
+"""
+
+import numpy as np
+
+from repro.bitmask import Bitmask
+from repro.core import mapper
+from repro.core.array_rdd import _chunk_selection
+from repro.core.chunk import Chunk
+
+
+class EagerArray:
+    """``{chunk_id: Chunk}`` plus metadata, transformed eagerly."""
+
+    def __init__(self, chunks: dict, meta, repacked: int = 0):
+        self.chunks = chunks
+        self.meta = meta
+        #: chunks whose mode the last ``repack()`` changed
+        self.repacked = repacked
+
+    @classmethod
+    def of(cls, array) -> "EagerArray":
+        """The collected chunks of an ArrayRDD."""
+        return cls(dict(array.rdd.collect()), array.meta)
+
+    def _each(self, transform) -> "EagerArray":
+        out = {}
+        for chunk_id, chunk in self.chunks.items():
+            new = transform(chunk_id, chunk)
+            if new is not None and new.valid_count > 0:
+                out[chunk_id] = new
+        return EagerArray(out, self.meta)
+
+    # -- operators ------------------------------------------------------
+
+    def map_values(self, func) -> "EagerArray":
+        return self._each(lambda _cid, chunk: chunk.map_values(func))
+
+    def filter(self, predicate) -> "EagerArray":
+        return self._each(lambda _cid, chunk: chunk.filter(predicate))
+
+    def repack(self) -> "EagerArray":
+        changed = 0
+        out = {}
+        for chunk_id, chunk in self.chunks.items():
+            out[chunk_id], moved = chunk.repack()
+            changed += int(moved)
+        return EagerArray(out, self.meta, repacked=changed)
+
+    def subarray(self, lo, hi) -> "EagerArray":
+        meta = self.meta
+        wanted = set(mapper.chunk_ids_in_range(meta, lo, hi))
+
+        def restrict(chunk_id, chunk):
+            if chunk_id not in wanted:
+                return None
+            if mapper.chunk_fully_inside(meta, chunk_id, lo, hi):
+                return chunk
+            inside = mapper.range_mask_for_chunk(meta, chunk_id, lo, hi)
+            return chunk.and_mask(Bitmask.from_bools(inside))
+
+        return self._each(restrict)
+
+    def mask_apply(self, masks: dict) -> "EagerArray":
+        """AND every chunk with its ``{chunk_id: Bitmask}`` entry; chunks
+        without one vanish (the MaskRDD reconciliation join)."""
+        return self._each(
+            lambda cid, chunk: chunk.and_mask(masks[cid])
+            if cid in masks else None)
+
+    def combine(self, other: "EagerArray", op, how: str = "and",
+                fill=0) -> "EagerArray":
+        left, right = self.chunks, other.chunks
+        out = {}
+        if how == "and":
+            for chunk_id in left.keys() & right.keys():
+                out[chunk_id] = left[chunk_id].elementwise(
+                    right[chunk_id], op, how="and")
+        else:
+            empty = Chunk.empty(self.meta.cells_per_chunk,
+                                dtype=self.meta.dtype)
+            for chunk_id in left.keys() | right.keys():
+                out[chunk_id] = left.get(chunk_id, empty).elementwise(
+                    right.get(chunk_id, empty), op, how="or", fill=fill)
+        return EagerArray(out, self.meta)._each(
+            lambda _cid, chunk: chunk)
+
+    # -- arithmetic (null-propagating, like ArrayRDD) ---------------------
+
+    def _scalar(self, op, scalar, reflected) -> "EagerArray":
+        if reflected:
+            return self.map_values(lambda values: op(scalar, values))
+        return self.map_values(lambda values: op(values, scalar))
+
+    def _binary(self, other, op):
+        if isinstance(other, EagerArray):
+            return self.combine(other, op, how="and")
+        return self._scalar(op, other, False)
+
+    def __add__(self, other):
+        return self._binary(other, np.add)
+
+    def __radd__(self, other):
+        return self._scalar(np.add, other, True)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract)
+
+    def __rsub__(self, other):
+        return self._scalar(np.subtract, other, True)
+
+    def __mul__(self, other):
+        return self._binary(other, np.multiply)
+
+    def __rmul__(self, other):
+        return self._scalar(np.multiply, other, True)
+
+    def __truediv__(self, other):
+        return self._binary(other, np.divide)
+
+    def __rtruediv__(self, other):
+        return self._scalar(np.divide, other, True)
+
+    def __pow__(self, other):
+        return self._binary(other, np.power)
+
+    def __rpow__(self, other):
+        return self._scalar(np.power, other, True)
+
+    def __neg__(self):
+        return self.map_values(np.negative)
+
+    def __abs__(self):
+        return self.map_values(np.abs)
+
+    # -- results ----------------------------------------------------------
+
+    def count_valid(self) -> int:
+        return sum(chunk.valid_count for chunk in self.chunks.values())
+
+    def collect_dense(self, fill=np.nan):
+        """``(values, valid)`` numpy arrays, as ``ArrayRDD.collect_dense``."""
+        meta = self.meta
+        values = np.full(meta.shape, fill,
+                         dtype=np.result_type(meta.dtype, type(fill))
+                         if fill is not np.nan else np.float64)
+        valid = np.zeros(meta.shape, dtype=bool)
+        for chunk_id, chunk in self.chunks.items():
+            sel, local_shape = _chunk_selection(meta, chunk_id)
+            clip = tuple(slice(0, n) for n in local_shape)
+            values[sel] = chunk.to_dense(fill).reshape(
+                meta.chunk_shape, order="F")[clip]
+            valid[sel] = chunk.valid_bools().reshape(
+                meta.chunk_shape, order="F")[clip]
+        return values, valid

@@ -8,8 +8,9 @@ import pytest
 from repro.core import ArrayMetadata, Chunk, ChunkMode  # registers codec
 from repro.core.chunk_codec import ChunkValues, probe_chunks
 from repro.core.ingest import array_rdd_from_records
-from repro.engine import ClusterContext, HashPartitioner, disable_columnar
+from repro.engine import ClusterContext, HashPartitioner
 from repro.engine.batches import pack_values
+from tests._reference.engine import shuffle_path
 
 
 def _chunk(mode, num_cells=256, seed=0):
@@ -81,10 +82,8 @@ class TestChunkCodec:
 
 class TestChunkShuffleByteIdentity:
     def _shuffle(self, columnar):
-        import contextlib
-        toggle = disable_columnar() if not columnar \
-            else contextlib.nullcontext()
-        with toggle, ClusterContext(num_executors=4) as ctx:
+        with shuffle_path(columnar), \
+                ClusterContext(num_executors=4) as ctx:
             chunks = [(cid, _chunk(mode, seed=cid))
                       for cid in range(12)
                       for mode in ChunkMode]
@@ -97,18 +96,19 @@ class TestChunkShuffleByteIdentity:
 
     def test_columnar_equals_generic_across_modes(self):
         columnar_result, snap = self._shuffle(columnar=True)
-        generic_result, _ = self._shuffle(columnar=False)
+        generic_result, generic_snap = self._shuffle(columnar=False)
         assert pickle.dumps(columnar_result) \
             == pickle.dumps(generic_result)
         assert snap.shuffle_batches > 0
         assert snap.shuffle_batch_records == snap.shuffle_records
+        # the forced generic path really bucketed record by record
+        assert generic_snap.shuffle_batches == 0
+        assert generic_snap.shuffle_records == snap.shuffle_records
 
     def test_ingest_pipeline_byte_identity(self):
         def run(columnar):
-            import contextlib
-            toggle = disable_columnar() if not columnar \
-                else contextlib.nullcontext()
-            with toggle, ClusterContext(num_executors=4) as ctx:
+            with shuffle_path(columnar), \
+                    ClusterContext(num_executors=4) as ctx:
                 rng = np.random.default_rng(11)
                 meta = ArrayMetadata((30, 30), (8, 8),
                                      dim_names=("x", "y"))
@@ -194,19 +194,10 @@ class TestOffsetChunkCodec:
                                  default_parallelism=2)
             chunks = self._chunks(8)
             data = list(enumerate(chunks))
-            with disable_columnar() if not columnar \
-                    else _nullcontext():
+            with shuffle_path(columnar):
                 placed = ctx.parallelize(data, 2) \
                     .partition_by(HashPartitioner(2))
                 return pickle.dumps(sorted(placed.collect(),
                                            key=lambda kv: kv[0]))
 
         assert run(columnar=True) == run(columnar=False)
-
-
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False

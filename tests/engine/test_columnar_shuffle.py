@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine import ClusterContext, disable_columnar, enable_columnar
+from repro.engine import ClusterContext
 from repro.engine.batches import (
     HASH_MODULUS,
     VALUE_PACK_BYTE_LIMIT,
@@ -20,7 +20,6 @@ from repro.engine.batches import (
     BatchSegment,
     RecordBatch,
     ScalarValues,
-    columnar_enabled,
     combine_runs,
     group_indices_by_partition,
     pack_int_keys,
@@ -33,17 +32,7 @@ from repro.engine.partitioner import (
     RangePartitioner,
 )
 from repro.errors import EngineError
-
-
-class TestToggle:
-    def test_default_on_and_context_restores(self):
-        assert columnar_enabled()
-        with disable_columnar():
-            assert not columnar_enabled()
-            with enable_columnar():
-                assert columnar_enabled()
-            assert not columnar_enabled()
-        assert columnar_enabled()
+from tests._reference.engine import shuffle_path
 
 
 class TestPartitionArray:
@@ -333,9 +322,9 @@ class TestColumnarGenericProperty:
                 for k in KEY_MAKERS[key_kind](rng, 400)]
 
         def run(columnar):
-            toggle = enable_columnar() if columnar else disable_columnar()
-            with toggle, ClusterContext(num_executors=4,
-                                        use_threads=use_threads) as ctx:
+            with shuffle_path(columnar), \
+                    ClusterContext(num_executors=4,
+                                   use_threads=use_threads) as ctx:
                 return OPS[op_name](ctx.parallelize(data, 6))
 
         assert pickle.dumps(run(True)) == pickle.dumps(run(False))
@@ -388,8 +377,8 @@ class TestNarrowShuffleAnnotation:
         part = HashPartitioner(3)
 
         def run(columnar):
-            toggle = enable_columnar() if columnar else disable_columnar()
-            with toggle, ClusterContext(num_executors=2) as ctx:
+            with shuffle_path(columnar), \
+                    ClusterContext(num_executors=2) as ctx:
                 pairs = ctx.parallelize(
                     [(i % 7, 0.1 * i) for i in range(70)], 3) \
                     .partition_by(part)

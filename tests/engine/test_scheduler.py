@@ -4,10 +4,13 @@ Serial (``use_threads=False``, the default), threaded, and
 process-backend execution must return byte-identical results and
 identical logical metrics — jobs, stages, tasks, shuffle records/bytes
 — across every lineage shape the engine supports, including under
-fault injection. The pipelined scheduler (overlapped stage execution,
-the default on parallel contexts) must match the barrier scheduler
-(``disable_pipelining()``) the same way. Task *ordering* and
-wall-clock observations are allowed to differ.
+fault injection. The pipelined scheduler (overlapped stage execution
+on parallel contexts) must match the barrier scheduler (what serial
+contexts run; forced on parallel ones by
+``tests._reference.engine.barrier_stages``) the same way, and the
+columnar shuffle must match the per-record path it falls back to
+(forced by ``generic_shuffle``). Task *ordering* and wall-clock
+observations are allowed to differ.
 """
 
 import contextlib
@@ -18,17 +21,11 @@ import time
 
 import pytest
 
-from repro.engine import (
-    ClusterContext,
-    ExecutorPool,
-    HashPartitioner,
-    disable_columnar,
-    disable_pipelining,
-    pipelining_enabled,
-)
+from repro.engine import ClusterContext, ExecutorPool, HashPartitioner
 from repro.engine.explain import stage_breakdown
 from repro.engine.tracing import logical_tree
 from repro.errors import TaskFailure
+from tests._reference.engine import barrier_stages, shuffle_path
 
 # counters that must not depend on the execution mode
 LOGICAL_FIELDS = (
@@ -138,9 +135,8 @@ SCENARIOS = {
 
 def _run(use_threads, scenario, columnar=True, backend="thread",
          pipelined=True):
-    toggle = contextlib.nullcontext() if columnar else disable_columnar()
-    sched = contextlib.nullcontext() if pipelined else disable_pipelining()
-    with toggle, sched, \
+    sched = contextlib.nullcontext() if pipelined else barrier_stages()
+    with shuffle_path(columnar), sched, \
             ClusterContext(num_executors=4, use_threads=use_threads,
                            backend=backend) as ctx:
         before = ctx.metrics.snapshot()
@@ -182,7 +178,8 @@ class TestDeterminismContract:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_columnar_matches_generic(self, name):
         """The packed shuffle data plane is an invisible optimization:
-        switching it off must not change a single result byte."""
+        forcing the per-record path must not change a single result
+        byte."""
         scenario = SCENARIOS[name]
         columnar_result, _ = _run(False, scenario, columnar=True)
         generic_result, _ = _run(False, scenario, columnar=False)
@@ -299,7 +296,7 @@ class TestPipelinedScheduling:
     def test_diamond_overlap_and_identity(self):
         """The two independent sides of a cogroup overlap in time under
         the pipelined scheduler, and the bytes match barrier mode."""
-        with disable_pipelining(), \
+        with barrier_stages(), \
                 ClusterContext(num_executors=4, use_threads=True) as ctx:
             barrier = self._diamond(ctx, delay=0.05).collect()
         with ClusterContext(num_executors=4, use_threads=True,
@@ -324,7 +321,7 @@ class TestPipelinedScheduling:
             right = ctx.parallelize([(i % 4, -i) for i in range(24)], 3)
             return left.join(right).collect()
 
-        with disable_pipelining(), \
+        with barrier_stages(), \
                 ClusterContext(num_executors=4, use_threads=True,
                                trace=True) as ctx:
             barrier_result = scenario(ctx)
@@ -361,23 +358,6 @@ class TestPipelinedScheduling:
             assert stages[0].deps == [] and stages[1].deps == []
             assert sorted(stage.which for stage in stages) == [0, 1]
             assert result_deps == stages
-
-    def test_toggle_restores_state(self):
-        assert pipelining_enabled()
-        with disable_pipelining():
-            assert not pipelining_enabled()
-        assert pipelining_enabled()
-
-    def test_scheduler_alias_exports(self):
-        """Drift guard: repro.scheduler re-exports the implementation."""
-        import repro.engine.scheduler as impl
-        import repro.scheduler as alias
-
-        for name in alias.__all__:
-            assert getattr(alias, name) is getattr(impl, name), name
-        for name in ("disable_pipelining", "enable_pipelining",
-                     "pipelining_enabled"):
-            assert name in alias.__all__
 
 
 class TestExecutorPool:

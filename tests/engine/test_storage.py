@@ -330,22 +330,18 @@ class TestRepackOnAdmission:
         assert ctx.metrics.chunks_repacked == 0
 
     def test_repack_operator_fused_matches_eager(self):
-        from repro.core import disable_fusion
+        from tests._reference.eager import EagerArray
 
-        def run(ctx):
-            rng = np.random.default_rng(3)
-            data = rng.standard_normal((32, 32))
-            arr = ArrayRDD.from_numpy(ctx, data, (8, 8))
-            out = arr.filter(lambda v: v > 1.5).repack()
-            return out.rdd.collect(), ctx.metrics.chunks_repacked
-
-        fused_records, fused_count = run(ClusterContext(num_executors=2))
-        with disable_fusion():
-            eager_records, eager_count = run(
-                ClusterContext(num_executors=2))
+        ctx = ClusterContext(num_executors=2)
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((32, 32))
+        arr = ArrayRDD.from_numpy(ctx, data, (8, 8))
+        fused = arr.filter(lambda v: v > 1.5).repack()
+        fused_records = fused.rdd.collect()
+        eager = EagerArray.of(arr).filter(lambda v: v > 1.5).repack()
         assert pickle.dumps(sorted(fused_records)) == \
-            pickle.dumps(sorted(eager_records))
-        assert fused_count == eager_count
+            pickle.dumps(sorted(eager.chunks.items()))
+        assert ctx.metrics.chunks_repacked == eager.repacked
 
 
 class TestBudgetedDeterminism:

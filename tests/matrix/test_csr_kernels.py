@@ -1,12 +1,12 @@
 """Tests for the CSR sparse execution tier in matrix multiply.
 
 Three layers under test: the block kernels (``_csr_join`` must be
-bit-identical to the legacy ``_coo_join``; the one-sided scatter
-kernel must agree with dense BLAS), the driver-side configuration
-surface (kernel kind, threshold override, nnz balancing), and the
-optimizer integration (the ``matmul_sparse_execution`` rule fires on
-sparse operands and the result stays byte-identical across kernels
-and backends).
+bit-identical to the per-k COO join reference in
+``tests._reference.coo``; the one-sided scatter kernel must agree with
+dense BLAS; every ``_BlockKernel`` kind yields the same bytes), the
+cost-model-derived density gate, and the optimizer integration (the
+``matmul_sparse_execution`` rule fires on sparse operands and the
+result stays byte-identical across backends).
 """
 
 import numpy as np
@@ -14,19 +14,16 @@ import pytest
 
 from repro.engine import ClusterContext
 from repro.engine.costmodel import ClusterCostModel
-from repro.errors import EngineError
 from repro.matrix import SpangleMatrix
 from repro.matrix.multiply import (
     SPARSE_KERNEL_THRESHOLD,
     _BlockKernel,
-    _coo_join,
     _csr_join,
+    _partial_to_dense,
     _scatter_partial,
-    set_sparse_kernel,
-    set_sparse_threshold,
-    sparse_config,
     sparse_threshold,
 )
+from tests._reference.coo import _coo_join
 
 
 @pytest.fixture()
@@ -135,7 +132,7 @@ class TestScatterKernel:
 
 
 # ----------------------------------------------------------------------
-# configuration surface
+# density gate
 # ----------------------------------------------------------------------
 
 class TestSparseConfig:
@@ -151,26 +148,25 @@ class TestSparseConfig:
         assert sparse_threshold(None) == SPARSE_KERNEL_THRESHOLD
 
     def test_override_wins_over_model(self):
-        try:
-            set_sparse_threshold(0.123)
-            assert sparse_threshold(ClusterCostModel()) == 0.123
-        finally:
-            set_sparse_threshold(None)
+        # the gate moves only through the cost model's rates
+        model = ClusterCostModel(coo_pairs_s=8e6 * 4)
+        assert sparse_threshold(model) == pytest.approx(
+            2 * SPARSE_KERNEL_THRESHOLD)
 
     def test_repro_level_exports(self):
         import repro
+        import repro.matrix
 
-        assert repro.set_sparse_threshold is set_sparse_threshold
-        assert repro.sparse_config is sparse_config
+        assert repro.matrix.sparse_threshold is sparse_threshold
+        for name in ("set_sparse_threshold", "set_sparse_kernel",
+                     "sparse_config"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.matrix, name)
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(EngineError):
-            set_sparse_kernel("blas")
-
-    def test_sparse_config_restores_state(self):
-        with sparse_config(kernel="coo", threshold=0.5, balance=False):
-            assert sparse_threshold(None) == 0.5
-        assert sparse_threshold(None) == SPARSE_KERNEL_THRESHOLD
+        with pytest.raises(ValueError):
+            ClusterCostModel().matmul_kernel_seconds(
+                4, 4, 4, 0.1, 0.1, "blas")
 
 
 # ----------------------------------------------------------------------
@@ -178,14 +174,11 @@ class TestSparseConfig:
 # ----------------------------------------------------------------------
 
 class TestEndToEnd:
-    def _product(self, ctx, seed=11, **config):
+    def _product(self, ctx, seed=11):
         a = sparse_ints((40, 30), 0.05, seed=seed)
         b = sparse_ints((30, 20), 0.05, seed=seed + 1)
         ma = SpangleMatrix.from_numpy(ctx, a, (10, 10))
         mb = SpangleMatrix.from_numpy(ctx, b, (10, 10))
-        if config:
-            with sparse_config(**config):
-                return a @ b, ma.multiply(mb).to_numpy()
         return a @ b, ma.multiply(mb).to_numpy()
 
     def test_csr_matches_numpy_exactly(self, ctx):
@@ -193,12 +186,44 @@ class TestEndToEnd:
         np.testing.assert_array_equal(got, expected)
 
     def test_kernels_byte_identical(self, ctx):
-        _, auto = self._product(ctx)
-        _, coo = self._product(ctx, kernel="coo", balance=False)
-        _, csr = self._product(ctx, kernel="csr")
-        _, dense = self._product(ctx, kernel="dense")
-        assert auto.tobytes() == coo.tobytes() == csr.tobytes() \
-            == dense.tobytes()
+        """Every block pair yields the same partial bytes through each
+        kernel: the sparse join, the one-sided scatter, dense BLAS, and
+        the COO reference."""
+        a = sparse_ints((40, 30), 0.05, seed=11)
+        b = sparse_ints((30, 20), 0.4, seed=12)
+        shape = (10, 10)
+        kernels = {
+            "join": _BlockKernel(shape, shape, "csr", 1.0, 0.0),
+            "scatter": _BlockKernel(shape, shape, "csr", 0.0, 1.0),
+            "dense": _BlockKernel(shape, shape, "dense", 1.0, 1.0),
+        }
+        left = dict(SpangleMatrix.from_numpy(ctx, a, shape)
+                    .array.rdd.collect())
+        right = dict(SpangleMatrix.from_numpy(ctx, b, shape)
+                     .array.rdd.collect())
+        pairs = 0
+        for lcid, lchunk in left.items():
+            for rcid, rchunk in right.items():
+                if lcid // 4 != rcid % 3:     # contraction blocks differ
+                    continue
+                partials = {name: kernel(lchunk, rchunk)
+                            for name, kernel in kernels.items()}
+                a_off, b_off = lchunk.indices(), rchunk.indices()
+                partials["coo"] = _coo_join(
+                    a_off % 10, a_off // 10, lchunk.values(),
+                    b_off % 10, b_off // 10, rchunk.values(), shape)
+                # + 0.0 folds BLAS's -0.0 into 0.0: the assembled
+                # product treats every zero as an invalid cell
+                dense = {name: None if p is None
+                         else (_partial_to_dense(p) + 0.0).tobytes()
+                         for name, p in partials.items()}
+                # a partial that sums to all zeros may come back None
+                # from one kernel and as explicit zeros from another
+                zeros = np.zeros(shape).tobytes()
+                assert len({zeros if d is None else d
+                            for d in dense.values()}) == 1, dense
+                pairs += 1
+        assert pairs > 0
 
     def test_backends_byte_identical(self):
         serial = ClusterContext(num_executors=1,
