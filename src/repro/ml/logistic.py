@@ -8,9 +8,11 @@ The paper's two optimizations, both toggleable here for the Fig. 12b
 ablation:
 
 - **opt1** — never transpose M: rewrite the gradient as
-  ``((h(Mx) − y)ᵀ M)ᵀ`` so only a small vector-matrix product runs
-  (:meth:`SampleChunk.t_dot`); without it, each step materializes the
-  transposed structure (:meth:`SampleChunk.t_dot_materialized`).
+  ``((h(Mx) − y)ᵀ M)ᵀ`` so only a small vector-matrix product runs,
+  scattered from each CSR sample chunk straight into the partition's
+  gradient (:meth:`SampleChunk.add_t_dot`); without it, each step
+  materializes the transposed structure of every sampled chunk
+  (:meth:`SampleChunk.t_dot_materialized`).
 - **opt2** — transposing the resulting 1×f row vector back to f×1 is a
   metadata swap (:meth:`SpangleVector.transpose`); without it, a
   physical round-trip through a distributed array pays real shuffles.

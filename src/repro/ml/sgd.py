@@ -15,6 +15,12 @@ Two ideas from the paper:
    each SGD step every partition draws random local chunks and computes
    a partial gradient without any data movement; only the small gradient
    vectors meet at the driver.
+
+Sample chunks stay resident in CSR form (:class:`SampleChunk`), so a
+step's kernels do work proportional to the nonzeros it samples: each
+partition scatters every picked chunk's ``eᵀ X`` straight into one
+gradient vector (:meth:`SampleChunk.add_t_dot`) instead of building a
+feature-length vector per chunk.
 """
 
 from __future__ import annotations
@@ -28,22 +34,39 @@ from repro.errors import ArrayError, ShapeMismatchError
 
 
 class SampleChunk:
-    """A block of training rows in COO form plus their labels."""
+    """A block of training rows in CSR form plus their labels.
 
-    __slots__ = ("row_local", "col", "val", "labels", "num_rows")
+    The constructor takes COO triplets with ``row_local`` in
+    ``[0, num_rows)``, stably sorts them by row when they are not
+    already, and keeps only the row pointers: row ``r``'s entries are
+    ``col[indptr[r]:indptr[r + 1]]`` / ``val[...]``, in their input
+    order.
+    """
+
+    __slots__ = ("indptr", "col", "val", "labels", "num_rows")
 
     def __init__(self, row_local, col, val, labels, num_rows: int):
-        self.row_local = np.ascontiguousarray(row_local, dtype=np.int64)
+        rows = np.ascontiguousarray(row_local, dtype=np.int64)
         self.col = np.ascontiguousarray(col, dtype=np.int64)
         self.val = np.ascontiguousarray(val, dtype=np.float64)
         self.labels = np.ascontiguousarray(labels, dtype=np.float64)
         self.num_rows = num_rows
-        if not self.row_local.size == self.col.size == self.val.size:
+        if not rows.size == self.col.size == self.val.size:
             raise ShapeMismatchError("COO arrays must share a length")
         if self.labels.size != num_rows:
             raise ShapeMismatchError(
                 f"{self.labels.size} labels for {num_rows} rows"
             )
+        if (rows[1:] < rows[:-1]).any():
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            self.col = self.col[order]
+            self.val = self.val[order]
+        if rows.size and not 0 <= rows[0] <= rows[-1] < num_rows:
+            bad = rows[0] if rows[0] < 0 else rows[-1]
+            raise ShapeMismatchError(
+                f"row {bad} outside [0, {num_rows})")
+        self.indptr = np.searchsorted(rows, np.arange(num_rows + 1))
 
     @property
     def nnz(self) -> int:
@@ -51,39 +74,55 @@ class SampleChunk:
 
     @property
     def nbytes(self) -> int:
-        return int(self.row_local.nbytes + self.col.nbytes
+        return int(self.indptr.nbytes + self.col.nbytes
                    + self.val.nbytes + self.labels.nbytes)
 
+    @property
+    def row_local(self) -> np.ndarray:
+        """Each stored entry's row, derived from ``indptr``."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """``X_block @ x`` — one gather + segmented sum."""
-        return np.bincount(self.row_local,
-                           weights=self.val * x[self.col],
-                           minlength=self.num_rows)
+        """``X_block @ x`` — one gather + segmented sum over the rows."""
+        nnz = self.val.size
+        products = np.empty(nnz + 1)
+        np.multiply(self.val, x[self.col], out=products[:nnz])
+        # trailing empty rows start at nnz: the pad keeps them in bounds
+        products[nnz] = 0.0
+        starts = self.indptr[:-1]
+        scores = np.add.reduceat(products, starts)
+        # reduceat yields products[start] for an empty row
+        scores[starts == self.indptr[1:]] = 0.0
+        return scores
+
+    def add_t_dot(self, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """``out += eᵀ X_block`` in place — the *opt1* kernel.
+
+        Never forms Xᵀ and touches only this chunk's stored columns of
+        ``out``, so a step costs its sampled nonzeros, not the feature
+        count. Returns ``out``.
+        """
+        e_expanded = np.repeat(e, np.diff(self.indptr))
+        np.add.at(out, self.col, self.val * e_expanded)
+        return out
 
     def t_dot(self, e: np.ndarray, num_features: int) -> np.ndarray:
-        """``(eᵀ X_block)`` without forming Xᵀ — the *opt1* kernel."""
-        return np.bincount(self.col,
-                           weights=self.val * e[self.row_local],
-                           minlength=num_features)
-
-    def transpose_coo(self) -> "SampleChunk":
-        """Physically build the transposed structure (the non-opt1 cost).
-
-        Sorting the nonzeros into column-major order is the in-process
-        analogue of the O(n/p) distributed transpose the paper avoids.
-        """
-        order = np.argsort(self.col, kind="stable")
-        return SampleChunk(self.col[order], self.row_local[order],
-                           self.val[order], self.labels, self.num_rows)
+        """``eᵀ X_block`` as a fresh ``num_features`` vector."""
+        return self.add_t_dot(np.zeros(num_features), e)
 
     def t_dot_materialized(self, e: np.ndarray,
                            num_features: int) -> np.ndarray:
-        """``Xᵀ e`` through an explicitly transposed copy (no opt1)."""
-        transposed = self.transpose_coo()
+        """``Xᵀ e`` through an explicitly transposed copy (no opt1).
+
+        Stably sorting the nonzeros into column-major order is the
+        in-process analogue of the O(n/p) distributed transpose the
+        paper avoids; every call pays it again.
+        """
+        order = np.argsort(self.col, kind="stable")
         # in the transposed structure, "rows" are the original columns
-        return np.bincount(transposed.row_local,
-                           weights=transposed.val
-                           * e[transposed.col],
+        t_rows = self.col[order]
+        t_cols = self.row_local[order]
+        return np.bincount(t_rows, weights=self.val[order] * e[t_cols],
                            minlength=num_features)
 
 
@@ -238,10 +277,11 @@ class DistributedSamples:
 
         def partial(index, part):
             records = list(part)
-            if not records:
-                return [(np.zeros(num_features), 0)]
-            rng = random.Random(seed * 1_000_003 + step * 7919 + index)
+            # the one feature-length vector this partition touches
             grad = np.zeros(num_features)
+            if not records:
+                return [(grad, 0)]
+            rng = random.Random(seed * 1_000_003 + step * 7919 + index)
             count = 0
             picks = min(chunks_per_step, len(records))
             local = {row_chunk_of(cid, num_partitions): chunk
@@ -252,7 +292,7 @@ class DistributedSamples:
                 z = chunk.dot(x)
                 error = error_fn(z, chunk.labels)
                 if opt1:
-                    grad += chunk.t_dot(error, num_features)
+                    chunk.add_t_dot(grad, error)
                 else:
                     grad += chunk.t_dot_materialized(error, num_features)
                 count += chunk.num_rows
@@ -290,9 +330,10 @@ class DistributedSamples:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    ez = np.exp(z[~positive])
-    out[~positive] = ez / (1.0 + ez)
-    return out
+    """Logistic function; ``exp`` only sees ``−|z|``, so never overflows.
+
+    ``1 / (1 + e^-z)`` for ``z ≥ 0`` and ``e^z / (1 + e^z)`` below,
+    evaluated without masks.
+    """
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)

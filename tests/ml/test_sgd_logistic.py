@@ -1,12 +1,16 @@
 """Tests for Eq.-2 chunking, parallel SGD sampling, logistic regression."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import ClusterContext
 from repro.errors import ArrayError, ConvergenceError, ShapeMismatchError
 from repro.ml import DistributedSamples, LogisticRegression, SampleChunk
-from repro.ml.sgd import chunk_id, partition_of, row_chunk_of
+from repro.ml.sgd import _sigmoid, chunk_id, partition_of, row_chunk_of
 
 
 @pytest.fixture()
@@ -88,10 +92,106 @@ class TestSampleChunk:
         with pytest.raises(ShapeMismatchError):
             SampleChunk([0], [0], [1.0], [1.0, 0.0], 1)
 
+    @pytest.mark.parametrize("rows,bad", [([0, -1, 1], -1), ([2, 0, 3], 3),
+                                          ([-4, 7, 1], -4), ([3], 3)])
+    def test_row_ids_validated(self, rows, bad):
+        with pytest.raises(ShapeMismatchError, match=f"row {bad} outside"):
+            SampleChunk(rows, [0] * len(rows), [1.0] * len(rows),
+                        [0.0, 1.0, 0.0], 3)
+
     def test_chunk_rows_validation(self, ctx):
         with pytest.raises(ArrayError):
             DistributedSamples.from_coo(ctx, [0], [0], [1.0], [1.0], 4,
                                         chunk_rows=0)
+
+
+@st.composite
+def coo_chunks(draw):
+    """``(num_rows, num_features, rows, cols, vals)`` in arbitrary order.
+
+    Rows come from a few picked row IDs, so leading, interior and
+    trailing empty rows, ``nnz = 0`` and duplicate ``(row, col)``
+    entries are all common draws.
+    """
+    num_rows = draw(st.integers(0, 40))
+    num_features = draw(st.integers(1, 12))
+    if num_rows == 0:
+        return 0, num_features, [], [], []
+    used = draw(st.lists(st.integers(0, num_rows - 1), min_size=1,
+                         max_size=6))
+    entries = draw(st.lists(
+        st.tuples(st.sampled_from(used),
+                  st.integers(0, num_features - 1),
+                  st.floats(-8, 8, allow_nan=False)),
+        max_size=60))
+    rows, cols, vals = (list(t) for t in zip(*entries)) if entries \
+        else ([], [], [])
+    return num_rows, num_features, rows, cols, vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coo_chunks(), seed=st.integers(0, 2**16))
+@example(case=(8, 3, [5, 2, 2, 5, 2], [1, 0, 0, 2, 1],
+               [1.0, 2.0, -3.0, 4.0, 0.5]), seed=0)
+@example(case=(5, 4, [], [], []), seed=0)
+@example(case=(0, 4, [], [], []), seed=0)
+def test_kernels_match_dense_numpy(case, seed):
+    num_rows, num_features, rows, cols, vals = case
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, num_rows).astype(np.float64)
+    chunk = SampleChunk(rows, cols, vals, labels, num_rows)
+
+    X = np.zeros((num_rows, num_features))
+    np.add.at(X, (rows, cols), vals)      # duplicates sum, as in CSR
+    x = rng.normal(size=num_features)
+    e = rng.normal(size=num_rows)
+
+    assert chunk.indptr.shape == (num_rows + 1,)
+    assert np.allclose(chunk.dot(x), X @ x, atol=1e-9)
+    assert np.allclose(chunk.t_dot(e, num_features), X.T @ e, atol=1e-9)
+    base = rng.normal(size=num_features)
+    out = base.copy()
+    assert chunk.add_t_dot(out, e) is out
+    assert np.allclose(out, base + X.T @ e, atol=1e-9)
+    assert np.allclose(chunk.t_dot_materialized(e, num_features),
+                       chunk.t_dot(e, num_features), atol=1e-9)
+
+    # CSR keeps the stably row-sorted input, nothing more
+    order = np.argsort(rows, kind="stable")
+    assert np.array_equal(chunk.row_local, rows[order])
+    assert np.array_equal(chunk.col, cols[order])
+    assert np.array_equal(chunk.val, vals[order])
+    stored = [getattr(chunk, name) for name in SampleChunk.__slots__]
+    assert chunk.nbytes == sum(a.nbytes for a in stored
+                               if isinstance(a, np.ndarray))
+
+    clone = pickle.loads(pickle.dumps(chunk))
+    assert clone.num_rows == chunk.num_rows
+    for name in SampleChunk.__slots__:
+        assert np.array_equal(getattr(clone, name), getattr(chunk, name))
+    assert np.array_equal(clone.dot(x), chunk.dot(x))
+
+
+def _piecewise_sigmoid(z):
+    """The masked two-branch form ``_sigmoid`` replaced, verbatim."""
+    out = np.empty_like(z, dtype=np.float64)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    ez = np.exp(z[~positive])
+    out[~positive] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_identical_to_piecewise_form():
+    rng = np.random.default_rng(19)
+    z = np.concatenate([
+        rng.normal(size=5000), rng.normal(scale=40.0, size=5000),
+        [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
+    assert np.array_equal(_sigmoid(z), _piecewise_sigmoid(z),
+                          equal_nan=True)
 
 
 class TestSampling:
@@ -147,6 +247,40 @@ class TestSampling:
         assert samples.chunks_per_partition == [3, 3, 3, 3]
         grad, count = samples.sampled_gradient(np.zeros(6), step=0)
         assert count == 40  # one chunk per partition
+
+
+class TestBackendIndependence:
+    """Serial, thread and process contexts give the same bits: sample
+    chunks cross the pickle boundary to forked workers and back."""
+
+    MODES = {
+        "serial": dict(use_threads=False, backend="thread"),
+        "thread": dict(use_threads=True, backend="thread"),
+        "process": dict(use_threads=False, backend="process"),
+    }
+
+    @staticmethod
+    def _train(mode):
+        rows, cols, vals, labels, _X = separable_dataset(ns=700, seed=18)
+        with ClusterContext(num_executors=2, default_parallelism=4,
+                            **TestBackendIndependence.MODES[mode]) as ctx:
+            samples = DistributedSamples.from_coo(
+                ctx, rows, cols, vals, labels, 16, chunk_rows=64).cache()
+            grad, count = samples.sampled_gradient(
+                np.linspace(-1.0, 1.0, 16), step=4, chunks_per_step=2)
+            lr = LogisticRegression(max_iterations=20, tolerance=0.0,
+                                    chunks_per_step=2, seed=3)
+            lr.fit(samples)
+            return grad, count, lr.history.iterations, lr.weights.data
+
+    def test_sgd_identical_on_every_backend(self):
+        serial = self._train("serial")
+        assert serial[2] == 20
+        for mode in ("thread", "process"):
+            grad, count, steps, weights = self._train(mode)
+            assert np.array_equal(grad, serial[0]), mode
+            assert count == serial[1] and steps == serial[2], mode
+            assert np.array_equal(weights, serial[3]), mode
 
 
 class TestLogisticRegression:
