@@ -141,7 +141,7 @@ def encode_static(chunk):
 # so *sorted offsets are already column-major*: the CSC decomposition of
 # a block falls out of the encoding with one searchsorted, and the CSR
 # decomposition needs only a stable sort by row. The matmul partial-
-# product kernels and the PageRank spmv consume these directly.
+# product kernels consume these directly.
 
 def csr_row_pointers(sorted_rows: np.ndarray, num_rows: int
                      ) -> np.ndarray:
@@ -177,13 +177,8 @@ def csc_from_offsets(offsets: np.ndarray, values, num_rows: int,
 
 
 class CSRBlock:
-    """Row-pointer form of one payload-free adjacency block.
-
-    Built once from a block's edge offsets and cached, so iterative
-    consumers (the PageRank power loop) stop re-deriving ``row = off %
-    block`` / ``col = off // block`` on every pass and reduce each row
-    with one segmented sum.
-    """
+    """Row-pointer form ``(indptr, cols)`` of one payload-free block,
+    grown from its edge offsets by :func:`csr_from_offsets`."""
 
     __slots__ = ("indptr", "cols", "num_rows")
 
@@ -200,30 +195,8 @@ class CSRBlock:
         return cls(indptr, cols, num_rows)
 
     @property
-    def edge_count(self) -> int:
-        return int(self.cols.size)
-
-    @property
     def nbytes(self) -> int:
         return int(self.indptr.nbytes) + int(self.cols.nbytes)
-
-    def spmv(self, x_block: np.ndarray) -> np.ndarray:
-        """``y = A_block @ x_block`` for a 0/1 block: per-row sums of
-        gathered x, bit-identical to the bincount formulation.
-
-        Accumulates through ``bincount`` rather than
-        ``np.add.reduceat`` — reduceat's blocked pairwise reduction
-        groups additions differently, which costs the last float bit
-        against the offset-decode kernel. The cached structure still
-        pays off: no per-iteration ``off % n`` / ``off // n`` decode
-        and no row sort.
-        """
-        if self.cols.size == 0:
-            return np.zeros(self.num_rows)
-        rows = np.repeat(np.arange(self.num_rows),
-                         np.diff(self.indptr))
-        return np.bincount(rows, weights=x_block[self.cols],
-                           minlength=self.num_rows)
 
 
 def _register_codec() -> None:

@@ -4,8 +4,8 @@ A second graph algorithm on :class:`BitmaskGraph` beyond PageRank,
 showing the representation is general: label propagation — every vertex
 starts with its own id as label and repeatedly adopts the minimum label
 among itself and its neighbours. Each round is one ``spmv``-shaped pass
-over the bitmask blocks (a min-aggregation instead of a sum), so the
-edges stay bits and nothing shuffles.
+over the graph's cached per-partition edge lists (a min-aggregation
+instead of a sum), so nothing shuffles.
 
 The graph is treated as undirected (labels flow both ways across an
 edge), matching the usual connected-components semantics.
@@ -32,25 +32,16 @@ def _min_neighbour_labels(graph: BitmaskGraph,
                           labels: np.ndarray) -> np.ndarray:
     """For every vertex: min label over in- AND out-neighbours."""
     n = graph.num_vertices
-    block = graph.meta.chunk_shape[0]
-    grid_rows = graph.meta.chunk_grid[0]
 
     def partials(part):
         partial = np.full(n, np.inf)
-        for chunk_id, adjacency in part:
-            offsets = adjacency.edge_offsets()
-            if offsets.size == 0:
-                continue
-            rb = chunk_id % grid_rows
-            cb = chunk_id // grid_rows
-            rows = rb * block + offsets % block
-            cols = cb * block + offsets // block
+        for edges in part:
             # labels flow dst <- src and src <- dst (undirected view)
-            np.minimum.at(partial, rows, labels[cols])
-            np.minimum.at(partial, cols, labels[rows])
+            np.minimum.at(partial, edges.rows, labels.take(edges.cols))
+            np.minimum.at(partial, edges.cols, labels.take(edges.rows))
         return [partial]
 
-    pieces = graph.rdd.map_partitions(partials).collect()
+    pieces = graph.edge_lists().map_partitions(partials).collect()
     out = np.full(n, np.inf)
     for piece in pieces:
         np.minimum(out, piece, out=out)

@@ -20,11 +20,7 @@ from repro.core.metadata import ArrayMetadata
 from repro.engine import HashPartitioner
 from repro.engine.partitioner import NnzBalancedPartitioner
 from repro.errors import ArrayError, ShapeMismatchError
-from repro.matrix.offsets import (
-    CSRBlock,
-    bitmask_bytes,
-    offset_array_bytes,
-)
+from repro.matrix.offsets import bitmask_bytes, offset_array_bytes
 
 
 class _BitmaskBlock:
@@ -68,29 +64,51 @@ class _OffsetBlock:
         return self.offsets
 
 
-class _BlockToCSR:
-    """Per-block conversion task: edge offsets → :class:`CSRBlock`.
+class EdgeList:
+    """One partition's adjacency as global ``(row, col)`` vertex pairs.
 
-    A module-level class so process-backend tasks pickle it by
-    reference. Run once per block and cached; the power loop then
-    reuses the row pointers every iteration instead of re-deriving
-    ``row = off % block`` / ``col = off // block``.
+    Rows are destinations, columns sources; int32 whenever the vertex
+    ids fit, so an edge costs 8 bytes. Blocks follow partition order and
+    keep their ascending offsets, so every row meets its edges in
+    ascending-column order and a sequential scatter over the list is
+    deterministic for a given placement.
     """
 
-    __slots__ = ("block",)
+    __slots__ = ("rows", "cols")
 
-    def __init__(self, block: int):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+        self.rows = rows
+        self.cols = cols
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.rows.nbytes) + int(self.cols.nbytes)
+
+
+class _PartitionEdges:
+    """Per-partition build task: adjacency blocks → one :class:`EdgeList`.
+
+    A module-level class so process-backend tasks pickle it by
+    reference. The only place block offsets are decoded into vertex ids.
+    """
+
+    __slots__ = ("block", "grid_rows", "dtype")
+
+    def __init__(self, block: int, grid_rows: int, dtype):
         self.block = block
+        self.grid_rows = grid_rows
+        self.dtype = dtype
 
-    def __getstate__(self):
-        return self.block
-
-    def __setstate__(self, state):
-        self.block = state
-
-    def __call__(self, adjacency) -> CSRBlock:
-        return CSRBlock.from_offsets(adjacency.edge_offsets(),
-                                     self.block)
+    def __call__(self, part):
+        block = self.block
+        rows = [np.zeros(0, dtype=self.dtype)]
+        cols = [np.zeros(0, dtype=self.dtype)]
+        for chunk_id, adjacency in part:
+            offsets = adjacency.edge_offsets()
+            rb, cb = chunk_id % self.grid_rows, chunk_id // self.grid_rows
+            rows.append((rb * block + offsets % block).astype(self.dtype))
+            cols.append((cb * block + offsets // block).astype(self.dtype))
+        return [EdgeList(np.concatenate(rows), np.concatenate(cols))]
 
 
 class BitmaskGraph:
@@ -108,7 +126,7 @@ class BitmaskGraph:
         self.meta = meta
         self.out_degrees = out_degrees
         self.context = context
-        self._csr_rdd = None
+        self._edge_rdd = None
 
     @classmethod
     def from_edges(cls, context, edges, num_vertices: int,
@@ -130,6 +148,8 @@ class BitmaskGraph:
                              f"use 'hash' or 'nnz'")
         edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray)
                            else edges, dtype=np.int64)
+        if edges.shape == (0,):
+            edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ShapeMismatchError("edges must be an (m, 2) array")
         if edges.size and (edges.min() < 0
@@ -204,93 +224,51 @@ class BitmaskGraph:
         self.rdd.cache()
         return self
 
-    def csr_blocks(self):
-        """The cached row-pointer twin of the adjacency RDD.
+    def edge_lists(self):
+        """The cached per-partition :class:`EdgeList` twin of the blocks.
 
-        Built lazily (one pass) and kept cached: iterative consumers
-        pay the per-block row sort once instead of re-deriving
-        ``row = off % block`` every power iteration.
+        Built lazily (one pass, no sort) and kept cached: iterative
+        consumers scatter over constant global vertex ids instead of
+        re-deriving ``row = off % block`` every power iteration.
         """
-        if self._csr_rdd is None:
-            block = self.meta.chunk_shape[0]
-            self._csr_rdd = self.rdd.map_values(
-                _BlockToCSR(block)).cache()
-        return self._csr_rdd
+        if self._edge_rdd is None:
+            dtype = np.int32 if self.num_vertices <= 2 ** 31 else np.int64
+            self._edge_rdd = self.rdd.map_partitions(_PartitionEdges(
+                self.meta.chunk_shape[0], self.meta.chunk_grid[0],
+                dtype)).cache()
+        return self._edge_rdd
 
-    def spmv(self, x: np.ndarray, kernel: str = "csr") -> np.ndarray:
+    def spmv(self, x: np.ndarray) -> np.ndarray:
         """``y = A' @ x``: sum x over in-edges, no multiplications.
 
         Because every stored entry is exactly 1, the kernel is a gather
-        plus a segmented sum — the payload-free benefit of the bitmask
-        representation. ``kernel="csr"`` (default) runs it over the
-        cached :class:`~repro.matrix.offsets.CSRBlock` structures;
-        ``kernel="offsets"`` decodes each block's offsets in place
-        (the pre-CSR formulation). Both sum every row's contributions
-        sequentially in column order, so their results are
-        bit-identical.
+        plus a scatter-add — the payload-free benefit of the bitmask
+        representation: one ``np.add.at`` per partition over its cached
+        edge list, then the driver sums the partition partials.
         """
-        if kernel not in ("csr", "offsets"):
-            raise ArrayError(f"unknown spmv kernel {kernel!r}; "
-                             f"use 'csr' or 'offsets'")
         if x.size != self.num_vertices:
             raise ShapeMismatchError(
                 f"vector length {x.size} != vertex count "
                 f"{self.num_vertices}"
             )
         n = self.num_vertices
-        block = self.meta.chunk_shape[0]
-        grid_rows = self.meta.chunk_grid[0]
 
-        def csr_partials(part):
+        def scatter(part):
             partial = np.zeros(n)
-            for chunk_id, csr in part:
-                if csr.edge_count == 0:
-                    continue
-                rb = chunk_id % grid_rows
-                cb = chunk_id // grid_rows
-                contrib = csr.spmv(x[cb * block:(cb + 1) * block])
-                hi = min(block, n - rb * block)
-                partial[rb * block:rb * block + hi] += contrib[:hi]
+            for edges in part:
+                np.add.at(partial, edges.rows, x.take(edges.cols))
             return [partial]
 
-        def offset_partials(part):
-            partial = np.zeros(n)
-            for chunk_id, adjacency in part:
-                offsets = adjacency.edge_offsets()
-                if offsets.size == 0:
-                    continue
-                rb = chunk_id % grid_rows
-                cb = chunk_id // grid_rows
-                rows = offsets % block
-                cols = offsets // block
-                contrib = np.bincount(
-                    rows, weights=x[cb * block + cols], minlength=block)
-                hi = min(block, n - rb * block)
-                partial[rb * block:rb * block + hi] += contrib[:hi]
-            return [partial]
-
-        if kernel == "csr":
-            pieces = self.csr_blocks().map_partitions(
-                csr_partials).collect()
-        else:
-            pieces = self.rdd.map_partitions(offset_partials).collect()
         result = np.zeros(n)
-        for piece in pieces:
+        for piece in self.edge_lists().map_partitions(scatter).collect():
             result += piece
         return result
 
     def to_dense(self) -> np.ndarray:
         """Dense boolean adjacency (tests only — O(N^2) memory)."""
         out = np.zeros(self.meta.shape, dtype=bool)
-        block = self.meta.chunk_shape[0]
-        grid_rows = self.meta.chunk_grid[0]
-        for chunk_id, adjacency in self.rdd.collect():
-            rb = chunk_id % grid_rows
-            cb = chunk_id // grid_rows
-            offsets = adjacency.edge_offsets()
-            rows = rb * block + offsets % block
-            cols = cb * block + offsets // block
-            out[rows, cols] = True
+        for edges in self.edge_lists().collect():
+            out[edges.rows, edges.cols] = True
         return out
 
     def __repr__(self) -> str:

@@ -40,16 +40,13 @@ class PageRankResult:
 
 
 def pagerank(graph: BitmaskGraph, damping: float = 0.85,
-             max_iterations: int = 20, tolerance: float = 0.0,
-             kernel: str = "csr") -> PageRankResult:
+             max_iterations: int = 20,
+             tolerance: float = 0.0) -> PageRankResult:
     """Run the decomposed power method on a BitmaskGraph.
 
     ``tolerance=0`` runs exactly ``max_iterations`` iterations (the
     paper's Fig. 11 setup: 20 fixed iterations); a positive tolerance
-    stops early when the L1 residual drops below it. ``kernel`` routes
-    the A'(w ∘ p) product: ``"csr"`` (default) reuses cached row
-    pointers across iterations, ``"offsets"`` re-decodes every block
-    each pass; the two produce bit-identical ranks.
+    stops early when the L1 residual drops below it.
     """
     n = graph.num_vertices
     with np.errstate(divide="ignore"):
@@ -62,7 +59,7 @@ def pagerank(graph: BitmaskGraph, damping: float = 0.85,
     for _step in range(max_iterations):
         start = time.perf_counter()
         weighted = w * p                      # w ∘ p  (Hadamard)
-        spread = graph.spmv(weighted, kernel=kernel)  # A' (w ∘ p)
+        spread = graph.spmv(weighted)         # A' (w ∘ p)
         new_p = damping * spread + teleport
         residual = float(np.abs(new_p - p).sum())
         p = new_p

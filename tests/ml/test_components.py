@@ -76,3 +76,31 @@ class TestConnectedComponents:
                                       max_iterations=50)
         assert result.num_components == 1
         assert result.iterations <= 25
+
+    def test_labels_byte_identical_to_edge_oracle(self):
+        # 45 vertices in blocks of 8 leave a ragged last block row and
+        # column; 40 partitions outnumber the non-empty blocks
+        rng = np.random.default_rng(3)
+        n = 45
+        edges = rng.integers(0, n, size=(30, 2))
+        edges = np.concatenate([edges, [(44, 44), (40, 2)]])
+        with ClusterContext(num_executors=2) as context:
+            graph = BitmaskGraph.from_edges(context, edges, n,
+                                            block_size=8,
+                                            num_partitions=40)
+            result = connected_components(graph)
+
+        labels = np.arange(n, dtype=np.float64)
+        src, dst = edges[:, 0], edges[:, 1]
+        iterations = 0
+        while True:
+            neighbour = np.full(n, np.inf)
+            np.minimum.at(neighbour, dst, labels[src])
+            np.minimum.at(neighbour, src, labels[dst])
+            new_labels = np.minimum(labels, neighbour)
+            iterations += 1
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        assert result.labels.tobytes() == labels.astype(np.int64).tobytes()
+        assert result.iterations == iterations

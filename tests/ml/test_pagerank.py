@@ -1,7 +1,11 @@
 """Tests for BitmaskGraph and the decomposed PageRank."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import ClusterContext
 from repro.errors import ArrayError, ShapeMismatchError
@@ -145,11 +149,7 @@ class TestPageRank:
 
 
 class TestSparseKernels:
-    """ISSUE 9: the cached-CSR spmv path vs the offset decode."""
-
-    @pytest.fixture()
-    def ctx(self):
-        return ClusterContext(num_executors=4, default_parallelism=4)
+    """The cached per-partition edge lists behind ``spmv``."""
 
     def _graph(self, ctx, balance="hash"):
         rng = np.random.default_rng(17)
@@ -158,35 +158,14 @@ class TestSparseKernels:
         return BitmaskGraph.from_edges(ctx, edges, 256, block_size=64,
                                        balance=balance).cache(), edges
 
-    def test_spmv_kernels_bit_identical(self, ctx):
-        graph, _edges = self._graph(ctx)
-        x = np.random.default_rng(3).random(256)
-        offsets = graph.spmv(x, kernel="offsets")
-        csr = graph.spmv(x, kernel="csr")
-        assert offsets.tobytes() == csr.tobytes()
-
-    def test_pagerank_kernels_bit_identical(self, ctx):
-        graph, edges = self._graph(ctx)
-        offsets = pagerank(graph, max_iterations=15,
-                           kernel="offsets")
-        csr = pagerank(graph, max_iterations=15, kernel="csr")
-        assert offsets.ranks.tobytes() == csr.ranks.tobytes()
-        reference = pagerank_reference(edges, 256, max_iterations=15)
-        assert np.allclose(csr.ranks, reference)
-
-    def test_unknown_kernel_rejected(self, ctx):
-        graph, _edges = self._graph(ctx)
-        with pytest.raises(ArrayError):
-            graph.spmv(np.zeros(256), kernel="blas")
-
     def test_nnz_balanced_graph_same_ranks_per_placement(self, ctx):
         # placement fixes the order driver-side partials sum in, so
         # identity is asserted per graph; across placements the ranks
         # agree to float tolerance
         hashed, _edges = self._graph(ctx, balance="hash")
         balanced, _edges = self._graph(ctx, balance="nnz")
-        r_hash = pagerank(hashed, max_iterations=10, kernel="csr")
-        r_nnz = pagerank(balanced, max_iterations=10, kernel="csr")
+        r_hash = pagerank(hashed, max_iterations=10)
+        r_nnz = pagerank(balanced, max_iterations=10)
         assert np.allclose(r_hash.ranks, r_nnz.ranks, atol=1e-12)
         assert balanced.to_dense().tobytes() \
             == hashed.to_dense().tobytes()
@@ -194,3 +173,84 @@ class TestSparseKernels:
     def test_unknown_balance_rejected(self, ctx):
         with pytest.raises(ArrayError):
             BitmaskGraph.from_edges(ctx, [(0, 1)], 4, balance="lpt")
+
+    def test_ranks_byte_identical_across_backends(self):
+        edges = random_edges(300, 2500, seed=8)
+        reference = pagerank_reference(edges, 300, max_iterations=15)
+        ranks = []
+        for kwargs in ({"num_executors": 1},
+                       {"num_executors": 4, "use_threads": True},
+                       {"num_executors": 2, "backend": "process"}):
+            with ClusterContext(**kwargs) as context:
+                graph = BitmaskGraph.from_edges(
+                    context, edges, 300, block_size=70,
+                    num_partitions=4, balance="nnz").cache()
+                ranks.append(pagerank(graph, max_iterations=15).ranks)
+        assert ranks[0].tobytes() == ranks[1].tobytes()
+        assert ranks[0].tobytes() == ranks[2].tobytes()
+        assert np.allclose(ranks[0], reference, rtol=0.0, atol=1e-10)
+
+    def test_edge_list_pickle_roundtrip(self, ctx):
+        graph, _edges = self._graph(ctx)
+        for edges in graph.edge_lists().collect():
+            clone = pickle.loads(pickle.dumps(edges))
+            assert clone.rows.dtype == edges.rows.dtype == np.int32
+            assert clone.rows.tobytes() == edges.rows.tobytes()
+            assert clone.cols.tobytes() == edges.cols.tobytes()
+            assert clone.nbytes == edges.nbytes
+
+    def test_twin_costs_at_most_eight_bytes_per_edge(self, ctx):
+        graph, edges = self._graph(ctx)
+        twin = sum(part.nbytes for part in graph.edge_lists().collect())
+        assert graph.num_edges() == len(edges)
+        assert twin <= 8 * len(edges)
+
+    def test_edge_lists_cached_once(self, ctx):
+        graph, _edges = self._graph(ctx)
+        assert graph.edge_lists() is graph.edge_lists()
+
+    @pytest.mark.parametrize("edges", [[], np.zeros((0, 2))])
+    def test_empty_edge_list(self, ctx, edges):
+        graph = BitmaskGraph.from_edges(ctx, edges, 5)
+        assert graph.num_edges() == 0
+        assert graph.spmv(np.ones(5)).tobytes() == np.zeros(5).tobytes()
+        ranks = pagerank(graph, max_iterations=3).ranks
+        # teleport only: damping times a zero spread adds nothing
+        assert np.array_equal(ranks, np.full(5, (1.0 - 0.85) / 5))
+
+
+@st.composite
+def graphs(draw):
+    """``(n, block, edges, partitions)`` with ragged last blocks,
+    self-loops, duplicate edges and partitions left without blocks."""
+    n = draw(st.integers(1, 40))
+    block = draw(st.integers(1, n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=80))
+    loop = draw(vertex)
+    edges += [(loop, loop)] + edges[:3]       # a self-loop + duplicates
+    return n, block, edges, draw(st.integers(1, 8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=graphs(),
+       mode=st.sampled_from(["auto", "sparse", "super_sparse"]),
+       balance=st.sampled_from(["hash", "nnz"]),
+       seed=st.integers(0, 2**16))
+@example(case=(10, 3, [(9, 9), (0, 9), (0, 9)], 8), mode="auto",
+         balance="hash", seed=0)
+def test_spmv_matches_dense_oracle(case, mode, balance, seed):
+    n, block, edges, partitions = case
+    expected = np.zeros((n, n), dtype=bool)
+    for src, dst in edges:
+        expected[dst, src] = True
+    x = np.random.default_rng(seed).random(n)
+    with ClusterContext(num_executors=2) as context:
+        graph = BitmaskGraph.from_edges(
+            context, edges, n, block_size=block,
+            num_partitions=partitions, mode=mode, balance=balance)
+        dense = graph.to_dense()
+        spread = graph.spmv(x)
+    assert dense.tobytes() == expected.tobytes()
+    assert np.allclose(spread, dense.astype(float) @ x,
+                       rtol=0.0, atol=1e-12)
