@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "ArrayValues",
-    "BatchSegment",
     "PairValues",
     "RecordBatch",
     "ScalarValues",
@@ -304,21 +303,6 @@ class RecordBatch:
         return (f"<RecordBatch n={len(self)} "
                 f"values={type(self.values).__name__} "
                 f"nbytes={self.nbytes}>")
-
-
-class BatchSegment:
-    """A RecordBatch plus the map-side-combine flag, as stored in a
-    reducer's bucket by :class:`~repro.engine.rdd.ShuffledRDD`."""
-
-    __slots__ = ("batch", "combined")
-
-    def __init__(self, batch: RecordBatch, combined: bool):
-        self.batch = batch
-        self.combined = combined
-
-    @property
-    def nbytes(self) -> int:
-        return self.batch.nbytes
 
 
 def pack_records(records):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.rdd import RDD, CoGroupedRDD, ShuffledRDD
+from repro.engine.rdd import RDD
 
 #: engine counters these reports surface beyond the ledger lines —
 #: every name must exist in metrics.COUNTER_FIELDS (drift-guarded by
@@ -51,22 +51,12 @@ class Stage:
 
 def _wide_parents(rdd: RDD):
     """(narrow_parents, wide_parents) of one RDD."""
-    if rdd.is_checkpointed:
-        return [], []
-    if isinstance(rdd, ShuffledRDD):
-        parent = rdd.dependencies[0]
-        if rdd.is_narrow:
-            return [parent], []
-        return [], [parent]
-    if isinstance(rdd, CoGroupedRDD):
-        narrow, wide = [], []
-        for parent in rdd.dependencies:
-            if rdd._parent_is_narrow(parent):
-                narrow.append(parent)
-            else:
-                wide.append(parent)
-        return narrow, wide
-    return list(rdd.dependencies), []
+    narrow, wide = [], []
+    if not rdd.is_checkpointed:
+        wide_slots = rdd.wide_slots()
+        for which, parent in enumerate(rdd.dependencies):
+            (wide if which in wide_slots else narrow).append(parent)
+    return narrow, wide
 
 
 def stage_plan(rdd: RDD) -> list:

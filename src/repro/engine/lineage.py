@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro.engine.rdd import RDD, CoGroupedRDD, ShuffledRDD
+from repro.engine.rdd import RDD, _ShuffleStageBase
 
 
 def lineage_depth(rdd: RDD) -> int:
@@ -33,15 +33,7 @@ def count_shuffle_boundaries(rdd: RDD) -> int:
     Narrowed shuffles (parent already partitioned compatibly) do not
     count — they will not move data.
     """
-    count = 0
-    if isinstance(rdd, ShuffledRDD) and not rdd.is_narrow:
-        count += 1
-    if isinstance(rdd, CoGroupedRDD):
-        count += sum(
-            0 if rdd._parent_is_narrow(parent) else 1
-            for parent in rdd.dependencies
-        )
-    return count + sum(
+    return len(rdd.wide_slots()) + sum(
         count_shuffle_boundaries(dep) for dep in rdd.dependencies
     )
 
@@ -64,8 +56,9 @@ def collect_rdds(rdd: RDD) -> list:
 class FaultInjector:
     """Deterministic executor-failure simulation.
 
-    ``kill_fraction`` of the cached blocks (and materialized shuffle
-    outputs) in a DAG are dropped each time :meth:`strike` is called.
+    ``kill_fraction`` of the cached blocks and of the shuffle RDDs in a
+    DAG are hit each time :meth:`strike` is called; a hit shuffle RDD
+    loses the map output of every wide parent slot.
     """
 
     def __init__(self, context, seed: int = 0):
@@ -73,7 +66,8 @@ class FaultInjector:
         self._rng = random.Random(seed)
 
     def strike(self, rdd: RDD, kill_fraction: float = 0.5) -> int:
-        """Lose cached blocks below ``rdd``; returns how many were lost."""
+        """Lose cached blocks and shuffle map outputs below ``rdd``;
+        returns how many were lost."""
         lost = 0
         for node in collect_rdds(rdd):
             for index in range(node.num_partitions):
@@ -81,8 +75,7 @@ class FaultInjector:
                     if self._rng.random() < kill_fraction:
                         if self._context.fail_partition(node, index):
                             lost += 1
-            if isinstance(node, ShuffledRDD):
+            if isinstance(node, _ShuffleStageBase):
                 if self._rng.random() < kill_fraction:
-                    node.invalidate_shuffle()
-                    lost += 1
+                    lost += node.invalidate_shuffle()
         return lost

@@ -4,7 +4,8 @@ An :class:`RDD` is a lazy, partitioned collection. Transformations build a
 DAG; actions walk it. Narrow transformations (map/filter/...) pipeline
 within a partition exactly like Spark; wide transformations go through
 :class:`ShuffledRDD` / :class:`CoGroupedRDD`, which materialize a real
-hash-bucketed shuffle with byte accounting.
+hash-bucketed shuffle with byte accounting — one shuffle stage per wide
+parent slot.
 
 Fault tolerance follows Spark's model: a partition is recomputed from its
 lineage whenever it is needed and not cached. Tests inject block loss via
@@ -24,7 +25,6 @@ import numpy as np
 from repro.engine import batches
 from repro.engine import shm as shm_mod
 from repro.engine.batches import (
-    BatchSegment,
     RecordBatch,
     ScalarValues,
     combine_runs,
@@ -405,15 +405,14 @@ class RDD:
                 lock = self._compute_locks[index] = threading.Lock()
             return lock
 
-    def _materialize_lock(self, which) -> threading.Lock:
+    def _materialize_lock(self, which: int) -> threading.Lock:
         """The per-(rdd, which) shuffle-stage materialize lock.
 
         Concurrent callers of one map stage — two driver jobs sharing a
         cached upstream, or the pipelined scheduler racing a direct
-        ``_fetch_shuffle`` — serialize here and double-check the stored
+        ``fetch_buckets`` — serialize here and double-check the stored
         buckets, so a stage's map tasks run at most once. ``which`` is
-        the :class:`CoGroupedRDD` parent slot (``None`` for a
-        :class:`ShuffledRDD`); each slot gets its own lock so the two
+        the wide parent slot; each slot gets its own lock so the two
         sides of a cogroup can materialize concurrently.
         """
         with self._mat_locks_guard:
@@ -441,7 +440,6 @@ class RDD:
         state["_compute_locks_guard"] = None
         state["_mat_locks"] = {}
         state["_mat_locks_guard"] = None
-        state.pop("_lock", None)
         while True:
             try:
                 state["_cached_indices"] = set(self._cached_indices)
@@ -457,7 +455,6 @@ class RDD:
         self._compute_locks_guard = threading.Lock()
         self._mat_locks = {}
         self._mat_locks_guard = threading.Lock()
-        self._lock = threading.Lock()
 
     def persist(self, level: StorageLevel = StorageLevel.MEMORY) -> "RDD":
         self.storage_level = level
@@ -497,9 +494,14 @@ class RDD:
     def is_checkpointed(self) -> bool:
         return self._checkpoint_data is not None
 
-    def _own_wide_count(self) -> int:
-        """Wide dependencies this RDD itself introduces (0 for narrow)."""
-        return 0
+    def wide_slots(self) -> tuple:
+        """Indices of the parents this RDD reads through a shuffle.
+
+        The single narrow/wide rule: every other dependency pipelines
+        inside a partition. Evaluated on each call, because partitioners
+        may be assigned after construction.
+        """
+        return ()
 
     def lineage_hint(self) -> tuple:
         """``(lineage_depth, shuffle_depth)`` — how dear a recompute is.
@@ -514,7 +516,7 @@ class RDD:
         """
         if self._lineage_hint_cache is None:
             if self.is_checkpointed or not self.dependencies:
-                depth, wide = 1, self._own_wide_count()
+                depth, wide = 1, len(self.wide_slots())
             else:
                 depth, wide = 0, 0
                 for dep in self.dependencies:
@@ -522,7 +524,7 @@ class RDD:
                     depth = max(depth, dep_depth)
                     wide = max(wide, dep_wide)
                 depth += 1
-                wide += self._own_wide_count()
+                wide += len(self.wide_slots())
             self._lineage_hint_cache = (depth, wide)
         return self._lineage_hint_cache
 
@@ -959,42 +961,132 @@ class CoalescedRDD(RDD):
 
 
 class _ShuffleStageBase(RDD):
-    """Shared map-stage machinery for the two wide-dependency RDDs.
+    """Shared map-stage machinery for the wide-dependency RDDs.
 
-    A shuffle map stage is the same thing on a :class:`ShuffledRDD` and
-    on one parent slot of a :class:`CoGroupedRDD`: run one map task per
-    parent partition, merge the per-task buckets in parent-partition
-    order (the byte-identity contract), record the shuffle metrics, and
-    store the buckets. This base factors the pieces so the barrier path
+    Every shuffle stage has one shape: a ``(shuffle RDD, which)`` pair,
+    where ``which`` indexes a wide parent slot (a :class:`ShuffledRDD`
+    has the single slot 0). A stage runs one map task per parent
+    partition, merges the per-task buckets in parent-partition order
+    (the byte-identity contract), records the shuffle metrics, and
+    stores the buckets in ``_buckets[which]``. The barrier path
     (:meth:`materialize_stage`) and the pipelined scheduler — which
     submits :meth:`run_shuffle_map_task` calls itself and commits via
     :meth:`commit_shuffle` when the last output lands — execute the
     exact same task bodies and merge.
 
-    ``which`` selects the cogroup parent slot and is ``None`` for a
-    plain shuffle throughout.
+    A parent whose partitioner already equals this RDD's is narrow:
+    no buckets, no bytes, no stage (Section VI-A's local join).
     """
 
-    def shuffle_parent(self, which) -> RDD:
-        """The map-side parent of stage ``which``."""
-        return self.dependencies[0 if which is None else which]
+    def __init__(self, parents, partitioner: Partitioner, name: str):
+        super().__init__(parents[0].context, dependencies=parents,
+                         num_partitions=partitioner.num_partitions,
+                         partitioner=partitioner, name=name)
+        self._buckets = [None] * len(self.dependencies)
 
-    def shuffle_label(self, which) -> str:
+    def wide_slots(self) -> tuple:
+        return tuple(
+            which for which, parent in enumerate(self.dependencies)
+            if parent.partitioner is None
+            or parent.partitioner != self.partitioner)
+
+    def shuffle_label(self, which: int) -> str:
         """The stage's span/timing label."""
         raise NotImplementedError
 
-    def shuffle_ready(self, which) -> bool:
+    def shuffle_ready(self, which: int) -> bool:
         """Whether stage ``which`` already has materialized buckets."""
-        return self._peek_buckets(which) is not None
+        return self._buckets[which] is not None
 
-    def _peek_buckets(self, which):
-        """The stored buckets of stage ``which``, or None."""
-        raise NotImplementedError
+    def fetch_buckets(self, which: int) -> list:
+        """Stage ``which``'s per-reducer buckets, materialized once."""
+        buckets = self._buckets[which]
+        if buckets is not None:
+            return buckets
+        return self.materialize_stage(which)
 
-    def _store_buckets(self, which, buckets) -> None:
-        raise NotImplementedError
+    def invalidate_shuffle(self) -> int:
+        """Drop every slot's map output; returns how many were dropped.
 
-    def run_shuffle_map_task(self, which, parent_index, stage_span):
+        The next access re-runs the map tasks (fault injection)."""
+        dropped = 0
+        for which in range(len(self._buckets)):
+            with self._materialize_lock(which):
+                if self._buckets[which] is not None:
+                    self._buckets[which] = None
+                    dropped += 1
+        return dropped
+
+    def _reduce_segments(self, which: int, index: int) -> list:
+        """Reducer ``index``'s buckets from stage ``which``, in parent
+        order; shm-exported ones (the process backend) resolve to their
+        packed batches here, zero-copy over the mapped segment."""
+        metrics = self.context.metrics
+        return [shm_mod.resolve_segment(segment, metrics)
+                for segment in self.fetch_buckets(which)[index]]
+
+    # ------------------------------------------------------------------
+    # map side
+    # ------------------------------------------------------------------
+
+    def _map_side(self, records, keys):
+        """The map-side step before bucketing; the base passes through.
+
+        ``keys`` is the packed int64 key column of ``records`` (None
+        when keys don't pack). Returns ``(records, keys, values)``:
+        ``values`` is a packed value column when the step already built
+        one, and ``records`` may then be None.
+        """
+        return records, keys, None
+
+    def _map_task(self, which: int, parent_index: int):
+        """One shuffle map task: bucket one partition of parent
+        ``which`` per reducer.
+
+        Each map task owns its buckets, so tasks run with no shared
+        state; the reduce-side merge concatenates them in parent order.
+        Buckets are :class:`RecordBatch` packed blocks when the keys
+        pack, ``partition_array`` accepts them and the values pack —
+        one numpy pass for partition ids, one stable argsort for
+        grouping, which preserves the map-side step's record order
+        within every bucket — and lists of ``(key, value)`` pairs
+        otherwise. Returns ``(buckets, records, bytes, batch_stats)``.
+        """
+        records = list(self.dependencies[which].iterator(parent_index))
+        records, keys, values = self._map_side(records,
+                                               pack_int_keys(records))
+        pids = None
+        if keys is not None:
+            pids = self.partitioner.partition_array(keys)
+            if pids is not None and values is None:
+                values = pack_values([rec[1] for rec in records])
+        if pids is not None and values is not None:
+            groups = group_indices_by_partition(pids, self.num_partitions)
+            buckets = []
+            total_bytes = 0
+            num_batches = 0
+            for idx in groups:
+                if idx.size == 0:
+                    buckets.append([])
+                    continue
+                batch = RecordBatch(keys[idx], values.gather(idx))
+                buckets.append(batch)
+                total_bytes += batch.nbytes
+                num_batches += 1
+            num_records = int(keys.size)
+            return buckets, num_records, total_bytes, (num_batches,
+                                                       num_records)
+        if records is None:
+            records = list(zip(keys.tolist(), values.unpack()))
+        buckets = [[] for _ in range(self.num_partitions)]
+        partition = self.partitioner.partition
+        for key, value in records:
+            buckets[partition(key)].append((key, value))
+        return (buckets, len(records), estimate_partition_size(records),
+                (0, 0))
+
+    def run_shuffle_map_task(self, which: int, parent_index: int,
+                             stage_span):
         """One traced, retried shuffle map task (any thread).
 
         Returns the ``(buckets, records, bytes, batch_stats)`` tuple of
@@ -1009,9 +1101,6 @@ class _ShuffleStageBase(RDD):
                 def attempt():
                     return runner.run_shuffle_map(
                         self, which, parent_index, task_span)
-            elif which is None:
-                def attempt():
-                    return self._map_task(parent_index)
             else:
                 def attempt():
                     return self._map_task(which, parent_index)
@@ -1020,7 +1109,7 @@ class _ShuffleStageBase(RDD):
             task_span.set(records=out[1], bytes=out[2])
             return out
 
-    def commit_shuffle(self, which, outputs, span, start_s) -> list:
+    def commit_shuffle(self, which: int, outputs, span, start_s) -> list:
         """Merge map outputs in parent-partition order and store them.
 
         The caller holds the stage's materialize lock. ``outputs`` is
@@ -1028,7 +1117,7 @@ class _ShuffleStageBase(RDD):
         whatever order the tasks finished in.
         """
         metrics = self.context.metrics
-        parent = self.shuffle_parent(which)
+        parent = self.dependencies[which]
         buckets = [[] for _ in range(self.num_partitions)]
         total_records = 0
         total_bytes = 0
@@ -1051,10 +1140,10 @@ class _ShuffleStageBase(RDD):
         metrics.record_stage_timing(
             self.shuffle_label(which), "shuffle",
             time.perf_counter() - start_s, parent.num_partitions)
-        self._store_buckets(which, buckets)
+        self._buckets[which] = buckets
         return buckets
 
-    def materialize_stage(self, which, pool=None, depends_on=None,
+    def materialize_stage(self, which: int, pool=None, depends_on=None,
                           parent_span=None) -> list:
         """Barrier-materialize one shuffle map stage, idempotently.
 
@@ -1069,10 +1158,10 @@ class _ShuffleStageBase(RDD):
         stage-graph edges onto the stage span; direct callers omit them.
         """
         with self._materialize_lock(which):
-            ready = self._peek_buckets(which)
+            ready = self._buckets[which]
             if ready is not None:
                 return ready
-            parent = self.shuffle_parent(which)
+            parent = self.dependencies[which]
             metrics = self.context.metrics
             tracer = self.context.tracer
             metrics.record_stage()
@@ -1108,15 +1197,14 @@ class ShuffledRDD(_ShuffleStageBase):
     narrows: no data moves and no shuffle is recorded — this is precisely
     the property Spangle's matmul local join exploits (Section VI-A).
 
-    Map tasks try to pack each partition into
-    :class:`~repro.engine.batches.RecordBatch` buckets: one numpy pass
-    for partition ids, one stable argsort for
-    grouping, and — when ``combine_kernel`` names a commutative scalar
-    kernel ("sum" | "min" | "max") — a ``reduceat``-style combine over
-    sorted key runs before any bucket is emitted. Declaring a kernel
+    With ``map_side_combine`` each map task folds its partition before
+    bucketing and the reduce side merges combiners; without it the
+    reduce side creates and merges raw values. When ``combine_kernel``
+    names a commutative scalar kernel ("sum" | "min" | "max") the folds
+    run over sorted key runs in one numpy pass. Declaring a kernel
     promises that ``create_combiner`` is the identity and that
     ``merge_value``/``merge_combiners`` both equal the kernel's scalar
-    fold; the packed path is byte-identical to the generic tuple path
+    fold; the packed path is byte-identical to the generic dict fold
     and falls back to it record-exactly whenever keys, values, or
     numeric guards refuse.
     """
@@ -1124,9 +1212,7 @@ class ShuffledRDD(_ShuffleStageBase):
     def __init__(self, parent: RDD, partitioner: Partitioner,
                  create_combiner, merge_value, merge_combiners,
                  map_side_combine: bool = True, combine_kernel=None):
-        super().__init__(parent.context, dependencies=(parent,),
-                         num_partitions=partitioner.num_partitions,
-                         partitioner=partitioner, name="shuffle")
+        super().__init__((parent,), partitioner, "shuffle")
         if (combine_kernel is not None
                 and combine_kernel not in batches.COMBINE_KERNELS):
             raise EngineError(
@@ -1137,19 +1223,6 @@ class ShuffledRDD(_ShuffleStageBase):
         self._merge_combiners = merge_combiners
         self._map_side_combine = map_side_combine
         self._combine_kernel = combine_kernel
-        self._buckets = None
-        self._lock = threading.Lock()
-
-    @property
-    def is_narrow(self) -> bool:
-        parent = self.dependencies[0]
-        return (
-            parent.partitioner is not None
-            and parent.partitioner == self.partitioner
-        )
-
-    def _own_wide_count(self) -> int:
-        return 0 if self.is_narrow else 1
 
     def _combine_partition(self, records) -> dict:
         combined = {}
@@ -1160,157 +1233,39 @@ class ShuffledRDD(_ShuffleStageBase):
                 combined[key] = self._create(value)
         return combined
 
-    @property
-    def is_materialized(self) -> bool:
-        return self._buckets is not None
-
-    def _map_task(self, parent_index: int):
-        """One shuffle map task: bucket a parent partition per reducer.
-
-        Each map task owns its buckets, so tasks run with no shared
-        state; the reduce-side merge concatenates them in parent order.
-        Buckets are either :class:`BatchSegment` packed blocks (the
-        columnar path) or lists of ``(key, value, combined)`` triples.
-        """
-        parent = self.dependencies[0]
-        records = list(parent.iterator(parent_index))
-        out = self._columnar_map_task(records)
-        if out is not None:
-            return out
-        if self._map_side_combine:
-            records = list(self._combine_partition(records).items())
-            emit_combined = True
-        else:
-            emit_combined = False
-        buckets = [[] for _ in range(self.num_partitions)]
-        partition = self.partitioner.partition
-        for key, value in records:
-            buckets[partition(key)].append((key, value, emit_combined))
-        return (buckets, len(records), estimate_partition_size(records),
-                (0, 0))
-
-    def _columnar_map_task(self, records):
-        """The packed map task, or None when the partition must fall
-        back to per-record bucketing.
-
-        Order of operations matters for byte-identity: the map-side
-        combine (vectorized when the kernel and guards allow, the
-        generic dict otherwise) runs *before* bucketing, exactly like
-        the generic path, and the stable argsort grouping preserves the
-        combine's first-appearance record order within every bucket.
-        """
-        keys = pack_int_keys(records)
-        if keys is None:
+    def _kernel_combine(self, records, keys):
+        """The vectorized fold of ``records`` over sorted key runs:
+        ``(keys, ScalarValues)``, or None when no kernel is declared or
+        the keys, values or numeric guards refuse."""
+        if self._combine_kernel is None or keys is None:
             return None
-        pids = self.partitioner.partition_array(keys)
-        if pids is None:
+        values = pack_values([rec[1] for rec in records])
+        if not isinstance(values, ScalarValues):
             return None
-        emit_combined = self._map_side_combine
-        if self._map_side_combine:
-            packed = None
-            combined = None
-            if self._combine_kernel is not None:
-                packed = pack_values([rec[1] for rec in records])
-                if isinstance(packed, ScalarValues):
-                    combined = combine_runs(keys, packed.data,
-                                            self._combine_kernel)
-            if combined is not None:
-                keys, data = combined
-                packed = ScalarValues(data, packed.pykind)
-                records = None
-            else:
-                records = list(self._combine_partition(records).items())
-                keys = pack_int_keys(records)
-                if keys is None:
-                    # combiners replaced the int keys — cannot happen
-                    # for dict combine, but stay safe
-                    return None
-                packed = pack_values([rec[1] for rec in records])
-            # the combined keys are a subset of the originals, so the
-            # partitioner that accepted them above accepts them again
-            pids = self.partitioner.partition_array(keys)
-            if pids is None:
-                return None
-        else:
-            packed = pack_values([rec[1] for rec in records])
-            if packed is None:
-                # unpackable values would ship as per-bucket tuple
-                # lists; bucketing those through argsort costs more
-                # than the generic per-record loop
-                return None
-        groups = group_indices_by_partition(pids, self.num_partitions)
-        buckets = []
-        total_bytes = 0
-        num_batches = 0
-        for idx in groups:
-            if idx.size == 0:
-                buckets.append([])
-            elif packed is not None:
-                batch = RecordBatch(keys[idx], packed.gather(idx))
-                buckets.append(BatchSegment(batch, emit_combined))
-                total_bytes += batch.nbytes
-                num_batches += 1
-            else:
-                buckets.append([
-                    (records[i][0], records[i][1], emit_combined)
-                    for i in idx.tolist()
-                ])
-        num_records = int(keys.size)
-        if packed is None:
-            total_bytes = estimate_partition_size(records)
-            batch_records = 0
-        else:
-            batch_records = num_records
-        return buckets, num_records, total_bytes, (num_batches,
-                                                   batch_records)
-
-    def shuffle_label(self, which) -> str:
-        return self.name
-
-    def _peek_buckets(self, which):
-        return self._buckets
-
-    def _store_buckets(self, which, buckets) -> None:
-        self._buckets = buckets
-
-    def materialize(self, pool=None) -> list:
-        """Materialize map-side buckets for every reducer (once).
-
-        Idempotent under concurrent callers; see
-        :meth:`_ShuffleStageBase.materialize_stage`.
-        """
-        return self.materialize_stage(None, pool=pool)
-
-    def _fetch_shuffle(self) -> list:
-        buckets = self._buckets
-        if buckets is not None:
-            return buckets
-        return self.materialize()
-
-    def invalidate_shuffle(self) -> None:
-        """Drop materialized map output (used by fault-injection tests)."""
-        with self._materialize_lock(None):
-            self._buckets = None
-
-    def _columnar_narrow_combine(self, records):
-        """Vectorized combine for the narrow path, or None to fall back.
-
-        Only engages when a ``combine_kernel`` promises scalar-fold
-        semantics; the output is byte-identical to the dict combine.
-        """
-        if self._combine_kernel is None:
-            return None
-        keys = pack_int_keys(records)
-        if keys is None:
-            return None
-        packed = pack_values([rec[1] for rec in records])
-        if not isinstance(packed, ScalarValues):
-            return None
-        combined = combine_runs(keys, packed.data, self._combine_kernel)
+        combined = combine_runs(keys, values.data, self._combine_kernel)
         if combined is None:
             return None
-        out_keys, out_data = combined
-        return list(zip(out_keys.tolist(), out_data.tolist()))
+        return combined[0], ScalarValues(combined[1], values.pykind)
+
+    def _map_side(self, records, keys):
+        """Fold the partition before bucketing (with map-side combine).
+
+        The fold keeps first-appearance key order, exactly the dict
+        combine's insertion order, so bucketing sees the same records
+        whichever fold ran.
+        """
+        if not self._map_side_combine:
+            return records, keys, None
+        combined = self._kernel_combine(records, keys)
+        if combined is not None:
+            return None, combined[0], combined[1]
+        records = list(self._combine_partition(records).items())
+        if keys is not None:
+            keys = pack_int_keys(records)
+        return records, keys, None
+
+    def shuffle_label(self, which: int) -> str:
+        return self.name
 
     def _merge_columnar(self, segments):
         """Vectorized reduce-side merge, or None to fall back.
@@ -1327,27 +1282,27 @@ class ShuffledRDD(_ShuffleStageBase):
         data_parts = []
         pykind = None
         for segment in segments:
-            if not isinstance(segment, BatchSegment):
+            if not isinstance(segment, RecordBatch):
                 return None
-            values = segment.batch.values
+            values = segment.values
             if not isinstance(values, ScalarValues):
                 return None
             if pykind is None:
                 pykind = values.pykind
             elif values.pykind != pykind:
                 return None
-            key_parts.append(segment.batch.keys)
+            key_parts.append(segment.keys)
             data_parts.append(values.data)
-        keys = np.concatenate(key_parts)
-        data = np.concatenate(data_parts)
-        combined = combine_runs(keys, data, self._combine_kernel)
+        combined = combine_runs(np.concatenate(key_parts),
+                                np.concatenate(data_parts),
+                                self._combine_kernel)
         if combined is None:
             return None
         out_keys, out_data = combined
         return list(zip(out_keys.tolist(), out_data.tolist()))
 
     def compute(self, index: int) -> list:
-        if self.is_narrow:
+        if not self.wide_slots():
             # annotated but free: the parent is already partitioned the
             # way this shuffle wants, so nothing moves (Section VI-A)
             parent = self.dependencies[0]
@@ -1356,42 +1311,37 @@ class ShuffledRDD(_ShuffleStageBase):
             with tracer.span("narrow_shuffle", "shuffle", narrow=True,
                              partition=index) as span:
                 records = list(parent.iterator(index))
-                out = self._columnar_narrow_combine(records)
-                if out is None:
+                keys = (pack_int_keys(records)
+                        if self._combine_kernel is not None else None)
+                combined = self._kernel_combine(records, keys)
+                if combined is None:
                     out = list(self._combine_partition(records).items())
+                else:
+                    out = list(zip(combined[0].tolist(),
+                                   combined[1].unpack()))
                 span.set(records=len(out))
             self.context.metrics.record_stage_timing(
                 self.name, "narrow_shuffle",
                 time.perf_counter() - start, 1)
             return out
-        metrics = self.context.metrics
-        # shm-exported buckets (the process backend) resolve to their
-        # packed batches here, zero-copy over the mapped segment
-        segments = [shm_mod.resolve_segment(segment, metrics)
-                    for segment in self._fetch_shuffle()[index]]
+        segments = self._reduce_segments(0, index)
         merged = self._merge_columnar(segments)
         if merged is not None:
             return merged
+        # map-side-combined buckets carry combiners, the rest raw values
+        if self._map_side_combine:
+            create, merge = _identity, self._merge_combiners
+        else:
+            create, merge = self._create, self._merge_value
         merged = {}
         for segment in segments:
-            if isinstance(segment, BatchSegment):
-                combined_flag = segment.combined
-                rows = ((key, value, combined_flag)
-                        for key, value in segment.batch.records())
-            else:
-                rows = segment
-            for key, value, already_combined in rows:
+            if isinstance(segment, RecordBatch):
+                segment = segment.records()
+            for key, value in segment:
                 if key in merged:
-                    if already_combined:
-                        merged[key] = self._merge_combiners(
-                            merged[key], value)
-                    else:
-                        merged[key] = self._merge_value(merged[key], value)
+                    merged[key] = merge(merged[key], value)
                 else:
-                    if already_combined:
-                        merged[key] = value
-                    else:
-                        merged[key] = self._create(value)
+                    merged[key] = create(value)
         return list(merged.items())
 
 
@@ -1399,122 +1349,30 @@ class CoGroupedRDD(_ShuffleStageBase):
     """Group several pair-RDDs by key: ``(key, [values_0, values_1, ...])``.
 
     Parents whose partitioner equals the target partitioner contribute
-    through a narrow dependency (no shuffle); the rest are shuffled.
+    through a narrow dependency (no shuffle); every other parent slot is
+    one shuffle stage.
     """
 
     def __init__(self, parents, partitioner: Partitioner):
-        parents = list(parents)
-        super().__init__(parents[0].context, dependencies=tuple(parents),
-                         num_partitions=partitioner.num_partitions,
-                         partitioner=partitioner, name="cogroup")
-        self._buckets = [None] * len(parents)
-        self._lock = threading.Lock()
+        super().__init__(tuple(parents), partitioner, "cogroup")
 
-    def _parent_is_narrow(self, parent: RDD) -> bool:
-        return (
-            parent.partitioner is not None
-            and parent.partitioner == self.partitioner
-        )
-
-    def _own_wide_count(self) -> int:
-        return sum(1 for parent in self.dependencies
-                   if not self._parent_is_narrow(parent))
-
-    def is_parent_materialized(self, which: int) -> bool:
-        return self._buckets[which] is not None
-
-    def _map_task(self, which: int, parent_index: int):
-        """Bucket one partition of parent ``which`` per reducer.
-
-        Buckets are bare :class:`RecordBatch` packed blocks (the
-        columnar path; cogroup has no combiners, so no flag rides
-        along) or lists of ``(key, value)`` pairs.
-        """
-        parent = self.dependencies[which]
-        records = list(parent.iterator(parent_index))
-        out = self._columnar_map_task(records)
-        if out is not None:
-            return out
-        buckets = [[] for _ in range(self.num_partitions)]
-        partition = self.partitioner.partition
-        for key, value in records:
-            buckets[partition(key)].append((key, value))
-        return (buckets, len(records), estimate_partition_size(records),
-                (0, 0))
-
-    def _columnar_map_task(self, records):
-        """The packed map task, or None to fall back per record."""
-        keys = pack_int_keys(records)
-        if keys is None:
-            return None
-        pids = self.partitioner.partition_array(keys)
-        if pids is None:
-            return None
-        packed = pack_values([rec[1] for rec in records])
-        if packed is None:
-            # unpackable values would ship as per-bucket tuple lists;
-            # bucketing those through argsort costs more than the
-            # generic per-record loop
-            return None
-        groups = group_indices_by_partition(pids, self.num_partitions)
-        buckets = []
-        total_bytes = 0
-        num_batches = 0
-        for idx in groups:
-            if idx.size == 0:
-                buckets.append([])
-            else:
-                batch = RecordBatch(keys[idx], packed.gather(idx))
-                buckets.append(batch)
-                total_bytes += batch.nbytes
-                num_batches += 1
-        num_records = int(keys.size)
-        return buckets, num_records, total_bytes, (num_batches,
-                                                   num_records)
-
-    def shuffle_label(self, which) -> str:
+    def shuffle_label(self, which: int) -> str:
         return f"{self.name}[{which}]"
-
-    def _peek_buckets(self, which):
-        return self._buckets[which]
-
-    def _store_buckets(self, which, buckets) -> None:
-        self._buckets[which] = buckets
-
-    def materialize_parent(self, which: int, pool=None) -> list:
-        """Materialize the shuffle of one wide parent (once).
-
-        Each parent slot has its own materialize lock, so the two
-        sides of a cogroup can materialize concurrently; see
-        :meth:`_ShuffleStageBase.materialize_stage`.
-        """
-        return self.materialize_stage(which, pool=pool)
-
-    def _fetch_parent_shuffle(self, which: int) -> list:
-        buckets = self._buckets[which]
-        if buckets is not None:
-            return buckets
-        return self.materialize_parent(which)
 
     def compute(self, index: int) -> list:
         groups = {}
         arity = len(self.dependencies)
-        metrics = self.context.metrics
+        wide = self.wide_slots()
         for which, parent in enumerate(self.dependencies):
-            if self._parent_is_narrow(parent):
+            if which in wide:
+                segments = self._reduce_segments(which, index)
+            else:
                 # one pseudo-segment: the parent partition itself
                 segments = [parent.iterator(index)]
-            else:
-                segments = [
-                    shm_mod.resolve_segment(segment, metrics)
-                    for segment in self._fetch_parent_shuffle(which)[index]
-                ]
             for segment in segments:
                 if isinstance(segment, RecordBatch):
-                    rows = segment.records()
-                else:
-                    rows = segment
-                for key, value in rows:
+                    segment = segment.records()
+                for key, value in segment:
                     if key not in groups:
                         groups[key] = [[] for _ in range(arity)]
                     groups[key][which].append(value)

@@ -42,12 +42,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 
-from repro.engine.rdd import (
-    CoGroupedRDD,
-    RDD,
-    ShuffledRDD,
-    run_task_with_retries,
-)
+from repro.engine.rdd import RDD, run_task_with_retries
 from repro.engine.sizing import estimate_partition_size, estimate_size
 from repro.engine.storage import StorageLevel
 from repro.errors import EngineError
@@ -309,7 +304,7 @@ class _Stage:
         self.which = which
         self.key = (node.rdd_id, which)
         self.label = node.shuffle_label(which)
-        self.num_tasks = node.shuffle_parent(which).num_partitions
+        self.num_tasks = node.dependencies[which].num_partitions
         self.deps = []
         self.children = []
         self.pending = 0
@@ -344,9 +339,8 @@ class StageScheduler:
     def shuffle_stages(self, rdd: RDD) -> list:
         """Pending shuffle map stages beneath ``rdd``, parents first.
 
-        Each entry is ``(shuffle_rdd, which)`` — ``which`` selects the
-        parent for a :class:`CoGroupedRDD` and is ``None`` for a
-        :class:`ShuffledRDD`. Narrowed shuffles, already-materialized
+        Each entry is ``(shuffle_rdd, which)``, one per wide parent slot
+        (:meth:`RDD.wide_slots`). Narrow parents, already-materialized
         map output, checkpointed subtrees, and subtrees hidden behind a
         fully cached RDD (whose partitions will be served from the
         block cache without recomputation) are all skipped, so eager
@@ -363,14 +357,9 @@ class StageScheduler:
                 return
             for dep in node.dependencies:
                 visit(dep)
-            if isinstance(node, ShuffledRDD):
-                if not node.is_narrow and not node.is_materialized:
-                    ordered.append((node, None))
-            elif isinstance(node, CoGroupedRDD):
-                for which, parent in enumerate(node.dependencies):
-                    if (not node._parent_is_narrow(parent)
-                            and not node.is_parent_materialized(which)):
-                        ordered.append((node, which))
+            for which in node.wide_slots():
+                if not node.shuffle_ready(which):
+                    ordered.append((node, which))
 
         visit(rdd)
         return ordered
@@ -400,7 +389,7 @@ class StageScheduler:
         stages = [_Stage(node, which) for node, which in ordered]
         by_key = {stage.key: stage for stage in stages}
         for stage in stages:
-            root = stage.node.shuffle_parent(stage.which)
+            root = stage.node.dependencies[stage.which]
             for dep in self._direct_stage_deps(root, by_key):
                 stage.deps.append(dep)
                 dep.children.append(stage)
@@ -426,27 +415,13 @@ class StageScheduler:
             seen.add(node.rdd_id)
             if node.is_checkpointed or self._fully_cached(node):
                 return
-            if isinstance(node, ShuffledRDD):
-                stage = by_key.get((node.rdd_id, None))
-                if stage is not None:
-                    if stage.key not in found:
-                        found.add(stage.key)
-                        deps.append(stage)
-                    return
-                visit(node.dependencies[0])
-                return
-            if isinstance(node, CoGroupedRDD):
-                for which, parent in enumerate(node.dependencies):
-                    stage = by_key.get((node.rdd_id, which))
-                    if stage is not None:
-                        if stage.key not in found:
-                            found.add(stage.key)
-                            deps.append(stage)
-                    else:
-                        visit(parent)
-                return
-            for dep in node.dependencies:
-                visit(dep)
+            for which, parent in enumerate(node.dependencies):
+                stage = by_key.get((node.rdd_id, which))
+                if stage is None:
+                    visit(parent)
+                elif stage.key not in found:
+                    found.add(stage.key)
+                    deps.append(stage)
 
         visit(root)
         return deps

@@ -15,8 +15,8 @@ Three handle types travel between processes:
 
 - :class:`ShmRef` — locator of one pickled object inside a segment
   (head span + buffer spans). Shuffle map tasks replace packed
-  ``BatchSegment``/``RecordBatch`` buckets with refs; the reduce side
-  resolves them lazily via :func:`load_ref`.
+  ``RecordBatch`` buckets with refs; the reduce side resolves them
+  lazily via :func:`load_ref`.
 - :class:`SpillFileHandle` — a cached block living in the spill tier;
   the worker decodes the spill file itself so the disk-read metering
   matches the serial path byte for byte.

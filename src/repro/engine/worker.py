@@ -45,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine import shm as shm_mod
 from repro.engine import spill as spill_mod
-from repro.engine.batches import BatchSegment, RecordBatch
+from repro.engine.batches import RecordBatch
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.storage import StorageLevel
@@ -175,7 +175,7 @@ class ResultTask:
 
 
 class ShuffleMapTask:
-    """One shuffle map task; ``which`` selects a CoGroup parent."""
+    """One shuffle map task; ``which`` selects the wide parent slot."""
 
     __slots__ = ("rdd", "which", "parent_index")
 
@@ -188,8 +188,6 @@ class ShuffleMapTask:
         return (self.rdd,)
 
     def run(self):
-        if self.which is None:
-            return self.rdd._map_task(self.parent_index)
         return self.rdd._map_task(self.which, self.parent_index)
 
 
@@ -255,13 +253,13 @@ def _export_map_output(out, prefix, metrics, created):
     """Move packed shuffle buckets into one shared-memory segment.
 
     Tuple-list fallback buckets (and empty ones) stay inline; packed
-    ``BatchSegment``/``RecordBatch`` buckets are replaced by
+    ``RecordBatch`` buckets are replaced by
     :class:`~repro.engine.shm.ShmRef` locators. On any shm failure the
     original buckets ship inline — correctness never depends on the
     segment."""
     buckets, num_records, total_bytes, stats = out
     exportable = [i for i, bucket in enumerate(buckets)
-                  if isinstance(bucket, (BatchSegment, RecordBatch))]
+                  if isinstance(bucket, RecordBatch)]
     if not exportable:
         return out
     try:

@@ -17,7 +17,6 @@ from repro.engine.batches import (
     HASH_MODULUS,
     VALUE_PACK_BYTE_LIMIT,
     ArrayValues,
-    BatchSegment,
     RecordBatch,
     ScalarValues,
     combine_runs,
@@ -26,6 +25,7 @@ from repro.engine.batches import (
     pack_records,
     pack_values,
 )
+from repro.engine.pairs import cogroup
 from repro.engine.partitioner import (
     ExplicitPartitioner,
     HashPartitioner,
@@ -186,11 +186,6 @@ class TestValueCodecs:
         assert batch.nbytes == 2 * 8 + 2 * 8
         assert len(batch) == 2
 
-    def test_segment_reports_batch_bytes(self):
-        segment = BatchSegment(pack_records([(1, 2.0)]), True)
-        assert segment.nbytes == 16
-        assert segment.combined is True
-
 
 class TestGroupIndices:
     def test_preserves_record_order_per_bucket(self):
@@ -293,6 +288,19 @@ def _op_reduce_no_kernel(pairs_rdd):
     return pairs_rdd.reduce_by_key(lambda a, b: a + b).collect()
 
 
+def _op_reduce_strings(pairs_rdd):
+    # unpackable values under map-side combine: the combined partition
+    # buckets as (key, value) lists whatever the keys
+    return pairs_rdd.map_values(lambda v: f"{v:.4g};") \
+                    .reduce_by_key(lambda a, b: a + b).collect()
+
+
+def _op_combine_no_map_side(pairs_rdd):
+    return pairs_rdd.combine_by_key(
+        lambda v: [v], lambda acc, v: acc + [v], lambda a, b: a + b,
+        map_side_combine=False).collect()
+
+
 def _op_group(pairs_rdd):
     return pairs_rdd.group_by_key().collect()
 
@@ -302,29 +310,44 @@ def _op_cogroup(pairs_rdd):
     return pairs_rdd.cogroup(other).collect()
 
 
+def _op_cogroup3_narrow(pairs_rdd):
+    # three parents, the first already co-partitioned (a narrow slot)
+    part = HashPartitioner(3)
+    placed = pairs_rdd.partition_by(part)
+    negated = pairs_rdd.map_values(lambda v: -v)
+    large = pairs_rdd.filter(lambda kv: kv[1] > 1.0)
+    return cogroup([placed, negated, large], part).collect()
+
+
 def _op_join(pairs_rdd):
     other = pairs_rdd.map_values(lambda v: v * 2)
     return pairs_rdd.join(other).count()
 
 
 OPS = {"reduce": _op_reduce, "reduce_no_kernel": _op_reduce_no_kernel,
-       "group": _op_group, "cogroup": _op_cogroup, "join": _op_join}
+       "reduce_strings": _op_reduce_strings,
+       "combine_no_map_side": _op_combine_no_map_side,
+       "group": _op_group, "cogroup": _op_cogroup,
+       "cogroup3_narrow": _op_cogroup3_narrow, "join": _op_join}
+
+MODES = {"serial": dict(num_executors=4, use_threads=False),
+         "threaded": dict(num_executors=4, use_threads=True),
+         "process": dict(num_executors=2, backend="process")}
 
 
 class TestColumnarGenericProperty:
     @pytest.mark.parametrize("key_kind", sorted(KEY_MAKERS))
     @pytest.mark.parametrize("op_name", sorted(OPS))
-    @pytest.mark.parametrize("use_threads", [False, True],
-                             ids=["serial", "threaded"])
-    def test_byte_identity(self, key_kind, op_name, use_threads):
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_byte_identity(self, key_kind, op_name, mode):
         rng = random.Random(hash((key_kind, op_name)) & 0xFFFF)
         data = [(k, _value(rng))
                 for k in KEY_MAKERS[key_kind](rng, 400)]
 
         def run(columnar):
+            # the patch is entered first so forked workers inherit it
             with shuffle_path(columnar), \
-                    ClusterContext(num_executors=4,
-                                   use_threads=use_threads) as ctx:
+                    ClusterContext(**MODES[mode]) as ctx:
                 return OPS[op_name](ctx.parallelize(data, 6))
 
         assert pickle.dumps(run(True)) == pickle.dumps(run(False))
@@ -399,3 +422,46 @@ class TestExactSizing:
                 lambda a, b: a + b, combine_kernel="sum").collect()
             delta = ctx.metrics.snapshot() - before
         assert delta.shuffle_bytes == delta.shuffle_records * 16
+
+
+def _golden_data(key_kind):
+    if key_kind == "int":
+        return [(i % 13, float(i)) for i in range(300)]
+    return [(f"k{i % 13}", float(i)) for i in range(300)]
+
+
+GOLDEN_OPS = {
+    "reduce": lambda rdd: rdd.reduce_by_key(
+        lambda a, b: a + b, combine_kernel="sum").collect(),
+    "group": lambda rdd: rdd.group_by_key().collect(),
+    "cogroup": lambda rdd: rdd.cogroup(
+        rdd.map_values(lambda v: -v)).collect(),
+}
+
+#: (shuffle_records, shuffle_bytes, shuffle_batches,
+#: shuffle_batch_records) per (key kind, op), 300 records in 4
+#: partitions over 13 distinct keys; string keys take the tuple path
+GOLDEN_COUNTERS = {
+    ("int", "reduce"): (52, 832, 16, 52),
+    ("int", "group"): (300, 4800, 16, 300),
+    ("int", "cogroup"): (600, 9600, 32, 600),
+    ("string", "reduce"): (52, 948, 0, 0),
+    ("string", "group"): (300, 5469, 0, 0),
+    ("string", "cogroup"): (600, 10938, 0, 0),
+}
+
+
+class TestGoldenShuffleCounters:
+    """The four logical shuffle counters are pinned, not only compared
+    path against path: a change that moved both paths alike would
+    otherwise go unnoticed."""
+
+    @pytest.mark.parametrize("key_kind,op_name", sorted(GOLDEN_COUNTERS))
+    def test_counters_pinned(self, key_kind, op_name):
+        with ClusterContext(num_executors=2) as ctx:
+            before = ctx.metrics.snapshot()
+            GOLDEN_OPS[op_name](ctx.parallelize(_golden_data(key_kind), 4))
+            delta = ctx.metrics.snapshot() - before
+        got = (delta.shuffle_records, delta.shuffle_bytes,
+               delta.shuffle_batches, delta.shuffle_batch_records)
+        assert got == GOLDEN_COUNTERS[key_kind, op_name]

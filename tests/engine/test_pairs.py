@@ -101,7 +101,12 @@ class TestJoins:
         assert count_shuffle_boundaries(joined) == 2
         before = ctx.metrics.snapshot()
         result = sorted(joined.collect())
+        delta = ctx.metrics.snapshot() - before
         assert result == [(i, (i, -i)) for i in range(20)]
+        # both sides were placed by the collects above: the join moves
+        # nothing
+        assert delta.shuffles_performed == 0
+        assert delta.shuffle_bytes == 0
 
 
 class TestPartitioning:

@@ -215,10 +215,7 @@ class TestTaskRoundTrip:
             # materialize pending shuffle stages the way a job would;
             # the reduce side then ships with its map output inline
             for node, which in ctx.scheduler.shuffle_stages(rdd):
-                if which is None:
-                    node.materialize(pool=None)
-                else:
-                    node.materialize_parent(which, pool=None)
+                node.materialize_stage(which)
             for index in range(rdd.num_partitions):
                 expected = list(rdd.compute(index))
                 clone = task_loads(task_dumps(

@@ -1,7 +1,11 @@
 """Caching, eviction, lineage recomputation, and fault injection."""
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro import SpangleMatrix
 from repro.engine import ClusterContext, StorageLevel
 from repro.engine.lineage import (
     FaultInjector,
@@ -100,6 +104,45 @@ class TestFaultTolerance:
         lost = injector.strike(summed, kill_fraction=1.0)
         assert lost > 0
         assert sorted(summed.collect()) == expected
+
+    @staticmethod
+    def _struck_rerun(ctx, rdd):
+        """Collect ``rdd``, strike every block and shuffle output under
+        it, collect again: ``(first, second, first_delta, second_delta,
+        lost)``."""
+        before = ctx.metrics.snapshot()
+        first = pickle.dumps(rdd.collect())
+        first_delta = ctx.metrics.snapshot() - before
+        lost = FaultInjector(ctx, seed=0).strike(rdd, kill_fraction=1.0)
+        before = ctx.metrics.snapshot()
+        second = pickle.dumps(rdd.collect())
+        return first, second, first_delta, \
+            ctx.metrics.snapshot() - before, lost
+
+    def test_strike_drops_join_map_output(self, ctx):
+        left = ctx.parallelize([(i % 6, i) for i in range(60)], 4)
+        right = ctx.parallelize([(i % 6, -i) for i in range(24)], 3)
+        first, second, first_delta, delta, lost = \
+            self._struck_rerun(ctx, left.join(right))
+        assert second == first
+        assert lost == 2  # both cogroup slots
+        assert first_delta.shuffles_performed == 2
+        assert delta.shuffles_performed == 2
+        assert delta.shuffle_bytes == first_delta.shuffle_bytes
+
+    def test_strike_drops_shuffled_matmul_map_output(self, ctx):
+        rng = np.random.default_rng(4)
+        a = rng.random((24, 16)) * (rng.random((24, 16)) < 0.4)
+        b = rng.random((16, 20)) * (rng.random((16, 20)) < 0.4)
+        product = SpangleMatrix.from_numpy(ctx, a, (8, 8)).multiply(
+            SpangleMatrix.from_numpy(ctx, b, (8, 8)), local_join=False)
+        first, second, first_delta, delta, lost = \
+            self._struck_rerun(ctx, product.array.rdd)
+        assert second == first
+        assert lost >= 3  # both cogroup slots and the gather reduce
+        assert first_delta.shuffles_performed >= 3
+        assert delta.shuffles_performed == first_delta.shuffles_performed
+        assert delta.shuffle_records == first_delta.shuffle_records
 
     def test_repeated_strikes(self, ctx):
         rdd = ctx.parallelize(range(100), 5).map(lambda x: x + 1).cache()
