@@ -65,12 +65,12 @@ class SciDBSystem:
     def _write_chunk(self, array: str, key, data: np.ndarray) -> None:
         path = self.storage_dir / f"{array}__{key}.npy"
         np.save(path, data)
-        self.context.metrics.record_disk_write(int(data.nbytes))
+        self.context.metrics.add(disk_write_bytes=int(data.nbytes))
 
     def _read_chunk(self, array: str, key) -> np.ndarray:
         path = self.storage_dir / f"{array}__{key}.npy"
         data = np.load(path)
-        self.context.metrics.record_disk_read(int(data.nbytes))
+        self.context.metrics.add(disk_read_bytes=int(data.nbytes))
         return data
 
     def store_scenes(self, name: str, scenes, chunk_shape=(128, 128)):

@@ -189,7 +189,8 @@ class ArrayRDD:
             node, fired, pruned = optimizer_mod.optimize(
                 node, self.context)
             if fired:
-                metrics.record_optimizer(len(fired), pruned)
+                metrics.add(optimizer_rules_fired=len(fired),
+                            optimizer_chunks_pruned=pruned)
             self._compiled = lower_to_rdd(node, self.context, metrics)
         return self._compiled
 

@@ -449,5 +449,6 @@ def lower_count_valid(node, context):
     pruned = 0
     if counter.wanted is not None:
         pruned = current.meta.num_chunks - len(counter.wanted)
-    context.metrics.record_optimizer(1, pruned)
+    context.metrics.add(optimizer_rules_fired=1,
+                        optimizer_chunks_pruned=pruned)
     return int(total)

@@ -446,9 +446,9 @@ class _CompiledPlanPass:
                                     + int(out[1].payload.nbytes))
             yield out
         if metrics is not None and avoided:
-            metrics.record_fused_chunks_avoided(avoided)
+            metrics.add(fused_chunks_avoided=avoided)
         if metrics is not None and repacked:
-            metrics.record_repack(repacked)
+            metrics.add(chunks_repacked=repacked)
         if tracing:
             chunks_out = sum(mode_counts.values())
             attrs = {"chunks_in": chunks_in,
@@ -522,7 +522,7 @@ class ChunkPlan:
             return base_rdd
         labels = self.stage_labels()
         if metrics is not None and len(labels) >= 2:
-            metrics.record_kernels_fused(len(labels))
+            metrics.add(kernels_fused=len(labels))
         run = _CompiledPlanPass(self.source, self.kernels, labels,
                                 self.label(),
                                 getattr(base_rdd.context, "tracer", None),

@@ -200,7 +200,7 @@ class ClusterContext:
         from repro.engine.sizing import estimate_size as _size
 
         nbytes = _size(value)
-        self.metrics.record_broadcast(nbytes * self.num_executors)
+        self.metrics.add(broadcast_bytes=nbytes * self.num_executors)
         broadcast = Broadcast(value, nbytes)
         self.tracer.event(broadcast.label, "broadcast", bytes=nbytes,
                           shipped_bytes=nbytes * self.num_executors)
@@ -234,8 +234,7 @@ class ClusterContext:
         One job and one stage however many partitions end up probed —
         per-partition probes are tasks of the same job, as in Spark.
         """
-        self.metrics.record_job()
-        self.metrics.record_stage()
+        self.metrics.add(jobs_run=1, stages_run=1)
         taken = []
         with self.tracer.span(f"{rdd.name}:take", "job",
                               executors=self.num_executors):
@@ -243,7 +242,7 @@ class ClusterContext:
                 for index in range(rdd.num_partitions):
                     if len(taken) >= n:
                         break
-                    self.metrics.record_task()
+                    self.metrics.add(tasks_launched=1)
                     with self.tracer.span("task", "task", partition=index):
                         taken.extend(rdd.iterator(index))
         return taken[:n]
@@ -254,9 +253,7 @@ class ClusterContext:
             raise EngineError(
                 f"partition index {index} out of range for {rdd!r}"
             )
-        self.metrics.record_job()
-        self.metrics.record_stage()
-        self.metrics.record_task()
+        self.metrics.add(jobs_run=1, stages_run=1, tasks_launched=1)
         with self.tracer.span(f"{rdd.name}:partition", "job",
                               executors=self.num_executors):
             with self.tracer.span(rdd.name, "stage", stage_kind="result"):

@@ -22,18 +22,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.engine.metrics import COUNTERS
 from repro.engine.rdd import RDD
 
-#: engine counters these reports surface beyond the ledger lines —
-#: every name must exist in metrics.COUNTER_FIELDS (drift-guarded by
-#: tests/engine/test_metrics.py) so the reports, the telemetry plane,
-#: and the registry agree on one source of truth
-REPORT_COUNTERS = (
-    "optimizer_rules_fired",
-    "optimizer_chunks_pruned",
-    "worker_respawns",
-    "shm_bytes_mapped",
-)
+#: catalog layers whose counters :func:`stage_breakdown` appends when
+#: they moved — the ones that say why a job ran differently
+REPORT_LAYERS = ("core.optimizer", "engine.worker", "engine.shm")
+
+
+def _counter_cells(counters: dict, layers, moved_only: bool = False):
+    """``name: value`` cells for the catalog counters of ``layers``."""
+    return [f"{metric.name}: {counters.get(metric.name, 0):,}"
+            + (" B" if metric.unit == "bytes" else "")
+            for metric in COUNTERS if metric.layer in layers
+            and (counters.get(metric.name) or not moved_only)]
+
+
+def _counter_lines(counters: dict, layers) -> list:
+    """Report lines of four counter cells each."""
+    cells = _counter_cells(counters, layers)
+    return ["  " + "   ".join(cells[i:i + 4])
+            for i in range(0, len(cells), 4)]
 
 
 @dataclass
@@ -120,8 +129,9 @@ def stage_breakdown(stage_timings, task_times=None,
     by ``ClusterContext.measure``. When ``task_times`` is given, a
     task-duration histogram line is appended. When ``counters`` is
     given (a :class:`~repro.engine.metrics.MetricsSnapshot` or its
-    ``as_dict()``), the :data:`REPORT_COUNTERS` that moved — optimizer
-    rewrites, worker respawns, shm traffic — are appended too.
+    ``as_dict()``), the counters of the :data:`REPORT_LAYERS` that
+    moved — optimizer rewrites, worker respawns and retries, shm
+    traffic — are appended too.
     """
     if not stage_timings:
         return "(no stages executed)"
@@ -148,11 +158,9 @@ def stage_breakdown(stage_timings, task_times=None,
     if counters is not None:
         if not isinstance(counters, dict):
             counters = counters.as_dict()
-        moved = [(name, counters.get(name, 0))
-                 for name in REPORT_COUNTERS if counters.get(name, 0)]
+        moved = _counter_cells(counters, REPORT_LAYERS, moved_only=True)
         if moved:
-            lines.append("  counters: " + "   ".join(
-                f"{name}: {value:,}" for name, value in moved))
+            lines.append("  counters: " + "   ".join(moved))
     return "\n".join(lines)
 
 
@@ -160,19 +168,16 @@ def memory_report(context) -> str:
     """A printable report of the context's memory tier.
 
     One line each for the cache ledger (resident bytes against the
-    budget, block counts), the spill tier (blocks on disk and their
-    encoded bytes), and the adaptive-memory counters — evictions,
-    spills, reloads, and density repacking (``chunks_repacked`` /
-    ``repack_bytes_saved``) — plus the logical-optimizer counters
-    (``optimizer_rules_fired`` / ``optimizer_chunks_pruned``), so this
-    report and the telemetry gauges read the same
-    :data:`REPORT_COUNTERS`. Contexts with a shared-memory plane (the
-    process backend's block-exchange tier) add a line accounting for
-    shm residency: live segments and their bytes, segments created and
-    bytes mapped over the context's lifetime, and worker respawns.
+    budget, block counts) and the spill tier (blocks on disk and their
+    encoded bytes); then the catalog counters of the ``engine.storage``
+    layer (hits, evictions, spills, reloads, density repacking) and of
+    ``core.optimizer``; then the shared-memory plane (the process
+    backend's block-exchange tier): live segments and their bytes, and
+    the ``engine.shm`` and ``engine.worker`` counters — segments
+    created, bytes mapped, worker respawns and task retries.
     """
     cache = context.cache
-    counters = context.metrics.snapshot()
+    counters = context.metrics.snapshot().as_dict()
     budget = cache.budget_bytes
     budget_text = f"{budget:,} B" if budget is not None else "unbounded"
     lines = [
@@ -182,25 +187,15 @@ def memory_report(context) -> str:
         f"{cache.block_count()} blocks",
         f"  spilled:  {cache.spilled_bytes():,} B in "
         f"{cache.spilled_count()} blocks",
-        f"  evictions: {counters.cache_evictions}   "
-        f"spills: {counters.cache_spills}   "
-        f"reloads: {counters.cache_reloads}",
-        f"  chunks_repacked: {counters.chunks_repacked}   "
-        f"repack_bytes_saved: {counters.repack_bytes_saved:,} B",
-        f"  optimizer_rules_fired: {counters.optimizer_rules_fired}   "
-        f"optimizer_chunks_pruned: {counters.optimizer_chunks_pruned}",
     ]
-    registry = getattr(context, "shm_registry", None)
-    if registry is not None:
-        backend = getattr(context, "backend", "thread")
-        lines.append(
-            f"  backend: {backend}   shm resident: "
-            f"{registry.resident_bytes():,} B in "
-            f"{registry.segment_count()} segments")
-        lines.append(
-            f"  shm_segments_created: {counters.shm_segments_created}   "
-            f"shm_bytes_mapped: {counters.shm_bytes_mapped:,} B   "
-            f"worker_respawns: {counters.worker_respawns}")
+    lines += _counter_lines(counters, ("engine.storage",))
+    lines += _counter_lines(counters, ("core.optimizer",))
+    registry = context.shm_registry
+    lines.append(
+        f"  backend: {context.backend}   shm resident: "
+        f"{registry.resident_bytes():,} B in "
+        f"{registry.segment_count()} segments")
+    lines += _counter_lines(counters, ("engine.shm", "engine.worker"))
     return "\n".join(lines)
 
 

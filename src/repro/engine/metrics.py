@@ -4,13 +4,91 @@ The paper's experimental story is largely about *costs that we can count*:
 bytes moved through the shuffle, number of tasks scheduled, bytes spilled
 to disk. The engine increments these counters as it runs; benchmarks take
 snapshots before/after a job and feed the difference to the cost model.
+
+:data:`METRICS` is the one catalog of every counter and every gauge the
+telemetry sampler emits. The snapshot fields, :meth:`MetricsRegistry.add`,
+the worker → driver merge, the Prometheus exporter, ``repro top`` and the
+``explain`` reports all read it: adding a metric is adding one row.
 """
 
 from __future__ import annotations
 
 import threading
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, make_dataclass
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One catalog row: a counter the engine increments (cumulative,
+    identical across schedulers) or a gauge the sampler reads."""
+
+    name: str
+    kind: str  # "counter" | "gauge"
+    unit: str
+    layer: str
+    help: str
+
+
+# name                     kind     unit   layer             help
+_TABLE = """
+tasks_launched             counter  count  engine.scheduler  task attempts, retries included
+stages_run                 counter  count  engine.scheduler  map, result and checkpoint stages run
+jobs_run                   counter  count  engine.scheduler  jobs submitted to the scheduler
+shuffle_records            counter  count  engine.shuffle    records moved by shuffle map stages
+shuffle_bytes              counter  bytes  engine.shuffle    bytes moved by shuffle map stages
+shuffles_performed         counter  count  engine.shuffle    shuffle map stages materialized
+shuffle_batches            counter  count  engine.shuffle    packed RecordBatches shipped
+shuffle_batch_records      counter  count  engine.shuffle    records that rode in packed batches
+disk_read_bytes            counter  bytes  engine.spill      spill, checkpoint, store bytes read
+disk_write_bytes           counter  bytes  engine.spill      spill, checkpoint, store bytes written
+result_bytes               counter  bytes  engine.scheduler  task outputs returned to the driver
+broadcast_bytes            counter  bytes  engine.broadcast  broadcast value bytes times executors
+cache_hits                 counter  count  engine.storage    block reads served from memory or spill
+cache_misses               counter  count  engine.storage    block reads that found no cached block
+cache_evictions            counter  count  engine.storage    blocks evicted to stay within budget
+cache_spills               counter  count  engine.storage    evicted blocks written to spill files
+cache_reloads              counter  count  engine.storage    spilled blocks decoded back on access
+chunks_repacked            counter  count  engine.storage    chunks re-encoded by the density policy
+repack_bytes_saved         counter  bytes  engine.storage    net payload bytes repacking shed
+recomputations             counter  count  engine.storage    lost cached partitions rebuilt
+task_retries               counter  count  engine.worker     task attempts after a failure
+kernels_fused              counter  count  core.plan         kernels compiled into fused passes
+fused_chunks_avoided       counter  count  core.plan         intermediate chunks fused passes skip
+optimizer_rules_fired      counter  count  core.optimizer    rewrite rules applied while lowering
+optimizer_chunks_pruned    counter  count  core.optimizer    chunks pruned before scheduling
+shm_segments_created       counter  count  engine.shm        shared-memory segments created
+shm_bytes_mapped           counter  bytes  engine.shm        segment bytes mapped into a process
+worker_respawns            counter  count  engine.worker     worker pools replaced after a crash
+cache.resident_bytes       gauge    bytes  engine.storage    bytes resident in the block cache
+cache.spilled_bytes        gauge    bytes  engine.storage    encoded bytes in the spill tier
+cache.blocks               gauge    count  engine.storage    blocks resident in the cache
+cache.spilled_blocks       gauge    count  engine.storage    blocks in the spill tier
+cache.budget_bytes         gauge    bytes  engine.storage    cache budget, 0 when unbounded
+cache.pressure             gauge    ratio  engine.storage    resident bytes over the budget
+shm.segments               gauge    count  engine.shm        live shared-memory segments
+shm.resident_bytes         gauge    bytes  engine.shm        bytes in live shared-memory segments
+pool.busy_threads          gauge    count  engine.scheduler  executor threads running a task
+pool.queued_tasks          gauge    count  engine.scheduler  tasks submitted but not started
+pool.active_jobs           gauge    count  engine.scheduler  jobs running on the executor pool
+pool.num_workers           gauge    count  engine.scheduler  executor threads in the pool
+scheduler.ready_stages     gauge    count  engine.scheduler  stages ready but not launched
+scheduler.inflight_stages  gauge    count  engine.scheduler  stages launched but not committed
+nnz.partition_max          gauge    cells  matrix            max partition nnz, last sparse stage
+nnz.partition_mean         gauge    cells  matrix            mean partition nnz, last sparse stage
+nnz.imbalance              gauge    ratio  matrix            max over mean partition nnz
+nnz.partitions             gauge    count  matrix            partitions of the last sparse stage
+workers.known              gauge    count  engine.worker     workers in the heartbeat ledger
+workers.alive              gauge    count  engine.worker     worker processes still responding
+"""
+
+#: every counter and gauge, in catalog order
+METRICS = tuple(Metric(*line.split(None, 4))
+                for line in _TABLE.strip().splitlines())
+METRICS_BY_NAME = {metric.name: metric for metric in METRICS}
+COUNTERS = tuple(metric for metric in METRICS if metric.kind == "counter")
+#: the counter names: the snapshot's fields, in catalog order
+COUNTER_FIELDS = tuple(metric.name for metric in COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -23,63 +101,26 @@ class StageTiming:
     num_tasks: int
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "wall_s": self.wall_s,
-            "num_tasks": self.num_tasks,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """An immutable point-in-time copy of every engine counter."""
-
-    tasks_launched: int = 0
-    stages_run: int = 0
-    jobs_run: int = 0
-    shuffle_records: int = 0
-    shuffle_bytes: int = 0
-    shuffles_performed: int = 0
-    shuffle_batches: int = 0
-    shuffle_batch_records: int = 0
-    disk_read_bytes: int = 0
-    disk_write_bytes: int = 0
-    result_bytes: int = 0
-    broadcast_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_spills: int = 0
-    cache_reloads: int = 0
-    chunks_repacked: int = 0
-    repack_bytes_saved: int = 0
-    recomputations: int = 0
-    task_retries: int = 0
-    kernels_fused: int = 0
-    fused_chunks_avoided: int = 0
-    optimizer_rules_fired: int = 0
-    optimizer_chunks_pruned: int = 0
-    shm_segments_created: int = 0
-    shm_bytes_mapped: int = 0
-    worker_respawns: int = 0
-
-    def __sub__(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        deltas = {
-            f.name: getattr(self, f.name) - getattr(other, f.name)
-            for f in fields(self)
-        }
-        return MetricsSnapshot(**deltas)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+def _snapshot_sub(self, other):
+    return MetricsSnapshot(**{name: getattr(self, name) - getattr(other, name)
+                              for name in COUNTER_FIELDS})
 
 
-#: the engine's logical counters — the single source of truth shared by
-#: MetricsSnapshot (all fields) and MetricsRegistry (reset/snapshot).
-#: Adding a counter means adding one field to *each* dataclass; the
-#: drift-guard test asserts the two stay identical.
-COUNTER_FIELDS = tuple(f.name for f in fields(MetricsSnapshot))
+def _snapshot_as_dict(self) -> dict:
+    return {name: getattr(self, name) for name in COUNTER_FIELDS}
+
+
+MetricsSnapshot = make_dataclass(
+    "MetricsSnapshot", [(name, int, 0) for name in COUNTER_FIELDS],
+    frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "An immutable point-in-time copy of every "
+                          "engine counter: one int field per counter "
+                          "row of METRICS.",
+               "__sub__": _snapshot_sub, "as_dict": _snapshot_as_dict})
 
 
 def task_time_histogram(task_times, bins: int = 10) -> list:
@@ -101,197 +142,47 @@ def task_time_histogram(task_times, bins: int = 10) -> list:
     ]
 
 
-@dataclass
 class MetricsRegistry:
-    """Mutable counters owned by a :class:`ClusterContext`."""
+    """Mutable counters owned by a :class:`ClusterContext`.
 
-    tasks_launched: int = 0
-    stages_run: int = 0
-    jobs_run: int = 0
-    shuffle_records: int = 0
-    shuffle_bytes: int = 0
-    shuffles_performed: int = 0
-    # columnar shuffle (repro.engine.batches): packed RecordBatches
-    # shipped, and how many records rode in them (vs the tuple path)
-    shuffle_batches: int = 0
-    shuffle_batch_records: int = 0
-    disk_read_bytes: int = 0
-    disk_write_bytes: int = 0
-    result_bytes: int = 0
-    broadcast_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    # the memory tier (repro.engine.storage): victims written to the
-    # spill directory, spilled blocks decoded back on access, and chunks
-    # re-encoded by the density policy on cache admission (net payload
-    # bytes the repacking shed)
-    cache_spills: int = 0
-    cache_reloads: int = 0
-    chunks_repacked: int = 0
-    repack_bytes_saved: int = 0
-    recomputations: int = 0
-    task_retries: int = 0
-    # chunk-kernel fusion (repro.core.plan): kernels compiled into fused
-    # passes, and intermediate Chunk builds the eager path would have done
-    kernels_fused: int = 0
-    fused_chunks_avoided: int = 0
-    # the logical rewrite optimizer (repro.core.optimizer): cost-gated
-    # rewrite rules that actually fired at lowering time, and chunks the
-    # rewritten plans prune before any task is scheduled (estimated from
-    # metadata, deterministic across schedulers)
-    optimizer_rules_fired: int = 0
-    optimizer_chunks_pruned: int = 0
-    # the process backend (repro.engine.worker / repro.engine.shm):
-    # shared-memory segments created for shuffle blocks and cached
-    # chunks, bytes of those segments mapped into worker/driver address
-    # spaces, and worker pools respawned after a process died mid-task
-    shm_segments_created: int = 0
-    shm_bytes_mapped: int = 0
-    worker_respawns: int = 0
-    _history: list = field(default_factory=list, repr=False)
-    # wall-clock observations (not part of MetricsSnapshot, which holds
-    # only logical counters that must be identical between the serial
-    # and threaded schedulers)
-    stage_timings: list = field(default_factory=list, repr=False)
-    task_times: list = field(default_factory=list, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
+    Every counter row of :data:`METRICS` reads as an attribute
+    (``registry.tasks_launched``) and moves only through :meth:`add`.
+    ``stage_timings`` and ``task_times`` are wall-clock observations,
+    kept out of :class:`MetricsSnapshot`, which holds only logical
+    counters that must be identical between the serial and threaded
+    schedulers.
+    """
+
+    def __init__(self):
+        self._counts = dict.fromkeys(COUNTER_FIELDS, 0)
+        self.stage_timings = []
+        self.task_times = []
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name):
+        counts = self.__dict__.get("_counts", {})
+        if name in counts:
+            return counts[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def add(self, **deltas) -> None:
+        """Increment counters by name, e.g. ``add(cache_hits=1)``.
+
+        Raises ``TypeError`` for a name that is not a counter row of
+        :data:`METRICS`, before any counter moves.
+        """
+        counts = self._counts
+        if not deltas.keys() <= counts.keys():
+            unknown = sorted(deltas.keys() - counts.keys())
+            raise TypeError(f"not a counter in METRICS: {unknown}")
+        with self._lock:
+            for name, value in deltas.items():
+                counts[name] += value
 
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            **{name: getattr(self, name) for name in COUNTER_FIELDS}
-        )
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in COUNTER_FIELDS:
-                setattr(self, name, 0)
-            self.stage_timings.clear()
-            self.task_times.clear()
-
-    def record_task(self, count: int = 1) -> None:
-        with self._lock:
-            self.tasks_launched += count
-
-    def record_stage(self) -> None:
-        with self._lock:
-            self.stages_run += 1
-
-    def record_job(self) -> None:
-        with self._lock:
-            self.jobs_run += 1
-
-    def record_shuffle(self, records: int, size_bytes: int) -> None:
-        with self._lock:
-            self.shuffles_performed += 1
-            self.shuffle_records += records
-            self.shuffle_bytes += size_bytes
-
-    def record_shuffle_batches(self, batches: int, records: int) -> None:
-        with self._lock:
-            self.shuffle_batches += batches
-            self.shuffle_batch_records += records
-
-    def record_disk_read(self, size_bytes: int) -> None:
-        with self._lock:
-            self.disk_read_bytes += size_bytes
-
-    def record_disk_write(self, size_bytes: int) -> None:
-        with self._lock:
-            self.disk_write_bytes += size_bytes
-
-    def record_result(self, size_bytes: int) -> None:
-        with self._lock:
-            self.result_bytes += size_bytes
-
-    def record_broadcast(self, size_bytes: int) -> None:
-        with self._lock:
-            self.broadcast_bytes += size_bytes
-
-    def record_cache_hit(self) -> None:
-        with self._lock:
-            self.cache_hits += 1
-
-    def record_cache_miss(self) -> None:
-        with self._lock:
-            self.cache_misses += 1
-
-    def record_eviction(self) -> None:
-        with self._lock:
-            self.cache_evictions += 1
-
-    def record_spill(self) -> None:
-        with self._lock:
-            self.cache_spills += 1
-
-    def record_reload(self) -> None:
-        with self._lock:
-            self.cache_reloads += 1
-
-    def record_repack(self, count: int, bytes_saved: int = 0) -> None:
-        """``count`` chunks re-encoded by the density policy; positive
-        ``bytes_saved`` means the new encodings are smaller."""
-        with self._lock:
-            self.chunks_repacked += count
-            self.repack_bytes_saved += bytes_saved
-
-    def record_recomputation(self) -> None:
-        with self._lock:
-            self.recomputations += 1
-
-    def record_task_retry(self) -> None:
-        with self._lock:
-            self.task_retries += 1
-
-    def record_kernels_fused(self, count: int) -> None:
-        """A ChunkPlan of ``count`` stages compiled into one pass."""
-        with self._lock:
-            self.kernels_fused += count
-
-    def record_fused_chunks_avoided(self, count: int) -> None:
-        """Intermediate Chunk builds skipped by a fused pass."""
-        with self._lock:
-            self.fused_chunks_avoided += count
-
-    def record_optimizer(self, rules_fired: int,
-                         chunks_pruned: int = 0) -> None:
-        """``rules_fired`` rewrite rules applied while lowering one
-        logical plan; ``chunks_pruned`` chunks those rewrites eliminate
-        before scheduling."""
-        with self._lock:
-            self.optimizer_rules_fired += rules_fired
-            self.optimizer_chunks_pruned += chunks_pruned
-
-    def record_shm_segment(self) -> None:
-        """One shared-memory segment created for block exchange."""
-        with self._lock:
-            self.shm_segments_created += 1
-
-    def record_shm_mapped(self, size_bytes: int) -> None:
-        """A segment of ``size_bytes`` mapped into an address space."""
-        with self._lock:
-            self.shm_bytes_mapped += size_bytes
-
-    def record_worker_respawn(self) -> None:
-        """A worker pool replaced after a process died mid-task."""
-        with self._lock:
-            self.worker_respawns += 1
-
-    def merge_counters(self, deltas: dict) -> None:
-        """Fold a worker task's counter deltas into this registry.
-
-        Only known :data:`COUNTER_FIELDS` keys are applied; a worker
-        reply produced by a newer/older build cannot corrupt state.
-        """
-        with self._lock:
-            for name, value in deltas.items():
-                if name in COUNTER_FIELDS and value:
-                    setattr(self, name, getattr(self, name) + value)
+            return MetricsSnapshot(**self._counts)
 
     # ------------------------------------------------------------------
     # wall-clock observations
@@ -307,11 +198,6 @@ class MetricsRegistry:
     def record_task_time(self, seconds: float) -> None:
         with self._lock:
             self.task_times.append(seconds)
-
-    def busy_task_seconds(self) -> float:
-        """Total task compute time (sums over concurrent executors)."""
-        with self._lock:
-            return sum(self.task_times)
 
     def task_time_histogram(self, bins: int = 10, task_times=None) -> list:
         """``(lo_s, hi_s, count)`` buckets over recorded task durations.

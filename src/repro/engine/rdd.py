@@ -49,9 +49,7 @@ def run_task_with_retries(context, index, attempt_func):
     metrics = context.metrics
     last_error = None
     for attempt in range(1 + context.task_retries):
-        metrics.record_task()
-        if attempt > 0:
-            metrics.record_task_retry()
+        metrics.add(tasks_launched=1, task_retries=int(attempt > 0))
         start = time.perf_counter()
         try:
             result = attempt_func()
@@ -365,8 +363,8 @@ class RDD:
         """
         if self._checkpoint_data is not None:
             data = self._checkpoint_data[index]
-            self.context.metrics.record_disk_read(
-                estimate_partition_size(data))
+            self.context.metrics.add(
+                disk_read_bytes=estimate_partition_size(data))
             return data
         if self.storage_level is StorageLevel.NONE:
             return self.compute(index)
@@ -382,7 +380,7 @@ class RDD:
             if found:
                 return data
             if index in self._cached_indices:
-                self.context.metrics.record_recomputation()
+                self.context.metrics.add(recomputations=1)
             data = list(self.compute(index))
             depth, wide = self.lineage_hint()
             cache.put(self.rdd_id, index, data,
@@ -486,7 +484,7 @@ class RDD:
             if self._checkpoint_data is None:
                 data = self.context.scheduler.materialize_partitions(self)
                 total = sum(estimate_partition_size(part) for part in data)
-                self.context.metrics.record_disk_write(total)
+                self.context.metrics.add(disk_write_bytes=total)
                 self._checkpoint_data = data
         return self
 
@@ -1133,10 +1131,9 @@ class _ShuffleStageBase(RDD):
             total_batch_records += stats[1]
         span.set(records=total_records, bytes=total_bytes,
                  batches=total_batches)
-        metrics.record_shuffle(total_records, total_bytes)
-        if total_batches:
-            metrics.record_shuffle_batches(total_batches,
-                                           total_batch_records)
+        metrics.add(shuffles_performed=1, shuffle_records=total_records,
+                    shuffle_bytes=total_bytes, shuffle_batches=total_batches,
+                    shuffle_batch_records=total_batch_records)
         metrics.record_stage_timing(
             self.shuffle_label(which), "shuffle",
             time.perf_counter() - start_s, parent.num_partitions)
@@ -1164,7 +1161,7 @@ class _ShuffleStageBase(RDD):
             parent = self.dependencies[which]
             metrics = self.context.metrics
             tracer = self.context.tracer
-            metrics.record_stage()
+            metrics.add(stages_run=1)
             start = time.perf_counter()
             attrs = {"num_tasks": parent.num_partitions}
             if depends_on is not None:

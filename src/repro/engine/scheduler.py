@@ -105,24 +105,15 @@ class ExecutorPool:
         """Whether the calling thread is one of this pool's executors."""
         return threading.current_thread().name.startswith(self._prefix)
 
-    def busy_threads(self) -> int:
-        """Executor threads currently running a task."""
-        with self._lock:
-            return self._running
-
-    def queued_tasks(self) -> int:
-        """Tasks submitted but not yet started (queue depth)."""
-        with self._lock:
-            return self._queued
-
     def gauges(self) -> dict:
-        """Occupancy in one lock acquisition (telemetry hook)."""
+        """Occupancy in one lock acquisition (telemetry hook), keyed by
+        catalog name; the stage pair belongs to the scheduler."""
         with self._lock:
             return {
-                "busy_threads": self._running,
-                "queued_tasks": self._queued,
-                "active_jobs": self._active,
-                "num_workers": self.num_workers,
+                "pool.busy_threads": self._running,
+                "pool.queued_tasks": self._queued,
+                "pool.active_jobs": self._active,
+                "pool.num_workers": self.num_workers,
                 "scheduler.ready_stages": self._ready_stages,
                 "scheduler.inflight_stages": self._inflight_stages,
             }
@@ -450,14 +441,14 @@ class StageScheduler:
         map stage lands.
         """
         metrics = self.context.metrics
-        metrics.record_job()
+        metrics.add(jobs_run=1)
         pool = self._pool()
         tracer = self.context.tracer
         with tracer.span(rdd.name, "job",
                          executors=self.context.num_executors,
                          partitions=rdd.num_partitions) as job_span:
             result_deps = self._run_stage_graph(rdd, pool, job_span)
-            metrics.record_stage()
+            metrics.add(stages_run=1)
             start = time.perf_counter()
             with tracer.span(
                     rdd.name, "stage", stage_kind="result",
@@ -564,7 +555,7 @@ class StageScheduler:
             launch(stage, lock)
 
         def launch(stage, lock):
-            metrics.record_stage()
+            metrics.add(stages_run=1)
             stage.state = "running"
             stage.lock = lock  # held from launch to commit
             stage.start_s = time.perf_counter()
@@ -688,7 +679,7 @@ class StageScheduler:
             result = run_task_with_retries(self.context, index, attempt)
             result_bytes = estimate_size(result)
             span.set(result_bytes=result_bytes)
-        self.context.metrics.record_result(result_bytes)
+        self.context.metrics.add(result_bytes=result_bytes)
         return result
 
     def materialize_partitions(self, rdd: RDD) -> list:

@@ -234,7 +234,7 @@ def write_segment(prefix: str, builder: SegmentBuilder, metrics=None):
     finally:
         segment.close()
     if metrics is not None:
-        metrics.record_shm_segment()
+        metrics.add(shm_segments_created=1)
     return name, builder.nbytes, builder.refs(name)
 
 
@@ -255,7 +255,7 @@ def _attach(name: str, metrics=None):
             segment = shared_memory.SharedMemory(name=name)
             _ATTACHED[name] = segment
             if metrics is not None:
-                metrics.record_shm_mapped(segment.size)
+                metrics.add(shm_bytes_mapped=segment.size)
         return segment
 
 
@@ -411,11 +411,12 @@ class SharedSegmentRegistry:
             return sum(self._segments.values())
 
     def gauges(self) -> dict:
-        """Live-segment count and bytes in one lock (telemetry hook)."""
+        """Live-segment count and bytes in one lock (telemetry hook),
+        keyed by catalog name."""
         with self._lock:
             return {
-                "segments": len(self._segments),
-                "resident_bytes": sum(self._segments.values()),
+                "shm.segments": len(self._segments),
+                "shm.resident_bytes": sum(self._segments.values()),
             }
 
     def shutdown(self) -> None:

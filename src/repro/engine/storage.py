@@ -195,9 +195,10 @@ class CacheManager:
             return len(self._spilled)
 
     def gauges(self) -> dict:
-        """The whole ledger in one lock acquisition (telemetry hook).
+        """The whole ledger in one lock acquisition (telemetry hook),
+        keyed by catalog name.
 
-        ``pressure`` is resident bytes over the budget (0.0 when
+        ``cache.pressure`` is resident bytes over the budget (0.0 when
         unbounded) — the eviction-pressure gauge the health monitor's
         high-watermark rule reads.
         """
@@ -206,14 +207,14 @@ class CacheManager:
             spilled = sum(block.nbytes for block in
                           self._spilled.values())
             gauges = {
-                "resident_bytes": resident,
-                "spilled_bytes": spilled,
-                "blocks": len(self._blocks),
-                "spilled_blocks": len(self._spilled),
-                "budget_bytes": self._budget_bytes or 0,
+                "cache.resident_bytes": resident,
+                "cache.spilled_bytes": spilled,
+                "cache.blocks": len(self._blocks),
+                "cache.spilled_blocks": len(self._spilled),
+                "cache.budget_bytes": self._budget_bytes or 0,
             }
         budget = self._budget_bytes
-        gauges["pressure"] = resident / budget if budget else 0.0
+        gauges["cache.pressure"] = resident / budget if budget else 0.0
         return gauges
 
     # ------------------------------------------------------------------
@@ -263,19 +264,18 @@ class CacheManager:
         with self._lock:
             if key in self._blocks:
                 self._blocks.move_to_end(key)
-                self._metrics.record_cache_hit()
+                self._metrics.add(cache_hits=1)
                 self._trace("cache_hit", rdd_id, partition_index)
                 return True, self._blocks[key]
             if key in self._spilled:
                 block = self._spilled[key]
                 data = self._read_spill(block)
-                self._metrics.record_cache_hit()
-                self._metrics.record_reload()
-                self._metrics.record_disk_read(block.nbytes)
+                self._metrics.add(cache_hits=1, cache_reloads=1,
+                                  disk_read_bytes=block.nbytes)
                 self._trace("cache_reload", rdd_id, partition_index,
                             bytes=block.nbytes)
                 return True, data
-            self._metrics.record_cache_miss()
+            self._metrics.add(cache_misses=1)
             self._trace("cache_miss", rdd_id, partition_index)
             return False, None
 
@@ -333,7 +333,8 @@ class CacheManager:
                 repacked = _REPACKER["func"](data)
                 if repacked is not None:
                     data, count, saved = repacked
-                    self._metrics.record_repack(count, saved)
+                    self._metrics.add(chunks_repacked=count,
+                                      repack_bytes_saved=saved)
                     self._trace("cache_repack", rdd_id, partition_index,
                                 chunks=count, bytes_saved=saved)
             size = estimate_partition_size(data)
@@ -355,12 +356,12 @@ class CacheManager:
             victim_data = self._blocks.pop(victim_key)
             info = self._infos.pop(victim_key)
             self._used_bytes -= info.size
-            self._metrics.record_eviction()
+            self._metrics.add(cache_evictions=1)
             if info.allow_spill:
                 block = self._write_spill(victim_key, victim_data)
                 self._spilled[victim_key] = block
-                self._metrics.record_spill()
-                self._metrics.record_disk_write(block.nbytes)
+                self._metrics.add(cache_spills=1,
+                                  disk_write_bytes=block.nbytes)
                 self._trace("cache_spill", victim_key[0], victim_key[1],
                             bytes=info.size, disk_bytes=block.nbytes)
             else:

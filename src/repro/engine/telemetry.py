@@ -7,13 +7,15 @@ this module watches the cluster *while* it runs. A
 ``ClusterContext(telemetry=True)`` or ``telemetry_interval=0.25``)
 periodically snapshots gauges from the existing subsystems:
 
-- every :data:`~repro.engine.metrics.COUNTER_FIELDS` counter (stored
-  cumulative; :meth:`TimeSeriesStore.rate` turns them into rate series),
-- the storage ledger (``CacheManager.gauges()``: resident / spilled
-  bytes and block counts, eviction pressure against the budget),
-- the shared-memory plane (``SharedSegmentRegistry.gauges()``),
-- the executor pool (``ExecutorPool.gauges()``: busy dispatcher
-  threads, queued tasks),
+- every counter of the :data:`~repro.engine.metrics.METRICS` catalog
+  (stored cumulative; :meth:`TimeSeriesStore.rate` turns them into
+  rate series),
+- the catalog's gauges, each source keying its ``gauges()`` by catalog
+  name: the storage ledger (``CacheManager``: resident / spilled bytes
+  and block counts, eviction pressure against the budget), the
+  shared-memory plane (``SharedSegmentRegistry``), the executor pool
+  (``ExecutorPool``: busy dispatcher threads, queued tasks, stage
+  occupancy) and the sparse tier's nnz balance,
 - per-worker heartbeats for the process backend
   (:class:`WorkerHeartbeats`: liveness, task counts, last-task
   latency — fed by every task reply and by the crash path).
@@ -53,8 +55,9 @@ import time
 import weakref
 
 from collections import deque
+from dataclasses import dataclass
 
-from repro.engine.metrics import COUNTER_FIELDS
+from repro.engine.metrics import COUNTERS, METRICS_BY_NAME
 
 TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
@@ -143,12 +146,6 @@ class WorkerHeartbeats:
             if task_wall_s is not None:
                 row["last_task_s"] = task_wall_s
 
-    def mark_dead(self, pid: int) -> None:
-        with self._lock:
-            row = self._workers.get(pid)
-            if row is not None:
-                row["alive"] = False
-
     def forget(self, pids) -> None:
         """Drop rows for workers that were replaced by a respawn, so
         the missed-heartbeat condition clears once the pool recovers."""
@@ -182,6 +179,11 @@ class WorkerHeartbeats:
     def known_count(self) -> int:
         with self._lock:
             return len(self._workers)
+
+    def gauges(self) -> dict:
+        """Ledger size and live workers, keyed by catalog name."""
+        return {"workers.known": self.known_count(),
+                "workers.alive": self.alive_count()}
 
 
 class NnzBalanceStats:
@@ -257,11 +259,9 @@ class TimeSeriesStore:
         """Fold one sampler tick (``{"t", "gauges", "counters",
         "workers"}``) into the ring buffers."""
         t = sample["t"]
-        flat = {}
-        for name, value in sample.get("gauges", {}).items():
-            flat[name] = value
-        for name, value in sample.get("counters", {}).items():
-            flat[f"counter.{name}"] = value
+        flat = dict(sample.get("gauges", {}))
+        flat.update((f"counter.{name}", value)
+                    for name, value in sample.get("counters", {}).items())
         for pid, row in sample.get("workers", {}).items():
             flat[f"worker.{pid}.alive"] = 1 if row.get("alive") else 0
             flat[f"worker.{pid}.tasks"] = row.get("tasks", 0)
@@ -314,45 +314,35 @@ class TimeSeriesStore:
 
     def rate_series(self, name: str, window_s: float = None) -> list:
         """Point-to-point derivative of a cumulative series."""
-        points = self.series(name, window_s=window_s)
-        rates = []
-        for (t0, v0), (t1, v1) in zip(points, points[1:]):
-            span = t1 - t0
-            rates.append((t1, (v1 - v0) / span if span > 0 else 0.0))
-        return rates
+        return point_rates(self.series(name, window_s=window_s))
+
+
+def point_rates(points) -> list:
+    """``[(t, per-second delta), ...]`` between consecutive points of a
+    cumulative ``[(t, value), ...]`` series."""
+    rates = []
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        span = t1 - t0
+        rates.append((t1, (v1 - v0) / span if span > 0 else 0.0))
+    return rates
 
 
 # ----------------------------------------------------------------------
 # health monitoring
 # ----------------------------------------------------------------------
 
+@dataclass
 class HealthEvent:
     """One structured health observation."""
 
-    __slots__ = ("t", "rule", "severity", "message", "attrs")
-
-    def __init__(self, t, rule, severity, message, attrs):
-        self.t = t
-        self.rule = rule
-        self.severity = severity
-        self.message = message
-        self.attrs = attrs
+    t: float
+    rule: str
+    severity: str
+    message: str
+    attrs: dict
 
     def as_dict(self) -> dict:
-        return {"t": self.t, "rule": self.rule,
-                "severity": self.severity, "message": self.message,
-                "attrs": dict(self.attrs)}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "HealthEvent":
-        return cls(record.get("t", 0.0), record.get("rule", "?"),
-                   record.get("severity", "warning"),
-                   record.get("message", ""),
-                   dict(record.get("attrs") or {}))
-
-    def __repr__(self) -> str:
-        return (f"HealthEvent({self.severity}:{self.rule} "
-                f"{self.message!r})")
+        return dict(vars(self), attrs=dict(self.attrs))
 
 
 class HealthRule:
@@ -536,22 +526,15 @@ class HealthMonitor:
                   heartbeat_miss_s=None, skew_threshold=None,
                   nnz_imbalance=None) -> None:
         """Adjust the default rules' thresholds in place."""
+        settings = ((LedgerHighWatermark, "watermark", ledger_watermark),
+                    (SpillRateSpike, "per_second", spill_rate_per_s),
+                    (WorkerHeartbeatMissed, "miss_after_s", heartbeat_miss_s),
+                    (ShuffleSkew, "threshold", skew_threshold),
+                    (NnzImbalance, "threshold", nnz_imbalance))
         for rule in self.rules:
-            if ledger_watermark is not None and \
-                    isinstance(rule, LedgerHighWatermark):
-                rule.watermark = ledger_watermark
-            if spill_rate_per_s is not None and \
-                    isinstance(rule, SpillRateSpike):
-                rule.per_second = spill_rate_per_s
-            if heartbeat_miss_s is not None and \
-                    isinstance(rule, WorkerHeartbeatMissed):
-                rule.miss_after_s = heartbeat_miss_s
-            if skew_threshold is not None and \
-                    isinstance(rule, ShuffleSkew):
-                rule.threshold = skew_threshold
-            if nnz_imbalance is not None and \
-                    isinstance(rule, NnzImbalance):
-                rule.threshold = nnz_imbalance
+            for cls, attr, value in settings:
+                if value is not None and isinstance(rule, cls):
+                    setattr(rule, attr, value)
 
     def subscribe(self, sink) -> None:
         """``sink(record_dict)`` is called for every emitted event."""
@@ -631,17 +614,9 @@ class HealthMonitor:
         with self._lock:
             return list(self._events)
 
-    def active_count(self) -> int:
-        with self._lock:
-            return len(self._active)
-
     def status(self) -> str:
-        return "warn" if self.active_count() else "ok"
-
-    def clear(self) -> None:
         with self._lock:
-            self._events.clear()
-            self._active.clear()
+            return "warn" if self._active else "ok"
 
 
 class HealthReport:
@@ -723,11 +698,6 @@ class TelemetrySink:
             self._handle.flush()
             self._bytes += len(line)
 
-    def flush(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:
@@ -752,40 +722,23 @@ def collect_sample(context) -> dict:
     with telemetry off, where no sampler exists).
     """
     now = time.time()
+    heartbeats = context.worker_heartbeats
+    heartbeats.reap_dead()
     gauges = {}
-    cache = getattr(context, "cache", None)
-    if cache is not None:
-        for name, value in cache.gauges().items():
-            gauges[f"cache.{name}"] = value
-    registry = getattr(context, "shm_registry", None)
-    if registry is not None:
-        for name, value in registry.gauges().items():
-            gauges[f"shm.{name}"] = value
-    pool = getattr(context, "executor_pool", None)
-    if pool is not None:
-        for name, value in pool.gauges().items():
-            # the pool carries a few gauges it maintains on behalf of
-            # other subsystems (the scheduler's stage-occupancy pair);
-            # those arrive pre-namespaced and keep their own prefix
-            gauges[name if "." in name else f"pool.{name}"] = value
-    nnz_stats = getattr(context, "nnz_stats", None)
-    if nnz_stats is not None:
-        for name, value in nnz_stats.gauges().items():
-            gauges[f"nnz.{name}"] = value
-    heartbeats = getattr(context, "worker_heartbeats", None)
-    workers = {}
-    if heartbeats is not None:
-        heartbeats.reap_dead()
-        workers = {str(pid): row
-                   for pid, row in heartbeats.rows().items()}
-        gauges["workers.known"] = heartbeats.known_count()
-        gauges["workers.alive"] = heartbeats.alive_count()
+    for source in (context.cache, context.shm_registry,
+                   context.executor_pool, heartbeats):
+        gauges.update(source.gauges())
+    # NnzBalanceStats.gauges() is also read bare (bench/probes.py reads
+    # its "imbalance"), so its catalog namespace is added here
+    gauges.update({f"nnz.{name}": value
+                   for name, value in context.nnz_stats.gauges().items()})
     return {
         "t": now,
         "up_s": 0.0,
         "gauges": gauges,
         "counters": context.metrics.snapshot().as_dict(),
-        "workers": workers,
+        "workers": {str(pid): row
+                    for pid, row in heartbeats.rows().items()},
     }
 
 
@@ -831,8 +784,7 @@ class TelemetrySampler:
         self.sink = TelemetrySink(path, meta=self.meta,
                                   rotate_bytes=rotate_bytes)
         context = self._context_ref()
-        if context is not None and \
-                getattr(context, "health_monitor", None) is not None:
+        if context is not None:
             context.health_monitor.subscribe(self.sink.write)
 
     def close_sink(self) -> None:
@@ -841,8 +793,7 @@ class TelemetrySampler:
             return
         self.sink = None
         context = self._context_ref()
-        if context is not None and \
-                getattr(context, "health_monitor", None) is not None:
+        if context is not None:
             context.health_monitor.unsubscribe(sink.write)
         sink.close()
 
@@ -899,9 +850,7 @@ class TelemetrySampler:
         sink = self.sink
         if sink is not None:
             sink.write(dict(sample, type="sample"))
-        monitor = getattr(context, "health_monitor", None)
-        if monitor is not None:
-            monitor.evaluate(sample, self.store, context)
+        context.health_monitor.evaluate(sample, self.store, context)
         return sample
 
     # -- snapshots --------------------------------------------------------
@@ -909,30 +858,33 @@ class TelemetrySampler:
     def snapshot(self, series_window_s: float = None) -> dict:
         """The JSON snapshot served at ``/telemetry.json``."""
         context = self._context_ref()
-        monitor = getattr(context, "health_monitor", None) \
-            if context is not None else None
-        sample = self.store.last_sample() or {}
-        return {
-            "format": TELEMETRY_FORMAT,
-            "version": TELEMETRY_VERSION,
-            "meta": dict(self.meta),
-            "t": sample.get("t"),
-            "up_s": sample.get("up_s"),
-            "gauges": dict(sample.get("gauges", {})),
-            "counters": dict(sample.get("counters", {})),
-            "workers": {pid: dict(row) for pid, row
-                        in sample.get("workers", {}).items()},
-            "series": {name: [[t, value] for t, value in
-                              self.store.series(
-                                  name, window_s=series_window_s)]
-                       for name in self.store.names()},
-            "num_samples": self.store.num_samples(),
-            "health": {
-                "status": monitor.status() if monitor else "ok",
-                "events": [event.as_dict() for event in
-                           (monitor.events() if monitor else ())],
-            },
-        }
+        monitor = context.health_monitor if context is not None else None
+        health = {"status": monitor.status() if monitor else "ok",
+                  "events": [event.as_dict() for event in
+                             (monitor.events() if monitor else ())]}
+        return _snapshot_dict(self.store, self.meta, health,
+                              window_s=series_window_s)
+
+
+def _snapshot_dict(store, meta, health, window_s=None) -> dict:
+    """The ``/telemetry.json`` document over ``store``'s series."""
+    sample = store.last_sample() or {}
+    return {
+        "format": TELEMETRY_FORMAT,
+        "version": TELEMETRY_VERSION,
+        "meta": dict(meta),
+        "t": sample.get("t"),
+        "up_s": sample.get("up_s"),
+        "gauges": dict(sample.get("gauges", {})),
+        "counters": dict(sample.get("counters", {})),
+        "workers": {pid: dict(row) for pid, row
+                    in sample.get("workers", {}).items()},
+        "series": {name: [[t, value] for t, value in
+                          store.series(name, window_s=window_s)]
+                   for name in store.names()},
+        "num_samples": store.num_samples(),
+        "health": health,
+    }
 
 
 def snapshot_from_records(records) -> dict:
@@ -952,23 +904,8 @@ def snapshot_from_records(records) -> dict:
         elif kind == "health":
             events.append({key: value for key, value in record.items()
                            if key != "type"})
-    sample = store.last_sample() or {}
-    return {
-        "format": TELEMETRY_FORMAT,
-        "version": TELEMETRY_VERSION,
-        "meta": meta,
-        "t": sample.get("t"),
-        "up_s": sample.get("up_s"),
-        "gauges": dict(sample.get("gauges", {})),
-        "counters": dict(sample.get("counters", {})),
-        "workers": {pid: dict(row) for pid, row
-                    in sample.get("workers", {}).items()},
-        "series": {name: [[t, value] for t, value in store.series(name)]
-                   for name in store.names()},
-        "num_samples": store.num_samples(),
-        "health": {"status": "warn" if events else "ok",
-                   "events": events},
-    }
+    return _snapshot_dict(store, meta, {"status": "warn" if events else "ok",
+                                        "events": events})
 
 
 def load_telemetry_jsonl(path) -> dict:
@@ -1003,7 +940,8 @@ def prometheus_text(snapshot: dict, prefix: str = "spangle") -> str:
     """Render a snapshot in Prometheus text exposition format 0.0.4.
 
     Engine counters become ``<prefix>_<name>_total`` counters, gauges
-    become ``<prefix>_<dotted_name_with_underscores>`` gauges, and
+    become ``<prefix>_<dotted_name_with_underscores>`` gauges — both
+    with their :data:`~repro.engine.metrics.METRICS` help — and
     per-worker rows become labelled series
     (``<prefix>_worker_alive{pid="..."}``).
     """
@@ -1021,15 +959,16 @@ def prometheus_text(snapshot: dict, prefix: str = "spangle") -> str:
                 label_text = "{" + inner + "}"
             lines.append(f"{name}{label_text} {_format_value(value)}")
 
-    for name in COUNTER_FIELDS:
-        value = snapshot.get("counters", {}).get(name)
-        if value is None:
-            continue
-        emit(f"{prefix}_{name}_total", "counter", [({}, value)],
-             help_text=f"engine counter {name}")
+    counters = snapshot.get("counters", {})
+    for metric in COUNTERS:
+        value = counters.get(metric.name)
+        if value is not None:
+            emit(f"{prefix}_{metric.name}_total", "counter", [({}, value)],
+                 help_text=metric.help)
     for name, value in sorted(snapshot.get("gauges", {}).items()):
-        metric = f"{prefix}_{name.replace('.', '_')}"
-        emit(metric, "gauge", [({}, value)])
+        metric = METRICS_BY_NAME.get(name)
+        emit(f"{prefix}_{name.replace('.', '_')}", "gauge", [({}, value)],
+             help_text=metric.help if metric is not None else None)
     workers = snapshot.get("workers", {})
     if workers:
         rows = sorted(workers.items())

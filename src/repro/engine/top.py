@@ -25,26 +25,27 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.engine.telemetry import load_telemetry_jsonl
+from repro.engine.metrics import METRICS_BY_NAME
+from repro.engine.telemetry import load_telemetry_jsonl, point_rates
 
 #: eight levels + blank — the classic terminal sparkline ramp
 SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 
-#: gauge/counter series shown as sparklines, by dashboard section;
-#: ``rate`` series are differentiated from cumulative counters
+#: the catalog metrics each dashboard section sparklines, with their
+#: row labels; counters draw as per-second rates, byte units as bytes
 DASHBOARD_SERIES = (
-    ("memory", (("cache.resident_bytes", "resident", "bytes", False),
-                ("cache.spilled_bytes", "spilled", "bytes", False),
-                ("shm.resident_bytes", "shm", "bytes", False))),
-    ("tasks", (("counter.tasks_launched", "tasks/s", "rate", True),
-               ("pool.busy_threads", "busy", "plain", False),
-               ("pool.queued_tasks", "queued", "plain", False),
-               ("scheduler.ready_stages", "ready", "plain", False),
-               ("scheduler.inflight_stages", "inflight", "plain", False))),
-    ("shuffle", (("counter.shuffle_bytes", "bytes/s", "bytes", True),
-                 ("counter.shuffle_records", "recs/s", "rate", True),
-                 ("counter.cache_spills", "spills/s", "rate", True),
-                 ("nnz.imbalance", "nnz skew", "plain", False))),
+    ("memory", (("cache.resident_bytes", "resident"),
+                ("cache.spilled_bytes", "spilled"),
+                ("shm.resident_bytes", "shm"))),
+    ("tasks", (("tasks_launched", "tasks/s"),
+               ("pool.busy_threads", "busy"),
+               ("pool.queued_tasks", "queued"),
+               ("scheduler.ready_stages", "ready"),
+               ("scheduler.inflight_stages", "inflight"))),
+    ("shuffle", (("shuffle_bytes", "bytes/s"),
+                 ("shuffle_records", "recs/s"),
+                 ("cache_spills", "spills/s"),
+                 ("nnz.imbalance", "nnz skew"))),
 )
 
 
@@ -71,13 +72,12 @@ def sparkline(values, width: int = 40) -> str:
 
 def _format_bytes(value) -> str:
     value = float(value)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024 or unit == "GiB":
-            if unit == "B":
-                return f"{value:,.0f} {unit}"
-            return f"{value:,.1f} {unit}"
+    if abs(value) < 1024:
+        return f"{value:,.0f} B"
+    for unit in ("KiB", "MiB", "GiB"):
         value /= 1024
-    return f"{value:,.1f} GiB"  # pragma: no cover - loop returns first
+        if abs(value) < 1024 or unit == "GiB":
+            return f"{value:,.1f} {unit}"
 
 
 def _format_value(value, style: str) -> str:
@@ -88,14 +88,6 @@ def _format_value(value, style: str) -> str:
     if style == "rate":
         return f"{value:,.1f}/s"
     return f"{value:,.0f}"
-
-
-def _to_rates(points) -> list:
-    rates = []
-    for (t0, v0), (t1, v1) in zip(points, points[1:]):
-        span = t1 - t0
-        rates.append((t1, (v1 - v0) / span if span > 0 else 0.0))
-    return rates
 
 
 def render_dashboard(snapshot: dict, width: int = 40,
@@ -113,15 +105,12 @@ def render_dashboard(snapshot: dict, width: int = 40,
     up = snapshot.get("up_s")
     stamp = snapshot.get("t")
     age = f"{now - stamp:.1f}s ago" if stamp else "no samples"
-    lines.append(
-        f"repro top — backend={backend} "
-        f"executors={meta.get('num_executors', '?')} "
-        f"interval={meta.get('interval_s', '?')}s "
-        f"samples={snapshot.get('num_samples', 0)} "
-        f"up={up:.1f}s " if up is not None else
-        f"repro top — backend={backend} "
-        f"executors={meta.get('num_executors', '?')} ")
-    lines[-1] += f"(last sample {age})"
+    head = (f"repro top — backend={backend} "
+            f"executors={meta.get('num_executors', '?')} ")
+    if up is not None:
+        head += (f"interval={meta.get('interval_s', '?')}s "
+                 f"samples={snapshot.get('num_samples', 0)} up={up:.1f}s ")
+    lines.append(head + f"(last sample {age})")
     lines.append(
         f"jobs={counters.get('jobs_run', 0)} "
         f"stages={counters.get('stages_run', 0)} "
@@ -132,15 +121,18 @@ def render_dashboard(snapshot: dict, width: int = 40,
 
     for section, specs in DASHBOARD_SERIES:
         lines.append(f"[{section}]")
-        for name, label, style, as_rate in specs:
-            points = series.get(name, [])
+        for name, label in specs:
+            metric = METRICS_BY_NAME[name]
+            as_rate = metric.kind == "counter"
+            style = "bytes" if metric.unit == "bytes" else \
+                "rate" if as_rate else "plain"
             if as_rate:
-                points = _to_rates(points)
-            values = [value for _t, value in points]
-            latest = values[-1] if values else (
-                None if as_rate else
-                gauges.get(name) if not name.startswith("counter.")
-                else counters.get(name[len("counter."):]))
+                values = [value for _t, value in
+                          point_rates(series.get(f"counter.{name}", []))]
+                latest = values[-1] if values else None
+            else:
+                values = [value for _t, value in series.get(name, [])]
+                latest = values[-1] if values else gauges.get(name)
             lines.append(
                 f"  {label:<10} {sparkline(values, width)} "
                 f"{_format_value(latest, style):>12}")

@@ -47,7 +47,7 @@ from repro.engine import shm as shm_mod
 from repro.engine import spill as spill_mod
 from repro.engine.batches import RecordBatch
 from repro.engine.closure import task_dumps, task_loads
-from repro.engine.metrics import MetricsRegistry
+from repro.engine.metrics import COUNTER_FIELDS, MetricsRegistry
 from repro.engine.storage import StorageLevel
 from repro.engine.tracing import Tracer
 
@@ -94,16 +94,16 @@ class TaskBlockCache:
     def get(self, rdd_id: int, partition_index: int):
         key = (rdd_id, partition_index)
         if key in self._local:
-            self._metrics.record_cache_hit()
+            self._metrics.add(cache_hits=1)
             return True, self._local[key]
         handle = self._handles.get(key)
         if handle is not None:
-            self._metrics.record_cache_hit()
+            self._metrics.add(cache_hits=1)
             if isinstance(handle, shm_mod.SpillFileHandle):
-                self._metrics.record_reload()
-                self._metrics.record_disk_read(handle.nbytes)
+                self._metrics.add(cache_reloads=1,
+                                  disk_read_bytes=handle.nbytes)
             return True, self._load(key, handle)
-        self._metrics.record_cache_miss()
+        self._metrics.add(cache_misses=1)
         return False, None
 
     def peek(self, rdd_id: int, partition_index: int):
@@ -413,7 +413,7 @@ class ProcessWorkerPool:
                 dead = self._report_dead_workers()
                 executor.shutdown(wait=False)
                 if metrics is not None:
-                    metrics.record_worker_respawn()
+                    metrics.add(worker_respawns=1)
                 if self.health is not None:
                     self.health.emit(
                         "worker_respawn", "info",
@@ -534,9 +534,11 @@ class ProcessTaskRunner:
         heartbeats = getattr(context, "worker_heartbeats", None)
         if pid is not None and heartbeats is not None:
             heartbeats.beat(pid, reply.get("task_wall_s"))
-        counters = reply.get("counters")
-        if counters:
-            context.metrics.merge_counters(counters)
+        # only the catalog's counters are applied: a reply from another
+        # build cannot corrupt the registry
+        context.metrics.add(**{
+            name: value for name, value in reply.get("counters", {}).items()
+            if value and name in COUNTER_FIELDS})
         for label, kind, wall_s, num_tasks in \
                 reply.get("stage_timings", ()):
             context.metrics.record_stage_timing(label, kind, wall_s,

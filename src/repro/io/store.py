@@ -48,7 +48,7 @@ def save_array(array: ArrayRDD, directory) -> int:
             path = directory / f"chunk_{chunk_id}.npz"
             np.savez(path, offsets=chunk.indices(),
                      values=chunk.values())
-            metrics.record_disk_write(path.stat().st_size)
+            metrics.add(disk_write_bytes=path.stat().st_size)
             chunk_ids.append(int(chunk_id))
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -121,7 +121,7 @@ def load_array(context, directory, num_partitions=None,
                 raise IngestError(
                     f"{path}: chunk listed in manifest but missing"
                 )
-            metrics.record_disk_read(path.stat().st_size)
+            metrics.add(disk_read_bytes=path.stat().st_size)
             with np.load(path) as payload:
                 chunk = Chunk.from_sparse(cells, payload["offsets"],
                                           payload["values"])

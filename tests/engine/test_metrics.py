@@ -1,48 +1,76 @@
-"""Tests for the metrics registry/snapshot pair and its histogram."""
+"""Tests for the metric catalog, the registry/snapshot pair, and the
+task-time histogram."""
 
 import dataclasses
+import pathlib
 
+import pytest
+
+from repro.engine import ClusterContext
 from repro.engine.metrics import (
     COUNTER_FIELDS,
+    METRICS,
     MetricsRegistry,
     MetricsSnapshot,
     task_time_histogram,
 )
+from repro.engine.telemetry import TelemetrySampler, prometheus_text
+
+ARCHITECTURE_MD = (pathlib.Path(__file__).resolve().parents[2]
+                   / "docs" / "ARCHITECTURE.md")
 
 
-class TestCounterFieldDriftGuard:
-    """Snapshot and registry must expose the same logical counters.
+def _counter_rows() -> list:
+    return [metric.name for metric in METRICS if metric.kind == "counter"]
 
-    ``reset()`` and ``snapshot()`` are derived from
-    ``fields(MetricsSnapshot)``; this guard catches a counter added to
-    one dataclass but not the other.
-    """
 
-    def test_registry_has_every_snapshot_counter(self):
-        registry_fields = {f.name for f in
-                           dataclasses.fields(MetricsRegistry)}
-        missing = set(COUNTER_FIELDS) - registry_fields
-        assert not missing, (
-            f"counters on MetricsSnapshot missing from "
-            f"MetricsRegistry: {sorted(missing)}")
+def render_metric_table() -> str:
+    """The docs table, rendered from the catalog (the doc copies it)."""
+    lines = ["| name | kind | unit | layer | help |",
+             "|---|---|---|---|---|"]
+    lines += [f"| `{metric.name}` | {metric.kind} | {metric.unit} | "
+              f"`{metric.layer}` | {metric.help} |" for metric in METRICS]
+    return "\n".join(lines)
 
-    def test_every_registry_counter_is_snapshotted(self):
-        # non-counter registry fields are private or wall-clock
-        # observations, never plain ints defaulting to 0
-        counters = {
-            f.name for f in dataclasses.fields(MetricsRegistry)
-            if f.type == "int"
-        }
-        assert counters == set(COUNTER_FIELDS)
 
-    def test_snapshot_and_reset_cover_all_counters(self):
-        registry = MetricsRegistry()
-        for name in COUNTER_FIELDS:
-            setattr(registry, name, 7)
-        snap = registry.snapshot()
-        assert all(getattr(snap, name) == 7 for name in COUNTER_FIELDS)
-        registry.reset()
-        assert registry.snapshot() == MetricsSnapshot()
+class TestCatalog:
+    def test_counter_rows_drive_snapshot_sample_and_prometheus(self):
+        rows = _counter_rows()
+        assert [f.name for f in dataclasses.fields(MetricsSnapshot)] == rows
+        with ClusterContext(num_executors=2) as ctx:
+            ctx.parallelize(range(40), 4).map(lambda x: (x % 3, x)) \
+               .reduce_by_key(lambda a, b: a + b).collect()
+            sampler = TelemetrySampler(ctx, interval=60.0)
+            sample = sampler.sample_once()
+            text = prometheus_text(sampler.snapshot())
+            sampler.stop()
+        assert list(sample["counters"]) == rows
+        totals = [line.split()[0] for line in text.splitlines()
+                  if not line.startswith("#")
+                  and line.split()[0].endswith("_total")]
+        assert totals == [f"spangle_{name}_total" for name in rows] \
+            + ["spangle_health_events_total"]
+
+    def test_gauge_rows_are_the_sampled_gauges(self):
+        gauge_rows = {metric.name for metric in METRICS
+                      if metric.kind == "gauge"}
+        with ClusterContext(num_executors=2) as ctx:
+            ctx.nnz_stats.record("graph-load", [5.0, 15.0])
+            sampler = TelemetrySampler(ctx, interval=60.0)
+            sample = sampler.sample_once()
+            text = prometheus_text(sampler.snapshot())
+            sampler.stop()
+        assert set(sample["gauges"]) == gauge_rows
+        # every catalog row exports its help line
+        for metric in METRICS:
+            series = f"spangle_{metric.name.replace('.', '_')}" + (
+                "_total" if metric.kind == "counter" else "")
+            assert f"# HELP {series} {metric.help}" in text
+
+    def test_rows_are_well_formed(self):
+        names = [metric.name for metric in METRICS]
+        assert len(names) == len(set(names))
+        assert {metric.kind for metric in METRICS} == {"counter", "gauge"}
 
     def test_snapshot_subtraction_diffs_every_counter(self):
         lo = MetricsSnapshot()
@@ -50,6 +78,47 @@ class TestCounterFieldDriftGuard:
         delta = hi - lo
         assert all(
             getattr(delta, name) == 3 for name in COUNTER_FIELDS)
+        assert delta.as_dict() == dict.fromkeys(COUNTER_FIELDS, 3)
+
+    def test_architecture_doc_carries_the_catalog_table(self):
+        doc = ARCHITECTURE_MD.read_text(encoding="utf-8")
+        assert render_metric_table() in doc
+
+
+class TestRegistryAdd:
+    def test_add_moves_named_counters_and_attributes_read_them(self):
+        registry = MetricsRegistry()
+        registry.add(tasks_launched=2, shuffle_bytes=100)
+        registry.add(tasks_launched=1)
+        assert registry.tasks_launched == 3
+        assert registry.snapshot() == MetricsSnapshot(tasks_launched=3,
+                                                      shuffle_bytes=100)
+
+    def test_add_raises_on_a_name_that_is_not_a_counter(self):
+        registry = MetricsRegistry()
+        with pytest.raises(TypeError, match="no_such_counter"):
+            registry.add(no_such_counter=1)
+        # gauge rows are not counters either
+        with pytest.raises(TypeError):
+            registry.add(**{"cache.blocks": 1})
+        # a bad name moves nothing, even beside a good one
+        with pytest.raises(TypeError):
+            registry.add(cache_hits=1, cache_hit=1)
+        assert registry.snapshot() == MetricsSnapshot()
+        with pytest.raises(AttributeError):
+            registry.no_such_counter  # noqa: B018 - the lookup raises
+
+
+class TestWorkerReplyMerge:
+    def test_process_reply_merge_ignores_unknown_and_zero_counters(self):
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            before = ctx.metrics.snapshot()
+            reply = {"counters": {"cache_hits": 2, "shuffle_bytes": 0,
+                                  "no_such_counter": 5, "cache.blocks": 7,
+                                  "renamed_counter": 0}}
+            ctx.process_runner._absorb(None, reply, None)
+            assert ctx.metrics.snapshot() - before \
+                == MetricsSnapshot(cache_hits=2)
 
 
 class TestTaskTimeHistogram:

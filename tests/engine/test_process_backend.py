@@ -69,7 +69,7 @@ class TestWorkerDeath:
     def test_missed_heartbeat_event_precedes_respawn(self, tmp_path):
         """A SIGKILLed worker must yield a missed-heartbeat health
         event strictly before its respawn: the event is emitted in the
-        crash handler ahead of ``record_worker_respawn()``, and the
+        crash handler ahead of ``add(worker_respawns=1)``, and the
         respawn event follows it in the monitor's log."""
         sentinel = str(tmp_path / "crash-once")
         ctx = ClusterContext(num_executors=2, backend="process",

@@ -522,16 +522,8 @@ class TestTopDashboard:
 
 
 class TestReportDriftGuards:
-    """The reports, the telemetry plane, and the registry must agree
-    on one source of truth: metrics.COUNTER_FIELDS."""
-
-    def test_report_counters_subset_of_counter_fields(self):
-        from repro.engine.explain import REPORT_COUNTERS
-
-        unknown = set(REPORT_COUNTERS) - set(COUNTER_FIELDS)
-        assert not unknown, (
-            f"explain.REPORT_COUNTERS not in COUNTER_FIELDS: "
-            f"{sorted(unknown)}")
+    """The reports and the telemetry plane read the one metric catalog,
+    metrics.METRICS."""
 
     def test_sampled_counters_are_exactly_counter_fields(self):
         with ClusterContext(num_executors=2) as ctx:
