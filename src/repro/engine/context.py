@@ -13,7 +13,12 @@ from contextlib import contextmanager
 
 from repro.engine.costmodel import ClusterCostModel
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.rdd import GeneratedRDD, ParallelCollectionRDD, RDD
+from repro.engine.rdd import (
+    GeneratedRDD,
+    ParallelCollectionRDD,
+    RDD,
+    run_task_with_retries,
+)
 from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import CacheManager
 from repro.engine.tracing import Tracer
@@ -220,9 +225,9 @@ class ClusterContext:
         """Apply ``partition_func`` to every partition; return the results.
 
         Delegates to the stage scheduler: pending shuffle map stages
-        beneath ``rdd`` materialize first (tasks in parallel when
-        ``use_threads`` is on), then the result stage runs over the
-        persistent executor pool. Records one job, one result stage,
+        beneath ``rdd`` materialize first, then the result stage, all
+        through its one stage loop (tasks on the persistent executor
+        pool on parallel contexts). Records one job, one result stage,
         and one task per partition; shuffle map stages record
         themselves as they materialize.
         """
@@ -232,7 +237,8 @@ class ClusterContext:
         """Incrementally probe partitions until ``n`` records are found.
 
         One job and one stage however many partitions end up probed —
-        per-partition probes are tasks of the same job, as in Spark.
+        per-partition probes are tasks of the same job, as in Spark,
+        and retry like any task.
         """
         self.metrics.add(jobs_run=1, stages_run=1)
         taken = []
@@ -242,9 +248,7 @@ class ClusterContext:
                 for index in range(rdd.num_partitions):
                     if len(taken) >= n:
                         break
-                    self.metrics.add(tasks_launched=1)
-                    with self.tracer.span("task", "task", partition=index):
-                        taken.extend(rdd.iterator(index))
+                    taken.extend(self._probe(rdd, index))
         return taken[:n]
 
     def run_partition(self, rdd: RDD, index: int) -> list:
@@ -253,12 +257,17 @@ class ClusterContext:
             raise EngineError(
                 f"partition index {index} out of range for {rdd!r}"
             )
-        self.metrics.add(jobs_run=1, stages_run=1, tasks_launched=1)
+        self.metrics.add(jobs_run=1, stages_run=1)
         with self.tracer.span(f"{rdd.name}:partition", "job",
                               executors=self.num_executors):
             with self.tracer.span(rdd.name, "stage", stage_kind="result"):
-                with self.tracer.span("task", "task", partition=index):
-                    return rdd.iterator(index)
+                return self._probe(rdd, index)
+
+    def _probe(self, rdd: RDD, index: int) -> list:
+        """One driver-side, retried task reading partition ``index``."""
+        with self.tracer.span("task", "task", partition=index):
+            return run_task_with_retries(
+                self, index, lambda: rdd.iterator(index))
 
     # ------------------------------------------------------------------
     # telemetry & health

@@ -133,9 +133,9 @@ class ClusterCostModel:
 
     def pipelined_job_seconds(self, stage_seconds: dict,
                               deps: dict) -> float:
-        """Modeled job time under the pipelined scheduler: the critical
-        path through the stage DAG — the heaviest dependency chain —
-        instead of the barrier scheduler's sum-of-stages.
+        """Modeled job time with stages overlapped (parallel contexts):
+        the critical path through the stage DAG — the heaviest
+        dependency chain — instead of the barrier sum-of-stages.
 
         ``stage_seconds`` maps a stage key to its modeled seconds and
         ``deps`` maps a stage key to the keys it depends on (absent

@@ -43,8 +43,8 @@ def run_task_with_retries(context, index, attempt_func):
 
     Mirrors Spark's ``spark.task.maxFailures``: deterministic failures
     exhaust the attempts and surface as a :class:`TaskFailure`. Used by
-    both shuffle map tasks and result-stage tasks so retry semantics are
-    identical on either side of a stage boundary.
+    every task — shuffle map, result, checkpoint, and the driver's
+    partition probes — so retry semantics are identical everywhere.
     """
     metrics = context.metrics
     last_error = None
@@ -407,11 +407,11 @@ class RDD:
         """The per-(rdd, which) shuffle-stage materialize lock.
 
         Concurrent callers of one map stage — two driver jobs sharing a
-        cached upstream, or the pipelined scheduler racing a direct
-        ``fetch_buckets`` — serialize here and double-check the stored
-        buckets, so a stage's map tasks run at most once. ``which`` is
-        the wide parent slot; each slot gets its own lock so the two
-        sides of a cogroup can materialize concurrently.
+        cached upstream, or a job racing a lazy ``fetch_buckets`` —
+        serialize here and double-check the stored buckets, so a
+        stage's map tasks run at most once. ``which`` is the wide
+        parent slot; each slot gets its own lock so the two sides of a
+        cogroup can materialize concurrently.
         """
         with self._mat_locks_guard:
             lock = self._mat_locks.get(which)
@@ -482,7 +482,7 @@ class RDD:
         """
         with self._checkpoint_lock:
             if self._checkpoint_data is None:
-                data = self.context.scheduler.materialize_partitions(self)
+                data = self.context.scheduler.run_checkpoint(self)
                 total = sum(estimate_partition_size(part) for part in data)
                 self.context.metrics.add(disk_write_bytes=total)
                 self._checkpoint_data = data
@@ -966,11 +966,11 @@ class _ShuffleStageBase(RDD):
     has the single slot 0). A stage runs one map task per parent
     partition, merges the per-task buckets in parent-partition order
     (the byte-identity contract), records the shuffle metrics, and
-    stores the buckets in ``_buckets[which]``. The barrier path
-    (:meth:`materialize_stage`) and the pipelined scheduler — which
-    submits :meth:`run_shuffle_map_task` calls itself and commits via
-    :meth:`commit_shuffle` when the last output lands — execute the
-    exact same task bodies and merge.
+    stores the buckets in ``_buckets[which]``. The scheduler's stage
+    loop owns all of it: it runs :meth:`run_shuffle_map_task` for each
+    parent partition and calls :meth:`commit_shuffle` when the last
+    output lands — inside a job, or on demand for a lazy
+    :meth:`fetch_buckets` miss.
 
     A parent whose partitioner already equals this RDD's is narrow:
     no buckets, no bytes, no stage (Section VI-A's local join).
@@ -998,10 +998,9 @@ class _ShuffleStageBase(RDD):
 
     def fetch_buckets(self, which: int) -> list:
         """Stage ``which``'s per-reducer buckets, materialized once."""
-        buckets = self._buckets[which]
-        if buckets is not None:
-            return buckets
-        return self.materialize_stage(which)
+        if self._buckets[which] is None:
+            self.context.scheduler.run_stage(self, which)
+        return self._buckets[which]
 
     def invalidate_shuffle(self) -> int:
         """Drop every slot's map output; returns how many were dropped.
@@ -1107,7 +1106,7 @@ class _ShuffleStageBase(RDD):
             task_span.set(records=out[1], bytes=out[2])
             return out
 
-    def commit_shuffle(self, which: int, outputs, span, start_s) -> list:
+    def commit_shuffle(self, which: int, outputs, span) -> None:
         """Merge map outputs in parent-partition order and store them.
 
         The caller holds the stage's materialize lock. ``outputs`` is
@@ -1115,7 +1114,6 @@ class _ShuffleStageBase(RDD):
         whatever order the tasks finished in.
         """
         metrics = self.context.metrics
-        parent = self.dependencies[which]
         buckets = [[] for _ in range(self.num_partitions)]
         total_records = 0
         total_bytes = 0
@@ -1134,56 +1132,7 @@ class _ShuffleStageBase(RDD):
         metrics.add(shuffles_performed=1, shuffle_records=total_records,
                     shuffle_bytes=total_bytes, shuffle_batches=total_batches,
                     shuffle_batch_records=total_batch_records)
-        metrics.record_stage_timing(
-            self.shuffle_label(which), "shuffle",
-            time.perf_counter() - start_s, parent.num_partitions)
         self._buckets[which] = buckets
-        return buckets
-
-    def materialize_stage(self, which: int, pool=None, depends_on=None,
-                          parent_span=None) -> list:
-        """Barrier-materialize one shuffle map stage, idempotently.
-
-        Map tasks for every parent partition run concurrently when an
-        :class:`~repro.engine.scheduler.ExecutorPool` is given; the
-        merge happens once, in parent-partition order, so the threaded
-        result is byte-identical to the serial one. Concurrent callers
-        serialize on the per-``(rdd, which)`` lock and double-check the
-        stored buckets, so map tasks never double-run.
-
-        ``depends_on`` / ``parent_span`` let the scheduler stamp its
-        stage-graph edges onto the stage span; direct callers omit them.
-        """
-        with self._materialize_lock(which):
-            ready = self._buckets[which]
-            if ready is not None:
-                return ready
-            parent = self.dependencies[which]
-            metrics = self.context.metrics
-            tracer = self.context.tracer
-            metrics.add(stages_run=1)
-            start = time.perf_counter()
-            attrs = {"num_tasks": parent.num_partitions}
-            if depends_on is not None:
-                attrs["depends_on"] = depends_on
-                attrs["ready_at"] = start
-                attrs["launched_at"] = start
-            span = tracer.start(self.shuffle_label(which), "shuffle",
-                                parent=parent_span, detached=True,
-                                **attrs)
-            try:
-                def run_map_task(parent_index):
-                    return self.run_shuffle_map_task(which, parent_index,
-                                                     span)
-
-                indices = range(parent.num_partitions)
-                if pool is not None:
-                    outputs = pool.map_tasks(run_map_task, indices)
-                else:
-                    outputs = [run_map_task(index) for index in indices]
-                return self.commit_shuffle(which, outputs, span, start)
-            finally:
-                tracer.finish(span)
 
 
 class ShuffledRDD(_ShuffleStageBase):

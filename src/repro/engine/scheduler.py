@@ -12,31 +12,35 @@ same for the mini engine:
   benchmarking literature attributes to Spark's scheduler).
 - :class:`StageScheduler` — walks an RDD's lineage, builds the stage
   graph (explicit dependency edges between the pending shuffle map
-  stages), runs the map stages, then the result stage's tasks.
+  stages), and runs it.
 
-Stage execution is **pipelined** on parallel contexts: every
-dependency-free stage's map tasks are submitted to the shared
-:class:`ExecutorPool` at once, per-stage completion counts track each
-map output as it lands, and a downstream stage launches the moment its
-last input block arrives — the two sides of a join/cogroup/matmul
-overlap fully instead of serializing at stage barriers. Serial
-contexts, nested jobs inside executor threads, and single-stage jobs
-take the one-stage-at-a-time barrier loop instead (nothing could
-overlap there).
+Every stage runs through one event-driven loop: each shuffle map
+stage, the job's result stage (the graph's last node) and a
+checkpoint's write stage. A stage launches the moment its last input
+stage commits. With a pool, a launch submits the stage's tasks at once
+and per-stage completion counts track each output as it lands, so the
+two sides of a join/cogroup/matmul overlap. On a serial context, and
+for a nested job inside an executor thread, the same loop runs each
+task inline as its stage launches — no future, queue or thread — so
+stages run one at a time in graph order. A lazy
+:meth:`~repro.engine.rdd._ShuffleStageBase.fetch_buckets` miss runs
+its one stage through the same loop.
 
-Determinism contract: the serial path (``use_threads=False``, the
-default), the threaded path, and the pipelined path all produce
-byte-identical results and identical logical metrics (jobs, stages,
-tasks, shuffle records/bytes). Only wall-clock observations (stage
-timings, task-time histograms, span timestamps) differ. Shuffle
-buckets are merged in parent-partition order and result rows are
-collected in partition order regardless of which executor finished
-first; concurrent stages hold their per-``(rdd, which)`` materialize
-lock from launch to commit so map tasks never double-run.
+Determinism contract: serial (``use_threads=False``, the default),
+threaded and process execution produce byte-identical results and
+identical logical metrics (jobs, stages, tasks, shuffle records/bytes).
+Only wall-clock observations (stage timings, task-time histograms,
+span timestamps) differ. Shuffle buckets are merged in
+parent-partition order and result rows are collected in partition
+order regardless of which executor finished first; a shuffle stage
+holds its per-``(rdd, which)`` materialize lock from launch to commit
+so map tasks never double-run.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import queue
 import threading
 import time
@@ -128,7 +132,7 @@ class ExecutorPool:
             self._ready_stages += 1
 
     def stage_launched(self) -> None:
-        """A ready stage's map tasks were submitted."""
+        """A ready stage launched its tasks."""
         with self._lock:
             self._ready_stages -= 1
             self._inflight_stages += 1
@@ -142,78 +146,11 @@ class ExecutorPool:
             else:
                 self._ready_stages -= 1
 
-    def map_tasks(self, func, items) -> list:
-        """``[func(item) for item in items]``, tasks running concurrently.
-
-        Results come back in submission order whatever the completion
-        order. Calls from inside a worker thread fall back to serial
-        execution so nested jobs can never deadlock waiting for their
-        own pool slot. The first task exception is re-raised, after all
-        tasks have finished (no task outlives its job).
-        """
-        items = list(items)
-        if len(items) <= 1 or self.in_worker():
-            return [func(item) for item in items]
-        executor = self._ensure()
-
-        def run_gauged(item):
-            # queued -> running on start; running -> done in finally
-            with self._lock:
-                self._queued -= 1
-                self._running += 1
-            try:
-                return func(item)
-            finally:
-                with self._lock:
-                    self._running -= 1
-
-        with self._lock:
-            self._active += 1
-            self._queued += len(items)
-        submitted = 0
-        try:
-            try:
-                futures = []
-                for item in items:
-                    futures.append(executor.submit(run_gauged, item))
-                    submitted += 1
-            except RuntimeError as exc:
-                # the executor was shut down between _ensure and submit
-                raise RuntimeError(
-                    "executor pool was shut down while a job was "
-                    "running; its tasks cannot be scheduled") from exc
-            results = []
-            first_error = None
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-            if first_error is not None:
-                if isinstance(first_error, CancelledError):
-                    raise RuntimeError(
-                        "executor pool was shut down mid-job; queued "
-                        "tasks were cancelled") from first_error
-                raise first_error
-            return results
-        finally:
-            # tasks that never started (cancelled, or never submitted)
-            # never passed through run_gauged — reconcile the gauge
-            never_started = len(items) - submitted
-            never_started += sum(1 for future in futures
-                                 if future.cancelled())
-            with self._lock:
-                self._active -= 1
-                self._queued -= never_started
-
     def begin_job(self) -> None:
-        """Mark a pipelined job active.
+        """Mark a job active.
 
         Pairs with :meth:`end_job`; while active, :meth:`shutdown`
-        marks the pool broken and cancels queued tasks, exactly as it
-        does for a job inside :meth:`map_tasks`.
+        marks the pool broken and cancels queued tasks.
         """
         self._ensure()
         with self._lock:
@@ -226,11 +163,10 @@ class ExecutorPool:
     def submit_task(self, func):
         """Submit one task; returns its ``Future``.
 
-        The pipelined scheduler's task-granular entry point: gauge
-        accounting matches :meth:`map_tasks` (queued on submit, running
-        while on an executor thread; a done-callback reconciles tasks
-        cancelled before they started). The caller owns completion
-        handling — nothing here waits.
+        The pool's one task entry point. Gauges count a task queued on
+        submit and running while on an executor thread; a done-callback
+        reconciles tasks cancelled before they started. The caller owns
+        completion handling — nothing here waits.
         """
         executor = self._ensure()
 
@@ -279,23 +215,35 @@ class ExecutorPool:
 
 
 class _Stage:
-    """One node of a job's stage graph: a pending shuffle map stage.
+    """One node of a job's stage graph.
 
-    ``pending`` counts unfinished dependency stages; the pipelined
-    scheduler launches the stage when it reaches zero and ``done``
-    counts map outputs until every parent partition has landed.
+    ``kind`` is ``"shuffle"`` for a pending shuffle map stage — one map
+    task per partition of parent ``which`` of ``node`` — or the graph's
+    last node: ``"result"`` (a job's result stage) or ``"checkpoint"``
+    (a checkpoint's write stage), one ``task(index, span)`` per
+    partition of ``node``. ``pending`` counts unfinished dependency
+    stages; the loop launches the stage when it reaches zero, and
+    ``done`` counts task outputs until the last one lands.
     """
 
-    __slots__ = ("node", "which", "key", "label", "num_tasks", "deps",
-                 "children", "pending", "done", "outputs", "span",
-                 "lock", "start_s", "ready_s", "state", "gauge")
+    __slots__ = ("node", "which", "kind", "key", "label", "num_tasks",
+                 "task", "deps", "children", "pending", "done",
+                 "outputs", "span", "lock", "start_s", "ready_s",
+                 "gauge", "position")
 
-    def __init__(self, node, which):
+    def __init__(self, node, which=None, kind="shuffle", task=None):
         self.node = node
         self.which = which
+        self.kind = kind
         self.key = (node.rdd_id, which)
-        self.label = node.shuffle_label(which)
-        self.num_tasks = node.dependencies[which].num_partitions
+        if kind == "shuffle":
+            self.label = node.shuffle_label(which)
+            self.num_tasks = node.dependencies[which].num_partitions
+            self.task = functools.partial(node.run_shuffle_map_task, which)
+        else:
+            self.label = node.name
+            self.num_tasks = node.num_partitions
+            self.task = task
         self.deps = []
         self.children = []
         self.pending = 0
@@ -305,8 +253,8 @@ class _Stage:
         self.lock = None
         self.start_s = 0.0
         self.ready_s = 0.0
-        self.state = "waiting"
         self.gauge = None
+        self.position = 0
 
     @property
     def edge_name(self) -> str:
@@ -373,8 +321,8 @@ class StageScheduler:
         ``deps``/``children`` edges wired between the nearest pending
         stages; ``result_deps`` are the stages the result stage's tasks
         read from directly. Both are deterministic for a given lineage,
-        so barrier and pipelined runs stamp identical ``depends_on``
-        span attributes.
+        so every run stamps identical ``depends_on`` span attributes
+        whatever order its stages finish in.
         """
         ordered = self.shuffle_stages(rdd)
         stages = [_Stage(node, which) for node, which in ordered]
@@ -417,220 +365,226 @@ class StageScheduler:
         visit(root)
         return deps
 
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
-    def _pool(self):
-        # the process backend also dispatches through the thread pool:
-        # each dispatcher thread drives one worker-process round trip
-        if self.context.parallel:
-            return self.context.executor_pool
-        return None
-
     def run_job(self, rdd: RDD, partition_func) -> list:
-        """One job: materialize pending shuffle stages, then the result
-        stage. Records one job, one result stage, one task per result
-        partition; shuffle map stages record themselves as they launch.
+        """One job: the pending shuffle map stages beneath ``rdd``, then
+        the result stage, through :meth:`_run_graph`. Records one job,
+        one result stage and one task per result partition; shuffle map
+        stages record themselves as they launch."""
+        self.context.metrics.add(jobs_run=1)
+        final = _Stage(rdd, kind="result", task=functools.partial(
+            self._result_task, rdd, partition_func))
+        with self.context.tracer.span(
+                rdd.name, "job", executors=self.context.num_executors,
+                partitions=rdd.num_partitions) as job_span:
+            return self._run_graph(self._graph_to(rdd, final), job_span)
 
-        Map stages run through :meth:`_run_stage_graph` — overlapped on
-        parallel contexts, one at a time behind barriers otherwise. The
-        result stage launches as soon as its shuffle parents commit;
-        since every pending stage feeds the result stage's partition
-        computes transitively, that moment is exactly when the last
-        map stage lands.
+    def run_checkpoint(self, rdd: RDD) -> list:
+        """Every partition of ``rdd``, for :meth:`RDD.checkpoint`.
+
+        The pending shuffle stages beneath ``rdd`` run first, then a
+        write stage of bare ``compute`` tasks (no block cache). No job
+        is recorded; the write stage counts as a stage and its tasks
+        retry like result tasks. The caller meters the write as disk
+        I/O.
         """
-        metrics = self.context.metrics
-        metrics.add(jobs_run=1)
-        pool = self._pool()
-        tracer = self.context.tracer
-        with tracer.span(rdd.name, "job",
-                         executors=self.context.num_executors,
-                         partitions=rdd.num_partitions) as job_span:
-            result_deps = self._run_stage_graph(rdd, pool, job_span)
-            metrics.add(stages_run=1)
-            start = time.perf_counter()
-            with tracer.span(
-                    rdd.name, "stage", stage_kind="result",
-                    num_tasks=rdd.num_partitions,
-                    depends_on=sorted(stage.edge_name
-                                      for stage in result_deps),
-                    ready_at=start, launched_at=start) as stage_span:
-                results = self._run_tasks(
-                    rdd, range(rdd.num_partitions), partition_func, pool,
-                    stage_span)
-            metrics.record_stage_timing(
-                rdd.name, "result", time.perf_counter() - start,
-                rdd.num_partitions)
-        return results
+        final = _Stage(rdd, kind="checkpoint", task=functools.partial(
+            self._checkpoint_task, rdd))
+        return self._run_graph(self._graph_to(rdd, final))
 
-    def _run_stage_graph(self, rdd: RDD, pool, parent_span) -> list:
-        """Materialize every pending shuffle map stage beneath ``rdd``;
-        returns the result stage's direct stage dependencies.
+    def run_stage(self, node: RDD, which: int) -> None:
+        """Materialize one shuffle map stage on demand: a lazy
+        ``fetch_buckets`` miss (a partition computed outside a job, or
+        map output lost after its job was planned)."""
+        self._run_graph([_Stage(node, which)])
 
-        Pipelined mode needs a pool (map tasks are submitted, not
-        awaited in place), more than one stage (a single stage cannot
-        overlap with anything), and a driver-side caller (nested jobs
-        inside worker threads fall back, mirroring ``map_tasks``).
-        """
+    def _graph_to(self, rdd: RDD, final: _Stage) -> list:
+        """:meth:`stage_graph` of ``rdd`` with ``final`` appended as the
+        last node, gated on the result stage's dependencies."""
         stages, result_deps = self.stage_graph(rdd)
-        if not stages:
-            return result_deps
-        if (pool is not None and len(stages) > 1
-                and not pool.in_worker()):
-            self._run_stages_pipelined(stages, pool, parent_span)
-        else:
-            self._run_stages_barrier(stages, pool, parent_span)
-        return result_deps
+        final.deps = result_deps
+        final.pending = len(result_deps)
+        for dep in result_deps:
+            dep.children.append(final)
+        return stages + [final]
 
-    def _run_stages_barrier(self, stages, pool, parent_span) -> None:
-        """Topological one-at-a-time stage execution (the pre-pipelined
-        scheduler): each stage materializes to completion before the
-        next starts. Stage spans carry the same ``depends_on`` edges as
-        pipelined runs, so the logical trace is identical."""
-        gauges = self.context.executor_pool
-        for stage in stages:
-            gauges.stage_ready()
-            launched = not stage.node.shuffle_ready(stage.which)
-            if launched:
-                gauges.stage_launched()
-            try:
-                stage.node.materialize_stage(
-                    stage.which, pool=pool,
-                    depends_on=stage.depends_on(),
-                    parent_span=parent_span)
-            finally:
-                gauges.stage_finished(launched=launched)
-
-    def _run_stages_pipelined(self, stages, pool, parent_span) -> None:
-        """Event-driven overlapped stage execution.
-
-        The driver thread runs a completion loop over a queue fed by
-        future done-callbacks; per-stage ``pending`` counts gate
-        launches and per-stage ``done`` counts detect the last map
-        output. A stage holds its per-``(rdd, which)`` materialize lock
-        from launch to commit — a stage whose lock is already held (a
-        concurrent driver job is materializing it) is polled until that
-        job commits, then adopted as finished. The first task failure
-        stops new launches, drains in-flight tasks (no task outlives
-        its job), and surfaces as one diagnostic.
-        """
+    def _start_span(self, stage: _Stage, parent_span):
+        attrs = {"num_tasks": stage.num_tasks, "ready_at": stage.ready_s,
+                 "launched_at": stage.start_s}
         tracer = self.context.tracer
-        metrics = self.context.metrics
-        events = queue.SimpleQueue()
-        state = {"outstanding": 0, "failure": None}
-        remaining = {stage.key for stage in stages}
-        foreign = []
+        if stage.kind == "checkpoint":
+            # a checkpoint span carries its task count, no stage edges
+            return tracer.start(stage.label, "checkpoint",
+                                parent=parent_span, detached=True, **attrs)
+        attrs["depends_on"] = stage.depends_on()
+        if stage.kind == "result":
+            return tracer.start(stage.label, "stage", parent=parent_span,
+                                detached=True, stage_kind="result", **attrs)
+        return tracer.start(stage.label, "shuffle", parent=parent_span,
+                            detached=True, **attrs)
 
-        def stage_done(stage, launched):
-            stage.state = "done"
-            remaining.discard(stage.key)
+    def _run_graph(self, nodes: list, parent_span=None):
+        """The one stage loop; returns the last node's task outputs in
+        partition order when it is a result or checkpoint stage.
+
+        ``nodes`` is parents-first. Every stage whose dependencies are
+        satisfied launches, the lowest position first; a shuffle stage
+        holds its per-``(rdd, which)`` materialize lock from launch to
+        commit. With a pool, a launch submits the stage's tasks and the
+        driver thread absorbs completions from a queue fed by future
+        done-callbacks, so independent stages overlap. Without one (a
+        serial context, or a nested job on an executor thread) a launch
+        runs its tasks inline, so stages run one at a time in position
+        order. A stage whose lock another driver job holds is polled
+        until that job commits, then adopted as finished. The first
+        task failure stops new launches, drains in-flight tasks (no task
+        outlives its job), and surfaces as one diagnostic.
+        """
+        context = self.context
+        tracer = context.tracer
+        metrics = context.metrics
+        pool = context.executor_pool
+        inline = not context.parallel or pool.in_worker()
+        events = queue.SimpleQueue()
+        ready = []  # heap of (position, stage)
+        foreign = []
+        remaining = len(nodes)
+        outstanding = 0
+        failure = None
+
+        def mark_ready(stage):
+            stage.ready_s = time.perf_counter()
+            pool.stage_ready()
+            stage.gauge = "ready"
+            heapq.heappush(ready, (stage.position, stage))
+
+        def finish(stage, launched):
+            nonlocal remaining
+            remaining -= 1
             pool.stage_finished(launched=launched)
             stage.gauge = None
             for child in stage.children:
                 child.pending -= 1
-                if child.pending == 0 and child.state == "waiting":
+                if child.pending == 0:
                     mark_ready(child)
 
-        def mark_ready(stage):
-            stage.state = "ready"
-            stage.ready_s = time.perf_counter()
-            pool.stage_ready()
-            stage.gauge = "ready"
-            try_launch(stage)
-
         def try_launch(stage):
-            if state["failure"] is not None:
-                return
-            lock = stage.node._materialize_lock(stage.which)
-            if not lock.acquire(blocking=False):
-                # a concurrent driver job is materializing this stage;
-                # poll rather than block the event loop on its lock
-                foreign.append(stage)
-                return
-            if stage.node.shuffle_ready(stage.which):
-                lock.release()
-                stage_done(stage, launched=False)
-                return
+            lock = None
+            if stage.kind == "shuffle":
+                lock = stage.node._materialize_lock(stage.which)
+                if not lock.acquire(blocking=False):
+                    # a concurrent driver job is materializing this
+                    # stage; poll rather than block the loop on its lock
+                    foreign.append(stage)
+                    return
+                if stage.node.shuffle_ready(stage.which):
+                    lock.release()
+                    finish(stage, launched=False)
+                    return
             launch(stage, lock)
 
         def launch(stage, lock):
+            nonlocal outstanding, failure
             metrics.add(stages_run=1)
-            stage.state = "running"
             stage.lock = lock  # held from launch to commit
             stage.start_s = time.perf_counter()
             stage.outputs = [None] * stage.num_tasks
-            stage.span = tracer.start(
-                stage.label, "shuffle", parent=parent_span,
-                detached=True, num_tasks=stage.num_tasks,
-                depends_on=stage.depends_on(),
-                ready_at=stage.ready_s, launched_at=stage.start_s)
+            stage.span = self._start_span(stage, parent_span)
             pool.stage_launched()
             stage.gauge = "inflight"
-            for parent_index in range(stage.num_tasks):
-                def run(node=stage.node, which=stage.which,
-                        index=parent_index, span=stage.span):
-                    return node.run_shuffle_map_task(which, index, span)
-
+            if not stage.num_tasks:
+                commit(stage)
+            for index in range(stage.num_tasks):
+                if inline:
+                    try:
+                        output = stage.task(index, stage.span)
+                    except BaseException as exc:  # noqa: BLE001 - re-raised
+                        failure = exc
+                        return
+                    land(stage, index, output)
+                    continue
                 try:
-                    future = pool.submit_task(run)
+                    future = pool.submit_task(functools.partial(
+                        stage.task, index, stage.span))
                 except RuntimeError as exc:
-                    state["failure"] = exc
+                    failure = exc
                     return
-                state["outstanding"] += 1
+                outstanding += 1
                 future.add_done_callback(
-                    lambda fut, stage=stage, index=parent_index:
+                    lambda fut, stage=stage, index=index:
                         events.put((stage, index, fut)))
 
         def absorb(stage, index, future):
+            nonlocal failure
             try:
                 output = future.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised
-                if state["failure"] is None:
-                    state["failure"] = exc
+                if failure is None:
+                    failure = exc
                 return
-            if state["failure"] is not None:
-                return
+            if failure is None:
+                land(stage, index, output)
+
+        def land(stage, index, output):
             stage.outputs[index] = output
             stage.done += 1
             if stage.done == stage.num_tasks:
+                commit(stage)
+
+        def commit(stage):
+            if stage.kind == "shuffle":
                 stage.node.commit_shuffle(stage.which, stage.outputs,
-                                          stage.span, stage.start_s)
-                tracer.finish(stage.span)
-                stage.span = None
+                                          stage.span)
+            metrics.record_stage_timing(
+                stage.label, stage.kind, time.perf_counter() - stage.start_s,
+                stage.num_tasks)
+            tracer.finish(stage.span)
+            stage.span = None
+            if stage.lock is not None:
                 stage.lock.release()
                 stage.lock = None
-                stage_done(stage, launched=True)
+            finish(stage, launched=True)
 
-        pool.begin_job()
+        if not inline:
+            pool.begin_job()
         try:
-            for stage in stages:
-                if stage.pending == 0 and stage.state == "waiting":
+            for position, stage in enumerate(nodes):
+                stage.position = position
+                if stage.pending == 0:
                     mark_ready(stage)
-            while remaining:
-                if state["failure"] is not None \
-                        and state["outstanding"] == 0:
+            while True:
+                while ready and failure is None:
+                    try_launch(heapq.heappop(ready)[1])
+                if not remaining or (failure is not None
+                                     and not outstanding):
                     break
-                if state["outstanding"] == 0 and not foreign:
+                if outstanding:
+                    try:
+                        event = events.get(
+                            timeout=0.002 if foreign else None)
+                    except queue.Empty:
+                        event = None
+                    if event is not None:
+                        outstanding -= 1
+                        absorb(*event)
+                elif foreign:
+                    time.sleep(0.002)
+                else:
                     raise EngineError(
-                        f"pipelined scheduler stalled: {len(remaining)} "
-                        "stage(s) unfinished with no tasks in flight")
-                try:
-                    event = events.get(
-                        timeout=0.002 if foreign else None)
-                except queue.Empty:
-                    event = None
-                if event is not None:
-                    state["outstanding"] -= 1
-                    absorb(*event)
-                if foreign and state["failure"] is None:
+                        f"scheduler stalled: {remaining} stage(s) "
+                        "unfinished with no tasks in flight")
+                if foreign and failure is None:
                     retry, foreign = foreign, []
                     for stage in retry:
-                        if stage.state == "ready":
-                            try_launch(stage)
+                        try_launch(stage)
         finally:
-            pool.end_job()
-            for stage in stages:
+            if not inline:
+                pool.end_job()
+            for stage in nodes:
                 # failure path: close abandoned spans, release held
                 # locks without committing (a later job redoes the
                 # stage), and zero the stage gauges
@@ -644,26 +598,16 @@ class StageScheduler:
                     pool.stage_finished(
                         launched=stage.gauge == "inflight")
                     stage.gauge = None
-        failure = state["failure"]
         if failure is not None:
             if isinstance(failure, CancelledError):
                 raise RuntimeError(
-                    "executor pool was shut down mid-job; queued "
-                    "shuffle map tasks were cancelled") from failure
+                    "executor pool was shut down mid-job; queued tasks "
+                    "were cancelled") from failure
             raise failure
+        return nodes[-1].outputs
 
-    def _run_tasks(self, rdd: RDD, indices, partition_func, pool,
-                   stage_span=None) -> list:
-        def run_one(index):
-            return self._run_task(rdd, index, partition_func, stage_span)
-
-        indices = list(indices)
-        if pool is not None and len(indices) > 1:
-            return pool.map_tasks(run_one, indices)
-        return [run_one(index) for index in indices]
-
-    def _run_task(self, rdd: RDD, index: int, partition_func,
-                  stage_span=None):
+    def _result_task(self, rdd: RDD, partition_func, index: int,
+                     stage_span):
         runner = self.context.process_runner
         # the stage span is the *explicit* parent: under threading this
         # runs on an executor thread whose span stack is empty
@@ -682,41 +626,18 @@ class StageScheduler:
         self.context.metrics.add(result_bytes=result_bytes)
         return result
 
-    def materialize_partitions(self, rdd: RDD) -> list:
-        """Every partition of ``rdd``, computed stage-by-stage.
-
-        Used by :meth:`RDD.checkpoint`: pending shuffles materialize
-        first (in parallel under threading), then the partitions
-        themselves. No job/stage/task counters move — checkpointing is
-        metered as disk I/O by the caller, exactly as before — but the
-        write is timed as a stage.
-        """
-        pool = self._pool()
-        tracer = self.context.tracer
+    def _checkpoint_task(self, rdd: RDD, index: int, stage_span) -> list:
         runner = self.context.process_runner
-        self._run_stage_graph(rdd, pool, None)
-        start = time.perf_counter()
-        with tracer.span(rdd.name, "checkpoint",
-                         num_tasks=rdd.num_partitions) as ckpt_span:
-            def compute_one(index):
-                with tracer.span("task", "task", parent=ckpt_span,
-                                 partition=index) as task_span:
-                    if runner is not None:
-                        data_part = runner.run_compute(rdd, index,
-                                                       task_span)
-                    else:
-                        data_part = list(rdd.compute(index))
-                    if tracer.enabled:
-                        task_span.set(
-                            bytes=estimate_partition_size(data_part))
-                    return data_part
-
-            indices = list(range(rdd.num_partitions))
-            if pool is not None and len(indices) > 1:
-                data = pool.map_tasks(compute_one, indices)
+        tracer = self.context.tracer
+        with tracer.span("task", "task", parent=stage_span,
+                         partition=index) as span:
+            if runner is not None:
+                def attempt():
+                    return runner.run_compute(rdd, index, span)
             else:
-                data = [compute_one(index) for index in indices]
-        self.context.metrics.record_stage_timing(
-            rdd.name, "checkpoint", time.perf_counter() - start,
-            rdd.num_partitions)
+                def attempt():
+                    return list(rdd.compute(index))
+            data = run_task_with_retries(self.context, index, attempt)
+            if tracer.enabled:
+                span.set(bytes=estimate_partition_size(data))
         return data

@@ -208,10 +208,11 @@ class Tracer:
         not contain the driver-side stage span.
 
         ``detached`` spans never join the thread-local stack: the
-        pipelined scheduler keeps several stage spans open on the driver
-        thread at once, and stacking them would make each look like the
-        previous one's child. Detached spans do not become the implicit
-        parent of anything; give their children an explicit ``parent``.
+        scheduler's stage loop keeps several stage spans open on the
+        driver thread at once, and stacking them would make each look
+        like the previous one's child. Detached spans do not become the
+        implicit parent of anything; give their children an explicit
+        ``parent``.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -333,7 +334,7 @@ class Tracer:
 # ----------------------------------------------------------------------
 
 #: span attributes that carry wall-clock observations, not logic — the
-#: pipelined scheduler stamps stage readiness/launch times on stage
+#: scheduler stamps stage readiness/launch times on stage
 #: spans, and those (like start_s/end_s) legitimately differ run to run
 _TIMING_ATTRS = frozenset({"ready_at", "launched_at"})
 

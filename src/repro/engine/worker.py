@@ -48,6 +48,7 @@ from repro.engine import spill as spill_mod
 from repro.engine.batches import RecordBatch
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.metrics import COUNTER_FIELDS, MetricsRegistry
+from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import StorageLevel
 from repro.engine.tracing import Tracer
 
@@ -151,6 +152,10 @@ class WorkerContext:
         self.metrics = metrics
         self.tracer = tracer
         self.cache = cache
+        # a lazy fetch_buckets miss runs its stage inline through the
+        # scheduler's loop; this pool never starts, only its gauges move
+        self.executor_pool = ExecutorPool(1)
+        self.scheduler = StageScheduler(self)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Test-side forcing of the engine's automatic fallbacks.
+"""Test-side forcing of the engine's second paths.
 
-The columnar shuffle and the pipelined scheduler each keep a second
-path the engine picks by itself (unpackable keys; serial, nested or
-single-stage jobs). These context managers force that path on any
-context so byte-identity contracts can compare the two directly.
+The columnar shuffle keeps a second path the engine picks by itself
+(unpackable keys), and the scheduler's one stage loop can overlap
+stages or run them one at a time. These context managers force the
+second path on any context so byte-identity contracts can compare the
+two directly.
 """
 
 import contextlib
 from unittest import mock
 
 from repro.engine import rdd as rdd_mod
-from repro.engine.scheduler import StageScheduler
+from repro.engine.scheduler import ExecutorPool
 
 
 @contextlib.contextmanager
@@ -31,12 +32,13 @@ def shuffle_path(columnar: bool):
 
 @contextlib.contextmanager
 def barrier_stages():
-    """Shuffle stages run one at a time behind barriers, as on a serial
-    context (scheduling is driver-side only)."""
+    """Stages run one at a time behind barriers on any context.
 
-    def barrier(self, stages, pool, parent_span):
-        self._run_stages_barrier(stages, pool, parent_span)
-
-    with mock.patch.object(StageScheduler, "_run_stages_pipelined",
-                           barrier):
+    The stage loop runs tasks inline whenever its caller is an executor
+    thread (a nested job); claiming that for every caller makes each
+    stage run to completion, task by task, before the next launches —
+    exactly what a serial context does. Scheduling is driver-side
+    only, so process workers need not inherit the patch.
+    """
+    with mock.patch.object(ExecutorPool, "in_worker", lambda self: True):
         yield

@@ -215,7 +215,7 @@ class TestTaskRoundTrip:
             # materialize pending shuffle stages the way a job would;
             # the reduce side then ships with its map output inline
             for node, which in ctx.scheduler.shuffle_stages(rdd):
-                node.materialize_stage(which)
+                node.fetch_buckets(which)
             for index in range(rdd.num_partitions):
                 expected = list(rdd.compute(index))
                 clone = task_loads(task_dumps(

@@ -4,13 +4,12 @@ Serial (``use_threads=False``, the default), threaded, and
 process-backend execution must return byte-identical results and
 identical logical metrics — jobs, stages, tasks, shuffle records/bytes
 — across every lineage shape the engine supports, including under
-fault injection. The pipelined scheduler (overlapped stage execution
-on parallel contexts) must match the barrier scheduler (what serial
-contexts run; forced on parallel ones by
-``tests._reference.engine.barrier_stages``) the same way, and the
-columnar shuffle must match the per-record path it falls back to
-(forced by ``generic_shuffle``). Task *ordering* and wall-clock
-observations are allowed to differ.
+fault injection. Overlapped stage execution on parallel contexts must
+match one-stage-at-a-time execution (what serial contexts run; forced
+on parallel ones by ``tests._reference.engine.barrier_stages``) the
+same way, and the columnar shuffle must match the per-record path it
+falls back to (forced by ``generic_shuffle``). Task *ordering* and
+wall-clock observations are allowed to differ.
 """
 
 import contextlib
@@ -21,7 +20,7 @@ import time
 
 import pytest
 
-from repro.engine import ClusterContext, ExecutorPool, HashPartitioner
+from repro.engine import ClusterContext, HashPartitioner
 from repro.engine.explain import stage_breakdown
 from repro.engine.tracing import logical_tree
 from repro.errors import TaskFailure
@@ -361,23 +360,49 @@ class TestPipelinedScheduling:
 
 
 class TestExecutorPool:
-    def test_map_tasks_preserves_order(self):
-        pool = ExecutorPool(4)
-        assert pool.map_tasks(lambda x: x * x, range(20)) \
-            == [x * x for x in range(20)]
-        pool.shutdown()
+    def test_result_order_preserved(self):
+        """Result rows come back in partition order whatever order the
+        executors finish in."""
 
-    def test_nested_map_tasks_fall_back_to_serial(self):
-        pool = ExecutorPool(2)
+        def late_first(index, part):
+            time.sleep(0.002 * (20 - index))
+            return [x * x for x in part]
+
+        with ClusterContext(num_executors=4, use_threads=True) as ctx:
+            got = ctx.parallelize(range(20), 20) \
+                     .map_partitions_with_index(late_first).collect()
+        assert got == [x * x for x in range(20)]
+
+    def test_nested_shuffle_job_runs_inline(self):
+        """A task that runs a job with a shuffle, on a one-executor
+        pool: the nested job cannot wait for a pool slot, so its stages
+        run inline on the executor thread instead of deadlocking."""
+        ctx = ClusterContext(num_executors=1, use_threads=True)
 
         def nested(x):
-            assert pool.in_worker()
-            return sum(pool.map_tasks(lambda y: y + x, range(3)))
+            assert ctx.executor_pool.in_worker()
+            pairs = ctx.parallelize([(i % 3, i + x) for i in range(12)], 3)
+            return sorted(pairs.reduce_by_key(lambda a, b: a + b).collect())
 
-        expected = [sum(y + x for y in range(3)) for x in range(5)]
-        assert pool.map_tasks(nested, range(5)) == expected
-        pool.shutdown()
-        assert not pool.started
+        outcome = {}
+
+        def job():
+            outcome["got"] = ctx.parallelize(range(4), 2).map(nested) \
+                                .collect()
+
+        runner = threading.Thread(target=job, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        alive = runner.is_alive()
+        ctx.shutdown()
+        assert not alive, "nested job deadlocked"
+        expected = []
+        for x in range(4):
+            sums = {}
+            for i in range(12):
+                sums[i % 3] = sums.get(i % 3, 0) + i + x
+            expected.append(sorted(sums.items()))
+        assert outcome["got"] == expected
 
     def test_pool_persists_across_jobs(self):
         with ClusterContext(num_executors=4, use_threads=True) as ctx:
@@ -409,7 +434,6 @@ class TestExecutorPool:
         silently re-create its executor on the next ``_ensure``. It must
         instead fail the running job with a clear ``RuntimeError`` and
         refuse to be reused."""
-        pool = ExecutorPool(2)
         release = threading.Event()
         started = threading.Event()
 
@@ -418,11 +442,12 @@ class TestExecutorPool:
             release.wait(timeout=10)
             return i
 
+        ctx = ClusterContext(num_executors=2, use_threads=True)
         failure = {}
 
         def run_job():
             try:
-                pool.map_tasks(task, range(16))
+                ctx.parallelize(range(16), 16).map(task).collect()
             except RuntimeError as exc:
                 failure["error"] = exc
 
@@ -430,7 +455,7 @@ class TestExecutorPool:
         job.start()
         try:
             assert started.wait(timeout=10)
-            pool.shutdown()
+            ctx.executor_pool.shutdown()
         finally:
             release.set()
         job.join(timeout=10)
@@ -438,7 +463,8 @@ class TestExecutorPool:
         assert "shut down" in str(failure["error"])
         # the pool stays broken — no silent executor re-creation
         with pytest.raises(RuntimeError, match="cannot be reused"):
-            pool.map_tasks(lambda x: x, range(4))
+            ctx.parallelize(range(4), 4).collect()
+        ctx.shutdown()
 
 
 class TestConcurrencySafety:
