@@ -21,10 +21,11 @@ Package map:
 - :mod:`repro.engine` -- the mini-Spark substrate.
 - :mod:`repro.bitmask` -- bitmask machinery (popcounts, hierarchy).
 - :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators, the
-  cost-based rewrite optimizer (:mod:`repro.core.optimizer`) and the
-  chunk-kernel fusion layer (:mod:`repro.core.plan`) every recorded
-  plan runs through (``ArrayRDD.explain(optimized=True)`` shows what
-  was rewritten).
+  cost-gated rewrite optimizer (:mod:`repro.core.optimizer`: scalar
+  folding, subarray hoisting, matmul kernel/placement planning) and
+  the chunk-kernel fusion layer (:mod:`repro.core.plan`) every
+  recorded plan runs through (``ArrayRDD.explain(optimized=True)``
+  shows which rules fired).
 - :mod:`repro.matrix` -- distributed linear algebra.
 - :mod:`repro.ml` -- PageRank and SGD/logistic regression.
 - :mod:`repro.baselines` -- SciSpark/RasterFrames/SciDB/COO/MLlib/GraphX

@@ -33,7 +33,6 @@ from repro.core.logical import (
     ElementwiseOp,
     FilterOp,
     MapOp,
-    RawPlanOp,
     RepackOp,
     ScalarOp,
     ShuffleOp,
@@ -152,18 +151,10 @@ def _chunk_nbytes(kv) -> int:
 class ArrayRDD:
     """A lazily-evaluated, chunked, distributed array."""
 
-    def __init__(self, rdd, meta: ArrayMetadata, context, plan=None,
-                 logical=None):
-        if logical is not None:
-            self._logical = logical
-        else:
-            source = SourceOp(rdd, meta)
-            if plan is not None and not plan.is_identity:
-                # compat: an explicit pre-built ChunkPlan rides along as
-                # an opaque node the optimizer will not reorder
-                self._logical = RawPlanOp(source, plan)
-            else:
-                self._logical = source
+    def __init__(self, rdd, meta: ArrayMetadata, context, logical=None):
+        if logical is None:
+            logical = SourceOp(rdd, meta)
+        self._logical = logical
         self._compiled = None
         self.meta = meta
         self.context = context
@@ -285,15 +276,6 @@ class ArrayRDD:
         return self.rdd.count()
 
     def count_valid(self) -> int:
-        from repro.core import optimizer as optimizer_mod
-
-        # mask-only evaluation: when the recorded tree only moves,
-        # restricts, or arithmetically transforms values, the count
-        # comes straight off the source bitmasks
-        fast = optimizer_mod.lower_count_valid(self._logical,
-                                               self.context)
-        if fast is not None:
-            return fast
         return self.rdd.map(_chunk_valid_count).fold(
             0, lambda a, b: a + b
         )
@@ -315,12 +297,20 @@ class ArrayRDD:
         return hits[0].get(offset)
 
     def collect_dense(self, fill=np.nan):
-        """Materialize as ``(values, valid)`` numpy arrays on the driver."""
+        """Materialize as ``(values, valid)`` numpy arrays on the driver.
+
+        ``values`` takes the result type of the collected payloads and
+        ``fill``, not ``meta.dtype``: scalar ops and ``map_values`` keep
+        their input's metadata, so an int array's float results would
+        otherwise be truncated.
+        """
+        records = self.rdd.collect()
+        dtypes = {chunk.payload.dtype for _cid, chunk in records} \
+            or {self.meta.dtype}
         values = np.full(self.meta.shape, fill,
-                         dtype=np.result_type(self.meta.dtype, type(fill))
-                         if fill is not np.nan else np.float64)
+                         dtype=np.result_type(*dtypes, type(fill)))
         valid = np.zeros(self.meta.shape, dtype=bool)
-        for chunk_id, chunk in self.rdd.collect():
+        for chunk_id, chunk in records:
             sel, local_shape = _chunk_selection(self.meta, chunk_id)
             dense = chunk.to_dense(fill).reshape(
                 self.meta.chunk_shape, order="F")
@@ -417,10 +407,9 @@ class ArrayRDD:
     def partition_by(self, partitioner) -> "ArrayRDD":
         """Redistribute chunk records under an explicit partitioner.
 
-        Recorded as a logical shuffle, so a later ``subarray`` or
-        ``filter`` can be pushed below it by the optimizer — pruned
-        chunks never cross the network. A no-op at execution time when
-        the records already carry an equal partitioner.
+        Recorded as a logical shuffle and lowered to the engine's
+        ``partition_by``: a no-op at execution time when the records
+        already carry an equal partitioner.
         """
         return self._with_logical(ShuffleOp(self._logical, partitioner))
 

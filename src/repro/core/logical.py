@@ -5,29 +5,28 @@ order the user wrote them; nothing *reorders*. This module adds the
 missing logical layer: ArrayRDD / MaskRDD / matrix operators *record*
 :class:`LogicalOp` DAG nodes instead of eagerly appending kernels or
 building RDDs. When an action forces evaluation, the recorded tree is
-(optionally) rewritten by the cost-based optimizer
-(:mod:`repro.core.optimizer`) and then **lowered** right back onto
-today's physical layer — ChunkPlan kernels for the chunk-local nodes,
-engine joins / partition_by / the matmul machinery for the wide ones —
-so the executor, fusion, the columnar shuffle, and all three backends
-are untouched.
+rewritten by the cost-gated optimizer (:mod:`repro.core.optimizer`)
+and then **lowered** right back onto today's physical layer —
+ChunkPlan kernels for the chunk-local nodes, engine joins /
+partition_by / the matmul machinery for the wide ones — so the
+executor, fusion, the columnar shuffle, and all three backends are
+untouched.
 
-The lowering contract is strict: with the optimizer disabled, lowering a
-recorded tree produces *exactly* the RDD graph and ChunkPlans the
-pre-logical operators built, so every byte-identity guarantee of the
-kernel layer carries over unchanged.
+The lowering contract is strict: lowering a recorded tree as written
+(``lower_to_rdd`` with no rule applied) produces *exactly* the RDD
+graph and ChunkPlans the pre-logical operators built, and the
+optimized tree lowers to byte-identical chunks, so every byte-identity
+guarantee of the kernel layer carries over unchanged.
 
 Layer map::
 
     user operators          ->  LogicalOp DAG        (this module)
-    cost-based rewrites     ->  repro.core.optimizer
+    cost-gated rewrites     ->  repro.core.optimizer
     chunk-local lowering    ->  repro.core.plan       (ChunkPlan kernels)
     wide lowering           ->  repro.engine          (joins, shuffles)
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core import mapper
 from repro.core.plan import (
@@ -44,7 +43,6 @@ from repro.core.plan import (
 )
 
 __all__ = [
-    "AggregateOp",
     "ElementwiseOp",
     "Estimate",
     "FilterOp",
@@ -53,7 +51,6 @@ __all__ = [
     "MapOp",
     "MaskApplyOp",
     "MatmulOp",
-    "RawPlanOp",
     "RepackOp",
     "ScalarOp",
     "ShuffleOp",
@@ -62,7 +59,6 @@ __all__ = [
     "estimate",
     "lower_to_rdd",
     "render_tree",
-    "subtree_partitioner",
 ]
 
 #: assumed fraction of cells surviving a value predicate when no better
@@ -84,9 +80,6 @@ class LogicalOp:
 
     name = "op"
     children = ()
-    #: True when the node never changes which cells are valid — a
-    #: validity-only consumer (count_valid) can skip it entirely
-    value_only = False
 
     @property
     def meta(self):
@@ -128,32 +121,10 @@ class SourceOp(LogicalOp):
         return self
 
 
-class RawPlanOp(LogicalOp):
-    """An opaque, pre-built ChunkPlan over a source (compat shim).
-
-    Produced when an :class:`~repro.core.array_rdd.ArrayRDD` is
-    constructed with an explicit ``plan=``; the optimizer treats it as a
-    black box.
-    """
-
-    name = "raw_plan"
-
-    def __init__(self, child, chunk_plan):
-        self.children = (child,)
-        self.chunk_plan = chunk_plan
-
-    def describe(self) -> str:
-        return f"raw[{self.chunk_plan.label()}]"
-
-    def with_children(self, children) -> "RawPlanOp":
-        return RawPlanOp(children[0], self.chunk_plan)
-
-
 class MapOp(LogicalOp):
     """``map_values``: vectorized function over every valid value."""
 
     name = "map"
-    value_only = True
 
     def __init__(self, child, func):
         self.children = (child,)
@@ -170,7 +141,6 @@ class ScalarOp(LogicalOp):
     """Scalar arithmetic (``a * 2``, ``2 ** a``, ...)."""
 
     name = "scalar"
-    value_only = True
 
     def __init__(self, child, op, scalar, reflected=False, opname=None):
         self.children = (child,)
@@ -197,7 +167,6 @@ class FoldedScalarOp(LogicalOp):
     """
 
     name = "scalar_fold"
-    value_only = True
 
     def __init__(self, child, stages):
         self.children = (child,)
@@ -266,7 +235,6 @@ class RepackOp(LogicalOp):
     """Re-apply the chunk density-mode policy."""
 
     name = "repack"
-    value_only = True
 
     def __init__(self, child):
         self.children = (child,)
@@ -279,7 +247,6 @@ class ShuffleOp(LogicalOp):
     """Redistribute chunk records under an explicit partitioner."""
 
     name = "shuffle"
-    value_only = True
 
     def __init__(self, child, partitioner):
         self.children = (child,)
@@ -370,22 +337,18 @@ class MatmulOp(LogicalOp):
     """Distributed block matrix multiply of two SpangleMatrix operands.
 
     The operands stay driver-side matrix handles; their own pending
-    logical plans lower when this node does. ``operands_restricted``
-    marks that the pushdown rule already narrowed the operand sides, so
-    a fixpoint rewrite loop fires it at most once. ``exec_plan`` is the
+    logical plans lower when this node does. ``exec_plan`` is the
     optimizer's :class:`MatmulExecPlan` (kernel + placement), or None
     for the density-gated default path.
     """
 
     name = "matmul"
 
-    def __init__(self, left, right, local_join, meta,
-                 operands_restricted=False, exec_plan=None):
+    def __init__(self, left, right, local_join, meta, exec_plan=None):
         self.left = left
         self.right = right
         self.local_join = local_join
         self._meta = meta
-        self.operands_restricted = operands_restricted
         self.exec_plan = exec_plan
 
     @property
@@ -398,34 +361,12 @@ class MatmulOp(LogicalOp):
 
     def describe(self) -> str:
         kind = "local_join" if self.local_join else "shuffled"
-        note = " operands_restricted" if self.operands_restricted else ""
         plan = (f" {self.exec_plan.describe()}"
                 if self.exec_plan is not None else "")
-        return (f"matmul[{kind} {self.left.shape}x{self.right.shape}"
-                f"{note}{plan}]")
+        return f"matmul[{kind} {self.left.shape}x{self.right.shape}{plan}]"
 
     def with_children(self, children) -> "MatmulOp":
         return self
-
-
-class AggregateOp(LogicalOp):
-    """A terminal aggregation consumer (explain / rule matching only).
-
-    ``kind`` is the aggregator name, or ``"count_valid"`` — the
-    validity-only consumer the mask-only rewrite targets.
-    """
-
-    name = "aggregate"
-
-    def __init__(self, child, kind):
-        self.children = (child,)
-        self.kind = kind
-
-    def describe(self) -> str:
-        return f"aggregate[{self.kind}]"
-
-    def with_children(self, children) -> "AggregateOp":
-        return AggregateOp(children[0], self.kind)
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +448,7 @@ def estimate(node: LogicalOp) -> Estimate:
                         meta)
     child = estimate(node.children[0])
     if isinstance(node, (MapOp, ScalarOp, FoldedScalarOp, RepackOp,
-                         ShuffleOp, RawPlanOp, AggregateOp)):
+                         ShuffleOp)):
         return child
     if isinstance(node, FilterOp):
         return Estimate(child.chunks,
@@ -547,30 +488,6 @@ def estimate(node: LogicalOp) -> Estimate:
     return child
 
 
-def subtree_partitioner(node: LogicalOp):
-    """The partitioner the lowered subtree's output will carry, or None.
-
-    Used to decide statically whether a join will be narrow: chunk-local
-    nodes preserve their child's partitioner, shuffles impose their own,
-    joins adopt the left (engine cogroup semantics), matmul output is
-    hash-placed by :func:`repro.matrix.multiply._assemble`.
-    """
-    if isinstance(node, SourceOp):
-        return node.rdd.partitioner
-    if isinstance(node, ShuffleOp):
-        return node.partitioner
-    if isinstance(node, MatmulOp):
-        return None
-    if isinstance(node, ElementwiseOp):
-        left = subtree_partitioner(node.children[0])
-        if left is not None:
-            return left
-        return subtree_partitioner(node.children[1])
-    if node.children:
-        return subtree_partitioner(node.children[0])
-    return None
-
-
 # ----------------------------------------------------------------------
 # lowering: logical tree -> (RDD, pending ChunkPlan)
 # ----------------------------------------------------------------------
@@ -607,9 +524,7 @@ def lower_to_rdd(node: LogicalOp, context, metrics=None):
     ``explain`` so inspection does not bump fusion counters).
     """
     rdd, pending = _lower(node, context, metrics, {})
-    if pending.is_identity:
-        return rdd
-    return pending.compile(rdd, metrics)
+    return _compile(rdd, pending, metrics)
 
 
 def _lower(node, context, metrics, memo):
@@ -630,10 +545,6 @@ def _compile(rdd, pending, metrics):
 def _lower_uncached(node, context, metrics, memo):
     if isinstance(node, SourceOp):
         return node.rdd, ChunkPlan.identity()
-    if isinstance(node, RawPlanOp):
-        rdd, pending = _lower(node.children[0], context, metrics, memo)
-        rdd = _compile(rdd, pending, metrics)
-        return rdd, node.chunk_plan
     if isinstance(node, _CHUNK_LOCAL):
         rdd, pending = _lower(node.children[0], context, metrics, memo)
         return rdd, pending.then(_kernel_for(node))
@@ -665,8 +576,6 @@ def _lower_uncached(node, context, metrics, memo):
         from repro.matrix.multiply import lower_matmul
 
         return lower_matmul(node, context), ChunkPlan.identity()
-    if isinstance(node, AggregateOp):
-        return _lower(node.children[0], context, metrics, memo)
     raise TypeError(f"cannot lower {type(node).__name__}")
 
 
@@ -677,16 +586,3 @@ def _lower_uncached(node, context, metrics, memo):
 def valid_counts_from_records(records) -> dict:
     """Per-chunk valid counts for driver-side record lists."""
     return {cid: int(chunk.valid_count) for cid, chunk in records}
-
-
-def boxes_intersect(meta, box_a, box_b):
-    """Intersection of two closed boxes, or None when empty."""
-    lo = tuple(max(a, b) for a, b in zip(box_a[0], box_b[0]))
-    hi = tuple(min(a, b) for a, b in zip(box_a[1], box_b[1]))
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
-    return lo, hi
-
-
-def is_numeric_scalar(value) -> bool:
-    return np.isscalar(value)

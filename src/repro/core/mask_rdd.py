@@ -11,8 +11,7 @@ pending box list and reading :attr:`rdd` lowers the whole list as one
 chunk-ID-pruning pass (so five chained subarrays cost one traversal,
 with their wanted-sets intersected up front). ``apply_to`` records a
 logical :class:`~repro.core.logical.MaskApplyOp` on the target array,
-which lets the optimizer push later restrictions below the
-reconciliation join.
+so the reconciliation fuses with the chunk-local operators after it.
 
 The with/without-MaskRDD performance gap is the paper's Fig. 9b.
 """
@@ -219,8 +218,7 @@ class MaskRDD:
         becomes a :class:`~repro.core.plan.MaskApplySource`, so it and
         any chunk-local operators applied to the result (a dataset's
         per-attribute restriction + filter chains) run as one fused
-        pass per chunk — and the optimizer can push a later subarray
-        below the join.
+        pass per chunk.
         """
         from repro.core.array_rdd import ArrayRDD
         from repro.core.logical import MaskApplyOp

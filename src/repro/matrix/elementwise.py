@@ -15,11 +15,7 @@ an :class:`~repro.core.logical.ElementwiseOp` under a
 the elementwise merge source, the drop-empty kernel, and the nonzero
 ``FilterKernel`` — compiles to a single fused pass per chunk
 (``fused[combine_or→drop_empty→filter]`` in the stage plan) instead of
-building an intermediate combined chunk and re-encoding it. Because
-the join is now logical, a ``subarray`` applied to the result pushes
-into *both operands* when the cost model approves
-(``subarray_into_elementwise`` in :mod:`repro.core.optimizer`), so
-restricted sums never join out-of-box chunks at all.
+building an intermediate combined chunk and re-encoding it.
 """
 
 from __future__ import annotations

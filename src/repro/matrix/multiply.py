@@ -366,10 +366,11 @@ def prepare_local(left, right, num_partitions=None):
 def block_matmul(left, right, local_join: bool = False):
     """``left × right`` as a SpangleMatrix.
 
-    Recorded as a logical :class:`~repro.core.logical.MatmulOp`, so a
-    subarray written after the multiply can restrict the operand sides
-    before their shuffles; :func:`lower_matmul` runs the actual
-    three-stage plan when an action forces it.
+    Recorded as a logical :class:`~repro.core.logical.MatmulOp`, so the
+    optimizer can attach a kernel and placement plan
+    (``matmul_sparse_execution``) before anything runs;
+    :func:`lower_matmul` runs the actual three-stage plan when an
+    action forces it.
     """
     from repro.matrix.matrix import SpangleMatrix
 
@@ -632,7 +633,6 @@ def plan_matmul_execution(node: MatmulOp):
         imbalance_nnz=profile["imbalance_nnz"],
     )
     return MatmulOp(node.left, node.right, node.local_join, node.meta,
-                    operands_restricted=node.operands_restricted,
                     exec_plan=plan)
 
 

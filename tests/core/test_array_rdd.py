@@ -85,6 +85,21 @@ class TestCreation:
         assert valid.all()
         assert np.allclose(values, data)
 
+    def test_collect_dense_keeps_float_results_of_int_array(self, ctx):
+        # scalar ops and map_values keep the int input's metadata; the
+        # collected values must still carry the float results
+        data = np.arange(16).reshape(4, 4)
+        arr = ArrayRDD.from_numpy(ctx, data, (2, 2))
+        scaled, valid = (arr * 0.5).collect_dense(fill=-1)
+        assert valid.all()
+        assert np.array_equal(scaled, data * 0.5)
+        mapped, _valid = arr.map_values(lambda xs: xs / 4) \
+            .collect_dense(fill=0)
+        assert np.array_equal(mapped, data / 4)
+        ints, _valid = arr.collect_dense(fill=-1)
+        assert ints.dtype == data.dtype
+        assert np.array_equal(ints, data)
+
 
 class TestPointQueries:
     def test_get_valid(self, ctx):

@@ -12,9 +12,8 @@ contains.
 import numpy as np
 import pytest
 
-from repro.core import ArrayRDD
+from repro.core import ArrayRDD, ChunkMode
 from repro.core.logical import lower_to_rdd
-from repro.core.optimizer import lower_count_valid
 from repro.engine import ClusterContext
 from repro.matrix import SpangleMatrix
 
@@ -137,54 +136,13 @@ class TestSubarrayAfterShuffle:
         got = arr.repartition(8).subarray((2, 2), (13, 13))
         assert_byte_identical(got, as_written(got))
 
-    def test_rule_fires_and_prunes(self, ctx):
-        arr = make_array(ctx, shape=(48, 48), chunk=(12, 12), seed=5)
-        chain = arr.repartition(8).subarray((2, 2), (13, 13))
-        text = chain.explain(optimized=True)
-        assert "push_below_shuffle" in text
-        assert "chunks pruned" in text
-        before = ctx.metrics.snapshot()
-        chain.rdd.count()
-        after = ctx.metrics.snapshot()
-        assert after.optimizer_rules_fired > before.optimizer_rules_fired
-        assert after.optimizer_chunks_pruned > before.optimizer_chunks_pruned
-
-    def test_shuffle_moves_fewer_bytes(self, ctx):
-        arr = make_array(ctx, shape=(48, 48), chunk=(12, 12), seed=5)
-        before = ctx.metrics.snapshot()
-        arr.repartition(8).subarray((2, 2), (13, 13)).rdd.count()
-        mid = ctx.metrics.snapshot()
-        as_written(arr.repartition(8).subarray((2, 2), (13, 13))).count()
-        after = ctx.metrics.snapshot()
-        optimized_bytes = mid.shuffle_bytes - before.shuffle_bytes
-        as_written_bytes = after.shuffle_bytes - mid.shuffle_bytes
-        assert optimized_bytes < as_written_bytes
-
 
 class TestMaskOnlyConsumers:
-    def test_count_valid_skips_value_work(self, ctx):
+    def test_count_valid_matches_as_written(self, ctx):
         arr = make_array(ctx, shape=(40, 40), chunk=(10, 10), seed=11)
         chain = (arr * 3.0).map_values(lambda xs: xs + 1) \
             .subarray((3, 3), (18, 18))
         assert chain.count_valid() == valid_cells(as_written(chain))
-
-    def test_mask_only_count_prunes_chunks(self, ctx):
-        arr = make_array(ctx, shape=(40, 40), chunk=(10, 10), seed=11)
-        before = ctx.metrics.snapshot()
-        (arr * 3.0).subarray((0, 0), (9, 9)).count_valid()
-        after = ctx.metrics.snapshot()
-        # 16 chunks, the box covers 1: 15 pruned by the mask-only path
-        assert after.optimizer_chunks_pruned - \
-            before.optimizer_chunks_pruned >= 15
-
-    def test_filter_blocks_mask_only_path(self, ctx):
-        # a filter changes validity, so the shortcut must not engage
-        arr = make_array(ctx, seed=13)
-        filtered = arr.filter(lambda xs: xs > 0.5)
-        assert lower_count_valid(filtered._logical, ctx) is None
-        values, valid = arr.collect_dense()
-        want = int(np.count_nonzero(valid & (values > 0.5)))
-        assert filtered.count_valid() == want
 
     def test_nested_subarrays(self, ctx):
         arr = make_array(ctx, seed=17)
@@ -201,7 +159,6 @@ class TestElementwisePushdown:
         got = a.combine(b, np.add, how="or", fill=0.0) \
             .subarray((2, 2), (17, 17))
         assert_byte_identical(got, as_written(got))
-        assert "subarray_into_elementwise" in got.explain(optimized=True)
 
     def test_and_join(self, ctx):
         a = make_array(ctx, seed=23)
@@ -234,11 +191,11 @@ class TestMatmulPushdown:
 class TestEscapeHatchAndExplain:
     def test_disable_lowers_as_written(self, ctx):
         arr = make_array(ctx, seed=41)
-        chain = arr.repartition(4).subarray((0, 0), (9, 9))
-        assert chain.explain(optimized=True).count("push_below_shuffle")
+        chain = (arr * 2.0 + 1.0).repartition(4)
+        assert chain.explain(optimized=True).count("fold_scalars")
         # lowering the recorded tree directly applies no rule, yet keeps
         # the same chunks: of the two reads, only the optimized one
-        # records its pushdown
+        # records its fold
         before = ctx.metrics.snapshot()
         lowered = as_written(chain)
         assert lowered.count() == chain.num_chunks_materialized()
@@ -258,8 +215,8 @@ class TestEscapeHatchAndExplain:
 
     def test_explain_does_not_compile(self, ctx):
         arr = make_array(ctx, seed=47)
-        chain = arr.repartition(3).subarray((0, 0), (9, 9))
-        chain.explain(optimized=True)
+        chain = (arr * 2.0 + 1.0).repartition(3)
+        assert "fold_scalars" in chain.explain(optimized=True)
         assert chain._compiled is None
 
     def test_mask_rdd_explain(self, ctx):
@@ -276,6 +233,31 @@ class TestEscapeHatchAndExplain:
         chain = arr.map_values(lambda xs: xs * 2)
         text = chain.explain(optimized=True)
         assert "0 rules fired: none" in text
+
+
+class TestCalibratedBox:
+    """The ``((a * gain) + offset).subarray(box).sum()`` chain: the two
+    scalar ops fold, then the box hoists below the fold."""
+
+    @pytest.mark.parametrize("mode", list(ChunkMode))
+    def test_fold_then_hoist_matches_numpy(self, ctx, mode):
+        rng = np.random.default_rng(71)
+        data = rng.random((40, 40))
+        valid = rng.random((40, 40)) < 0.4
+        arr = ArrayRDD.from_numpy(ctx, data, (10, 10), valid=valid,
+                                  mode=mode)
+        chain = ((arr * 1.5) + 0.25).subarray((10, 10), (29, 29))
+        text = chain.explain(optimized=True)
+        assert "2 rules fired: fold_scalars, subarray_before_scalar;" \
+            in text
+        before = ctx.metrics.snapshot()
+        got = chain.sum()
+        delta = ctx.metrics.snapshot() - before
+        assert delta.optimizer_rules_fired == 2
+        assert delta.optimizer_chunks_pruned > 0
+        inside = valid[10:30, 10:30]
+        want = (data[10:30, 10:30] * 1.5 + 0.25)[inside].sum()
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestScalarFolding:
