@@ -18,8 +18,9 @@ classes precisely so they take the cheap by-reference path; the
 by-value path exists for *user* UDFs, which stay ergonomic lambdas.
 
 ``task_dumps``/``task_loads`` wrap a whole task payload; the worker
-side is plain ``pickle.loads`` because by-value functions reduce to
-:func:`_rebuild_function` calls, which is importable.
+side is plain ``pickle.loads`` because a by-value function reduces to
+an importable :func:`_function_skeleton` call whose defaults, cells
+and globals :func:`_fill_function` sets afterwards.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ import pickle
 import sys
 import types
 
-_EMPTY_CELL = object()   # sentinel for not-yet-filled closure cells
+
+class _EmptyCell:
+    """Marks a closure cell that was still unfilled when its function
+    pickled; a class, so it pickles by reference and keeps its
+    identity in the worker."""
 
 
 def _is_importable(func) -> bool:
@@ -71,64 +76,79 @@ def _referenced_globals(code, func_globals) -> dict:
             for name in names if name in func_globals}
 
 
-def _make_cell(value):
-    if value is _EMPTY_CELL:
-        return types.CellType()
-    return types.CellType(value)
+def _function_skeleton(code_bytes, module_name, qualname):
+    """A by-value function with empty cells and bare globals.
 
-
-def _rebuild_function(code_bytes, module_name, qualname, defaults,
-                      kwdefaults, cell_values, globals_slice):
-    """Reassemble a by-value function in the worker process."""
+    Pickle memoizes the skeleton before :func:`_fill_function` runs, so
+    a function that reaches itself — a recursive lambda through its
+    globals, a nested ``def`` through its own closure cell — pickles
+    as a back-reference instead of recursing forever.
+    """
     code = marshal.loads(code_bytes)
     func_globals = {"__builtins__": builtins.__dict__,
                     "__name__": module_name}
-    func_globals.update(globals_slice)
-    closure = None
-    if cell_values is not None:
-        closure = tuple(_make_cell(value) for value in cell_values)
-    func = types.FunctionType(code, func_globals, code.co_name,
-                              defaults, closure)
-    func.__kwdefaults__ = kwdefaults
+    closure = tuple(types.CellType() for _ in code.co_freevars) or None
+    func = types.FunctionType(code, func_globals, code.co_name, None,
+                              closure)
     func.__module__ = module_name
     func.__qualname__ = qualname
     return func
 
 
+def _fill_function(func, state):
+    """Finish a :func:`_function_skeleton` in the worker process."""
+    defaults, kwdefaults, cell_values, globals_slice = state
+    func.__globals__.update(globals_slice)
+    func.__defaults__ = defaults
+    func.__kwdefaults__ = kwdefaults
+    for cell, value in zip(func.__closure__ or (), cell_values):
+        if value is not _EmptyCell:
+            cell.cell_contents = value
+    return func
+
+
 class TaskPickler(pickle.Pickler):
-    """Pickler that serializes non-importable functions by value."""
+    """Pickler that serializes non-importable functions by value.
+
+    ``overrides`` maps ``id(obj)`` to the reduce tuple pickled in
+    ``obj``'s place — how the process backend ships a lineage sliced to
+    one task without touching the shared RDDs.
+    """
+
+    def __init__(self, file, overrides=None):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._overrides = overrides or {}
 
     def reducer_override(self, obj):
+        override = self._overrides.get(id(obj))
+        if override is not None:
+            return override
         if isinstance(obj, types.FunctionType):
             if _is_importable(obj):
                 return NotImplemented   # by-reference, the default
-            cell_values = None
-            if obj.__closure__ is not None:
-                cell_values = []
-                for cell in obj.__closure__:
-                    try:
-                        cell_values.append(cell.cell_contents)
-                    except ValueError:   # unfilled (self-recursive)
-                        cell_values.append(_EMPTY_CELL)
-                cell_values = tuple(cell_values)
-            return (_rebuild_function, (
-                marshal.dumps(obj.__code__),
-                obj.__module__,
-                obj.__qualname__,
-                obj.__defaults__,
-                obj.__kwdefaults__,
-                cell_values,
-                _referenced_globals(obj.__code__, obj.__globals__),
-            ))
+            cell_values = []
+            for cell in obj.__closure__ or ():
+                try:
+                    cell_values.append(cell.cell_contents)
+                except ValueError:   # unfilled (self-recursive)
+                    cell_values.append(_EmptyCell)
+            state = (obj.__defaults__, obj.__kwdefaults__,
+                     tuple(cell_values),
+                     _referenced_globals(obj.__code__, obj.__globals__))
+            return (_function_skeleton,
+                    (marshal.dumps(obj.__code__), obj.__module__,
+                     obj.__qualname__),
+                    state, None, None, _fill_function)
         if isinstance(obj, types.ModuleType):
             return (importlib.import_module, (obj.__name__,))
         return NotImplemented
 
 
-def task_dumps(obj) -> bytes:
-    """Serialize a task payload, closures included."""
+def task_dumps(obj, overrides=None) -> bytes:
+    """Serialize a task payload, closures included; ``overrides`` as
+    in :class:`TaskPickler`."""
     buffer = io.BytesIO()
-    TaskPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    TaskPickler(buffer, overrides).dump(obj)
     return buffer.getvalue()
 
 

@@ -60,6 +60,7 @@ optimizer_chunks_pruned    counter  count  core.optimizer    chunks pruned befor
 shm_segments_created       counter  count  engine.shm        shared-memory segments created
 shm_bytes_mapped           counter  bytes  engine.shm        segment bytes mapped into a process
 worker_respawns            counter  count  engine.worker     worker pools replaced after a crash
+task_payload_bytes         counter  bytes  engine.worker     task payload bytes shipped to workers
 cache.resident_bytes       gauge    bytes  engine.storage    bytes resident in the block cache
 cache.spilled_bytes        gauge    bytes  engine.storage    encoded bytes in the spill tier
 cache.blocks               gauge    count  engine.storage    blocks resident in the cache

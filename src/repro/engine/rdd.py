@@ -317,6 +317,11 @@ def _add(a, b):
     return a + b
 
 
+def _keep(parts, indices) -> dict:
+    """``{index: parts[index]}`` for the partitions a task reads."""
+    return {index: parts[index] for index in indices}
+
+
 class RDD:
     """Base class for all RDDs.
 
@@ -353,6 +358,16 @@ class RDD:
     def compute(self, index: int) -> list:
         """Produce partition ``index`` from parent partitions."""
         raise NotImplementedError
+
+    def parent_partitions(self, index: int) -> list:
+        """``[(parent, parent_index)]``: what partition ``index`` reads.
+
+        The one rule a process task's payload is sliced by. The base
+        answer is conservative — every partition of every dependency —
+        so a subclass that does not narrow it ships all it might read.
+        """
+        return [(dep, i) for dep in self.dependencies
+                for i in range(dep.num_partitions)]
 
     def iterator(self, index: int) -> list:
         """Cache-aware access to partition ``index``.
@@ -453,6 +468,35 @@ class RDD:
         self._compute_locks_guard = threading.Lock()
         self._mat_locks = {}
         self._mat_locks_guard = threading.Lock()
+
+    def _sliced_state(self, indices) -> dict:
+        """:meth:`__getstate__` for a task that reads partitions
+        ``indices``: per-partition data ships only those, as
+        ``{index: data}``."""
+        state = self.__getstate__()
+        if state["_checkpoint_data"] is not None:
+            state["_checkpoint_data"] = _keep(state["_checkpoint_data"],
+                                              indices)
+        return state
+
+    def _stub_state(self, indices) -> dict:
+        """The state of this node shipped as a :class:`LineageStub`:
+        identity, partitioning, cost hint and the checkpoint slices of
+        ``indices`` — no dependencies, functions or data."""
+        checkpoint = self._checkpoint_data
+        return {
+            "context": None,
+            "rdd_id": self.rdd_id,
+            "name": self.name,
+            "dependencies": (),
+            "num_partitions": self.num_partitions,
+            "partitioner": self.partitioner,
+            "storage_level": self.storage_level,
+            "_cached_indices": set(),
+            "_checkpoint_data": (None if checkpoint is None
+                                 else _keep(checkpoint, indices)),
+            "_lineage_hint_cache": self.lineage_hint(),
+        }
 
     def persist(self, level: StorageLevel = StorageLevel.MEMORY) -> "RDD":
         self.storage_level = level
@@ -861,6 +905,11 @@ class ParallelCollectionRDD(RDD):
     def compute(self, index: int) -> list:
         return self._slices[index]
 
+    def _sliced_state(self, indices) -> dict:
+        state = super()._sliced_state(indices)
+        state["_slices"] = _keep(self._slices, indices)
+        return state
+
 
 class GeneratedRDD(RDD):
     """Partitions produced on demand by ``func(index) -> iterable``.
@@ -892,6 +941,9 @@ class MapPartitionsRDD(RDD):
         parent = self.dependencies[0]
         return list(self._func(index, parent.iterator(index)))
 
+    def parent_partitions(self, index: int) -> list:
+        return [(self.dependencies[0], index)]
+
 
 class UnionRDD(RDD):
     """Concatenation of the partitions of several RDDs."""
@@ -907,12 +959,16 @@ class UnionRDD(RDD):
             self._offsets.append(running)
             running += parent.num_partitions
 
-    def compute(self, index: int) -> list:
+    def parent_partitions(self, index: int) -> list:
         for parent, offset in zip(reversed(self.dependencies),
                                   reversed(self._offsets)):
             if index >= offset:
-                return list(parent.iterator(index - offset))
+                return [(parent, index - offset)]
         raise EngineError(f"partition index {index} out of range")
+
+    def compute(self, index: int) -> list:
+        [(parent, parent_index)] = self.parent_partitions(index)
+        return list(parent.iterator(parent_index))
 
 
 class ZippedPartitionsRDD(RDD):
@@ -940,6 +996,25 @@ class ZippedPartitionsRDD(RDD):
         left, right = self.dependencies
         return list(self._func(left.iterator(index), right.iterator(index)))
 
+    def parent_partitions(self, index: int) -> list:
+        return [(dep, index) for dep in self.dependencies]
+
+
+class LineageStub(RDD):
+    """A node a process task ships without its lineage.
+
+    Every partition the task reads of it arrives another way — a cached
+    block's handle, a checkpoint slice — or the task reads none of it,
+    so only identity, partitioning and cost hint travel (see
+    :meth:`RDD._stub_state`). Reaching :meth:`compute` means a read the
+    payload did not plan for.
+    """
+
+    def compute(self, index: int) -> list:
+        raise EngineError(
+            f"partition ({self.rdd_id}, {index}) of {self.name!r} shipped "
+            "as a lineage stub, and its block is not in the task's handles")
+
 
 class CoalescedRDD(RDD):
     """Reduce partition count without a shuffle."""
@@ -949,11 +1024,14 @@ class CoalescedRDD(RDD):
         super().__init__(parent.context, dependencies=(parent,),
                          num_partitions=num_partitions, name="coalesce")
 
-    def compute(self, index: int) -> list:
+    def parent_partitions(self, index: int) -> list:
         parent = self.dependencies[0]
+        return [(parent, parent_index) for parent_index in
+                range(index, parent.num_partitions, self.num_partitions)]
+
+    def compute(self, index: int) -> list:
         out = []
-        for parent_index in range(index, parent.num_partitions,
-                                  self.num_partitions):
+        for parent, parent_index in self.parent_partitions(index):
             out.extend(parent.iterator(parent_index))
         return out
 
@@ -987,6 +1065,28 @@ class _ShuffleStageBase(RDD):
             which for which, parent in enumerate(self.dependencies)
             if parent.partitioner is None
             or parent.partitioner != self.partitioner)
+
+    def parent_partitions(self, index: int) -> list:
+        """A narrow slot reads the same index. A committed wide slot
+        reads no parent: reducer ``index``'s bucket list rides with this
+        node. An uncommitted one reads all of its parent, because the
+        first read materializes the stage (:meth:`fetch_buckets`)."""
+        wide = self.wide_slots()
+        reads = []
+        for which, parent in enumerate(self.dependencies):
+            if which not in wide:
+                reads.append((parent, index))
+            elif self._buckets[which] is None:
+                reads.extend((parent, parent_index) for parent_index
+                             in range(parent.num_partitions))
+        return reads
+
+    def _sliced_state(self, indices) -> dict:
+        state = super()._sliced_state(indices)
+        state["_buckets"] = [None if buckets is None
+                             else _keep(buckets, indices)
+                             for buckets in list(self._buckets)]
+        return state
 
     def shuffle_label(self, which: int) -> str:
         """The stage's span/timing label."""

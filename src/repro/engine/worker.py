@@ -10,10 +10,11 @@ process byte-identity contract cheap to hold.
 
 One round trip:
 
-1. the driver builds a payload — the task (its RDD lineage serialized
-   by :mod:`repro.engine.closure`), the tracing flag, and a handle map
-   for every cached/spilled block in the task's lineage (shared-memory
-   refs, spill-file paths, or inline values — :mod:`repro.engine.shm`);
+1. the driver builds a payload — the task (its RDD lineage sliced to
+   the partitions it reads and serialized by
+   :mod:`repro.engine.closure`), the tracing flag, and a handle map for
+   the cached/spilled blocks it reads (shared-memory refs, spill-file
+   paths, or inline values — :mod:`repro.engine.shm`);
 2. :func:`_worker_entry` rebuilds the task over a
    :class:`WorkerContext` (fresh metrics, fresh tracer, a
    :class:`TaskBlockCache` seeded from the handles) and runs it;
@@ -48,6 +49,7 @@ from repro.engine import spill as spill_mod
 from repro.engine.batches import RecordBatch
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.metrics import COUNTER_FIELDS, MetricsRegistry
+from repro.engine.rdd import LineageStub
 from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import StorageLevel
 from repro.engine.tracing import Tracer
@@ -163,7 +165,13 @@ class WorkerContext:
 # ----------------------------------------------------------------------
 
 class ResultTask:
-    """One result-stage task: ``partition_func(rdd.iterator(index))``."""
+    """One result-stage task: ``partition_func(rdd.iterator(index))``.
+
+    Every task class answers ``reads() -> (pinned, reads)``: ``pinned``
+    maps a root the body uses directly (so it never ships as a stub) to
+    the partitions it serves itself, and ``reads`` lists the
+    ``(rdd, index)`` partitions the body reads through ``iterator``.
+    """
 
     __slots__ = ("rdd", "index", "partition_func")
 
@@ -174,6 +182,9 @@ class ResultTask:
 
     def roots(self):
         return (self.rdd,)
+
+    def reads(self):
+        return {}, [(self.rdd, self.index)]
 
     def run(self):
         return self.partition_func(self.rdd.iterator(self.index))
@@ -192,6 +203,10 @@ class ShuffleMapTask:
     def roots(self):
         return (self.rdd,)
 
+    def reads(self):
+        parent = self.rdd.dependencies[self.which]
+        return {self.rdd: ()}, [(parent, self.parent_index)]
+
     def run(self):
         return self.rdd._map_task(self.which, self.parent_index)
 
@@ -207,6 +222,10 @@ class ComputePartitionTask:
 
     def roots(self):
         return (self.rdd,)
+
+    def reads(self):
+        return ({self.rdd: (self.index,)},
+                self.rdd.parent_partitions(self.index))
 
     def run(self):
         return list(self.rdd.compute(self.index))
@@ -227,6 +246,11 @@ def lineage_nodes(roots) -> list:
         seen[id(node)] = node
         stack.extend(node.dependencies)
     return list(seen.values())
+
+
+def _blank(cls):
+    """An uninitialized ``cls``; unpickling then sets its state."""
+    return cls.__new__(cls)
 
 
 def _bind_value(value, context, depth: int = 0) -> None:
@@ -511,27 +535,68 @@ class ProcessTaskRunner:
     # -- protocol ---------------------------------------------------------
 
     def _build_payload(self, task) -> bytes:
+        """Pickle ``task`` sliced to the partitions it reads.
+
+        Walks the task's reads through :meth:`RDD.parent_partitions`,
+        stopping at checkpointed nodes and at cached partitions, whose
+        block handles ship instead. A walked node pickles with only the
+        partitions it serves (``_sliced_state``); one the task reads
+        only through handles or checkpoint slices, or not at all, ships
+        as a :class:`LineageStub`. The slicing happens in the pickler,
+        never on the RDDs: dispatcher threads pickle one lineage
+        concurrently.
+        """
         context = self.context
+        pinned, stack = task.reads()
+        needed = {id(node): (node, set(indices))
+                  for node, indices in pinned.items()}
         blocks = {}
-        for node in lineage_nodes(task.roots()):
-            if node.storage_level is StorageLevel.NONE:
+        entries = {}
+        while stack:
+            node, index = stack.pop()
+            indices = needed.setdefault(id(node), (node, set()))[1]
+            if index in indices:
                 continue
-            entries = context.cache.export_entries(node.rdd_id)
-            for index, entry in entries.items():
-                key = (node.rdd_id, index)
-                if entry[0] == "memory":
-                    _kind, data, size = entry
-                    blocks[key] = context.shm_registry.export_block(
-                        key, data, size)
-                else:
-                    _kind, path, nbytes = entry
-                    blocks[key] = shm_mod.SpillFileHandle(path, nbytes)
+            indices.add(index)
+            if node.is_checkpointed:
+                continue
+            if node.storage_level is not StorageLevel.NONE:
+                if node.rdd_id not in entries:
+                    entries[node.rdd_id] = context.cache.export_entries(
+                        node.rdd_id)
+                entry = entries[node.rdd_id].get(index)
+                if entry is not None:
+                    key = (node.rdd_id, index)
+                    if entry[0] == "memory":
+                        _kind, data, size = entry
+                        blocks[key] = context.shm_registry.export_block(
+                            key, data, size)
+                    else:
+                        _kind, path, nbytes = entry
+                        blocks[key] = shm_mod.SpillFileHandle(path, nbytes)
+                    continue
+            stack.extend(node.parent_partitions(index))
+        overrides = {}
+        for key, (node, indices) in needed.items():
+            computed = {index for index in indices
+                        if (node.rdd_id, index) not in blocks}
+            if node not in pinned and (node.is_checkpointed
+                                       or not computed):
+                overrides[key] = (_blank, (LineageStub,),
+                                  node._stub_state(indices))
+                continue
+            overrides[key] = (_blank, (type(node),),
+                              node._sliced_state(computed))
+            for dep in node.dependencies:
+                if id(dep) not in needed:
+                    overrides[id(dep)] = (_blank, (LineageStub,),
+                                          dep._stub_state(()))
         return task_dumps({
             "task": task,
             "trace": context.tracer.enabled,
             "blocks": blocks,
             "prefix": context.shm_registry.prefix,
-        })
+        }, overrides)
 
     def _absorb(self, task, reply, parent_span) -> None:
         context = self.context
@@ -569,6 +634,7 @@ class ProcessTaskRunner:
 
     def _run(self, task, parent_span):
         payload = self._build_payload(task)
+        self.context.metrics.add(task_payload_bytes=len(payload))
         try:
             reply_bytes = self.pool.run(payload, self.context.metrics)
         except CancelledError:

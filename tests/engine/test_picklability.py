@@ -1,6 +1,6 @@
 """Task-closure picklability: every public transformation must ship.
 
-The process backend serializes a task's whole RDD lineage — wrapper
+The process backend serializes a task's RDD lineage — wrapper
 callables, user lambdas, captured closure cells — with
 :mod:`repro.engine.closure` and rebuilds it in a worker. These tests
 round-trip each public transformation's task through

@@ -3,19 +3,41 @@
 Covers what the scheduler contract tests (which run whole scenarios
 under ``backend="process"``) do not: a worker killed mid-stage, the
 shared-memory block-exchange counters, cached-chunk handoff, span
-adoption, and resource cleanup — no leaked ``/dev/shm`` segments or
-spill files after a run, even one that killed a worker.
+adoption, resource cleanup — no leaked ``/dev/shm`` segments or
+spill files after a run, even one that killed a worker — task payloads
+sliced to the partitions a task reads, and by-value closures that
+reach themselves.
 """
 
+import operator
 import os
 import pickle
 import signal
 
 import pytest
 
-from repro.engine import ClusterContext
+from repro.engine import (
+    ClusterContext,
+    HashPartitioner,
+    MetricsRegistry,
+    StorageLevel,
+    Tracer,
+)
+from repro.engine.closure import task_dumps, task_loads
 from repro.engine.explain import memory_report
+from repro.engine.rdd import LineageStub
 from repro.engine.shm import SHM_BLOCK_MIN_BYTES, leaked_segments
+from repro.engine.worker import (
+    ResultTask,
+    TaskBlockCache,
+    WorkerContext,
+    bind_lineage,
+)
+from repro.errors import EngineError
+from tests.engine.test_scheduler import LOGICAL_FIELDS
+
+# a module-level recursive lambda reaches itself through its globals
+fact = lambda n: 1 if n <= 1 else n * fact(n - 1)  # noqa: E731
 
 
 class _KillOnFirstAttempt:
@@ -226,8 +248,6 @@ class TestTraceAdoption:
 
 class TestBackendValidation:
     def test_unknown_backend_rejected(self):
-        from repro.errors import EngineError
-
         with pytest.raises(EngineError, match="backend"):
             ClusterContext(num_executors=2, backend="ray")
 
@@ -236,3 +256,194 @@ class TestBackendValidation:
             assert ctx.parallel
         with ClusterContext(num_executors=2) as ctx:
             assert not ctx.parallel
+
+
+# ----------------------------------------------------------------------
+# sliced task payloads
+# ----------------------------------------------------------------------
+
+def _record_payloads(ctx) -> list:
+    """Collect every payload the context's process runner builds."""
+    payloads = []
+    build = ctx.process_runner._build_payload
+
+    def recording(task):
+        payload = build(task)
+        payloads.append(payload)
+        return payload
+
+    ctx.process_runner._build_payload = recording
+    return payloads
+
+
+def _payload_union(ctx):
+    left = ctx.parallelize(range(30), 3).map(lambda x: x * 2)
+    return left.union(ctx.parallelize(range(100, 120), 2)).collect()
+
+
+def _payload_coalesce(ctx):
+    return ctx.parallelize(range(64), 8).map(lambda x: x + 1) \
+              .coalesce(3).glom().collect()
+
+
+def _payload_zip_partitions(ctx):
+    right = ctx.parallelize(range(100, 140), 4).cache()
+    right.count()
+    left = ctx.parallelize(range(40), 4)
+    return left.zip_partitions(
+        right, lambda a, b: [x * y for x, y in zip(a, b)]).collect()
+
+
+def _payload_cogroup_narrow_slot(ctx):
+    part = HashPartitioner(4)
+    left = ctx.parallelize([(i % 9, i) for i in range(90)], 3) \
+              .partition_by(part)
+    right = ctx.parallelize([(i % 9, -i) for i in range(45)], 5)
+    return sorted(left.cogroup(right, partitioner=part).collect())
+
+
+def _payload_checkpoint(ctx):
+    summed = ctx.parallelize([(i % 6, i) for i in range(60)], 4) \
+                .reduce_by_key(operator.add).checkpoint()
+    return summed.map_values(lambda v: -v).collect()
+
+
+def _payload_spilled_blocks(ctx):
+    big = ctx.parallelize([float(i) for i in range(6000)], 4) \
+             .persist(StorageLevel.MEMORY_AND_DISK)
+    first = big.collect()
+    assert ctx.cache.spilled_count() >= 1
+    return first + big.map(lambda x: x - 1).collect()
+
+
+def _payload_lazy_fetch_miss(ctx):
+    # lookup computes one partition outside a job: the shuffle's map
+    # stage materializes on the fetch_buckets miss
+    summed = ctx.parallelize([(i % 10, i) for i in range(100)], 4) \
+                .reduce_by_key(operator.add)
+    return summed.lookup(3)
+
+
+def _payload_first_cache_in_worker(ctx):
+    cached = ctx.parallelize(range(4000), 4).map(lambda x: x * 0.5).cache()
+    first = cached.map(lambda x: x + 1).collect()
+    return first + cached.collect()
+
+
+PAYLOAD_SCENARIOS = {
+    "union": (_payload_union, {}),
+    "coalesce": (_payload_coalesce, {}),
+    "zip_partitions": (_payload_zip_partitions, {}),
+    "cogroup_narrow_slot": (_payload_cogroup_narrow_slot, {}),
+    "checkpoint": (_payload_checkpoint, {}),
+    "spilled_blocks": (_payload_spilled_blocks,
+                       {"cache_budget_bytes": 16384}),
+    "lazy_fetch_miss": (_payload_lazy_fetch_miss, {}),
+    "first_cache_in_worker": (_payload_first_cache_in_worker, {}),
+}
+
+#: the scheduler's logical counters plus the block-cache reads, which a
+#: sliced handle map must serve exactly as the driver cache does
+PAYLOAD_FIELDS = LOGICAL_FIELDS + ("cache_hits", "cache_misses",
+                                   "cache_reloads")
+
+
+class TestSlicedPayload:
+    def test_payload_carries_one_partition_not_the_dataset(self):
+        data = [float(i) for i in range(16000)]
+        full = len(task_dumps(data))
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            cached = ctx.parallelize(data, 8).cache()
+            cached.count()
+            payloads = _record_payloads(ctx)
+            before = ctx.metrics.snapshot()
+            got = cached.map(lambda x: x * 2).collect()
+            delta = ctx.metrics.snapshot() - before
+        assert got == [x * 2 for x in data]
+        assert len(payloads) == 8
+        assert all(len(payload) < full / 4 for payload in payloads)
+        assert delta.task_payload_bytes == sum(map(len, payloads))
+
+    def test_payload_ships_only_its_reducers_buckets(self):
+        # string keys do not pack, so the buckets stay tuple lists that
+        # ride inline with the result tasks
+        records = [(f"k{i % 24}", i) for i in range(2400)]
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            grouped = ctx.parallelize(records, 4) \
+                         .group_by_key(HashPartitioner(4))
+            payloads = _record_payloads(ctx)
+            got = grouped.collect()
+            full = len(task_dumps(grouped._buckets[0]))
+        assert sorted(v for _k, vs in got for v in vs) == list(range(2400))
+        tasks = [task_loads(payload)["task"] for payload in payloads]
+        results = [(task, payload) for task, payload in zip(tasks, payloads)
+                   if isinstance(task, ResultTask)]
+        assert len(results) == 4
+        for task, payload in results:
+            assert list(task.rdd._buckets[0]) == [task.index]
+            assert len(payload) < full / 2
+
+    def test_payload_stub_without_its_handle_raises(self):
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            cached = ctx.parallelize(range(40), 4).cache()
+            cached.count()
+            task = ResultTask(cached.map(lambda x: x + 1), 2, list)
+            payload = ctx.process_runner._build_payload(task)
+        assert set(task_loads(payload)["blocks"]) == {(cached.rdd_id, 2)}
+
+        def run(handles):
+            clone = task_loads(payload)["task"]
+            assert isinstance(clone.rdd.dependencies[0], LineageStub)
+            metrics = MetricsRegistry()
+            bind_lineage(clone.roots(), WorkerContext(
+                metrics, Tracer(enabled=False),
+                TaskBlockCache(metrics, handles)))
+            return clone.run()
+
+        assert run(task_loads(payload)["blocks"]) == list(range(21, 31))
+        with pytest.raises(EngineError,
+                           match=rf"\({cached.rdd_id}, 2\)"):
+            run({})
+
+    def test_payload_walks_all_of_an_uncommitted_wide_slot(self):
+        def summed(ctx):
+            return ctx.parallelize([(i % 10, i) for i in range(100)], 4) \
+                      .reduce_by_key(operator.add)
+
+        with ClusterContext(num_executors=2) as serial:
+            expected = list(summed(serial).iterator(1))
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            # the task reaches the worker before any job ran the map
+            # stage: the worker materializes it through fetch_buckets
+            got = ctx.process_runner.run_result(summed(ctx), 1, list)
+        assert pickle.dumps(got) == pickle.dumps(expected)
+
+    @pytest.mark.parametrize("name", sorted(PAYLOAD_SCENARIOS))
+    def test_payload_slicing_keeps_backends_identical(self, name):
+        scenario, kwargs = PAYLOAD_SCENARIOS[name]
+        results, deltas = {}, {}
+        for mode, extra in (("serial", {}), ("thread", {"use_threads": True}),
+                            ("process", {"backend": "process"})):
+            with ClusterContext(num_executors=2, **kwargs, **extra) as ctx:
+                before = ctx.metrics.snapshot()
+                results[mode] = pickle.dumps(scenario(ctx))
+                deltas[mode] = ctx.metrics.snapshot() - before
+        assert results["thread"] == results["serial"]
+        assert results["process"] == results["serial"]
+        for field in PAYLOAD_FIELDS:
+            values = {mode: getattr(delta, field)
+                      for mode, delta in deltas.items()}
+            assert len(set(values.values())) == 1, (field, values)
+
+
+class TestClosureRecursion:
+    def test_closure_self_recursive_functions_ship(self):
+        def rec(n):
+            return 0 if n <= 0 else n + rec(n - 1)
+
+        for func in (fact, rec):
+            assert task_loads(task_dumps(func))(6) == func(6)
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            numbers = ctx.parallelize(range(8), 2)
+            assert numbers.map(fact).collect() == [fact(n) for n in range(8)]
+            assert numbers.map(rec).collect() == [rec(n) for n in range(8)]
