@@ -40,8 +40,7 @@ def _cmd_info(_args) -> int:
         ("repro.core", "ArrayRDD, MaskRDD, chunks, operators, "
                        "stats, updates"),
         ("repro.matrix", "distributed linear algebra"),
-        ("repro.ml", "PageRank, SGD/LR/SVM, CG solvers, "
-                     "connected components"),
+        ("repro.ml", "PageRank and Eq.-2 SGD logistic regression"),
         ("repro.baselines", "SciSpark / RasterFrames / SciDB / COO / "
                             "MLlib / GraphX comparison systems"),
         ("repro.data", "synthetic datasets with the paper's "

@@ -4,8 +4,8 @@ The update rule, with M_t a mini-batch of rows and h the sigmoid:
 
     x_{t+1} = x_t − θ Mᵀ_t (h(M_t · x_t) − y_t)
 
-The paper's two optimizations, both toggleable here for the Fig. 12b
-ablation:
+The paper's two optimizations; ``opt1=False`` / ``opt2=False`` run the
+unoptimized form for the Fig. 12b ablation:
 
 - **opt1** — never transpose M: rewrite the gradient as
   ``((h(Mx) − y)ᵀ M)ᵀ`` so only a small vector-matrix product runs,
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SpangleError
 from repro.matrix.vector import SpangleVector
 from repro.ml.sgd import DistributedSamples, _sigmoid
 
@@ -57,9 +57,12 @@ class LogisticRegression:
     def __init__(self, step_size: float = 0.6, tolerance: float = 1e-4,
                  max_iterations: int = 200, chunks_per_step: int = 1,
                  opt1: bool = True, opt2: bool = True, seed: int = 0,
-                 raise_on_divergence: bool = False, optimizer=None):
-        from repro.ml.optimizers import resolve_optimizer
-
+                 raise_on_divergence: bool = False):
+        if step_size <= 0:
+            raise SpangleError("step_size must be positive")
+        if chunks_per_step < 1:
+            raise SpangleError(
+                f"chunks_per_step must be at least 1, got {chunks_per_step}")
         self.step_size = step_size
         self.tolerance = tolerance
         self.max_iterations = max_iterations
@@ -68,14 +71,12 @@ class LogisticRegression:
         self.opt2 = opt2
         self.seed = seed
         self.raise_on_divergence = raise_on_divergence
-        self.optimizer = resolve_optimizer(optimizer, step_size)
         self.weights: SpangleVector = None
         self.history = TrainingHistory()
 
     def fit(self, samples: DistributedSamples) -> "LogisticRegression":
         x = SpangleVector.zeros(samples.num_features, "col")
         self.history = TrainingHistory()
-        self.optimizer.reset(samples.num_features)
         residual = np.inf
         for step in range(self.max_iterations):
             start = time.perf_counter()
@@ -92,8 +93,7 @@ class LogisticRegression:
             else:
                 grad_col = grad_vector.transpose_physical(samples.context)
             new_x = SpangleVector(
-                self.optimizer.update(x.data, grad_col.data / count),
-                "col")
+                x.data - self.step_size * (grad_col.data / count), "col")
             residual = float(np.abs(new_x.data - x.data).max())
             x = new_x
             self.history.residuals.append(residual)

@@ -161,7 +161,11 @@ class DistributedSamples:
     def from_coo(cls, context, rows, cols, values, labels,
                  num_features: int, chunk_rows: int = 256,
                  num_partitions=None) -> "DistributedSamples":
-        """Ingest a sparse sample matrix given as global COO + labels."""
+        """Ingest a sparse sample matrix given as global COO + labels.
+
+        Every row must index ``labels`` and every column must be below
+        ``num_features``; a bad entry raises here, not inside a task.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -171,6 +175,12 @@ class DistributedSamples:
         num_rows = labels.size
         if chunk_rows <= 0:
             raise ArrayError("chunk_rows must be positive")
+        if not rows.size == cols.size == values.size:
+            raise ShapeMismatchError(
+                f"COO arrays must share a length: {rows.size} rows, "
+                f"{cols.size} cols, {values.size} values")
+        _check_indices("row", rows, num_rows)
+        _check_indices("col", cols, num_features)
 
         # contiguous row ranges per partition, then Eq. 2 numbering
         bounds = np.linspace(0, num_rows, num_partitions + 1) \
@@ -253,27 +263,17 @@ class DistributedSamples:
 
     def sampled_gradient(self, x: np.ndarray, step: int,
                          chunks_per_step: int = 1, opt1: bool = True,
-                         hypothesis=None, seed: int = 0,
-                         error_fn=None):
-        """One parallel mini-batch gradient evaluation.
+                         seed: int = 0):
+        """One parallel mini-batch gradient of the logistic loss.
 
         Every partition draws ``chunks_per_step`` of its own chunks
         (Eq. 2 reversed — no shuffle), computes the partial gradient
-        against the broadcast ``x``, and the driver sums the partials.
+        ``(sigmoid(X_batch · x) − y)ᵀ · X_batch`` against the broadcast
+        ``x``, and the driver sums the partials.
         Returns ``(gradient_row, num_samples)``.
-
-        ``error_fn(z, labels) -> per-row error`` defines the loss; the
-        default is the logistic loss (``sigmoid(z) − y``). The gradient
-        is then ``errorᵀ · X_batch`` whatever the loss.
         """
         num_features = self.num_features
         num_partitions = self.num_partitions
-        if error_fn is None:
-            if hypothesis is None:
-                hypothesis = _sigmoid
-
-            def error_fn(z, labels):  # noqa: E306 - default loss
-                return hypothesis(z) - labels
 
         def partial(index, part):
             records = list(part)
@@ -290,7 +290,7 @@ class DistributedSamples:
             for r_id in chosen_rids:
                 chunk = local[r_id]
                 z = chunk.dot(x)
-                error = error_fn(z, chunk.labels)
+                error = _sigmoid(z) - chunk.labels
                 if opt1:
                     chunk.add_t_dot(grad, error)
                 else:
@@ -306,11 +306,8 @@ class DistributedSamples:
             total += piece_count
         return grad, total
 
-    def evaluate_accuracy(self, x: np.ndarray,
-                          hypothesis=None) -> float:
+    def evaluate_accuracy(self, x: np.ndarray) -> float:
         """Fraction of rows classified correctly under weights ``x``."""
-        if hypothesis is None:
-            hypothesis = _sigmoid
 
         def count_correct(part):
             correct = 0
@@ -318,7 +315,7 @@ class DistributedSamples:
             for _cid, chunk in part:
                 if chunk.num_rows == 0:
                     continue
-                predicted = hypothesis(chunk.dot(x)) >= 0.5
+                predicted = _sigmoid(chunk.dot(x)) >= 0.5
                 correct += int((predicted == (chunk.labels >= 0.5)).sum())
                 total += chunk.num_rows
             return [(correct, total)]
@@ -327,6 +324,17 @@ class DistributedSamples:
         correct = sum(piece[0] for piece in pieces)
         total = sum(piece[1] for piece in pieces)
         return correct / total if total else 0.0
+
+
+def _check_indices(axis: str, indices: np.ndarray, bound: int) -> None:
+    """Raise unless every index lies in ``[0, bound)``, naming one that
+    does not."""
+    if not indices.size:
+        return
+    low, high = int(indices.min()), int(indices.max())
+    if low < 0 or high >= bound:
+        bad = low if low < 0 else high
+        raise ShapeMismatchError(f"{axis} {bad} outside [0, {bound})")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -8,7 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ClusterContext
-from repro.errors import ArrayError, ConvergenceError, ShapeMismatchError
+from repro.errors import (
+    ArrayError,
+    ConvergenceError,
+    ShapeMismatchError,
+    SpangleError,
+)
 from repro.ml import DistributedSamples, LogisticRegression, SampleChunk
 from repro.ml.sgd import _sigmoid, chunk_id, partition_of, row_chunk_of
 
@@ -103,6 +108,23 @@ class TestSampleChunk:
         with pytest.raises(ArrayError):
             DistributedSamples.from_coo(ctx, [0], [0], [1.0], [1.0], 4,
                                         chunk_rows=0)
+
+    @pytest.mark.parametrize("rows,cols,values,match", [
+        ([0, 1], [-1, 0], [1.0, 2.0], r"col -1 outside \[0, 4\)"),
+        ([0, 1], [0, 9], [1.0, 2.0], r"col 9 outside \[0, 4\)"),
+        ([0, 5], [0, 1], [1.0, 2.0], r"row 5 outside \[0, 2\)"),
+        ([2, 0], [0, 1], [1.0, 2.0], r"row 2 outside \[0, 2\)"),
+        ([-3, 1], [0, 1], [1.0, 2.0], r"row -3 outside \[0, 2\)"),
+        ([0, 1], [0], [1.0, 2.0], "share a length"),
+        ([0, 1], [0, 1], [1.0], "share a length"),
+    ], ids=["negative-col", "col-past-features", "row-past-labels",
+            "unsorted-row-past-labels", "negative-row", "short-cols",
+            "short-values"])
+    def test_from_coo_validates_indices(self, ctx, rows, cols, values,
+                                        match):
+        with pytest.raises(ShapeMismatchError, match=match):
+            DistributedSamples.from_coo(ctx, rows, cols, values,
+                                        [0.0, 1.0], 4, chunk_rows=1)
 
 
 @st.composite
@@ -283,7 +305,72 @@ class TestBackendIndependence:
             assert np.array_equal(weights, serial[3]), mode
 
 
+class TestDenseOracle:
+    """Every chunk sampled, the distributed gradient and one SGD step
+    equal their dense numpy forms on every backend. Partition 1 holds
+    no chunks; rows 0, 7, 20 and 49 (chunk edges) hold no entries."""
+
+    NUM_FEATURES = 6
+    #: rows of each chunk, per partition
+    LAYOUT = [[8, 8, 4], [], [8, 7], [15]]
+    STEP_SIZE = 0.35
+
+    def _dataset(self):
+        rng = np.random.default_rng(21)
+        num_rows = sum(map(sum, self.LAYOUT))
+        X = rng.normal(size=(num_rows, self.NUM_FEATURES))
+        X[rng.random(X.shape) < 0.5] = 0.0
+        X[[0, 7, 20, num_rows - 1]] = 0.0
+        labels = rng.integers(0, 2, num_rows).astype(np.float64)
+        chunks, start = [], 0
+        for sizes in self.LAYOUT:
+            chunks.append([])
+            for size in sizes:
+                block = X[start:start + size]
+                r, c = np.nonzero(block)
+                chunks[-1].append(SampleChunk(
+                    r, c, block[r, c], labels[start:start + size], size))
+                start += size
+        return X, labels, chunks
+
+    @pytest.mark.parametrize("opt1", [True, False])
+    @pytest.mark.parametrize("mode", sorted(TestBackendIndependence.MODES))
+    def test_gradient_and_first_step(self, mode, opt1):
+        X, y, chunks = self._dataset()
+        x = np.linspace(-1.0, 1.0, self.NUM_FEATURES)
+        with ClusterContext(num_executors=2, default_parallelism=4,
+                            **TestBackendIndependence.MODES[mode]) as ctx:
+            samples = DistributedSamples.from_generator(
+                ctx, len(chunks), lambda p_id: chunks[p_id],
+                self.NUM_FEATURES)
+            every = max(samples.chunks_per_partition)
+            grad, count = samples.sampled_gradient(
+                x, step=0, chunks_per_step=every, opt1=opt1)
+            lr = LogisticRegression(step_size=self.STEP_SIZE,
+                                    max_iterations=1,
+                                    chunks_per_step=every, opt1=opt1)
+            lr.fit(samples)
+        assert samples.chunks_per_partition == [3, 0, 2, 1]
+        assert count == y.size
+        sigmoid = 1.0 / (1.0 + np.exp(-(X @ x)))
+        assert np.allclose(grad, X.T @ (sigmoid - y), atol=1e-12)
+        # from x = 0 every prediction is sigmoid(0) = 1/2
+        first_step = -self.STEP_SIZE * (X.T @ (0.5 - y)) / y.size
+        assert np.allclose(lr.weights.data, first_step, atol=1e-12)
+        assert lr.history.iterations == 1
+
+
 class TestLogisticRegression:
+    def test_step_size_must_be_positive(self):
+        for step_size in (0, 0.0, -0.5):
+            with pytest.raises(SpangleError, match="step_size"):
+                LogisticRegression(step_size=step_size)
+
+    @pytest.mark.parametrize("chunks_per_step", [0, -1])
+    def test_chunks_per_step_must_be_positive(self, chunks_per_step):
+        with pytest.raises(SpangleError, match="chunks_per_step"):
+            LogisticRegression(chunks_per_step=chunks_per_step)
+
     def test_learns_separable_data(self, ctx):
         rows, cols, vals, labels, X = separable_dataset(seed=12)
         samples = DistributedSamples.from_coo(
