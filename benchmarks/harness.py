@@ -115,14 +115,11 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def fresh_context(num_executors: int = 8, trace: bool = False,
-                  telemetry_interval=None,
-                  telemetry_path=None) -> ClusterContext:
+def fresh_context(num_executors: int = 8,
+                  trace: bool = False) -> ClusterContext:
     return ClusterContext(num_executors=num_executors,
                           default_parallelism=num_executors,
-                          trace=trace,
-                          telemetry_interval=telemetry_interval,
-                          telemetry_path=telemetry_path)
+                          trace=trace)
 
 
 def write_trace_artifact(ctx: ClusterContext, json_path) -> dict:

@@ -11,10 +11,11 @@ Commands:
 - ``trace``     — replay a saved ``*.trace.jsonl`` event log into a
   stage-breakdown report (``profile`` is an alias); ``--chrome OUT``
   additionally re-exports the log in Chrome ``trace_event`` format.
-- ``top``       — live terminal dashboard over the telemetry plane:
-  pass a ``http://...`` endpoint (from ``ctx.serve_telemetry()``) to
-  poll live, or a recorded ``*.telemetry.jsonl`` to replay; sparkline
-  series for memory/tasks/shuffle, per-worker rows, health events.
+- ``top``       — one dashboard frame from a saved ``*.trace.jsonl``:
+  sparkline series for memory/tasks/shuffle from its gauge events,
+  per-worker rows, and its health events.
+
+Both exit 2 on a file that is not a ``repro-trace`` v1 log.
 """
 
 from __future__ import annotations
@@ -169,8 +170,7 @@ def _cmd_trace(args) -> int:
 def _cmd_top(args) -> int:
     from repro.engine.top import run_top
 
-    return run_top(args.source, interval=args.interval,
-                   once=args.once, replay=args.replay)
+    return run_top(args.log)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,17 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override executor count for the "
                                 "utilization report")
     top = subparsers.add_parser(
-        "top", help="live telemetry dashboard (endpoint or JSONL)")
-    top.add_argument("source",
-                     help="a live http://host:port telemetry endpoint "
-                          "or a recorded *.telemetry.jsonl file")
-    top.add_argument("--interval", type=float, default=1.0,
-                     help="refresh period for live endpoints (s)")
-    top.add_argument("--once", action="store_true",
-                     help="render a single frame and exit")
-    top.add_argument("--replay", action="store_true",
-                     help="non-interactive replay of a recorded file "
-                          "(single final frame; the CI smoke mode)")
+        "top", help="render a saved trace's gauges, workers and health "
+                    "events as one dashboard frame")
+    top.add_argument("log", help="path to a *.trace.jsonl file")
     return parser
 
 

@@ -32,11 +32,12 @@ slice of Spark that Spangle needs, in pure Python:
   :mod:`repro.engine.closure` (lambdas ship by value) and shuffle
   blocks / cached chunks exchanged zero-copy through
   ``multiprocessing`` shared memory (:mod:`repro.engine.shm`).
-- :mod:`repro.engine.telemetry` — the continuous telemetry plane
-  (``ClusterContext(telemetry=True)``): a background sampler feeding a
-  bounded time-series store, threshold-rule health monitoring, and
-  Prometheus / JSON / JSONL exporters (``ctx.serve_telemetry()``);
-  :mod:`repro.engine.top` renders it as the ``repro top`` dashboard.
+- :mod:`repro.engine.telemetry` — health and gauges in the trace: a
+  traced job closes with a ``gauge`` event sampling every catalog
+  gauge and counter, threshold rules turn the samples into ``health``
+  events (``ctx.health()``), and the process backend's worker
+  heartbeats feed both; :mod:`repro.engine.top` renders a saved trace
+  as the ``repro top`` dashboard frame.
 """
 
 from repro.engine.batches import RecordBatch
@@ -61,9 +62,6 @@ from repro.engine.storage import (
 from repro.engine.telemetry import (
     HealthMonitor,
     HealthReport,
-    TelemetrySampler,
-    TelemetryServer,
-    TimeSeriesStore,
     WorkerHeartbeats,
     prometheus_text,
 )
@@ -92,9 +90,6 @@ __all__ = [
     "StageScheduler",
     "StageTiming",
     "StorageLevel",
-    "TelemetrySampler",
-    "TelemetryServer",
-    "TimeSeriesStore",
     "Tracer",
     "WorkerHeartbeats",
     "memory_report",

@@ -8,6 +8,7 @@ pool for workloads dominated by numpy kernels.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 
@@ -63,21 +64,11 @@ class ClusterContext:
         default: it rewrites explicitly forced chunk modes.
     trace:
         Record a structured span tree for every job
-        (:mod:`repro.engine.tracing`). Off by default; when off, the
+        (:mod:`repro.engine.tracing`), each job closing with a
+        ``gauge`` sample of counters, cache ledger, shm residency, pool
+        occupancy and worker heartbeats that the health rules evaluate
+        (:mod:`repro.engine.telemetry`). Off by default; when off, the
         instrumentation is a no-op attribute check.
-    telemetry:
-        Start the continuous telemetry sampler
-        (:mod:`repro.engine.telemetry`): a background daemon thread
-        snapshotting counters, the cache ledger, shm residency, pool
-        occupancy, and worker heartbeats into a bounded time-series
-        store. Off by default — no thread, zero cost.
-    telemetry_interval:
-        Sampler period in seconds; setting it implies
-        ``telemetry=True``. Default 1.0 when only ``telemetry=True``
-        is given.
-    telemetry_path:
-        Mirror samples and health events to a rotating JSON-lines file
-        (for headless runs; replayable with ``repro top``).
     """
 
     def __init__(self, num_executors: int = 4, default_parallelism=None,
@@ -86,8 +77,7 @@ class ClusterContext:
                  task_retries: int = 3, trace: bool = False,
                  eviction_policy: str = "lru", spill_dir=None,
                  repack_on_admission: bool = False,
-                 backend: str = "thread", telemetry: bool = False,
-                 telemetry_interval=None, telemetry_path=None):
+                 backend: str = "thread"):
         if num_executors <= 0:
             raise EngineError("num_executors must be positive")
         if task_retries < 0:
@@ -123,17 +113,19 @@ class ClusterContext:
 
         self.shm_registry = SharedSegmentRegistry(self.metrics)
         # the health monitor and heartbeat ledger exist on every
-        # context (telemetry on or off) so fault paths — the worker
-        # pool's crash handler — can emit events unconditionally; they
-        # must exist BEFORE the process runner forks its workers
+        # context (traced or not) so fault paths — the worker pool's
+        # crash handler — can emit events unconditionally; they must
+        # exist BEFORE the process runner forks its workers
         from repro.engine.telemetry import (
             HealthMonitor,
             NnzBalanceStats,
-            TelemetrySampler,
             WorkerHeartbeats,
         )
 
         self.health_monitor = HealthMonitor(tracer=self.tracer)
+        # every traced job span closes with one gauge event under it
+        self.tracer.on_job_end = functools.partial(
+            self.health_monitor.observe_job, self)
         self.worker_heartbeats = WorkerHeartbeats()
         self.nnz_stats = NnzBalanceStats()
         self.process_runner = None
@@ -145,18 +137,6 @@ class ClusterContext:
             # from a dispatcher thread, risks cloning held locks
             self.process_runner.ensure_started()
         self.scheduler = StageScheduler(self)
-        # the telemetry plane: off by default (no sampler thread, no
-        # server); an explicit interval implies telemetry
-        self.telemetry_sampler = None
-        self.telemetry_server = None
-        if telemetry or telemetry_interval is not None \
-                or telemetry_path is not None:
-            self.telemetry_sampler = TelemetrySampler(
-                self,
-                interval=(telemetry_interval
-                          if telemetry_interval is not None else 1.0),
-                sink_path=telemetry_path)
-            self.telemetry_sampler.start()
 
     @property
     def parallel(self) -> bool:
@@ -270,46 +250,19 @@ class ClusterContext:
                 self, index, lambda: rdd.iterator(index))
 
     # ------------------------------------------------------------------
-    # telemetry & health
+    # health
     # ------------------------------------------------------------------
 
-    def serve_telemetry(self, port: int = 0, host: str = "127.0.0.1"):
-        """Serve live telemetry over HTTP; returns the server.
-
-        Routes: ``/metrics`` (Prometheus text exposition),
-        ``/telemetry.json`` (full JSON snapshot — what ``repro top``
-        polls), ``/health``. Starts the sampler (at its default
-        interval) if telemetry was not already on. ``port=0`` picks a
-        free port — read it back from ``server.port`` / ``server.url``.
-        """
-        from repro.engine.telemetry import TelemetrySampler, TelemetryServer
-
-        if self.telemetry_sampler is None:
-            self.telemetry_sampler = TelemetrySampler(self)
-            self.telemetry_sampler.start()
-        if self.telemetry_server is None:
-            self.telemetry_server = TelemetryServer(
-                self.telemetry_sampler, port=port, host=host)
-        return self.telemetry_server
-
     def health(self):
-        """The current health report (works with telemetry off too —
-        fault-path events are always recorded, and calling this
-        evaluates the threshold rules against a fresh gauge snapshot
-        even when no sampler is running, so recovered conditions
-        clear)."""
+        """The current health report. Fault-path events are always
+        recorded, traced or not; calling this evaluates the threshold
+        rules against a fresh gauge sample, so recovered conditions
+        clear."""
         from repro.engine.telemetry import HealthReport
 
-        sampler = self.telemetry_sampler
-        if sampler is not None:
-            sampler.sample_once()
-        else:
-            self.health_monitor.evaluate_now(self)
-        return HealthReport(
-            self.health_monitor.status(),
-            self.health_monitor.events(),
-            sampler.store.num_samples() if sampler is not None else 0,
-            interval_s=sampler.interval if sampler is not None else None)
+        self.health_monitor.evaluate_now(self)
+        return HealthReport(self.health_monitor.status(),
+                            self.health_monitor.events())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -320,15 +273,7 @@ class ClusterContext:
         shared-memory segments. An *idle* context remains usable: the
         next parallel job lazily restarts the pools (shared-memory
         block handles exported to workers are invalidated, so cached
-        blocks re-export on the next job). Telemetry threads stop
-        first — the HTTP server, then the sampler (which takes a final
-        sample and flushes/closes its JSONL sink)."""
-        if self.telemetry_server is not None:
-            self.telemetry_server.stop()
-            self.telemetry_server = None
-        if self.telemetry_sampler is not None:
-            self.telemetry_sampler.stop()
-            self.telemetry_sampler = None
+        blocks re-export on the next job)."""
         self.executor_pool.shutdown()
         if self.process_runner is not None:
             self.process_runner.shutdown()

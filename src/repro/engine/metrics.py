@@ -5,10 +5,11 @@ bytes moved through the shuffle, number of tasks scheduled, bytes spilled
 to disk. The engine increments these counters as it runs; benchmarks take
 snapshots before/after a job and feed the difference to the cost model.
 
-:data:`METRICS` is the one catalog of every counter and every gauge the
-telemetry sampler emits. The snapshot fields, :meth:`MetricsRegistry.add`,
-the worker → driver merge, the Prometheus exporter, ``repro top`` and the
-``explain`` reports all read it: adding a metric is adding one row.
+:data:`METRICS` is the one catalog of every counter and every gauge a
+gauge sample (``repro.engine.telemetry.collect_sample``) carries. The
+snapshot fields, :meth:`MetricsRegistry.add`, the worker → driver merge,
+the Prometheus exporter, ``repro top`` and the ``explain`` reports all
+read it: adding a metric is adding one row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, make_dataclass
 @dataclass(frozen=True)
 class Metric:
     """One catalog row: a counter the engine increments (cumulative,
-    identical across schedulers) or a gauge the sampler reads."""
+    identical across schedulers) or a gauge a sample reads."""
 
     name: str
     kind: str  # "counter" | "gauge"
@@ -184,6 +185,13 @@ class MetricsRegistry:
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
             return MetricsSnapshot(**self._counts)
+
+    def counts(self) -> dict:
+        """``snapshot().as_dict()`` without building the snapshot: a
+        gauge sample closes every traced job, and the frozen dataclass
+        costs most of a sample."""
+        with self._lock:
+            return dict(self._counts)
 
     # ------------------------------------------------------------------
     # wall-clock observations

@@ -241,7 +241,7 @@ class NnzBalancedPartitioner(Partitioner):
 
     def partition_loads(self, weights: dict) -> np.ndarray:
         """Per-partition total weight under this assignment (for the
-        ``nnz_imbalance`` telemetry gauge)."""
+        ``nnz.imbalance`` gauge)."""
         loads = np.zeros(self.num_partitions)
         for key, weight in weights.items():
             loads[self.partition(key)] += float(weight)

@@ -77,7 +77,7 @@ class ExecutorPool:
         self._lock = threading.Lock()
         self._active = 0
         self._broken = False
-        # task-level occupancy gauges for the telemetry sampler:
+        # task-level occupancy gauges (catalog `pool.*`):
         # _queued counts submitted-but-not-started tasks, _running
         # counts tasks currently on an executor thread
         self._queued = 0
@@ -110,7 +110,7 @@ class ExecutorPool:
         return threading.current_thread().name.startswith(self._prefix)
 
     def gauges(self) -> dict:
-        """Occupancy in one lock acquisition (telemetry hook), keyed by
+        """Occupancy in one lock acquisition (gauge sample), keyed by
         catalog name; the stage pair belongs to the scheduler."""
         with self._lock:
             return {

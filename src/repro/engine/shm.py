@@ -411,7 +411,7 @@ class SharedSegmentRegistry:
             return sum(self._segments.values())
 
     def gauges(self) -> dict:
-        """Live-segment count and bytes in one lock (telemetry hook),
+        """Live-segment count and bytes in one lock (gauge sample),
         keyed by catalog name."""
         with self._lock:
             return {

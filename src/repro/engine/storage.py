@@ -195,7 +195,7 @@ class CacheManager:
             return len(self._spilled)
 
     def gauges(self) -> dict:
-        """The whole ledger in one lock acquisition (telemetry hook),
+        """The whole ledger in one lock acquisition (gauge sample),
         keyed by catalog name.
 
         ``cache.pressure`` is resident bytes over the budget (0.0 when

@@ -44,11 +44,12 @@ import json
 import threading
 import time
 
-#: span kinds, from the coarse to the annotated; "health" spans are
-#: zero-duration warning events bridged in by the telemetry plane's
-#: HealthMonitor (repro.engine.telemetry)
+#: span kinds, from the coarse to the annotated; "gauge" and "health"
+#: spans are zero-duration events from repro.engine.telemetry: one
+#: gauge sample closes every job, and health events mark threshold-rule
+#: transitions and fault paths
 SPAN_KINDS = ("job", "stage", "task", "shuffle", "checkpoint",
-              "broadcast", "cache", "plan", "health")
+              "broadcast", "cache", "plan", "gauge", "health")
 
 #: kinds that behave like an executed stage in a profile/breakdown
 STAGE_LIKE_KINDS = ("stage", "shuffle", "checkpoint")
@@ -168,13 +169,19 @@ class Tracer:
     merges them under ``_lock``. Parenting is implicit through a
     thread-local stack of open spans; tasks dispatched to executor
     threads pass their stage span as an explicit ``parent``.
+
+    ``on_job_end``, when set, is called with every job span just before
+    it closes, so what it records parents under the job (the context
+    records its gauge sample there).
     """
 
     def __init__(self, enabled: bool = False, num_executors: int = None):
         self.enabled = enabled
         self.num_executors = num_executors
+        self.on_job_end = None
         self._ids = itertools.count(1)
         self._spans = []
+        self._cleared = 0   # clear() count; invalidates spans_from marks
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._states = []
@@ -230,6 +237,8 @@ class Tracer:
         """Close a span opened by :meth:`start`."""
         if span is NULL_SPAN or not isinstance(span, Span):
             return
+        if span.kind == "job" and self.on_job_end is not None:
+            self.on_job_end(span)
         span.end_s = time.perf_counter()
         state = self._state()
         if span in state.stack:
@@ -293,17 +302,31 @@ class Tracer:
     # reading
     # ------------------------------------------------------------------
 
+    def _flush(self) -> None:
+        """Move every thread buffer into the shared list (hold _lock)."""
+        for state in self._states:
+            if state.buffer:
+                self._spans.extend(state.buffer)
+                state.buffer.clear()
+
     def spans(self) -> list:
         """All finished spans, id-ordered (flushes thread buffers)."""
         with self._lock:
-            for state in self._states:
-                if state.buffer:
-                    self._spans.extend(state.buffer)
-                    state.buffer.clear()
+            self._flush()
             return sorted(self._spans, key=lambda s: s.span_id)
+
+    def spans_from(self, mark=None):
+        """``(spans, next_mark)``: the spans finished since the call
+        that returned ``mark`` (None: all), unordered. Costs the number
+        of new spans, not the length of the trace."""
+        with self._lock:
+            self._flush()
+            start = mark[1] if mark and mark[0] == self._cleared else 0
+            return self._spans[start:], (self._cleared, len(self._spans))
 
     def clear(self) -> None:
         with self._lock:
+            self._cleared += 1
             self._spans.clear()
             for state in self._states:
                 state.buffer.clear()
@@ -352,7 +375,11 @@ def _logical_attrs(span: Span) -> tuple:
         if key not in _TIMING_ATTRS))
 
 
-def logical_tree(spans, exclude_kinds=frozenset({"cache"})) -> tuple:
+#: kinds :func:`logical_tree` leaves out by default (see its docstring)
+_NON_LOGICAL_KINDS = frozenset({"cache", "gauge", "health"})
+
+
+def logical_tree(spans, exclude_kinds=_NON_LOGICAL_KINDS) -> tuple:
     """Canonical nested form of a span list, timings and ids erased.
 
     Two runs of the same job — serial and threaded — must produce equal
@@ -365,7 +392,9 @@ def logical_tree(spans, exclude_kinds=frozenset({"cache"})) -> tuple:
     the same uncached block both record a miss under threading where
     the serial run records one miss and one hit — a real scheduling
     difference, not a logical one (the compute-lock still guarantees
-    the block is computed once).
+    the block is computed once). So are ``gauge`` and ``health``
+    events: worker counts, pool occupancy and timing-driven skew are
+    observations of the cluster, not of the job's logic.
     """
     spans = [span for span in spans if span.kind not in exclude_kinds]
     children = {}
@@ -677,8 +706,12 @@ def export_jsonl(spans, path: str, num_executors=None) -> None:
 
 
 def load_jsonl(path: str):
-    """``(meta, spans)`` from an event log written by :func:`export_jsonl`."""
-    meta = {}
+    """``(meta, spans)`` from an event log written by :func:`export_jsonl`.
+
+    Raises ``ValueError`` unless the first line is a ``repro-trace`` v1
+    meta line.
+    """
+    meta = None
     spans = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -686,10 +719,18 @@ def load_jsonl(path: str):
             if not line:
                 continue
             record = json.loads(line)
-            if record.get("type") == "meta":
-                meta = record
+            if meta is None:
+                meta = record if record.get("type") == "meta" else {}
+                if (meta.get("format"), meta.get("version")) != \
+                        (TRACE_FORMAT, TRACE_VERSION):
+                    raise ValueError(
+                        f"{path}: not a {TRACE_FORMAT} v{TRACE_VERSION} "
+                        f"log (format={meta.get('format')!r}, "
+                        f"version={meta.get('version')!r})")
             elif record.get("type") == "span":
                 spans.append(Span.from_dict(record))
+    if meta is None:
+        raise ValueError(f"{path}: empty, not a {TRACE_FORMAT} log")
     return meta, spans
 
 

@@ -14,7 +14,7 @@ from repro.engine.metrics import (
     MetricsSnapshot,
     task_time_histogram,
 )
-from repro.engine.telemetry import TelemetrySampler, prometheus_text
+from repro.engine.telemetry import collect_sample, prometheus_text
 
 ARCHITECTURE_MD = (pathlib.Path(__file__).resolve().parents[2]
                    / "docs" / "ARCHITECTURE.md")
@@ -40,26 +40,23 @@ class TestCatalog:
         with ClusterContext(num_executors=2) as ctx:
             ctx.parallelize(range(40), 4).map(lambda x: (x % 3, x)) \
                .reduce_by_key(lambda a, b: a + b).collect()
-            sampler = TelemetrySampler(ctx, interval=60.0)
-            sample = sampler.sample_once()
-            text = prometheus_text(sampler.snapshot())
-            sampler.stop()
+            sample = collect_sample(ctx)
+            text = prometheus_text(sample)
         assert list(sample["counters"]) == rows
         totals = [line.split()[0] for line in text.splitlines()
                   if not line.startswith("#")
                   and line.split()[0].endswith("_total")]
-        assert totals == [f"spangle_{name}_total" for name in rows] \
-            + ["spangle_health_events_total"]
+        assert totals == [f"spangle_{name}_total" for name in rows]
 
     def test_gauge_rows_are_the_sampled_gauges(self):
         gauge_rows = {metric.name for metric in METRICS
                       if metric.kind == "gauge"}
-        with ClusterContext(num_executors=2) as ctx:
+        with ClusterContext(num_executors=2, trace=True) as ctx:
             ctx.nnz_stats.record("graph-load", [5.0, 15.0])
-            sampler = TelemetrySampler(ctx, interval=60.0)
-            sample = sampler.sample_once()
-            text = prometheus_text(sampler.snapshot())
-            sampler.stop()
+            ctx.parallelize(range(8), 2).count()
+            sample = next(span.attrs for span in ctx.tracer.spans()
+                          if span.kind == "gauge")
+            text = prometheus_text(sample)
         assert set(sample["gauges"]) == gauge_rows
         # every catalog row exports its help line
         for metric in METRICS:

@@ -120,8 +120,9 @@ class TestWorkerDeath:
         rows = ctx.worker_heartbeats.rows()
         assert not pids_before & set(rows)
         assert rows and all(row["alive"] for row in rows.values())
-        # health() re-evaluates the rules (telemetry is off here), so
-        # the crash condition clears once the pool has recovered
+        # health() re-evaluates the rules on demand (the context is
+        # untraced), so the crash condition clears once the pool has
+        # recovered
         assert ctx.health().status == "ok"
         ctx.shutdown()
 

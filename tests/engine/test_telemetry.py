@@ -1,38 +1,34 @@
-"""The continuous telemetry plane: sampler, store, health, exporters.
+"""Health and gauges in the trace: samples, rules, exporters, ``repro top``.
 
-Covers the contracts ISSUE 8 pins down: the ring-buffer store stays
-bounded, the sampler collects gauges from every subsystem without
-perturbing results (byte-identity with telemetry off, across all three
-backends), the Prometheus/JSON endpoints serve live data, the JSONL
-sink rotates and replays into ``repro top``, health rules fire on
-transitions (not continuously), and shutdown leaves no thread behind.
+Covers the contracts: a traced job closes with exactly one ``gauge``
+event carrying the catalog's gauges and the counters at that job's
+end; an untraced job never samples; tracing on or off leaves results
+and counters byte-identical across all three backends; health rules
+fire on transitions (not continuously) and land in the trace as
+``health`` spans; ``repro top`` renders a recorded trace.
 """
 
-import json
+import os
 import pickle
-import threading
-import time
-import urllib.request
 
 import pytest
 
 from repro.engine import ClusterContext
-from repro.engine.metrics import COUNTER_FIELDS
+from repro.engine.metrics import COUNTER_FIELDS, METRICS
 from repro.engine.telemetry import (
-    DEFAULT_INTERVAL_S,
     HealthMonitor,
     LedgerHighWatermark,
+    NnzImbalance,
     SpillRateSpike,
-    TelemetrySampler,
-    TelemetrySink,
-    TimeSeriesStore,
     WorkerHeartbeats,
-    load_telemetry_jsonl,
+    collect_sample,
     pid_alive,
     prometheus_text,
-    snapshot_from_records,
 )
 from repro.engine.top import render_dashboard, run_top, sparkline
+from repro.engine.tracing import Tracer, load_jsonl
+
+from tests.engine.test_process_backend import _KillOnFirstAttempt
 
 
 def _run_job(ctx):
@@ -41,43 +37,18 @@ def _run_job(ctx):
                   .reduce_by_key(lambda a, b: a + b).collect())
 
 
-class TestTimeSeriesStore:
-    def test_ring_buffer_stays_bounded(self):
-        store = TimeSeriesStore(capacity=16)
-        for i in range(100):
-            store.record({"t": float(i), "gauges": {"g": i}})
-        points = store.series("g")
-        assert len(points) == 16
-        assert points[0] == (84.0, 84)
-        assert points[-1] == (99.0, 99)
-        assert store.num_samples() == 100
+def _recorded_trace(tmp_path, **kwargs):
+    """Run a traced job and save its trace; returns the log path."""
+    path = str(tmp_path / "run.trace.jsonl")
+    with ClusterContext(num_executors=2, trace=True, **kwargs) as ctx:
+        _run_job(ctx)
+        ctx.tracer.export_jsonl(path)
+    return path
 
-    def test_counters_and_workers_flatten_into_series(self):
-        store = TimeSeriesStore()
-        store.record({"t": 1.0, "gauges": {"cache.resident_bytes": 10},
-                      "counters": {"tasks_launched": 4},
-                      "workers": {"123": {"alive": True, "tasks": 2,
-                                          "last_task_s": 0.5}}})
-        assert store.latest("counter.tasks_launched") == 4
-        assert store.latest("worker.123.alive") == 1
-        assert store.latest("worker.123.last_task_s") == 0.5
-        assert "cache.resident_bytes" in store.names()
 
-    def test_rate_differentiates_cumulative_series(self):
-        store = TimeSeriesStore()
-        for t, value in [(0.0, 0), (1.0, 10), (2.0, 30)]:
-            store.record({"t": t, "gauges": {}, "counters": {"c": value}})
-        assert store.rate("counter.c", window_s=10.0) \
-            == pytest.approx(15.0)
-        rates = store.rate_series("counter.c")
-        assert [r for _t, r in rates] == [pytest.approx(10.0),
-                                          pytest.approx(20.0)]
-
-    def test_rate_of_missing_or_single_point_is_zero(self):
-        store = TimeSeriesStore()
-        assert store.rate("nope") == 0.0
-        store.record({"t": 1.0, "gauges": {"g": 5}})
-        assert store.rate("g") == 0.0
+def _hot_sample(t=1.0):
+    return {"t": t, "gauges": {"cache.budget_bytes": 100,
+                               "cache.resident_bytes": 95}}
 
 
 class TestWorkerHeartbeats:
@@ -89,8 +60,8 @@ class TestWorkerHeartbeats:
         assert rows[111]["tasks"] == 1
         assert rows[111]["last_task_s"] == 0.25
         assert rows[222]["tasks"] == 0
-        assert beats.known_count() == 2
-        assert beats.alive_count() == 2
+        assert len(rows) == 2
+        assert all(row["alive"] for row in rows.values())
 
     def test_reap_dead_marks_gone_processes(self):
         import multiprocessing as mp
@@ -106,8 +77,6 @@ class TestWorkerHeartbeats:
         assert beats.reap_dead() == []
 
     def test_pid_alive_on_self(self):
-        import os
-
         assert pid_alive(os.getpid())
 
 
@@ -116,9 +85,8 @@ class TestSamplerCollection:
         ctx = ClusterContext(num_executors=2, use_threads=True,
                              cache_budget_bytes=1 << 20)
         try:
-            sampler = TelemetrySampler(ctx, interval=60.0)
             _run_job(ctx)
-            sample = sampler.sample_once()
+            sample = collect_sample(ctx)
             gauges = sample["gauges"]
             for name in ("cache.resident_bytes", "cache.spilled_bytes",
                          "cache.blocks", "cache.pressure",
@@ -130,138 +98,57 @@ class TestSamplerCollection:
             # every engine counter rides along, by name
             assert set(sample["counters"]) == set(COUNTER_FIELDS)
             assert sample["counters"]["tasks_launched"] > 0
-            sampler.stop()
         finally:
             ctx.shutdown()
 
-    def test_background_thread_accumulates_samples(self):
-        ctx = ClusterContext(num_executors=2, telemetry_interval=0.05)
-        try:
+    def test_telemetry_off_means_no_sampler(self, monkeypatch):
+        """An untraced job never samples: the job path adds nothing."""
+        import repro.engine.telemetry as telemetry
+
+        calls = []
+        monkeypatch.setattr(telemetry, "collect_sample",
+                            lambda ctx: calls.append(ctx))
+        with ClusterContext(num_executors=2, use_threads=True) as ctx:
             _run_job(ctx)
-            time.sleep(0.25)
-            assert ctx.telemetry_sampler.store.num_samples() >= 3
-            assert ctx.telemetry_sampler.running
-        finally:
-            ctx.shutdown()
-        assert ctx.telemetry_sampler is None
+            ctx.parallelize(range(10), 2).take(3)
+        assert calls == []
 
-    def test_telemetry_off_means_no_sampler(self):
-        with ClusterContext(num_executors=2) as ctx:
-            assert ctx.telemetry_sampler is None
-            assert ctx.telemetry_server is None
-
-    def test_interval_must_be_positive(self):
-        ctx = ClusterContext(num_executors=2)
-        try:
-            with pytest.raises(ValueError):
-                TelemetrySampler(ctx, interval=0.0)
-        finally:
-            ctx.shutdown()
-
-    def test_sampler_holds_context_weakly(self):
-        import weakref
-
-        ctx = ClusterContext(num_executors=2)
-        sampler = TelemetrySampler(ctx, interval=60.0)
-        ref = weakref.ref(ctx)
-        ctx.shutdown()
-        del ctx
-        # the sampler alone must not keep the context alive
-        import gc
-
-        gc.collect()
-        assert ref() is None
-        assert sampler.sample_once() is None
-        sampler.stop()
-
-
-class TestShutdownLifecycle:
-    def test_shutdown_stops_threads_and_flushes_sink(self, tmp_path):
-        path = str(tmp_path / "run.telemetry.jsonl")
-        ctx = ClusterContext(num_executors=2, telemetry_interval=0.05,
-                             telemetry_path=path)
-        sampler = ctx.telemetry_sampler
-        server = ctx.serve_telemetry()
-        _run_job(ctx)
-        before = threading.active_count()
-        ctx.shutdown()
-        assert not sampler.running
-        assert sampler.sink is None  # closed and detached
-        assert ctx.telemetry_server is None
-        assert threading.active_count() < before
-        # the sink flushed a valid, replayable log
-        snapshot = load_telemetry_jsonl(path)
-        assert snapshot["num_samples"] >= 1
-        # the server socket is closed
-        with pytest.raises(Exception):
-            urllib.request.urlopen(server.url + "/health", timeout=0.5)
-
-    def test_shutdown_takes_a_final_sample(self):
-        ctx = ClusterContext(num_executors=2, telemetry_interval=60.0)
-        sampler = ctx.telemetry_sampler
-        initial = sampler.store.num_samples()
-        _run_job(ctx)
-        ctx.shutdown()
-        assert sampler.store.num_samples() > initial
-        assert sampler.store.latest("counter.jobs_run") >= 1
-
-
-class TestHttpEndpoints:
-    def test_endpoints_serve_live_gauges_during_a_job(self):
-        ctx = ClusterContext(num_executors=2, telemetry_interval=0.25)
-        try:
-            server = ctx.serve_telemetry()
+    @pytest.mark.parametrize("kwargs", [
+        {},                                        # serial
+        {"use_threads": True},                     # thread
+        {"backend": "process"},                    # process
+    ], ids=["serial", "thread", "process"])
+    def test_every_job_span_has_one_gauge_event(self, kwargs):
+        gauge_rows = {metric.name for metric in METRICS
+                      if metric.kind == "gauge"}
+        with ClusterContext(num_executors=2, trace=True, **kwargs) as ctx:
+            ctx.nnz_stats.record("graph-load", [5.0, 15.0])
             _run_job(ctx)
-            ctx.telemetry_sampler.sample_once()
-            with urllib.request.urlopen(
-                    server.url + "/metrics", timeout=5) as response:
-                text = response.read().decode()
-                ctype = response.headers["Content-Type"]
-            assert ctype.startswith("text/plain")
-            assert "spangle_tasks_launched_total" in text
-            assert "spangle_cache_resident_bytes" in text
-            assert "spangle_health_ok 1" in text
-            with urllib.request.urlopen(
-                    server.url + "/telemetry.json", timeout=5) as response:
-                snap = json.loads(response.read())
-            assert snap["counters"]["jobs_run"] >= 1
-            assert snap["num_samples"] >= 1
-            assert "counter.tasks_launched" in snap["series"]
-            with urllib.request.urlopen(
-                    server.url + "/health", timeout=5) as response:
-                health = json.loads(response.read())
-            assert health["status"] == "ok"
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(server.url + "/nope", timeout=5)
-        finally:
-            ctx.shutdown()
-
-    def test_serve_telemetry_starts_sampler_when_off(self):
-        ctx = ClusterContext(num_executors=2)
-        try:
-            assert ctx.telemetry_sampler is None
-            server = ctx.serve_telemetry()
-            assert ctx.telemetry_sampler is not None
-            assert ctx.telemetry_sampler.interval == DEFAULT_INTERVAL_S
-            # idempotent: a second call returns the same server
-            assert ctx.serve_telemetry() is server
-        finally:
-            ctx.shutdown()
+            job_end_counters = ctx.metrics.snapshot().as_dict()
+            ctx.parallelize(range(10), 2).take(3)
+            spans = ctx.tracer.spans()
+        jobs = [span for span in spans if span.kind == "job"]
+        gauges = [span for span in spans if span.kind == "gauge"]
+        assert len(jobs) == 2
+        assert sorted(span.parent_id for span in gauges) \
+            == [job.span_id for job in jobs]
+        for span in gauges:
+            assert set(span.attrs["gauges"]) == gauge_rows
+        # the counters are the registry's at that job's end
+        assert gauges[0].attrs["counters"] == job_end_counters
 
 
 class TestPrometheusText:
     def test_format_shape(self):
-        snapshot = {
+        sample = {
             "counters": {"tasks_launched": 12, "jobs_run": 3},
             "gauges": {"cache.resident_bytes": 4096,
                        "pool.busy_threads": 2},
             "workers": {"42": {"alive": True, "tasks": 7,
                                "last_task_s": 0.125},
                         "43": {"alive": False, "tasks": 1}},
-            "health": {"status": "warn", "events": [{"rule": "x"}]},
-            "up_s": 1.5,
         }
-        text = prometheus_text(snapshot)
+        text = prometheus_text(sample)
         lines = text.splitlines()
         assert "spangle_tasks_launched_total 12" in lines
         assert "# TYPE spangle_tasks_launched_total counter" in lines
@@ -272,118 +159,67 @@ class TestPrometheusText:
         assert 'spangle_worker_tasks_total{pid="42"} 7' in lines
         assert 'spangle_worker_last_task_seconds{pid="42"} 0.125' \
             in lines
-        assert "spangle_health_ok 0" in lines
         assert text.endswith("\n")
 
     def test_counters_follow_counter_fields_order(self):
-        snapshot = {"counters": {name: 1 for name in COUNTER_FIELDS},
-                    "gauges": {}, "workers": {}, "health": {}}
-        text = prometheus_text(snapshot)
+        sample = {"counters": {name: 1 for name in COUNTER_FIELDS},
+                  "gauges": {}, "workers": {}}
+        text = prometheus_text(sample)
         for name in COUNTER_FIELDS:
             assert f"spangle_{name}_total 1" in text
 
     def test_scheduler_gauges_render(self):
-        """The pipelined scheduler's readiness gauges flow through the
-        sampler into the Prometheus text unprefixed-by-pool."""
-        snapshot = {
+        """The scheduler's readiness gauges render under their own
+        catalog names."""
+        sample = {
             "counters": {},
             "gauges": {"scheduler.ready_stages": 3,
                        "scheduler.inflight_stages": 2},
-            "workers": {}, "health": {},
+            "workers": {},
         }
-        text = prometheus_text(snapshot)
+        text = prometheus_text(sample)
         lines = text.splitlines()
         assert "spangle_scheduler_ready_stages 3" in lines
         assert "# TYPE spangle_scheduler_ready_stages gauge" in lines
         assert "spangle_scheduler_inflight_stages 2" in lines
 
 
-class TestJsonlSink:
-    def test_meta_line_then_samples(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        sink = TelemetrySink(path, meta={"backend": "thread"})
-        sink.write({"type": "sample", "t": 1.0, "gauges": {"g": 1}})
-        sink.close()
-        lines = [json.loads(line)
-                 for line in open(path, encoding="utf-8")]
-        assert lines[0]["type"] == "meta"
-        assert lines[0]["format"] == "repro-telemetry"
-        assert lines[0]["backend"] == "thread"
-        assert lines[1] == {"type": "sample", "t": 1.0,
-                            "gauges": {"g": 1}}
-
-    def test_rotation_bounds_disk_usage(self, tmp_path):
-        import os
-
-        path = str(tmp_path / "t.jsonl")
-        sink = TelemetrySink(path, rotate_bytes=2048)
-        record = {"type": "sample", "t": 0.0,
-                  "gauges": {"g": "x" * 100}}
-        for _ in range(200):
-            sink.write(record)
-        sink.close()
-        assert os.path.exists(path + ".1")
-        assert os.path.getsize(path) <= 2048
-        assert os.path.getsize(path + ".1") <= 2048
-        # both generations start with a meta line
-        for gen in (path, path + ".1"):
-            first = json.loads(open(gen, encoding="utf-8").readline())
-            assert first["type"] == "meta"
-
-    def test_snapshot_from_records_replays_health(self):
-        records = [
-            {"type": "meta", "format": "repro-telemetry", "version": 1,
-             "backend": "process"},
-            {"type": "sample", "t": 1.0, "gauges": {"g": 1},
-             "counters": {"jobs_run": 1}, "workers": {}},
-            {"type": "health", "t": 1.5, "rule": "spill_rate_spike",
-             "severity": "warning", "message": "spiking", "attrs": {}},
-            {"type": "sample", "t": 2.0, "gauges": {"g": 3},
-             "counters": {"jobs_run": 2}, "workers": {}},
-        ]
-        snap = snapshot_from_records(records)
-        assert snap["meta"]["backend"] == "process"
-        assert snap["gauges"]["g"] == 3
-        assert snap["num_samples"] == 2
-        assert snap["health"]["status"] == "warn"
-        assert snap["health"]["events"][0]["rule"] == "spill_rate_spike"
-        assert snap["series"]["g"] == [[1.0, 1], [2.0, 3]]
-
-
 class TestHealthMonitor:
     def test_events_fire_on_transition_not_continuously(self):
-        monitor = HealthMonitor(rules=[LedgerHighWatermark(0.9)])
-        store = TimeSeriesStore()
-        hot = {"t": 1.0, "gauges": {"cache.budget_bytes": 100,
-                                    "cache.resident_bytes": 95}}
+        monitor = HealthMonitor()
         cool = {"t": 2.0, "gauges": {"cache.budget_bytes": 100,
                                      "cache.resident_bytes": 10}}
-        assert len(monitor.evaluate(hot, store, None)) == 1
+        assert len(monitor.evaluate(_hot_sample(), None)) == 1
         # still hot: no re-emission while the condition holds
-        assert monitor.evaluate(hot, store, None) == []
+        assert monitor.evaluate(_hot_sample(), None) == []
         assert monitor.status() == "warn"
         # recovery clears the condition; the next violation re-fires
-        monitor.evaluate(cool, store, None)
+        monitor.evaluate(cool, None)
         assert monitor.status() == "ok"
-        assert len(monitor.evaluate(hot, store, None)) == 1
+        assert len(monitor.evaluate(_hot_sample(), None)) == 1
         assert len(monitor.events()) == 2
+        assert monitor.events()[0].attrs["watermark"] \
+            == LedgerHighWatermark.WATERMARK
 
-    def test_spill_rate_rule_reads_the_store(self):
-        monitor = HealthMonitor(
-            rules=[SpillRateSpike(per_second=5.0, window_s=10.0)])
-        store = TimeSeriesStore()
-        store.record({"t": 0.0, "counters": {"cache_spills": 0}})
-        store.record({"t": 1.0, "counters": {"cache_spills": 100}})
-        sample = {"t": 1.0, "gauges": {}}
-        events = monitor.evaluate(sample, store, None)
-        assert len(events) == 1
-        assert events[0].rule == "spill_rate_spike"
-        assert events[0].attrs["spills_per_s"] == pytest.approx(100.0)
+    def test_spill_rate_rule_reads_the_previous_sample(self):
+        monitor = HealthMonitor()
+        calm = {"t": 0.0, "counters": {"cache_spills": 0}}
+        spiking = {"t": 2.0, "counters": {"cache_spills": 100}}
+        assert monitor.evaluate(calm, None) == []
+        events = monitor.evaluate(spiking, None)
+        assert [event.rule for event in events] == ["spill_rate_spike"]
+        assert events[0].attrs["spills_per_s"] == pytest.approx(50.0)
+        assert events[0].attrs["threshold"] == SpillRateSpike.PER_SECOND
+        # no new spills since the previous sample: the condition clears
+        monitor.evaluate({"t": 3.0, "counters": {"cache_spills": 100}},
+                         None)
+        assert monitor.status() == "ok"
 
     def test_events_bridge_into_the_trace_stream(self):
-        from repro.engine.tracing import SPAN_KINDS, Tracer
+        from repro.engine.tracing import SPAN_KINDS
 
         assert "health" in SPAN_KINDS
+        assert "gauge" in SPAN_KINDS
         tracer = Tracer(enabled=True)
         monitor = HealthMonitor(tracer=tracer)
         monitor.emit("worker_heartbeat_missed", "warning",
@@ -394,24 +230,25 @@ class TestHealthMonitor:
         assert spans[0].name == "worker_heartbeat_missed"
         assert spans[0].attrs["pid"] == 99
 
-    def test_configure_adjusts_default_rule_thresholds(self):
-        monitor = HealthMonitor()
-        monitor.configure(ledger_watermark=0.5, spill_rate_per_s=1.0,
-                          heartbeat_miss_s=2.0, skew_threshold=9.0)
-        by_type = {type(rule).__name__: rule for rule in monitor.rules}
-        assert by_type["LedgerHighWatermark"].watermark == 0.5
-        assert by_type["SpillRateSpike"].per_second == 1.0
-        assert by_type["WorkerHeartbeatMissed"].miss_after_s == 2.0
-        assert by_type["ShuffleSkew"].threshold == 9.0
+    def test_rule_events_land_under_the_job_span(self):
+        with ClusterContext(num_executors=2, trace=True) as ctx:
+            ctx.nnz_stats.record("skewed", [1.0, 1.0, 1.0, 1.0, 30.0])
+            _run_job(ctx)
+            spans = ctx.tracer.spans()
+            assert ctx.health().status == "warn"
+        job = next(span for span in spans if span.kind == "job")
+        health = [span for span in spans if span.kind == "health"]
+        assert [span.name for span in health] == ["nnz_imbalance"]
+        assert health[0].parent_id == job.span_id
+        assert health[0].attrs["stage"] == "skewed"
 
     def test_health_report_renders(self):
-        with ClusterContext(num_executors=2,
-                            telemetry_interval=60.0) as ctx:
+        with ClusterContext(num_executors=2) as ctx:
             _run_job(ctx)
             report = ctx.health()
             assert report.status == "ok"
             assert "Health: OK" in str(report)
-            assert report.as_dict()["samples"] >= 1
+            assert report.as_dict() == {"status": "ok", "events": []}
 
     def test_health_works_with_telemetry_off(self):
         with ClusterContext(num_executors=2) as ctx:
@@ -428,8 +265,8 @@ class TestHealthMonitor:
                 f"worker {child.pid} stopped responding",
                 dedup_key=f"worker_heartbeat_missed:{child.pid}",
                 pid=child.pid)
-            # health() evaluates the rules even with no sampler: the
-            # dead row is still there, so the condition holds
+            # health() evaluates the rules on demand: the dead row is
+            # still there, so the condition holds
             report = ctx.health()
             assert report.status == "warn"
             assert "stopped responding" in str(report)
@@ -438,9 +275,28 @@ class TestHealthMonitor:
             ctx.worker_heartbeats.forget([child.pid])
             assert ctx.health().status == "ok"
 
+    def test_rules_read_only_the_spans_since_the_last_job(self,
+                                                          monkeypatch):
+        """Per-job evaluation never rescans the whole trace."""
+        def full_scan(self):
+            raise AssertionError("the job path scanned the whole trace")
+
+        with ClusterContext(num_executors=2, use_threads=True,
+                            trace=True) as ctx:
+            _run_job(ctx)
+            monkeypatch.setattr(Tracer, "spans", full_scan)
+            for _ in range(3):
+                _run_job(ctx)
+            new, mark = ctx.tracer.spans_from(None)
+            assert ctx.tracer.spans_from(mark)[0] == []
+            ctx.tracer.clear()
+            # a mark from before clear() restarts at the first span
+            _run_job(ctx)
+            assert ctx.tracer.spans_from(mark)[0]
+
 
 class TestDeterminismContract:
-    """Sampler on vs off must be byte-identical for job results."""
+    """Trace on vs off must be byte-identical for job results."""
 
     @pytest.mark.parametrize("kwargs", [
         {},                                        # serial
@@ -451,13 +307,14 @@ class TestDeterminismContract:
         with ClusterContext(num_executors=2, **kwargs) as ctx:
             plain = _run_job(ctx)
             plain_counters = ctx.metrics.snapshot()
-        with ClusterContext(num_executors=2, telemetry_interval=0.02,
-                            **kwargs) as ctx:
-            sampled = _run_job(ctx)
-            sampled_counters = ctx.metrics.snapshot()
-        assert pickle.dumps(plain) == pickle.dumps(sampled)
-        # the sampler is read-only: logical counters agree too
-        assert plain_counters == sampled_counters
+        with ClusterContext(num_executors=2, trace=True, **kwargs) as ctx:
+            traced = _run_job(ctx)
+            traced_counters = ctx.metrics.snapshot()
+            assert any(span.kind == "gauge"
+                       for span in ctx.tracer.spans())
+        assert pickle.dumps(plain) == pickle.dumps(traced)
+        # gauge samples are read-only: logical counters agree too
+        assert plain_counters == traced_counters
 
 
 class TestTopDashboard:
@@ -470,66 +327,70 @@ class TestTopDashboard:
         assert set(sparkline([5, 5], width=2)) == {"▁"}
 
     def test_render_from_recorded_jsonl(self, tmp_path):
-        path = str(tmp_path / "run.telemetry.jsonl")
-        with ClusterContext(num_executors=2, telemetry_interval=0.05,
-                            telemetry_path=path) as ctx:
-            _run_job(ctx)
-            time.sleep(0.15)
-        snapshot = load_telemetry_jsonl(path)
-        frame = render_dashboard(snapshot)
+        meta, spans = load_jsonl(_recorded_trace(tmp_path))
+        frame = render_dashboard(spans, meta)
         assert "repro top" in frame
+        assert "executors=2" in frame
         assert "[memory]" in frame
         assert "[tasks]" in frame
         assert "[shuffle]" in frame
-        assert "[health]" in frame
+        assert "[health] OK" in frame
         assert "jobs=1" in frame
-        # the pipelined scheduler's readiness gauges ride in [tasks]
+        # the scheduler's readiness gauges ride in [tasks]
         assert "ready" in frame
         assert "inflight" in frame
 
-    def test_run_top_replay_exit_codes(self, tmp_path, capsys):
-        path = str(tmp_path / "run.telemetry.jsonl")
-        with ClusterContext(num_executors=2, telemetry_interval=0.05,
-                            telemetry_path=path) as ctx:
+    def test_render_shows_workers_and_crash_events(self, tmp_path,
+                                                   capsys):
+        path = str(tmp_path / "crash.trace.jsonl")
+        with ClusterContext(num_executors=2, backend="process",
+                            trace=True, task_retries=3) as ctx:
+            killer = _KillOnFirstAttempt(str(tmp_path / "crash-once"))
+            got = sorted(ctx.parallelize(range(40), 4).map(killer)
+                         .collect())
+            assert got == list(range(40))
             _run_job(ctx)
-        assert run_top(path, replay=True) == 0
-        assert "repro top" in capsys.readouterr().out
-        assert run_top(str(tmp_path / "missing.jsonl"),
-                       replay=True) == 2
+            ctx.tracer.export_jsonl(path)
+            health = [span.name for span in ctx.tracer.spans()
+                      if span.kind == "health"]
+        # cause before effect, both in the trace
+        assert health.index("worker_heartbeat_missed") \
+            < health.index("worker_respawn")
+        assert run_top(path) == 0
+        frame = capsys.readouterr().out
+        for row in ("[memory]", "resident", "[tasks]", "tasks/s",
+                    "[shuffle]", "bytes/s"):
+            assert row in frame
+        assert "[workers]  alive 2/2" in frame
+        assert frame.count(" up ") >= 2
+        assert "[health] WARN" in frame
+        assert "worker_heartbeat_missed" in frame
 
-    def test_run_top_live_once(self, capsys):
-        ctx = ClusterContext(num_executors=2, telemetry_interval=0.25)
-        try:
-            server = ctx.serve_telemetry()
-            _run_job(ctx)
-            ctx.telemetry_sampler.sample_once()
-            assert run_top(server.url, once=True) == 0
-            out = capsys.readouterr().out
-            assert "repro top" in out
-            assert "[health]" in out
-        finally:
-            ctx.shutdown()
+    def test_run_top_replay_exit_codes(self, tmp_path, capsys):
+        path = _recorded_trace(tmp_path)
+        assert run_top(path) == 0
+        assert "repro top" in capsys.readouterr().out
+        assert run_top(str(tmp_path / "missing.jsonl")) == 2
+        # a trace recorded untraced-by-jobs holds no gauge sample
+        empty = str(tmp_path / "empty.trace.jsonl")
+        Tracer(enabled=True).export_jsonl(empty)
+        assert run_top(empty) == 1
 
     def test_cli_wires_the_top_subcommand(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = str(tmp_path / "run.telemetry.jsonl")
-        with ClusterContext(num_executors=2, telemetry_interval=0.05,
-                            telemetry_path=path) as ctx:
-            _run_job(ctx)
-        assert main(["top", str(path), "--replay"]) == 0
+        path = _recorded_trace(tmp_path)
+        assert main(["top", path]) == 0
         assert "repro top" in capsys.readouterr().out
 
 
 class TestReportDriftGuards:
-    """The reports and the telemetry plane read the one metric catalog,
+    """The reports and the gauge samples read the one metric catalog,
     metrics.METRICS."""
 
     def test_sampled_counters_are_exactly_counter_fields(self):
         with ClusterContext(num_executors=2) as ctx:
-            sampler = TelemetrySampler(ctx, interval=60.0)
-            sample = sampler.sample_once()
-            sampler.stop()
+            sample = collect_sample(ctx)
         assert set(sample["counters"]) == set(COUNTER_FIELDS)
 
     def test_memory_report_surfaces_optimizer_counters(self):
@@ -558,7 +419,7 @@ class TestReportDriftGuards:
 
 
 class TestNnzTelemetry:
-    """ISSUE 9: the sparse execution tier's skew visibility."""
+    """The sparse execution tier's skew visibility."""
 
     def test_stats_gauges_shape(self):
         from repro.engine.telemetry import NnzBalanceStats
@@ -577,8 +438,6 @@ class TestNnzTelemetry:
         assert stats.gauges() == {}
 
     def test_collect_sample_exposes_nnz_gauges(self):
-        from repro.engine.telemetry import collect_sample
-
         ctx = ClusterContext(num_executors=2)
         ctx.nnz_stats.record("graph-load", [5.0, 15.0])
         sample = collect_sample(ctx)
@@ -586,45 +445,34 @@ class TestNnzTelemetry:
         assert sample["gauges"]["nnz.partitions"] == 2
 
     def test_imbalance_rule_fires_and_dedups_per_stage(self):
-        from repro.engine.telemetry import NnzImbalance
-
         ctx = ClusterContext(num_executors=2)
-        monitor = HealthMonitor(rules=[NnzImbalance(threshold=2.0)])
-        store = TimeSeriesStore()
+        monitor = HealthMonitor()
         ctx.nnz_stats.record("matmul-gather", [1.0, 1.0, 10.0])
-        skewed = {"t": 1.0, "gauges": {"nnz.imbalance": 2.5}}
-        events = monitor.evaluate(skewed, store, ctx)
+        skewed = {"t": 1.0, "gauges": {"nnz.imbalance": 5.0}}
+        events = monitor.evaluate(skewed, ctx)
         assert len(events) == 1
         assert events[0].rule == "nnz_imbalance"
         assert "matmul-gather" in events[0].message
-        assert events[0].attrs["imbalance"] == 2.5
+        assert events[0].attrs["imbalance"] == 5.0
+        assert events[0].attrs["threshold"] == NnzImbalance.THRESHOLD
         # same stage still hot: no re-emission
-        assert monitor.evaluate(skewed, store, ctx) == []
+        assert monitor.evaluate(skewed, ctx) == []
         # balanced placement clears; a later skew re-fires
         balanced = {"t": 2.0, "gauges": {"nnz.imbalance": 1.1}}
-        monitor.evaluate(balanced, store, ctx)
+        monitor.evaluate(balanced, ctx)
         assert monitor.status() == "ok"
-        assert len(monitor.evaluate(skewed, store, ctx)) == 1
-
-    def test_configure_sets_nnz_threshold(self):
-        monitor = HealthMonitor()
-        monitor.configure(nnz_imbalance=7.5)
-        by_type = {type(rule).__name__: rule
-                   for rule in monitor.rules}
-        assert by_type["NnzImbalance"].threshold == 7.5
+        assert len(monitor.evaluate(skewed, ctx)) == 1
 
     def test_nnz_gauges_reach_prometheus_and_top(self):
-        ctx = ClusterContext(num_executors=2,
-                             telemetry_interval=60.0)
-        try:
+        with ClusterContext(num_executors=2, trace=True) as ctx:
             ctx.nnz_stats.record("partition_by_nnz", [2.0, 6.0])
-            ctx.telemetry_sampler.sample_once()
-            snapshot = ctx.telemetry_sampler.snapshot()
-            text = prometheus_text(snapshot)
-            assert "spangle_nnz_imbalance" in text
-            assert "nnz skew" in render_dashboard(snapshot)
-        finally:
-            ctx.shutdown()
+            _run_job(ctx)
+            text = prometheus_text(collect_sample(ctx))
+            frame = render_dashboard(ctx.tracer.spans())
+        assert "spangle_nnz_imbalance 1.5" in text
+        nnz_row = next(line for line in frame.splitlines()
+                       if "nnz skew" in line)
+        assert nnz_row.rstrip().endswith("2")
 
     def test_partition_by_nnz_records_loads(self):
         import numpy as np

@@ -220,6 +220,17 @@ class TestExporters:
         for event in completes:
             assert event["ts"] >= 0 and event["dur"] >= 0
 
+    @pytest.mark.parametrize("meta", [
+        {"type": "meta", "format": "repro-telemetry", "version": 1},
+        {"type": "meta", "format": "repro-trace", "version": 2},
+        {"type": "span"},
+    ], ids=["other-format", "future-version", "no-meta-line"])
+    def test_load_rejects_anything_but_trace_v1(self, tmp_path, meta):
+        path = tmp_path / "other.jsonl"
+        path.write_text(json.dumps(meta) + "\n")
+        with pytest.raises(ValueError, match="not a repro-trace v1 log"):
+            load_jsonl(str(path))
+
     def test_span_dict_round_trip(self):
         span = Span(7, 3, "s", "stage", 1.5, "main", {"bytes": 9})
         span.end_s = 2.0
@@ -248,3 +259,18 @@ class TestCliTrace:
         from repro.cli import main
 
         assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
+
+    @pytest.mark.parametrize("command", ["trace", "top"])
+    def test_foreign_log_exits_2_naming_its_format(self, tmp_path, capsys,
+                                                   command):
+        from repro.cli import main
+
+        log = tmp_path / "run.telemetry.jsonl"
+        log.write_text(json.dumps({"type": "meta",
+                                   "format": "repro-telemetry",
+                                   "version": 1}) + "\n"
+                       + json.dumps({"type": "sample", "t": 1.0}) + "\n")
+        assert main([command, str(log)]) == 2
+        err = capsys.readouterr().err
+        assert "format='repro-telemetry'" in err
+        assert "version=1" in err
