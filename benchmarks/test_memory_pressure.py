@@ -1,4 +1,4 @@
-"""Adaptive memory manager under pressure: eviction policy + repacking.
+"""Adaptive memory manager under pressure: LRU spill + repacking.
 
 Two workloads exercise the cache as a real memory tier:
 
@@ -8,9 +8,7 @@ Two workloads exercise the cache as a real memory tier:
   which pushes the cache over budget mid-iteration. LRU evicts by
   recency and lands on the adjacency partition the *next* task needs —
   sequential flooding — so every later iteration reloads it from the
-  spill tier and pays disk in the modeled time. The cost-aware policy
-  prices the contribution blocks at a one-pass narrow recompute,
-  evicts those instead, and keeps the adjacency hot.
+  spill tier and pays disk in the modeled time.
 - **post-filter repacking** — raster tiles arrive dense from the
   loader with a threshold filter already applied as a validity mask
   (~2% of cells survive), so the pinned DENSE payloads are stale for
@@ -46,8 +44,6 @@ from benchmarks.harness import (
 from repro.core import ArrayRDD, ChunkMode
 from repro.engine import ClusterContext, StorageLevel, memory_report
 
-#: cost-aware eviction must model at least this much faster than LRU
-MODELED_TARGET = 1.2
 #: admission repacking must shrink resident bytes at least this much
 REPACK_TARGET = 1.3
 
@@ -137,71 +133,40 @@ def _links_budget() -> int:
     return links_bytes + int(2.5 * BLOCK * 8)
 
 
-def _run_pagerank_policy(policy: str, budget: int) -> dict:
+def run_pagerank() -> dict:
+    budget = _links_budget()
     ctx = ClusterContext(num_executors=EXECUTORS,
                          default_parallelism=PARTITIONS,
-                         cache_budget_bytes=budget,
-                         eviction_policy=policy)
+                         cache_budget_bytes=budget)
     records, out_degree = _edge_blocks()
     links = _load_links(ctx, records)
     measured = run_measured(ctx, _pagerank, ctx, links, out_degree)
     delta = ctx.metrics.snapshot()
     report = memory_report(ctx)
     ctx.shutdown()
-    return {
-        "policy": policy,
-        "measured": measured,
-        "ranks": measured.value,
-        "modeled_s": measured.modeled_with_parallelism(EXECUTORS),
-        "disk_read_bytes": delta.disk_read_bytes,
-        "disk_write_bytes": delta.disk_write_bytes,
-        "evictions": delta.cache_evictions,
-        "spills": delta.cache_spills,
-        "reloads": delta.cache_reloads,
-        "memory_report": report,
-    }
+    modeled_s = measured.modeled_with_parallelism(EXECUTORS)
 
-
-def run_pagerank() -> dict:
-    budget = _links_budget()
-    lru = _run_pagerank_policy("lru", budget)
-    cost = _run_pagerank_policy("cost", budget)
-    speedup = lru["modeled_s"] / max(cost["modeled_s"], 1e-9)
-    identical = bool(np.allclose(lru["ranks"], cost["ranks"],
-                                 atol=1e-12))
-
-    rows = []
-    for out in (lru, cost):
-        measured = out["measured"]
-        rows.append([
-            out["policy"], measured.cell(),
-            f"{out['modeled_s']:.3f}s",
-            f"{measured.disk_s:.3f}s",
-            out["spills"], out["reloads"], out["evictions"],
-        ])
-    rows.append(["speedup", "", f"{speedup:.2f}x", "", "", "", ""])
     print_table(
         f"budgeted PageRank ({NUM_VERTICES} vertices, {NUM_EDGES} "
         f"edges, {ITERATIONS} iterations, budget {budget:,} B)",
-        ["policy", "wall / modeled", "modeled (cluster)", "disk",
-         "spills", "reloads", "evictions"], rows)
-    print(lru["memory_report"])
-    print(cost["memory_report"])
-
-    def slim(out):
-        return {key: out[key] for key in (
-            "policy", "modeled_s", "disk_read_bytes",
-            "disk_write_bytes", "evictions", "spills", "reloads")}
+        ["wall / modeled", "modeled (cluster)", "disk", "spills",
+         "reloads", "evictions"],
+        [[measured.cell(), f"{modeled_s:.3f}s", f"{measured.disk_s:.3f}s",
+          delta.cache_spills, delta.cache_reloads,
+          delta.cache_evictions]])
+    print(report)
 
     return {
         "budget_bytes": budget,
         "iterations": ITERATIONS,
         "num_vertices": NUM_VERTICES,
         "num_edges": NUM_EDGES,
-        "modeled_speedup": speedup,
-        "ranks_identical": identical,
-        "lru": slim(lru),
-        "cost": slim(cost),
+        "modeled_s": modeled_s,
+        "disk_read_bytes": delta.disk_read_bytes,
+        "disk_write_bytes": delta.disk_write_bytes,
+        "evictions": delta.cache_evictions,
+        "spills": delta.cache_spills,
+        "reloads": delta.cache_reloads,
     }
 
 
@@ -275,23 +240,6 @@ def run_repack() -> dict:
 # assertions (the benchmark's "figure shape")
 # ----------------------------------------------------------------------
 
-def test_cost_aware_beats_lru_under_budget():
-    artifact = run_pagerank()
-    assert artifact["ranks_identical"]
-    # LRU floods the adjacency to disk and pays a reload per iteration
-    assert artifact["lru"]["spills"] > 0
-    assert artifact["lru"]["reloads"] >= ITERATIONS - 1
-    # the cost-aware policy sacrifices recomputable narrow blocks and
-    # never touches the spill tier
-    assert artifact["cost"]["disk_read_bytes"] == 0
-    assert artifact["cost"]["disk_write_bytes"] == 0
-    assert artifact["cost"]["evictions"] > 0
-    assert artifact["modeled_speedup"] >= MODELED_TARGET, (
-        f"expected cost-aware eviction to model >= {MODELED_TARGET}x "
-        f"faster than LRU under budget, got "
-        f"{artifact['modeled_speedup']:.2f}x")
-
-
 def test_repacking_shrinks_resident_bytes():
     artifact = run_repack()
     assert artifact["data_identical"]
@@ -311,15 +259,13 @@ def test_repacking_shrinks_resident_bytes():
 def _traced_run(json_path: str) -> dict:
     """A traced budgeted run: spill/reload events for ``repro trace``.
 
-    Traced under LRU on purpose — that is the run that touches the
-    spill tier, so the event log carries ``cache_spill`` and
-    ``cache_reload`` annotations with their encoded disk bytes.
+    The event log carries ``cache_spill`` and ``cache_reload``
+    annotations with their encoded disk bytes.
     """
     budget = _links_budget()
     ctx = ClusterContext(num_executors=EXECUTORS,
                          default_parallelism=PARTITIONS,
                          cache_budget_bytes=budget,
-                         eviction_policy="lru",
                          trace=True)
     records, out_degree = _edge_blocks()
     links = _load_links(ctx, records)

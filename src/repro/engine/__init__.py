@@ -11,8 +11,8 @@ slice of Spark that Spangle needs, in pure Python:
   ``join``, ``cogroup``... implemented over a real shuffle with byte
   accounting.
 - :mod:`repro.engine.storage` — block cache with a running byte
-  ledger, pluggable eviction (LRU or cost-aware), real compressed
-  spill to disk, and density-adaptive chunk repacking on admission.
+  ledger, LRU eviction, real compressed spill to disk, and
+  density-adaptive chunk repacking on admission.
 - :mod:`repro.engine.lineage` — fault injection and lineage-based
   recomputation.
 - :mod:`repro.engine.costmodel` — converts measured metrics (shuffle
@@ -49,16 +49,10 @@ from repro.engine.partitioner import (
     HashPartitioner,
     NnzBalancedPartitioner,
     Partitioner,
-    RangePartitioner,
 )
 from repro.engine.rdd import RDD
 from repro.engine.scheduler import ExecutorPool, StageScheduler
-from repro.engine.storage import (
-    CacheManager,
-    CostAwareEviction,
-    LRUEviction,
-    StorageLevel,
-)
+from repro.engine.storage import CacheManager, StorageLevel
 from repro.engine.telemetry import (
     HealthMonitor,
     HealthReport,
@@ -71,19 +65,16 @@ __all__ = [
     "CacheManager",
     "ClusterContext",
     "ClusterCostModel",
-    "CostAwareEviction",
     "CostReport",
     "ExecutorPool",
     "HealthMonitor",
     "HealthReport",
-    "LRUEviction",
     "HashPartitioner",
     "NnzBalancedPartitioner",
     "JobProfile",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Partitioner",
-    "RangePartitioner",
     "RDD",
     "RecordBatch",
     "Span",

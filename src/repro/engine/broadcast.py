@@ -1,4 +1,4 @@
-"""Broadcast variables and driver-side accumulator counters.
+"""Broadcast variables.
 
 Spark ships read-only values to every executor once per job through its
 broadcast mechanism; Spangle's ML algorithms lean on it for the rank /
@@ -6,15 +6,9 @@ weight vectors. The engine runs in one process, so a broadcast is
 physically a reference — but its *cost* is real on a cluster, so
 :meth:`ClusterContext.broadcast` meters ``value_size × num_executors``
 bytes into the metrics, which the cost model prices as network time.
-
-:class:`AccumulatorParam`-style counters (Spark's ``Accumulator``, not
-the array Accumulator of Section V-B) let tasks report side statistics
-without a shuffle.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.errors import EngineError
 
@@ -45,46 +39,3 @@ class Broadcast:
     def __repr__(self) -> str:
         state = "destroyed" if self._destroyed else f"{self.nbytes}B"
         return f"Broadcast({state})"
-
-
-class CounterAccumulator:
-    """A driver-visible additive counter usable from tasks.
-
-    Thread-safe (tasks may run concurrently under ``use_threads``).
-
-    Under ``backend="process"`` a counter captured by a task closure is
-    *copied* into the worker: additions made there mutate the copy and
-    do not flow back to the driver's counter. Use metrics counters (or
-    an explicit reduce) for statistics that must survive the process
-    boundary.
-    """
-
-    def __init__(self, initial=0, name: str = None):
-        self._value = initial
-        self._name = name or "counter"
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def add(self, amount) -> None:
-        with self._lock:
-            self._value = self._value + amount
-
-    @property
-    def value(self):
-        with self._lock:
-            return self._value
-
-    def reset(self, value=0) -> None:
-        with self._lock:
-            self._value = value
-
-    def __repr__(self) -> str:
-        return f"CounterAccumulator({self._name}={self.value})"

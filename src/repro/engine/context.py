@@ -50,14 +50,10 @@ class ClusterContext:
         their UDF closures must be picklable
         (:mod:`repro.engine.closure` ships lambdas by value). Implies
         parallel execution; ``use_threads`` is not required.
-    eviction_policy:
-        ``"lru"`` (default) or ``"cost"`` — how the block cache picks
-        victims when over budget. The cost-aware policy prices each
-        block's bring-back (spill reload vs lineage recompute) with
-        this context's cost model and evicts the cheapest per byte.
     spill_dir:
         Directory for spilled blocks (default: a private temp dir,
-        removed with the context).
+        removed with the context). :meth:`shutdown` unlinks the spill
+        files it holds.
     repack_on_admission:
         Re-run the chunk mode policy on each cached chunk's current
         density at admission, shrinking stale encodings. Off by
@@ -75,8 +71,7 @@ class ClusterContext:
                  cache_budget_bytes=None, use_threads: bool = False,
                  cost_model: ClusterCostModel = None,
                  task_retries: int = 3, trace: bool = False,
-                 eviction_policy: str = "lru", spill_dir=None,
-                 repack_on_admission: bool = False,
+                 spill_dir=None, repack_on_admission: bool = False,
                  backend: str = "thread"):
         if num_executors <= 0:
             raise EngineError("num_executors must be positive")
@@ -94,8 +89,6 @@ class ClusterContext:
         self.cache = CacheManager(self.metrics,
                                   budget_bytes=cache_budget_bytes,
                                   tracer=self.tracer,
-                                  eviction_policy=eviction_policy,
-                                  cost_model=self.cost_model,
                                   spill_dir=spill_dir,
                                   repack_on_admission=repack_on_admission)
         self.use_threads = use_threads
@@ -167,11 +160,8 @@ class ClusterContext:
         return GeneratedRDD(self, num_partitions, func,
                             partitioner=partitioner)
 
-    def empty_rdd(self) -> RDD:
-        return self.parallelize([], num_partitions=1)
-
     # ------------------------------------------------------------------
-    # broadcast and counters
+    # broadcast
     # ------------------------------------------------------------------
 
     def broadcast(self, value):
@@ -190,12 +180,6 @@ class ClusterContext:
         self.tracer.event(broadcast.label, "broadcast", bytes=nbytes,
                           shipped_bytes=nbytes * self.num_executors)
         return broadcast
-
-    def counter(self, initial=0, name: str = None):
-        """A driver-visible additive counter usable inside tasks."""
-        from repro.engine.broadcast import CounterAccumulator
-
-        return CounterAccumulator(initial, name)
 
     # ------------------------------------------------------------------
     # job execution
@@ -269,15 +253,18 @@ class ClusterContext:
     # ------------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop the executor pool, the worker processes, and unlink any
-        shared-memory segments. An *idle* context remains usable: the
-        next parallel job lazily restarts the pools (shared-memory
-        block handles exported to workers are invalidated, so cached
-        blocks re-export on the next job)."""
+        """Stop the executor pool, the worker processes, unlink any
+        shared-memory segments and every spill file. An *idle* context
+        remains usable: the next parallel job lazily restarts the pools
+        (shared-memory block handles exported to workers are
+        invalidated, so cached blocks re-export on the next job);
+        in-memory cached blocks stay, and a block that was spilled
+        recomputes from lineage on its next read."""
         self.executor_pool.shutdown()
         if self.process_runner is not None:
             self.process_runner.shutdown()
         self.shm_registry.shutdown()
+        self.cache.drop_spilled()
 
     def __enter__(self) -> "ClusterContext":
         return self

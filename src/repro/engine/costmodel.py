@@ -52,13 +52,7 @@ class CostReport:
 
 
 class ClusterCostModel:
-    """Turns a metrics delta plus wall time into a :class:`CostReport`.
-
-    The same rates also price individual cache blocks for the
-    cost-aware eviction policy (:mod:`repro.engine.storage`): what
-    bringing a block back would cost, either by reloading its spill
-    file or by recomputing it through its lineage.
-    """
+    """Turns a metrics delta plus wall time into a :class:`CostReport`."""
 
     def __init__(self, network_bandwidth_bytes_s: float = 117e6,
                  disk_bandwidth_bytes_s: float = 150e6,
@@ -71,8 +65,7 @@ class ClusterCostModel:
         self.network_bandwidth_bytes_s = network_bandwidth_bytes_s
         self.disk_bandwidth_bytes_s = disk_bandwidth_bytes_s
         self.task_overhead_s = task_overhead_s
-        # effective in-memory production rate of one lineage level:
-        # recomputing a block re-runs roughly depth passes over its bytes
+        # effective in-memory rate of one pass over a block's bytes
         self.recompute_bandwidth_bytes_s = recompute_bandwidth_bytes_s
         # matmul kernel rates: BLAS multiply-adds, partial-product
         # pairs of a per-k COO join loop vs the vectorized CSR
@@ -83,10 +76,6 @@ class ClusterCostModel:
         self.coo_pairs_s = coo_pairs_s
         self.csr_pairs_s = csr_pairs_s
         self.scatter_ops_s = scatter_ops_s
-
-    # ------------------------------------------------------------------
-    # per-block rates (cost-aware eviction)
-    # ------------------------------------------------------------------
 
     # ------------------------------------------------------------------
     # logical-plan pricing (the rewrite optimizer)
@@ -214,27 +203,6 @@ class ClusterCostModel:
         (max/mean) is ``imbalance``: the busiest executor finishes last,
         so perfectly divisible work stretches by exactly that factor."""
         return compute_s * max(float(imbalance), 1.0)
-
-    def reload_seconds(self, nbytes: int) -> float:
-        """Modeled time to read a spilled block back from disk."""
-        return nbytes / self.disk_bandwidth_bytes_s
-
-    def spill_seconds(self, nbytes: int) -> float:
-        """Modeled time to write a victim block to disk."""
-        return nbytes / self.disk_bandwidth_bytes_s
-
-    def recompute_seconds(self, nbytes: int, lineage_depth: int,
-                          shuffle_depth: int) -> float:
-        """Modeled time to rebuild a block from its lineage.
-
-        Each lineage level is one pass over the block's bytes; every
-        wide dependency below it additionally moves the bytes across
-        the network and launches tasks.
-        """
-        compute = lineage_depth * nbytes / self.recompute_bandwidth_bytes_s
-        shuffle = shuffle_depth * (nbytes / self.network_bandwidth_bytes_s
-                                   + self.task_overhead_s)
-        return compute + shuffle
 
     def report(self, wall_clock_s: float,
                delta: MetricsSnapshot) -> CostReport:

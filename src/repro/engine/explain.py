@@ -182,7 +182,7 @@ def memory_report(context) -> str:
     budget_text = f"{budget:,} B" if budget is not None else "unbounded"
     lines = [
         "Memory report",
-        f"  policy: {cache.eviction_policy}   budget: {budget_text}",
+        f"  budget: {budget_text}",
         f"  resident: {cache.used_bytes():,} B in "
         f"{cache.block_count()} blocks",
         f"  spilled:  {cache.spilled_bytes():,} B in "

@@ -1,6 +1,6 @@
 """Lineage inspection and fault injection utilities.
 
-RDDs already carry their lineage (``RDD.lineage()``); this module adds
+RDDs already carry their lineage (``RDD.dependencies``); this module adds
 driver-side tools used by tests and by the fault-tolerance example:
 
 - :func:`lineage_depth` / :func:`count_shuffle_boundaries` — static DAG

@@ -16,14 +16,13 @@ execution.
 
 from __future__ import annotations
 
-from repro.engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.engine.partitioner import HashPartitioner, Partitioner
 from repro.engine.rdd import (
     RDD,
     CoGroupedRDD,
     ShuffledRDD,
     _append_value,
     _extend_list,
-    _first_element,
     _identity,
     _singleton_list,
 )
@@ -51,10 +50,6 @@ def _emit_full_outer(groups):
     if not right_values:
         return [(lv, None) for lv in left_values]
     return [(lv, rv) for lv in left_values for rv in right_values]
-
-
-def _sort_partition(part):
-    return sorted(part, key=_first_element)
 
 
 def _default_partitioner(rdd: RDD, partitioner) -> Partitioner:
@@ -134,16 +129,3 @@ def full_outer_join(left: RDD, right: RDD, partitioner=None) -> RDD:
     grouped = cogroup([left, right], partitioner)
     return grouped.flat_map_values(
         _emit_full_outer).rename("full_outer_join")
-
-
-def sort_by_key(rdd: RDD, num_partitions=None) -> RDD:
-    """Range-partition by key and sort within partitions."""
-    if num_partitions is None:
-        num_partitions = rdd.num_partitions
-    sample = rdd.keys().collect()
-    partitioner = RangePartitioner.from_keys(sample, num_partitions)
-    repartitioned = partition_by(rdd, partitioner)
-    return repartitioned.map_partitions(
-        _sort_partition,
-        preserves_partitioning=True,
-    ).rename("sort_by_key")

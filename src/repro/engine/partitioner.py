@@ -1,8 +1,8 @@
 """Partitioners: how keys map to partitions.
 
-Spangle relies on both hash partitioning (the default for shuffles) and
-range partitioning (used when chunk locality along an axis matters, e.g.
-row-block co-location for the matmul local join).
+Spangle relies on hash partitioning (the default for shuffles) and on
+explicit, function-defined placement (row-block co-location for the
+matmul local join).
 :class:`NnzBalancedPartitioner` adds the nnz-aware placement the sparse
 execution tier uses: chunk keys pack into partitions by their valid-cell
 counts instead of by count alone, so one dense block cannot serialize a
@@ -11,7 +11,6 @@ stage while the rest of the pool idles.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 
 import numpy as np
@@ -84,64 +83,6 @@ class HashPartitioner(Partitioner):
             # CPython quirk: hash(-1) == -2
             pids[minus_one] = (-2) % self.num_partitions
         return pids
-
-
-class RangePartitioner(Partitioner):
-    """Partition ordered keys into contiguous ranges.
-
-    ``bounds`` are the *upper-exclusive* split points between partitions;
-    ``len(bounds) == num_partitions - 1``. A key ``k`` goes to the first
-    partition whose bound exceeds it.
-    """
-
-    def __init__(self, bounds):
-        bounds = list(bounds)
-        if sorted(bounds) != bounds:
-            raise EngineError("range partitioner bounds must be sorted")
-        super().__init__(len(bounds) + 1)
-        self.bounds = bounds
-
-    @classmethod
-    def from_keys(cls, keys, num_partitions: int) -> "RangePartitioner":
-        """Sample ``keys`` and build balanced range bounds."""
-        ordered = sorted(set(keys))
-        if num_partitions <= 1 or len(ordered) <= 1:
-            return cls([])
-        step = len(ordered) / num_partitions
-        bounds = []
-        for i in range(1, num_partitions):
-            idx = min(int(i * step), len(ordered) - 1)
-            bound = ordered[idx]
-            if not bounds or bound > bounds[-1]:
-                bounds.append(bound)
-        return cls(bounds)
-
-    def partition(self, key) -> int:
-        return bisect.bisect_right(self.bounds, key)
-
-    def partition_array(self, keys):
-        if not self.bounds:
-            return np.zeros(keys.size, dtype=np.int64)
-        if not all(type(bound) is int for bound in self.bounds):
-            # mixed-type comparisons (float bounds vs huge int keys)
-            # may not round-trip through float64; stay per-record
-            return None
-        try:
-            bounds = np.array(self.bounds, dtype=np.int64)
-        except OverflowError:
-            return None
-        return np.searchsorted(bounds, keys, side="right") \
-                 .astype(np.int64, copy=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.num_partitions == other.num_partitions
-            and self.bounds == other.bounds
-        )
-
-    def __hash__(self) -> int:
-        return hash(("RangePartitioner", tuple(self.bounds)))
 
 
 class ExplicitPartitioner(Partitioner):

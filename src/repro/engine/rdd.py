@@ -14,7 +14,6 @@ the cache manager and verify results are rebuilt transparently.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 import threading
@@ -126,32 +125,6 @@ class _FlatMapRecords:
             func(record) for record in part)
 
 
-class _KeyBy:
-    """``key_by``: pair every record with ``func(record)``."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func):
-        self.func = func
-
-    def __call__(self, record):
-        return (self.func(record), record)
-
-
-class _AttachIndex:
-    """``zip_with_index``: attach partition-major global indices."""
-
-    __slots__ = ("offsets",)
-
-    def __init__(self, offsets):
-        self.offsets = offsets
-
-    def __call__(self, index, part):
-        offset = self.offsets[index]
-        return ((record, offset + i)
-                for i, record in enumerate(part))
-
-
 class _Sampler:
     """``sample``: per-partition deterministic Bernoulli sampling."""
 
@@ -211,68 +184,12 @@ class _SeqFold:
         return acc
 
 
-class _NSmallest:
-    """``take_ordered``: per-partition n-smallest heap."""
-
-    __slots__ = ("n", "key")
-
-    def __init__(self, n, key):
-        self.n = n
-        self.key = key
-
-    def __call__(self, part):
-        return heapq.nsmallest(self.n, part, key=self.key)
-
-
-class _NLargest:
-    """``top``: per-partition n-largest heap."""
-
-    __slots__ = ("n", "key")
-
-    def __init__(self, n, key):
-        self.n = n
-        self.key = key
-
-    def __call__(self, part):
-        return heapq.nlargest(self.n, part, key=self.key)
-
-
-class _ForEach:
-    """``foreach``: run ``func`` for its side effects."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func):
-        self.func = func
-
-    def __call__(self, part):
-        func = self.func
-        for record in part:
-            func(record)
-        return None
-
-
 def _glom_part(part):
     return [list(part)]
 
 
 def _count_records(part):
     return sum(1 for _ in part)
-
-
-def _count_part(part):
-    return [sum(1 for _ in part)]
-
-
-def _zip_parts(left_part, right_part):
-    left_list = list(left_part)
-    right_list = list(right_part)
-    if len(left_list) != len(right_list):
-        raise EngineError(
-            "zip requires identically sized partitions "
-            f"({len(left_list)} vs {len(right_list)})"
-        )
-    return list(zip(left_list, right_list))
 
 
 def _identity(value):
@@ -349,7 +266,6 @@ class RDD:
         self._compute_locks_guard = threading.Lock()
         self._mat_locks = {}
         self._mat_locks_guard = threading.Lock()
-        self._lineage_hint_cache = None
 
     # ------------------------------------------------------------------
     # computation and caching
@@ -397,11 +313,9 @@ class RDD:
             if index in self._cached_indices:
                 self.context.metrics.add(recomputations=1)
             data = list(self.compute(index))
-            depth, wide = self.lineage_hint()
             cache.put(self.rdd_id, index, data,
                       allow_spill=self.storage_level
-                      is StorageLevel.MEMORY_AND_DISK,
-                      lineage_depth=depth, shuffle_depth=wide)
+                      is StorageLevel.MEMORY_AND_DISK)
             self._cached_indices.add(index)
         return data
 
@@ -481,7 +395,7 @@ class RDD:
 
     def _stub_state(self, indices) -> dict:
         """The state of this node shipped as a :class:`LineageStub`:
-        identity, partitioning, cost hint and the checkpoint slices of
+        identity, partitioning and the checkpoint slices of
         ``indices`` — no dependencies, functions or data."""
         checkpoint = self._checkpoint_data
         return {
@@ -495,7 +409,6 @@ class RDD:
             "_cached_indices": set(),
             "_checkpoint_data": (None if checkpoint is None
                                  else _keep(checkpoint, indices)),
-            "_lineage_hint_cache": self.lineage_hint(),
         }
 
     def persist(self, level: StorageLevel = StorageLevel.MEMORY) -> "RDD":
@@ -545,62 +458,6 @@ class RDD:
         """
         return ()
 
-    def lineage_hint(self) -> tuple:
-        """``(lineage_depth, shuffle_depth)`` — how dear a recompute is.
-
-        ``lineage_depth`` is the longest chain of narrow ancestors;
-        ``shuffle_depth`` counts wide dependencies on that chain. The
-        block cache stores both with every cached partition so the
-        cost-aware eviction policy can price recomputation: shallow
-        narrow results are cheap to lose, shuffle outputs are not.
-        Checkpoints cut the lineage here exactly as they do for
-        recovery. Memoized — the DAG beneath an RDD never changes.
-        """
-        if self._lineage_hint_cache is None:
-            if self.is_checkpointed or not self.dependencies:
-                depth, wide = 1, len(self.wide_slots())
-            else:
-                depth, wide = 0, 0
-                for dep in self.dependencies:
-                    dep_depth, dep_wide = dep.lineage_hint()
-                    depth = max(depth, dep_depth)
-                    wide = max(wide, dep_wide)
-                depth += 1
-                wide += len(self.wide_slots())
-            self._lineage_hint_cache = (depth, wide)
-        return self._lineage_hint_cache
-
-    def lineage(self) -> dict:
-        """A nested description of how this RDD derives from its parents.
-
-        Checkpointed RDDs are lineage roots: their parents are elided.
-        """
-        if self.is_checkpointed:
-            return {
-                "id": self.rdd_id,
-                "op": f"{self.name} [checkpoint]",
-                "partitions": self.num_partitions,
-                "parents": [],
-            }
-        return {
-            "id": self.rdd_id,
-            "op": self.name,
-            "partitions": self.num_partitions,
-            "parents": [dep.lineage() for dep in self.dependencies],
-        }
-
-    def lineage_string(self, _depth: int = 0) -> str:
-        marker = " [checkpoint]" if self.is_checkpointed else ""
-        lines = [
-            "  " * _depth
-            + f"({self.rdd_id}) {self.name}[{self.num_partitions}]"
-            + marker
-        ]
-        if not self.is_checkpointed:
-            for dep in self.dependencies:
-                lines.append(dep.lineage_string(_depth + 1))
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------
     # narrow transformations
     # ------------------------------------------------------------------
@@ -632,18 +489,6 @@ class RDD:
     def glom(self):
         return self.map_partitions(_glom_part).rename("glom")
 
-    def key_by(self, func):
-        return self.map(_KeyBy(func)).rename("key_by")
-
-    def zip_with_index(self):
-        """Pair every record with a global, partition-major index."""
-        counts = self.map_partitions(_count_part).collect()
-        offsets = [0]
-        for count in counts[:-1]:
-            offsets.append(offsets[-1] + count)
-        return self.map_partitions_with_index(
-            _AttachIndex(offsets)).rename("zip_with_index")
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.context, [self, other])
 
@@ -665,9 +510,6 @@ class RDD:
             .map(_first_element)
             .rename("distinct")
         )
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        return CoalescedRDD(self, num_partitions)
 
     def rename(self, name: str) -> "RDD":
         self.name = name
@@ -743,11 +585,6 @@ class RDD:
 
         return cogroup([self, other], partitioner)
 
-    def sort_by_key(self, num_partitions=None):
-        from repro.engine.pairs import sort_by_key
-
-        return sort_by_key(self, num_partitions)
-
     def count_by_key(self) -> dict:
         return dict(
             self.map_values(_one)
@@ -772,9 +609,6 @@ class RDD:
     def collect(self) -> list:
         chunks = self.context.run_job(self, list)
         return [record for chunk in chunks for record in chunk]
-
-    def collect_as_map(self) -> dict:
-        return dict(self.collect())
 
     def count(self) -> int:
         return sum(self.context.run_job(self, _count_records))
@@ -836,36 +670,6 @@ class RDD:
         if not got:
             raise EngineError("first() on an empty RDD")
         return got[0]
-
-    def take_ordered(self, n: int, key=None) -> list:
-        """The ``n`` smallest records (per-partition heaps, one merge)."""
-        partials = self.context.run_job(self, _NSmallest(n, key))
-        return heapq.nsmallest(
-            n, (item for partial in partials for item in partial),
-            key=key)
-
-    def top(self, n: int, key=None) -> list:
-        """The ``n`` largest records (descending)."""
-        partials = self.context.run_job(self, _NLargest(n, key))
-        return heapq.nlargest(
-            n, (item for partial in partials for item in partial),
-            key=key)
-
-    def zip(self, other: "RDD") -> "RDD":
-        """Pair up records positionally (equal partition structure)."""
-        return self.zip_partitions(other, _zip_parts).rename("zip")
-
-    def foreach(self, func) -> None:
-        self.context.run_job(self, _ForEach(func))
-
-    def count_by_value(self) -> dict:
-        counts = {}
-        for record in self.collect():
-            counts[record] = counts.get(record, 0) + 1
-        return counts
-
-    def is_empty(self) -> bool:
-        return not self.take(1)
 
     def __repr__(self) -> str:
         return (
@@ -1005,7 +809,7 @@ class LineageStub(RDD):
 
     Every partition the task reads of it arrives another way — a cached
     block's handle, a checkpoint slice — or the task reads none of it,
-    so only identity, partitioning and cost hint travel (see
+    so only identity and partitioning travel (see
     :meth:`RDD._stub_state`). Reaching :meth:`compute` means a read the
     payload did not plan for.
     """
@@ -1014,26 +818,6 @@ class LineageStub(RDD):
         raise EngineError(
             f"partition ({self.rdd_id}, {index}) of {self.name!r} shipped "
             "as a lineage stub, and its block is not in the task's handles")
-
-
-class CoalescedRDD(RDD):
-    """Reduce partition count without a shuffle."""
-
-    def __init__(self, parent: RDD, num_partitions: int):
-        num_partitions = max(1, min(num_partitions, parent.num_partitions))
-        super().__init__(parent.context, dependencies=(parent,),
-                         num_partitions=num_partitions, name="coalesce")
-
-    def parent_partitions(self, index: int) -> list:
-        parent = self.dependencies[0]
-        return [(parent, parent_index) for parent_index in
-                range(index, parent.num_partitions, self.num_partitions)]
-
-    def compute(self, index: int) -> list:
-        out = []
-        for parent, parent_index in self.parent_partitions(index):
-            out.extend(parent.iterator(parent_index))
-        return out
 
 
 class _ShuffleStageBase(RDD):

@@ -5,12 +5,8 @@ Persisted RDD partitions are stored here as blocks keyed by
 
 - a **running byte ledger** — ``used_bytes()`` is O(1); every put,
   eviction, and drop adjusts the total instead of re-summing.
-- a **pluggable eviction policy** — LRU (the default) or cost-aware
-  (:class:`CostAwareEviction`), which scores each block by what
-  bringing it back would cost per byte freed, priced with the
-  context's :class:`~repro.engine.costmodel.ClusterCostModel` rates
-  and the block's lineage depth. Cheap-to-recompute narrow results go
-  first; expensive shuffle outputs stay hot.
+- **one eviction rule** — least recently used, Spark's default: over
+  budget, the block read or written longest ago goes first.
 - **real spill** — ``MEMORY_AND_DISK`` victims are serialized
   (:mod:`repro.engine.spill`; chunk partitions reuse the compressed
   chunk codec), written to a per-context spill directory, freed from
@@ -56,74 +52,13 @@ class StorageLevel(enum.Enum):
 
 
 class BlockInfo:
-    """Per-block accounting the eviction policy scores with."""
+    """Per-block accounting: resident size and whether eviction spills."""
 
-    __slots__ = ("size", "allow_spill", "lineage_depth", "shuffle_depth")
+    __slots__ = ("size", "allow_spill")
 
-    def __init__(self, size: int, allow_spill: bool,
-                 lineage_depth: int = 1, shuffle_depth: int = 0):
+    def __init__(self, size: int, allow_spill: bool):
         self.size = size
         self.allow_spill = allow_spill
-        self.lineage_depth = lineage_depth
-        self.shuffle_depth = shuffle_depth
-
-
-class LRUEviction:
-    """Evict the least-recently-used block (Spark's default)."""
-
-    name = "lru"
-
-    def select_victim(self, blocks: "OrderedDict", infos: dict):
-        return next(iter(blocks))
-
-
-class CostAwareEviction:
-    """Evict the block that is cheapest per byte to bring back.
-
-    Score = ``reload_or_recompute_cost / size``: a spillable block costs
-    one disk write now plus one read later; a memory-only block costs a
-    lineage recomputation (deeper lineage and shuffle ancestry make it
-    dearer). Ties (and the ordering of equal scores) resolve to the
-    least recently used, so the policy degrades to LRU over uniform
-    blocks and stays deterministic.
-    """
-
-    name = "cost"
-
-    def __init__(self, cost_model):
-        self.cost_model = cost_model
-
-    def block_cost_s(self, info: BlockInfo) -> float:
-        """Modeled seconds to bring one evicted block back."""
-        if info.allow_spill:
-            return (self.cost_model.spill_seconds(info.size)
-                    + self.cost_model.reload_seconds(info.size))
-        return self.cost_model.recompute_seconds(
-            info.size, info.lineage_depth, info.shuffle_depth)
-
-    def select_victim(self, blocks: "OrderedDict", infos: dict):
-        best_key = None
-        best_score = None
-        for key in blocks:
-            info = infos[key]
-            score = self.block_cost_s(info) / max(info.size, 1)
-            if best_score is None or score < best_score:
-                best_key = key
-                best_score = score
-        return best_key
-
-
-def make_eviction_policy(name, cost_model=None):
-    """``"lru"`` | ``"cost"`` | an object with ``select_victim``."""
-    if name is None or name == "lru":
-        return LRUEviction()
-    if name == "cost":
-        return CostAwareEviction(cost_model)
-    if hasattr(name, "select_victim"):
-        return name
-    raise ValueError(
-        f"unknown eviction policy {name!r}; expected 'lru', 'cost', or "
-        f"an object with select_victim()")
 
 
 class _SpilledBlock:
@@ -137,7 +72,7 @@ class _SpilledBlock:
 
 
 class CacheManager:
-    """Block store with a byte budget, spill tier, and eviction policy.
+    """Block store with a byte budget, a spill tier, and LRU eviction.
 
     ``budget_bytes=None`` means unbounded (the default for tests). The
     manager is thread-safe because the scheduler may compute partitions
@@ -145,12 +80,10 @@ class CacheManager:
     """
 
     def __init__(self, metrics, budget_bytes=None, tracer=None,
-                 eviction_policy="lru", cost_model=None, spill_dir=None,
-                 repack_on_admission: bool = False):
+                 spill_dir=None, repack_on_admission: bool = False):
         self._metrics = metrics
         self._budget_bytes = budget_bytes
         self._tracer = tracer
-        self._policy = make_eviction_policy(eviction_policy, cost_model)
         self._repack = repack_on_admission
         self._blocks = OrderedDict()
         self._infos = {}
@@ -171,10 +104,6 @@ class CacheManager:
     @property
     def budget_bytes(self):
         return self._budget_bytes
-
-    @property
-    def eviction_policy(self) -> str:
-        return self._policy.name
 
     def used_bytes(self) -> int:
         """Resident (in-memory) bytes — a running total, O(1)."""
@@ -321,8 +250,7 @@ class CacheManager:
     # ------------------------------------------------------------------
 
     def put(self, rdd_id: int, partition_index: int, data,
-            allow_spill: bool = True, lineage_depth: int = 1,
-            shuffle_depth: int = 0) -> None:
+            allow_spill: bool = True) -> None:
         key = (rdd_id, partition_index)
         with self._lock:
             # a re-persisted block supersedes any spilled copy; leaving
@@ -341,8 +269,7 @@ class CacheManager:
             if key in self._blocks:
                 self._used_bytes -= self._infos[key].size
             self._blocks[key] = data
-            self._infos[key] = BlockInfo(size, allow_spill,
-                                         lineage_depth, shuffle_depth)
+            self._infos[key] = BlockInfo(size, allow_spill)
             self._blocks.move_to_end(key)
             self._used_bytes += size
             if self._budget_bytes is not None:
@@ -351,8 +278,7 @@ class CacheManager:
     def _evict_to_budget(self) -> None:
         while (self._used_bytes > self._budget_bytes
                and len(self._blocks) > 1):
-            victim_key = self._policy.select_victim(self._blocks,
-                                                    self._infos)
+            victim_key = next(iter(self._blocks))
             victim_data = self._blocks.pop(victim_key)
             info = self._infos.pop(victim_key)
             self._used_bytes -= info.size
@@ -406,10 +332,17 @@ class CacheManager:
         with self._lock:
             return key in self._blocks or key in self._spilled
 
+    def drop_spilled(self) -> None:
+        """Unlink every spill file and forget its block. In-memory
+        blocks stay; a forgotten block recomputes from lineage on its
+        next read."""
+        with self._lock:
+            for key in list(self._spilled):
+                self._purge_spill(key)
+
     def clear(self) -> None:
         with self._lock:
             self._blocks.clear()
             self._infos.clear()
-            for key in list(self._spilled):
-                self._purge_spill(key)
             self._used_bytes = 0
+            self.drop_spilled()

@@ -119,12 +119,10 @@ class TaskBlockCache:
         return False, None
 
     def put(self, rdd_id: int, partition_index: int, data,
-            allow_spill: bool = True, lineage_depth: int = 1,
-            shuffle_depth: int = 0) -> None:
+            allow_spill: bool = True) -> None:
         self._local[(rdd_id, partition_index)] = data
         self.contributions.append(
-            (rdd_id, partition_index, data, allow_spill,
-             lineage_depth, shuffle_depth))
+            (rdd_id, partition_index, data, allow_spill))
 
     def drop_partition(self, rdd_id: int, partition_index: int) -> bool:
         key = (rdd_id, partition_index)
@@ -622,12 +620,9 @@ class ProcessTaskRunner:
         if contributions:
             nodes = {node.rdd_id: node
                      for node in lineage_nodes(task.roots())}
-            for (rdd_id, index, data, allow_spill, depth,
-                 wide) in contributions:
+            for rdd_id, index, data, allow_spill in contributions:
                 context.cache.put(rdd_id, index, data,
-                                  allow_spill=allow_spill,
-                                  lineage_depth=depth,
-                                  shuffle_depth=wide)
+                                  allow_spill=allow_spill)
                 node = nodes.get(rdd_id)
                 if node is not None:
                     node._cached_indices.add(index)

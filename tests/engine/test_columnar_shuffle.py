@@ -26,11 +26,7 @@ from repro.engine.batches import (
     pack_values,
 )
 from repro.engine.pairs import cogroup
-from repro.engine.partitioner import (
-    ExplicitPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-)
+from repro.engine.partitioner import ExplicitPartitioner, HashPartitioner
 from repro.errors import EngineError
 from tests._reference.engine import shuffle_path
 
@@ -62,20 +58,6 @@ class TestPartitionArray:
             assert part.partition_array(keys) is None
         # just inside the modulus still packs
         self._check(part, [HASH_MODULUS - 1, -(HASH_MODULUS - 1)])
-
-    def test_range_matches(self):
-        part = RangePartitioner([10, 20, 30])
-        self._check(part, [-5, 9, 10, 11, 20, 29, 30, 31, 1000])
-
-    def test_range_empty_bounds(self):
-        part = RangePartitioner([])
-        got = part.partition_array(np.array([1, 2, 3], dtype=np.int64))
-        assert got.tolist() == [0, 0, 0]
-
-    def test_range_refuses_non_int_bounds(self):
-        part = RangePartitioner([1.5, 2.5])
-        assert part.partition_array(
-            np.array([1, 2], dtype=np.int64)) is None
 
     def test_explicit_without_array_func_refuses(self):
         part = ExplicitPartitioner(4, lambda k: k // 10)

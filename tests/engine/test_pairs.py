@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import ClusterContext, HashPartitioner, RangePartitioner
+from repro.engine import ClusterContext, HashPartitioner
 from repro.engine.lineage import count_shuffle_boundaries
 from repro.engine.partitioner import ExplicitPartitioner
 
@@ -131,21 +131,6 @@ class TestPartitioning:
         for index, records in enumerate(rdd.glom().collect()):
             for key, _value in records:
                 assert (key // 10) % 4 == index
-
-    def test_range_partitioner_orders_keys(self, ctx):
-        part = RangePartitioner.from_keys(range(100), 4)
-        assert part.num_partitions == 4
-        previous = -1
-        for bound in part.bounds:
-            assert bound > previous
-            previous = bound
-        assert part.partition(0) == 0
-        assert part.partition(99) == 3
-
-    def test_sort_by_key(self, ctx):
-        data = [(k, -k) for k in (5, 1, 9, 3, 7, 2, 8)]
-        rdd = ctx.parallelize(data, 3).sort_by_key()
-        assert rdd.keys().collect() == sorted(k for k, _v in data)
 
     def test_lookup_with_partitioner_scans_one_partition(self, ctx):
         part = HashPartitioner(4)

@@ -64,14 +64,6 @@ def _build_glom(ctx):
     return ctx.parallelize(range(24), 4).glom()
 
 
-def _build_key_by(ctx):
-    return ctx.parallelize(range(30), 3).key_by(lambda x: x % 5)
-
-
-def _build_zip_with_index(ctx):
-    return ctx.parallelize("abcdefghij", 3).zip_with_index()
-
-
 def _build_union(ctx):
     left = ctx.parallelize(range(10), 2)
     return left.union(ctx.parallelize(range(10, 20), 2))
@@ -90,10 +82,6 @@ def _build_sample(ctx):
 
 def _build_distinct(ctx):
     return ctx.parallelize([i % 7 for i in range(70)], 4).distinct()
-
-
-def _build_coalesce(ctx):
-    return ctx.parallelize(range(40), 8).coalesce(2)
 
 
 def _build_keys_values(ctx):
@@ -165,11 +153,6 @@ def _build_cogroup(ctx):
     return left.cogroup(right)
 
 
-def _build_sort_by_key(ctx):
-    return ctx.parallelize([((i * 17) % 31, i) for i in range(31)], 4) \
-              .sort_by_key()
-
-
 TRANSFORMS = {
     "map": _build_map,
     "map_module_udf": _build_map_module_udf,
@@ -178,13 +161,10 @@ TRANSFORMS = {
     "map_partitions": _build_map_partitions,
     "map_partitions_with_index": _build_map_partitions_with_index,
     "glom": _build_glom,
-    "key_by": _build_key_by,
-    "zip_with_index": _build_zip_with_index,
     "union": _build_union,
     "zip_partitions": _build_zip_partitions,
     "sample": _build_sample,
     "distinct": _build_distinct,
-    "coalesce": _build_coalesce,
     "keys_values": _build_keys_values,
     "map_values": _build_map_values,
     "flat_map_values": _build_flat_map_values,
@@ -197,7 +177,6 @@ TRANSFORMS = {
     "left_outer_join": _build_left_outer_join,
     "full_outer_join": _build_full_outer_join,
     "cogroup": _build_cogroup,
-    "sort_by_key": _build_sort_by_key,
 }
 
 

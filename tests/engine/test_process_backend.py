@@ -282,11 +282,6 @@ def _payload_union(ctx):
     return left.union(ctx.parallelize(range(100, 120), 2)).collect()
 
 
-def _payload_coalesce(ctx):
-    return ctx.parallelize(range(64), 8).map(lambda x: x + 1) \
-              .coalesce(3).glom().collect()
-
-
 def _payload_zip_partitions(ctx):
     right = ctx.parallelize(range(100, 140), 4).cache()
     right.count()
@@ -333,7 +328,6 @@ def _payload_first_cache_in_worker(ctx):
 
 PAYLOAD_SCENARIOS = {
     "union": (_payload_union, {}),
-    "coalesce": (_payload_coalesce, {}),
     "zip_partitions": (_payload_zip_partitions, {}),
     "cogroup_narrow_slot": (_payload_cogroup_narrow_slot, {}),
     "checkpoint": (_payload_checkpoint, {}),

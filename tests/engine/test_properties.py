@@ -108,14 +108,6 @@ def test_distinct_matches_set(data, parts):
     assert sorted(got) == sorted(set(data))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=pair_datasets)
-def test_sort_by_key_sorts(data):
-    ctx = make_ctx()
-    got = ctx.parallelize(data, 3).sort_by_key().keys().collect()
-    assert got == sorted(k for k, _v in data)
-
-
 @settings(max_examples=30, deadline=None)
 @given(data=datasets, parts=partition_counts)
 def test_cache_changes_nothing(data, parts):

@@ -34,9 +34,6 @@ class TestCreation:
         rdd = ctx.generate(3, lambda i: range(i * 10, i * 10 + 2))
         assert rdd.collect() == [0, 1, 10, 11, 20, 21]
 
-    def test_empty_rdd(self, ctx):
-        assert ctx.empty_rdd().is_empty()
-
 
 class TestTransformations:
     def test_map(self, ctx):
@@ -84,27 +81,12 @@ class TestTransformations:
         rdd = ctx.parallelize([3, 1, 3, 2, 1, 3], 3)
         assert sorted(rdd.distinct().collect()) == [1, 2, 3]
 
-    def test_coalesce(self, ctx):
-        rdd = ctx.parallelize(range(10), 5).coalesce(2)
-        assert rdd.num_partitions == 2
-        assert sorted(rdd.collect()) == list(range(10))
-
     def test_sample_is_deterministic(self, ctx):
         rdd = ctx.parallelize(range(1000), 4)
         first = rdd.sample(0.1, seed=7).collect()
         second = rdd.sample(0.1, seed=7).collect()
         assert first == second
         assert 50 < len(first) < 200
-
-    def test_zip_with_index(self, ctx):
-        rdd = ctx.parallelize("abcde", 3).zip_with_index()
-        assert rdd.collect() == [
-            ("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4)
-        ]
-
-    def test_key_by(self, ctx):
-        rdd = ctx.parallelize([10, 25], 1).key_by(lambda x: x % 10)
-        assert rdd.collect() == [(0, 10), (5, 25)]
 
     def test_laziness_no_work_before_action(self, ctx):
         calls = []
@@ -172,15 +154,6 @@ class TestActions:
         with pytest.raises(EngineError):
             ctx.parallelize([], 1).first()
 
-    def test_foreach(self, ctx):
-        seen = []
-        ctx.parallelize([1, 2, 3], 2).foreach(seen.append)
-        assert sorted(seen) == [1, 2, 3]
-
-    def test_count_by_value(self, ctx):
-        counts = ctx.parallelize(list("abca"), 2).count_by_value()
-        assert counts == {"a": 2, "b": 1, "c": 1}
-
     def test_task_failure_carries_partition(self, ctx):
         def boom(x):
             raise ValueError("bad record")
@@ -199,17 +172,3 @@ class TestThreadedExecution:
         expected = serial.parallelize(data, 8).map(lambda x: x * 3).sum()
         actual = threaded.parallelize(data, 8).map(lambda x: x * 3).sum()
         assert actual == expected
-
-
-class TestLineageStrings:
-    def test_lineage_tree(self, ctx):
-        rdd = ctx.parallelize([1], 1).map(lambda x: x).filter(bool)
-        info = rdd.lineage()
-        assert info["op"] == "filter"
-        assert info["parents"][0]["op"] == "map"
-        assert info["parents"][0]["parents"][0]["op"] == "parallelize"
-
-    def test_lineage_string_contains_ids(self, ctx):
-        rdd = ctx.parallelize([1], 1).map(lambda x: x)
-        text = rdd.lineage_string()
-        assert "map" in text and "parallelize" in text

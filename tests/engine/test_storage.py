@@ -1,4 +1,4 @@
-"""The adaptive memory manager: ledger, eviction policies, real spill,
+"""The adaptive memory manager: ledger, LRU eviction, real spill,
 and density repacking on admission."""
 
 import os
@@ -12,7 +12,6 @@ from repro.core import ArrayRDD, Chunk, ChunkMode
 from repro.engine import (
     CacheManager,
     ClusterContext,
-    ClusterCostModel,
     MetricsRegistry,
     StorageLevel,
     memory_report,
@@ -21,11 +20,9 @@ from repro.engine import spill as spill_mod
 from repro.engine.sizing import estimate_partition_size, estimate_size
 
 
-def make_cache(policy="lru", budget=None, **kwargs):
+def make_cache(budget=None, **kwargs):
     metrics = MetricsRegistry()
-    cache = CacheManager(metrics, budget_bytes=budget,
-                         eviction_policy=policy,
-                         cost_model=ClusterCostModel(), **kwargs)
+    cache = CacheManager(metrics, budget_bytes=budget, **kwargs)
     return metrics, cache
 
 
@@ -186,60 +183,14 @@ class TestSpill:
 
 
 class TestEvictionPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_cache(policy="random")
-
     def test_lru_evicts_oldest(self):
-        _metrics, cache = make_cache(policy="lru", budget=1100)
+        _metrics, cache = make_cache(budget=1100)
         cache.put(1, 0, [bytes(500)], allow_spill=False)
         cache.put(2, 0, [bytes(500)], allow_spill=False)
         cache.get(1, 0)                  # freshen rdd 1
         cache.put(3, 0, [bytes(500)], allow_spill=False)
         assert not cache.contains(2, 0)
         assert cache.contains(1, 0)
-
-    def test_cost_aware_keeps_expensive_blocks(self):
-        # LRU order says evict the shuffle output (oldest); the
-        # cost-aware score says the shallow narrow block is ~5000x
-        # cheaper per byte to bring back, so it goes instead — even
-        # though it was stored last.
-        _metrics, cache = make_cache(policy="cost", budget=1100)
-        cache.put(1, 0, [bytes(500)], allow_spill=False,
-                  lineage_depth=4, shuffle_depth=2)   # shuffle output
-        cache.put(2, 0, [bytes(500)], allow_spill=True)  # spillable
-        cache.put(3, 0, [bytes(500)], allow_spill=False,
-                  lineage_depth=1, shuffle_depth=0)   # cheap narrow
-        assert not cache.contains(3, 0)
-        assert cache.contains(1, 0)
-        assert cache.contains(2, 0)
-
-    def test_cost_aware_prefers_spilling_over_losing_shuffles(self):
-        # with only a spillable block and a shuffle output resident,
-        # the spillable one is the cheaper bring-back: it goes to disk
-        # rather than the shuffle output being recomputed
-        metrics, cache = make_cache(policy="cost", budget=1100)
-        cache.put(1, 0, [bytes(500)], allow_spill=False,
-                  lineage_depth=4, shuffle_depth=2)
-        cache.put(2, 0, [bytes(500)], allow_spill=True)
-        cache.put(3, 0, [bytes(500)], allow_spill=False,
-                  lineage_depth=5, shuffle_depth=3)
-        assert not cache.contains(2, 0) or cache.spilled_count() == 1
-        assert cache.contains(1, 0)
-        assert metrics.cache_spills == 1
-
-    def test_lineage_hints_flow_from_rdds(self):
-        ctx = ClusterContext(num_executors=2, default_parallelism=2)
-        base = ctx.parallelize([(i % 3, i) for i in range(12)], 2)
-        narrow = base.map(lambda kv: kv).cache()
-        wide = base.reduce_by_key(lambda a, b: a + b).cache()
-        narrow.collect()
-        wide.collect()
-        narrow_info = ctx.cache._infos[(narrow.rdd_id, 0)]
-        wide_info = ctx.cache._infos[(wide.rdd_id, 0)]
-        assert narrow_info.shuffle_depth == 0
-        assert wide_info.shuffle_depth == 1
-        assert wide_info.lineage_depth >= narrow_info.lineage_depth
 
 
 class TestLineageRecovery:
@@ -264,6 +215,24 @@ class TestLineageRecovery:
         spilled_key = next(iter(ctx.cache._spilled))
         assert ctx.cache.drop_partition(*spilled_key)
         assert rdd.count() == 4
+
+    def test_shutdown_unlinks_spill_files_and_reuse_recomputes(
+            self, tmp_path):
+        spill_dir = str(tmp_path)
+        with ClusterContext(num_executors=2, default_parallelism=2,
+                            cache_budget_bytes=1500,
+                            spill_dir=spill_dir) as ctx:
+            rdd = ctx.parallelize([bytes([i]) * 600 for i in range(4)], 4) \
+                     .persist(StorageLevel.MEMORY_AND_DISK)
+            expected = rdd.collect()
+            assert os.listdir(spill_dir)
+        assert os.listdir(spill_dir) == []
+        assert ctx.cache.spilled_count() == 0
+        assert ctx.cache.block_count() > 0      # in-memory blocks stay
+        assert rdd.collect() == expected
+        assert ctx.metrics.recomputations > 0
+        ctx.shutdown()
+        assert os.listdir(spill_dir) == []
 
 
 class TestExactChunkSizing:
@@ -345,43 +314,52 @@ class TestRepackOnAdmission:
 
 
 class TestBudgetedDeterminism:
+    #: the spill-tier counters eviction drives; serial and threaded runs
+    #: must evict and spill the same blocks, not only return equal bytes
+    SPILL_FIELDS = ("disk_write_bytes", "disk_read_bytes",
+                    "cache_evictions", "cache_spills")
+
     def _run(self, use_threads):
-        ctx = ClusterContext(num_executors=4, default_parallelism=4,
-                             cache_budget_bytes=30_000,
-                             use_threads=use_threads,
-                             eviction_policy="cost",
-                             repack_on_admission=True)
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((48, 48))
-        valid = rng.random((48, 48)) < 0.3
-        arr = ArrayRDD.from_numpy(ctx, data, (12, 12), valid=valid,
-                                  mode=ChunkMode.DENSE)
-        arr._collapse().persist(StorageLevel.MEMORY_AND_DISK)
-        pairs = ctx.parallelize(
-            [(i % 13, float(i)) for i in range(2000)], 4) \
-            .persist(StorageLevel.MEMORY_AND_DISK)
-        out = []
-        for _round in range(3):
-            out.append(sorted(
-                pairs.reduce_by_key(lambda a, b: a + b).collect()))
-            out.append(arr.sum())
-            out.append(sorted(arr.rdd.collect()))
-        return pickle.dumps(out)
+        with ClusterContext(num_executors=4, default_parallelism=4,
+                            cache_budget_bytes=30_000,
+                            use_threads=use_threads,
+                            repack_on_admission=True) as ctx:
+            rng = np.random.default_rng(5)
+            data = rng.standard_normal((48, 48))
+            valid = rng.random((48, 48)) < 0.3
+            arr = ArrayRDD.from_numpy(ctx, data, (12, 12), valid=valid,
+                                      mode=ChunkMode.DENSE)
+            arr._collapse().persist(StorageLevel.MEMORY_AND_DISK)
+            pairs = ctx.parallelize(
+                [(i % 13, float(i)) for i in range(2000)], 4) \
+                .persist(StorageLevel.MEMORY_AND_DISK)
+            out = []
+            for _round in range(3):
+                out.append(sorted(
+                    pairs.reduce_by_key(lambda a, b: a + b).collect()))
+                out.append(arr.sum())
+                out.append(sorted(arr.rdd.collect()))
+            counters = {name: getattr(ctx.metrics, name)
+                        for name in self.SPILL_FIELDS}
+        return pickle.dumps(out), counters
 
     def test_serial_and_threaded_byte_identical_under_pressure(self):
-        assert self._run(False) == self._run(True)
+        serial_bytes, serial_counters = self._run(False)
+        thread_bytes, thread_counters = self._run(True)
+        assert serial_counters["cache_spills"] > 0
+        assert serial_counters == thread_counters
+        assert serial_bytes == thread_bytes
 
 
 class TestMemoryReport:
     def test_report_mentions_the_adaptive_counters(self):
         ctx = ClusterContext(num_executors=2, cache_budget_bytes=1500,
-                             eviction_policy="cost",
                              repack_on_admission=True)
         rdd = ctx.parallelize([bytes(600)] * 4, 4) \
                  .persist(StorageLevel.MEMORY_AND_DISK)
         rdd.count()
         text = memory_report(ctx)
-        assert "policy: cost" in text
+        assert "budget: 1,500 B" in text
         assert "chunks_repacked" in text
         assert "spills" in text
         assert f"{ctx.cache.used_bytes():,} B" in text
