@@ -21,8 +21,8 @@ Package map:
 - :mod:`repro.engine` -- the mini-Spark substrate.
 - :mod:`repro.bitmask` -- bitmask machinery (popcounts, hierarchy).
 - :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators, the
-  cost-gated rewrite optimizer (:mod:`repro.core.optimizer`: scalar
-  folding, subarray hoisting, matmul kernel/placement planning) and
+  rule-based rewrite optimizer (:mod:`repro.core.optimizer`: scalar
+  folding and subarray hoisting, applied wherever they match) and
   the chunk-kernel fusion layer (:mod:`repro.core.plan`) every
   recorded plan runs through (``ArrayRDD.explain(optimized=True)``
   shows which rules fired).

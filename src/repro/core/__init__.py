@@ -7,9 +7,9 @@ multi-dimensional array is described by :class:`ArrayMetadata`, cut into
 :class:`ArrayRDD`. Multi-attribute arrays are column stores
 (:class:`SpangleDataset`) sharing a lazily-evaluated :class:`MaskRDD`.
 Operators record :class:`~repro.core.logical.LogicalOp` trees
-(:mod:`repro.core.logical`); at evaluation the cost-based rewrite
-optimizer (:mod:`repro.core.optimizer`) reorders them where the cluster
-cost model says it pays, and lowering compiles chunk-local chains onto
+(:mod:`repro.core.logical`); at evaluation the rewrite optimizer
+(:mod:`repro.core.optimizer`) applies its exact rules wherever they
+match, and lowering compiles chunk-local chains onto
 a :class:`ChunkPlan` (:mod:`repro.core.plan`) executing as one fused
 pass per chunk.
 """

@@ -13,7 +13,7 @@ memory-reduction policy.
 Operators do not touch the engine eagerly: they *record*
 :class:`~repro.core.logical.LogicalOp` nodes. Reading :attr:`rdd` —
 which every action and wide operator does — is the plan barrier: the
-recorded tree is rewritten by the cost-based optimizer
+recorded tree is rewritten by the rule-based optimizer
 (:mod:`repro.core.optimizer`) and lowered back to ChunkPlan kernel
 chains (compiled into single fused ``map_partitions`` passes) and
 engine joins/shuffles. ``cache()`` and ``materialize()`` are plan
@@ -38,9 +38,9 @@ from repro.core.logical import (
     ShuffleOp,
     SourceOp,
     SubarrayOp,
+    chunk_ids_from_records,
     lower_to_rdd,
     render_tree,
-    valid_counts_from_records,
 )
 from repro.core.metadata import ArrayMetadata
 from repro.engine import HashPartitioner
@@ -139,11 +139,6 @@ def _chunk_valid_count(kv) -> int:
     return kv[1].valid_count
 
 
-def _partition_valid_count(records) -> list:
-    """One total of valid cells per partition (for nnz_by_partition)."""
-    return [sum(chunk.valid_count for _cid, chunk in records)]
-
-
 def _chunk_nbytes(kv) -> int:
     return kv[1].nbytes
 
@@ -165,7 +160,7 @@ class ArrayRDD:
 
         Accessing this is the plan barrier: actions, wide operators and
         external consumers all read it. The recorded logical tree is
-        rewritten by the cost-based optimizer, then lowered —
+        rewritten by the rule-based optimizer, then lowered —
         chunk-local chains compile to one fused ``map_partitions`` pass
         each — and the result is memoized, so repeat actions reuse the
         same compiled RDD and its cache entries.
@@ -177,8 +172,7 @@ class ArrayRDD:
             from repro.core import optimizer as optimizer_mod
 
             metrics = self.context.metrics
-            node, fired, pruned = optimizer_mod.optimize(
-                node, self.context)
+            node, fired, pruned = optimizer_mod.optimize(node)
             if fired:
                 metrics.add(optimizer_rules_fired=len(fired),
                             optimizer_chunks_pruned=pruned)
@@ -237,10 +231,10 @@ class ArrayRDD:
                                   partitioner=partitioner)
         rdd.partitioner = partitioner
         out = cls(rdd, meta, context)
-        # driver-side creation knows every chunk's valid count for free;
-        # the optimizer's density-aware cost estimates feed on them
+        # driver-side creation knows every stored chunk ID for free;
+        # the optimizer's pruned-chunk count is exact with them
         out._logical = SourceOp(rdd, meta,
-                                valid_counts_from_records(records))
+                                chunk_ids_from_records(records))
         return out
 
     @classmethod
@@ -347,8 +341,7 @@ class ArrayRDD:
         node = self._logical
         lines = ["Logical plan:", render_tree(node, 1)]
         if optimized:
-            opt, fired, pruned = optimizer_mod.optimize(node,
-                                                        self.context)
+            opt, fired, pruned = optimizer_mod.optimize(node)
             rules = ", ".join(fired) if fired else "none"
             lines.append(
                 f"Optimized plan ({len(fired)} rules fired: {rules}; "
@@ -416,52 +409,6 @@ class ArrayRDD:
     def repartition(self, num_partitions: int) -> "ArrayRDD":
         """Hash-redistribute into ``num_partitions`` partitions."""
         return self.partition_by(HashPartitioner(int(num_partitions)))
-
-    def partition_by_nnz(self, num_partitions=None) -> "ArrayRDD":
-        """Redistribute so per-partition *valid cells* balance.
-
-        Packs chunk IDs into partitions by their valid counts (greedy
-        LPT via :class:`~repro.engine.partitioner
-        .NnzBalancedPartitioner`) using the plan's exact per-chunk
-        stats. Falls back to plain hash repartitioning when the
-        recorded plan cannot supply them (e.g. an estimate-only op
-        intervenes). The planned loads land in the context's
-        ``nnz_stats``, so ``repro top`` and ``/metrics`` show the
-        resulting ``nnz.imbalance`` immediately.
-        """
-        from repro.core.logical import estimate as estimate_node
-        from repro.engine.partitioner import NnzBalancedPartitioner
-
-        if num_partitions is None:
-            num_partitions = self.context.default_parallelism
-        num_partitions = int(num_partitions)
-        est = estimate_node(self._logical)
-        if not est.per_chunk:
-            return self.repartition(num_partitions)
-        weights = {int(cid): float(count)
-                   for cid, count in est.per_chunk.items()}
-        partitioner = NnzBalancedPartitioner.from_weights(
-            weights, num_partitions)
-        stats = getattr(self.context, "nnz_stats", None)
-        if stats is not None:
-            stats.record("partition_by_nnz",
-                         partitioner.partition_loads(weights))
-        return self.partition_by(partitioner)
-
-    def nnz_by_partition(self) -> np.ndarray:
-        """Measured valid cells per partition (an action).
-
-        The ground truth the planned loads of :meth:`partition_by_nnz`
-        approximate; also records the measurement into the context's
-        ``nnz_stats`` gauge source.
-        """
-        rdd = self.rdd
-        counts = rdd.map_partitions(_partition_valid_count).collect()
-        loads = np.asarray(counts, dtype=float)
-        stats = getattr(self.context, "nnz_stats", None)
-        if stats is not None and loads.size:
-            stats.record("measured", loads)
-        return loads
 
     def combine(self, other: "ArrayRDD", op, how: str = "and",
                 fill=0) -> "ArrayRDD":

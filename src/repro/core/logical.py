@@ -5,12 +5,12 @@ order the user wrote them; nothing *reorders*. This module adds the
 missing logical layer: ArrayRDD / MaskRDD / matrix operators *record*
 :class:`LogicalOp` DAG nodes instead of eagerly appending kernels or
 building RDDs. When an action forces evaluation, the recorded tree is
-rewritten by the cost-gated optimizer (:mod:`repro.core.optimizer`)
-and then **lowered** right back onto today's physical layer —
-ChunkPlan kernels for the chunk-local nodes, engine joins /
-partition_by / the matmul machinery for the wide ones — so the
-executor, fusion, the columnar shuffle, and all three backends are
-untouched.
+rewritten by the optimizer (:mod:`repro.core.optimizer`), whose exact
+rules apply wherever they match, and then **lowered** right back onto
+today's physical layer — ChunkPlan kernels for the chunk-local nodes,
+engine joins / partition_by / the matmul machinery for the wide ones —
+so the executor, fusion, the columnar shuffle, and all three backends
+are untouched.
 
 The lowering contract is strict: lowering a recorded tree as written
 (``lower_to_rdd`` with no rule applied) produces *exactly* the RDD
@@ -21,7 +21,7 @@ guarantee of the kernel layer carries over unchanged.
 Layer map::
 
     user operators          ->  LogicalOp DAG        (this module)
-    cost-gated rewrites     ->  repro.core.optimizer
+    rule-applied rewrites   ->  repro.core.optimizer
     chunk-local lowering    ->  repro.core.plan       (ChunkPlan kernels)
     wide lowering           ->  repro.engine          (joins, shuffles)
 """
@@ -44,7 +44,6 @@ from repro.core.plan import (
 
 __all__ = [
     "ElementwiseOp",
-    "Estimate",
     "FilterOp",
     "FoldedScalarOp",
     "LogicalOp",
@@ -60,11 +59,6 @@ __all__ = [
     "lower_to_rdd",
     "render_tree",
 ]
-
-#: assumed fraction of cells surviving a value predicate when no better
-#: statistic is available (the classic Selinger default)
-DEFAULT_FILTER_SELECTIVITY = 0.5
-
 
 # ----------------------------------------------------------------------
 # nodes
@@ -95,25 +89,25 @@ class LogicalOp:
 class SourceOp(LogicalOp):
     """Leaf: a concrete ``(chunk_id, Chunk)`` RDD already in the engine.
 
-    ``valid_counts`` — per-chunk valid-cell counts captured at creation
-    time (``from_numpy`` knows them for free) — feed the optimizer's
-    density-aware cost estimates; ``None`` means unknown.
+    ``chunk_ids`` — the IDs of the stored chunks, captured at creation
+    time (``from_numpy`` knows them for free) — make the optimizer's
+    pruned-chunk count exact; ``None`` means unknown.
     """
 
     name = "source"
 
-    def __init__(self, rdd, meta, valid_counts=None):
+    def __init__(self, rdd, meta, chunk_ids=None):
         self.rdd = rdd
         self._meta = meta
-        self.valid_counts = valid_counts
+        self.chunk_ids = chunk_ids
 
     @property
     def meta(self):
         return self._meta
 
     def describe(self) -> str:
-        known = (f" chunks={len(self.valid_counts)}"
-                 if self.valid_counts is not None else "")
+        known = (f" chunks={len(self.chunk_ids)}"
+                 if self.chunk_ids is not None else "")
         return (f"source[shape={self._meta.shape} "
                 f"chunk={self._meta.chunk_shape}{known}]")
 
@@ -206,7 +200,7 @@ class SubarrayOp(LogicalOp):
         self.lo = tuple(int(c) for c in lo)
         self.hi = tuple(int(c) for c in hi)
         # validates the box now (call-site error timing) and feeds the
-        # optimizer's pruning estimates — a pure metadata computation
+        # optimizer's pruned-chunk count — a pure metadata computation
         self.wanted = frozenset(
             mapper.chunk_ids_in_range(self.meta, self.lo, self.hi))
 
@@ -214,18 +208,6 @@ class SubarrayOp(LogicalOp):
         pruned = self.meta.num_chunks - len(self.wanted)
         note = f" prunes {pruned}/{self.meta.num_chunks}" if pruned else ""
         return f"subarray[{self.lo}..{self.hi}{note}]"
-
-    def cell_fraction(self) -> float:
-        """Fraction of the array's cells inside the (clamped) box."""
-        meta = self.meta
-        inside = 1
-        for axis in range(meta.ndim):
-            lo = max(self.lo[axis], meta.starts[axis])
-            hi = min(self.hi[axis], meta.ends[axis] - 1)
-            if lo > hi:
-                return 0.0
-            inside *= hi - lo + 1
-        return inside / meta.num_cells if meta.num_cells else 0.0
 
     def with_children(self, children) -> "SubarrayOp":
         return SubarrayOp(children[0], self.lo, self.hi)
@@ -300,56 +282,20 @@ class MaskApplyOp(LogicalOp):
         return MaskApplyOp(children[0], self.mask)
 
 
-class MatmulExecPlan:
-    """Physical choices the optimizer attached to a :class:`MatmulOp`.
-
-    ``kernel`` is the forced block-pair representation (``"dense"`` or
-    ``"csr"``); ``balance`` swaps the k-shuffle and gather
-    hash partitioners for nnz-balanced ones built from ``k_weights``
-    and ``gather_weights`` (per-key modeled work, measured from the
-    operands' per-chunk valid counts). The two imbalance figures are
-    the max/mean gather load ratios hash vs balanced placement would
-    produce — what the cost gate compared, and what ``explain``
-    surfaces.
-    """
-
-    __slots__ = ("kernel", "balance", "k_weights", "gather_weights",
-                 "imbalance_hash", "imbalance_nnz")
-
-    def __init__(self, kernel, balance, k_weights, gather_weights,
-                 imbalance_hash=1.0, imbalance_nnz=1.0):
-        self.kernel = kernel
-        self.balance = balance
-        self.k_weights = k_weights
-        self.gather_weights = gather_weights
-        self.imbalance_hash = imbalance_hash
-        self.imbalance_nnz = imbalance_nnz
-
-    def describe(self) -> str:
-        placement = (
-            f"nnz-balanced skew {self.imbalance_hash:.2f}"
-            f"->{self.imbalance_nnz:.2f}" if self.balance else "hash"
-        )
-        return f"kernel={self.kernel} placement={placement}"
-
-
 class MatmulOp(LogicalOp):
     """Distributed block matrix multiply of two SpangleMatrix operands.
 
     The operands stay driver-side matrix handles; their own pending
-    logical plans lower when this node does. ``exec_plan`` is the
-    optimizer's :class:`MatmulExecPlan` (kernel + placement), or None
-    for the density-gated default path.
+    logical plans lower when this node does.
     """
 
     name = "matmul"
 
-    def __init__(self, left, right, local_join, meta, exec_plan=None):
+    def __init__(self, left, right, local_join, meta):
         self.left = left
         self.right = right
         self.local_join = local_join
         self._meta = meta
-        self.exec_plan = exec_plan
 
     @property
     def meta(self):
@@ -361,9 +307,7 @@ class MatmulOp(LogicalOp):
 
     def describe(self) -> str:
         kind = "local_join" if self.local_join else "shuffled"
-        plan = (f" {self.exec_plan.describe()}"
-                if self.exec_plan is not None else "")
-        return f"matmul[{kind} {self.left.shape}x{self.right.shape}{plan}]"
+        return f"matmul[{kind} {self.left.shape}x{self.right.shape}]"
 
     def with_children(self, children) -> "MatmulOp":
         return self
@@ -382,110 +326,36 @@ def render_tree(node: LogicalOp, indent: int = 0) -> str:
 
 
 # ----------------------------------------------------------------------
-# statistics: per-node output estimates for the cost model
+# statistics: chunk records per node (the pruned-chunk count)
 # ----------------------------------------------------------------------
 
-class Estimate:
-    """Estimated shape of one node's output stream.
-
-    ``chunks`` — surviving chunk records; ``valid`` — estimated valid
-    cells across them; ``per_chunk`` — optional exact per-chunk valid
-    counts (kept while ops preserve per-chunk validity structure,
-    dropped once an estimate-only op intervenes). ``density`` and
-    ``payload_bytes`` derive from those.
-    """
-
-    __slots__ = ("chunks", "valid", "meta", "per_chunk")
-
-    def __init__(self, chunks, valid, meta, per_chunk=None):
-        self.chunks = max(float(chunks), 0.0)
-        self.valid = max(float(valid), 0.0)
-        self.meta = meta
-        self.per_chunk = per_chunk
-
-    @property
-    def density(self) -> float:
-        cells = self.chunks * self.meta.cells_per_chunk
-        return min(self.valid / cells, 1.0) if cells else 0.0
-
-    @property
-    def dense_bytes(self) -> float:
-        """Payload bytes if every surviving chunk were DENSE."""
-        return (self.chunks * self.meta.cells_per_chunk
-                * self.meta.dtype.itemsize)
-
-    @property
-    def payload_bytes(self) -> float:
-        """Estimated bytes actually stored (density-scaled payloads
-        plus one bitmask word stream per chunk)."""
-        mask_bytes = self.chunks * self.meta.cells_per_chunk / 8.0
-        return self.dense_bytes * self.density + mask_bytes
-
-
-def estimate(node: LogicalOp) -> Estimate:
-    """Recursive output estimate for one logical node."""
+def estimate(node: LogicalOp):
+    """``(chunks, ids)`` for one node's output stream: the estimated
+    chunk record count and, while every op below keeps each chunk's ID,
+    the exact set of surviving IDs (else None)."""
     if isinstance(node, SourceOp):
-        meta = node.meta
-        if node.valid_counts is not None:
-            per_chunk = dict(node.valid_counts)
-            return Estimate(len(per_chunk), sum(per_chunk.values()),
-                            meta, per_chunk)
-        return Estimate(meta.num_chunks,
-                        meta.num_chunks * meta.cells_per_chunk, meta)
+        if node.chunk_ids is not None:
+            return len(node.chunk_ids), node.chunk_ids
+        return node.meta.num_chunks, None
     if isinstance(node, MatmulOp):
-        meta = node.meta
-        left = estimate(node.children[0])
-        right = estimate(node.children[1])
-        # a cell of the product is nonzero unless all k contributions
-        # vanish: P(nonzero) = 1 - (1 - da·db)^k at independent operand
-        # densities (1.0 when both operands are dense or unknown)
-        k_dim = max(int(node.left.shape[1]), 1)
-        hit = min(left.density * right.density, 1.0)
-        out_density = 1.0 - (1.0 - hit) ** k_dim
-        return Estimate(meta.num_chunks,
-                        meta.num_chunks * meta.cells_per_chunk
-                        * min(max(out_density, 0.0), 1.0),
-                        meta)
-    child = estimate(node.children[0])
+        return node.meta.num_chunks, None
+    chunks, ids = estimate(node.children[0])
     if isinstance(node, (MapOp, ScalarOp, FoldedScalarOp, RepackOp,
                          ShuffleOp)):
-        return child
-    if isinstance(node, FilterOp):
-        return Estimate(child.chunks,
-                        child.valid * DEFAULT_FILTER_SELECTIVITY,
-                        node.meta)
+        return chunks, ids
     if isinstance(node, SubarrayOp):
-        meta = node.meta
-        chunk_frac = (len(node.wanted) / meta.num_chunks
-                      if meta.num_chunks else 0.0)
-        cell_frac = node.cell_fraction()
-        if child.per_chunk is not None:
-            survivors = {cid: count
-                         for cid, count in child.per_chunk.items()
-                         if cid in node.wanted}
-            # the box keeps cell_frac of the array; scale the surviving
-            # chunks' counts by the box's share of *their* region
-            keep = min(cell_frac / chunk_frac, 1.0) if chunk_frac else 0.0
-            survivors = {cid: count * keep
-                         for cid, count in survivors.items()}
-            return Estimate(len(survivors), sum(survivors.values()),
-                            meta, survivors)
-        return Estimate(child.chunks * chunk_frac,
-                        child.valid * cell_frac, meta)
-    if isinstance(node, MaskApplyOp):
-        return Estimate(child.chunks, child.valid, node.meta)
+        if ids is not None:
+            ids = ids & node.wanted
+            return len(ids), ids
+        num_chunks = node.meta.num_chunks
+        return (chunks * len(node.wanted) / num_chunks
+                if num_chunks else 0.0), None
     if isinstance(node, ElementwiseOp):
-        left = child
-        right = estimate(node.children[1])
-        if node.how == "and":
-            chunks = min(left.chunks, right.chunks)
-            valid = min(left.valid, right.valid)
-        else:
-            chunks = max(left.chunks, right.chunks)
-            valid = min(left.valid + right.valid,
-                        chunks * node.meta.cells_per_chunk)
-        return Estimate(chunks, valid, node.meta)
-    return child
+        other, _ids = estimate(node.children[1])
+        pick = min if node.how == "and" else max
+        return pick(chunks, other), None
+    # a filter or a mask may drop any chunk
+    return chunks, None
 
 
 # ----------------------------------------------------------------------
@@ -583,6 +453,6 @@ def _lower_uncached(node, context, metrics, memo):
 # helpers shared with the operators
 # ----------------------------------------------------------------------
 
-def valid_counts_from_records(records) -> dict:
-    """Per-chunk valid counts for driver-side record lists."""
-    return {cid: int(chunk.valid_count) for cid, chunk in records}
+def chunk_ids_from_records(records) -> frozenset:
+    """The stored chunk IDs of a driver-side record list."""
+    return frozenset(cid for cid, _chunk in records)

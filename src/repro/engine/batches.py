@@ -146,6 +146,21 @@ class ArrayValues:
         np.cumsum(lengths, out=offsets[1:])
         self.offsets = offsets
 
+    def __getstate__(self):
+        return self.data, self.lengths, self.shapes, self.offsets
+
+    def __setstate__(self, state):
+        # an unpickled array's dtype is equal to numpy's canonical
+        # singleton but not identical; pickle memoizes by identity, so
+        # re-intern (a zero-copy view) to keep decoded columns pickling
+        # byte-identically to fresh ones
+        data, self.lengths, self.shapes, self.offsets = state
+        if data.dtype.fields is None:
+            canonical = np.dtype(data.dtype.str)
+            if canonical is not data.dtype:
+                data = data.view(canonical)
+        self.data = data
+
     def __len__(self) -> int:
         return self.lengths.size
 

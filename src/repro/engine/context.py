@@ -69,7 +69,6 @@ class ClusterContext:
 
     def __init__(self, num_executors: int = 4, default_parallelism=None,
                  cache_budget_bytes=None, use_threads: bool = False,
-                 cost_model: ClusterCostModel = None,
                  task_retries: int = 3, trace: bool = False,
                  spill_dir=None, repack_on_admission: bool = False,
                  backend: str = "thread"):
@@ -85,7 +84,7 @@ class ClusterContext:
         self.default_parallelism = default_parallelism or num_executors
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=trace, num_executors=num_executors)
-        self.cost_model = cost_model or ClusterCostModel()
+        self.cost_model = ClusterCostModel()
         self.cache = CacheManager(self.metrics,
                                   budget_bytes=cache_budget_bytes,
                                   tracer=self.tracer,

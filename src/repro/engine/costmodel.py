@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.engine.metrics import MetricsSnapshot
 
 
@@ -56,49 +54,10 @@ class ClusterCostModel:
 
     def __init__(self, network_bandwidth_bytes_s: float = 117e6,
                  disk_bandwidth_bytes_s: float = 150e6,
-                 task_overhead_s: float = 0.005,
-                 recompute_bandwidth_bytes_s: float = 1e9,
-                 dense_flops_s: float = 2e10,
-                 coo_pairs_s: float = 8e6,
-                 csr_pairs_s: float = 8e7,
-                 scatter_ops_s: float = 2e9):
+                 task_overhead_s: float = 0.005):
         self.network_bandwidth_bytes_s = network_bandwidth_bytes_s
         self.disk_bandwidth_bytes_s = disk_bandwidth_bytes_s
         self.task_overhead_s = task_overhead_s
-        # effective in-memory rate of one pass over a block's bytes
-        self.recompute_bandwidth_bytes_s = recompute_bandwidth_bytes_s
-        # matmul kernel rates: BLAS multiply-adds, partial-product
-        # pairs of a per-k COO join loop vs the vectorized CSR
-        # expansion, and scattered row-updates of the CSR×dense kernel.
-        # The COO/dense ratio sets the sparse density gate, calibrated
-        # to SPARSE_KERNEL_THRESHOLD: sqrt(8e6 / 2e10) == 0.02.
-        self.dense_flops_s = dense_flops_s
-        self.coo_pairs_s = coo_pairs_s
-        self.csr_pairs_s = csr_pairs_s
-        self.scatter_ops_s = scatter_ops_s
-
-    # ------------------------------------------------------------------
-    # logical-plan pricing (the rewrite optimizer)
-    # ------------------------------------------------------------------
-    # The optimizer (repro.core.optimizer) prices candidate plans before
-    # any task runs, so these helpers work from *estimates*: bytes that
-    # would flow through a plan node and the density of the chunks
-    # carrying them. They intentionally share the rates used everywhere
-    # else in the model, so "cheaper here" means cheaper on the same
-    # modeled cluster the benchmarks report.
-
-    def scan_seconds(self, nbytes: int, density: float = 1.0) -> float:
-        """Modeled time for one chunk-local pass over ``nbytes``.
-
-        ``density`` scales the dense byte count down to the payload a
-        sparse chunk actually stores (a 1%-dense SPARSE chunk scans ~1%
-        of the cells a DENSE chunk would). Clamped to [0, 1]; zero bytes
-        cost zero.
-        """
-        if nbytes <= 0:
-            return 0.0
-        density = min(max(float(density), 0.0), 1.0)
-        return nbytes * density / self.recompute_bandwidth_bytes_s
 
     def shuffle_seconds(self, nbytes: int, num_tasks: int = 0) -> float:
         """Modeled time to move ``nbytes`` through a shuffle.
@@ -149,60 +108,6 @@ class ClusterCostModel:
 
         return max((finish_time(key) for key in stage_seconds),
                    default=0.0)
-
-    def sparse_kernel_threshold(self) -> float:
-        """Density below which sparse partial products beat BLAS.
-
-        Equating the pair-join cost ``dₐ·d_b·m·k·n / coo_pairs_s`` with
-        the dense cost ``m·k·n / dense_flops_s`` at equal operand
-        densities gives ``d = sqrt(coo_pairs_s / dense_flops_s)`` —
-        0.02 at the default rates, i.e. ``SPARSE_KERNEL_THRESHOLD``
-        falls out of the model instead of being hard-coded.
-        """
-        return float(np.sqrt(self.coo_pairs_s / self.dense_flops_s))
-
-    def scatter_kernel_threshold(self) -> float:
-        """Density below which the one-sided CSR×dense scatter kernel
-        beats the dense kernel: ``scatter_ops_s / dense_flops_s``
-        (0.1 at the default rates)."""
-        return float(self.scatter_ops_s / self.dense_flops_s)
-
-    def matmul_kernel_seconds(self, m: float, k: float, n: float,
-                              density_left: float, density_right: float,
-                              kind: str) -> float:
-        """Modeled compute seconds for one ``(m×k) @ (k×n)`` product.
-
-        ``kind`` is the representation pair: ``"dense"`` (BLAS) or
-        ``"csr"`` (vectorized CSR×CSR when both sides qualify,
-        CSR×dense scatter when only one does). The sparse kind prices
-        the expected partial-product pairs ``nnzₐ·nnz_b / k`` plus one
-        pass to build the index structure.
-        """
-        da = min(max(float(density_left), 0.0), 1.0)
-        db = min(max(float(density_right), 0.0), 1.0)
-        if kind == "dense":
-            return m * k * n / self.dense_flops_s
-        nnz_a = da * m * k
-        nnz_b = db * k * n
-        pairs = nnz_a * nnz_b / max(k, 1.0)
-        setup = (nnz_a + nnz_b) / self.scatter_ops_s
-        if kind == "csr":
-            gate = self.sparse_kernel_threshold()
-            if da < gate and db < gate:
-                return pairs / self.csr_pairs_s + setup
-            # one-sided: scatter the sparse side's rows over the
-            # dense side's columns
-            sparse_nnz = nnz_a if da <= db else nnz_b
-            width = n if da <= db else m
-            return sparse_nnz * width / self.scatter_ops_s + setup
-        raise ValueError(f"unknown matmul kernel kind {kind!r}")
-
-    def skewed_stage_seconds(self, compute_s: float,
-                             imbalance: float) -> float:
-        """Wall time of a parallel stage whose per-partition load ratio
-        (max/mean) is ``imbalance``: the busiest executor finishes last,
-        so perfectly divisible work stretches by exactly that factor."""
-        return compute_s * max(float(imbalance), 1.0)
 
     def report(self, wall_clock_s: float,
                delta: MetricsSnapshot) -> CostReport:

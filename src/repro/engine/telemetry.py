@@ -144,9 +144,9 @@ class WorkerHeartbeats:
 class NnzBalanceStats:
     """Per-partition nnz loads of the last placed sparse stage.
 
-    The sparse execution tier (matmul's balanced shuffles,
-    ``ArrayRDD.partition_by_nnz``, the graph loader) records the
-    per-partition valid-cell loads its partitioner produced;
+    The PageRank graph loader (``BitmaskGraph.from_edges(balance=
+    "nnz")``) records the per-partition valid-cell loads its
+    partitioner produced;
     :func:`collect_sample` turns the latest recording into the
     ``nnz.*`` gauges — most importantly ``nnz.imbalance``, the max/mean
     load ratio the :class:`NnzImbalance` health rule watches.

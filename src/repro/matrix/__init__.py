@@ -13,7 +13,6 @@
 """
 
 from repro.matrix.matrix import SpangleMatrix
-from repro.matrix.multiply import sparse_threshold
 from repro.matrix.offsets import CSRBlock, OffsetArrayChunk, encode_static
 from repro.matrix.vector import SpangleVector
 
@@ -23,5 +22,4 @@ __all__ = [
     "SpangleMatrix",
     "SpangleVector",
     "encode_static",
-    "sparse_threshold",
 ]

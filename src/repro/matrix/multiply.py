@@ -2,7 +2,7 @@
 
 The default path mirrors Spark's three-stage plan: two shuffles to key
 the operands by the contraction block index *k*, then a reduce to gather
-partial products per output block.
+partial products per output block. Both shuffles place keys by hash.
 
 The **local join** path (Section VI-A) applies when the left operand is
 partitioned by column-block and the right by row-block under the *same*
@@ -14,22 +14,14 @@ Partial products are bitmask-gated: a pair of blocks is multiplied only
 when both carry valid cells, and zero rows/columns never reach the
 kernel.
 
-The **sparse execution tier** layers two decisions on top:
-
-- *kernel*: per block pair, dense BLAS vs the vectorized CSR kernels
-  (:func:`_csr_join` for sparse×sparse and the CSR×dense scatter of
-  :func:`_scatter_partial` for one-sided sparsity);
-- *placement*: the k-shuffle and the gather shuffle may swap their hash
-  partitioners for :class:`~repro.engine.partitioner
-  .NnzBalancedPartitioner`\\ s packed from per-chunk valid counts, so a
-  power-law nnz distribution cannot strand the stage on one executor.
-
-Both decisions are made on the driver — either by the rewrite
-optimizer (a :class:`~repro.core.logical.MatmulExecPlan` attached to
-the MatmulOp, priced by the cost model) or by the density gates of
-:func:`sparse_threshold` — and shipped to workers inside the picklable
-:class:`_BlockKernel`, so every backend (serial, thread, process) runs
-the same arithmetic in the same order.
+Each block pair picks its own kernel from the two blocks' densities
+(:class:`_BlockKernel`): the vectorized CSR join of :func:`_csr_join`
+when both are below :data:`SPARSE_KERNEL_THRESHOLD`, the CSR×dense
+scatter of :func:`_scatter_partial` when one is below
+:data:`SCATTER_KERNEL_THRESHOLD`, dense BLAS otherwise. The gates are
+module constants and the choice reads only the two blocks, so every
+backend (serial, thread, process) runs the same arithmetic in the same
+order.
 """
 
 from __future__ import annotations
@@ -38,13 +30,10 @@ import numpy as np
 
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
-from repro.core.logical import MatmulExecPlan, MatmulOp, SourceOp, estimate
+from repro.core.logical import MatmulOp
 from repro.core.metadata import ArrayMetadata
 from repro.engine import HashPartitioner
-from repro.engine.partitioner import (
-    ExplicitPartitioner,
-    NnzBalancedPartitioner,
-)
+from repro.engine.partitioner import ExplicitPartitioner
 from repro.errors import ShapeMismatchError
 from repro.matrix.offsets import csc_from_offsets, csr_from_offsets
 
@@ -61,22 +50,11 @@ def _check_dims(left, right) -> None:
         )
 
 
-#: Fallback density gate below which both operands take the sparse
-#: partial-product path. The *derived* gate normally comes from the
-#: context's cost model (``sparse_kernel_threshold()`` — 0.02 at the
-#: default rates, so the constant and the model agree out of the box);
-#: this constant only applies when no cost model is reachable.
+#: Density below which both blocks of a pair take the CSR join.
 SPARSE_KERNEL_THRESHOLD = 0.02
 
-
-def sparse_threshold(cost_model=None) -> float:
-    """The effective sparse-kernel density gate: the cost model's
-    derived gate, or the constant for callers with no model in reach
-    (the documented default the model reproduces).
-    """
-    if cost_model is not None:
-        return cost_model.sparse_kernel_threshold()
-    return SPARSE_KERNEL_THRESHOLD
+#: Density below which one sparse block takes the CSR×dense scatter.
+SCATTER_KERNEL_THRESHOLD = 0.1
 
 
 class _COOPartial:
@@ -227,44 +205,35 @@ def _scatter_partial(left_chunk, right_chunk, left_shape, right_shape,
 
 
 class _BlockKernel:
-    """The driver-chosen per-block-pair kernel, shipped to workers.
+    """The per-block-pair kernel, shipped to workers.
 
     A module-level class (process-backend tasks pickle it by
-    reference) holding the *resolved* policy: the kernel kind and the
-    density gates, decided once on the driver from the exec plan and
-    the cost model, so every backend multiplies the same blocks the
-    same way.
+    reference); the kernel each pair runs follows from the two blocks'
+    densities and the module's gates alone.
     """
 
-    __slots__ = ("left_shape", "right_shape", "kind", "gate",
-                 "scatter_gate")
+    __slots__ = ("left_shape", "right_shape")
 
-    def __init__(self, left_shape, right_shape, kind, gate,
-                 scatter_gate):
+    def __init__(self, left_shape, right_shape):
         self.left_shape = left_shape
         self.right_shape = right_shape
-        self.kind = kind                  # "csr" | "dense"
-        self.gate = gate                  # both-sparse density gate
-        self.scatter_gate = scatter_gate  # one-sided CSR×dense gate
 
     def __getstate__(self):
-        return (self.left_shape, self.right_shape, self.kind,
-                self.gate, self.scatter_gate)
+        return self.left_shape, self.right_shape
 
     def __setstate__(self, state):
-        (self.left_shape, self.right_shape, self.kind, self.gate,
-         self.scatter_gate) = state
+        self.left_shape, self.right_shape = state
 
     def __call__(self, left_chunk, right_chunk):
         if left_chunk.valid_count == 0 or right_chunk.valid_count == 0:
             return None
         da = left_chunk.density
         db = right_chunk.density
-        if self.kind == "csr" and da < self.gate and db < self.gate:
+        if da < SPARSE_KERNEL_THRESHOLD and db < SPARSE_KERNEL_THRESHOLD:
             return _sparse_partial(
                 left_chunk, right_chunk, self.left_shape[0],
                 self.left_shape[1], self.right_shape[1])
-        if self.kind == "csr" and min(da, db) < self.scatter_gate:
+        if min(da, db) < SCATTER_KERNEL_THRESHOLD:
             return _scatter_partial(left_chunk, right_chunk,
                                     self.left_shape, self.right_shape,
                                     sparse_on_left=da <= db)
@@ -275,23 +244,6 @@ class _BlockKernel:
         if not partial.any():
             return None
         return partial
-
-
-def _resolve_kernel(left, right, exec_plan=None):
-    """The :class:`_BlockKernel` for one matmul, resolved driver-side:
-    the optimizer's exec plan kernel, else CSR kernels behind the cost
-    model's density gates.
-    """
-    kind = exec_plan.kernel if exec_plan is not None else "csr"
-    cost_model = getattr(left.context, "cost_model", None)
-    gate = sparse_threshold(cost_model)
-    scatter_gate = 0.0
-    if kind == "csr":
-        scatter_gate = (cost_model.scatter_kernel_threshold()
-                        if cost_model is not None else 0.1)
-    return _BlockKernel(tuple(left.block_shape),
-                        tuple(right.block_shape), kind, gate,
-                        scatter_gate)
 
 
 def _result_meta(left, right) -> ArrayMetadata:
@@ -366,9 +318,7 @@ def prepare_local(left, right, num_partitions=None):
 def block_matmul(left, right, local_join: bool = False):
     """``left × right`` as a SpangleMatrix.
 
-    Recorded as a logical :class:`~repro.core.logical.MatmulOp`, so the
-    optimizer can attach a kernel and placement plan
-    (``matmul_sparse_execution``) before anything runs;
+    Recorded as a logical :class:`~repro.core.logical.MatmulOp`;
     :func:`lower_matmul` runs the actual three-stage plan when an
     action forces it.
     """
@@ -382,74 +332,25 @@ def block_matmul(left, right, local_join: bool = False):
 
 def lower_matmul(node: MatmulOp, context):
     """Lower a recorded matmul node to its concrete chunk RDD."""
-    return _run_matmul(node.left, node.right, node.local_join,
-                       node.meta, context, exec_plan=node.exec_plan)
-
-
-def _partition_loads(partitioner, weights: dict) -> np.ndarray:
-    """Per-partition total weight a partitioner produces over a
-    ``{key: weight}`` map (hash or nnz-balanced alike)."""
-    loads = np.zeros(partitioner.num_partitions)
-    for key, weight in weights.items():
-        loads[partitioner.partition(int(key))] += float(weight)
-    return loads
-
-
-def _record_nnz_stats(context, stage: str, loads) -> None:
-    stats = getattr(context, "nnz_stats", None)
-    if stats is not None:
-        stats.record(stage, loads)
-
-
-def _run_matmul(left, right, local_join, meta, context,
-                exec_plan=None):
-    out_grid_rows = meta.chunk_grid[0]
-    kernel = _resolve_kernel(left, right, exec_plan)
-    balance = exec_plan is not None and exec_plan.balance
-
-    if local_join:
+    left, right = node.left, node.right
+    out_grid_rows = node.meta.chunk_grid[0]
+    kernel = _BlockKernel(tuple(left.block_shape),
+                          tuple(right.block_shape))
+    if node.local_join:
         partials = _local_join_partials(left, right, kernel)
     else:
-        k_partitioner = None
-        if balance and exec_plan.k_weights:
-            k_partitioner = NnzBalancedPartitioner.from_weights(
-                exec_plan.k_weights, left.array.rdd.num_partitions)
-            _record_nnz_stats(
-                context, "matmul-k",
-                k_partitioner.partition_loads(exec_plan.k_weights))
-        partials = _shuffled_partials(left, right, kernel,
-                                      k_partitioner)
-
+        partials = _shuffled_partials(left, right, kernel)
     # gather on the output chunk ID (an int) rather than the
     # (row_block, col_block) tuple: the columnar shuffle packs it
     keyed = partials.map(
         lambda kv: (kv[0][0] + kv[0][1] * out_grid_rows, kv[1])
     )
-    gather_partitioner = None
-    if balance and exec_plan.gather_weights:
-        gather_partitioner = NnzBalancedPartitioner.from_weights(
-            exec_plan.gather_weights, keyed.num_partitions)
-        _record_nnz_stats(
-            context, "matmul-gather",
-            gather_partitioner.partition_loads(
-                exec_plan.gather_weights))
-    elif exec_plan is not None and exec_plan.gather_weights:
-        _record_nnz_stats(
-            context, "matmul-gather",
-            _partition_loads(HashPartitioner(keyed.num_partitions),
-                             exec_plan.gather_weights))
-    summed = keyed.reduce_by_key(_merge_partials,
-                                 partitioner=gather_partitioner)
-    return _assemble(context, summed, meta).rdd
+    summed = keyed.reduce_by_key(_merge_partials)
+    return _assemble(context, summed, node.meta).rdd
 
 
-def _shuffled_partials(left, right, kernel, k_partitioner=None):
-    """Spark-style: key both sides by k, cogroup (two shuffles).
-
-    ``k_partitioner`` (when the exec plan packed one) places heavy
-    contraction groups apart; the default hash placement sends k to
-    partition ``k % n`` regardless of its pair count.
-    """
+def _shuffled_partials(left, right, kernel):
+    """Spark-style: key both sides by k, cogroup (two shuffles)."""
     grid_rows_left = left.grid_rows
     grid_rows_right = right.grid_rows
 
@@ -461,7 +362,7 @@ def _shuffled_partials(left, right, kernel, k_partitioner=None):
         lambda kv: (kv[0] % grid_rows_right,
                     (kv[0] // grid_rows_right, kv[1]))
     )
-    grouped = left_by_k.cogroup(right_by_k, partitioner=k_partitioner)
+    grouped = left_by_k.cogroup(right_by_k)
 
     def emit(groups):
         left_blocks, right_blocks = groups
@@ -509,171 +410,6 @@ def _local_join_partials(left, right, kernel):
     return left_placed.zip_partitions(right_placed, zipper)
 
 
-# ----------------------------------------------------------------------
-# driver-side planning: nnz profiles and cost-model pricing
-# ----------------------------------------------------------------------
-
-def _known_partitions(matrix):
-    """The operand's partition count without forcing compilation, or
-    None when its plan has not materialized a source yet."""
-    array = matrix.array
-    if array._compiled is not None:
-        return array._compiled.num_partitions
-    node = array._logical
-    while node is not None and not isinstance(node, SourceOp):
-        children = node.children
-        if not children:
-            return None
-        node = children[0]
-    if isinstance(node, SourceOp):
-        return node.rdd.num_partitions
-    return None
-
-
-def _imbalance(loads) -> float:
-    loads = np.asarray(loads, dtype=float)
-    if loads.size == 0:
-        return 1.0
-    mean = loads.mean()
-    if mean <= 0:
-        return 1.0
-    return float(loads.max() / mean)
-
-
-def matmul_nnz_profile(node: MatmulOp):
-    """Shuffle weights and skew estimates for one matmul, from the
-    operands' per-chunk valid counts. None when either side lacks exact
-    stats (e.g. its plan passes through an estimate-only op).
-
-    Returns a dict with ``k_weights`` (contraction group → modeled pair
-    work), ``gather_weights`` (output chunk ID → partial-product nnz),
-    and the max/mean load ratios hash vs LPT placement would produce
-    for the gather, which is what the cost model's
-    :meth:`skewed_stage_seconds` prices.
-    """
-    left, right = node.left, node.right
-    left_est = estimate(left.array._logical)
-    right_est = estimate(right.array._logical)
-    if left_est.per_chunk is None or right_est.per_chunk is None:
-        return None
-    gl_rows, gl_cols = left.meta.chunk_grid
-    gr_rows, gr_cols = right.meta.chunk_grid
-    nnz_a = np.zeros((gl_rows, gl_cols))
-    for cid, count in left_est.per_chunk.items():
-        nnz_a[cid % gl_rows, cid // gl_rows] = count
-    nnz_b = np.zeros((gr_rows, gr_cols))
-    for cid, count in right_est.per_chunk.items():
-        nnz_b[cid % gr_rows, cid // gr_rows] = count
-    a_k = nnz_a.sum(axis=0)          # per contraction block, left nnz
-    b_k = nnz_b.sum(axis=1)          # per contraction block, right nnz
-    k_dim = max(left.block_shape[1], 1)
-    k_weights = {
-        int(k): float(a_k[k] * b_k[k] / k_dim + a_k[k] + b_k[k])
-        for k in range(min(gl_cols, gr_rows))
-        if a_k[k] > 0 and b_k[k] > 0
-    }
-    pair_nnz = nnz_a @ nnz_b          # expected pair count per output
-    out_grid_rows = node.meta.chunk_grid[0]
-    gather_weights = {
-        int(rb + cb * out_grid_rows): float(pair_nnz[rb, cb])
-        for rb in range(pair_nnz.shape[0])
-        for cb in range(pair_nnz.shape[1])
-        if pair_nnz[rb, cb] > 0
-    }
-    num_partitions = (_known_partitions(left)
-                      or _known_partitions(right) or 8)
-    hash_loads = _partition_loads(HashPartitioner(num_partitions),
-                                  gather_weights)
-    balanced = NnzBalancedPartitioner.from_weights(
-        gather_weights, num_partitions) if gather_weights else None
-    balanced_loads = (balanced.partition_loads(gather_weights)
-                      if balanced is not None else hash_loads)
-    return {
-        "k_weights": k_weights,
-        "gather_weights": gather_weights,
-        "imbalance_hash": _imbalance(hash_loads),
-        "imbalance_nnz": _imbalance(balanced_loads),
-        "density_left": left_est.density,
-        "density_right": right_est.density,
-    }
-
-
-def plan_matmul_execution(node: MatmulOp):
-    """The optimizer rule body: a candidate MatmulOp with an attached
-    :class:`~repro.core.logical.MatmulExecPlan`, or None.
-
-    Picks the cheaper kernel kind the cost model prices (dense or CSR)
-    and pairs it with nnz-balanced shuffle placement when that lowers
-    the modeled skew. The optimizer's cost
-    gate then accepts the candidate only when the whole plan is
-    strictly cheaper than the density-gated default.
-    """
-    if node.exec_plan is not None:
-        return None
-    profile = matmul_nnz_profile(node)
-    if profile is None:
-        return None
-    model = getattr(node.left.context, "cost_model", None)
-    if model is None:
-        return None
-    m, k_dim = node.left.block_shape
-    n = node.right.block_shape[1]
-    da = profile["density_left"]
-    db = profile["density_right"]
-    kernel = min(("dense", "csr"),
-                 key=lambda kind: model.matmul_kernel_seconds(
-                     m, k_dim, n, da, db, kind))
-    balance = profile["imbalance_nnz"] < profile["imbalance_hash"] - 1e-9
-    plan = MatmulExecPlan(
-        kernel=kernel,
-        balance=balance,
-        k_weights=profile["k_weights"],
-        gather_weights=profile["gather_weights"],
-        imbalance_hash=profile["imbalance_hash"],
-        imbalance_nnz=profile["imbalance_nnz"],
-    )
-    return MatmulOp(node.left, node.right, node.local_join, node.meta,
-                    exec_plan=plan)
-
-
-def matmul_stage_seconds(node: MatmulOp, model) -> float:
-    """Modeled compute seconds for a matmul's partial-product stage,
-    skew included — the cost the optimizer charges on top of the
-    shuffles.
-
-    An un-planned node prices as what :func:`_resolve_kernel` would run
-    (the density-gated CSR path) under hash placement; a planned node
-    prices its chosen kernel under its chosen placement.
-    """
-    left_est = estimate(node.children[0])
-    right_est = estimate(node.children[1])
-    m, k_dim = node.left.block_shape
-    n = node.right.block_shape[1]
-    da = left_est.density
-    db = right_est.density
-    grid_k = max(node.left.meta.chunk_grid[1], 1)
-    block_pairs = left_est.chunks * right_est.chunks / grid_k
-    plan = node.exec_plan
-    if plan is not None:
-        kind = plan.kernel
-    else:
-        gate = sparse_threshold(model)
-        sparse = ((da < gate and db < gate)
-                  or min(da, db) < model.scatter_kernel_threshold())
-        kind = "csr" if sparse else "dense"
-    per_pair = model.matmul_kernel_seconds(m, k_dim, n, da, db, kind)
-    imbalance = 1.0
-    if plan is not None:
-        imbalance = (plan.imbalance_nnz if plan.balance
-                     else plan.imbalance_hash)
-    else:
-        profile = matmul_nnz_profile(node)
-        if profile is not None:
-            imbalance = profile["imbalance_hash"]
-    return model.skewed_stage_seconds(block_pairs * per_pair,
-                                      imbalance)
-
-
 def gram_matmul(matrix):
     """``Mᵀ × M`` directly from M's blocks — no transpose materialized.
 
@@ -696,15 +432,13 @@ def gram_matmul(matrix):
 
     block_rows = matrix.block_shape[0]
     out_shape = (matrix.block_shape[1], matrix.block_shape[1])
-    # resolve the density gate driver-side so process workers agree
-    gate = sparse_threshold(getattr(matrix.context, "cost_model", None))
 
     def emit(blocks):
         out = []
         live = [(cb, chunk) for cb, chunk in blocks
                 if chunk.valid_count]
         all_sparse = all(
-            chunk.density < gate
+            chunk.density < SPARSE_KERNEL_THRESHOLD
             for _cb, chunk in live)
         if all_sparse:
             # sparse kernel: a block (k × c) transposes by swapping its

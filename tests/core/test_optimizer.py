@@ -1,4 +1,4 @@
-"""Correctness tests for the cost-based logical rewrite optimizer.
+"""Correctness tests for the rule-based logical rewrite optimizer.
 
 The contract: an optimized plan must be *byte-identical* — same chunk
 IDs, same modes, same payload bytes, same bitmask words — to lowering
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import ArrayRDD, ChunkMode
 from repro.core.logical import lower_to_rdd
+from repro.core.optimizer import optimize
 from repro.engine import ClusterContext
 from repro.matrix import SpangleMatrix
 
@@ -258,6 +259,20 @@ class TestCalibratedBox:
         inside = valid[10:30, 10:30]
         want = (data[10:30, 10:30] * 1.5 + 0.25)[inside].sum()
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("box,density", [
+        pytest.param(((0, 0), (39, 39)), 0.4, id="whole_array_box"),
+        pytest.param(((10, 10), (29, 29)), 0.0, id="no_valid_cells"),
+    ])
+    def test_rules_apply_where_nothing_is_pruned(self, ctx, box,
+                                                  density):
+        # exact rewrites apply wherever they match, even when the box
+        # prunes no chunk or there is no chunk to prune
+        arr = make_array(ctx, density=density, seed=73)
+        chain = ((arr * 1.5) + 0.25).subarray(*box)
+        _tree, fired, _pruned = optimize(chain._logical)
+        assert fired == ["fold_scalars", "subarray_before_scalar"]
+        assert_byte_identical(chain, as_written(chain))
 
 
 class TestScalarFolding:

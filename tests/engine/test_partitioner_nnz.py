@@ -1,7 +1,7 @@
 """Contract tests for :class:`NnzBalancedPartitioner`.
 
-The nnz-balanced partitioner backs the sparse execution tier's
-placement decisions, so three contracts matter: the vectorized
+The nnz-balanced partitioner backs the PageRank graph loader's
+placement, so three contracts matter: the vectorized
 ``partition_array`` must agree with scalar ``partition`` on any key
 column (the columnar shuffle depends on it), instances must survive
 pickling to process workers, and equality/hash must make two

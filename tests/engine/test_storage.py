@@ -151,6 +151,23 @@ class TestSpill:
         assert found
         assert pickle.dumps(reloaded) == pickle.dumps(records)
 
+    @pytest.mark.parametrize("column", ["chunks", "arrays"])
+    def test_decoded_columns_carry_canonical_dtype(self, column):
+        # pickle memoizes dtypes by identity: a partition mixing fresh
+        # and decoded records must pickle like an all-fresh one
+        if column == "chunks":
+            records = chunk_partition(ChunkMode.SPARSE, 0.2)
+        else:
+            records = [(i, np.arange(8.0) + i) for i in range(3)]
+        decoded = spill_mod.decode_block(spill_mod.encode_block(records))
+        for _cid, value in decoded:
+            arrays = ([value.payload, value.mask.words]
+                      if column == "chunks" else [value])
+            for arr in arrays:
+                assert arr.dtype is np.dtype(arr.dtype.str)
+        mixed = [records[0], decoded[1], records[2]]
+        assert pickle.dumps(mixed) == pickle.dumps(records)
+
     def test_put_purges_stale_spill(self):
         _metrics, cache = make_cache(budget=700)
         cache.put(1, 0, ["old", bytes(400)], allow_spill=True)

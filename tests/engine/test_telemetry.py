@@ -474,28 +474,6 @@ class TestNnzTelemetry:
                        if "nnz skew" in line)
         assert nnz_row.rstrip().endswith("2")
 
-    def test_partition_by_nnz_records_loads(self):
-        import numpy as np
-
-        from repro.core import ArrayRDD
-
-        ctx = ClusterContext(num_executors=4, default_parallelism=4)
-        rng = np.random.default_rng(5)
-        dense = rng.random((64, 64))
-        dense[rng.random((64, 64)) >= 0.05] = 0.0
-        arr = ArrayRDD.from_numpy(ctx, dense, (8, 8),
-                                  valid=dense != 0)
-        balanced = arr.partition_by_nnz(4)
-        stage, loads = ctx.nnz_stats.last()
-        assert stage == "partition_by_nnz"
-        assert len(loads) == 4
-        values, _valid = balanced.collect_dense(fill=0.0)
-        np.testing.assert_array_equal(values, dense)
-        measured = balanced.nnz_by_partition()
-        assert sum(measured) == int((dense != 0).sum())
-        stage, _loads = ctx.nnz_stats.last()
-        assert stage == "measured"
-
     def test_graph_nnz_balance_records_loads(self):
         import numpy as np
 

@@ -1,27 +1,29 @@
-"""Tests for the CSR sparse execution tier in matrix multiply.
+"""Tests for the CSR sparse kernels in matrix multiply.
 
 Three layers under test: the block kernels (``_csr_join`` must be
 bit-identical to the per-k COO join reference in
 ``tests._reference.coo``; the one-sided scatter kernel must agree with
-dense BLAS; every ``_BlockKernel`` kind yields the same bytes), the
-cost-model-derived density gate, and the optimizer integration (the
-``matmul_sparse_execution`` rule fires on sparse operands and the
-result stays byte-identical across backends).
+dense BLAS; every kernel yields the same bytes for a block pair), the
+per-pair density gates of ``_BlockKernel``, and end to end (the product
+stays byte-identical across backends and join strategies).
 """
 
 import numpy as np
 import pytest
 
+import repro.matrix.multiply as multiply_mod
+from repro.core.chunk import Chunk
 from repro.engine import ClusterContext
-from repro.engine.costmodel import ClusterCostModel
 from repro.matrix import SpangleMatrix
 from repro.matrix.multiply import (
+    SCATTER_KERNEL_THRESHOLD,
     SPARSE_KERNEL_THRESHOLD,
     _BlockKernel,
+    _COOPartial,
     _csr_join,
     _partial_to_dense,
     _scatter_partial,
-    sparse_threshold,
+    _sparse_partial,
 )
 from tests._reference.coo import _coo_join
 
@@ -132,41 +134,22 @@ class TestScatterKernel:
 
 
 # ----------------------------------------------------------------------
-# density gate
+# density gates
 # ----------------------------------------------------------------------
 
 class TestSparseConfig:
-    def test_threshold_default_comes_from_cost_model(self):
-        model = ClusterCostModel()
-        assert sparse_threshold(model) == pytest.approx(
-            model.sparse_kernel_threshold())
-        # the calibrated default reproduces the legacy constant
-        assert sparse_threshold(model) == pytest.approx(
-            SPARSE_KERNEL_THRESHOLD, rel=0.5)
-
-    def test_threshold_fallback_without_model(self):
-        assert sparse_threshold(None) == SPARSE_KERNEL_THRESHOLD
-
-    def test_override_wins_over_model(self):
-        # the gate moves only through the cost model's rates
-        model = ClusterCostModel(coo_pairs_s=8e6 * 4)
-        assert sparse_threshold(model) == pytest.approx(
-            2 * SPARSE_KERNEL_THRESHOLD)
-
     def test_repro_level_exports(self):
+        # the gates are module constants: no package-level knob moves
+        # them, so every backend picks the same kernel per pair
         import repro
         import repro.matrix
 
-        assert repro.matrix.sparse_threshold is sparse_threshold
-        for name in ("set_sparse_threshold", "set_sparse_kernel",
-                     "sparse_config"):
+        assert (SPARSE_KERNEL_THRESHOLD, SCATTER_KERNEL_THRESHOLD) == \
+            (0.02, 0.1)
+        for name in ("sparse_threshold", "set_sparse_threshold",
+                     "set_sparse_kernel", "sparse_config"):
             assert not hasattr(repro, name)
             assert not hasattr(repro.matrix, name)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterCostModel().matmul_kernel_seconds(
-                4, 4, 4, 0.1, 0.1, "blas")
 
 
 # ----------------------------------------------------------------------
@@ -187,16 +170,13 @@ class TestEndToEnd:
 
     def test_kernels_byte_identical(self, ctx):
         """Every block pair yields the same partial bytes through each
-        kernel: the sparse join, the one-sided scatter, dense BLAS, and
-        the COO reference."""
+        kernel called directly — the sparse join, the one-sided scatter
+        from either side, dense BLAS — through the gated _BlockKernel,
+        and through the COO reference."""
         a = sparse_ints((40, 30), 0.05, seed=11)
         b = sparse_ints((30, 20), 0.4, seed=12)
         shape = (10, 10)
-        kernels = {
-            "join": _BlockKernel(shape, shape, "csr", 1.0, 0.0),
-            "scatter": _BlockKernel(shape, shape, "csr", 0.0, 1.0),
-            "dense": _BlockKernel(shape, shape, "dense", 1.0, 1.0),
-        }
+        gated = _BlockKernel(shape, shape)
         left = dict(SpangleMatrix.from_numpy(ctx, a, shape)
                     .array.rdd.collect())
         right = dict(SpangleMatrix.from_numpy(ctx, b, shape)
@@ -206,12 +186,23 @@ class TestEndToEnd:
             for rcid, rchunk in right.items():
                 if lcid // 4 != rcid % 3:     # contraction blocks differ
                     continue
-                partials = {name: kernel(lchunk, rchunk)
-                            for name, kernel in kernels.items()}
                 a_off, b_off = lchunk.indices(), rchunk.indices()
-                partials["coo"] = _coo_join(
-                    a_off % 10, a_off // 10, lchunk.values(),
-                    b_off % 10, b_off // 10, rchunk.values(), shape)
+                partials = {
+                    "join": _sparse_partial(lchunk, rchunk, 10, 10, 10),
+                    "scatter_left": _scatter_partial(
+                        lchunk, rchunk, shape, shape,
+                        sparse_on_left=True),
+                    "scatter_right": _scatter_partial(
+                        lchunk, rchunk, shape, shape,
+                        sparse_on_left=False),
+                    "dense": (lchunk.to_dense(0).reshape(shape, order="F")
+                              @ rchunk.to_dense(0).reshape(shape,
+                                                           order="F")),
+                    "gated": gated(lchunk, rchunk),
+                    "coo": _coo_join(
+                        a_off % 10, a_off // 10, lchunk.values(),
+                        b_off % 10, b_off // 10, rchunk.values(), shape),
+                }
                 # + 0.0 folds BLAS's -0.0 into 0.0: the assembled
                 # product treats every zero as an invalid cell
                 dense = {name: None if p is None
@@ -246,37 +237,6 @@ class TestEndToEnd:
         local = ma.multiply(mb, local_join=True).to_numpy()
         assert shuffled.tobytes() == local.tobytes()
 
-    def test_optimizer_rule_fires_on_sparse_operands(self, ctx):
-        a = sparse_ints((40, 30), 0.05, seed=31)
-        b = sparse_ints((30, 20), 0.05, seed=32)
-        ma = SpangleMatrix.from_numpy(ctx, a, (10, 10))
-        mb = SpangleMatrix.from_numpy(ctx, b, (10, 10))
-        text = ma.multiply(mb).explain(optimized=True)
-        assert "matmul_sparse_execution" in text
-        assert "kernel=" in text
-
-    def test_optimizer_rule_skips_dense_operands(self, ctx):
-        a = np.arange(1.0, 1201.0).reshape(40, 30)
-        b = np.arange(1.0, 601.0).reshape(30, 20)
-        ma = SpangleMatrix.from_numpy(ctx, a, (10, 10))
-        mb = SpangleMatrix.from_numpy(ctx, b, (10, 10))
-        product = ma.multiply(mb)
-        assert "matmul_sparse_execution" not in \
-            product.explain(optimized=True)
-        np.testing.assert_allclose(product.to_numpy(), a @ b)
-
-    def test_nnz_stats_recorded(self, ctx):
-        a = sparse_ints((40, 30), 0.05, seed=41)
-        b = sparse_ints((30, 20), 0.05, seed=42)
-        ma = SpangleMatrix.from_numpy(ctx, a, (10, 10))
-        mb = SpangleMatrix.from_numpy(ctx, b, (10, 10))
-        ctx.nnz_stats.clear()
-        ma.multiply(mb).to_numpy()
-        stage, loads = ctx.nnz_stats.last()
-        assert stage in ("matmul-k", "matmul-gather")
-        assert loads and min(loads) >= 0.0
-        assert ctx.nnz_stats.gauges()["imbalance"] >= 1.0
-
 
 # ----------------------------------------------------------------------
 # _BlockKernel contract
@@ -286,12 +246,10 @@ class TestBlockKernel:
     def test_pickles_by_value(self):
         import pickle
 
-        kernel = _BlockKernel((4, 4), (4, 4), "csr", 0.02, 0.1)
+        kernel = _BlockKernel((4, 6), (6, 5))
         clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.kind == "csr"
-        assert clone.gate == 0.02
-        assert clone.scatter_gate == 0.1
-        assert clone.left_shape == (4, 4)
+        assert clone.left_shape == (4, 6)
+        assert clone.right_shape == (6, 5)
 
     def test_empty_block_short_circuits(self, ctx):
         dense = np.zeros((4, 4))
@@ -299,9 +257,55 @@ class TestBlockKernel:
         m = SpangleMatrix.from_numpy(ctx, dense, (4, 4),
                                      sparse_zeros=False)
         (_cid, chunk), = m.array.rdd.collect()
-        from repro.core.chunk import Chunk
-
         empty = Chunk.empty(16)
-        kernel = _BlockKernel((4, 4), (4, 4), "csr", 0.02, 0.1)
+        kernel = _BlockKernel((4, 4), (4, 4))
         assert kernel(empty, chunk) is None
         assert kernel(chunk, empty) is None
+
+    # a 50×50 block holds 2 500 cells, so one cell moves its density by
+    # 0.0004: 49/51 cells straddle the 0.02 gate, 249/251 the 0.1 gate,
+    # and a density exactly at a gate takes the next kernel up
+    @pytest.mark.parametrize("left_nnz,right_nnz,expected", [
+        (49, 49, "join"),
+        (50, 50, "scatter"),
+        (51, 49, "scatter"),
+        (49, 51, "scatter"),
+        (51, 51, "scatter"),
+        (249, 2500, "scatter"),
+        (2500, 249, "scatter"),
+        (250, 250, "dense"),
+        (251, 251, "dense"),
+        (251, 2500, "dense"),
+    ])
+    def test_gate_boundaries(self, monkeypatch, left_nnz, right_nnz,
+                             expected):
+        shape = (50, 50)
+        left = np.zeros(shape)
+        left.T.flat[:left_nnz] = np.arange(1.0, left_nnz + 1)
+        right = np.zeros(shape)
+        right.flat[:right_nnz] = np.arange(1.0, right_nnz + 1)
+        chunks = [Chunk.from_dense(m.ravel(order="F"),
+                                   m.ravel(order="F") != 0)
+                  for m in (left, right)]
+        assert [c.density for c in chunks] == \
+            [left_nnz / 2500, right_nnz / 2500]
+        calls = []
+
+        def spy(kind, real):
+            def recorded(*args, **kwargs):
+                calls.append(kind)
+                return real(*args, **kwargs)
+            return recorded
+
+        for name, kind in (("_sparse_partial", "join"),
+                           ("_scatter_partial", "scatter")):
+            monkeypatch.setattr(multiply_mod, name,
+                                spy(kind, getattr(multiply_mod, name)))
+        partial = _BlockKernel(shape, shape)(*chunks)
+        assert calls == ([] if expected == "dense" else [expected])
+        if expected == "join":
+            assert isinstance(partial, _COOPartial)
+        else:
+            assert type(partial) is np.ndarray
+        np.testing.assert_array_equal(_partial_to_dense(partial),
+                                      left @ right)
