@@ -11,6 +11,13 @@ An :class:`Aggregator` is the paper's four-function abstraction:
 aggregates stay numpy-fast; a scalar-at-a-time user function can be
 wrapped with :func:`scalar_aggregator`.
 
+Group-bys (``aggregate_by``, ``window_aggregate``) fold a chunk into
+one fresh state per group with the grouped form
+``accumulate_groups(values, starts)``: values sorted by group, group
+``g`` starting at ``starts[g]`` (numpy's ``reduceat`` convention). Its
+default runs ``initialize`` and ``accumulate`` per group, so every
+Aggregator works; the five builtins override it with one numpy pass.
+
 The :class:`Accumulator` implements running (prefix) accumulation along
 an axis in the synchronous and asynchronous flavours the paper
 describes: synchronous walks chunk slabs one boundary step at a time
@@ -37,6 +44,13 @@ class Aggregator:
     def accumulate(self, state, values: np.ndarray):
         raise NotImplementedError
 
+    def accumulate_groups(self, values: np.ndarray, starts: np.ndarray
+                          ) -> list:
+        """One fresh state per group of ``values`` (sorted by group,
+        group ``g`` starting at ``starts[g]``; no group is empty)."""
+        return [self.accumulate(self.initialize(), group)
+                for group in np.split(values, starts[1:])]
+
     def merge(self, state_a, state_b):
         raise NotImplementedError
 
@@ -53,6 +67,9 @@ class SumAggregator(Aggregator):
     def accumulate(self, state, values):
         return state + float(values.sum())
 
+    def accumulate_groups(self, values, starts):
+        return np.add.reduceat(values.astype(float), starts).tolist()
+
     def merge(self, a, b):
         return a + b
 
@@ -66,12 +83,18 @@ class CountAggregator(Aggregator):
     def accumulate(self, state, values):
         return state + int(values.size)
 
+    def accumulate_groups(self, values, starts):
+        return np.diff(starts, append=values.size).tolist()
+
     def merge(self, a, b):
         return a + b
 
 
 class MinAggregator(Aggregator):
+    """The smallest valid value; the state is None until one arrives."""
+
     name = "min"
+    _ufunc, _pick = np.minimum, min
 
     def initialize(self):
         return None
@@ -79,35 +102,24 @@ class MinAggregator(Aggregator):
     def accumulate(self, state, values):
         if values.size == 0:
             return state
-        low = float(values.min())
-        return low if state is None else min(state, low)
+        return self.merge(state, float(self._ufunc.reduce(values)))
+
+    def accumulate_groups(self, values, starts):
+        return self._ufunc.reduceat(values, starts).astype(float).tolist()
 
     def merge(self, a, b):
         if a is None:
             return b
         if b is None:
             return a
-        return min(a, b)
+        return self._pick(a, b)
 
 
-class MaxAggregator(Aggregator):
+class MaxAggregator(MinAggregator):
+    """The largest valid value; the state is None until one arrives."""
+
     name = "max"
-
-    def initialize(self):
-        return None
-
-    def accumulate(self, state, values):
-        if values.size == 0:
-            return state
-        high = float(values.max())
-        return high if state is None else max(state, high)
-
-    def merge(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return max(a, b)
+    _ufunc, _pick = np.maximum, max
 
 
 class AvgAggregator(Aggregator):
@@ -120,6 +132,11 @@ class AvgAggregator(Aggregator):
 
     def accumulate(self, state, values):
         return (state[0] + float(values.sum()), state[1] + int(values.size))
+
+    def accumulate_groups(self, values, starts):
+        return list(zip(SumAggregator().accumulate_groups(values, starts),
+                        CountAggregator().accumulate_groups(values,
+                                                            starts)))
 
     def merge(self, a, b):
         return (a[0] + b[0], a[1] + b[1])

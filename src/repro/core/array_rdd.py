@@ -24,6 +24,8 @@ plans without compiling anything into the array's state.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from repro.core import mapper
@@ -44,6 +46,8 @@ from repro.core.logical import (
 )
 from repro.core.metadata import ArrayMetadata
 from repro.engine import HashPartitioner
+from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
+from repro.engine.partitioner import ExplicitPartitioner
 from repro.errors import ArrayError, ShapeMismatchError
 
 
@@ -68,71 +72,113 @@ class _ChunkAggregate:
         return [state]
 
 
-class _GroupPartials:
-    """Map side of ``aggregate_by``: per-group partial states per chunk."""
+class _CellPartials:
+    """Map side of ``aggregate_cells``: each chunk's valid cells fold
+    into one state per output cell key (``accumulate_groups``)."""
 
-    __slots__ = ("meta", "axes", "agg", "axis_sizes", "axis_starts",
-                 "linear_keys")
+    __slots__ = ("meta", "out_meta", "axes", "window", "agg")
 
-    def __init__(self, meta, axes, agg, axis_sizes, axis_starts,
-                 linear_keys):
+    def __init__(self, meta, out_meta, axes, window, agg):
         self.meta = meta
-        self.axes = axes
+        self.out_meta = out_meta
+        self.axes = tuple(axes)
+        self.window = tuple(window)
         self.agg = agg
-        self.axis_sizes = axis_sizes
-        self.axis_starts = axis_starts
-        self.linear_keys = linear_keys
+
+    def _keys(self, chunk_id, offsets) -> np.ndarray:
+        """Output keys of the cells at ``offsets`` of chunk ``chunk_id``:
+        Algorithm 1 on the output metadata is a sum of per-axis terms,
+        each looked up by the cell's local coordinate on that axis."""
+        meta, out = self.meta, self.out_meta
+        origin = mapper.chunk_origin(meta, chunk_id)
+        keys = np.zeros(offsets.size, dtype=np.int64)
+        chunk_stride, offset_stride = out.cells_per_chunk, 1
+        for j, axis in enumerate(self.axes):
+            extent = meta.chunk_shape[axis]
+            pos = (np.arange(extent, dtype=np.int64)
+                   + (origin[axis] - meta.starts[axis])) // self.window[j]
+            grid_pos, local = np.divmod(pos, out.chunk_shape[j])
+            term = grid_pos * chunk_stride + local * offset_stride
+            in_stride = int(np.prod(meta.chunk_shape[:axis]))
+            keys += term[offsets // in_stride % extent]
+            chunk_stride *= out.chunk_grid[j]
+            offset_stride *= out.chunk_shape[j]
+        return keys
 
     def __call__(self, part):
-        meta = self.meta
-        agg = self.agg
-        axes = self.axes
+        records = []
         for chunk_id, chunk in part:
             offsets = chunk.indices()
             if offsets.size == 0:
                 continue
-            coords = mapper.coords_for_offsets_array(meta, chunk_id,
-                                                     offsets)
-            labels = coords[:, list(axes)]
-            values = chunk.values()
-            order = np.lexsort(labels.T[::-1])
-            labels = labels[order]
-            values = values[order]
-            if self.linear_keys:
-                encoded = np.zeros(labels.shape[0], dtype=np.int64)
-                for j, (size, base) in enumerate(
-                        zip(self.axis_sizes, self.axis_starts)):
-                    encoded = encoded * size + (labels[:, j] - base)
-            boundaries = np.ones(labels.shape[0], dtype=bool)
-            boundaries[1:] = (labels[1:] != labels[:-1]).any(axis=1)
-            group_starts = np.nonzero(boundaries)[0]
-            group_ends = np.append(group_starts[1:], labels.shape[0])
-            for start, end in zip(group_starts, group_ends):
-                state = agg.accumulate(agg.initialize(),
-                                       values[start:end])
-                if self.linear_keys:
-                    yield int(encoded[start]), state
-                else:
-                    yield tuple(labels[start]), state
+            keys = self._keys(chunk_id, offsets)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            states = self.agg.accumulate_groups(chunk.values()[order],
+                                                starts)
+            records.extend(zip(keys[starts].tolist(), states))
+        return records
 
 
-class _DecodeGroupKey:
-    """Reduce side of ``aggregate_by``: mixed-radix key → coordinates."""
+class _BuildChunks:
+    """Reduce side of ``aggregate_cells``: evaluate the merged states
+    and build the output chunks this partition owns."""
 
-    __slots__ = ("axis_sizes", "axis_starts")
+    __slots__ = ("meta", "agg")
 
-    def __init__(self, axis_sizes, axis_starts):
-        self.axis_sizes = axis_sizes
-        self.axis_starts = axis_starts
+    def __init__(self, meta, agg):
+        self.meta = meta
+        self.agg = agg
 
-    def __call__(self, record):
-        key, value = record
-        sizes = self.axis_sizes
-        coords = [0] * len(sizes)
-        for j in range(len(sizes) - 1, -1, -1):
-            key, remainder = divmod(key, sizes[j])
-            coords[j] = remainder + self.axis_starts[j]
-        return tuple(coords), value
+    def __call__(self, part):
+        if not part:
+            return
+        keys = np.fromiter(map(itemgetter(0), part), dtype=np.int64,
+                           count=len(part))
+        values = list(map(self.agg.evaluate, map(itemgetter(1), part)))
+        if None in values:
+            # a state that evaluates to None leaves its cell invalid
+            keys = keys[[value is not None for value in values]]
+            values = [value for value in values if value is not None]
+        values = np.array(values, dtype=np.float64)
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
+        cells_per_chunk = self.meta.cells_per_chunk
+        chunk_ids, offsets = np.divmod(keys, cells_per_chunk)
+        bounds = np.flatnonzero(np.diff(chunk_ids, prepend=-1))
+        for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [None]):
+            yield int(chunk_ids[lo]), Chunk.from_sparse(
+                cells_per_chunk, offsets[lo:hi], values[lo:hi])
+
+
+def aggregate_cells(array, out_meta, agg, axes, window,
+                    num_partitions) -> "ArrayRDD":
+    """Group-by aggregation (Section V-B) into the ``out_meta`` array.
+
+    Input cell ``c`` folds into output cell ``(c[axes] - starts[axes])
+    // window + out_meta.starts``, keyed ``out_chunk_id *
+    cells_per_chunk + local_offset``. One ``reduce_by_key`` on plain
+    ``(key, state)`` records (so the columnar shuffle packs them) places
+    keys by output chunk ID; each reduce partition builds its chunks.
+    """
+    cells_per_chunk = out_meta.cells_per_chunk
+    if out_meta.num_chunks * cells_per_chunk >= _KEY_LIMIT:
+        raise ArrayError(
+            f"aggregation output has {out_meta.num_chunks} chunks of "
+            f"{cells_per_chunk} cells: its cell keys reach 2**61 - 1")
+    by_chunk = ExplicitPartitioner(
+        num_partitions, lambda key: key // cells_per_chunk,
+        tag=("output-chunk", cells_per_chunk),
+        array_func=lambda keys: keys // cells_per_chunk)
+    chunks = array.rdd \
+        .map_partitions(_CellPartials(array.meta, out_meta, axes, window,
+                                      agg)) \
+        .reduce_by_key(agg.merge, partitioner=by_chunk,
+                       combine_kernel=combine_kernel_for(agg)) \
+        .map_partitions(_BuildChunks(out_meta, agg))
+    chunks.partitioner = HashPartitioner(num_partitions)
+    return ArrayRDD(chunks, out_meta, array.context)
 
 
 def _chunk_valid_count(kv) -> int:
@@ -453,54 +499,37 @@ class ArrayRDD:
                      group_chunk_shape=None) -> "ArrayRDD":
         """Group-by-dimensions aggregation producing a new, smaller array.
 
-        ``dims`` are the dimension names (or indices) to *keep*; all
-        other axes are collapsed. Each chunk computes partial states per
-        group (map side), a shuffle merges them, and the result becomes
-        a new ArrayRDD over the reduced schema — the "new schema" of
-        Section V-B.
+        ``dims`` are the dimension names or indices (negative ones count
+        from the end) to *keep*, in output order; the other axes
+        collapse. Chunks fold into per-output-cell states with the
+        aggregator's grouped form and one shuffle keyed by output cell
+        merges them into the output chunks (:func:`aggregate_cells`) —
+        the "new schema" of Section V-B. Empty, repeated or out-of-range
+        ``dims`` raise :class:`ArrayError`.
         """
-        axes = tuple(
-            self.meta.dim_index(d) if isinstance(d, str) else int(d)
-            for d in dims
-        )
+        meta = self.meta
+        axes = []
+        for d in dims:
+            axis = meta.dim_index(d) if isinstance(d, str) else int(d)
+            if not -meta.ndim <= axis < meta.ndim:
+                raise ArrayError(f"bad group dimensions: {dims}")
+            axes.append(axis % meta.ndim)
         if len(set(axes)) != len(axes) or not axes:
             raise ArrayError(f"bad group dimensions: {dims}")
         agg = resolve_aggregator(aggregator)
-        meta = self.meta
-        axis_sizes = tuple(int(meta.shape[a]) for a in axes)
-        axis_starts = tuple(int(meta.starts[a]) for a in axes)
-        # group labels travel as one mixed-radix int64 key so the
-        # columnar shuffle can vectorize partitioning and the combine;
-        # absurdly large virtual shapes keep the tuple keys
-        group_space = 1
-        for size in axis_sizes:
-            group_space *= size
-        linear_keys = group_space < (1 << 62)
-
-        partials = _GroupPartials(meta, axes, agg, axis_sizes,
-                                  axis_starts, linear_keys)
-        merged = self.rdd.map_partitions(partials) \
-                         .reduce_by_key(agg.merge,
-                                        combine_kernel=combine_kernel_for(agg)) \
-                         .map_values(agg.evaluate)
-        if linear_keys:
-            merged = merged.map(_DecodeGroupKey(axis_sizes, axis_starts))
-
-        new_shape = tuple(self.meta.shape[a] for a in axes)
-        new_starts = tuple(self.meta.starts[a] for a in axes)
-        new_names = tuple(self.meta.dim_names[a] for a in axes)
+        new_shape = tuple(meta.shape[a] for a in axes)
         if group_chunk_shape is None:
             group_chunk_shape = tuple(
-                min(self.meta.chunk_shape[a], new_shape[i])
+                min(meta.chunk_shape[a], new_shape[i])
                 for i, a in enumerate(axes)
             )
-        new_meta = ArrayMetadata(new_shape, group_chunk_shape,
-                                 starts=new_starts, dim_names=new_names,
-                                 dtype=np.float64,
-                                 attribute=f"{agg.name}_{meta.attribute}")
-        from repro.core.ingest import array_rdd_from_cell_rdd
-
-        return array_rdd_from_cell_rdd(self.context, merged, new_meta)
+        new_meta = ArrayMetadata(
+            new_shape, group_chunk_shape,
+            starts=tuple(meta.starts[a] for a in axes),
+            dim_names=tuple(meta.dim_names[a] for a in axes),
+            dtype=np.float64, attribute=f"{agg.name}_{meta.attribute}")
+        return aggregate_cells(self, new_meta, agg, axes, (1,) * len(axes),
+                               self.context.default_parallelism)
 
     # convenience scalar reductions -------------------------------------
 

@@ -99,7 +99,7 @@ class ArrayMetadata:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     # cached: the mapper reads these on every chunk-ID translation.
     # cached_property writes the instance __dict__ directly, so it works
@@ -122,12 +122,12 @@ class ArrayMetadata:
 
     @cached_property
     def num_chunks(self) -> int:
-        return int(np.prod(self.chunk_grid))
+        return math.prod(self.chunk_grid)
 
     @property
     def cells_per_chunk(self) -> int:
         """Logical cell count of every chunk (edge chunks included)."""
-        return int(np.prod(self.chunk_shape))
+        return math.prod(self.chunk_shape)
 
     @property
     def ends(self) -> tuple:

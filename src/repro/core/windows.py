@@ -6,9 +6,12 @@ fold every window's valid cells through an Aggregator, and emit the
 result as a *new array* whose cell (w₀, w₁, ...) holds window
 (w₀, w₁, ...)'s aggregate — downsampling with any reduction.
 
-Windows never need halo exchange: each chunk computes partial states
-for the windows it intersects, and a reduce merges partials of windows
-that straddle chunk boundaries.
+Windows never need halo exchange: each chunk folds its cells into
+partial states for the windows it intersects (the Aggregator's grouped
+form), and one shuffle keyed by output cell merges the partials of
+windows that straddle chunk boundaries and builds the output chunks.
+This is the same path as ``ArrayRDD.aggregate_by``
+(:func:`repro.core.array_rdd.aggregate_cells`), over every axis.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ import math
 
 import numpy as np
 
-from repro.core import mapper
-from repro.core.aggregates import combine_kernel_for, resolve_aggregator
-from repro.core.array_rdd import ArrayRDD
+from repro.core.aggregates import resolve_aggregator
+from repro.core.array_rdd import ArrayRDD, aggregate_cells
 from repro.core.metadata import ArrayMetadata
 from repro.errors import ArrayError
 
@@ -54,56 +56,8 @@ def window_aggregate(array: ArrayRDD, window_shape, aggregator="avg",
         dtype=np.float64,
         attribute=f"{agg.name}_{meta.attribute}")
 
-    def partials(part):
-        for chunk_id, chunk in part:
-            offsets = chunk.indices()
-            if offsets.size == 0:
-                continue
-            coords = mapper.coords_for_offsets_array(meta, chunk_id,
-                                                     offsets)
-            window_coords = np.empty_like(coords)
-            for axis in range(meta.ndim):
-                window_coords[:, axis] = (
-                    (coords[:, axis] - meta.starts[axis])
-                    // window_shape[axis]
-                )
-            values = chunk.values()
-            keys = window_coords[:, 0].astype(np.int64)
-            for axis in range(1, meta.ndim):
-                keys = keys * out_shape[axis] + window_coords[:, axis]
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            values = values[order]
-            window_coords = window_coords[order]
-            boundaries = np.nonzero(np.diff(keys))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [keys.size]])
-            for start, end in zip(starts, ends):
-                state = agg.accumulate(agg.initialize(),
-                                       values[start:end])
-                # the linear window id is already computed: shuffle on
-                # it so the columnar path vectorizes the merge
-                yield int(keys[start]), state
-
-    def decode(record):
-        key, value = record
-        coords = [0] * len(out_shape)
-        for axis in range(len(out_shape) - 1, -1, -1):
-            key, remainder = divmod(key, out_shape[axis])
-            coords[axis] = remainder
-        return tuple(coords), value
-
-    merged = array.rdd.map_partitions(partials) \
-        .reduce_by_key(agg.merge,
-                       combine_kernel=combine_kernel_for(agg)) \
-        .map_values(agg.evaluate) \
-        .filter(lambda kv: kv[1] is not None) \
-        .map(decode)
-
-    from repro.core.ingest import array_rdd_from_cell_rdd
-
-    return array_rdd_from_cell_rdd(array.context, merged, out_meta,
-                                   array.rdd.num_partitions)
+    return aggregate_cells(array, out_meta, agg, range(meta.ndim),
+                           window_shape, array.rdd.num_partitions)
 
 
 def window_counts(array: ArrayRDD, window_shape) -> ArrayRDD:
