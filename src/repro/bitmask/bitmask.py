@@ -72,9 +72,10 @@ class Bitmask:
     def from_bools(cls, flags) -> "Bitmask":
         flags = np.asarray(flags, dtype=bool).ravel()
         packed = np.packbits(flags, bitorder="little")
-        padded = np.zeros(_words_for_bits(flags.size) * 8, dtype=np.uint8)
-        padded[:packed.size] = packed
-        return cls(flags.size, padded.view(np.uint64))
+        if flags.size % WORD_BITS:
+            packed = np.concatenate(
+                [packed, np.zeros(-packed.size % 8, dtype=np.uint8)])
+        return cls(flags.size, packed.view(np.uint64))
 
     @classmethod
     def from_indices(cls, num_bits: int, indices) -> "Bitmask":
@@ -194,13 +195,13 @@ class Bitmask:
     # ------------------------------------------------------------------
 
     def to_bools(self) -> np.ndarray:
-        bits = np.unpackbits(self._words.view(np.uint8),
-                             bitorder="little")
-        return bits[:self.num_bits].astype(bool)
+        """One bool per bit: a fresh, writable array."""
+        return np.unpackbits(self._words.view(np.uint8), count=self.num_bits,
+                             bitorder="little").view(bool)
 
     def indices(self) -> np.ndarray:
         """Positions of set bits, ascending (int64)."""
-        return np.nonzero(self.to_bools())[0].astype(np.int64)
+        return np.flatnonzero(self.to_bools()).astype(np.int64, copy=False)
 
     @property
     def words(self) -> np.ndarray:

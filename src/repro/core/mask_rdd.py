@@ -161,8 +161,9 @@ class MaskRDD:
 
         def to_mask(chunk):
             keep = np.asarray(predicate(chunk.values()), dtype=bool)
-            kept_offsets = chunk.indices()[keep]
-            return Bitmask.from_indices(chunk.num_cells, kept_offsets)
+            flags = chunk.valid_bools()
+            flags[flags] = keep
+            return Bitmask.from_bools(flags)
 
         passing = array_rdd.rdd.map_values(to_mask)
         joined = self.rdd.join(passing)

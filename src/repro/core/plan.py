@@ -125,7 +125,7 @@ class MaskApplySource(ChunkSource):
         if chunk.mode is ChunkMode.DENSE:
             compact = chunk.payload[keep]
         else:
-            compact = chunk.payload[keep[chunk.indices()]]
+            compact = chunk.payload[keep[flat.to_bools()]]
         state = KernelState(chunk.num_cells, combined.indices(), compact,
                             choose_mode(density))
         state.rebuilt = True

@@ -19,6 +19,8 @@ shared dataset loader.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core import ArrayRDD, SpangleDataset
@@ -42,85 +44,88 @@ def load_spangle_dataset(context, band_scenes: dict,
     return SpangleDataset(attributes, use_mask_rdd=use_mask_rdd)
 
 
+def _window_grid(meta, window: int):
+    """First window ``(t0, wr0, wc0)`` and extent ``(images, NR, NC)`` of
+    the array's window grid; ArrayError if its ids could overflow int64."""
+    if window <= 0:
+        raise ArrayError("window must be positive")
+    if meta.ndim != 3:
+        raise ArrayError("window queries expect an (x, y, image) array")
+    (x0, y0, t0), (x1, y1, t1) = meta.starts, meta.ends
+    first = (t0, x0 // window, y0 // window)
+    extent = (t1 - t0, (x1 - 1) // window - first[1] + 1,
+              (y1 - 1) // window - first[2] + 1)
+    if math.prod(extent) >= 2 ** 63:
+        raise ArrayError(f"window grid {extent}: window ids reach the "
+                         "int64 limit 2**63")
+    return first, extent
+
+
 def _window_partials(array: ArrayRDD, window: int):
     """Per-chunk window partials, one packed record per non-empty chunk.
 
-    Windows tile the (x, y) plane; images stay separate. Each record is
-    ``(keys int64[n, 3], sums float64[n], counts int64[n])``: row ``i``
-    is the window ``(image, wr, wc)`` with ``counts[i] > 0`` valid cells
-    in this chunk summing to ``sums[i]``. A window straddling chunk
-    boundaries appears in several records; :func:`_merge_windows`
-    completes it on the driver.
+    Windows tile the (x, y) plane; images stay separate. Window
+    ``(t, wr, wc)`` has the int64 id ``((t - t0) * NR + (wr - wr0)) * NC
+    + (wc - wc0)`` over :func:`_window_grid`. Each record is ``(ids
+    int64[n], sums float64[n], counts int64[n])``: window ``ids[i]`` has
+    ``counts[i] > 0`` valid cells in this chunk summing to ``sums[i]``.
+
+    A chunk is read as ``(indices(), values())``, never expanded to its
+    dense cells: the offsets split into F-order local ``(x, y, t)``,
+    each valid cell is labelled with its window over the chunk's own
+    window span (small, so no sort), and two bincounts reduce the
+    payload. A window straddling chunk boundaries appears in several
+    records; :func:`_merge_windows` completes it on the driver.
     """
-    if window <= 0:
-        raise ArrayError("window must be positive")
     meta = array.meta
-    if meta.ndim != 3:
-        raise ArrayError("window queries expect an (x, y, image) array")
+    (t0, wr0, wc0), (_, grid_rows, grid_cols) = _window_grid(meta, window)
     cx, cy, ci = meta.chunk_shape
 
     def partials(part):
         for chunk_id, chunk in part:
-            origin = mapper.chunk_origin(meta, chunk_id)
-            valid = chunk.valid_bools().reshape((cx, cy, ci), order="F")
-            if not valid.any():
+            offsets = chunk.indices()
+            if not offsets.size:
                 continue
-            dense = chunk.to_dense(0.0).reshape((cx, cy, ci), order="F")
-            # dense payloads keep stale values under cleared mask bits
-            filled = np.where(valid, dense, 0.0)
-            aligned = (
-                cx % window == 0 and cy % window == 0
-                and origin[0] % window == 0 and origin[1] % window == 0
-            )
-            if aligned:
-                # fast path: windows tile the chunk exactly — one
-                # reshape-reduce per chunk
-                wr0 = origin[0] // window
-                wc0 = origin[1] // window
-                nr = cx // window
-                nc = cy // window
-                sums = filled.reshape(nr, window, nc, window, ci) \
-                             .sum(axis=(1, 3))
-                counts = valid.reshape(nr, window, nc, window, ci) \
-                              .sum(axis=(1, 3))
-            else:
-                # general path: label every cell with its chunk-local
-                # window and group with one bincount per statistic
-                rows = (origin[0] + np.arange(cx)) // window
-                cols = (origin[1] + np.arange(cy)) // window
-                wr0, wc0 = int(rows[0]), int(cols[0])
-                nr = int(rows[-1]) - wr0 + 1
-                nc = int(cols[-1]) - wc0 + 1
-                labels = (((rows - wr0)[:, None, None] * nc
-                           + (cols - wc0)[None, :, None]) * ci
-                          + np.arange(ci)[None, None, :]).ravel()
-                size = nr * nc * ci
-                sums = np.bincount(labels, weights=filled.ravel(),
-                                   minlength=size).reshape(nr, nc, ci)
-                counts = np.bincount(labels, weights=valid.ravel(),
-                                     minlength=size).reshape(nr, nc, ci)
-            wr, wc, t = np.nonzero(counts > 0)
-            keys = np.stack([origin[2] + t, wr0 + wr, wc0 + wc], axis=1)
-            yield (keys.astype(np.int64, copy=False),
-                   sums[wr, wc, t].astype(np.float64, copy=False),
-                   counts[wr, wc, t].astype(np.int64))
+            ox, oy, ot = mapper.chunk_origin(meta, chunk_id)
+            rest, x = np.divmod(offsets, cx)
+            t, y = np.divmod(rest, cy)
+            r0, c0 = ox // window, oy // window
+            nr = (ox + cx - 1) // window - r0 + 1
+            nc = (oy + cy - 1) // window - c0 + 1
+            labels = ((t * nr + (ox + x) // window - r0) * nc
+                      + (oy + y) // window - c0)
+            span = ci * nr * nc
+            counts = np.bincount(labels, minlength=span)
+            sums = np.bincount(labels, weights=chunk.values(),
+                               minlength=span)
+            local = np.flatnonzero(counts)
+            lt, cell = np.divmod(local, nr * nc)
+            lr, lc = np.divmod(cell, nc)
+            ids = (((ot - t0 + lt) * grid_rows + (r0 - wr0 + lr))
+                   * grid_cols + (c0 - wc0 + lc))
+            yield ids, sums[local], counts[local]
 
     return array.rdd.map_partitions(partials)
 
 
-def _merge_windows(records: list):
+def _merge_windows(records: list, meta, window: int):
     """Complete the windows of :func:`_window_partials` records.
 
-    Returns ``(keys int64[m, 3], sums, counts)`` with one row per
+    One 1-D ``np.unique`` over the window ids groups the partials, two
+    bincounts total them, and the ids decode back to ``(image, wr, wc)``
+    rows. Returns ``(keys int64[m, 3], sums, counts)`` with one row per
     distinct window, or None when no chunk had a valid cell.
     """
     if not records:
         return None
-    keys, sums, counts = (np.concatenate(column)
-                          for column in zip(*records))
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()   # numpy 2.0.0 returns it as a column
-    return (uniq,
+    ids, sums, counts = (np.concatenate(column)
+                         for column in zip(*records))
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    (t0, wr0, wc0), (_, grid_rows, grid_cols) = _window_grid(meta, window)
+    rest, wc = np.divmod(uniq, grid_cols)
+    t, wr = np.divmod(rest, grid_rows)
+    keys = np.stack([t + t0, wr + wr0, wc + wc0], axis=1)
+    return (keys,
             np.bincount(inverse, weights=sums, minlength=len(uniq)),
             np.bincount(inverse, weights=counts, minlength=len(uniq)))
 
@@ -149,7 +154,8 @@ class SpangleRasterQueries:
     def q2_regrid(self, band: str, grid: int, box=None) -> dict:
         """Average of adjacent cells onto a grid of ``grid × grid``."""
         array = self._restricted(band, box)
-        merged = _merge_windows(_window_partials(array, grid).collect())
+        merged = _merge_windows(_window_partials(array, grid).collect(),
+                                array.meta, grid)
         if merged is None:
             return {}
         keys, sums, counts = merged
@@ -182,7 +188,8 @@ class SpangleRasterQueries:
         MaskRDD's effect as attributes are added.
         """
         array = self._restricted(band, box)
-        merged = _merge_windows(_window_partials(array, window).collect())
+        merged = _merge_windows(_window_partials(array, window).collect(),
+                                array.meta, window)
         if merged is None:
             return 0
         _keys, _sums, counts = merged

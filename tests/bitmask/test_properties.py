@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for bitmask invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmask import Bitmask, HierarchicalBitmask, SequentialCursor
 from repro.bitmask.popcount import (
+    per_word_popcounts,
     popcount_words_builtin,
     popcount_words_naive,
     popcount_words_vectorized,
@@ -106,3 +108,36 @@ def test_cursor_iter_valid_matches_indices(flags):
     pairs = list(SequentialCursor(mask).iter_valid())
     assert [p for p, _r in pairs] == list(mask.indices())
     assert [r for _p, r in pairs] == list(range(mask.count()))
+
+
+@pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("num_bits", [0, 1, 63, 64, 65, 16_384, 16_385])
+def test_conversions_agree_with_numpy(num_bits, fill):
+    num_words = -(-num_bits // 64)
+    rng = np.random.default_rng(num_bits)
+    words = {
+        "random": np.frombuffer(rng.bytes(8 * num_words), dtype=np.uint64),
+        "zeros": np.zeros(num_words, dtype=np.uint64),
+        "ones": np.full(num_words, 2**64 - 1, dtype=np.uint64),
+    }[fill].copy()
+    mask = Bitmask(num_bits, words.copy())
+    # numpy reference: shift every bit of every word down to position 0
+    shifts = np.arange(64, dtype=np.uint64)
+    flags = ((words[:, None] >> shifts) & np.uint64(1)).astype(bool) \
+        .ravel()[:num_bits]
+
+    bools = mask.to_bools()
+    assert bools.dtype == bool and np.array_equal(bools, flags)
+    assert bools.flags.writeable
+    assert not np.shares_memory(bools, mask.words)
+    bools[:] = ~bools
+    assert np.array_equal(mask.to_bools(), flags)
+
+    indices = mask.indices()
+    assert indices.dtype == np.int64
+    assert np.array_equal(indices, np.flatnonzero(flags))
+    assert Bitmask.from_bools(flags) == mask
+    assert Bitmask.from_indices(num_bits, indices) == mask
+    assert mask.count() == int(flags.sum())
+    assert per_word_popcounts(mask.words).tolist() == [
+        int(flags[i:i + 64].sum()) for i in range(0, num_bits, 64)]

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from repro.baselines import RasterFramesSystem, SciDBSystem, SciSparkSystem
+from repro.bitmask import Bitmask
+from repro.core import ArrayRDD, ChunkMode, SpangleDataset
+from repro.core.chunk import Chunk
+from repro.core.metadata import ArrayMetadata
 from repro.data import sdss_like
 from repro.data.raster import sdss_stack
 from repro.engine import ClusterContext
 from repro.errors import ArrayError
 from repro.queries import SpangleRasterQueries, load_spangle_dataset
-from repro.queries.ssdb import reference_window_counts
+from repro.queries.ssdb import (
+    _merge_windows,
+    _window_partials,
+    reference_window_counts,
+)
 
 
 @pytest.fixture()
@@ -242,3 +250,133 @@ class TestMaskRDDPathsAgree:
             ctx, bands, chunk_shape=(32, 32, 1), use_mask_rdd=False))
         args = ("u", lambda xs: xs > 0.5, lambda xs: xs > 2.0)
         assert lazy.q4_polygons(*args) == eager.q4_polygons(*args)
+
+
+# ----------------------------------------------------------------------
+# window partials against a dense-numpy oracle
+# ----------------------------------------------------------------------
+
+# ragged against (16, 16, 2) chunks in every dimension
+ORACLE_SHAPE = (45, 38, 3)
+ORACLE_CHUNK = (16, 16, 2)
+MODES = [pytest.param(mode, id=mode.name.lower()) for mode in ChunkMode]
+
+
+def oracle_cube(seed=0, density=0.4):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(5.0, 2.0, ORACLE_SHAPE)
+    return values, rng.random(ORACLE_SHAPE) < density
+
+
+def window_oracle(values, valid, window, starts=(0, 0, 0)):
+    """``{(image, wr, wc): (count, mean)}`` by slicing the dense cube
+    window by window over global (floor-divided) coordinates."""
+    sx, sy, st = starts
+    nx, ny, nt = valid.shape
+    out = {}
+    for wr in range(sx // window, (sx + nx - 1) // window + 1):
+        xs = slice(max(wr * window - sx, 0), (wr + 1) * window - sx)
+        for wc in range(sy // window, (sy + ny - 1) // window + 1):
+            ys = slice(max(wc * window - sy, 0), (wc + 1) * window - sy)
+            for t in range(nt):
+                cells = valid[xs, ys, t]
+                if cells.any():
+                    out[(st + t, wr, wc)] = (
+                        int(cells.sum()), values[xs, ys, t][cells].mean())
+    return out
+
+
+def check_windows(dataset, array, expected, window):
+    """Q2 means (rtol 1e-12), merged counts and Q5 (exact) vs oracle."""
+    queries = SpangleRasterQueries(dataset)
+    got = queries.q2_regrid("u", window)
+    assert set(got) == set(expected)
+    keys = sorted(expected)
+    np.testing.assert_allclose([got[k] for k in keys],
+                               [expected[k][1] for k in keys], rtol=1e-12)
+    merged_keys, _sums, counts = _merge_windows(
+        _window_partials(array, window).collect(), array.meta, window)
+    assert dict(zip(map(tuple, merged_keys.tolist()), counts.tolist())) \
+        == {key: count for key, (count, _mean) in expected.items()}
+    for min_count in (0, 3, 10):
+        assert queries.q5_density("u", window, min_count) == sum(
+            count > min_count for count, _mean in expected.values())
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("window", [5, 8, 16])
+    def test_forced_modes(self, ctx, mode, window):
+        values, valid = oracle_cube()
+        array = ArrayRDD.from_numpy(ctx, values, ORACLE_CHUNK, valid=valid,
+                                    mode=mode)
+        assert {c.mode for _id, c in array.rdd.collect()} == {mode}
+        expected = window_oracle(values, valid, window)
+        assert {key: count for key, (count, _mean) in expected.items()} \
+            == reference_window_counts(valid, window)
+        check_windows(SpangleDataset({"u": array}), array, expected,
+                      window)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("starts", [(-7, -13, -2), (3, -5, 4)])
+    def test_negative_starts(self, ctx, mode, starts):
+        values, valid = oracle_cube(seed=1)
+        array = ArrayRDD.from_numpy(ctx, values, ORACLE_CHUNK, valid=valid,
+                                    mode=mode, starts=starts)
+        check_windows(SpangleDataset({"u": array}), array,
+                      window_oracle(values, valid, 6, starts), 6)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_after_mask_rdd_filter(self, ctx, mode):
+        values, valid = oracle_cube(seed=2, density=0.9)
+        array = ArrayRDD.from_numpy(ctx, values, ORACLE_CHUNK, valid=valid,
+                                    mode=mode)
+        dataset = SpangleDataset({"u": array}).filter("u",
+                                                      lambda xs: xs > 5.0)
+        expected = window_oracle(values, valid & (values > 5.0), 5)
+        check_windows(dataset, dataset.evaluate("u"), expected, 5)
+
+    def test_dense_payload_stale_under_cleared_bits(self, ctx):
+        """A DENSE payload keeps its values under bits a filter cleared;
+        only the valid cells may reach the window sums."""
+        values, valid = oracle_cube(seed=3, density=0.9)
+        keep = valid & (values > 5.0)
+        meta = ArrayMetadata(ORACLE_SHAPE, ORACLE_CHUNK,
+                             dim_names=("x", "y", "image"))
+        source = ArrayRDD.from_numpy(ctx, values, ORACLE_CHUNK, valid=valid,
+                                     mode=ChunkMode.DENSE)
+        cleared = dict(SpangleDataset({"u": source}).filter(
+            "u", lambda xs: xs > 5.0).mask.rdd.collect())
+        records = []
+        for chunk_id, chunk in source.rdd.collect():
+            stale = Chunk(ChunkMode.DENSE, chunk.payload,
+                          chunk.mask & cleared.get(
+                              chunk_id, Bitmask.zeros(chunk.num_cells)),
+                          chunk.num_cells)
+            assert stale.payload[~stale.valid_bools()].any()
+            records.append((chunk_id, stale))
+        array = ArrayRDD.from_chunks(ctx, records, meta)
+        check_windows(SpangleDataset({"u": array}), array,
+                      window_oracle(values, keep, 5), 5)
+
+    def test_window_ids_overflow_raises(self, ctx):
+        huge = ArrayMetadata((2 ** 31, 2 ** 31, 2), (128, 128, 1))
+        with pytest.raises(ArrayError, match=r"2\*\*63"):
+            _window_partials(ArrayRDD.from_chunks(ctx, [], huge), 1)
+        below = ArrayMetadata((2 ** 31, 2 ** 31, 1), (128, 128, 1))
+        array = ArrayRDD.from_chunks(ctx, [], below)
+        assert _window_partials(array, 1).collect() == []
+
+
+def _q2_on(backend_kwargs, bands):
+    with ClusterContext(num_executors=2, default_parallelism=3,
+                        **backend_kwargs) as context:
+        ds = load_spangle_dataset(context, bands, chunk_shape=(32, 32, 1))
+        return SpangleRasterQueries(ds).q2_regrid("u", 12)
+
+
+def test_q2_regrid_windows_across_backends(bands):
+    serial = _q2_on({}, bands)
+    assert serial
+    assert _q2_on({"use_threads": True}, bands) == serial
+    assert _q2_on({"backend": "process"}, bands) == serial
