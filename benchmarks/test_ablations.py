@@ -7,8 +7,8 @@ Beyond the paper's figures, these isolate each optimization:
   — the size crossover that drives the conversion rule;
 - population-count strategies (Section IV-B) — naive vs builtin vs
   vectorized, the microbench behind Fig. 8's access paths;
-- synchronous vs asynchronous Accumulator (Section V-B) — barrier
-  counts and agreement.
+- synchronous vs asynchronous Accumulator (Section V-B), as
+  ``accumulate_axis`` runs it — barrier (job) counts and agreement.
 """
 
 import time
@@ -22,7 +22,8 @@ from repro.bitmask.popcount import (
     popcount_words_naive,
     popcount_words_vectorized,
 )
-from repro.core.aggregates import Accumulator
+from repro.core import ArrayRDD
+from repro.core.accumulate import accumulate_axis
 from repro.core.chunk import Chunk, ChunkMode
 from repro.matrix import SpangleMatrix, encode_static
 from repro.matrix.multiply import prepare_local
@@ -209,32 +210,38 @@ def test_ablation_store_pruning(benchmark, tmp_path):
 
 
 def test_ablation_accumulator(benchmark):
-    """Sync vs async Accumulator: same answer, fewer barriers."""
+    """Sync vs async accumulate_axis: same answer, fewer barriers.
+
+    A barrier is a job: the ``jobs_run`` delta around the call, with
+    the final collect left out.
+    """
     rng = np.random.default_rng(4)
     values = rng.random((64, 4096))
     valid = rng.random((64, 4096)) < 0.6
+    ctx = fresh_context()
+    arr = ArrayRDD.from_numpy(ctx, values, (64, 64),
+                              valid=valid).materialize()
+
+    def timed(mode):
+        before = ctx.metrics.snapshot()
+        start = time.perf_counter()
+        out = accumulate_axis(arr, 1, "sum", mode=mode)
+        seconds = time.perf_counter() - start
+        barriers = (ctx.metrics.snapshot() - before).jobs_run
+        return out.collect_dense(fill=0.0), seconds, barriers
 
     def run():
-        sync = Accumulator(np.add)
-        start = time.perf_counter()
-        sync_out = sync.run(values, valid, axis=1, chunk_interval=64,
-                            mode="sync")
-        sync_s = time.perf_counter() - start
-        async_acc = Accumulator(np.add)
-        start = time.perf_counter()
-        async_out = async_acc.run(values, valid, axis=1, chunk_interval=64,
-                           mode="async")
-        async_s = time.perf_counter() - start
-        assert np.allclose(sync_out, async_out)
-        return sync_s, sync.num_sync_steps, async_s, async_acc.num_sync_steps
+        return timed("sync"), timed("async")
 
-    sync_s, sync_steps, async_s, async_steps = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    (sync_out, sync_s, sync_steps), (async_out, async_s, async_steps) = \
+        benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
-        "Ablation — Accumulator sync vs async (prefix sum, 64 chunks)",
-        ["mode", "seconds", "synchronization steps"],
+        "Ablation — accumulate_axis sync vs async (prefix sum, 64 chunks)",
+        ["mode", "seconds", "barriers (jobs)"],
         [["sync (barrier per boundary)", f"{sync_s:.4f}", sync_steps],
          ["async (scan + one adjustment)", f"{async_s:.4f}",
           async_steps]])
-    assert async_steps < sync_steps
+    for got, expected in zip(async_out, sync_out):
+        assert np.array_equal(got, expected)
+    assert sync_steps == 64
     assert async_steps == 2

@@ -156,7 +156,7 @@ def _cmd_trace(args) -> int:
                if s.parent_id is None and s.kind != "job"]
     if orphans:
         print(f"\n{len(orphans)} top-level non-job spans "
-              f"(checkpoints/broadcasts outside jobs):")
+              f"(broadcasts outside jobs):")
         for span in orphans:
             print(f"  {span.kind:<11} {span.name:<28} "
                   f"{span.wall_s * 1e3:8.2f} ms")

@@ -1,4 +1,4 @@
-"""The Aggregator framework and Accumulator (Section V-B).
+"""The Aggregator framework (Section V-B).
 
 An :class:`Aggregator` is the paper's four-function abstraction:
 
@@ -18,12 +18,8 @@ one fresh state per group with the grouped form
 default runs ``initialize`` and ``accumulate`` per group, so every
 Aggregator works; the five builtins override it with one numpy pass.
 
-The :class:`Accumulator` implements running (prefix) accumulation along
-an axis in the synchronous and asynchronous flavours the paper
-describes: synchronous walks chunk slabs one boundary step at a time
-(one synchronization per step); asynchronous lets every chunk scan
-internally first and then applies cross-chunk offsets in a single
-adjustment pass.
+The Accumulator — running (prefix) accumulation along an axis — is
+:func:`repro.core.accumulate.accumulate_axis`.
 """
 
 from __future__ import annotations
@@ -224,92 +220,3 @@ def resolve_aggregator(agg) -> Aggregator:
                 f"{sorted(BUILTIN_AGGREGATORS)}"
             ) from None
     raise ArrayError(f"expected Aggregator or name, got {type(agg)}")
-
-
-class Accumulator:
-    """Prefix accumulation along one axis (Section V-B).
-
-    Operates on the dense (values, valid) representation of an array,
-    chunked along ``axis`` with interval ``chunk_interval``. Returns the
-    running ``op``-prefix over valid cells (invalid cells pass the
-    running value through unchanged and stay invalid).
-
-    ``mode="sync"`` processes one chunk-slab at a time in axis order,
-    synchronizing at every chunk boundary — ``num_sync_steps`` counts
-    those barriers. ``mode="async"`` lets all chunks accumulate
-    internally (one parallel step), then fixes up chunk offsets with a
-    single exclusive scan over per-chunk totals. For associative ``op``
-    the async result is exact; the cost difference (many barriers vs
-    two) is what the paper's sync/async distinction is about.
-    """
-
-    def __init__(self, op=np.add, identity=0.0):
-        self.op = op
-        self.identity = identity
-        self.num_sync_steps = 0
-
-    def run(self, values: np.ndarray, valid: np.ndarray, axis: int,
-            chunk_interval: int, mode: str = "sync") -> np.ndarray:
-        if values.shape != valid.shape:
-            raise ArrayError("values and valid must have the same shape")
-        if not 0 <= axis < values.ndim:
-            raise ArrayError(f"axis {axis} out of range")
-        if chunk_interval <= 0:
-            raise ArrayError("chunk_interval must be positive")
-        if mode == "sync":
-            return self._run_sync(values, valid, axis, chunk_interval)
-        if mode == "async":
-            return self._run_async(values, valid, axis, chunk_interval)
-        raise ArrayError(f"unknown accumulator mode {mode!r}")
-
-    def _masked(self, values, valid):
-        filled = np.where(valid, values, self.identity)
-        return filled
-
-    def _run_sync(self, values, valid, axis, chunk_interval):
-        self.num_sync_steps = 0
-        filled = self._masked(values, valid)
-        out = np.empty_like(filled, dtype=np.float64)
-        length = values.shape[axis]
-        carry = None
-        for start in range(0, length, chunk_interval):
-            stop = min(start + chunk_interval, length)
-            slab = np.take(filled, range(start, stop), axis=axis)
-            prefix = self.op.accumulate(slab, axis=axis, dtype=np.float64)
-            if carry is not None:
-                prefix = self.op(prefix, np.expand_dims(carry, axis))
-            index = [slice(None)] * values.ndim
-            index[axis] = slice(start, stop)
-            out[tuple(index)] = prefix
-            carry = np.take(prefix, -1, axis=axis)
-            self.num_sync_steps += 1
-        return out
-
-    def _run_async(self, values, valid, axis, chunk_interval):
-        self.num_sync_steps = 2  # one parallel scan + one adjustment
-        filled = self._masked(values, valid)
-        out = np.empty_like(filled, dtype=np.float64)
-        length = values.shape[axis]
-        totals = []
-        # phase 1: every chunk scans internally (parallel in spirit)
-        for start in range(0, length, chunk_interval):
-            stop = min(start + chunk_interval, length)
-            slab = np.take(filled, range(start, stop), axis=axis)
-            prefix = self.op.accumulate(slab, axis=axis, dtype=np.float64)
-            index = [slice(None)] * values.ndim
-            index[axis] = slice(start, stop)
-            out[tuple(index)] = prefix
-            totals.append(np.take(prefix, -1, axis=axis))
-        # phase 2: one exclusive scan of chunk totals, added back
-        carry = None
-        for block, start in enumerate(range(0, length, chunk_interval)):
-            if block == 0:
-                carry = totals[0]
-                continue
-            stop = min(start + chunk_interval, length)
-            index = [slice(None)] * values.ndim
-            index[axis] = slice(start, stop)
-            out[tuple(index)] = self.op(out[tuple(index)],
-                                        np.expand_dims(carry, axis))
-            carry = self.op(carry, totals[block])
-        return out

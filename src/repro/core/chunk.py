@@ -228,11 +228,6 @@ class Chunk:
         out[self.indices()] = self.payload
         return out
 
-    def iter_cells(self):
-        """Yield ``(offset, value)`` for valid cells, ascending offset."""
-        for offset, value in zip(self.indices(), self.values()):
-            yield int(offset), value
-
     # ------------------------------------------------------------------
     # transformation
     # ------------------------------------------------------------------
@@ -243,10 +238,6 @@ class Chunk:
             return self
         return Chunk.from_sparse(self.num_cells, self.indices(),
                                  self.values(), mode=mode)
-
-    def to_mode(self, mode: ChunkMode) -> "Chunk":
-        """Alias for :meth:`convert` (the cache admission API)."""
-        return self.convert(mode)
 
     def repack(self) -> tuple:
         """Re-run the density policy on the *current* density.
@@ -263,10 +254,6 @@ class Chunk:
         if target is self.mode:
             return self, False
         return self.convert(target), True
-
-    def recompress(self) -> "Chunk":
-        """Re-apply the density policy (after filters shrink validity)."""
-        return self.repack()[0]
 
     def map_values(self, func, mode: ChunkMode = None) -> "Chunk":
         """Apply a vectorized function to the valid values only."""

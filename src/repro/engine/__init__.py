@@ -19,7 +19,7 @@ slice of Spark that Spangle needs, in pure Python:
   bytes, task counts, disk I/O) into a modeled cluster execution time so
   benchmarks can report cluster-scale comparisons from in-process runs.
 - :mod:`repro.engine.tracing` — structured span tracing (job → stage →
-  task plus shuffle/cache/checkpoint/broadcast/plan annotations), job
+  task plus shuffle/cache/broadcast/plan annotations), job
   profiles, and JSON-lines / Chrome-trace exporters.
 - :mod:`repro.engine.batches` — the columnar shuffle data plane: packed
   :class:`~repro.engine.batches.RecordBatch` shuffle blocks, vectorized

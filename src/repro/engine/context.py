@@ -26,6 +26,12 @@ from repro.engine.tracing import Tracer
 from repro.errors import EngineError
 
 
+def _check_non_negative(name: str, value) -> None:
+    """Reject a negative size up front, naming it; None and 0 pass."""
+    if value is not None and value < 0:
+        raise EngineError(f"{name} must be >= 0, got {value}")
+
+
 class ClusterContext:
     """A simulated Spark cluster in one process.
 
@@ -76,6 +82,7 @@ class ClusterContext:
             raise EngineError("num_executors must be positive")
         if task_retries < 0:
             raise EngineError("task_retries must be >= 0")
+        _check_non_negative("default_parallelism", default_parallelism)
         if backend not in ("thread", "process"):
             raise EngineError(
                 f"unknown backend {backend!r}: expected 'thread' or "
@@ -147,6 +154,7 @@ class ClusterContext:
         """Distribute a driver-side collection."""
         if num_partitions is None:
             num_partitions = self.default_parallelism
+        _check_non_negative("num_partitions", num_partitions)
         return ParallelCollectionRDD(self, data, num_partitions,
                                      partitioner=partitioner)
 
@@ -156,6 +164,7 @@ class ClusterContext:
         The generator runs inside tasks, so synthetic datasets larger than
         driver memory never exist as a single list.
         """
+        _check_non_negative("num_partitions", num_partitions)
         return GeneratedRDD(self, num_partitions, func,
                             partitioner=partitioner)
 
@@ -196,26 +205,9 @@ class ClusterContext:
         """
         return self.scheduler.run_job(rdd, partition_func)
 
-    def run_take(self, rdd: RDD, n: int) -> list:
-        """Incrementally probe partitions until ``n`` records are found.
-
-        One job and one stage however many partitions end up probed —
-        per-partition probes are tasks of the same job, as in Spark,
-        and retry like any task.
-        """
-        self.metrics.add(jobs_run=1, stages_run=1)
-        taken = []
-        with self.tracer.span(f"{rdd.name}:take", "job",
-                              executors=self.num_executors):
-            with self.tracer.span(rdd.name, "stage", stage_kind="result"):
-                for index in range(rdd.num_partitions):
-                    if len(taken) >= n:
-                        break
-                    taken.extend(self._probe(rdd, index))
-        return taken[:n]
-
     def run_partition(self, rdd: RDD, index: int) -> list:
-        """Compute a single partition (used by ``take``/``lookup``)."""
+        """Compute a single partition (used by ``lookup``): one job of
+        one stage of one driver-side, retried task."""
         if not 0 <= index < rdd.num_partitions:
             raise EngineError(
                 f"partition index {index} out of range for {rdd!r}"
@@ -224,13 +216,9 @@ class ClusterContext:
         with self.tracer.span(f"{rdd.name}:partition", "job",
                               executors=self.num_executors):
             with self.tracer.span(rdd.name, "stage", stage_kind="result"):
-                return self._probe(rdd, index)
-
-    def _probe(self, rdd: RDD, index: int) -> list:
-        """One driver-side, retried task reading partition ``index``."""
-        with self.tracer.span("task", "task", partition=index):
-            return run_task_with_retries(
-                self, index, lambda: rdd.iterator(index))
+                with self.tracer.span("task", "task", partition=index):
+                    return run_task_with_retries(
+                        self, index, lambda: rdd.iterator(index))
 
     # ------------------------------------------------------------------
     # health

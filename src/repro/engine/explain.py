@@ -61,10 +61,9 @@ class Stage:
 def _wide_parents(rdd: RDD):
     """(narrow_parents, wide_parents) of one RDD."""
     narrow, wide = [], []
-    if not rdd.is_checkpointed:
-        wide_slots = rdd.wide_slots()
-        for which, parent in enumerate(rdd.dependencies):
-            (wide if which in wide_slots else narrow).append(parent)
+    wide_slots = rdd.wide_slots()
+    for which, parent in enumerate(rdd.dependencies):
+        (wide if which in wide_slots else narrow).append(parent)
     return narrow, wide
 
 
@@ -242,10 +241,9 @@ def explain(rdd: RDD) -> str:
         for node in reversed(stage.rdds):
             marker = " [cached]" if node._cached_indices or (
                 node.storage_level.value != "none") else ""
-            checkpoint = " [checkpoint]" if node.is_checkpointed else ""
             lines.append(
                 f"  ({node.rdd_id}) {node.name}"
-                f"[{node.num_partitions}]{marker}{checkpoint}")
+                f"[{node.num_partitions}]{marker}")
     schedule = modeled_schedule(rdd)
     lines.append(
         f"Modeled schedule: barrier {schedule['serial_s'] * 1e3:.1f} ms, "

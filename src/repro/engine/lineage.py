@@ -18,11 +18,8 @@ from repro.engine.rdd import RDD, _ShuffleStageBase
 
 
 def lineage_depth(rdd: RDD) -> int:
-    """Longest chain of dependencies above (and including) ``rdd``.
-
-    Checkpointed RDDs are roots: nothing above them will recompute.
-    """
-    if rdd.is_checkpointed or not rdd.dependencies:
+    """Longest chain of dependencies above (and including) ``rdd``."""
+    if not rdd.dependencies:
         return 1
     return 1 + max(lineage_depth(dep) for dep in rdd.dependencies)
 

@@ -34,15 +34,15 @@ class Metric:
 # name                     kind     unit   layer             help
 _TABLE = """
 tasks_launched             counter  count  engine.scheduler  task attempts, retries included
-stages_run                 counter  count  engine.scheduler  map, result and checkpoint stages run
+stages_run                 counter  count  engine.scheduler  map and result stages run
 jobs_run                   counter  count  engine.scheduler  jobs submitted to the scheduler
 shuffle_records            counter  count  engine.shuffle    records moved by shuffle map stages
 shuffle_bytes              counter  bytes  engine.shuffle    bytes moved by shuffle map stages
 shuffles_performed         counter  count  engine.shuffle    shuffle map stages materialized
 shuffle_batches            counter  count  engine.shuffle    packed RecordBatches shipped
 shuffle_batch_records      counter  count  engine.shuffle    records that rode in packed batches
-disk_read_bytes            counter  bytes  engine.spill      spill, checkpoint, store bytes read
-disk_write_bytes           counter  bytes  engine.spill      spill, checkpoint, store bytes written
+disk_read_bytes            counter  bytes  engine.spill      spill and store bytes read
+disk_write_bytes           counter  bytes  engine.spill      spill and store bytes written
 result_bytes               counter  bytes  engine.scheduler  task outputs returned to the driver
 broadcast_bytes            counter  bytes  engine.broadcast  broadcast value bytes times executors
 cache_hits                 counter  count  engine.storage    block reads served from memory or spill
@@ -98,7 +98,7 @@ class StageTiming:
     """Wall time of one executed stage (shuffle map or result)."""
 
     label: str
-    kind: str  # "shuffle" | "result" | "checkpoint"
+    kind: str  # "shuffle" | "result" | "narrow_shuffle"
     wall_s: float
     num_tasks: int
 

@@ -15,7 +15,6 @@ the cache manager and verify results are rebuilt transparently.
 from __future__ import annotations
 
 import itertools
-import random
 import threading
 import time
 
@@ -42,8 +41,8 @@ def run_task_with_retries(context, index, attempt_func):
 
     Mirrors Spark's ``spark.task.maxFailures``: deterministic failures
     exhaust the attempts and surface as a :class:`TaskFailure`. Used by
-    every task — shuffle map, result, checkpoint, and the driver's
-    partition probes — so retry semantics are identical everywhere.
+    every task — shuffle map, result, and the driver's partition probe
+    — so retry semantics are identical everywhere.
     """
     metrics = context.metrics
     last_error = None
@@ -125,21 +124,6 @@ class _FlatMapRecords:
             func(record) for record in part)
 
 
-class _Sampler:
-    """``sample``: per-partition deterministic Bernoulli sampling."""
-
-    __slots__ = ("fraction", "seed")
-
-    def __init__(self, fraction, seed):
-        self.fraction = fraction
-        self.seed = seed
-
-    def __call__(self, index, part):
-        rng = random.Random(self.seed * 1_000_003 + index)
-        fraction = self.fraction
-        return (record for record in part if rng.random() < fraction)
-
-
 class _MapValuesPart:
     """``map_values``: apply ``func`` to values, keys untouched."""
 
@@ -167,45 +151,12 @@ class _FlatMapValuesPart:
                 for out in func(value))
 
 
-class _SeqFold:
-    """``aggregate``: fold a partition with ``seq_op`` from ``zero``."""
-
-    __slots__ = ("zero", "func")
-
-    def __init__(self, zero, seq_op):
-        self.zero = zero
-        self.func = seq_op
-
-    def __call__(self, part):
-        acc = self.zero
-        func = self.func
-        for record in part:
-            acc = func(acc, record)
-        return acc
-
-
-def _glom_part(part):
-    return [list(part)]
-
-
 def _count_records(part):
     return sum(1 for _ in part)
 
 
 def _identity(value):
     return value
-
-
-def _pair_with_none(record):
-    return (record, None)
-
-
-def _keep_first(a, _b):
-    return a
-
-
-def _first_element(kv):
-    return kv[0]
 
 
 def _second_element(kv):
@@ -260,8 +211,6 @@ class RDD:
         self.name = name or type(self).__name__
         self.storage_level = StorageLevel.NONE
         self._cached_indices = set()
-        self._checkpoint_data = None
-        self._checkpoint_lock = threading.Lock()
         self._compute_locks = {}
         self._compute_locks_guard = threading.Lock()
         self._mat_locks = {}
@@ -292,11 +241,6 @@ class RDD:
         and repopulate it (counting a recomputation) when the block was
         lost.
         """
-        if self._checkpoint_data is not None:
-            data = self._checkpoint_data[index]
-            self.context.metrics.add(
-                disk_read_bytes=estimate_partition_size(data))
-            return data
         if self.storage_level is StorageLevel.NONE:
             return self.compute(index)
         cache = self.context.cache
@@ -362,7 +306,6 @@ class RDD:
         """
         state = self.__dict__.copy()
         state["context"] = None
-        state["_checkpoint_lock"] = None
         state["_compute_locks"] = {}
         state["_compute_locks_guard"] = None
         state["_mat_locks"] = {}
@@ -377,7 +320,6 @@ class RDD:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._checkpoint_lock = threading.Lock()
         self._compute_locks = {}
         self._compute_locks_guard = threading.Lock()
         self._mat_locks = {}
@@ -387,17 +329,12 @@ class RDD:
         """:meth:`__getstate__` for a task that reads partitions
         ``indices``: per-partition data ships only those, as
         ``{index: data}``."""
-        state = self.__getstate__()
-        if state["_checkpoint_data"] is not None:
-            state["_checkpoint_data"] = _keep(state["_checkpoint_data"],
-                                              indices)
-        return state
+        return self.__getstate__()
 
-    def _stub_state(self, indices) -> dict:
+    def _stub_state(self) -> dict:
         """The state of this node shipped as a :class:`LineageStub`:
-        identity, partitioning and the checkpoint slices of
-        ``indices`` — no dependencies, functions or data."""
-        checkpoint = self._checkpoint_data
+        identity and partitioning — no dependencies, functions or
+        data."""
         return {
             "context": None,
             "rdd_id": self.rdd_id,
@@ -407,8 +344,6 @@ class RDD:
             "partitioner": self.partitioner,
             "storage_level": self.storage_level,
             "_cached_indices": set(),
-            "_checkpoint_data": (None if checkpoint is None
-                                 else _keep(checkpoint, indices)),
         }
 
     def persist(self, level: StorageLevel = StorageLevel.MEMORY) -> "RDD":
@@ -425,29 +360,8 @@ class RDD:
         return self
 
     # ------------------------------------------------------------------
-    # checkpointing and lineage
+    # lineage
     # ------------------------------------------------------------------
-
-    def checkpoint(self) -> "RDD":
-        """Materialize to (simulated) reliable storage, cutting lineage.
-
-        Iterative jobs whose lineage would otherwise grow without bound
-        — the paper observes GraphX regenerating spilled RDDs by lineage
-        and doubling its iteration time — checkpoint periodically. The
-        write is metered as disk I/O, as Spark's reliable checkpoints
-        are; afterwards reads come from the checkpoint, not the parents.
-        """
-        with self._checkpoint_lock:
-            if self._checkpoint_data is None:
-                data = self.context.scheduler.run_checkpoint(self)
-                total = sum(estimate_partition_size(part) for part in data)
-                self.context.metrics.add(disk_write_bytes=total)
-                self._checkpoint_data = data
-        return self
-
-    @property
-    def is_checkpointed(self) -> bool:
-        return self._checkpoint_data is not None
 
     def wide_slots(self) -> tuple:
         """Indices of the parents this RDD reads through a shuffle.
@@ -486,30 +400,11 @@ class RDD:
         return self.map_partitions(
             _FlatMapRecords(func)).rename("flat_map")
 
-    def glom(self):
-        return self.map_partitions(_glom_part).rename("glom")
-
-    def union(self, other: "RDD") -> "RDD":
-        return UnionRDD(self.context, [self, other])
-
     def zip_partitions(self, other: "RDD", func,
                        preserves_partitioning: bool = False) -> "RDD":
         """Pairwise-combine co-numbered partitions of two RDDs."""
         return ZippedPartitionsRDD(self, other, func,
                                    preserves_partitioning)
-
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        return self.map_partitions_with_index(
-            _Sampler(fraction, seed), preserves_partitioning=True
-        ).rename("sample")
-
-    def distinct(self) -> "RDD":
-        return (
-            self.map(_pair_with_none)
-            .reduce_by_key(_keep_first)
-            .map(_first_element)
-            .rename("distinct")
-        )
 
     def rename(self, name: str) -> "RDD":
         self.name = name
@@ -518,9 +413,6 @@ class RDD:
     # ------------------------------------------------------------------
     # pair-RDD transformations (delegated; defined in pairs.py)
     # ------------------------------------------------------------------
-
-    def keys(self):
-        return self.map(_first_element).rename("keys")
 
     def values(self):
         return self.map(_second_element).rename("values")
@@ -613,22 +505,6 @@ class RDD:
     def count(self) -> int:
         return sum(self.context.run_job(self, _count_records))
 
-    def reduce(self, func):
-        parts = self.context.run_job(self, list)
-        non_empty = [p for p in parts if p]
-        if not non_empty:
-            raise EngineError("reduce() on an empty RDD")
-        partials = []
-        for part in non_empty:
-            acc = part[0]
-            for record in part[1:]:
-                acc = func(acc, record)
-            partials.append(acc)
-        result = partials[0]
-        for partial in partials[1:]:
-            result = func(result, partial)
-        return result
-
     def fold(self, zero, func):
         parts = self.context.run_job(self, list)
         result = zero
@@ -639,37 +515,8 @@ class RDD:
             result = func(result, acc)
         return result
 
-    def aggregate(self, zero, seq_op, comb_op):
-        partials = self.context.run_job(self, _SeqFold(zero, seq_op))
-        result = zero
-        for partial in partials:
-            result = comb_op(result, partial)
-        return result
-
     def sum(self):
         return self.fold(0, lambda a, b: a + b)
-
-    def max(self):
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self):
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def take(self, n: int) -> list:
-        """The first ``n`` records, probing as few partitions as possible.
-
-        One job however many partitions are probed (Spark's take is a
-        single incremental job, not a job per partition).
-        """
-        if n <= 0:
-            return []
-        return self.context.run_take(self, n)
-
-    def first(self):
-        got = self.take(1)
-        if not got:
-            raise EngineError("first() on an empty RDD")
-        return got[0]
 
     def __repr__(self) -> str:
         return (
@@ -749,32 +596,6 @@ class MapPartitionsRDD(RDD):
         return [(self.dependencies[0], index)]
 
 
-class UnionRDD(RDD):
-    """Concatenation of the partitions of several RDDs."""
-
-    def __init__(self, context, parents):
-        parents = list(parents)
-        total = sum(p.num_partitions for p in parents)
-        super().__init__(context, dependencies=tuple(parents),
-                         num_partitions=total, name="union")
-        self._offsets = []
-        running = 0
-        for parent in parents:
-            self._offsets.append(running)
-            running += parent.num_partitions
-
-    def parent_partitions(self, index: int) -> list:
-        for parent, offset in zip(reversed(self.dependencies),
-                                  reversed(self._offsets)):
-            if index >= offset:
-                return [(parent, index - offset)]
-        raise EngineError(f"partition index {index} out of range")
-
-    def compute(self, index: int) -> list:
-        [(parent, parent_index)] = self.parent_partitions(index)
-        return list(parent.iterator(parent_index))
-
-
 class ZippedPartitionsRDD(RDD):
     """Combine co-numbered partitions of two RDDs with ``func(a, b)``.
 
@@ -807,8 +628,8 @@ class ZippedPartitionsRDD(RDD):
 class LineageStub(RDD):
     """A node a process task ships without its lineage.
 
-    Every partition the task reads of it arrives another way — a cached
-    block's handle, a checkpoint slice — or the task reads none of it,
+    Every partition the task reads of it arrives as a cached block's
+    handle, or the task reads none of it,
     so only identity and partitioning travel (see
     :meth:`RDD._stub_state`). Reaching :meth:`compute` means a read the
     payload did not plan for.

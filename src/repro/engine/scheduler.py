@@ -15,9 +15,9 @@ same for the mini engine:
   stages), and runs it.
 
 Every stage runs through one event-driven loop: each shuffle map
-stage, the job's result stage (the graph's last node) and a
-checkpoint's write stage. A stage launches the moment its last input
-stage commits. With a pool, a launch submits the stage's tasks at once
+stage and the job's result stage (the graph's last node). A stage
+launches the moment its last input stage commits. With a pool, a
+launch submits the stage's tasks at once
 and per-stage completion counts track each output as it lands, so the
 two sides of a join/cogroup/matmul overlap. On a serial context, and
 for a nested job inside an executor thread, the same loop runs each
@@ -47,7 +47,7 @@ import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 from repro.engine.rdd import RDD, run_task_with_retries
-from repro.engine.sizing import estimate_partition_size, estimate_size
+from repro.engine.sizing import estimate_size
 from repro.engine.storage import StorageLevel
 from repro.errors import EngineError
 
@@ -218,12 +218,12 @@ class _Stage:
     """One node of a job's stage graph.
 
     ``kind`` is ``"shuffle"`` for a pending shuffle map stage — one map
-    task per partition of parent ``which`` of ``node`` — or the graph's
-    last node: ``"result"`` (a job's result stage) or ``"checkpoint"``
-    (a checkpoint's write stage), one ``task(index, span)`` per
-    partition of ``node``. ``pending`` counts unfinished dependency
-    stages; the loop launches the stage when it reaches zero, and
-    ``done`` counts task outputs until the last one lands.
+    task per partition of parent ``which`` of ``node`` — or
+    ``"result"`` for the graph's last node, a job's result stage: one
+    ``task(index, span)`` per partition of ``node``. ``pending`` counts
+    unfinished dependency stages; the loop launches the stage when it
+    reaches zero, and ``done`` counts task outputs until the last one
+    lands.
     """
 
     __slots__ = ("node", "which", "kind", "key", "label", "num_tasks",
@@ -280,10 +280,10 @@ class StageScheduler:
 
         Each entry is ``(shuffle_rdd, which)``, one per wide parent slot
         (:meth:`RDD.wide_slots`). Narrow parents, already-materialized
-        map output, checkpointed subtrees, and subtrees hidden behind a
-        fully cached RDD (whose partitions will be served from the
-        block cache without recomputation) are all skipped, so eager
-        scheduling records exactly the stages lazy evaluation would.
+        map output, and subtrees hidden behind a fully cached RDD
+        (whose partitions will be served from the block cache without
+        recomputation) are all skipped, so eager scheduling records
+        exactly the stages lazy evaluation would.
         """
         ordered = []
         seen = set()
@@ -292,7 +292,7 @@ class StageScheduler:
             if node.rdd_id in seen:
                 return
             seen.add(node.rdd_id)
-            if node.is_checkpointed or self._fully_cached(node):
+            if self._fully_cached(node):
                 return
             for dep in node.dependencies:
                 visit(dep)
@@ -339,10 +339,10 @@ class StageScheduler:
         """The nearest pending stages reachable from ``root`` without
         crossing another pending stage boundary.
 
-        Mirrors :meth:`shuffle_stages`'s descent rules (checkpointed
-        and fully cached subtrees are opaque; narrow and materialized
-        shuffles are transparent) but stops at each pending stage: what
-        lies beneath one is *its* dependency, not the caller's.
+        Mirrors :meth:`shuffle_stages`'s descent rules (fully cached
+        subtrees are opaque; narrow and materialized shuffles are
+        transparent) but stops at each pending stage: what lies beneath
+        one is *its* dependency, not the caller's.
         """
         deps = []
         found = set()
@@ -352,7 +352,7 @@ class StageScheduler:
             if node.rdd_id in seen:
                 return
             seen.add(node.rdd_id)
-            if node.is_checkpointed or self._fully_cached(node):
+            if self._fully_cached(node):
                 return
             for which, parent in enumerate(node.dependencies):
                 stage = by_key.get((node.rdd_id, which))
@@ -383,19 +383,6 @@ class StageScheduler:
                 partitions=rdd.num_partitions) as job_span:
             return self._run_graph(self._graph_to(rdd, final), job_span)
 
-    def run_checkpoint(self, rdd: RDD) -> list:
-        """Every partition of ``rdd``, for :meth:`RDD.checkpoint`.
-
-        The pending shuffle stages beneath ``rdd`` run first, then a
-        write stage of bare ``compute`` tasks (no block cache). No job
-        is recorded; the write stage counts as a stage and its tasks
-        retry like result tasks. The caller meters the write as disk
-        I/O.
-        """
-        final = _Stage(rdd, kind="checkpoint", task=functools.partial(
-            self._checkpoint_task, rdd))
-        return self._run_graph(self._graph_to(rdd, final))
-
     def run_stage(self, node: RDD, which: int) -> None:
         """Materialize one shuffle map stage on demand: a lazy
         ``fetch_buckets`` miss (a partition computed outside a job, or
@@ -414,13 +401,9 @@ class StageScheduler:
 
     def _start_span(self, stage: _Stage, parent_span):
         attrs = {"num_tasks": stage.num_tasks, "ready_at": stage.ready_s,
-                 "launched_at": stage.start_s}
+                 "launched_at": stage.start_s,
+                 "depends_on": stage.depends_on()}
         tracer = self.context.tracer
-        if stage.kind == "checkpoint":
-            # a checkpoint span carries its task count, no stage edges
-            return tracer.start(stage.label, "checkpoint",
-                                parent=parent_span, detached=True, **attrs)
-        attrs["depends_on"] = stage.depends_on()
         if stage.kind == "result":
             return tracer.start(stage.label, "stage", parent=parent_span,
                                 detached=True, stage_kind="result", **attrs)
@@ -429,7 +412,7 @@ class StageScheduler:
 
     def _run_graph(self, nodes: list, parent_span=None):
         """The one stage loop; returns the last node's task outputs in
-        partition order when it is a result or checkpoint stage.
+        partition order when it is a result stage.
 
         ``nodes`` is parents-first. Every stage whose dependencies are
         satisfied launches, the lowest position first; a shuffle stage
@@ -625,19 +608,3 @@ class StageScheduler:
             span.set(result_bytes=result_bytes)
         self.context.metrics.add(result_bytes=result_bytes)
         return result
-
-    def _checkpoint_task(self, rdd: RDD, index: int, stage_span) -> list:
-        runner = self.context.process_runner
-        tracer = self.context.tracer
-        with tracer.span("task", "task", parent=stage_span,
-                         partition=index) as span:
-            if runner is not None:
-                def attempt():
-                    return runner.run_compute(rdd, index, span)
-            else:
-                def attempt():
-                    return list(rdd.compute(index))
-            data = run_task_with_retries(self.context, index, attempt)
-            if tracer.enabled:
-                span.set(bytes=estimate_partition_size(data))
-        return data

@@ -28,6 +28,7 @@ from collections import OrderedDict
 
 from repro.engine import spill as spill_mod
 from repro.engine.sizing import estimate_partition_size
+from repro.errors import EngineError
 
 #: the admission repacker registered by ``repro.core``:
 #: ``func(records) -> (new_records, chunks_repacked, bytes_saved) | None``
@@ -81,6 +82,9 @@ class CacheManager:
 
     def __init__(self, metrics, budget_bytes=None, tracer=None,
                  spill_dir=None, repack_on_admission: bool = False):
+        if budget_bytes is not None and budget_bytes < 0:
+            raise EngineError(
+                f"cache_budget_bytes must be >= 0, got {budget_bytes}")
         self._metrics = metrics
         self._budget_bytes = budget_bytes
         self._tracer = tracer

@@ -6,7 +6,7 @@ shuffle volume, chunk-mode choices, rank-query costs. Flat counters
 "where": a :class:`Tracer` owned by the
 :class:`~repro.engine.context.ClusterContext` records a span tree —
 job → stage → task — plus annotated spans for shuffle materialization,
-checkpoints, broadcasts, cache traffic (hits/misses, and the memory
+broadcasts, cache traffic (hits/misses, and the memory
 tier's ``cache_spill`` / ``cache_reload`` / ``cache_repack`` /
 ``cache_evict`` events with their in-memory and on-disk byte counts),
 and compiled ChunkPlan passes (whose attributes carry kernel labels,
@@ -48,11 +48,11 @@ import time
 #: spans are zero-duration events from repro.engine.telemetry: one
 #: gauge sample closes every job, and health events mark threshold-rule
 #: transitions and fault paths
-SPAN_KINDS = ("job", "stage", "task", "shuffle", "checkpoint",
-              "broadcast", "cache", "plan", "gauge", "health")
+SPAN_KINDS = ("job", "stage", "task", "shuffle", "broadcast", "cache",
+              "plan", "gauge", "health")
 
 #: kinds that behave like an executed stage in a profile/breakdown
-STAGE_LIKE_KINDS = ("stage", "shuffle", "checkpoint")
+STAGE_LIKE_KINDS = ("stage", "shuffle")
 
 #: per-thread buffers flush into the shared list at this size
 _FLUSH_AT = 256

@@ -166,9 +166,9 @@ class ResultTask:
     """One result-stage task: ``partition_func(rdd.iterator(index))``.
 
     Every task class answers ``reads() -> (pinned, reads)``: ``pinned``
-    maps a root the body uses directly (so it never ships as a stub) to
-    the partitions it serves itself, and ``reads`` lists the
-    ``(rdd, index)`` partitions the body reads through ``iterator``.
+    lists the roots the body uses directly (so they never ship as
+    stubs), and ``reads`` lists the ``(rdd, index)`` partitions the body
+    reads through ``iterator``.
     """
 
     __slots__ = ("rdd", "index", "partition_func")
@@ -182,7 +182,7 @@ class ResultTask:
         return (self.rdd,)
 
     def reads(self):
-        return {}, [(self.rdd, self.index)]
+        return (), [(self.rdd, self.index)]
 
     def run(self):
         return self.partition_func(self.rdd.iterator(self.index))
@@ -203,30 +203,10 @@ class ShuffleMapTask:
 
     def reads(self):
         parent = self.rdd.dependencies[self.which]
-        return {self.rdd: ()}, [(parent, self.parent_index)]
+        return (self.rdd,), [(parent, self.parent_index)]
 
     def run(self):
         return self.rdd._map_task(self.which, self.parent_index)
-
-
-class ComputePartitionTask:
-    """Checkpoint materialization: a bare ``compute``, no cache."""
-
-    __slots__ = ("rdd", "index")
-
-    def __init__(self, rdd, index):
-        self.rdd = rdd
-        self.index = index
-
-    def roots(self):
-        return (self.rdd,)
-
-    def reads(self):
-        return ({self.rdd: (self.index,)},
-                self.rdd.parent_partitions(self.index))
-
-    def run(self):
-        return list(self.rdd.compute(self.index))
 
 
 # ----------------------------------------------------------------------
@@ -527,27 +507,22 @@ class ProcessTaskRunner:
         return self._run(ShuffleMapTask(rdd, which, parent_index),
                          parent_span)
 
-    def run_compute(self, rdd, index, parent_span=None):
-        return self._run(ComputePartitionTask(rdd, index), parent_span)
-
     # -- protocol ---------------------------------------------------------
 
     def _build_payload(self, task) -> bytes:
         """Pickle ``task`` sliced to the partitions it reads.
 
         Walks the task's reads through :meth:`RDD.parent_partitions`,
-        stopping at checkpointed nodes and at cached partitions, whose
-        block handles ship instead. A walked node pickles with only the
-        partitions it serves (``_sliced_state``); one the task reads
-        only through handles or checkpoint slices, or not at all, ships
-        as a :class:`LineageStub`. The slicing happens in the pickler,
+        stopping at cached partitions, whose block handles ship
+        instead. A walked node pickles with only the partitions it
+        serves (``_sliced_state``); one the task reads only through
+        handles, or not at all, ships as a :class:`LineageStub`. The slicing happens in the pickler,
         never on the RDDs: dispatcher threads pickle one lineage
         concurrently.
         """
         context = self.context
         pinned, stack = task.reads()
-        needed = {id(node): (node, set(indices))
-                  for node, indices in pinned.items()}
+        needed = {id(node): (node, set()) for node in pinned}
         blocks = {}
         entries = {}
         while stack:
@@ -556,8 +531,6 @@ class ProcessTaskRunner:
             if index in indices:
                 continue
             indices.add(index)
-            if node.is_checkpointed:
-                continue
             if node.storage_level is not StorageLevel.NONE:
                 if node.rdd_id not in entries:
                     entries[node.rdd_id] = context.cache.export_entries(
@@ -578,17 +551,16 @@ class ProcessTaskRunner:
         for key, (node, indices) in needed.items():
             computed = {index for index in indices
                         if (node.rdd_id, index) not in blocks}
-            if node not in pinned and (node.is_checkpointed
-                                       or not computed):
+            if node not in pinned and not computed:
                 overrides[key] = (_blank, (LineageStub,),
-                                  node._stub_state(indices))
+                                  node._stub_state())
                 continue
             overrides[key] = (_blank, (type(node),),
                               node._sliced_state(computed))
             for dep in node.dependencies:
                 if id(dep) not in needed:
                     overrides[id(dep)] = (_blank, (LineageStub,),
-                                          dep._stub_state(()))
+                                          dep._stub_state())
         return task_dumps({
             "task": task,
             "trace": context.tracer.enabled,

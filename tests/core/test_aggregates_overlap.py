@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import ArrayRDD
+from repro.core.accumulate import accumulate_axis
 from repro.core.aggregates import (
-    Accumulator,
     AvgAggregator,
     resolve_aggregator,
     scalar_aggregator,
 )
 from repro.core.overlap import expanded_chunks, mean_stencil, stencil
 from repro.engine import ClusterContext
-from repro.errors import ArrayError
+from repro.errors import ArrayError, MetadataError
 
 
 @pytest.fixture()
@@ -65,60 +65,73 @@ class TestAggregatorFramework:
         assert agg.merge(None, None) is None
 
 
-class TestAccumulator:
-    def test_sync_prefix_sum(self):
-        values = np.arange(12.0).reshape(3, 4)
-        valid = np.ones((3, 4), dtype=bool)
-        acc = Accumulator(np.add, 0.0)
-        out = acc.run(values, valid, axis=1, chunk_interval=2, mode="sync")
-        assert np.allclose(out, np.cumsum(values, axis=1))
-        assert acc.num_sync_steps == 2
+def _accumulate(ctx, values, valid, chunk_shape, axis, op="sum",
+                mode="sync"):
+    """``accumulate_axis`` over a materialized array:
+    ``(values, valid, jobs)``, where ``jobs`` counts the barriers the
+    call ran — the final collect is left out."""
+    arr = ArrayRDD.from_numpy(ctx, values, chunk_shape,
+                              valid=valid).materialize()
+    before = ctx.metrics.snapshot()
+    out = accumulate_axis(arr, axis, op, mode=mode)
+    jobs = (ctx.metrics.snapshot() - before).jobs_run
+    got, got_valid = out.collect_dense(fill=np.nan)
+    return got, got_valid, jobs
 
-    def test_async_matches_sync_for_sum(self):
+
+class TestAccumulator:
+    """Section V-B's Accumulator, as ``accumulate_axis`` runs it."""
+
+    def test_sync_prefix_sum(self, ctx):
+        values = np.arange(12.0).reshape(3, 4)
+        got, _valid, jobs = _accumulate(ctx, values, None, (3, 2), 1)
+        assert np.allclose(got, np.cumsum(values, axis=1))
+        assert jobs == 2
+
+    def test_async_matches_sync_for_sum(self, ctx):
         rng = np.random.default_rng(0)
         values = rng.random((8, 10))
         valid = rng.random((8, 10)) < 0.7
-        sync = Accumulator(np.add).run(values, valid, 0, 3, "sync")
-        acc = Accumulator(np.add)
-        async_out = acc.run(values, valid, 0, 3, "async")
-        assert np.allclose(sync, async_out)
-        assert acc.num_sync_steps == 2
+        sync, sync_valid, _jobs = _accumulate(ctx, values, valid,
+                                              (3, 10), 0)
+        got, got_valid, jobs = _accumulate(ctx, values, valid, (3, 10), 0,
+                                           mode="async")
+        assert np.array_equal(got_valid, sync_valid)
+        assert np.allclose(got[valid], sync[valid])
+        assert jobs == 2
 
-    def test_sync_steps_grow_with_chunks(self):
+    def test_sync_steps_grow_with_chunks(self, ctx):
         values = np.ones((1, 20))
-        valid = np.ones((1, 20), dtype=bool)
-        fine = Accumulator(np.add)
-        fine.run(values, valid, 1, 2, "sync")
-        coarse = Accumulator(np.add)
-        coarse.run(values, valid, 1, 10, "sync")
-        assert fine.num_sync_steps == 10
-        assert coarse.num_sync_steps == 2
+        *_, fine = _accumulate(ctx, values, None, (1, 2), 1)
+        *_, coarse = _accumulate(ctx, values, None, (1, 10), 1)
+        assert fine == 10
+        assert coarse == 2
 
-    def test_invalid_cells_pass_through(self):
+    def test_invalid_cells_pass_through(self, ctx):
         values = np.array([[1.0, 99.0, 2.0]])
         valid = np.array([[True, False, True]])
-        out = Accumulator(np.add).run(values, valid, 1, 3, "sync")
-        assert np.allclose(out[0], [1.0, 1.0, 3.0])
+        got, got_valid, _jobs = _accumulate(ctx, values, valid, (1, 2), 1)
+        assert np.array_equal(got_valid, valid)
+        assert np.allclose(got[valid], [1.0, 3.0])
 
-    def test_maximum_accumulation(self):
+    def test_maximum_accumulation(self, ctx):
         values = np.array([[3.0, 1.0, 5.0, 2.0]])
-        valid = np.ones((1, 4), dtype=bool)
-        acc = Accumulator(np.maximum, -np.inf)
-        out = acc.run(values, valid, 1, 2, "sync")
-        assert np.allclose(out[0], [3.0, 3.0, 5.0, 5.0])
+        got, _valid, _jobs = _accumulate(ctx, values, None, (1, 2), 1,
+                                         op="max")
+        assert np.allclose(got[0], [3.0, 3.0, 5.0, 5.0])
 
-    def test_bad_inputs(self):
-        acc = Accumulator()
-        values = np.ones((2, 2))
-        valid = np.ones((2, 2), dtype=bool)
+    def test_bad_inputs(self, ctx):
+        arr = ArrayRDD.from_numpy(ctx, np.ones((2, 2)), (1, 1))
+        for axis in (5, -1):
+            with pytest.raises(ArrayError):
+                accumulate_axis(arr, axis)
+        with pytest.raises(MetadataError):
+            accumulate_axis(arr, "nope")
+        for op in ("median", 42):
+            with pytest.raises(ArrayError):
+                accumulate_axis(arr, 0, op)
         with pytest.raises(ArrayError):
-            acc.run(values, valid, 5, 1)
-        with pytest.raises(ArrayError):
-            acc.run(values, valid, 0, 0)
-        with pytest.raises(ArrayError):
-            acc.run(values, valid, 0, 1, mode="turbo")
-        with pytest.raises(ArrayError):
-            acc.run(values, np.ones((2, 3), dtype=bool), 0, 1)
+            accumulate_axis(arr, 0, mode="turbo")
 
 
 class TestOverlap:

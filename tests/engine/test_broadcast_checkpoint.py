@@ -1,10 +1,9 @@
-"""Tests for broadcast variables and checkpointing."""
+"""Tests for broadcast variables."""
 
 import numpy as np
 import pytest
 
 from repro.engine import ClusterContext
-from repro.engine.lineage import lineage_depth
 from repro.errors import EngineError
 
 
@@ -40,63 +39,3 @@ class TestBroadcast:
     def test_nbytes(self, ctx):
         b = ctx.broadcast(np.zeros(10))
         assert b.nbytes == 80
-
-
-class TestCheckpoint:
-    def test_checkpoint_truncates_lineage(self, ctx):
-        rdd = ctx.parallelize(range(10), 2)
-        for _ in range(5):
-            rdd = rdd.map(lambda x: x + 1)
-        assert lineage_depth(rdd) == 6
-        rdd.checkpoint()
-        assert lineage_depth(rdd) == 1
-        assert rdd.is_checkpointed
-
-    def test_checkpoint_preserves_data(self, ctx):
-        rdd = ctx.parallelize(range(20), 4).map(lambda x: x * 2)
-        expected = rdd.collect()
-        rdd.checkpoint()
-        assert rdd.collect() == expected
-
-    def test_reads_come_from_checkpoint_not_parents(self, ctx):
-        calls = []
-        rdd = ctx.parallelize(range(8), 2).map(
-            lambda x: calls.append(x) or x)
-        rdd.checkpoint()
-        call_count = len(calls)
-        rdd.collect()
-        rdd.collect()
-        assert len(calls) == call_count  # parents never re-ran
-
-    def test_checkpoint_write_metered_as_disk(self, ctx):
-        rdd = ctx.parallelize([bytes(1000)] * 4, 2)
-        before = ctx.metrics.snapshot()
-        rdd.checkpoint()
-        delta = ctx.metrics.snapshot() - before
-        assert delta.disk_write_bytes >= 4000
-        before = ctx.metrics.snapshot()
-        rdd.collect()
-        delta = ctx.metrics.snapshot() - before
-        assert delta.disk_read_bytes >= 4000
-
-    def test_checkpoint_idempotent(self, ctx):
-        rdd = ctx.parallelize(range(4), 2)
-        rdd.checkpoint()
-        before = ctx.metrics.snapshot()
-        rdd.checkpoint()
-        delta = ctx.metrics.snapshot() - before
-        assert delta.disk_write_bytes == 0
-
-    def test_iterative_job_with_periodic_checkpoints(self, ctx):
-        """The GraphX-style fix: checkpoint every k iterations."""
-        ranks = ctx.parallelize([(v, 1.0) for v in range(10)], 2)
-        for step in range(1, 10):
-            ranks = ranks.map_values(lambda r: r * 0.9 + 0.1)
-            if step % 3 == 0:
-                ranks.checkpoint()
-        assert lineage_depth(ranks) <= 4
-        values = dict(ranks.collect())
-        expected = 1.0
-        for _ in range(9):
-            expected = expected * 0.9 + 0.1
-        assert values[0] == pytest.approx(expected)

@@ -59,14 +59,6 @@ class TestStagePlan:
         names = {node.name for node in result_stage.rdds}
         assert "cogroup" in names and "partition_by" in names
 
-    def test_checkpoint_truncates_plan(self, ctx):
-        rdd = ctx.parallelize([(i % 2, i) for i in range(8)], 2) \
-                 .reduce_by_key(lambda a, b: a + b)
-        deeper = rdd.map_values(lambda v: v + 1)
-        assert count_stages(deeper) == 2
-        rdd.checkpoint()
-        assert count_stages(deeper) == 1
-
     def test_stage_ids_are_execution_ordered(self, ctx):
         rdd = ctx.parallelize([(1, 1)], 1) \
                  .reduce_by_key(lambda a, b: a + b) \
@@ -93,11 +85,6 @@ class TestExplainText:
     def test_marks_cached(self, ctx):
         rdd = ctx.parallelize(range(4), 2).map(lambda x: x).cache()
         assert "[cached]" in explain(rdd)
-
-    def test_marks_checkpoint(self, ctx):
-        rdd = ctx.parallelize(range(4), 2).map(lambda x: x)
-        rdd.checkpoint()
-        assert "[checkpoint]" in explain(rdd)
 
     def test_reports_modeled_schedule(self, ctx):
         rdd = ctx.parallelize([(1, 1)], 1) \
@@ -126,8 +113,8 @@ class TestModeledSchedule:
         assert schedule["pipelined_s"] < schedule["serial_s"]
         assert schedule["overlap"] > 1.0
 
-    def test_mixed_cached_checkpointed_fused_plan(self, ctx):
-        """One plan mixing all three markers the explainer knows."""
+    def test_mixed_cached_fused_plan(self, ctx):
+        """One plan mixing both markers the explainer knows."""
         import numpy as np
 
         from repro.core import ArrayRDD
@@ -136,17 +123,11 @@ class TestModeledSchedule:
         arr = ArrayRDD.from_numpy(ctx, rng.random((32, 32)), (16, 16))
         fused = (arr * 2.0).map_values(lambda a: a + 1.0).cache()
         fused.materialize()                  # compiles fused[...] + caches
-        base = fused.rdd
-        base.checkpoint()
-        deeper = base.map(lambda kv: kv)
+        deeper = fused.rdd.map(lambda kv: kv)
 
         text = explain(deeper)
         assert "[cached]" in text
-        assert "[checkpoint]" in text
         assert "fused[scalar_mul→map]" in text
-
-        # checkpoint truncated the plan to a single stage
-        assert count_stages(deeper) == 1
 
     def test_matmul_local_join_has_no_input_shuffle(self, ctx):
         import numpy as np

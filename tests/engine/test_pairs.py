@@ -114,7 +114,7 @@ class TestPartitioning:
         part = HashPartitioner(3)
         rdd = ctx.parallelize([(i, None) for i in range(30)], 5) \
                  .partition_by(part)
-        for index, records in enumerate(rdd.glom().collect()):
+        for index, records in enumerate(ctx.run_job(rdd, list)):
             for key, _value in records:
                 assert part.partition(key) == index
 
@@ -128,7 +128,7 @@ class TestPartitioning:
         part = ExplicitPartitioner(4, lambda key: key // 10, tag="rows")
         rdd = ctx.parallelize([(i, None) for i in range(40)], 4) \
                  .partition_by(part)
-        for index, records in enumerate(rdd.glom().collect()):
+        for index, records in enumerate(ctx.run_job(rdd, list)):
             for key, _value in records:
                 assert (key // 10) % 4 == index
 

@@ -135,7 +135,7 @@ def test_partition_by_places_per_assignment():
     data = [(cid, chr(65 + cid)) for cid in range(4)]
     placed = ctx.parallelize(data, 2).partition_by(partitioner)
     assert Counter(placed.collect()) == Counter(data)
-    for pid, records in enumerate(placed.glom().collect()):
+    for pid, records in enumerate(ctx.run_job(placed, list)):
         for key, _value in records:
             assert partitioner.partition(key) == pid
 
@@ -160,6 +160,6 @@ def test_survives_process_backend_shuffle():
     data = [(cid, cid) for cid in range(16)]
     with ClusterContext(num_executors=2, backend="process") as ctx:
         placed = ctx.parallelize(data, 2).partition_by(partitioner)
-        for pid, records in enumerate(placed.glom().collect()):
+        for pid, records in enumerate(ctx.run_job(placed, list)):
             for key, _value in records:
                 assert partitioner.partition(key) == pid

@@ -15,7 +15,7 @@ import pytest
 from repro.engine import ClusterContext, HashPartitioner, MetricsRegistry, Tracer
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.worker import (
-    ComputePartitionTask,
+    ResultTask,
     TaskBlockCache,
     WorkerContext,
     bind_lineage,
@@ -60,15 +60,6 @@ def _build_map_partitions_with_index(ctx):
                   lambda index, part: [(index, x) for x in part])
 
 
-def _build_glom(ctx):
-    return ctx.parallelize(range(24), 4).glom()
-
-
-def _build_union(ctx):
-    left = ctx.parallelize(range(10), 2)
-    return left.union(ctx.parallelize(range(10, 20), 2))
-
-
 def _build_zip_partitions(ctx):
     left = ctx.parallelize(range(20), 4)
     right = ctx.parallelize(range(100, 120), 4)
@@ -76,17 +67,8 @@ def _build_zip_partitions(ctx):
                                lambda a, b: [x + y for x, y in zip(a, b)])
 
 
-def _build_sample(ctx):
-    return ctx.parallelize(range(100), 4).sample(0.3, seed=11)
-
-
-def _build_distinct(ctx):
-    return ctx.parallelize([i % 7 for i in range(70)], 4).distinct()
-
-
-def _build_keys_values(ctx):
-    pairs = ctx.parallelize([(i % 3, i) for i in range(30)], 3)
-    return pairs.keys().union(pairs.values())
+def _build_values(ctx):
+    return ctx.parallelize([(i % 3, i) for i in range(30)], 3).values()
 
 
 def _build_map_values(ctx):
@@ -160,12 +142,8 @@ TRANSFORMS = {
     "flat_map": _build_flat_map,
     "map_partitions": _build_map_partitions,
     "map_partitions_with_index": _build_map_partitions_with_index,
-    "glom": _build_glom,
-    "union": _build_union,
     "zip_partitions": _build_zip_partitions,
-    "sample": _build_sample,
-    "distinct": _build_distinct,
-    "keys_values": _build_keys_values,
+    "values": _build_values,
     "map_values": _build_map_values,
     "flat_map_values": _build_flat_map_values,
     "reduce_by_key": _build_reduce_by_key,
@@ -198,7 +176,7 @@ class TestTaskRoundTrip:
             for index in range(rdd.num_partitions):
                 expected = list(rdd.compute(index))
                 clone = task_loads(task_dumps(
-                    ComputePartitionTask(rdd, index)))
+                    ResultTask(rdd, index, list)))
                 bind_lineage(clone.roots(), _worker_context())
                 got = clone.run()
                 assert pickle.dumps(got) == pickle.dumps(expected), \
@@ -207,7 +185,7 @@ class TestTaskRoundTrip:
     def test_unpickled_lineage_drops_driver_context(self):
         with ClusterContext(num_executors=2) as ctx:
             rdd = ctx.parallelize(range(8), 2).map(lambda x: x + 1)
-            clone = task_loads(task_dumps(ComputePartitionTask(rdd, 0)))
+            clone = task_loads(task_dumps(ResultTask(rdd, 0, list)))
             assert clone.rdd.context is None
             assert clone.rdd.dependencies[0].context is None
 

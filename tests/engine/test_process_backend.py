@@ -277,11 +277,6 @@ def _record_payloads(ctx) -> list:
     return payloads
 
 
-def _payload_union(ctx):
-    left = ctx.parallelize(range(30), 3).map(lambda x: x * 2)
-    return left.union(ctx.parallelize(range(100, 120), 2)).collect()
-
-
 def _payload_zip_partitions(ctx):
     right = ctx.parallelize(range(100, 140), 4).cache()
     right.count()
@@ -296,12 +291,6 @@ def _payload_cogroup_narrow_slot(ctx):
               .partition_by(part)
     right = ctx.parallelize([(i % 9, -i) for i in range(45)], 5)
     return sorted(left.cogroup(right, partitioner=part).collect())
-
-
-def _payload_checkpoint(ctx):
-    summed = ctx.parallelize([(i % 6, i) for i in range(60)], 4) \
-                .reduce_by_key(operator.add).checkpoint()
-    return summed.map_values(lambda v: -v).collect()
 
 
 def _payload_spilled_blocks(ctx):
@@ -327,10 +316,8 @@ def _payload_first_cache_in_worker(ctx):
 
 
 PAYLOAD_SCENARIOS = {
-    "union": (_payload_union, {}),
     "zip_partitions": (_payload_zip_partitions, {}),
     "cogroup_narrow_slot": (_payload_cogroup_narrow_slot, {}),
-    "checkpoint": (_payload_checkpoint, {}),
     "spilled_blocks": (_payload_spilled_blocks,
                        {"cache_budget_bytes": 16384}),
     "lazy_fetch_miss": (_payload_lazy_fetch_miss, {}),

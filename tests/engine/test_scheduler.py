@@ -22,6 +22,7 @@ import pytest
 
 from repro.engine import ClusterContext, HashPartitioner
 from repro.engine.explain import stage_breakdown
+from repro.engine.pairs import cogroup
 from repro.engine.tracing import logical_tree
 from repro.errors import TaskFailure
 from tests._reference.engine import barrier_stages, shuffle_path
@@ -90,16 +91,12 @@ def _scenario_narrowed_shuffle(ctx):
                                partitioner=part).collect()
 
 
-def _scenario_union_distinct(ctx):
+def _scenario_zip_reduce(ctx):
     left = ctx.parallelize(range(50), 4)
     right = ctx.parallelize(range(25, 75), 4)
-    return left.union(right).distinct().collect()
-
-
-def _scenario_checkpoint(ctx):
-    pairs = ctx.parallelize([(i % 4, i) for i in range(80)], 4)
-    summed = pairs.reduce_by_key(lambda a, b: a + b).checkpoint()
-    return summed.map_values(lambda v: v * 2).collect()
+    zipped = left.zip_partitions(
+        right, lambda a, b: [(x % 9, 1) for x in list(a) + list(b)])
+    return zipped.reduce_by_key(lambda a, b: a + b).collect()
 
 
 def _scenario_fail_partition(ctx):
@@ -125,8 +122,7 @@ SCENARIOS = {
     "join": _scenario_join,
     "nested_shuffles": _scenario_nested_shuffles,
     "narrowed_shuffle": _scenario_narrowed_shuffle,
-    "union_distinct": _scenario_union_distinct,
-    "checkpoint": _scenario_checkpoint,
+    "zip_reduce": _scenario_zip_reduce,
     "fail_partition": _scenario_fail_partition,
     "invalidate_shuffle": _scenario_invalidate_shuffle,
 }
@@ -195,7 +191,7 @@ class TestDeterminismContract:
 def _random_dag_scenario(seed):
     """A deterministic random multi-shuffle DAG built from ``seed``.
 
-    Joins, cogroups, and union+reduce combine random pair-RDD leaves
+    Joins, cogroups, and full outer joins combine random pair-RDD leaves
     until one remains — diamonds and chains of varying width, always
     over ``(int, int)`` records so every mode shuffles the same bytes.
     """
@@ -213,14 +209,15 @@ def _random_dag_scenario(seed):
         while len(rdds) > 1:
             a = rdds.pop(rng.randrange(len(rdds)))
             b = rdds.pop(rng.randrange(len(rdds)))
-            op = rng.choice(("join", "cogroup", "union_reduce"))
+            op = rng.choice(("join", "cogroup", "full_outer_join"))
             if op == "join":
                 merged = a.join(b).map_values(lambda v: v[0] + v[1])
             elif op == "cogroup":
                 merged = a.cogroup(b).map_values(
                     lambda groups: sum(groups[0]) - sum(groups[1]))
             else:
-                merged = a.union(b).reduce_by_key(lambda x, y: x + y)
+                merged = a.full_outer_join(b).map_values(
+                    lambda v: (v[0] or 0) + (v[1] or 0))
             if rng.random() < 0.5:
                 merged = merged.map_values(lambda v: v * 2)
             rdds.append(merged)
@@ -480,8 +477,10 @@ class TestConcurrencySafety:
 
             base = ctx.parallelize(range(64), 8) \
                       .map_partitions_with_index(counting).cache()
-            fan = base.union(base).union(base.union(base))
-            assert fan.collect() == list(range(64)) * 4
+            # four shuffle map stages read every cached partition at once
+            fan = cogroup([base.map(lambda x: (x, x)) for _ in range(4)])
+            assert sorted(fan.collect()) \
+                == [(x, [[x]] * 4) for x in range(64)]
             assert len(counts) == 8
             assert all(count == 1 for count in counts.values())
 
@@ -609,24 +608,6 @@ class TestConcurrencySafety:
 
 
 class TestMetricsAccounting:
-    def test_take_records_single_job(self):
-        ctx = ClusterContext(num_executors=4)
-        rdd = ctx.parallelize(range(100), 10)
-        before = ctx.metrics.snapshot()
-        assert rdd.take(25) == list(range(25))
-        delta = ctx.metrics.snapshot() - before
-        assert delta.jobs_run == 1
-        assert delta.stages_run == 1
-        # 10 records per partition -> exactly 3 partitions probed
-        assert delta.tasks_launched == 3
-
-    def test_take_zero_runs_no_job(self):
-        ctx = ClusterContext(num_executors=4)
-        rdd = ctx.parallelize(range(10), 2)
-        before = ctx.metrics.snapshot()
-        assert rdd.take(0) == []
-        assert (ctx.metrics.snapshot() - before).jobs_run == 0
-
     def test_stage_timings_and_utilization(self):
         ctx = ClusterContext(num_executors=4)
         with ctx.measure() as measurement:
@@ -642,12 +623,6 @@ class TestMetricsAccounting:
         rendered = stage_breakdown(measurement.stage_timings,
                                    measurement.task_times)
         assert "shuffle" in rendered and "result" in rendered
-
-    def test_checkpoint_records_stage_timing(self):
-        ctx = ClusterContext(num_executors=4)
-        ctx.parallelize(range(20), 4).map(lambda x: x * 2).checkpoint()
-        kinds = [timing.kind for timing in ctx.metrics.stage_timings]
-        assert "checkpoint" in kinds
 
     def test_task_time_histogram_buckets(self):
         ctx = ClusterContext(num_executors=2)

@@ -78,29 +78,27 @@ BACKENDS = {
 
 
 class FailOnce:
-    """Fails the first attempt at each flaky partition, then passes its
+    """Fails the first attempt at each partition, then passes its
     records through. The markers live on disk, so driver threads and
     worker processes share the failure state."""
 
-    def __init__(self, directory, partitions=None):
+    def __init__(self, directory):
         self.directory = str(directory)
-        self.partitions = partitions
 
     def __call__(self, index, part):
         marker = os.path.join(self.directory, f"partition-{index}")
-        flaky = self.partitions is None or index in self.partitions
-        if flaky and not os.path.exists(marker):
+        if not os.path.exists(marker):
             open(marker, "w").close()
             raise IOError(f"transient failure in partition {index}")
         return part
 
 
 @pytest.mark.parametrize("mode", sorted(BACKENDS))
-class TestDriverAndCheckpointRetries:
-    """Partition probes (``take``/``first``/``lookup``) and checkpoint
-    writes retry exactly like job tasks."""
+class TestDriverProbeRetries:
+    """The driver's partition probe (``lookup``) retries exactly like a
+    job task."""
 
-    def test_first_and_lookup_retry(self, mode, tmp_path):
+    def test_lookup_retry(self, mode, tmp_path):
         part = HashPartitioner(2)
         data = [(k, k * 10) for k in range(8)]
         with ClusterContext(num_executors=2, task_retries=1,
@@ -108,27 +106,7 @@ class TestDriverAndCheckpointRetries:
             pairs = ctx.parallelize(data, partitioner=part) \
                        .map_partitions_with_index(
                            FailOnce(tmp_path), preserves_partitioning=True)
-            before = ctx.metrics.task_retries
-            first = pairs.first()
-            assert ctx.metrics.task_retries == before + 1
-            assert first == [kv for kv in data
-                             if part.partition(kv[0]) == 0][0]
             key = next(k for k, _v in data if part.partition(k) == 1)
             before = ctx.metrics.task_retries
             assert pairs.lookup(key) == [key * 10]
             assert ctx.metrics.task_retries == before + 1
-
-    def test_checkpoint_retries(self, mode, tmp_path):
-        with ClusterContext(num_executors=2, task_retries=1,
-                            **BACKENDS[mode]) as ctx:
-            rdd = ctx.parallelize(range(12), 3).map_partitions_with_index(
-                FailOnce(tmp_path, partitions={1}))
-            before = ctx.metrics.snapshot()
-            rdd.checkpoint()
-            delta = ctx.metrics.snapshot() - before
-            assert rdd.is_checkpointed
-            assert rdd.collect() == list(range(12))
-        assert delta.task_retries == 1
-        # the write stage counts like any stage: 3 tasks + 1 retry
-        assert delta.stages_run == 1
-        assert delta.tasks_launched == 4

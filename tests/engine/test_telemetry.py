@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro.engine import ClusterContext
+from repro.engine import ClusterContext, HashPartitioner
 from repro.engine.metrics import COUNTER_FIELDS, METRICS
 from repro.engine.telemetry import (
     HealthMonitor,
@@ -35,6 +35,13 @@ def _run_job(ctx):
     pairs = ctx.parallelize([(i % 7, float(i)) for i in range(500)], 4)
     return sorted(pairs.map(lambda kv: (kv[0], kv[1] * 2))
                   .reduce_by_key(lambda a, b: a + b).collect())
+
+
+def _run_probe(ctx):
+    """A driver-side probe job: ``lookup`` on a partitioned RDD."""
+    pairs = ctx.parallelize([(k, k) for k in range(10)],
+                            partitioner=HashPartitioner(2))
+    return pairs.lookup(3)
 
 
 def _recorded_trace(tmp_path, **kwargs):
@@ -110,7 +117,7 @@ class TestSamplerCollection:
                             lambda ctx: calls.append(ctx))
         with ClusterContext(num_executors=2, use_threads=True) as ctx:
             _run_job(ctx)
-            ctx.parallelize(range(10), 2).take(3)
+            _run_probe(ctx)
         assert calls == []
 
     @pytest.mark.parametrize("kwargs", [
@@ -125,7 +132,7 @@ class TestSamplerCollection:
             ctx.nnz_stats.record("graph-load", [5.0, 15.0])
             _run_job(ctx)
             job_end_counters = ctx.metrics.snapshot().as_dict()
-            ctx.parallelize(range(10), 2).take(3)
+            _run_probe(ctx)
             spans = ctx.tracer.spans()
         jobs = [span for span in spans if span.kind == "job"]
         gauges = [span for span in spans if span.kind == "gauge"]

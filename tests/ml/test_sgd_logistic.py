@@ -55,8 +55,7 @@ class TestEquation2:
         samples = DistributedSamples.from_coo(
             ctx, rows, cols, vals, labels, 16, chunk_rows=100,
             num_partitions=4)
-        for index, records in enumerate(
-                samples.rdd.glom().collect()):
+        for index, records in enumerate(ctx.run_job(samples.rdd, list)):
             for cid, _chunk in records:
                 assert partition_of(cid, 4) == index
 
