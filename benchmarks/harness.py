@@ -50,6 +50,8 @@ class Measured:
 def run_measured(ctx: ClusterContext, fn, *args, **kwargs) -> Measured:
     """Run ``fn`` and capture wall time + modeled cluster time.
 
+    Stage wall times and utilization come from the trace: they are
+    empty and 0 unless ``ctx`` was built with ``trace=True``.
     Expected feasibility failures (OOM, bounded-time) become ``x`` cells
     — the paper's Fig. 10 marks — instead of propagating.
     """

@@ -140,8 +140,9 @@ def _np_workload(ctx):
 # ----------------------------------------------------------------------
 
 def _run_mode(mode, workload):
+    # traced: measure() reads stage and task wall times off the spans
     kwargs = {"num_executors": NUM_EXECUTORS,
-              "default_parallelism": NUM_PARTITIONS}
+              "default_parallelism": NUM_PARTITIONS, "trace": True}
     if mode == "thread":
         kwargs["use_threads"] = True
     elif mode == "process":

@@ -79,8 +79,9 @@ def _workload(ctx):
 
 
 def _run_mode(use_threads):
+    # traced: measure() reads stage and task wall times off the spans
     with ClusterContext(num_executors=4, default_parallelism=NUM_PARTITIONS,
-                        use_threads=use_threads) as ctx:
+                        use_threads=use_threads, trace=True) as ctx:
         before = ctx.metrics.snapshot()
         measured = run_measured(ctx, _workload, ctx)
         delta = ctx.metrics.snapshot() - before

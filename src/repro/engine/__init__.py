@@ -44,7 +44,7 @@ from repro.engine.batches import RecordBatch
 from repro.engine.context import ClusterContext
 from repro.engine.costmodel import ClusterCostModel, CostReport
 from repro.engine.explain import memory_report
-from repro.engine.metrics import MetricsRegistry, MetricsSnapshot, StageTiming
+from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.engine.partitioner import (
     HashPartitioner,
     NnzBalancedPartitioner,
@@ -79,7 +79,6 @@ __all__ = [
     "RecordBatch",
     "Span",
     "StageScheduler",
-    "StageTiming",
     "StorageLevel",
     "Tracer",
     "WorkerHeartbeats",

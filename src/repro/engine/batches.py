@@ -59,6 +59,19 @@ __all__ = [
 HASH_MODULUS = (1 << 61) - 1
 
 
+def canonical_dtype(array: np.ndarray) -> np.ndarray:
+    """``array`` viewed (zero-copy) through numpy's canonical dtype.
+
+    An unpickled array's dtype equals the singleton but is not it, and
+    pickle memoizes by identity: re-interned, decoded arrays pickle
+    byte-identically to fresh ones."""
+    if array.dtype.fields is None:
+        canonical = np.dtype(array.dtype.str)
+        if canonical is not array.dtype:
+            return array.view(canonical)
+    return array
+
+
 def pack_int_keys(records):
     """The int64 key column of ``records``, or None when keys don't pack.
 
@@ -150,16 +163,8 @@ class ArrayValues:
         return self.data, self.lengths, self.shapes, self.offsets
 
     def __setstate__(self, state):
-        # an unpickled array's dtype is equal to numpy's canonical
-        # singleton but not identical; pickle memoizes by identity, so
-        # re-intern (a zero-copy view) to keep decoded columns pickling
-        # byte-identically to fresh ones
         data, self.lengths, self.shapes, self.offsets = state
-        if data.dtype.fields is None:
-            canonical = np.dtype(data.dtype.str)
-            if canonical is not data.dtype:
-                data = data.view(canonical)
-        self.data = data
+        self.data = canonical_dtype(data)
 
     def __len__(self) -> int:
         return self.lengths.size

@@ -2,8 +2,8 @@
 
 Owns the simulated cluster configuration (number of executors, default
 parallelism), the block cache, the metrics registry, and job execution.
-Jobs run serially by default — determinism first — with an optional thread
-pool for workloads dominated by numpy kernels.
+Jobs run serially by default — determinism first — with an executor
+thread pool or forked worker processes as the alternatives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.engine.rdd import (
 )
 from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import CacheManager
-from repro.engine.tracing import Tracer
+from repro.engine.tracing import Tracer, profiles_from_spans
 from repro.errors import EngineError
 
 
@@ -33,29 +33,34 @@ def _check_non_negative(name: str, value) -> None:
 
 
 class ClusterContext:
-    """A simulated Spark cluster in one process.
+    """A simulated Spark cluster in one process, in one of three
+    configurations that return byte-identical results and counters:
+
+    - serial (the default): tasks run inline on the driver thread, one
+      stage at a time;
+    - thread (``use_threads=True``): tasks run on ``num_executors``
+      executor threads;
+    - process (``backend="process"``): task bodies run in
+      ``num_executors`` forked worker processes, exchanging shuffle
+      blocks and cached chunks through shared memory
+      (:mod:`repro.engine.shm`); tasks and their closures must pickle
+      (:mod:`repro.engine.closure` ships lambdas by value).
 
     Parameters
     ----------
     num_executors:
-        Size of the simulated cluster; used as the default parallelism and
-        as the worker count when ``use_threads`` is on.
+        Size of the simulated cluster: the default parallelism, the
+        executor count of :meth:`measure`'s utilization, and the thread
+        or worker count of the parallel configurations.
     default_parallelism:
         Default partition count for :meth:`parallelize`.
     cache_budget_bytes:
         Memory budget of the block cache (None = unbounded).
     use_threads:
-        Execute tasks of a job concurrently with a thread pool. numpy
-        kernels release the GIL, so chunk-heavy jobs do overlap.
+        Select the thread configuration.
     backend:
-        ``"thread"`` (default) or ``"process"``. The process backend
-        runs task bodies in forked worker processes — true multi-core
-        parallelism for Python-heavy kernels — exchanging shuffle
-        blocks and cached chunks through ``multiprocessing``
-        shared-memory segments (:mod:`repro.engine.shm`). Tasks and
-        their UDF closures must be picklable
-        (:mod:`repro.engine.closure` ships lambdas by value). Implies
-        parallel execution; ``use_threads`` is not required.
+        ``"thread"`` (default: serial unless ``use_threads``) or
+        ``"process"``.
     spill_dir:
         Directory for spilled blocks (default: a private temp dir,
         removed with the context). :meth:`shutdown` unlinks the spill
@@ -275,19 +280,19 @@ class ClusterContext:
     def measure(self):
         """Measure wall time and metric deltas for a code block.
 
-        Yields a mutable holder; on exit the holder carries ``wall_s``,
-        ``delta`` (a :class:`MetricsSnapshot`), ``report`` (the modeled
-        :class:`CostReport`), plus the scheduler's wall-clock view of
-        the block: ``stage_timings`` (per-stage wall time and task
-        count), ``task_times`` (per-task durations, histogram via
-        ``MetricsRegistry.task_time_histogram``), ``busy_task_s``, and
-        ``utilization`` (busy executor time over ``wall ×
-        num_executors``).
+        Yields a holder that on exit carries ``wall_s``, ``delta`` (a
+        :class:`MetricsSnapshot`) and ``report`` (the modeled
+        :class:`CostReport`). On a traced context it also carries, from
+        the spans of the jobs that finished inside the block,
+        ``stage_timings`` (their :class:`~repro.engine.tracing.StageProfile`
+        s, kind ``"shuffle"`` or ``"result"``), ``task_times``,
+        ``busy_task_s`` and ``utilization`` (busy task time over
+        ``wall_s × num_executors``). Untraced, the stage list is empty
+        and ``utilization`` is 0.
         """
         holder = _Measurement()
         before = self.metrics.snapshot()
-        stage_mark = len(self.metrics.stage_timings)
-        task_mark = len(self.metrics.task_times)
+        _spans, mark = self.tracer.spans_from()
         start = time.perf_counter()
         try:
             yield holder
@@ -296,9 +301,13 @@ class ClusterContext:
             holder.delta = self.metrics.snapshot() - before
             holder.report = self.cost_model.report(holder.wall_s,
                                                    holder.delta)
-            holder.stage_timings = list(
-                self.metrics.stage_timings[stage_mark:])
-            holder.task_times = list(self.metrics.task_times[task_mark:])
+            spans, _mark = self.tracer.spans_from(mark)
+            holder.stage_timings = [
+                stage for profile in profiles_from_spans(spans)
+                for stage in profile.stages]
+            holder.task_times = [
+                duration for stage in holder.stage_timings
+                for duration in stage.task_times]
             holder.busy_task_s = sum(holder.task_times)
             if holder.wall_s > 0:
                 holder.utilization = (

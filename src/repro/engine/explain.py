@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.engine.metrics import COUNTERS
 from repro.engine.rdd import RDD
 
@@ -118,38 +120,47 @@ def fused_pipelines(rdd: RDD) -> list:
     return labels
 
 
-def stage_breakdown(stage_timings, task_times=None,
-                    counters=None) -> str:
-    """A printable table of executed-stage wall times.
+def task_time_histogram(task_times, bins: int = 10) -> list:
+    """``(lo_s, hi_s, count)`` buckets over a list of task durations."""
+    if not task_times:
+        return []
+    lo, hi = min(task_times), max(task_times)
+    if hi <= lo:
+        return [(lo, hi, len(task_times))]
+    counts, edges = np.histogram(task_times, bins=bins, range=(lo, hi))
+    return [(float(edges[i]), float(edges[i + 1]), int(count))
+            for i, count in enumerate(counts)]
 
-    ``stage_timings`` is a sequence of
-    :class:`~repro.engine.metrics.StageTiming` — typically
-    ``MetricsRegistry.stage_timings`` or the ``stage_timings`` captured
-    by ``ClusterContext.measure``. When ``task_times`` is given, a
-    task-duration histogram line is appended. When ``counters`` is
-    given (a :class:`~repro.engine.metrics.MetricsSnapshot` or its
-    ``as_dict()``), the counters of the :data:`REPORT_LAYERS` that
-    moved — optimizer rewrites, worker respawns and retries, shm
-    traffic — are appended too.
+
+def stage_breakdown(stages, counters=None) -> str:
+    """A printable table of executed-stage wall times and a histogram
+    of their task durations.
+
+    ``stages`` holds :class:`~repro.engine.tracing.StageProfile` s: a
+    ``JobProfile``'s or those ``ClusterContext.measure`` read off a
+    traced context. With ``counters`` (a
+    :class:`~repro.engine.metrics.MetricsSnapshot` or its ``as_dict()``)
+    the counters of the :data:`REPORT_LAYERS` that moved — optimizer
+    rewrites, worker respawns and retries, shm traffic — follow.
     """
-    if not stage_timings:
+    if not stages:
         return "(no stages executed)"
     rows = []
-    total = sum(timing.wall_s for timing in stage_timings)
-    for index, timing in enumerate(stage_timings):
-        mean_ms = timing.wall_s / max(timing.num_tasks, 1) * 1e3
-        share = timing.wall_s / total * 100 if total > 0 else 0.0
+    total = sum(stage.wall_s for stage in stages)
+    for index, stage in enumerate(stages):
+        mean_ms = stage.wall_s / max(stage.num_tasks, 1) * 1e3
+        share = stage.wall_s / total * 100 if total > 0 else 0.0
         rows.append(
-            f"  stage {index:<3} {timing.kind:<10} {timing.label:<20} "
-            f"{timing.wall_s * 1e3:9.2f} ms  {timing.num_tasks:4d} tasks  "
+            f"  stage {index:<3} {stage.kind:<10} {stage.name:<20} "
+            f"{stage.wall_s * 1e3:9.2f} ms  {stage.num_tasks:4d} tasks  "
             f"{mean_ms:8.3f} ms/task  {share:5.1f}%")
     lines = ["Stage breakdown"]
     lines.extend(rows)
     lines.append(f"  total stage wall time: {total * 1e3:.2f} ms")
-    if task_times:
-        from repro.engine.metrics import task_time_histogram
-
-        histogram = task_time_histogram(list(task_times), bins=8)
+    histogram = task_time_histogram(
+        [duration for stage in stages for duration in stage.task_times],
+        bins=8)
+    if histogram:
         buckets = "  ".join(
             f"[{lo * 1e3:.2f}-{hi * 1e3:.2f}ms]x{count}"
             for lo, hi, count in histogram if count)

@@ -3,8 +3,8 @@
 RDDs already carry their lineage (``RDD.dependencies``); this module adds
 driver-side tools used by tests and by the fault-tolerance example:
 
-- :func:`lineage_depth` / :func:`count_shuffle_boundaries` — static DAG
-  analysis (stage counting the way Spark's DAGScheduler would).
+- :func:`count_shuffle_boundaries` — static DAG analysis (stage
+  counting the way Spark's DAGScheduler would).
 - :class:`FaultInjector` — deterministically lose cached blocks and
   shuffle outputs mid-computation, so tests can assert that results are
   rebuilt from lineage instead of silently going wrong.
@@ -15,13 +15,6 @@ from __future__ import annotations
 import random
 
 from repro.engine.rdd import RDD, _ShuffleStageBase
-
-
-def lineage_depth(rdd: RDD) -> int:
-    """Longest chain of dependencies above (and including) ``rdd``."""
-    if not rdd.dependencies:
-        return 1
-    return 1 + max(lineage_depth(dep) for dep in rdd.dependencies)
 
 
 def count_shuffle_boundaries(rdd: RDD) -> int:

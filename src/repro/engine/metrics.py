@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 
-from dataclasses import asdict, dataclass, make_dataclass
+from dataclasses import dataclass, make_dataclass
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,6 @@ COUNTERS = tuple(metric for metric in METRICS if metric.kind == "counter")
 COUNTER_FIELDS = tuple(metric.name for metric in COUNTERS)
 
 
-@dataclass(frozen=True)
-class StageTiming:
-    """Wall time of one executed stage (shuffle map or result)."""
-
-    label: str
-    kind: str  # "shuffle" | "result" | "narrow_shuffle"
-    wall_s: float
-    num_tasks: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def _snapshot_sub(self, other):
     return MetricsSnapshot(**{name: getattr(self, name) - getattr(other, name)
                               for name in COUNTER_FIELDS})
@@ -125,40 +112,18 @@ MetricsSnapshot = make_dataclass(
                "__sub__": _snapshot_sub, "as_dict": _snapshot_as_dict})
 
 
-def task_time_histogram(task_times, bins: int = 10) -> list:
-    """``(lo_s, hi_s, count)`` buckets over a list of task durations."""
-    task_times = list(task_times)
-    if not task_times:
-        return []
-    lo, hi = min(task_times), max(task_times)
-    if hi <= lo:
-        return [(lo, hi, len(task_times))]
-    width = (hi - lo) / bins
-    counts = [0] * bins
-    for duration in task_times:
-        slot = min(int((duration - lo) / width), bins - 1)
-        counts[slot] += 1
-    return [
-        (lo + i * width, lo + (i + 1) * width, count)
-        for i, count in enumerate(counts)
-    ]
-
-
 class MetricsRegistry:
     """Mutable counters owned by a :class:`ClusterContext`.
 
     Every counter row of :data:`METRICS` reads as an attribute
     (``registry.tasks_launched``) and moves only through :meth:`add`.
-    ``stage_timings`` and ``task_times`` are wall-clock observations,
-    kept out of :class:`MetricsSnapshot`, which holds only logical
-    counters that must be identical between the serial and threaded
-    schedulers.
+    The counters are logical, identical between the serial, thread and
+    process schedulers; wall times are trace products
+    (:mod:`repro.engine.tracing`).
     """
 
     def __init__(self):
         self._counts = dict.fromkeys(COUNTER_FIELDS, 0)
-        self.stage_timings = []
-        self.task_times = []
         self._lock = threading.Lock()
 
     def __getattr__(self, name):
@@ -192,30 +157,3 @@ class MetricsRegistry:
         costs most of a sample."""
         with self._lock:
             return dict(self._counts)
-
-    # ------------------------------------------------------------------
-    # wall-clock observations
-    # ------------------------------------------------------------------
-
-    def record_stage_timing(self, label: str, kind: str, wall_s: float,
-                            num_tasks: int) -> None:
-        with self._lock:
-            self.stage_timings.append(
-                StageTiming(label=label, kind=kind, wall_s=wall_s,
-                            num_tasks=num_tasks))
-
-    def record_task_time(self, seconds: float) -> None:
-        with self._lock:
-            self.task_times.append(seconds)
-
-    def task_time_histogram(self, bins: int = 10, task_times=None) -> list:
-        """``(lo_s, hi_s, count)`` buckets over recorded task durations.
-
-        Delegates to the module-level :func:`task_time_histogram`;
-        without an explicit ``task_times`` it buckets this registry's
-        recorded durations.
-        """
-        if task_times is None:
-            with self._lock:
-                task_times = list(self.task_times)
-        return task_time_histogram(task_times, bins=bins)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 
 import numpy as np
 
@@ -48,15 +47,10 @@ def run_task_with_retries(context, index, attempt_func):
     last_error = None
     for attempt in range(1 + context.task_retries):
         metrics.add(tasks_launched=1, task_retries=int(attempt > 0))
-        start = time.perf_counter()
         try:
-            result = attempt_func()
+            return attempt_func()
         except Exception as exc:  # noqa: BLE001 - retried
-            metrics.record_task_time(time.perf_counter() - start)
             last_error = exc
-            continue
-        metrics.record_task_time(time.perf_counter() - start)
-        return result
     raise TaskFailure(index, last_error) from last_error
 
 
@@ -958,7 +952,6 @@ class ShuffledRDD(_ShuffleStageBase):
             # way this shuffle wants, so nothing moves (Section VI-A)
             parent = self.dependencies[0]
             tracer = self.context.tracer
-            start = time.perf_counter()
             with tracer.span("narrow_shuffle", "shuffle", narrow=True,
                              partition=index) as span:
                 records = list(parent.iterator(index))
@@ -971,9 +964,6 @@ class ShuffledRDD(_ShuffleStageBase):
                     out = list(zip(combined[0].tolist(),
                                    combined[1].unpack()))
                 span.set(records=len(out))
-            self.context.metrics.record_stage_timing(
-                self.name, "narrow_shuffle",
-                time.perf_counter() - start, 1)
             return out
         segments = self._reduce_segments(0, index)
         merged = self._merge_columnar(segments)

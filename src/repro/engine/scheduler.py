@@ -228,8 +228,8 @@ class _Stage:
 
     __slots__ = ("node", "which", "kind", "key", "label", "num_tasks",
                  "task", "deps", "children", "pending", "done",
-                 "outputs", "span", "lock", "start_s", "ready_s",
-                 "gauge", "position")
+                 "outputs", "span", "lock", "ready_s", "gauge",
+                 "position")
 
     def __init__(self, node, which=None, kind="shuffle", task=None):
         self.node = node
@@ -251,7 +251,6 @@ class _Stage:
         self.outputs = None
         self.span = None
         self.lock = None
-        self.start_s = 0.0
         self.ready_s = 0.0
         self.gauge = None
         self.position = 0
@@ -401,7 +400,7 @@ class StageScheduler:
 
     def _start_span(self, stage: _Stage, parent_span):
         attrs = {"num_tasks": stage.num_tasks, "ready_at": stage.ready_s,
-                 "launched_at": stage.start_s,
+                 "launched_at": time.perf_counter(),
                  "depends_on": stage.depends_on()}
         tracer = self.context.tracer
         if stage.kind == "result":
@@ -474,7 +473,6 @@ class StageScheduler:
             nonlocal outstanding, failure
             metrics.add(stages_run=1)
             stage.lock = lock  # held from launch to commit
-            stage.start_s = time.perf_counter()
             stage.outputs = [None] * stage.num_tasks
             stage.span = self._start_span(stage, parent_span)
             pool.stage_launched()
@@ -522,9 +520,6 @@ class StageScheduler:
             if stage.kind == "shuffle":
                 stage.node.commit_shuffle(stage.which, stage.outputs,
                                           stage.span)
-            metrics.record_stage_timing(
-                stage.label, stage.kind, time.perf_counter() - stage.start_s,
-                stage.num_tasks)
             tracer.finish(stage.span)
             stage.span = None
             if stage.lock is not None:

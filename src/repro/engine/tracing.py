@@ -419,7 +419,10 @@ def logical_tree(spans, exclude_kinds=_NON_LOGICAL_KINDS) -> tuple:
 # ----------------------------------------------------------------------
 
 class StageProfile:
-    """Aggregated view of one stage-like span and its task children."""
+    """Aggregated view of one stage-like span and its task children.
+
+    ``kind`` is ``"shuffle"`` for a map stage and ``"result"`` for a
+    job's result stage (its span's ``stage_kind``)."""
 
     __slots__ = ("name", "kind", "wall_s", "num_tasks", "task_times",
                  "records", "bytes")
@@ -514,22 +517,12 @@ class JobProfile:
         """The ``stage_breakdown``-style report, grown three sections:
         critical path, chunk-mode attribution, and rank queries."""
         from repro.engine.explain import stage_breakdown
-        from repro.engine.metrics import StageTiming
 
-        timings = [
-            StageTiming(label=stage.name, kind=stage.kind,
-                        wall_s=stage.wall_s, num_tasks=stage.num_tasks)
-            for stage in self.stages
-        ]
-        task_times = [
-            duration for stage in self.stages
-            for duration in stage.task_times
-        ]
         lines = [
             f"Job {self.name!r} — wall {self.wall_s * 1e3:.2f} ms, "
             f"{self.num_executors or '?'} executors, "
             f"utilization {self.utilization * 100:.0f}%",
-            stage_breakdown(timings, task_times),
+            stage_breakdown(self.stages),
         ]
         if self.critical_path:
             hops = " -> ".join(self.critical_path)
@@ -646,7 +639,9 @@ def profiles_from_spans(spans, num_executors=None) -> list:
                              task.attrs.get("result_bytes", 0)
                              for task in tasks)
             stages.append(StageProfile(
-                stage_span.name, stage_span.kind, stage_span.wall_s,
+                stage_span.name,
+                stage_span.attrs.get("stage_kind", stage_span.kind),
+                stage_span.wall_s,
                 len(tasks) or stage_span.attrs.get("num_tasks", 0),
                 [task.wall_s for task in tasks], records, nbytes))
             if tasks:

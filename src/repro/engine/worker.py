@@ -323,9 +323,6 @@ def _worker_entry(payload: bytes) -> bytes:
                          if value}
     reply["spans"] = ([span.as_dict() for span in tracer.spans()]
                       if tracer.enabled else [])
-    reply["stage_timings"] = [
-        (timing.label, timing.kind, timing.wall_s, timing.num_tasks)
-        for timing in metrics.stage_timings]
     reply["contributions"] = cache.contributions
     reply["segments"] = created
     try:
@@ -339,8 +336,8 @@ def _worker_entry(payload: bytes) -> bytes:
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             minimal = {"ok": False, "result": None, "counters": {},
-                       "spans": [], "stage_timings": [],
-                       "contributions": [], "segments": created,
+                       "spans": [], "contributions": [],
+                       "segments": created,
                        "error": RuntimeError(
                            "task reply failed to serialize")}
             return pickle.dumps(minimal,
@@ -579,10 +576,6 @@ class ProcessTaskRunner:
         context.metrics.add(**{
             name: value for name, value in reply.get("counters", {}).items()
             if value and name in COUNTER_FIELDS})
-        for label, kind, wall_s, num_tasks in \
-                reply.get("stage_timings", ()):
-            context.metrics.record_stage_timing(label, kind, wall_s,
-                                                num_tasks)
         spans = reply.get("spans")
         if spans and context.tracer.enabled:
             context.tracer.adopt_spans(spans, parent=parent_span)

@@ -370,11 +370,10 @@ class TestNarrowShuffleAnnotation:
             delta = ctx.metrics.snapshot() - before
             # the co-partitioned reduce moves nothing
             assert delta.shuffles_performed == 0
-            kinds = [t.kind for t in ctx.metrics.stage_timings]
-            assert "narrow_shuffle" in kinds
             spans = [s for s in ctx.tracer.spans()
                      if s.name == "narrow_shuffle"]
         assert spans
+        assert all(s.kind == "shuffle" and s.wall_s >= 0.0 for s in spans)
         assert all(s.attrs.get("narrow") is True for s in spans)
         assert all(s.attrs.get("records", 0) >= 0 for s in spans)
 

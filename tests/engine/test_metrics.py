@@ -7,12 +7,12 @@ import pathlib
 import pytest
 
 from repro.engine import ClusterContext
+from repro.engine.explain import stage_breakdown, task_time_histogram
 from repro.engine.metrics import (
     COUNTER_FIELDS,
     METRICS,
     MetricsRegistry,
     MetricsSnapshot,
-    task_time_histogram,
 )
 from repro.engine.telemetry import collect_sample, prometheus_text
 
@@ -133,12 +133,13 @@ class TestTaskTimeHistogram:
         assert abs(buckets[-1][1] - max(times)) < 1e-9
         assert sum(count for _lo, _hi, count in buckets) == len(times)
 
-    def test_registry_method_delegates_to_the_module_function(self):
-        registry = MetricsRegistry()
-        for value in (0.1, 0.2, 0.4):
-            registry.record_task_time(value)
-        assert registry.task_time_histogram(bins=3) \
-            == task_time_histogram([0.1, 0.2, 0.4], bins=3)
-        # an explicit list bypasses the recorded durations
-        assert registry.task_time_histogram(bins=2, task_times=[1.0]) \
-            == [(1.0, 1.0, 1)]
+    def test_stage_breakdown_buckets_every_stages_tasks(self):
+        with ClusterContext(num_executors=2, trace=True) as ctx:
+            ctx.parallelize([(i % 3, i) for i in range(12)], 3) \
+               .reduce_by_key(lambda a, b: a + b).collect()
+            stages = ctx.tracer.last_job_profile().stages
+        line = stage_breakdown(stages).splitlines()[-1]
+        assert line.startswith("  task times: ")
+        counts = [int(cell.rsplit("x", 1)[1]) for cell in line.split()[2:]]
+        assert sum(counts) == 6   # 3 map tasks + 3 result tasks
+

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.engine import ClusterContext, HashPartitioner
-from repro.engine.explain import stage_breakdown
+from repro.engine.explain import stage_breakdown, task_time_histogram
 from repro.engine.pairs import cogroup
 from repro.engine.tracing import logical_tree
 from repro.errors import TaskFailure
@@ -608,11 +608,20 @@ class TestConcurrencySafety:
 
 
 class TestMetricsAccounting:
-    def test_stage_timings_and_utilization(self):
-        ctx = ClusterContext(num_executors=4)
-        with ctx.measure() as measurement:
-            ctx.parallelize([(i % 5, i) for i in range(50)], 5) \
-               .reduce_by_key(lambda a, b: a + b).collect()
+    """``measure()`` reads stage and task wall times off the trace."""
+
+    @staticmethod
+    def _job(ctx):
+        ctx.parallelize([(i % 5, i) for i in range(50)], 5) \
+           .reduce_by_key(lambda a, b: a + b).collect()
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_stage_timings_and_utilization(self, mode):
+        with ClusterContext(num_executors=4, trace=True,
+                            **TestPipelinedContract.MODES[mode]) as ctx:
+            with ctx.measure() as measurement:
+                self._job(ctx)
+            profiles = ctx.tracer.job_profiles()
         kinds = [timing.kind for timing in measurement.stage_timings]
         assert kinds == ["shuffle", "result"]
         assert measurement.stage_timings[0].num_tasks == 5
@@ -620,12 +629,29 @@ class TestMetricsAccounting:
         assert len(measurement.task_times) == 10
         assert measurement.busy_task_s >= 0.0
         assert 0.0 <= measurement.utilization
-        rendered = stage_breakdown(measurement.stage_timings,
-                                   measurement.task_times)
+        rendered = stage_breakdown(measurement.stage_timings)
         assert "shuffle" in rendered and "result" in rendered
+        # the measured stages are the tracer's job-profile stages
+        assert [(stage.kind, stage.num_tasks, len(stage.task_times))
+                for stage in measurement.stage_timings] \
+            == [(stage.kind, stage.num_tasks, len(stage.task_times))
+                for profile in profiles for stage in profile.stages]
+
+    def test_untraced_measure_reports_wall_and_delta(self):
+        ctx = ClusterContext(num_executors=4)
+        with ctx.measure() as measurement:
+            self._job(ctx)
+        assert measurement.wall_s > 0.0
+        assert measurement.delta.stages_run == 2
+        assert measurement.delta.tasks_launched == 10
+        assert measurement.report.wall_clock_s == measurement.wall_s
+        assert list(measurement.stage_timings) == []
+        assert list(measurement.task_times) == []
+        assert measurement.utilization == 0.0
 
     def test_task_time_histogram_buckets(self):
-        ctx = ClusterContext(num_executors=2)
+        ctx = ClusterContext(num_executors=2, trace=True)
         ctx.parallelize(range(40), 4).map(lambda x: x).collect()
-        histogram = ctx.metrics.task_time_histogram(bins=4)
+        (stage,) = ctx.tracer.last_job_profile().stages
+        histogram = task_time_histogram(stage.task_times, bins=4)
         assert sum(count for _lo, _hi, count in histogram) == 4

@@ -168,6 +168,17 @@ class TestSpill:
         mixed = [records[0], decoded[1], records[2]]
         assert pickle.dumps(mixed) == pickle.dumps(records)
 
+    def test_fallback_decode_carries_canonical_dtype(self):
+        # a non-pair record forces the plain-pickle fallback; its arrays
+        # must come back as mixable with fresh ones as the column path's
+        def fresh():
+            return [(i, np.arange(8.0) + i) for i in range(3)] + ["tail"]
+
+        decoded = spill_mod.decode_block(spill_mod.encode_block(fresh()))
+        assert decoded[0][1].dtype is np.dtype("float64")
+        mixed = [decoded[0]] + fresh()[1:]
+        assert pickle.dumps(mixed) == pickle.dumps(fresh())
+
     def test_put_purges_stale_spill(self):
         _metrics, cache = make_cache(budget=700)
         cache.put(1, 0, ["old", bytes(400)], allow_spill=True)

@@ -11,7 +11,6 @@ from repro.engine.lineage import (
     FaultInjector,
     collect_rdds,
     count_shuffle_boundaries,
-    lineage_depth,
 )
 
 
@@ -154,11 +153,6 @@ class TestFaultTolerance:
 
 
 class TestLineageAnalysis:
-    def test_lineage_depth(self, ctx):
-        rdd = ctx.parallelize([1], 1)
-        assert lineage_depth(rdd) == 1
-        assert lineage_depth(rdd.map(lambda x: x).filter(bool)) == 3
-
     def test_count_shuffle_boundaries(self, ctx):
         pairs = ctx.parallelize([(1, 1)], 1)
         assert count_shuffle_boundaries(pairs) == 0

@@ -410,9 +410,11 @@ class TestReportDriftGuards:
 
     def test_stage_breakdown_appends_report_counters(self):
         from repro.engine.explain import stage_breakdown
-        from repro.engine.metrics import MetricsSnapshot, StageTiming
+        from repro.engine.metrics import MetricsSnapshot
+        from repro.engine.tracing import StageProfile
 
-        timings = [StageTiming("s", "result", 0.01, 2)]
+        timings = [StageProfile("s", "result", 0.01, 2, [0.004, 0.005],
+                                0, 0)]
         counters = MetricsSnapshot(optimizer_rules_fired=3,
                                    worker_respawns=1)
         text = stage_breakdown(timings, counters=counters)

@@ -164,7 +164,7 @@ class TestJobProfile:
         profile = ctx.tracer.last_job_profile()
         assert profile.name == "reduce_by_key"
         assert [stage.kind for stage in profile.stages] \
-            == ["shuffle", "stage"]
+            == ["shuffle", "result"]
         assert all(stage.num_tasks == 4 for stage in profile.stages)
         assert profile.critical_path_s > 0
         assert len(profile.critical_path) == 2
