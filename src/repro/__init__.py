@@ -20,12 +20,10 @@ Package map:
 
 - :mod:`repro.engine` -- the mini-Spark substrate.
 - :mod:`repro.bitmask` -- bitmask machinery (popcounts, hierarchy).
-- :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators, the
-  rule-based rewrite optimizer (:mod:`repro.core.optimizer`: scalar
-  folding and subarray hoisting, applied wherever they match) and
-  the chunk-kernel fusion layer (:mod:`repro.core.plan`) every
-  recorded plan runs through (``ArrayRDD.explain(optimized=True)``
-  shows which rules fired).
+- :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators and the
+  chunk-kernel fusion layer (:mod:`repro.core.plan`) they append to,
+  which folds scalar kernels and hoists subarrays as kernels go in
+  (``ArrayRDD.explain()`` shows which rewrites fired).
 - :mod:`repro.matrix` -- distributed linear algebra.
 - :mod:`repro.ml` -- PageRank and SGD/logistic regression.
 - :mod:`repro.baselines` -- SciSpark/RasterFrames/SciDB/COO/MLlib/GraphX

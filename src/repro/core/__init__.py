@@ -6,12 +6,9 @@ multi-dimensional array is described by :class:`ArrayMetadata`, cut into
 (Algorithm 1, :mod:`repro.core.mapper`), and distributed as an
 :class:`ArrayRDD`. Multi-attribute arrays are column stores
 (:class:`SpangleDataset`) sharing a lazily-evaluated :class:`MaskRDD`.
-Operators record :class:`~repro.core.logical.LogicalOp` trees
-(:mod:`repro.core.logical`); at evaluation the rewrite optimizer
-(:mod:`repro.core.optimizer`) applies its exact rules wherever they
-match, and lowering compiles chunk-local chains onto
-a :class:`ChunkPlan` (:mod:`repro.core.plan`) executing as one fused
-pass per chunk.
+Chunk-local operators append kernels to a pending :class:`ChunkPlan`
+(:mod:`repro.core.plan`), which makes its two exact rewrites as each
+kernel goes in and compiles to one fused pass per chunk.
 """
 
 from repro.core import chunk_codec

@@ -10,16 +10,18 @@ Empty chunks are never materialized: any operation that leaves a chunk
 with zero valid cells drops the record entirely, which is the paper's
 memory-reduction policy.
 
-Operators do not touch the engine eagerly: they *record*
-:class:`~repro.core.logical.LogicalOp` nodes. Reading :attr:`rdd` —
-which every action and wide operator does — is the plan barrier: the
-recorded tree is rewritten by the rule-based optimizer
-(:mod:`repro.core.optimizer`) and lowered back to ChunkPlan kernel
-chains (compiled into single fused ``map_partitions`` passes) and
-engine joins/shuffles. ``cache()`` and ``materialize()`` are plan
-barriers too: they collapse the pending tree so the cached data is the
-computed result. ``explain()`` renders the logical/optimized/physical
-plans without compiling anything into the array's state.
+An ArrayRDD is a base chunk RDD plus a pending
+:class:`~repro.core.plan.ChunkPlan`. Chunk-local operators append a
+kernel to the plan, which folds adjacent scalar kernels and moves a
+subarray ahead of scalar arithmetic as it goes
+(:meth:`ChunkPlan.then <repro.core.plan.ChunkPlan.then>`). Wide
+operators — :meth:`combine`, :meth:`partition_by`, a MaskRDD's
+``apply_to``, the matrix product — build their (lazy) engine RDDs from
+the operands' :attr:`rdd` when called. Reading :attr:`rdd` is the plan
+barrier: the plan compiles once into a single fused ``map_partitions``
+pass. ``cache()`` and ``materialize()`` are plan barriers too: the
+cached data is the computed result. ``explain()`` renders the plan
+without compiling anything into the array's state.
 """
 
 from __future__ import annotations
@@ -31,20 +33,17 @@ import numpy as np
 from repro.core import mapper
 from repro.core.aggregates import combine_kernel_for, resolve_aggregator
 from repro.core.chunk import Chunk, ChunkMode
-from repro.core.logical import (
-    ElementwiseOp,
-    FilterOp,
-    MapOp,
-    RepackOp,
-    ScalarOp,
-    ShuffleOp,
-    SourceOp,
-    SubarrayOp,
-    chunk_ids_from_records,
-    lower_to_rdd,
-    render_tree,
-)
 from repro.core.metadata import ArrayMetadata
+from repro.core.plan import (
+    ChunkPlan,
+    DropEmpty,
+    ElementwiseSource,
+    FilterKernel,
+    MapValuesKernel,
+    MaskAndKernel,
+    RepackKernel,
+    ScalarOpKernel,
+)
 from repro.engine import HashPartitioner
 from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
 from repro.engine.partitioner import ExplicitPartitioner
@@ -192,43 +191,38 @@ def _chunk_nbytes(kv) -> int:
 class ArrayRDD:
     """A lazily-evaluated, chunked, distributed array."""
 
-    def __init__(self, rdd, meta: ArrayMetadata, context, logical=None):
-        if logical is None:
-            logical = SourceOp(rdd, meta)
-        self._logical = logical
+    def __init__(self, rdd, meta: ArrayMetadata, context):
+        self._base = rdd
+        self._plan = ChunkPlan.identity()
         self._compiled = None
+        #: the IDs the driver knows this array's chunks are among (None:
+        #: any of ``meta``'s); they price the plan's rewrites
+        self._chunk_ids = None
+        #: chunk records the plan's rewrites keep out of kernels
+        self._pruned = 0
         self.meta = meta
         self.context = context
 
     @property
     def rdd(self):
-        """The underlying chunk RDD, with the recorded plan lowered in.
+        """The underlying chunk RDD, with the pending plan compiled in.
 
         Accessing this is the plan barrier: actions, wide operators and
-        external consumers all read it. The recorded logical tree is
-        rewritten by the rule-based optimizer, then lowered —
-        chunk-local chains compile to one fused ``map_partitions`` pass
-        each — and the result is memoized, so repeat actions reuse the
-        same compiled RDD and its cache entries.
+        external consumers all read it. The plan compiles to one fused
+        ``map_partitions`` pass, recording the rewrites that fired, and
+        the result is memoized, so repeat actions reuse the same
+        compiled RDD and its cache entries.
         """
-        node = self._logical
-        if isinstance(node, SourceOp):
-            return node.rdd
+        plan = self._plan
+        if plan.is_identity:
+            return self._base
         if self._compiled is None:
-            from repro.core import optimizer as optimizer_mod
-
             metrics = self.context.metrics
-            node, fired, pruned = optimizer_mod.optimize(node)
-            if fired:
-                metrics.add(optimizer_rules_fired=len(fired),
-                            optimizer_chunks_pruned=pruned)
-            self._compiled = lower_to_rdd(node, self.context, metrics)
+            if plan.rules:
+                metrics.add(optimizer_rules_fired=len(plan.rules),
+                            optimizer_chunks_pruned=self._pruned)
+            self._compiled = plan.compile(self._base, metrics)
         return self._compiled
-
-    @rdd.setter
-    def rdd(self, value):
-        self._logical = SourceOp(value, self.meta)
-        self._compiled = None
 
     # ------------------------------------------------------------------
     # creation
@@ -277,10 +271,8 @@ class ArrayRDD:
                                   partitioner=partitioner)
         rdd.partitioner = partitioner
         out = cls(rdd, meta, context)
-        # driver-side creation knows every stored chunk ID for free;
-        # the optimizer's pruned-chunk count is exact with them
-        out._logical = SourceOp(rdd, meta,
-                                chunk_ids_from_records(records))
+        # driver-side creation knows every stored chunk ID for free
+        out._chunk_ids = frozenset(cid for cid, _chunk in records)
         return out
 
     @classmethod
@@ -291,21 +283,47 @@ class ArrayRDD:
                    if c.valid_count > 0]
         return cls._distribute(context, records, meta, num_partitions)
 
-    def _with_logical(self, node) -> "ArrayRDD":
-        """Record one more logical node (no RDD is built yet)."""
-        return ArrayRDD(None, self.meta, self.context, logical=node)
+    def _derive(self, base, plan, chunk_ids) -> "ArrayRDD":
+        """An array of this geometry: ``plan`` pending over ``base``."""
+        out = ArrayRDD(base, self.meta, self.context)
+        out._plan = plan
+        out._chunk_ids = chunk_ids
+        return out
+
+    def _chunk_count(self) -> int:
+        if self._chunk_ids is None:
+            return self.meta.num_chunks
+        return len(self._chunk_ids)
+
+    def _then(self, kernel) -> "ArrayRDD":
+        """One more kernel on the pending plan (no RDD is built yet)."""
+        chunk_ids = self._chunk_ids
+        if isinstance(kernel, MaskAndKernel):
+            chunk_ids = kernel.wanted if chunk_ids is None \
+                else chunk_ids & kernel.wanted
+        out = self._derive(self._base, self._plan.then(kernel), chunk_ids)
+        out._pruned = self._pruned
+        if out._plan.rules != self._plan.rules:
+            # chunk records kept out of kernels: a folded scalar kernel
+            # no longer runs alone, and a hoisted box drops chunks
+            # before the scalar kernel sees them
+            flowing = self._chunk_count()
+            if out._plan.rules[-1] == "subarray_before_scalar":
+                flowing -= out._chunk_count()
+            out._pruned += flowing
+        return out
 
     def _collapse(self):
-        """Force the recorded plan into a concrete RDD (a plan barrier).
+        """Compile the pending plan into the base (a plan barrier).
 
-        After this, subsequent operators chain off the lowered RDD —
-        required before ``cache()`` so the cached partitions hold the
-        computed chunks, not the pre-plan input.
+        After this, operators chain off the compiled RDD — required
+        before ``cache()`` so the cached partitions hold the computed
+        chunks, not the pre-plan input.
         """
-        rdd = self.rdd
-        if not isinstance(self._logical, SourceOp):
-            self._logical = SourceOp(rdd, self.meta)
-            self._compiled = None
+        rdd = self._base = self.rdd
+        self._plan = ChunkPlan.identity()
+        self._compiled = None
+        self._pruned = 0
         return rdd
 
     # ------------------------------------------------------------------
@@ -366,38 +384,34 @@ class ArrayRDD:
         return self
 
     def unpersist(self) -> "ArrayRDD":
-        for rdd in _source_rdds(self._logical):
-            rdd.unpersist()
-        if self._compiled is not None:
+        """Drop the cached blocks of the RDD :attr:`rdd` returns — not
+        those of an array this one derives from."""
+        if self._plan.is_identity:
+            self._base.unpersist()
+        elif self._compiled is not None:
             self._compiled.unpersist()
         return self
 
-    def explain(self, optimized: bool = False) -> str:
-        """Render the recorded plan without compiling it into the array.
+    def explain(self) -> str:
+        """Render the pending plan without compiling it into the array.
 
-        Shows the logical tree as written; with ``optimized=True`` also
-        the rewritten tree, the rules that fired, and the estimated
-        pruned-chunk count; then the physical stage plan of whichever
-        tree would lower. Purely an inspection: nothing is memoized and
-        no fusion/optimizer metrics are recorded.
+        Shows the plan as built over its base RDD, the rewrites that
+        fired while it was built, and the physical stage plan it would
+        compile to. Purely an inspection: nothing is memoized and no
+        fusion or rewrite counters are recorded.
         """
-        from repro.core import optimizer as optimizer_mod
         from repro.engine import explain as explain_mod
 
-        node = self._logical
-        lines = ["Logical plan:", render_tree(node, 1)]
-        if optimized:
-            opt, fired, pruned = optimizer_mod.optimize(node)
-            rules = ", ".join(fired) if fired else "none"
-            lines.append(
-                f"Optimized plan ({len(fired)} rules fired: {rules}; "
-                f"~{pruned} chunks pruned):")
-            lines.append(render_tree(opt, 1))
-            node = opt
-        lowered = lower_to_rdd(node, self.context, None)
-        lines.append("Physical plan:")
-        lines.append(explain_mod.explain(lowered))
-        return "\n".join(lines)
+        plan = self._plan
+        rules = ", ".join(plan.rules) or "none"
+        return "\n".join([
+            "Plan: " + " → ".join([self._base.name]
+                                  + plan.stage_labels()),
+            f"Rewrites: {len(plan.rules)} fired ({rules}); "
+            f"{self._pruned} chunk records pruned",
+            "Physical plan:",
+            explain_mod.explain(plan.compile(self._base)),
+        ])
 
     def materialize(self) -> "ArrayRDD":
         """Force computation now (cache + count)."""
@@ -412,7 +426,7 @@ class ArrayRDD:
 
     def map_values(self, func) -> "ArrayRDD":
         """Apply a vectorized function to every valid value."""
-        return self._with_logical(MapOp(self._logical, func))
+        return self._then(MapValuesKernel(func))
 
     def filter(self, predicate) -> "ArrayRDD":
         """Invalidate cells whose value fails ``predicate(values)``.
@@ -420,7 +434,7 @@ class ArrayRDD:
         ``predicate`` is vectorized: it receives a value vector and
         returns booleans. Chunks left with no valid cell are dropped.
         """
-        return self._with_logical(FilterOp(self._logical, predicate))
+        return self._then(FilterKernel(predicate))
 
     def repack(self) -> "ArrayRDD":
         """Re-apply the density mode policy to every chunk.
@@ -432,7 +446,7 @@ class ArrayRDD:
         merely retargets the fused pass's final encode — zero extra passes;
         ``chunks_repacked`` in the metrics counts the conversions.
         """
-        return self._with_logical(RepackOp(self._logical))
+        return self._then(RepackKernel())
 
     def subarray(self, lo, hi) -> "ArrayRDD":
         """Keep cells inside the closed coordinate box ``[lo, hi]``.
@@ -441,16 +455,19 @@ class ArrayRDD:
         operation — no scan), then AND each chunk's bitmask with the
         virtual bitmask of the range.
         """
-        return self._with_logical(SubarrayOp(self._logical, lo, hi))
+        return self._then(MaskAndKernel(
+            self.meta, tuple(int(c) for c in lo),
+            tuple(int(c) for c in hi)))
 
     def partition_by(self, partitioner) -> "ArrayRDD":
         """Redistribute chunk records under an explicit partitioner.
 
-        Recorded as a logical shuffle and lowered to the engine's
-        ``partition_by``: a no-op at execution time when the records
-        already carry an equal partitioner.
+        The engine's ``partition_by`` over :attr:`rdd`: a no-op at
+        execution time when the records already carry an equal
+        partitioner.
         """
-        return self._with_logical(ShuffleOp(self._logical, partitioner))
+        return self._derive(self.rdd.partition_by(partitioner),
+                            ChunkPlan.identity(), self._chunk_ids)
 
     def repartition(self, num_partitions: int) -> "ArrayRDD":
         """Hash-redistribute into ``num_partitions`` partitions."""
@@ -479,12 +496,21 @@ class ArrayRDD:
             )
         if how not in ("and", "or"):
             raise ArrayError(f"unknown join mode {how!r}; use 'and'/'or'")
-        # recorded as a logical join; at lowering the merge becomes a
-        # plan *source*, so the drop-empty step and any trailing
-        # chunk-local operators fuse into one pass
-        return self._with_logical(
-            ElementwiseOp(self._logical, other._logical, op, how, fill,
-                          self.meta))
+        # the merge is a plan *source*, so the drop-empty step and any
+        # trailing chunk-local operators fuse into one pass
+        left, right = self.rdd, other.rdd
+        joined = left.join(right) if how == "and" \
+            else left.full_outer_join(right)
+        ids, other_ids = self._chunk_ids, other._chunk_ids
+        if ids is not None and other_ids is not None:
+            ids = ids & other_ids if how == "and" else ids | other_ids
+        else:
+            ids = None
+        source = ElementwiseSource(op, how, fill,
+                                   self.meta.cells_per_chunk,
+                                   self.meta.dtype)
+        return self._derive(joined, ChunkPlan(source, (DropEmpty(),)),
+                            ids)
 
     def aggregate(self, aggregator="sum"):
         """Collapse the whole array to one value with an Aggregator."""
@@ -590,9 +616,8 @@ class ArrayRDD:
     # union semantics explicitly.
 
     def _scalar_op(self, op, scalar, reflected, name) -> "ArrayRDD":
-        return self._with_logical(
-            ScalarOp(self._logical, op, scalar, reflected=reflected,
-                     opname=name))
+        return self._then(ScalarOpKernel(op, scalar, reflected=reflected,
+                                         name=name))
 
     def _binary_op(self, other, op, name):
         if isinstance(other, ArrayRDD):
@@ -649,16 +674,6 @@ class ArrayRDD:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-
-def _source_rdds(node) -> list:
-    """Every concrete source RDD feeding a logical tree."""
-    if isinstance(node, SourceOp):
-        return [node.rdd]
-    out = []
-    for child in node.children:
-        out.extend(_source_rdds(child))
-    return out
-
 
 def _chunk_selection(meta: ArrayMetadata, chunk_id: int):
     """Global slices of a chunk's in-bounds region + its clipped shape."""

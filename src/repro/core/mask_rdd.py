@@ -9,9 +9,10 @@ reconciled on demand with a single AND per chunk.
 Box restrictions are recorded, not executed: ``subarray`` appends to a
 pending box list and reading :attr:`rdd` lowers the whole list as one
 chunk-ID-pruning pass (so five chained subarrays cost one traversal,
-with their wanted-sets intersected up front). ``apply_to`` records a
-logical :class:`~repro.core.logical.MaskApplyOp` on the target array,
-so the reconciliation fuses with the chunk-local operators after it.
+with their wanted-sets intersected up front). ``apply_to`` joins the
+target array with the mask and leaves the AND pending on the result's
+:class:`~repro.core.plan.ChunkPlan`, so the reconciliation fuses with
+the chunk-local operators after it.
 
 The with/without-MaskRDD performance gap is the paper's Fig. 9b.
 """
@@ -23,6 +24,7 @@ import numpy as np
 from repro.bitmask import Bitmask
 from repro.core import mapper
 from repro.core.metadata import ArrayMetadata
+from repro.core.plan import ChunkPlan, DropEmpty, MaskApplySource
 from repro.errors import ShapeMismatchError
 
 
@@ -214,19 +216,16 @@ class MaskRDD:
         chunks with no surviving cell — or no mask entry at all — are
         dropped.
 
-        The reconciliation is recorded as a logical
-        :class:`~repro.core.logical.MaskApplyOp`; at lowering the AND
-        becomes a :class:`~repro.core.plan.MaskApplySource`, so it and
-        any chunk-local operators applied to the result (a dataset's
-        per-attribute restriction + filter chains) run as one fused
-        pass per chunk.
+        The join is built now; the AND is a
+        :class:`~repro.core.plan.MaskApplySource` on the result's pending
+        plan, so it and any chunk-local operators applied to the result
+        (a dataset's per-attribute restriction + filter chains) run as
+        one fused pass per chunk.
         """
-        from repro.core.array_rdd import ArrayRDD
-        from repro.core.logical import MaskApplyOp
-
-        node = MaskApplyOp(array_rdd._logical, self)
-        return ArrayRDD(None, array_rdd.meta, array_rdd.context,
-                        logical=node)
+        joined = array_rdd.rdd.join(self.rdd)
+        return array_rdd._derive(
+            joined, ChunkPlan(MaskApplySource(), (DropEmpty(),)),
+            array_rdd._chunk_ids)
 
     def count_valid(self) -> int:
         return self.rdd.map(lambda kv: kv[1].count()).fold(
@@ -241,7 +240,7 @@ class MaskRDD:
         without compiling anything into the mask's state."""
         from repro.engine import explain as explain_mod
 
-        lines = ["Logical plan:",
+        lines = ["Plan:",
                  f"  mask[shape={self.meta.shape} "
                  f"chunk={self.meta.chunk_shape}]"]
         for lo, hi in self._boxes:

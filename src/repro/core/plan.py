@@ -5,11 +5,12 @@ Every narrow ArrayRDD operator — ``map_values``, ``filter``,
 ``(payload, bitmask)``. Executed eagerly, a chain of k such operators
 re-encodes every chunk k times: decode offsets/values, transform, pack a
 fresh bitmask, build a fresh :class:`~repro.core.chunk.Chunk`. This
-module replaces that with a tiny logical plan: operators *append a
-kernel* to a pending :class:`ChunkPlan`, and when an action (or a wide
-operator, or ``cache()``) forces evaluation the whole chain compiles to
-**one** ``map_partitions`` pass — one decode, one kernel pipeline over
-plain offset/value vectors, one encode per surviving chunk.
+module replaces that with one plan layer: operators *append a kernel*
+to a pending :class:`ChunkPlan`, which makes two exact rewrites as the
+kernel goes in (:meth:`ChunkPlan.then`). When an action (or a wide
+operator, or ``cache()``) forces evaluation, the whole chain compiles
+to **one** ``map_partitions`` pass — one decode, one kernel pipeline
+over plain offset/value vectors, one encode per surviving chunk.
 
 The contract is strict: a compiled plan is byte-identical to chaining
 the per-chunk :class:`~repro.core.chunk.Chunk` operators one at a time,
@@ -205,39 +206,15 @@ class MapValuesKernel:
         state.eager_builds += 1
 
 
-class ScalarOpKernel:
-    """Scalar arithmetic (``a * 2``, ``2 ** a``, ...) as a fusable kernel."""
-
-    def __init__(self, op, scalar, reflected: bool = False,
-                 name: str = None):
-        self.op = op
-        self.scalar = scalar
-        self.reflected = reflected
-        self.label = f"scalar_{name or getattr(op, '__name__', 'op')}"
-
-    def apply(self, chunk_id, state: KernelState) -> None:
-        if self.reflected:
-            new_values = np.asarray(self.op(self.scalar, state.values))
-        else:
-            new_values = np.asarray(self.op(state.values, self.scalar))
-        if new_values.shape != state.values.shape:
-            raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        state.values = new_values
-        state.rebuilt = True
-        state.eager_builds += 1
-
-
 class FoldedScalarKernel:
-    """Several adjacent scalar ops applied in one kernel dispatch.
+    """Adjacent scalar ops applied in one kernel dispatch.
 
     ``stages`` is a tuple of ``(op, scalar, reflected, name)`` applied
-    strictly in order — the same arithmetic sequence the individual
-    :class:`ScalarOpKernel` chain would perform, so the fold is
-    bit-identical; it only saves the per-kernel dispatch and shape
-    checks between stages. Produced by the logical optimizer's
-    adjacent-scalar folding rule.
+    strictly in order — the same arithmetic sequence one kernel per op
+    would perform, so the fold is bit-identical; it only saves the
+    per-kernel dispatch and shape checks between stages.
+    :meth:`ChunkPlan.then` builds it when a scalar kernel follows
+    another.
     """
 
     def __init__(self, stages):
@@ -260,6 +237,16 @@ class FoldedScalarKernel:
         state.values = new_values
         state.rebuilt = True
         state.eager_builds += len(self.stages)
+
+
+class ScalarOpKernel(FoldedScalarKernel):
+    """Scalar arithmetic (``a * 2``, ``2 ** a``, ...): a one-stage fold."""
+
+    def __init__(self, op, scalar, reflected: bool = False,
+                 name: str = None):
+        name = name or getattr(op, "__name__", "op")
+        super().__init__(((op, scalar, reflected, name),))
+        self.label = f"scalar_{name}"
 
 
 class FilterKernel:
@@ -473,18 +460,20 @@ class _CompiledPlanPass:
 class ChunkPlan:
     """An immutable chain of chunk kernels over an optional source.
 
-    ``then(kernel)`` extends the chain (returning a new plan);
-    ``compile(base_rdd, metrics)`` lowers the whole chain to a single
-    ``map_partitions`` pass named after its pipeline
+    ``then(kernel)`` extends the chain (returning a new plan) and makes
+    the plan's exact rewrites as it does; ``rules`` names the ones that
+    fired, in order. ``compile(base_rdd, metrics)`` lowers the whole
+    chain to a single ``map_partitions`` pass named after its pipeline
     (``fused[filter→map→mask_and]``), so the scheduler runs the chain
     as one task per partition and ``explain`` shows the fusion.
     """
 
-    __slots__ = ("source", "kernels")
+    __slots__ = ("source", "kernels", "rules")
 
     def __init__(self, source: ChunkSource = None, kernels=()):
         self.source = source if source is not None else _CHUNK_SOURCE
         self.kernels = tuple(kernels)
+        self.rules = ()
 
     @classmethod
     def identity(cls) -> "ChunkPlan":
@@ -495,7 +484,35 @@ class ChunkPlan:
         return self.source is _CHUNK_SOURCE and not self.kernels
 
     def then(self, kernel) -> "ChunkPlan":
-        return ChunkPlan(self.source, self.kernels + (kernel,))
+        """The plan with ``kernel`` appended, rewritten where a rule
+        matches. Both rules keep every chunk byte-identical to the
+        chain as written:
+
+        - ``fold_scalars``: a scalar kernel after a scalar or folded
+          kernel joins it in one :class:`FoldedScalarKernel`.
+        - ``subarray_before_scalar``: a :class:`MaskAndKernel` goes in
+          before the trailing run of scalar kernels, so pruned chunks
+          drop before any arithmetic. Scalar kernels are strictly
+          element-wise; ``map`` and ``filter`` callables may read the
+          whole value vector, so they are never reordered.
+        """
+        kernels = self.kernels
+        cut = len(kernels)
+        while cut and isinstance(kernels[cut - 1], FoldedScalarKernel):
+            cut -= 1
+        rule = None
+        if isinstance(kernel, FoldedScalarKernel) and cut < len(kernels):
+            rule = "fold_scalars"
+            kernels = kernels[:-1] + (FoldedScalarKernel(
+                kernels[-1].stages + kernel.stages),)
+        elif isinstance(kernel, MaskAndKernel) and cut < len(kernels):
+            rule = "subarray_before_scalar"
+            kernels = kernels[:cut] + (kernel,) + kernels[cut:]
+        else:
+            kernels = kernels + (kernel,)
+        plan = ChunkPlan(self.source, kernels)
+        plan.rules = self.rules + ((rule,) if rule else ())
+        return plan
 
     def stage_labels(self) -> list:
         labels = [self.source.label] if self.source.label else []

@@ -42,6 +42,8 @@ __all__ = [
     "RecordBatch",
     "ScalarValues",
     "VALUE_PACK_BYTE_LIMIT",
+    "canonical_dtype",
+    "canonical_values",
     "combine_runs",
     "group_indices_by_partition",
     "pack_int_keys",
@@ -70,6 +72,29 @@ def canonical_dtype(array: np.ndarray) -> np.ndarray:
         if canonical is not array.dtype:
             return array.view(canonical)
     return array
+
+
+def canonical_values(value, memo=None):
+    """``value`` with the ndarrays in its tuples and lists re-interned
+    (:func:`canonical_dtype`), for data that arrives by ``pickle.loads``
+    outside the packed codecs. Lists are rewritten in place; ``memo``
+    keeps what the pickle shared shared. Other objects are not walked.
+    """
+    if memo is None:
+        memo = {}
+    if id(value) in memo:
+        return memo[id(value)]
+    out = value
+    if type(value) is np.ndarray:
+        out = canonical_dtype(value)
+    elif type(value) is tuple:
+        items = tuple(canonical_values(item, memo) for item in value)
+        if any(a is not b for a, b in zip(items, value)):
+            out = items
+    elif type(value) is list:
+        value[:] = [canonical_values(item, memo) for item in value]
+    memo[id(value)] = out
+    return out
 
 
 def pack_int_keys(records):

@@ -13,9 +13,9 @@ compiled ChunkPlan appears as a single RDD named after its pipeline —
 RDD hop per operator. :func:`fused_pipelines` extracts those labels.
 
 This module renders the *physical* half of ``ArrayRDD.explain()``: the
-logical tree and the rewrites applied to it live in
-:mod:`repro.core.logical` / :mod:`repro.core.optimizer`; what they
-lower to is the RDD graph staged here.
+pending plan and the rewrites made while it was built live in
+:mod:`repro.core.plan`; what it compiles to is the RDD graph staged
+here.
 """
 
 from __future__ import annotations

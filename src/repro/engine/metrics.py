@@ -56,8 +56,8 @@ recomputations             counter  count  engine.storage    lost cached partiti
 task_retries               counter  count  engine.worker     task attempts after a failure
 kernels_fused              counter  count  core.plan         kernels compiled into fused passes
 fused_chunks_avoided       counter  count  core.plan         intermediate chunks fused passes skip
-optimizer_rules_fired      counter  count  core.optimizer    rewrite rules applied while lowering
-optimizer_chunks_pruned    counter  count  core.optimizer    chunks pruned before scheduling
+optimizer_rules_fired      counter  count  core.optimizer    plan rewrites fired, recorded at compile
+optimizer_chunks_pruned    counter  count  core.optimizer    chunk records the rewrites keep out of kernels
 shm_segments_created       counter  count  engine.shm        shared-memory segments created
 shm_bytes_mapped           counter  bytes  engine.shm        segment bytes mapped into a process
 worker_respawns            counter  count  engine.worker     worker pools replaced after a crash

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
-
-from repro.engine.batches import canonical_dtype, pack_values
+from repro.engine.batches import canonical_values, pack_values
 
 #: spill codecs tried in order; each ``probe(values)`` returns a packed
 #: column (``unpack()`` byte-identical, ``nbytes``) or None to decline
@@ -69,28 +67,9 @@ def encode_block(records) -> bytes:
     return pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _canonical(value, memo: dict):
-    """``value`` with the ndarrays in its tuples and lists re-interned
-    (:func:`~repro.engine.batches.canonical_dtype`); ``memo`` keeps
-    what the pickle shared shared."""
-    if id(value) in memo:
-        return memo[id(value)]
-    out = value
-    if type(value) is np.ndarray:
-        out = canonical_dtype(value)
-    elif type(value) is tuple:
-        items = tuple(_canonical(item, memo) for item in value)
-        if any(a is not b for a, b in zip(items, value)):
-            out = items
-    elif type(value) is list:
-        value[:] = [_canonical(item, memo) for item in value]
-    memo[id(value)] = out
-    return out
-
-
 def decode_block(data: bytes) -> list:
     """Rebuild the partition a spill file holds, byte-identically."""
     body = pickle.loads(data)
     if "records" in body:
-        return _canonical(body["records"], {})
+        return canonical_values(body["records"])
     return list(zip(body["keys"], body["column"].unpack()))

@@ -46,7 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine import shm as shm_mod
 from repro.engine import spill as spill_mod
-from repro.engine.batches import RecordBatch
+from repro.engine.batches import RecordBatch, canonical_values
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.metrics import COUNTER_FIELDS, MetricsRegistry
 from repro.engine.rdd import LineageStub
@@ -496,8 +496,11 @@ class ProcessTaskRunner:
     # -- task entry points ------------------------------------------------
 
     def run_result(self, rdd, index, partition_func, parent_span=None):
-        return self._run(ResultTask(rdd, index, partition_func),
-                         parent_span)
+        # a reply's arrays decode with dtypes equal to, but not, numpy's
+        # singletons; re-interned, a collected result pickles as the
+        # serial backend's does
+        return canonical_values(self._run(
+            ResultTask(rdd, index, partition_func), parent_span))
 
     def run_shuffle_map(self, rdd, which, parent_index,
                         parent_span=None):
@@ -586,7 +589,7 @@ class ProcessTaskRunner:
             nodes = {node.rdd_id: node
                      for node in lineage_nodes(task.roots())}
             for rdd_id, index, data, allow_spill in contributions:
-                context.cache.put(rdd_id, index, data,
+                context.cache.put(rdd_id, index, canonical_values(data),
                                   allow_spill=allow_spill)
                 node = nodes.get(rdd_id)
                 if node is not None:

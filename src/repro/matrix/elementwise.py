@@ -9,11 +9,11 @@ pairs are multiplied at all — if either bit is unset the product is zero
 When the operands share a partitioner these are embarrassingly parallel:
 the underlying joins are narrow and no data moves.
 
-Each operation is a combine followed by a nonzero filter, recorded as
-an :class:`~repro.core.logical.ElementwiseOp` under a
-:class:`~repro.core.logical.FilterOp`. At lowering the whole chain —
-the elementwise merge source, the drop-empty kernel, and the nonzero
-``FilterKernel`` — compiles to a single fused pass per chunk
+Each operation is a combine followed by a nonzero filter: the combine
+joins the operands and the filter appends to the join's pending
+ChunkPlan. The whole chain — the elementwise merge source, the
+drop-empty kernel, and the nonzero ``FilterKernel`` — compiles to a
+single fused pass per chunk
 (``fused[combine_or→drop_empty→filter]`` in the stage plan) instead of
 building an intermediate combined chunk and re-encoding it.
 """

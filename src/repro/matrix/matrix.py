@@ -135,9 +135,9 @@ class SpangleMatrix:
         self.array.materialize()
         return self
 
-    def explain(self, optimized: bool = False) -> str:
-        """The recorded plan (see :meth:`ArrayRDD.explain`)."""
-        return self.array.explain(optimized=optimized)
+    def explain(self) -> str:
+        """The pending plan (see :meth:`ArrayRDD.explain`)."""
+        return self.array.explain()
 
     # ------------------------------------------------------------------
     # conversions

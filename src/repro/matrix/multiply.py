@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
-from repro.core.logical import MatmulOp
 from repro.core.metadata import ArrayMetadata
 from repro.engine import HashPartitioner
 from repro.engine.partitioner import ExplicitPartitioner
@@ -318,25 +317,17 @@ def prepare_local(left, right, num_partitions=None):
 def block_matmul(left, right, local_join: bool = False):
     """``left × right`` as a SpangleMatrix.
 
-    Recorded as a logical :class:`~repro.core.logical.MatmulOp`;
-    :func:`lower_matmul` runs the actual three-stage plan when an
-    action forces it.
+    Builds the three-stage plan over the operands' RDDs now; like every
+    engine RDD it runs only when an action forces it.
     """
     from repro.matrix.matrix import SpangleMatrix
 
     _check_dims(left, right)
     meta = _result_meta(left, right)
-    node = MatmulOp(left, right, local_join, meta)
-    return SpangleMatrix(ArrayRDD(None, meta, left.context, logical=node))
-
-
-def lower_matmul(node: MatmulOp, context):
-    """Lower a recorded matmul node to its concrete chunk RDD."""
-    left, right = node.left, node.right
-    out_grid_rows = node.meta.chunk_grid[0]
+    out_grid_rows = meta.chunk_grid[0]
     kernel = _BlockKernel(tuple(left.block_shape),
                           tuple(right.block_shape))
-    if node.local_join:
+    if local_join:
         partials = _local_join_partials(left, right, kernel)
     else:
         partials = _shuffled_partials(left, right, kernel)
@@ -346,7 +337,7 @@ def lower_matmul(node: MatmulOp, context):
         lambda kv: (kv[0][0] + kv[0][1] * out_grid_rows, kv[1])
     )
     summed = keyed.reduce_by_key(_merge_partials)
-    return _assemble(context, summed, node.meta).rdd
+    return SpangleMatrix(_assemble(left.context, summed, meta))
 
 
 def _shuffled_partials(left, right, kernel):

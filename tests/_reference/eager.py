@@ -3,8 +3,9 @@
 Replays ArrayRDD operators one at a time over driver-side chunks with
 the :class:`~repro.core.chunk.Chunk` primitives — ``map_values``,
 ``filter``, ``and_mask``, ``elementwise``, ``repack`` — building a fresh
-chunk per operator and dropping chunks left with no valid cell. A fused
-ChunkPlan pass must be byte-identical to this chain in every chunk mode.
+chunk per operator, in the order written, and dropping chunks left with
+no valid cell. A fused ChunkPlan pass, rewrites included, must be
+byte-identical to this chain in every chunk mode.
 
 :class:`EagerArray` mirrors the ArrayRDD operator surface, so one test
 lambda (``lambda a: a.subarray(lo, hi) * 2.0``) drives both.
@@ -69,6 +70,13 @@ class EagerArray:
             return chunk.and_mask(Bitmask.from_bools(inside))
 
         return self._each(restrict)
+
+    def partition_by(self, _partitioner) -> "EagerArray":
+        # placement moves chunks between partitions, never changes one
+        return EagerArray(dict(self.chunks), self.meta)
+
+    def repartition(self, _num_partitions) -> "EagerArray":
+        return self.partition_by(None)
 
     def mask_apply(self, masks: dict) -> "EagerArray":
         """AND every chunk with its ``{chunk_id: Bitmask}`` entry; chunks

@@ -255,3 +255,21 @@ class TestCaching:
         arr.materialize()
         arr.unpersist()
         assert ctx.cache.block_count() == 0
+
+    @pytest.mark.parametrize("derive", [
+        pytest.param(lambda a: (a * 2).cache(), id="cached_derived"),
+        pytest.param(lambda a: a.cache(), id="cached_source"),
+    ])
+    def test_unpersist_derived_keeps_parent_cache(self, ctx, derive):
+        arr, _d, _v = random_array(ctx, seed=19)
+        parent = derive(arr)
+        parent.count_valid()
+        cached = ctx.cache.block_count()
+        assert cached > 0
+        # unpersisting an array drops only its own RDD's blocks: these
+        # children were never computed, so nothing of theirs is cached
+        (parent + 1).unpersist()
+        parent.subarray((0, 0), (15, 15)).unpersist()
+        assert ctx.cache.block_count() == cached
+        parent.unpersist()
+        assert ctx.cache.block_count() == 0

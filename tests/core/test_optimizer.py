@@ -1,22 +1,23 @@
-"""Correctness tests for the rule-based logical rewrite optimizer.
+"""Plan rewrites against the eager replay.
 
-The contract: an optimized plan must be *byte-identical* — same chunk
-IDs, same modes, same payload bytes, same bitmask words — to lowering
-the recorded plan exactly as written (``lower_to_rdd`` on the logical
-tree, no rule applied), across randomized operator chains and all three
-execution backends.
-The rewrites only reorder/merge work; they never change what a chunk
-contains.
+``ChunkPlan.then`` makes two exact rewrites as a kernel is appended:
+adjacent scalar kernels fold into one, and a subarray goes in before
+the trailing scalar kernels. The contract: every built plan is
+*byte-identical* — same chunk IDs, same modes, same payload bytes, same
+bitmask words — to replaying its operators as written, one chunk at a
+time, with ``tests._reference.eager`` (which shares no ChunkPlan
+kernel), across randomized operator chains, all three chunk modes and
+all three execution backends. Rule assertions read ``explain()`` and
+the ``optimizer_*`` counter deltas.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ArrayRDD, ChunkMode
-from repro.core.logical import lower_to_rdd
-from repro.core.optimizer import optimize
 from repro.engine import ClusterContext
 from repro.matrix import SpangleMatrix
+from tests._reference.eager import EagerArray
 
 
 @pytest.fixture()
@@ -31,18 +32,14 @@ def make_array(ctx, shape=(40, 40), chunk=(10, 10), density=0.4, seed=0):
     return ArrayRDD.from_numpy(ctx, data, chunk, valid=valid)
 
 
-def as_written(arr):
-    """The recorded plan lowered exactly as written: no rule applied."""
-    return lower_to_rdd(arr._logical, arr.context, None)
+def replay(build, *arrays):
+    """``build`` over the arrays, and over their eager replays."""
+    return build(*arrays), build(*map(EagerArray.of, arrays))
 
 
-def valid_cells(rdd) -> int:
-    return rdd.map(lambda kv: kv[1].valid_count).fold(0, lambda a, b: a + b)
-
-
-def assert_byte_identical(got_arr, want_rdd):
+def assert_byte_identical(got_arr, eager):
     got_chunks = dict(got_arr.rdd.collect())
-    want_chunks = dict(want_rdd.collect())
+    want_chunks = eager.chunks
     assert got_chunks.keys() == want_chunks.keys()
     for chunk_id, got in got_chunks.items():
         want = want_chunks[chunk_id]
@@ -101,15 +98,8 @@ class TestRandomizedChains:
     def test_optimized_matches_as_written(self, ctx, seed):
         arr = make_array(ctx, seed=seed)
         ops = random_chain(arr.meta, np.random.default_rng(1000 + seed))
-        got_arr = apply_chain(arr, ops)
-        want = dict(as_written(got_arr).collect())
-        got = dict(got_arr.rdd.collect())
-        assert got.keys() == want.keys()
-        for chunk_id, chunk in got.items():
-            assert chunk.payload.tobytes() == \
-                want[chunk_id].payload.tobytes(), chunk_id
-            assert np.array_equal(chunk.flat_mask().words,
-                                  want[chunk_id].flat_mask().words)
+        got, want = replay(lambda a: apply_chain(a, ops), arr)
+        assert_byte_identical(got, want)
 
     @pytest.mark.parametrize("kwargs", [
         pytest.param({}, id="serial"),
@@ -120,36 +110,41 @@ class TestRandomizedChains:
         with ClusterContext(num_executors=2, **kwargs) as ctx:
             arr = make_array(ctx, shape=(24, 24), chunk=(8, 8), seed=3)
             ops = random_chain(arr.meta, np.random.default_rng(42))
-            got = apply_chain(arr, ops)
-            assert_byte_identical(got, as_written(got))
+            got, want = replay(lambda a: apply_chain(a, ops), arr)
+            assert_byte_identical(got, want)
 
     @pytest.mark.parametrize("density", [0.9, 0.2, 0.002])
     def test_densities(self, ctx, density):
         arr = make_array(ctx, shape=(64, 64), chunk=(32, 32),
                          density=density, seed=7)
-        chain = (arr * 2.0 + 1.0).repartition(3).subarray((5, 5), (50, 50))
-        assert_byte_identical(chain, as_written(chain))
+        got, want = replay(
+            lambda a: (a * 2.0 + 1.0).repartition(3)
+            .subarray((5, 5), (50, 50)), arr)
+        assert_byte_identical(got, want)
 
 
 class TestSubarrayAfterShuffle:
     def test_pushdown_is_byte_identical(self, ctx):
         arr = make_array(ctx, shape=(48, 48), chunk=(12, 12), seed=5)
-        got = arr.repartition(8).subarray((2, 2), (13, 13))
-        assert_byte_identical(got, as_written(got))
+        got, want = replay(
+            lambda a: a.repartition(8).subarray((2, 2), (13, 13)), arr)
+        assert_byte_identical(got, want)
 
 
 class TestMaskOnlyConsumers:
     def test_count_valid_matches_as_written(self, ctx):
         arr = make_array(ctx, shape=(40, 40), chunk=(10, 10), seed=11)
-        chain = (arr * 3.0).map_values(lambda xs: xs + 1) \
-            .subarray((3, 3), (18, 18))
-        assert chain.count_valid() == valid_cells(as_written(chain))
+        got, want = replay(
+            lambda a: (a * 3.0).map_values(lambda xs: xs + 1)
+            .subarray((3, 3), (18, 18)), arr)
+        assert got.count_valid() == want.count_valid()
 
     def test_nested_subarrays(self, ctx):
         arr = make_array(ctx, seed=17)
-        got = arr.subarray((0, 0), (25, 25)).subarray((4, 4), (30, 30))
-        want = as_written(got)
-        assert got.count_valid() == valid_cells(want)
+        got, want = replay(
+            lambda a: a.subarray((0, 0), (25, 25))
+            .subarray((4, 4), (30, 30)), arr)
+        assert got.count_valid() == want.count_valid()
         assert_byte_identical(got, want)
 
 
@@ -157,16 +152,18 @@ class TestElementwisePushdown:
     def test_subarray_into_both_operands(self, ctx):
         a = make_array(ctx, seed=21)
         b = make_array(ctx, seed=22)
-        got = a.combine(b, np.add, how="or", fill=0.0) \
-            .subarray((2, 2), (17, 17))
-        assert_byte_identical(got, as_written(got))
+        got, want = replay(
+            lambda x, y: x.combine(y, np.add, how="or", fill=0.0)
+            .subarray((2, 2), (17, 17)), a, b)
+        assert_byte_identical(got, want)
 
     def test_and_join(self, ctx):
         a = make_array(ctx, seed=23)
         b = make_array(ctx, seed=24)
-        got = a.combine(b, np.multiply, how="and") \
-            .subarray((5, 5), (30, 30))
-        assert_byte_identical(got, as_written(got))
+        got, want = replay(
+            lambda x, y: x.combine(y, np.multiply, how="and")
+            .subarray((5, 5), (30, 30)), a, b)
+        assert_byte_identical(got, want)
 
 
 class TestMatmulPushdown:
@@ -180,45 +177,57 @@ class TestMatmulPushdown:
 
     def test_restricted_product_is_byte_identical(self, ctx):
         ma, mb = self.make_matrices(ctx)
-        got = ma.multiply(mb).array.subarray((0, 0), (7, 7))
-        assert_byte_identical(got, as_written(got))
+        got, want = replay(lambda p: p.subarray((0, 0), (7, 7)),
+                           ma.multiply(mb).array)
+        assert_byte_identical(got, want)
 
     def test_unrestricted_product_unchanged(self, ctx):
         ma, mb = self.make_matrices(ctx)
         got = ma.multiply(mb)
-        assert_byte_identical(got.array, as_written(got.array))
+        # a second, separately built product replays to the same bytes
+        assert_byte_identical(got.array,
+                              EagerArray.of(ma.multiply(mb).array))
+        assert np.allclose(got.to_numpy(),
+                           ma.to_numpy() @ mb.to_numpy())
 
 
 class TestEscapeHatchAndExplain:
-    def test_disable_lowers_as_written(self, ctx):
+    def test_wide_operator_records_operand_rewrites(self, ctx):
         arr = make_array(ctx, seed=41)
-        chain = (arr * 2.0 + 1.0).repartition(4)
-        assert chain.explain(optimized=True).count("fold_scalars")
-        # lowering the recorded tree directly applies no rule, yet keeps
-        # the same chunks: of the two reads, only the optimized one
-        # records its fold
         before = ctx.metrics.snapshot()
-        lowered = as_written(chain)
-        assert lowered.count() == chain.num_chunks_materialized()
+        chain = (arr * 2.0 + 1.0).repartition(4)
+        # the repartition compiled its operand's folded plan, and
+        # recorded the fold then; reading the result records nothing new
+        assert (ctx.metrics.snapshot() - before).optimizer_rules_fired == 1
+        assert "fold[mul+add]" in chain.explain()
+        want = (EagerArray.of(arr) * 2.0 + 1.0).repartition(4)
+        assert_byte_identical(chain, want)
+        assert chain.num_chunks_materialized() == len(want.chunks)
         delta = ctx.metrics.snapshot() - before
         assert delta.optimizer_rules_fired == 1
 
     def test_explain_sections(self, ctx):
         arr = make_array(ctx, seed=43)
         chain = (arr * 2.0 + 1.0).subarray((0, 0), (19, 19))
-        text = chain.explain(optimized=True)
-        assert "Logical plan:" in text
-        assert "Optimized plan" in text
+        text = chain.explain()
+        assert "Plan: parallelize → mask_and → fold[mul+add]" in text
+        assert "Rewrites: 2 fired (fold_scalars, " \
+            "subarray_before_scalar)" in text
         assert "Physical plan:" in text
-        assert "fold_scalars" in text
-        plain = chain.explain()
-        assert "Optimized plan" not in plain
+        assert "fused[mask_and→fold[mul+add]]" in text
 
     def test_explain_does_not_compile(self, ctx):
         arr = make_array(ctx, seed=47)
-        chain = (arr * 2.0 + 1.0).repartition(3)
-        assert "fold_scalars" in chain.explain(optimized=True)
-        assert chain._compiled is None
+        folded = arr * 2.0 + 1.0
+        before = ctx.metrics.snapshot()
+        assert "fold_scalars" in folded.explain()
+        delta = ctx.metrics.snapshot() - before
+        assert folded._compiled is None
+        assert delta.optimizer_rules_fired == 0
+        assert delta.kernels_fused == 0
+        # a wide operator is what compiles the operand
+        folded.repartition(3)
+        assert folded._compiled is not None
 
     def test_mask_rdd_explain(self, ctx):
         from repro.core import MaskRDD
@@ -232,13 +241,13 @@ class TestEscapeHatchAndExplain:
     def test_no_beneficial_rewrite_leaves_plan_alone(self, ctx):
         arr = make_array(ctx, seed=59)
         chain = arr.map_values(lambda xs: xs * 2)
-        text = chain.explain(optimized=True)
-        assert "0 rules fired: none" in text
+        text = chain.explain()
+        assert "Rewrites: 0 fired (none)" in text
 
 
 class TestCalibratedBox:
     """The ``((a * gain) + offset).subarray(box).sum()`` chain: the two
-    scalar ops fold, then the box hoists below the fold."""
+    scalar kernels fold, then the box goes in before the fold."""
 
     @pytest.mark.parametrize("mode", list(ChunkMode))
     def test_fold_then_hoist_matches_numpy(self, ctx, mode):
@@ -247,18 +256,19 @@ class TestCalibratedBox:
         valid = rng.random((40, 40)) < 0.4
         arr = ArrayRDD.from_numpy(ctx, data, (10, 10), valid=valid,
                                   mode=mode)
-        chain = ((arr * 1.5) + 0.25).subarray((10, 10), (29, 29))
-        text = chain.explain(optimized=True)
-        assert "2 rules fired: fold_scalars, subarray_before_scalar;" \
-            in text
+        chain, want = replay(
+            lambda a: ((a * 1.5) + 0.25).subarray((10, 10), (29, 29)), arr)
+        text = chain.explain()
+        assert "2 fired (fold_scalars, subarray_before_scalar);" in text
         before = ctx.metrics.snapshot()
         got = chain.sum()
         delta = ctx.metrics.snapshot() - before
         assert delta.optimizer_rules_fired == 2
         assert delta.optimizer_chunks_pruned > 0
         inside = valid[10:30, 10:30]
-        want = (data[10:30, 10:30] * 1.5 + 0.25)[inside].sum()
-        assert got == pytest.approx(want, rel=1e-12)
+        expected = (data[10:30, 10:30] * 1.5 + 0.25)[inside].sum()
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert_byte_identical(chain, want)
 
     @pytest.mark.parametrize("box,density", [
         pytest.param(((0, 0), (39, 39)), 0.4, id="whole_array_box"),
@@ -269,20 +279,31 @@ class TestCalibratedBox:
         # exact rewrites apply wherever they match, even when the box
         # prunes no chunk or there is no chunk to prune
         arr = make_array(ctx, density=density, seed=73)
-        chain = ((arr * 1.5) + 0.25).subarray(*box)
-        _tree, fired, _pruned = optimize(chain._logical)
-        assert fired == ["fold_scalars", "subarray_before_scalar"]
-        assert_byte_identical(chain, as_written(chain))
+        chain, want = replay(
+            lambda a: ((a * 1.5) + 0.25).subarray(*box), arr)
+        assert "(fold_scalars, subarray_before_scalar)" in chain.explain()
+        assert_byte_identical(chain, want)
+
+    def test_hoist_then_fold_across_the_box(self, ctx):
+        # the box goes in before the multiply, and the add appended
+        # after the box then folds into that same scalar kernel
+        arr = make_array(ctx, seed=79)
+        chain, want = replay(
+            lambda a: (a * 2.0).subarray((10, 10), (29, 29)) + 1.0, arr)
+        assert chain.rdd.name == "fused[mask_and→fold[mul+add]]"
+        assert "(subarray_before_scalar, fold_scalars)" in chain.explain()
+        assert_byte_identical(chain, want)
 
 
 class TestScalarFolding:
     def test_long_scalar_chain_folds_and_matches(self, ctx):
         arr = make_array(ctx, seed=61)
-        got = ((arr * 2.0 + 1.0) / 3.0 - 0.5) * 1.5
-        assert_byte_identical(got, as_written(got))
-        assert "fold_scalars" in got.explain(optimized=True)
+        got, want = replay(
+            lambda a: ((a * 2.0 + 1.0) / 3.0 - 0.5) * 1.5, arr)
+        assert_byte_identical(got, want)
+        assert "fold_scalars" in got.explain()
 
     def test_fold_runs_single_kernel(self, ctx):
         arr = make_array(ctx, seed=67)
-        text = (arr * 2.0 + 1.0 - 3.0).explain(optimized=True)
+        text = (arr * 2.0 + 1.0 - 3.0).explain()
         assert "fold[mul+add+sub]" in text

@@ -14,6 +14,7 @@ import os
 import pickle
 import signal
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -245,6 +246,33 @@ class TestTraceAdoption:
         # same logical span tree: worker-side spans (shuffle writes,
         # plan passes) re-parent under the driver's task spans
         assert serial_tree == process_tree
+
+
+def _arrays_job(ctx):
+    records = [(i, np.arange(4.0) + i) for i in range(8)]
+    return ctx.parallelize(records, 4).map(lambda kv: (kv[0], kv[1] * 2))
+
+
+class TestReplyDtypes:
+    """Arrays unpickled from a worker reply carry numpy's canonical
+    dtype objects; pickle memoizes dtypes by identity, so otherwise a
+    whole collected result pickles differently from the serial one."""
+
+    def test_collected_result_pickles_as_serial(self):
+        with ClusterContext(num_executors=2) as serial_ctx:
+            serial = _arrays_job(serial_ctx).collect()
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            process = _arrays_job(ctx).collect()
+        assert pickle.dumps(process) == pickle.dumps(serial)
+
+    def test_cache_contributions_carry_canonical_dtypes(self):
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            rdd = _arrays_job(ctx).cache()
+            rdd.count()
+            found, records = ctx.cache.get(rdd.rdd_id, 0)
+            assert found and records
+            for _key, arr in records:
+                assert arr.dtype is np.dtype(arr.dtype.str)
 
 
 class TestBackendValidation:

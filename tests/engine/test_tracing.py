@@ -101,7 +101,7 @@ class TestSpanTree:
         plans = [s for s in ctx.tracer.spans() if s.kind == "plan"]
         assert plans, "fused chain should record plan spans"
         for span in plans:
-            # the optimizer folds the adjacent scalar ops into one kernel
+            # the plan folds the adjacent scalar ops into one kernel
             assert span.attrs["kernels"] == [
                 "fold[mul+add]", "map", "filter"]
             assert span.attrs["chunks_in"] > 0
