@@ -23,6 +23,7 @@ from repro.bitmask.popcount import (
     popcount_words_naive,
     popcount_words_vectorized,
 )
+from repro.engine.batches import canonical_dtype
 from repro.errors import ArrayError
 
 _STRATEGIES = ("vectorized", "builtin", "naive", "milestone")
@@ -85,6 +86,13 @@ class Bitmask:
 
     def copy(self) -> "Bitmask":
         return Bitmask(self.num_bits, self._words.copy())
+
+    def __setstate__(self, state) -> None:
+        # unpickled words carry a dtype equal to numpy's singleton but
+        # not it; re-interned, the mask pickles as a fresh one does
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._words = canonical_dtype(self._words)
 
     # ------------------------------------------------------------------
     # bit access

@@ -22,6 +22,7 @@ from repro.bitmask.popcount import (
     per_word_popcounts,
     popcount_words_vectorized,
 )
+from repro.engine.batches import canonical_dtype
 from repro.errors import ArrayError
 
 
@@ -41,6 +42,13 @@ class HierarchicalBitmask:
         prefix = np.zeros(self._stored_words.size + 1, dtype=np.int64)
         np.cumsum(counts, out=prefix[1:])
         self._stored_prefix = prefix
+
+    def __setstate__(self, state) -> None:
+        # re-intern unpickled dtypes (see Bitmask.__setstate__)
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._stored_words = canonical_dtype(self._stored_words)
+        self._stored_prefix = canonical_dtype(self._stored_prefix)
 
     @classmethod
     def from_bitmask(cls, flat: Bitmask) -> "HierarchicalBitmask":

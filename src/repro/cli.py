@@ -13,7 +13,8 @@ Commands:
   additionally re-exports the log in Chrome ``trace_event`` format.
 - ``top``       — one dashboard frame from a saved ``*.trace.jsonl``:
   sparkline series for memory/tasks/shuffle from its gauge events,
-  per-worker rows, and its health events.
+  per-worker rows from its task spans, and the health events derived
+  from both.
 
 Both exit 2 on a file that is not a ``repro-trace`` v1 log.
 """
@@ -200,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override executor count for the "
                                 "utilization report")
     top = subparsers.add_parser(
-        "top", help="render a saved trace's gauges, workers and health "
-                    "events as one dashboard frame")
+        "top", help="render a saved trace's gauges, workers and the "
+                    "health read from it as one dashboard frame")
     top.add_argument("log", help="path to a *.trace.jsonl file")
     return parser
 

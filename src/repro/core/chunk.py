@@ -22,6 +22,7 @@ import enum
 import numpy as np
 
 from repro.bitmask import Bitmask, HierarchicalBitmask
+from repro.engine.batches import canonical_dtype
 from repro.errors import ArrayError, ModeError
 
 
@@ -62,6 +63,14 @@ class Chunk:
         self.payload = payload
         self.mask = mask
         self.num_cells = num_cells
+
+    def __setstate__(self, state) -> None:
+        # re-intern the unpickled payload dtype (the mask re-interns
+        # its own), so a chunk that crossed a process boundary pickles
+        # byte-identically to one built in place
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.payload = canonical_dtype(self.payload)
 
     # ------------------------------------------------------------------
     # constructors

@@ -32,12 +32,13 @@ slice of Spark that Spangle needs, in pure Python:
   :mod:`repro.engine.closure` (lambdas ship by value) and shuffle
   blocks / cached chunks exchanged zero-copy through
   ``multiprocessing`` shared memory (:mod:`repro.engine.shm`).
-- :mod:`repro.engine.telemetry` — health and gauges in the trace: a
-  traced job closes with a ``gauge`` event sampling every catalog
-  gauge and counter, threshold rules turn the samples into ``health``
-  events (``ctx.health()``), and the process backend's worker
-  heartbeats feed both; :mod:`repro.engine.top` renders a saved trace
-  as the ``repro top`` dashboard frame.
+- :mod:`repro.engine.telemetry` — gauges in the trace: a traced job
+  closes with a ``gauge`` event sampling every catalog gauge and
+  counter. :mod:`repro.engine.top` reads a recorded trace: its
+  ``health_events`` derives the threshold conditions (cache
+  watermark, spill rate, worker respawn, shuffle skew, nnz
+  imbalance) from the samples and job spans, and it renders the
+  ``repro top`` dashboard frame.
 """
 
 from repro.engine.batches import RecordBatch
@@ -53,12 +54,6 @@ from repro.engine.partitioner import (
 from repro.engine.rdd import RDD
 from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import CacheManager, StorageLevel
-from repro.engine.telemetry import (
-    HealthMonitor,
-    HealthReport,
-    WorkerHeartbeats,
-    prometheus_text,
-)
 from repro.engine.tracing import JobProfile, Span, Tracer
 
 __all__ = [
@@ -67,8 +62,6 @@ __all__ = [
     "ClusterCostModel",
     "CostReport",
     "ExecutorPool",
-    "HealthMonitor",
-    "HealthReport",
     "HashPartitioner",
     "NnzBalancedPartitioner",
     "JobProfile",
@@ -81,7 +74,5 @@ __all__ = [
     "StageScheduler",
     "StorageLevel",
     "Tracer",
-    "WorkerHeartbeats",
     "memory_report",
-    "prometheus_text",
 ]

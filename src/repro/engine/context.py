@@ -72,10 +72,11 @@ class ClusterContext:
     trace:
         Record a structured span tree for every job
         (:mod:`repro.engine.tracing`), each job closing with a
-        ``gauge`` sample of counters, cache ledger, shm residency, pool
-        occupancy and worker heartbeats that the health rules evaluate
-        (:mod:`repro.engine.telemetry`). Off by default; when off, the
-        instrumentation is a no-op attribute check.
+        ``gauge`` sample of counters, cache ledger, shm residency and
+        pool occupancy (:mod:`repro.engine.telemetry`), from which
+        :func:`repro.engine.top.health_events` reads the cluster's
+        health. Off by default; when off, the instrumentation is a
+        no-op attribute check.
     """
 
     def __init__(self, num_executors: int = 4, default_parallelism=None,
@@ -116,21 +117,10 @@ class ClusterContext:
         from repro.engine.shm import SharedSegmentRegistry
 
         self.shm_registry = SharedSegmentRegistry(self.metrics)
-        # the health monitor and heartbeat ledger exist on every
-        # context (traced or not) so fault paths — the worker pool's
-        # crash handler — can emit events unconditionally; they must
-        # exist BEFORE the process runner forks its workers
-        from repro.engine.telemetry import (
-            HealthMonitor,
-            NnzBalanceStats,
-            WorkerHeartbeats,
-        )
+        from repro.engine.telemetry import NnzBalanceStats, record_sample
 
-        self.health_monitor = HealthMonitor(tracer=self.tracer)
         # every traced job span closes with one gauge event under it
-        self.tracer.on_job_end = functools.partial(
-            self.health_monitor.observe_job, self)
-        self.worker_heartbeats = WorkerHeartbeats()
+        self.tracer.on_job_end = functools.partial(record_sample, self)
         self.nnz_stats = NnzBalanceStats()
         self.process_runner = None
         if backend == "process":
@@ -226,21 +216,6 @@ class ClusterContext:
                         self, index, lambda: rdd.iterator(index))
 
     # ------------------------------------------------------------------
-    # health
-    # ------------------------------------------------------------------
-
-    def health(self):
-        """The current health report. Fault-path events are always
-        recorded, traced or not; calling this evaluates the threshold
-        rules against a fresh gauge sample, so recovered conditions
-        clear."""
-        from repro.engine.telemetry import HealthReport
-
-        self.health_monitor.evaluate_now(self)
-        return HealthReport(self.health_monitor.status(),
-                            self.health_monitor.events())
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
@@ -283,7 +258,7 @@ class ClusterContext:
         Yields a holder that on exit carries ``wall_s``, ``delta`` (a
         :class:`MetricsSnapshot`) and ``report`` (the modeled
         :class:`CostReport`). On a traced context it also carries, from
-        the spans of the jobs that finished inside the block,
+        the spans of the jobs that started inside the block,
         ``stage_timings`` (their :class:`~repro.engine.tracing.StageProfile`
         s, kind ``"shuffle"`` or ``"result"``), ``task_times``,
         ``busy_task_s`` and ``utilization`` (busy task time over
@@ -292,7 +267,6 @@ class ClusterContext:
         """
         holder = _Measurement()
         before = self.metrics.snapshot()
-        _spans, mark = self.tracer.spans_from()
         start = time.perf_counter()
         try:
             yield holder
@@ -301,7 +275,10 @@ class ClusterContext:
             holder.delta = self.metrics.snapshot() - before
             holder.report = self.cost_model.report(holder.wall_s,
                                                    holder.delta)
-            spans, _mark = self.tracer.spans_from(mark)
+            # spans share the perf_counter clock, and a job's spans all
+            # start after the job does
+            spans = [span for span in self.tracer.spans()
+                     if span.start_s >= start]
             holder.stage_timings = [
                 stage for profile in profiles_from_spans(spans)
                 for stage in profile.stages]

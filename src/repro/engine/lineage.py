@@ -1,10 +1,10 @@
 """Lineage inspection and fault injection utilities.
 
 RDDs already carry their lineage (``RDD.dependencies``); this module adds
-driver-side tools used by tests and by the fault-tolerance example:
+driver-side tools used by tests and by the fault-tolerance example
+(stage counting lives in :func:`repro.engine.explain.count_stages`):
 
-- :func:`count_shuffle_boundaries` — static DAG analysis (stage
-  counting the way Spark's DAGScheduler would).
+- :func:`collect_rdds` — every distinct RDD of a DAG.
 - :class:`FaultInjector` — deterministically lose cached blocks and
   shuffle outputs mid-computation, so tests can assert that results are
   rebuilt from lineage instead of silently going wrong.
@@ -15,17 +15,6 @@ from __future__ import annotations
 import random
 
 from repro.engine.rdd import RDD, _ShuffleStageBase
-
-
-def count_shuffle_boundaries(rdd: RDD) -> int:
-    """Number of wide dependencies in the DAG rooted at ``rdd``.
-
-    Narrowed shuffles (parent already partitioned compatibly) do not
-    count — they will not move data.
-    """
-    return len(rdd.wide_slots()) + sum(
-        count_shuffle_boundaries(dep) for dep in rdd.dependencies
-    )
 
 
 def collect_rdds(rdd: RDD) -> list:

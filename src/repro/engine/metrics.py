@@ -8,8 +8,8 @@ snapshots before/after a job and feed the difference to the cost model.
 :data:`METRICS` is the one catalog of every counter and every gauge a
 gauge sample (``repro.engine.telemetry.collect_sample``) carries. The
 snapshot fields, :meth:`MetricsRegistry.add`, the worker → driver merge,
-the Prometheus exporter, ``repro top`` and the ``explain`` reports all
-read it: adding a metric is adding one row.
+``repro top`` and the ``explain`` reports all read it: adding a metric
+is adding one row.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ nnz.partition_max          gauge    cells  matrix            max partition nnz, 
 nnz.partition_mean         gauge    cells  matrix            mean partition nnz, last sparse stage
 nnz.imbalance              gauge    ratio  matrix            max over mean partition nnz
 nnz.partitions             gauge    count  matrix            partitions of the last sparse stage
-workers.known              gauge    count  engine.worker     workers in the heartbeat ledger
-workers.alive              gauge    count  engine.worker     worker processes still responding
 """
 
 #: every counter and gauge, in catalog order

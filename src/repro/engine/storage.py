@@ -132,8 +132,7 @@ class CacheManager:
         keyed by catalog name.
 
         ``cache.pressure`` is resident bytes over the budget (0.0 when
-        unbounded) — the eviction-pressure gauge the health monitor's
-        high-watermark rule reads.
+        unbounded): the eviction-pressure gauge.
         """
         with self._lock:
             resident = self._used_bytes

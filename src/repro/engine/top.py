@@ -3,10 +3,12 @@
 Reads a ``repro-trace`` event log (:func:`repro.engine.tracing.load_jsonl`,
 written by ``ctx.tracer.export_jsonl``): sparkline series for memory /
 tasks / shuffle from the ``gauge`` event closing each job, per-worker
-rows from the last of them, and the ``health`` spans as the event list.
+rows from the task spans the process backend names a ``worker`` pid
+on, and the health events :func:`health_events` reads from both.
 
-Pure stdlib; the renderer takes a span list and returns a string, so
-tests never need a terminal.
+Health is a read of the trace: the same span list, live or replayed
+from the log, gives the same events. Pure stdlib; the renderer takes a
+span list and returns a string, so tests never need a terminal.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 
 from repro.engine.metrics import METRICS_BY_NAME
-from repro.engine.tracing import load_jsonl
+from repro.engine.tracing import load_jsonl, profiles_from_spans
 
 #: eight levels + blank — the classic terminal sparkline ramp
 SPARK_CHARS = " ▁▂▃▄▅▆▇█"
@@ -36,6 +38,83 @@ DASHBOARD_SERIES = (
                  ("cache_spills", "spills/s"),
                  ("nnz.imbalance", "nnz skew"))),
 )
+
+
+#: health thresholds: cache resident bytes over the budget, spills per
+#: second between consecutive samples, max/mean partition nnz, and
+#: max/mean task time of a stage of at least two tasks
+WATERMARK = 0.9
+SPILLS_PER_SECOND = 5.0
+NNZ_IMBALANCE = 4.0
+TASK_SKEW = 4.0
+
+
+def _violations(sample, previous, stages):
+    """``(key, value, message)`` per condition ``sample`` violates;
+    ``previous`` is the sample before it (None for the first) and
+    ``stages`` the :class:`~repro.engine.tracing.StageProfile` s of the
+    job the sample closed."""
+    gauges, counters = sample["gauges"], sample["counters"]
+    budget = gauges.get("cache.budget_bytes")
+    resident = gauges.get("cache.resident_bytes", 0)
+    if budget and resident > WATERMARK * budget:
+        yield ("ledger_high_watermark", resident / budget,
+               f"cache ledger at {resident / budget:.0%} of its "
+               f"{budget:,} B budget")
+    imbalance = gauges.get("nnz.imbalance")
+    if imbalance is not None and imbalance >= NNZ_IMBALANCE:
+        yield ("nnz_imbalance", imbalance,
+               f"nnz load skewed {imbalance:.1f}x (max/mean partition "
+               f"nnz)")
+    if previous is not None and sample["t"] > previous["t"]:
+        rate = ((counters.get("cache_spills", 0)
+                 - previous["counters"].get("cache_spills", 0))
+                / (sample["t"] - previous["t"]))
+        if rate > SPILLS_PER_SECOND:
+            yield ("spill_rate_spike", rate,
+                   f"spilling {rate:.1f} blocks/s")
+    respawns = counters.get("worker_respawns", 0) - (
+        previous["counters"].get("worker_respawns", 0) if previous else 0)
+    if respawns > 0:
+        yield ("worker_respawn", respawns,
+               f"worker pool respawned {respawns} time(s)")
+    for stage in stages:
+        if len(stage.task_times) >= 2 and stage.skew >= TASK_SKEW:
+            yield (f"shuffle_skew:{stage.name}", stage.skew,
+                   f"stage {stage.name!r} skewed {stage.skew:.1f}x "
+                   f"(max/mean task time)")
+
+
+def health_events(spans) -> list:
+    """The health events a trace's spans record, oldest first.
+
+    Each ``gauge`` sample is checked against the thresholds above,
+    together with the sample before it and the stages of the job it
+    closed (read from :func:`~repro.engine.tracing.profiles_from_spans`).
+    A condition fires once on the transition into violation: none while
+    it holds, a new event after it clears and returns. An event is
+    ``{"rule", "value", "message", "at"}``, ``at`` the sample span's
+    start.
+    """
+    spans = sorted(spans, key=lambda span: span.span_id)
+    stages = {profile.job_span.span_id: profile.stages
+              for profile in profiles_from_spans(spans)}
+    events = []
+    active = set()
+    previous = None
+    for span in spans:
+        if span.kind != "gauge":
+            continue
+        found = set()
+        for key, value, message in _violations(
+                span.attrs, previous, stages.get(span.parent_id, ())):
+            found.add(key)
+            if key not in active:
+                events.append({"rule": key.split(":")[0], "value": value,
+                               "message": message, "at": span.start_s})
+        active = found
+        previous = span.attrs
+    return events
 
 
 def sparkline(values, width: int = 40) -> str:
@@ -91,7 +170,7 @@ def render_dashboard(spans, meta=None, width: int = 40) -> str:
     meta = meta or {}
     spans = sorted(spans, key=lambda span: span.span_id)
     samples = [span.attrs for span in spans if span.kind == "gauge"]
-    events = [span for span in spans if span.kind == "health"]
+    events = health_events(spans)
     last = samples[-1] if samples else {}
     counters = last.get("counters", {})
     lines = [f"repro top — executors={meta.get('num_executors', '?')} "
@@ -121,30 +200,26 @@ def render_dashboard(spans, meta=None, width: int = 40) -> str:
                 f"{_format_value(latest, style):>12}")
         lines.append("")
 
-    workers = last.get("workers", {})
+    workers = {}   # pid -> (tasks, last task span)
+    for span in spans:
+        pid = span.attrs.get("worker") if span.kind == "task" else None
+        if pid is not None:
+            tasks, _last = workers.get(pid, (0, None))
+            workers[pid] = (tasks + 1, span)
     if workers:
-        lines.append(f"[workers]  alive "
-                     f"{sum(1 for row in workers.values() if row['alive'])}"
-                     f"/{len(workers)}")
-        lines.append("  pid        state  tasks   last task")
-        for pid, row in sorted(workers.items(),
-                               key=lambda kv: int(kv[0])):
-            state = "up" if row["alive"] else "DEAD"
-            last_task = row.get("last_task_s")
-            last_text = f"{last_task * 1e3:.1f} ms" \
-                if last_task is not None else "-"
-            lines.append(f"  {pid:<10} {state:<6} {row['tasks']:<7}"
-                         f" {last_text}")
+        lines.append(f"[workers]  {len(workers)} pids")
+        lines.append("  pid        tasks   last task")
+        for pid, (tasks, span) in sorted(workers.items()):
+            lines.append(f"  {pid:<10} {tasks:<7} "
+                         f"{span.wall_s * 1e3:.1f} ms")
         lines.append("")
 
     lines.append(f"[health] {'WARN' if events else 'OK'}  "
                  f"({len(events)} events)")
     origin = spans[0].start_s if spans else 0.0
-    for span in events[-8:]:
-        lines.append(
-            f"  [{span.attrs.get('severity', '?'):<7}] "
-            f"{span.name:<26} +{span.start_s - origin:8.3f}s  "
-            f"{span.attrs.get('message', '')}")
+    for event in events[-8:]:
+        lines.append(f"  {event['rule']:<26} "
+                     f"+{event['at'] - origin:8.3f}s  {event['message']}")
     if not events:
         lines.append("  (no health events)")
     return "\n".join(lines)

@@ -44,12 +44,10 @@ import json
 import threading
 import time
 
-#: span kinds, from the coarse to the annotated; "gauge" and "health"
-#: spans are zero-duration events from repro.engine.telemetry: one
-#: gauge sample closes every job, and health events mark threshold-rule
-#: transitions and fault paths
+#: span kinds, from the coarse to the annotated; a "gauge" span is the
+#: zero-duration sample (repro.engine.telemetry) that closes every job
 SPAN_KINDS = ("job", "stage", "task", "shuffle", "broadcast", "cache",
-              "plan", "gauge", "health")
+              "plan", "gauge")
 
 #: kinds that behave like an executed stage in a profile/breakdown
 STAGE_LIKE_KINDS = ("stage", "shuffle")
@@ -181,7 +179,6 @@ class Tracer:
         self.on_job_end = None
         self._ids = itertools.count(1)
         self._spans = []
-        self._cleared = 0   # clear() count; invalidates spans_from marks
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._states = []
@@ -315,18 +312,8 @@ class Tracer:
             self._flush()
             return sorted(self._spans, key=lambda s: s.span_id)
 
-    def spans_from(self, mark=None):
-        """``(spans, next_mark)``: the spans finished since the call
-        that returned ``mark`` (None: all), unordered. Costs the number
-        of new spans, not the length of the trace."""
-        with self._lock:
-            self._flush()
-            start = mark[1] if mark and mark[0] == self._cleared else 0
-            return self._spans[start:], (self._cleared, len(self._spans))
-
     def clear(self) -> None:
         with self._lock:
-            self._cleared += 1
             self._spans.clear()
             for state in self._states:
                 state.buffer.clear()
@@ -356,10 +343,11 @@ class Tracer:
 # logical tree (the serial == threaded determinism contract)
 # ----------------------------------------------------------------------
 
-#: span attributes that carry wall-clock observations, not logic — the
-#: scheduler stamps stage readiness/launch times on stage
-#: spans, and those (like start_s/end_s) legitimately differ run to run
-_TIMING_ATTRS = frozenset({"ready_at", "launched_at"})
+#: span attributes that observe the run, not its logic — the scheduler
+#: stamps stage readiness/launch times on stage spans, and the process
+#: backend names the worker pid that served a task; those (like
+#: start_s/end_s) legitimately differ run to run
+_OBSERVED_ATTRS = frozenset({"ready_at", "launched_at", "worker"})
 
 
 def _logical_attrs(span: Span) -> tuple:
@@ -367,16 +355,16 @@ def _logical_attrs(span: Span) -> tuple:
 
     Everything the engine records is logical (bytes, records, counts);
     values are rendered with ``repr`` so heterogeneous types sort.
-    Wall-clock attributes (:data:`_TIMING_ATTRS`) are erased alongside
+    Observed attributes (:data:`_OBSERVED_ATTRS`) are erased alongside
     span timings.
     """
     return tuple(sorted(
         (key, repr(value)) for key, value in span.attrs.items()
-        if key not in _TIMING_ATTRS))
+        if key not in _OBSERVED_ATTRS))
 
 
 #: kinds :func:`logical_tree` leaves out by default (see its docstring)
-_NON_LOGICAL_KINDS = frozenset({"cache", "gauge", "health"})
+_NON_LOGICAL_KINDS = frozenset({"cache", "gauge"})
 
 
 def logical_tree(spans, exclude_kinds=_NON_LOGICAL_KINDS) -> tuple:
@@ -392,9 +380,9 @@ def logical_tree(spans, exclude_kinds=_NON_LOGICAL_KINDS) -> tuple:
     the same uncached block both record a miss under threading where
     the serial run records one miss and one hit — a real scheduling
     difference, not a logical one (the compute-lock still guarantees
-    the block is computed once). So are ``gauge`` and ``health``
-    events: worker counts, pool occupancy and timing-driven skew are
-    observations of the cluster, not of the job's logic.
+    the block is computed once). So are ``gauge`` events: pool
+    occupancy and cache residency are observations of the cluster, not
+    of the job's logic.
     """
     spans = [span for span in spans if span.kind not in exclude_kinds]
     children = {}

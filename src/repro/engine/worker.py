@@ -284,12 +284,10 @@ def _export_map_output(out, prefix, metrics, created):
     return shipped, num_records, total_bytes, stats
 
 
-def _warmup() -> int:
+def _warmup() -> None:
     # long enough that rapid-fire warmup submits each fork a fresh
-    # worker instead of reusing an idle one; the pid feeds the driver's
-    # heartbeat ledger
+    # worker instead of reusing an idle one
     time.sleep(0.05)
-    return os.getpid()
 
 
 def _worker_entry(payload: bytes) -> bytes:
@@ -305,18 +303,15 @@ def _worker_entry(payload: bytes) -> bytes:
         context = WorkerContext(metrics, tracer, cache)
         task = data["task"]
         bind_lineage(task.roots(), context)
-        task_start = time.perf_counter()
         result = task.run()
-        task_wall_s = time.perf_counter() - task_start
         if isinstance(task, ShuffleMapTask):
             result = _export_map_output(result, data["prefix"],
                                         metrics, created)
-        reply = {"ok": True, "result": result,
-                 "task_wall_s": task_wall_s}
+        reply = {"ok": True, "result": result}
     except BaseException as exc:  # noqa: BLE001 - re-raised driver-side
         reply = {"ok": False, "error": exc}
-    # the heartbeat: which process served this task (drivers feed it to
-    # the WorkerHeartbeats ledger; rides even on the error path)
+    # which process served this task (a traced driver names it on the
+    # task span; rides even on the error path)
     reply["pid"] = os.getpid()
     snapshot = metrics.snapshot().as_dict()
     reply["counters"] = {name: value for name, value in snapshot.items()
@@ -335,7 +330,8 @@ def _worker_entry(payload: bytes) -> bytes:
             return pickle.dumps(fallback,
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            minimal = {"ok": False, "result": None, "counters": {},
+            minimal = {"ok": False, "pid": reply["pid"], "result": None,
+                       "counters": {},
                        "spans": [], "contributions": [],
                        "segments": created,
                        "error": RuntimeError(
@@ -357,10 +353,8 @@ class ProcessWorkerPool:
     next task so the driver-side retry succeeds.
     """
 
-    def __init__(self, num_workers: int, heartbeats=None, health=None):
+    def __init__(self, num_workers: int):
         self.num_workers = num_workers
-        self.heartbeats = heartbeats
-        self.health = health
         self._executor = None
         self._lock = threading.Lock()
 
@@ -376,11 +370,9 @@ class ProcessWorkerPool:
             mp_context=multiprocessing.get_context(method))
         # force every worker to fork NOW: each submit spawns a fresh
         # process while none is idle, and the sleeps keep them busy
-        pids = [future.result()
-                for future in [executor.submit(_warmup)
-                               for _ in range(self.num_workers)]]
-        if self.heartbeats is not None:
-            self.heartbeats.register(pids)
+        for future in [executor.submit(_warmup)
+                       for _ in range(self.num_workers)]:
+            future.result()
         return executor
 
     def ensure_started(self) -> None:
@@ -396,74 +388,17 @@ class ProcessWorkerPool:
         try:
             return executor.submit(_worker_entry, payload).result()
         except BrokenProcessPool as exc:
-            first = False
-            stale = []
             with self._lock:
-                if self._executor is executor:
+                first = self._executor is executor
+                if first:
                     self._executor = None
-                    first = True
-                    if self.heartbeats is not None:
-                        # the whole old generation dies with this
-                        # executor; snapshot it under the lock so a
-                        # concurrent respawn's fresh pids are excluded
-                        stale = list(self.heartbeats.rows())
             if first:
-                # identify the corpse BEFORE tearing the executor down
-                # (teardown kills the surviving workers too, which
-                # would smear the blame across the whole pool), and
-                # emit its missed-heartbeat health event BEFORE the
-                # respawn counter moves — operators see the cause
-                # (dead worker) strictly ahead of the effect (respawn)
-                dead = self._report_dead_workers()
                 executor.shutdown(wait=False)
                 if metrics is not None:
                     metrics.add(worker_respawns=1)
-                if self.health is not None:
-                    self.health.emit(
-                        "worker_respawn", "info",
-                        f"worker pool respawning after "
-                        f"{len(dead) or 'a'} dead worker(s)",
-                        pids=dead)
-                if stale and self.heartbeats is not None:
-                    # the corpses are replaced and the survivors were
-                    # just torn down with the executor: drop every old
-                    # row so the health condition clears on the next
-                    # rule evaluation instead of warning forever (and
-                    # so teardown casualties never read as crashes)
-                    self.heartbeats.forget(stale)
             raise WorkerCrashed(
                 "worker process died executing a task; "
                 "the pool will respawn") from exc
-
-    def _report_dead_workers(self) -> list:
-        """Mark dead pids in the heartbeat ledger and emit one
-        missed-heartbeat health event per corpse. A BrokenProcessPool
-        means *some* worker died, but SIGKILL delivery is asynchronous
-        — the victim can still read as running for a few ms — so the
-        probe retries briefly. Falls back to a single pid-less event
-        when no corpse is identified (already reaped), so a crash
-        always leaves a health trail."""
-        dead = []
-        if self.heartbeats is not None:
-            deadline = time.monotonic() + 0.5
-            while True:
-                dead = self.heartbeats.reap_dead()
-                if dead or time.monotonic() >= deadline:
-                    break
-                time.sleep(0.01)
-        if self.health is not None:
-            if dead:
-                for pid in dead:
-                    self.health.emit(
-                        "worker_heartbeat_missed", "warning",
-                        f"worker {pid} stopped responding",
-                        dedup_key=f"worker_heartbeat_missed:{pid}",
-                        pid=pid)
-            else:
-                self.health.emit(
-                    "worker_heartbeat_missed", "warning",
-                    "a worker process died mid-task", pid=None)
-        return dead
 
     def shutdown(self) -> None:
         with self._lock:
@@ -482,10 +417,7 @@ class ProcessTaskRunner:
 
     def __init__(self, context):
         self.context = context
-        self.pool = ProcessWorkerPool(
-            context.num_executors,
-            heartbeats=getattr(context, "worker_heartbeats", None),
-            health=getattr(context, "health_monitor", None))
+        self.pool = ProcessWorkerPool(context.num_executors)
 
     def ensure_started(self) -> None:
         self.pool.ensure_started()
@@ -570,10 +502,8 @@ class ProcessTaskRunner:
 
     def _absorb(self, task, reply, parent_span) -> None:
         context = self.context
-        pid = reply.get("pid")
-        heartbeats = getattr(context, "worker_heartbeats", None)
-        if pid is not None and heartbeats is not None:
-            heartbeats.beat(pid, reply.get("task_wall_s"))
+        if context.tracer.enabled:
+            parent_span.set(worker=reply["pid"])
         # only the catalog's counters are applied: a reply from another
         # build cannot corrupt the registry
         context.metrics.add(**{

@@ -1,5 +1,7 @@
 """Unit tests for the flat Bitmask."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,20 @@ class TestSizing:
         # the paper's pitch: validity costs 1 bit/cell vs 8 bytes/cell
         mask = Bitmask.zeros(64_000)
         assert mask.nbytes == 8_000
+
+
+class TestPickle:
+    def test_unpickled_masks_pickle_as_fresh_ones(self):
+        """Unpickled words and milestones re-intern numpy's dtype
+        singletons: pickle memoizes dtypes by identity, so a list of
+        unpickled masks must pickle as the list of the originals."""
+        from repro.bitmask import HierarchicalBitmask
+
+        rng = np.random.default_rng(3)
+        flat = Bitmask.from_bools(rng.random(10_000) < 0.3)
+        flat.rank(9_000)   # builds the milestone cache, which pickles
+        hier = HierarchicalBitmask.from_bools(rng.random(10_000) < 0.001)
+        hier.rank(9_000)
+        fresh = [flat, hier]
+        loaded = [pickle.loads(pickle.dumps(mask)) for mask in fresh]
+        assert pickle.dumps(loaded) == pickle.dumps(fresh)

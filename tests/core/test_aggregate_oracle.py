@@ -258,8 +258,7 @@ def _result_bytes(kwargs):
                         **kwargs) as context:
         values, valid = make_cube(12)
         arr = as_array(context, values, valid, None)
-        return [[(chunk_id, pickle.dumps(chunk))
-                 for chunk_id, chunk in out.rdd.collect()]
+        return [pickle.dumps(out.rdd.collect())
                 for out in _aggregations(arr)]
 
 

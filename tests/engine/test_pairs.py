@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import ClusterContext, HashPartitioner
-from repro.engine.lineage import count_shuffle_boundaries
+from repro.engine.explain import count_stages
 from repro.engine.partitioner import ExplicitPartitioner
 
 
@@ -98,7 +98,7 @@ class TestJoins:
         joined = left.join(right, partitioner=part)
         # the cogroup itself adds zero shuffle boundaries beyond the two
         # partition_by shuffles already in the lineage
-        assert count_shuffle_boundaries(joined) == 2
+        assert count_stages(joined) - 1 == 2
         before = ctx.metrics.snapshot()
         result = sorted(joined.collect())
         delta = ctx.metrics.snapshot() - before

@@ -28,6 +28,7 @@ from repro.engine.closure import task_dumps, task_loads
 from repro.engine.explain import memory_report
 from repro.engine.rdd import LineageStub
 from repro.engine.shm import SHM_BLOCK_MIN_BYTES, leaked_segments
+from repro.engine.top import health_events, render_dashboard
 from repro.engine.worker import (
     ResultTask,
     TaskBlockCache,
@@ -61,10 +62,11 @@ class _KillOnFirstAttempt:
 
 
 class TestWorkerDeath:
-    def test_killed_worker_respawns_and_job_completes(self, tmp_path):
+    def test_killed_worker_respawns_and_job_completes(self, tmp_path,
+                                                      capsys):
         sentinel = str(tmp_path / "crash-once")
         ctx = ClusterContext(num_executors=2, backend="process",
-                             task_retries=3)
+                             task_retries=3, trace=True)
         prefix = ctx.shm_registry.prefix
         spill_dir = ctx.cache.spill_directory()
         pairs = ctx.parallelize([(i % 5, i) for i in range(60)], 4)
@@ -82,6 +84,12 @@ class TestWorkerDeath:
         snap = ctx.metrics.snapshot()
         assert snap.worker_respawns >= 1
         assert snap.task_retries >= 1
+        # the crash is read back from the trace
+        spans = ctx.tracer.spans()
+        assert "worker_respawn" in [event["rule"]
+                                    for event in health_events(spans)]
+        print(render_dashboard(spans))
+        assert "[health] WARN" in capsys.readouterr().out
 
         ctx.shutdown()
         # the registry sweep reclaims even segments the dead worker
@@ -89,52 +97,15 @@ class TestWorkerDeath:
         assert leaked_segments(prefix) == []
         assert os.listdir(spill_dir) == []
 
-    def test_missed_heartbeat_event_precedes_respawn(self, tmp_path):
-        """A SIGKILLed worker must yield a missed-heartbeat health
-        event strictly before its respawn: the event is emitted in the
-        crash handler ahead of ``add(worker_respawns=1)``, and the
-        respawn event follows it in the monitor's log."""
-        sentinel = str(tmp_path / "crash-once")
-        ctx = ClusterContext(num_executors=2, backend="process",
-                             task_retries=3)
-        pids_before = set(ctx.worker_heartbeats.rows())
-        assert len(pids_before) == 2  # registered at fork time
-        killer = _KillOnFirstAttempt(sentinel)
-        got = sorted(ctx.parallelize(range(40), 4).map(killer).collect())
-        assert got == list(range(40))
-
-        rules = [event.rule for event in ctx.health_monitor.events()]
-        assert "worker_heartbeat_missed" in rules
-        assert "worker_respawn" in rules
-        assert rules.index("worker_heartbeat_missed") \
-            < rules.index("worker_respawn")
-        missed = [event for event in ctx.health_monitor.events()
-                  if event.rule == "worker_heartbeat_missed"]
-        # every blamed corpse is identified by pid and was a registered
-        # worker (the broken pool's teardown may take the sibling too)
-        assert missed and all(event.attrs.get("pid") in pids_before
-                              for event in missed)
-        assert ctx.metrics.snapshot().worker_respawns >= 1
-        # the whole old generation was forgotten (the survivors died
-        # with the torn-down executor — they must not read as crashes),
-        # so the ledger holds only live replacements and health recovers
-        rows = ctx.worker_heartbeats.rows()
-        assert not pids_before & set(rows)
-        assert rows and all(row["alive"] for row in rows.values())
-        # health() re-evaluates the rules on demand (the context is
-        # untraced), so the crash condition clears once the pool has
-        # recovered
-        assert ctx.health().status == "ok"
-        ctx.shutdown()
-
-    def test_task_replies_beat_the_heartbeat_ledger(self):
-        with ClusterContext(num_executors=2, backend="process") as ctx:
+    def test_task_spans_name_the_worker_that_ran_them(self):
+        with ClusterContext(num_executors=2, backend="process",
+                            trace=True) as ctx:
             ctx.parallelize(range(100), 4).map(lambda x: x + 1).collect()
-            rows = ctx.worker_heartbeats.rows()
-            assert sum(row["tasks"] for row in rows.values()) >= 4
-            beaten = [row for row in rows.values() if row["tasks"]]
-            assert beaten and all(row["last_task_s"] is not None
-                                  for row in beaten)
+            tasks = [span for span in ctx.tracer.spans()
+                     if span.kind == "task" and span.name == "task"]
+        pids = {span.attrs["worker"] for span in tasks}
+        assert len(tasks) == 4
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
     def test_crash_with_no_retries_surfaces(self, tmp_path):
         from repro.errors import TaskFailure
@@ -264,6 +235,27 @@ class TestReplyDtypes:
         with ClusterContext(num_executors=2, backend="process") as ctx:
             process = _arrays_job(ctx).collect()
         assert pickle.dumps(process) == pickle.dumps(serial)
+
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.002],
+                             ids=["dense", "sparse", "super_sparse"])
+    def test_collected_chunks_pickle_as_serial(self, density):
+        """Chunks and their bitmasks re-intern their dtypes when they
+        are unpickled, so a whole collected list of chunks pickles as
+        the serial one does, not only each chunk alone."""
+        from repro import ArrayRDD
+
+        rng = np.random.default_rng(7)
+        values = rng.random((64, 64))
+        valid = rng.random((64, 64)) < density
+
+        def collect(**kwargs):
+            with ClusterContext(num_executors=2, **kwargs) as ctx:
+                arr = ArrayRDD.from_numpy(ctx, values, (32, 32),
+                                          valid=valid, num_partitions=4)
+                return (arr * 2.0).rdd.collect()
+
+        assert pickle.dumps(collect(backend="process")) \
+            == pickle.dumps(collect())
 
     def test_cache_contributions_carry_canonical_dtypes(self):
         with ClusterContext(num_executors=2, backend="process") as ctx:

@@ -7,11 +7,8 @@ import pytest
 
 from repro import SpangleMatrix
 from repro.engine import ClusterContext, StorageLevel
-from repro.engine.lineage import (
-    FaultInjector,
-    collect_rdds,
-    count_shuffle_boundaries,
-)
+from repro.engine.explain import count_stages
+from repro.engine.lineage import FaultInjector, collect_rdds
 
 
 @pytest.fixture()
@@ -155,9 +152,25 @@ class TestFaultTolerance:
 class TestLineageAnalysis:
     def test_count_shuffle_boundaries(self, ctx):
         pairs = ctx.parallelize([(1, 1)], 1)
-        assert count_shuffle_boundaries(pairs) == 0
+        assert count_stages(pairs) - 1 == 0
         reduced = pairs.reduce_by_key(lambda a, b: a + b)
-        assert count_shuffle_boundaries(reduced) == 1
+        assert count_stages(reduced) - 1 == 1
+
+    def test_shared_shuffle_counts_once(self, ctx):
+        """A diamond over one shuffle: both join sides read the same
+        reduce, which is one boundary in the plan and one shuffle in
+        the run."""
+        pairs = ctx.parallelize([(i % 5, i) for i in range(40)], 4)
+        red = pairs.reduce_by_key(lambda a, b: a + b)
+        joined = red.map_values(lambda v: v + 1) \
+                    .join(red.map_values(lambda v: -v))
+        assert count_stages(joined) - 1 == 1
+        before = ctx.metrics.snapshot()
+        result = sorted(joined.collect())
+        delta = ctx.metrics.snapshot() - before
+        assert delta.shuffles_performed == 1
+        sums = {k: sum(range(k, 40, 5)) for k in range(5)}
+        assert result == [(k, (s + 1, -s)) for k, s in sorted(sums.items())]
 
     def test_collect_rdds_topological(self, ctx):
         a = ctx.parallelize([1], 1)

@@ -1,32 +1,31 @@
-"""Health and gauges in the trace: samples, rules, exporters, ``repro top``.
+"""Gauges and health in the trace: samples, ``health_events``, ``repro top``.
 
 Covers the contracts: a traced job closes with exactly one ``gauge``
 event carrying the catalog's gauges and the counters at that job's
 end; an untraced job never samples; tracing on or off leaves results
-and counters byte-identical across all three backends; health rules
-fire on transitions (not continuously) and land in the trace as
-``health`` spans; ``repro top`` renders a recorded trace.
+and counters byte-identical across all three backends; the health
+conditions read from a trace fire on transitions (not continuously)
+and give the same events live and replayed from the log; ``repro
+top`` renders a recorded trace.
 """
 
-import os
+import itertools
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.engine import ClusterContext, HashPartitioner
+from repro.engine import ClusterContext, HashPartitioner, StorageLevel
 from repro.engine.metrics import COUNTER_FIELDS, METRICS
-from repro.engine.telemetry import (
-    HealthMonitor,
-    LedgerHighWatermark,
-    NnzImbalance,
-    SpillRateSpike,
-    WorkerHeartbeats,
-    collect_sample,
-    pid_alive,
-    prometheus_text,
+from repro.engine.telemetry import collect_sample
+from repro.engine.top import (
+    SPILLS_PER_SECOND,
+    health_events,
+    render_dashboard,
+    run_top,
+    sparkline,
 )
-from repro.engine.top import render_dashboard, run_top, sparkline
-from repro.engine.tracing import Tracer, load_jsonl
+from repro.engine.tracing import Span, Tracer, load_jsonl, logical_tree
 
 from tests.engine.test_process_backend import _KillOnFirstAttempt
 
@@ -53,38 +52,42 @@ def _recorded_trace(tmp_path, **kwargs):
     return path
 
 
-def _hot_sample(t=1.0):
-    return {"t": t, "gauges": {"cache.budget_bytes": 100,
-                               "cache.resident_bytes": 95}}
+def _synthetic_job(ids, t, gauges=None, counters=None, task_times=()):
+    """The spans of one traced job: a stage of ``task_times`` tasks
+    and the gauge sample closing the job, at wall-clock ``t``."""
+    def span(parent, name, kind, start, end, **attrs):
+        out = Span(next(ids), parent and parent.span_id, name, kind,
+                   start, "main", attrs)
+        out.end_s = end
+        return out
+
+    job = span(None, "job", "job", t, t + 1.0)
+    stage = span(job, "map", "stage", t, t + 1.0, stage_kind="result")
+    tasks = [span(stage, "task", "task", t, t + wall, partition=index)
+             for index, wall in enumerate(task_times)]
+    sample = {"t": t, "gauges": dict(gauges or {}),
+              "counters": dict(dict.fromkeys(COUNTER_FIELDS, 0),
+                               **(counters or {}))}
+    return [job, stage, *tasks,
+            span(job, "sample", "gauge", t + 1.0, t + 1.0, **sample)]
 
 
-class TestWorkerHeartbeats:
-    def test_register_beat_and_rows(self):
-        beats = WorkerHeartbeats()
-        beats.register([111, 222])
-        beats.beat(111, task_wall_s=0.25)
-        rows = beats.rows()
-        assert rows[111]["tasks"] == 1
-        assert rows[111]["last_task_s"] == 0.25
-        assert rows[222]["tasks"] == 0
-        assert len(rows) == 2
-        assert all(row["alive"] for row in rows.values())
-
-    def test_reap_dead_marks_gone_processes(self):
-        import multiprocessing as mp
-
-        proc = mp.Process(target=lambda: None)
-        proc.start()
-        proc.join()  # reaped -> pid is fully gone
-        beats = WorkerHeartbeats()
-        beats.register([proc.pid])
-        assert beats.reap_dead() == [proc.pid]
-        assert not beats.rows()[proc.pid]["alive"]
-        # idempotent: already-marked corpses are not re-reported
-        assert beats.reap_dead() == []
-
-    def test_pid_alive_on_self(self):
-        assert pid_alive(os.getpid())
+#: per condition, the job it sees while healthy or violated; ``bumps``
+#: counts the violated jobs so far, so counters stay cumulative and
+#: move only while the condition holds
+_CONDITIONS = {
+    "ledger_high_watermark": lambda hot, _bumps: {
+        "gauges": {"cache.budget_bytes": 100,
+                   "cache.resident_bytes": 95 if hot else 10}},
+    "nnz_imbalance": lambda hot, _bumps: {
+        "gauges": {"nnz.imbalance": 5.0 if hot else 1.1}},
+    "spill_rate_spike": lambda _hot, bumps: {
+        "counters": {"cache_spills": 100 * bumps}},
+    "worker_respawn": lambda _hot, bumps: {
+        "counters": {"worker_respawns": bumps}},
+    "shuffle_skew": lambda hot, _bumps: {
+        "task_times": [0.001] * 7 + [0.05] if hot else [0.01, 0.01]},
+}
 
 
 class TestSamplerCollection:
@@ -145,161 +148,83 @@ class TestSamplerCollection:
         assert gauges[0].attrs["counters"] == job_end_counters
 
 
-class TestPrometheusText:
-    def test_format_shape(self):
-        sample = {
-            "counters": {"tasks_launched": 12, "jobs_run": 3},
-            "gauges": {"cache.resident_bytes": 4096,
-                       "pool.busy_threads": 2},
-            "workers": {"42": {"alive": True, "tasks": 7,
-                               "last_task_s": 0.125},
-                        "43": {"alive": False, "tasks": 1}},
-        }
-        text = prometheus_text(sample)
-        lines = text.splitlines()
-        assert "spangle_tasks_launched_total 12" in lines
-        assert "# TYPE spangle_tasks_launched_total counter" in lines
-        assert "spangle_cache_resident_bytes 4096" in lines
-        assert "# TYPE spangle_cache_resident_bytes gauge" in lines
-        assert 'spangle_worker_alive{pid="42"} 1' in lines
-        assert 'spangle_worker_alive{pid="43"} 0' in lines
-        assert 'spangle_worker_tasks_total{pid="42"} 7' in lines
-        assert 'spangle_worker_last_task_seconds{pid="42"} 0.125' \
-            in lines
-        assert text.endswith("\n")
-
-    def test_counters_follow_counter_fields_order(self):
-        sample = {"counters": {name: 1 for name in COUNTER_FIELDS},
-                  "gauges": {}, "workers": {}}
-        text = prometheus_text(sample)
-        for name in COUNTER_FIELDS:
-            assert f"spangle_{name}_total 1" in text
-
-    def test_scheduler_gauges_render(self):
-        """The scheduler's readiness gauges render under their own
-        catalog names."""
-        sample = {
-            "counters": {},
-            "gauges": {"scheduler.ready_stages": 3,
-                       "scheduler.inflight_stages": 2},
-            "workers": {},
-        }
-        text = prometheus_text(sample)
-        lines = text.splitlines()
-        assert "spangle_scheduler_ready_stages 3" in lines
-        assert "# TYPE spangle_scheduler_ready_stages gauge" in lines
-        assert "spangle_scheduler_inflight_stages 2" in lines
+def _threshold_run(ctx):
+    """A small job, then a skewed-nnz job whose cached blocks overrun
+    a 64 KiB budget: crosses the watermark, spill and nnz thresholds."""
+    ctx.parallelize(range(4), 2).count()
+    ctx.nnz_stats.record("skewed", [1.0, 1.0, 1.0, 1.0, 30.0])
+    blocks = ctx.parallelize(range(16), 16) \
+        .map(lambda i: np.full(2048, i, dtype=np.float64)) \
+        .persist(StorageLevel.MEMORY_AND_DISK)
+    for _ in range(2):
+        blocks.map(lambda a: float(a.sum())).collect()
 
 
-class TestHealthMonitor:
-    def test_events_fire_on_transition_not_continuously(self):
-        monitor = HealthMonitor()
-        cool = {"t": 2.0, "gauges": {"cache.budget_bytes": 100,
-                                     "cache.resident_bytes": 10}}
-        assert len(monitor.evaluate(_hot_sample(), None)) == 1
-        # still hot: no re-emission while the condition holds
-        assert monitor.evaluate(_hot_sample(), None) == []
-        assert monitor.status() == "warn"
-        # recovery clears the condition; the next violation re-fires
-        monitor.evaluate(cool, None)
-        assert monitor.status() == "ok"
-        assert len(monitor.evaluate(_hot_sample(), None)) == 1
-        assert len(monitor.events()) == 2
-        assert monitor.events()[0].attrs["watermark"] \
-            == LedgerHighWatermark.WATERMARK
+class TestHealth:
+    @pytest.mark.parametrize("rule", sorted(_CONDITIONS), ids=[
+        "watermark", "nnz", "skew", "spill", "respawn"])
+    def test_events_fire_on_transition_not_continuously(self, rule):
+        """One event when a condition starts, none while it holds, a
+        new one after it clears and comes back."""
+        ids = itertools.count(1)
+        spans, bumps = [], 0
+        for index, hot in enumerate([False, True, True, False, True]):
+            bumps += hot
+            spans += _synthetic_job(ids, float(index),
+                                    **_CONDITIONS[rule](hot, bumps))
+        events = health_events(spans)
+        assert [event["rule"] for event in events] == [rule, rule]
+        gauges = [span for span in spans if span.kind == "gauge"]
+        assert [event["at"] for event in events] \
+            == [gauges[1].start_s, gauges[4].start_s]
 
     def test_spill_rate_rule_reads_the_previous_sample(self):
-        monitor = HealthMonitor()
-        calm = {"t": 0.0, "counters": {"cache_spills": 0}}
-        spiking = {"t": 2.0, "counters": {"cache_spills": 100}}
-        assert monitor.evaluate(calm, None) == []
-        events = monitor.evaluate(spiking, None)
-        assert [event.rule for event in events] == ["spill_rate_spike"]
-        assert events[0].attrs["spills_per_s"] == pytest.approx(50.0)
-        assert events[0].attrs["threshold"] == SpillRateSpike.PER_SECOND
-        # no new spills since the previous sample: the condition clears
-        monitor.evaluate({"t": 3.0, "counters": {"cache_spills": 100}},
-                         None)
-        assert monitor.status() == "ok"
+        ids = itertools.count(1)
+        spans = (_synthetic_job(ids, 0.0)
+                 + _synthetic_job(ids, 2.0, counters={"cache_spills": 100})
+                 + _synthetic_job(ids, 3.0, counters={"cache_spills": 100}))
+        events = health_events(spans)
+        assert [event["rule"] for event in events] == ["spill_rate_spike"]
+        assert events[0]["value"] == pytest.approx(50.0)
+        assert events[0]["value"] > SPILLS_PER_SECOND
+        # the first sample has no previous one to rate against
+        assert health_events(
+            _synthetic_job(itertools.count(1), 5.0,
+                           counters={"cache_spills": 100})) == []
 
-    def test_events_bridge_into_the_trace_stream(self):
-        from repro.engine.tracing import SPAN_KINDS
-
-        assert "health" in SPAN_KINDS
-        assert "gauge" in SPAN_KINDS
-        tracer = Tracer(enabled=True)
-        monitor = HealthMonitor(tracer=tracer)
-        monitor.emit("worker_heartbeat_missed", "warning",
-                     "worker 99 gone", pid=99)
-        spans = tracer.spans()
-        assert len(spans) == 1
-        assert spans[0].kind == "health"
-        assert spans[0].name == "worker_heartbeat_missed"
-        assert spans[0].attrs["pid"] == 99
-
-    def test_rule_events_land_under_the_job_span(self):
+    def test_rule_events_read_from_a_live_trace(self):
         with ClusterContext(num_executors=2, trace=True) as ctx:
             ctx.nnz_stats.record("skewed", [1.0, 1.0, 1.0, 1.0, 30.0])
             _run_job(ctx)
-            spans = ctx.tracer.spans()
-            assert ctx.health().status == "warn"
-        job = next(span for span in spans if span.kind == "job")
-        health = [span for span in spans if span.kind == "health"]
-        assert [span.name for span in health] == ["nnz_imbalance"]
-        assert health[0].parent_id == job.span_id
-        assert health[0].attrs["stage"] == "skewed"
+            events = health_events(ctx.tracer.spans())
+        assert [event["rule"] for event in events] == ["nnz_imbalance"]
+        assert events[0]["value"] == pytest.approx(30.0 / 6.8)
 
-    def test_health_report_renders(self):
-        with ClusterContext(num_executors=2) as ctx:
-            _run_job(ctx)
-            report = ctx.health()
-            assert report.status == "ok"
-            assert "Health: OK" in str(report)
-            assert report.as_dict() == {"status": "ok", "events": []}
+    def test_replay_gives_the_same_health(self, tmp_path):
+        path = str(tmp_path / "thresholds.trace.jsonl")
+        with ClusterContext(num_executors=2, trace=True,
+                            cache_budget_bytes=64 << 10) as ctx:
+            _threshold_run(ctx)
+            live = health_events(ctx.tracer.spans())
+            ctx.tracer.export_jsonl(path)
+        assert {"ledger_high_watermark", "spill_rate_spike",
+                "nnz_imbalance"} <= {event["rule"] for event in live}
+        _meta, spans = load_jsonl(path)
+        assert health_events(spans) == live
 
-    def test_health_works_with_telemetry_off(self):
-        with ClusterContext(num_executors=2) as ctx:
-            # a genuinely dead ledger row, the way fault paths leave
-            # one: a child process that has already exited
-            import multiprocessing as mp
-
-            child = mp.Process(target=lambda: None)
-            child.start()
-            child.join()
-            ctx.worker_heartbeats.register([child.pid])
-            ctx.health_monitor.emit(
-                "worker_heartbeat_missed", "warning",
-                f"worker {child.pid} stopped responding",
-                dedup_key=f"worker_heartbeat_missed:{child.pid}",
-                pid=child.pid)
-            # health() evaluates the rules on demand: the dead row is
-            # still there, so the condition holds
-            report = ctx.health()
-            assert report.status == "warn"
-            assert "stopped responding" in str(report)
-            # once the row is retired (what the respawn path does),
-            # the next report clears to ok — no stuck warning
-            ctx.worker_heartbeats.forget([child.pid])
-            assert ctx.health().status == "ok"
-
-    def test_rules_read_only_the_spans_since_the_last_job(self,
-                                                          monkeypatch):
-        """Per-job evaluation never rescans the whole trace."""
-        def full_scan(self):
-            raise AssertionError("the job path scanned the whole trace")
-
-        with ClusterContext(num_executors=2, use_threads=True,
-                            trace=True) as ctx:
-            _run_job(ctx)
-            monkeypatch.setattr(Tracer, "spans", full_scan)
-            for _ in range(3):
+    def test_process_task_spans_name_their_worker(self):
+        trees, spans = [], None
+        for kwargs in ({}, {"backend": "process"}):
+            with ClusterContext(num_executors=2, trace=True,
+                                **kwargs) as ctx:
                 _run_job(ctx)
-            new, mark = ctx.tracer.spans_from(None)
-            assert ctx.tracer.spans_from(mark)[0] == []
-            ctx.tracer.clear()
-            # a mark from before clear() restarts at the first span
-            _run_job(ctx)
-            assert ctx.tracer.spans_from(mark)[0]
+                spans = ctx.tracer.spans()
+            trees.append(logical_tree(spans))
+        assert trees[0] == trees[1]
+        tasks = [span for span in spans if span.kind == "task"
+                 and span.name in ("task", "map_task")]
+        assert tasks and all(isinstance(span.attrs.get("worker"), int)
+                             for span in tasks)
 
 
 class TestDeterminismContract:
@@ -358,20 +283,18 @@ class TestTopDashboard:
             assert got == list(range(40))
             _run_job(ctx)
             ctx.tracer.export_jsonl(path)
-            health = [span.name for span in ctx.tracer.spans()
-                      if span.kind == "health"]
-        # cause before effect, both in the trace
-        assert health.index("worker_heartbeat_missed") \
-            < health.index("worker_respawn")
+            pids = {span.attrs["worker"] for span in ctx.tracer.spans()
+                    if "worker" in span.attrs}
         assert run_top(path) == 0
         frame = capsys.readouterr().out
         for row in ("[memory]", "resident", "[tasks]", "tasks/s",
                     "[shuffle]", "bytes/s"):
             assert row in frame
-        assert "[workers]  alive 2/2" in frame
-        assert frame.count(" up ") >= 2
+        # one row per pid that served a task, the respawned pool's too
+        assert f"[workers]  {len(pids)} pids" in frame
+        assert all(f"  {pid:<10} " in frame for pid in pids)
         assert "[health] WARN" in frame
-        assert "worker_heartbeat_missed" in frame
+        assert "worker_respawn" in frame
 
     def test_run_top_replay_exit_codes(self, tmp_path, capsys):
         path = _recorded_trace(tmp_path)
@@ -453,32 +376,11 @@ class TestNnzTelemetry:
         assert sample["gauges"]["nnz.imbalance"] == pytest.approx(1.5)
         assert sample["gauges"]["nnz.partitions"] == 2
 
-    def test_imbalance_rule_fires_and_dedups_per_stage(self):
-        ctx = ClusterContext(num_executors=2)
-        monitor = HealthMonitor()
-        ctx.nnz_stats.record("matmul-gather", [1.0, 1.0, 10.0])
-        skewed = {"t": 1.0, "gauges": {"nnz.imbalance": 5.0}}
-        events = monitor.evaluate(skewed, ctx)
-        assert len(events) == 1
-        assert events[0].rule == "nnz_imbalance"
-        assert "matmul-gather" in events[0].message
-        assert events[0].attrs["imbalance"] == 5.0
-        assert events[0].attrs["threshold"] == NnzImbalance.THRESHOLD
-        # same stage still hot: no re-emission
-        assert monitor.evaluate(skewed, ctx) == []
-        # balanced placement clears; a later skew re-fires
-        balanced = {"t": 2.0, "gauges": {"nnz.imbalance": 1.1}}
-        monitor.evaluate(balanced, ctx)
-        assert monitor.status() == "ok"
-        assert len(monitor.evaluate(skewed, ctx)) == 1
-
-    def test_nnz_gauges_reach_prometheus_and_top(self):
+    def test_nnz_gauges_reach_top(self):
         with ClusterContext(num_executors=2, trace=True) as ctx:
             ctx.nnz_stats.record("partition_by_nnz", [2.0, 6.0])
             _run_job(ctx)
-            text = prometheus_text(collect_sample(ctx))
             frame = render_dashboard(ctx.tracer.spans())
-        assert "spangle_nnz_imbalance 1.5" in text
         nnz_row = next(line for line in frame.splitlines()
                        if "nnz skew" in line)
         assert nnz_row.rstrip().endswith("2")
