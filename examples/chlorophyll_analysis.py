@@ -12,8 +12,6 @@ Run:  python examples/chlorophyll_analysis.py
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro import ClusterContext
 from repro.core.overlap import mean_stencil, stencil
 from repro.data import chl_like

@@ -11,8 +11,6 @@ Chunk-local operators append kernels to a pending :class:`ChunkPlan`
 kernel goes in and compiles to one fused pass per chunk.
 """
 
-from repro.core import chunk_codec
-from repro.core.chunk import chunk_exact_size, repack_records
 from repro.core.aggregates import (
     Aggregator,
     AvgAggregator,
@@ -27,25 +25,6 @@ from repro.core.dataset import SpangleDataset
 from repro.core.mask_rdd import MaskRDD
 from repro.core.metadata import ArrayMetadata
 from repro.core.plan import ChunkPlan
-
-# teach the engine's columnar shuffle to pack Chunk values; the engine
-# layer itself never imports core
-chunk_codec.register()
-
-# the same inversion for the memory tier: exact chunk sizes for cache
-# budgets, the unbounded chunk codec for spill files, and the density
-# repacker for cache admission
-from repro.engine.sizing import register_sizer as _register_sizer
-from repro.engine.spill import (
-    register_spill_codec as _register_spill_codec,
-)
-from repro.engine.storage import (
-    register_repacker as _register_repacker,
-)
-
-_register_sizer(chunk_exact_size)
-_register_spill_codec(chunk_codec.probe_chunks_for_spill)
-_register_repacker(repack_records)
 
 __all__ = [
     "Aggregator",

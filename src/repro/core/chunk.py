@@ -179,6 +179,39 @@ class Chunk:
         """In-memory footprint: payload plus (possibly compressed) mask."""
         return int(self.payload.nbytes) + int(self.mask.nbytes)
 
+    @property
+    def resident_nbytes(self) -> int:
+        """Exact bytes the chunk pins in memory.
+
+        Unlike :attr:`nbytes` (payload + advertised mask bytes), this
+        also counts the lazily built milestone rank caches and the
+        hierarchical mask's stored prefix array. The engine's size
+        estimator reads it, so cache budgets and eviction see true
+        footprints.
+        """
+        mask = self.mask
+        total = int(self.payload.nbytes)
+        if isinstance(mask, HierarchicalBitmask):
+            total += int(mask._upper.words.nbytes)
+            total += int(mask._stored_words.nbytes)
+            total += int(mask._stored_prefix.nbytes)
+            if mask._upper._milestones is not None:
+                total += mask._upper._milestones.nbytes
+        else:
+            total += int(mask.words.nbytes)
+            if mask._milestones is not None:
+                total += mask._milestones.nbytes
+        return total
+
+    @staticmethod
+    def pack_column(values, byte_limit):
+        """A column of chunks packed for the shuffle or spill, or None
+        (the codec :func:`repro.engine.batches.pack_own_column` calls;
+        see :func:`repro.core.chunk_codec.probe_chunks`)."""
+        from repro.core.chunk_codec import probe_chunks
+
+        return probe_chunks(values, byte_limit)
+
     def flat_mask(self) -> Bitmask:
         """The validity mask as a flat :class:`Bitmask`, whatever the mode."""
         if isinstance(self.mask, HierarchicalBitmask):
@@ -380,72 +413,6 @@ class Chunk:
             f"Chunk(mode={self.mode.value}, cells={self.num_cells}, "
             f"valid={self.valid_count}, {self.nbytes}B)"
         )
-
-
-def chunk_exact_size(obj) -> int:
-    """Exact resident bytes of a :class:`Chunk`, or None for other types.
-
-    Unlike :attr:`Chunk.nbytes` (payload + advertised mask bytes), this
-    also counts the lazily built milestone rank caches and the
-    hierarchical mask's stored prefix array — every array the chunk
-    actually pins in memory. Registered with the engine's size
-    estimator (:func:`repro.engine.sizing.register_sizer`) so cache
-    budgets and eviction scores see true footprints.
-    """
-    if type(obj) is not Chunk:
-        return None
-    mask = obj.mask
-    total = int(obj.payload.nbytes)
-    if isinstance(mask, HierarchicalBitmask):
-        total += int(mask._upper.words.nbytes)
-        total += int(mask._stored_words.nbytes)
-        total += int(mask._stored_prefix.nbytes)
-        if mask._upper._milestones is not None:
-            total += mask._upper._milestones.nbytes
-    else:
-        total += int(mask.words.nbytes)
-        if mask._milestones is not None:
-            total += mask._milestones.nbytes
-    return total
-
-
-def repack_records(records):
-    """Density-repack every chunk in a cached partition.
-
-    The block cache's admission repacker
-    (:func:`repro.engine.storage.register_repacker`): handles bare
-    Chunk records and ``(key, Chunk)`` pairs — the shapes ArrayRDD
-    partitions actually take. Returns ``(new_records, chunks_repacked,
-    bytes_saved)``, or None when no chunk changed mode (the partition
-    is admitted as-is and no counters move). ``bytes_saved`` is the net
-    exact-size reduction, so the cache ledger shrinks by the same
-    amount the counter reports.
-    """
-    out = None
-    count = 0
-    saved = 0
-    for i, record in enumerate(records):
-        if type(record) is Chunk:
-            new, changed = record.repack()
-            if changed:
-                if out is None:
-                    out = list(records)
-                saved += chunk_exact_size(record) - chunk_exact_size(new)
-                out[i] = new
-                count += 1
-        elif (type(record) is tuple and len(record) == 2
-              and type(record[1]) is Chunk):
-            new, changed = record[1].repack()
-            if changed:
-                if out is None:
-                    out = list(records)
-                saved += (chunk_exact_size(record[1])
-                          - chunk_exact_size(new))
-                out[i] = (record[0], new)
-                count += 1
-    if count == 0:
-        return None
-    return out, count, saved
 
 
 def _build_from_bools(num_cells: int, keep: np.ndarray,

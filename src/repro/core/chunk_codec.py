@@ -1,14 +1,14 @@
-"""The Chunk value codec for the columnar shuffle.
+"""The Chunk value codec for the columnar shuffle and spill.
 
 Spangle's shuffle traffic is mostly ``(chunk_id, Chunk)`` records, and a
 Chunk is already columnar inside: a flat payload buffer plus bitmask
-words. This codec teaches :mod:`repro.engine.batches` to ship a whole
-bucket of chunks as four buffers — payload concatenation, mask-word
+words. This codec lets :mod:`repro.engine.batches` ship a whole bucket
+of chunks as four buffers — payload concatenation, mask-word
 concatenation, per-record modes, and per-record cell counts — instead of
 a Python object per chunk.
 
-Registered from ``repro.core.__init__`` via
-:func:`repro.engine.batches.register_value_codec`, so the engine layer
+The chunk owns it: ``Chunk.pack_column`` calls :func:`probe_chunks`,
+and the engine finds that hook on the value's type, so the engine layer
 never imports core.
 
 Byte-identity rules (unpacked chunks must pickle identically to the
@@ -22,9 +22,10 @@ originals):
   the hierarchical mask is rebuilt exactly (prefix counts are
   deterministic in the constructor).
 
-Like every array-backed codec, packing refuses once the mean bytes per
-chunk reach :data:`repro.engine.batches.VALUE_PACK_BYTE_LIMIT` — big
-chunks move faster as references than as copied buffers.
+Like every array-backed codec, shuffle packing refuses once the mean
+bytes per chunk reach :data:`repro.engine.batches.VALUE_PACK_BYTE_LIMIT`
+— big chunks move faster as references than as copied buffers. Spill
+packs with no limit.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ import numpy as np
 from repro.bitmask import Bitmask, HierarchicalBitmask
 from repro.bitmask.popcount import WORD_BITS
 from repro.core.chunk import Chunk, ChunkMode
-from repro.engine.batches import (
-    VALUE_PACK_BYTE_LIMIT,
-    ArrayValues,
-    register_value_codec,
-)
+from repro.engine.batches import VALUE_PACK_BYTE_LIMIT, ArrayValues
 
 #: wire codes for ChunkMode, indexed by the uint8 stored per record
 _MODES = (ChunkMode.DENSE, ChunkMode.SPARSE, ChunkMode.SUPER_SPARSE)
@@ -163,114 +160,3 @@ def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT):
         return None
     return ChunkValues(modes, num_cells, _flat_column(payloads),
                        _flat_column(word_runs), upper_lengths)
-
-
-def probe_chunks_for_spill(values):
-    """The spill-path probe: the chunk codec with no byte limit."""
-    return probe_chunks(values, byte_limit=None)
-
-
-class OffsetChunkValues:
-    """A packed column of offset-encoded chunks.
-
-    An :class:`~repro.matrix.offsets.OffsetArrayChunk` is two flat
-    arrays plus a cell count, so a bucket of them ships as three
-    buffers. Rebuilding goes through the constructor: the offsets are
-    already sorted, the stable argsort is the identity, and the rebuilt
-    chunk pickles identically to the original.
-    """
-
-    __slots__ = ("num_cells", "offsets", "payload")
-
-    def __init__(self, num_cells: np.ndarray, offsets: ArrayValues,
-                 payload: ArrayValues):
-        self.num_cells = num_cells      # int64
-        self.offsets = offsets          # one flat int64 buffer
-        self.payload = payload          # one flat value buffer
-
-    def __len__(self) -> int:
-        return self.num_cells.size
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.num_cells.nbytes) + self.offsets.nbytes \
-            + self.payload.nbytes
-
-    def unpack(self) -> list:
-        chunk_type = _STATE["offset_type"]
-        offset_runs = self.offsets.unpack()
-        payloads = self.payload.unpack()
-        return [chunk_type(int(self.num_cells[i]), offset_runs[i],
-                           payloads[i])
-                for i in range(self.num_cells.size)]
-
-    def gather(self, idx: np.ndarray) -> "OffsetChunkValues":
-        return OffsetChunkValues(self.num_cells[idx],
-                                 self.offsets.gather(idx),
-                                 self.payload.gather(idx))
-
-
-def probe_offset_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT):
-    """``OffsetChunkValues`` for a uniform offset-chunk column, or None.
-
-    Inert until :func:`register_offset_chunks` installs the concrete
-    chunk type (the matrix layer owns it; this module never imports up).
-    """
-    chunk_type = _STATE["offset_type"]
-    if chunk_type is None or type(values[0]) is not chunk_type:
-        return None
-    dtype = values[0].payload.dtype
-    if dtype.hasobject:
-        return None
-    num_cells = np.empty(len(values), dtype=np.int64)
-    offset_runs = []
-    payloads = []
-    total_bytes = 0
-    for i, chunk in enumerate(values):
-        if type(chunk) is not chunk_type:
-            return None
-        payload = chunk.payload
-        if (type(payload) is not np.ndarray or payload.dtype != dtype
-                or payload.ndim != 1):
-            return None
-        num_cells[i] = chunk.num_cells
-        offset_runs.append(chunk.indices())
-        payloads.append(payload)
-        total_bytes += payload.nbytes + chunk.indices().nbytes
-    if (byte_limit is not None
-            and total_bytes >= byte_limit * len(values)):
-        return None
-    return OffsetChunkValues(num_cells, _flat_column(offset_runs),
-                             _flat_column(payloads))
-
-
-def probe_offset_chunks_for_spill(values):
-    """The spill-path probe: the offset codec with no byte limit."""
-    return probe_offset_chunks(values, byte_limit=None)
-
-
-def register() -> None:
-    """Idempotently register the chunk codec with the engine."""
-    if not _STATE["registered"]:
-        register_value_codec(probe_chunks)
-        _STATE["registered"] = True
-
-
-def register_offset_chunks(chunk_type) -> None:
-    """Install the OffsetArrayChunk type and register its codec.
-
-    Called by :mod:`repro.matrix.offsets` at import, mirroring how
-    ``repro.core.__init__`` registers the Chunk codec — the dependency
-    points upward, never from here into the matrix layer.
-    """
-    _STATE["offset_type"] = chunk_type
-    if not _STATE["offset_registered"]:
-        from repro.engine.spill import register_spill_codec
-
-        register_value_codec(probe_offset_chunks)
-        register_spill_codec(probe_offset_chunks_for_spill)
-        _STATE["offset_registered"] = True
-
-
-_STATE = {"registered": False, "offset_registered": False,
-          "offset_type": None}

@@ -18,8 +18,9 @@ tuple path":
   scalars would unpack as a different type) small enough that
   ``hash(k) == k`` (the ``2**61 - 1`` modulus never engages);
 - values pack only for uniform plain floats, plain ints, 2-tuples of
-  scalars, same-dtype numpy arrays, or registered codecs (chunks —
-  registered by ``repro.core`` so the engine layer stays core-free);
+  scalars, same-dtype numpy arrays, or a column whose first value's
+  type offers its own codec (:func:`pack_own_column`; ``Chunk`` does,
+  so the engine layer stays core-free);
 - array-backed codecs additionally refuse once the mean payload per
   record reaches :data:`VALUE_PACK_BYTE_LIMIT`: packing copies the
   payload (concatenate, bucket gather, unpack), which pays off only
@@ -47,8 +48,8 @@ __all__ = [
     "combine_runs",
     "group_indices_by_partition",
     "pack_int_keys",
+    "pack_own_column",
     "pack_values",
-    "register_value_codec",
 ]
 
 
@@ -288,21 +289,34 @@ def _probe_arrays(values):
     return ArrayValues(data, lengths, shapes)
 
 
-#: probes tried in order by :func:`pack_values`; each self-selects on
-#: the first value's type, so ordering does not affect which one wins
-_VALUE_CODECS = [_probe_scalars, _probe_pairs, _probe_arrays]
+#: built-in probes tried in order by :func:`pack_values`; each
+#: self-selects on the first value's type, so ordering does not affect
+#: which one wins
+_VALUE_CODECS = (_probe_scalars, _probe_pairs, _probe_arrays)
 
 
-def register_value_codec(probe) -> None:
-    """Register ``probe(values) -> PackedValues | None``.
+def _try(probe, *args):
+    try:
+        return probe(*args)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
-    Used by higher layers (``repro.core`` registers the Chunk codec) so
-    the engine never imports them. A probe must return an object with
-    the ``PackedValues`` interface: ``__len__``, ``nbytes``,
+
+def pack_own_column(values, byte_limit):
+    """``values`` packed by the codec its first value's type offers, or
+    None.
+
+    A value class offers ``pack_column(values, byte_limit)`` returning an
+    object with the ``PackedValues`` interface — ``__len__``, ``nbytes``,
     ``unpack()`` (byte-identical Python values, in order) and
-    ``gather(idx)``.
+    ``gather(idx)`` — or None to decline. ``byte_limit`` is the
+    mean-bytes-per-record refusal threshold: the shuffle passes
+    :data:`VALUE_PACK_BYTE_LIMIT`, spill passes None.
     """
-    _VALUE_CODECS.append(probe)
+    pack_column = getattr(type(values[0]), "pack_column", None)
+    if pack_column is None:
+        return None
+    return _try(pack_column, values, byte_limit)
 
 
 def pack_values(values):
@@ -310,13 +324,10 @@ def pack_values(values):
     if not values:
         return None
     for probe in _VALUE_CODECS:
-        try:
-            packed = probe(values)
-        except (TypeError, ValueError, OverflowError):
-            packed = None
+        packed = _try(probe, values)
         if packed is not None:
             return packed
-    return None
+    return pack_own_column(values, VALUE_PACK_BYTE_LIMIT)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,10 @@ dispatched on ``type(obj)`` in one dict lookup; everything else walks
 the probe chain. Containers still cost one call per element, so anything
 big should be an array (or a class advertising ``nbytes``) that knows its
 size in O(1) — not a list of small tuples.
+
+A class whose resident footprint exceeds the ``nbytes`` it advertises
+reports it as ``resident_nbytes``: a chunk's lazily built rank caches
+count toward cache budgets and eviction, not toward its logical size.
 """
 
 from __future__ import annotations
@@ -21,28 +25,14 @@ import sys
 
 import numpy as np
 
-#: exact sizers registered by higher layers; each probe returns a byte
-#: count or None to decline. ``repro.core`` registers a chunk-exact
-#: sizer (payload + mask words + milestone caches) so budget accounting
-#: and the eviction score see true chunk footprints.
-_SIZERS = []
-
-
-def register_sizer(probe) -> None:
-    """Register ``probe(obj) -> int | None`` tried before the generic
-    ``nbytes`` path. Used by higher layers so the engine never imports
-    them (the same inversion as the shuffle value codecs). Probes see
-    only objects the exact-builtin fast path does not size."""
-    _SIZERS.append(probe)
-
 
 def estimate_size(obj) -> int:
     """Best-effort deep size of ``obj`` in bytes.
 
     Exact builtin types are sized by a ``type(obj)`` lookup with the
     same values the probe chain below gives them (``bool`` is 8, as an
-    ``int``). Otherwise registered exact sizers win first (chunks report
-    payload + mask + rank caches), then objects advertising a ``nbytes``
+    ``int``). Otherwise an object's own ``resident_nbytes`` wins first
+    (a chunk reports payload + mask + rank caches), then a ``nbytes``
     attribute (numpy arrays and scalars, Bitmask, RecordBatch).
     Containers are measured recursively with a small per-element
     overhead to mimic serialization framing.
@@ -51,7 +41,7 @@ def estimate_size(obj) -> int:
     size = _FIXED_SIZE.get(kind)
     if size is not None:
         return size
-    exact = _EXACT_SIZERS.get(kind)
+    exact = _SIZE_OF_TYPE.get(kind)
     if exact is not None:
         return exact(obj)
     return _probe_size(obj)
@@ -82,7 +72,7 @@ def _ndarray_size(obj) -> int:
 #: deriving from float) fall through to the probe chain, which may read
 #: their ``nbytes`` first
 _FIXED_SIZE = {int: 8, bool: 8, float: 8, complex: 16, type(None): 0}
-_EXACT_SIZERS = {
+_SIZE_OF_TYPE = {
     tuple: _sequence_size, list: _sequence_size,
     set: _set_size, frozenset: _set_size, dict: _dict_size,
     str: len, bytes: len, bytearray: len,
@@ -93,10 +83,9 @@ _EXACT_SIZERS = {
 def _probe_size(obj) -> int:
     if isinstance(obj, np.ndarray):
         return _ndarray_size(obj)
-    for probe in _SIZERS:
-        exact = probe(obj)
-        if exact is not None:
-            return exact
+    resident = getattr(obj, "resident_nbytes", None)
+    if resident is not None:
+        return resident
     nbytes = getattr(obj, "nbytes", None)
     if nbytes is not None and isinstance(nbytes, (int, np.integer)):
         return int(nbytes)

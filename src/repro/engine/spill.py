@@ -7,12 +7,15 @@ and decoded back on the next access. The byte counts charged to the
 metrics and the cost model are the true encoded sizes.
 
 Encoding prefers a columnar form over a pickle-per-record one. A
-partition of ``(key, value)`` records whose value column matches a
-registered spill codec ships as one packed buffer object; everything
-else falls back to a plain pickle of the record list. ``repro.core``
-registers the Chunk codec (:mod:`repro.core.chunk_codec`) without its
-in-memory byte limit, so spilled chunk partitions reuse the compressed
-SUPER_SPARSE mask layout on disk.
+partition of ``(key, value)`` records ships its value column as one
+packed buffer object when the values' own type offers a codec
+(``pack_column``, see :func:`repro.engine.batches.pack_own_column`) —
+called here without the shuffle's byte limit, since a spilled partition
+is large by definition and on disk a copied compressed buffer beats
+pickled objects — or when a built-in shuffle codec (scalars, pairs,
+small arrays) takes it; everything else falls back to a plain pickle of
+the record list. ``Chunk`` columns thus reuse the compressed
+SUPER_SPARSE mask layout on disk (:mod:`repro.core.chunk_codec`).
 
 The contract mirrors the shuffle data plane's: decoding must be
 **byte-identical** — ``pickle.dumps(decode(encode(records)))`` equals
@@ -24,30 +27,19 @@ from __future__ import annotations
 
 import pickle
 
-from repro.engine.batches import canonical_values, pack_values
-
-#: spill codecs tried in order; each ``probe(values)`` returns a packed
-#: column (``unpack()`` byte-identical, ``nbytes``) or None to decline
-_SPILL_CODECS = []
-
-
-def register_spill_codec(probe) -> None:
-    """Register ``probe(values) -> PackedValues | None`` for spill
-    encoding. Higher layers register here (``repro.core`` adds the
-    unbounded Chunk codec) so the engine never imports them."""
-    _SPILL_CODECS.append(probe)
+from repro.engine.batches import (
+    canonical_values,
+    pack_own_column,
+    pack_values,
+)
 
 
 def _pack_column(values):
-    for probe in _SPILL_CODECS:
-        try:
-            packed = probe(values)
-        except (TypeError, ValueError, OverflowError):
-            packed = None
-        if packed is not None:
-            return packed
-    # the shuffle codecs (scalars, pairs, arrays, size-limited chunks)
-    # also produce byte-identical columns; reuse them
+    # the value type's own codec, unbounded; the built-in codecs keep
+    # their byte limit on disk too
+    packed = pack_own_column(values, None)
+    if packed is not None:
+        return packed
     return pack_values(values)
 
 

@@ -12,10 +12,10 @@ Persisted RDD partitions are stored here as blocks keyed by
   chunk codec), written to a per-context spill directory, freed from
   RAM, and decoded back on access. Disk bytes are the true encoded
   sizes and flow into the metrics, the cost model, and the trace.
-- **density-adaptive repacking** — when enabled, admission re-runs the
-  paper's chunk mode policy on each chunk's current density via a
-  repacker registered by ``repro.core``, shrinking stale encodings
-  (``chunks_repacked`` / ``repack_bytes_saved`` counters).
+- **density-adaptive repacking** — when enabled, admission calls each
+  cached value's own ``repack()`` (``Chunk.repack`` re-runs the paper's
+  mode policy on the chunk's current density), shrinking stale
+  encodings (``chunks_repacked`` / ``repack_bytes_saved`` counters).
 """
 
 from __future__ import annotations
@@ -27,21 +27,40 @@ import threading
 from collections import OrderedDict
 
 from repro.engine import spill as spill_mod
-from repro.engine.sizing import estimate_partition_size
+from repro.engine.sizing import estimate_partition_size, estimate_size
 from repro.errors import EngineError
 
-#: the admission repacker registered by ``repro.core``:
-#: ``func(records) -> (new_records, chunks_repacked, bytes_saved) | None``
-_REPACKER = {"func": None}
 
+def _repacked(records):
+    """``records`` with every repackable value re-encoded for admission.
 
-def register_repacker(func) -> None:
-    """Register the density-driven chunk repacker (one, engine-wide).
-
-    ``repro.core`` registers :func:`repro.core.chunk.repack_records`
-    here so the cache never imports the array layer.
+    Handles bare values and ``(key, value)`` pairs — the shapes ArrayRDD
+    partitions take — whose type offers ``repack() -> (value,
+    changed)``. Returns ``(new_records, values_repacked,
+    bytes_saved)``, or None when nothing changed (the partition is
+    admitted as-is and no counters move). ``bytes_saved`` is the net
+    resident-size reduction, so the ledger shrinks by the same amount
+    the counter reports.
     """
-    _REPACKER["func"] = func
+    out = None
+    count = saved = 0
+    for i, record in enumerate(records):
+        pair = type(record) is tuple and len(record) == 2
+        value = record[1] if pair else record
+        repack = getattr(value, "repack", None)
+        if repack is None:
+            continue
+        new, changed = repack()
+        if not changed:
+            continue
+        if out is None:
+            out = list(records)
+        saved += estimate_size(value) - estimate_size(new)
+        out[i] = (record[0], new) if pair else new
+        count += 1
+    if count == 0:
+        return None
+    return out, count, saved
 
 
 class StorageLevel(enum.Enum):
@@ -260,8 +279,8 @@ class CacheManager:
             # the old file behind would leak disk and resurrect stale
             # data after the live copy is dropped
             self._purge_spill(key)
-            if self._repack and _REPACKER["func"] is not None:
-                repacked = _REPACKER["func"](data)
+            if self._repack:
+                repacked = _repacked(data)
                 if repacked is not None:
                     data, count, saved = repacked
                     self._metrics.add(chunks_repacked=count,

@@ -21,10 +21,11 @@ One round trip:
    shuffle map output is exported to a shared-memory segment before
    the reply, so bucket payloads never ride the result pipe;
 3. the reply carries the result plus everything the driver must merge
-   back: metric counter deltas, spans, stage timings, cache
-   contributions (blocks the task computed for persisted RDDs), and
-   the names of segments it created (adopted into the driver's
-   registry, which owns their lifecycle from then on).
+   back: metric counter deltas, spans (stage and task wall times are
+   read off them), cache contributions (blocks the task computed for
+   persisted RDDs), and the names of segments it created (adopted
+   into the driver's registry, which owns their lifecycle from then
+   on).
 
 Workers are forked **eagerly** — all of them, from the thread that
 creates the pool — because forking lazily from dispatcher threads

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.chunk import Chunk, ChunkMode
+from repro.engine.batches import canonical_dtype
 from repro.errors import ArrayError
 
 
@@ -22,7 +23,8 @@ class OffsetArrayChunk:
 
     Duck-types the read-side of :class:`Chunk` (``values``, ``indices``,
     ``to_dense``, ``valid_count``, ``nbytes``...) so the matrix kernels
-    accept either encoding.
+    accept either encoding. It offers no column codec: shuffles and
+    spill files carry it pickled per record.
     """
 
     __slots__ = ("_offsets", "payload", "num_cells")
@@ -44,6 +46,14 @@ class OffsetArrayChunk:
         self._offsets = offsets[order]
         self.payload = values[order]
         self.num_cells = num_cells
+
+    def __setstate__(self, state) -> None:
+        # re-intern the unpickled dtypes, as Chunk does, so a chunk read
+        # back from a spill file or another process pickles identically
+        # to one built in place
+        for name, value in state[1].items():
+            setattr(self, name, canonical_dtype(value)
+                    if type(value) is np.ndarray else value)
 
     @classmethod
     def from_chunk(cls, chunk: Chunk) -> "OffsetArrayChunk":
@@ -197,15 +207,3 @@ class CSRBlock:
     @property
     def nbytes(self) -> int:
         return int(self.indptr.nbytes) + int(self.cols.nbytes)
-
-
-def _register_codec() -> None:
-    """Teach the columnar shuffle / shm / spill planes to pack
-    OffsetArrayChunk columns (no pickle fallback for offset-encoded
-    static matrices)."""
-    from repro.core import chunk_codec
-
-    chunk_codec.register_offset_chunks(OffsetArrayChunk)
-
-
-_register_codec()

@@ -5,11 +5,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import ArrayMetadata, Chunk, ChunkMode  # registers codec
+from repro.core import ArrayMetadata, Chunk, ChunkMode
 from repro.core.chunk_codec import ChunkValues, probe_chunks
 from repro.core.ingest import array_rdd_from_records
-from repro.engine import ClusterContext, HashPartitioner
+from repro.engine import ClusterContext, HashPartitioner, StorageLevel
 from repro.engine.batches import pack_values
+from repro.matrix import SpangleMatrix
+from repro.matrix.offsets import OffsetArrayChunk
 from tests._reference.engine import shuffle_path
 
 
@@ -127,11 +129,10 @@ class TestChunkShuffleByteIdentity:
 
 
 class TestOffsetChunkCodec:
-    """The OffsetArrayChunk columnar codec (matrix ↔ core)."""
+    """OffsetArrayChunk offers no column codec: shuffles and spill files
+    carry it on the generic pickled path."""
 
     def _chunks(self, count=4, num_cells=256):
-        from repro.matrix.offsets import OffsetArrayChunk
-
         rng = np.random.default_rng(9)
         out = []
         for _i in range(count):
@@ -141,54 +142,34 @@ class TestOffsetChunkCodec:
                                         rng.random(size)))
         return out
 
-    def test_roundtrip_pickle_identical(self):
-        from repro.core.chunk_codec import OffsetChunkValues
-
-        chunks = self._chunks()
-        packed = pack_values(chunks)
-        assert isinstance(packed, OffsetChunkValues)
-        assert pickle.dumps(packed.unpack()) == pickle.dumps(chunks)
-
-    def test_gather_matches_fancy_select(self):
-        chunks = self._chunks()
-        packed = pack_values(chunks)
-        idx = np.array([3, 1, 0])
-        assert pickle.dumps(packed.gather(idx).unpack()) \
-            == pickle.dumps([chunks[i] for i in idx])
-
-    def test_mixed_with_plain_chunks_refuses(self):
-        from repro.core.chunk_codec import probe_offset_chunks
-
-        chunks = self._chunks(2)
-        mixed = [chunks[0], _chunk(ChunkMode.SPARSE)]
-        assert probe_offset_chunks(mixed) is None
-        assert probe_offset_chunks([_chunk(ChunkMode.SPARSE)]) is None
-
-    def test_byte_limit_refuses_big_chunks(self):
-        from repro.core.chunk_codec import (
-            probe_offset_chunks,
-            probe_offset_chunks_for_spill,
-        )
-        from repro.matrix.offsets import OffsetArrayChunk
-
-        cells = 2048
-        big = [OffsetArrayChunk(cells, np.arange(cells),
-                                np.random.default_rng(1).random(cells))
-               for _i in range(2)]
-        assert probe_offset_chunks(big) is None  # ships by reference
-        assert probe_offset_chunks_for_spill(big) is not None
-
-    def test_object_payload_refuses(self):
-        from repro.core.chunk_codec import probe_offset_chunks
-        from repro.matrix.offsets import OffsetArrayChunk
-
-        chunk = OffsetArrayChunk(
-            8, np.array([1, 3]), np.array([object(), object()]))
-        assert probe_offset_chunks([chunk]) is None
+    @pytest.mark.parametrize("config", [
+        dict(), dict(backend="process"),
+    ], ids=["serial", "process"])
+    def test_static_matrix_shuffles_and_spills_pickle_identical(
+            self, config):
+        rng = np.random.default_rng(5)
+        dense = rng.random((128, 128))
+        # the left half stays dense; the right half's blocks fall below
+        # the offset-array threshold and optimize_static re-encodes them
+        dense[:, 64:] *= rng.random((128, 64)) < 0.005
+        with ClusterContext(num_executors=2, cache_budget_bytes=20_000,
+                            **config) as ctx:
+            static = SpangleMatrix.from_numpy(
+                ctx, dense, (32, 32), num_partitions=4).optimize_static()
+            in_memory = sorted(static.array.rdd.collect(),
+                               key=lambda kv: kv[0])
+            assert {type(chunk) for _cid, chunk in in_memory} \
+                == {Chunk, OffsetArrayChunk}
+            placed = static.array.rdd.partition_by(HashPartitioner(3)) \
+                .persist(StorageLevel.MEMORY_AND_DISK)
+            first = sorted(placed.collect(), key=lambda kv: kv[0])
+            assert ctx.metrics.cache_spills > 0
+            reread = sorted(placed.collect(), key=lambda kv: kv[0])
+            assert ctx.metrics.cache_reloads > 0
+        assert pickle.dumps(first) == pickle.dumps(in_memory)
+        assert pickle.dumps(reread) == pickle.dumps(in_memory)
 
     def test_shuffle_byte_identity(self):
-        from repro.matrix.offsets import OffsetArrayChunk  # noqa: F401
-
         def run(columnar):
             ctx = ClusterContext(num_executors=2,
                                  default_parallelism=2)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Chunk, ChunkMode
-from repro.core.chunk import chunk_exact_size
 from repro.engine.sizing import estimate_partition_size, estimate_size
 
 
@@ -27,9 +26,8 @@ def reference_size(obj) -> int:
         if obj.dtype.hasobject:
             return 8 * obj.size + sum(reference_size(o) for o in obj.flat)
         return int(obj.nbytes)
-    exact = chunk_exact_size(obj)
-    if exact is not None:
-        return exact
+    if type(obj) is Chunk:
+        return obj.resident_nbytes
     nbytes = getattr(obj, "nbytes", None)
     if nbytes is not None and isinstance(nbytes, (int, np.integer)):
         return int(nbytes)
@@ -108,7 +106,7 @@ class TestGolden:
     @pytest.mark.parametrize("mode", list(ChunkMode))
     def test_chunk_uses_registered_probe(self, mode):
         chunk = _chunk(mode)
-        exact = chunk_exact_size(chunk)
+        exact = chunk.resident_nbytes
         assert estimate_size(chunk) == exact
         assert estimate_size((4, chunk)) == 8 + 8 + exact
 
