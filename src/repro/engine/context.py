@@ -126,10 +126,9 @@ class ClusterContext:
         if backend == "process":
             from repro.engine.worker import ProcessTaskRunner
 
-            self.process_runner = ProcessTaskRunner(self)
-            # fork every worker NOW, from this thread — forking later,
+            # forks every worker NOW, from this thread — forking later,
             # from a dispatcher thread, risks cloning held locks
-            self.process_runner.ensure_started()
+            self.process_runner = ProcessTaskRunner(self)
         self.scheduler = StageScheduler(self)
 
     @property

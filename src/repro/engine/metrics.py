@@ -60,7 +60,7 @@ optimizer_rules_fired      counter  count  core.optimizer    plan rewrites fired
 optimizer_chunks_pruned    counter  count  core.optimizer    chunk records the rewrites keep out of kernels
 shm_segments_created       counter  count  engine.shm        shared-memory segments created
 shm_bytes_mapped           counter  bytes  engine.shm        segment bytes mapped into a process
-worker_respawns            counter  count  engine.worker     worker pools replaced after a crash
+worker_respawns            counter  count  engine.worker     worker processes replaced after a crash
 task_payload_bytes         counter  bytes  engine.worker     task payload bytes shipped to workers
 cache.resident_bytes       gauge    bytes  engine.storage    bytes resident in the block cache
 cache.spilled_bytes        gauge    bytes  engine.storage    encoded bytes in the spill tier

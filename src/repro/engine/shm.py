@@ -36,9 +36,8 @@ set — concurrent attach/unregister pairs from different processes can
 interleave into a double-unregister that makes the tracker print
 KeyError tracebacks. Our names are therefore filtered out of tracker
 traffic entirely (the registry is the sole owner). And a mapping with
-exported buffer views cannot ``close()`` — the atexit path neutralizes
-the ``SharedMemory`` object instead and lets the OS reclaim the
-mapping at process exit.
+exported buffer views cannot ``close()`` — the atexit path leaves it
+for the OS to reclaim at process exit.
 """
 
 from __future__ import annotations
@@ -283,20 +282,20 @@ def resolve_segment(segment, metrics=None):
 
 
 def _release_attachments() -> None:
-    """Close every cached mapping; neutralize ones with live views.
+    """Close every cached mapping that no decoded view still uses.
 
     A mapping whose buffer has exported views (decoded numpy columns
-    still referenced) raises BufferError on close — for those the
-    SharedMemory object is defused so its ``__del__`` no-ops and the OS
-    reclaims the mapping at process exit.
+    still referenced) raises BufferError on close and is left to the
+    OS to reclaim at process exit (its ``__del__`` reports the same
+    error as ignored). Process-backend jobs followed by collections
+    leave no such view at exit (``test_process_jobs_then_gc_exit_cleanly``).
     """
     with _ATTACH_LOCK:
         for segment in _ATTACHED.values():
             try:
                 segment.close()
             except BufferError:
-                segment._buf = None
-                segment._mmap = None
+                pass
         _ATTACHED.clear()
 
 

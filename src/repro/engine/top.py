@@ -77,7 +77,7 @@ def _violations(sample, previous, stages):
         previous["counters"].get("worker_respawns", 0) if previous else 0)
     if respawns > 0:
         yield ("worker_respawn", respawns,
-               f"worker pool respawned {respawns} time(s)")
+               f"{respawns} worker process(es) replaced after a crash")
     for stage in stages:
         if len(stage.task_times) >= 2 and stage.skew >= TASK_SKEW:
             yield (f"shuffle_skew:{stage.name}", stage.skew,

@@ -27,23 +27,21 @@ One round trip:
    into the driver's registry, which owns their lifecycle from then
    on).
 
-Workers are forked **eagerly** — all of them, from the thread that
-creates the pool — because forking lazily from dispatcher threads
-risks cloning a lock mid-acquisition. A worker killed mid-task breaks
-the pool; the pool is respawned (``worker_respawns`` counter) and the
-driver-side retry loop re-runs the task.
+Each worker is forked eagerly, from the thread that creates the pool,
+and owns one duplex pipe; a dispatcher takes an idle worker and makes
+the round trip on its pipe. A worker killed mid-task is replaced alone
+(``worker_respawns``) and the driver-side retry re-runs the task.
+Shutdown sends each worker an empty stop message.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import pickle
+import queue
 import threading
-import time
-
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine import shm as shm_mod
 from repro.engine import spill as spill_mod
@@ -124,11 +122,6 @@ class TaskBlockCache:
         self._local[(rdd_id, partition_index)] = data
         self.contributions.append(
             (rdd_id, partition_index, data, allow_spill))
-
-    def drop_partition(self, rdd_id: int, partition_index: int) -> bool:
-        key = (rdd_id, partition_index)
-        dropped = self._local.pop(key, None) is not None
-        return (self._handles.pop(key, None) is not None) or dropped
 
     def drop_rdd(self, rdd_id: int) -> int:
         keys = [k for k in list(self._local) if k[0] == rdd_id]
@@ -285,12 +278,6 @@ def _export_map_output(out, prefix, metrics, created):
     return shipped, num_records, total_bytes, stats
 
 
-def _warmup() -> None:
-    # long enough that rapid-fire warmup submits each fork a fresh
-    # worker instead of reusing an idle one
-    time.sleep(0.05)
-
-
 def _worker_entry(payload: bytes) -> bytes:
     """Run one task in a worker process; returns the pickled reply."""
     metrics = MetricsRegistry()
@@ -324,89 +311,109 @@ def _worker_entry(payload: bytes) -> bytes:
     try:
         return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
-        fallback = dict(reply, ok=False, result=None, contributions=[],
-                        error=RuntimeError(
-                            f"task reply failed to serialize: {exc!r}"))
-        try:
-            return pickle.dumps(fallback,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            minimal = {"ok": False, "pid": reply["pid"], "result": None,
-                       "counters": {},
-                       "spans": [], "contributions": [],
-                       "segments": created,
-                       "error": RuntimeError(
-                           "task reply failed to serialize")}
-            return pickle.dumps(minimal,
-                                protocol=pickle.HIGHEST_PROTOCOL)
+        reply.update(ok=False, result=None, contributions=[],
+                     error=RuntimeError(
+                         f"task reply failed to serialize: {exc!r}"))
+    try:
+        return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        reply.update(counters={}, spans=[],
+                     error=RuntimeError("task reply failed to serialize"))
+        return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # ----------------------------------------------------------------------
 # the worker pool and the driver-side runner
 # ----------------------------------------------------------------------
 
-class ProcessWorkerPool:
-    """A persistent pool of forked worker processes.
+def _serve(conn) -> None:
+    """A worker's loop: payload in, reply out, until the stop message."""
+    try:
+        while payload := conn.recv_bytes():
+            conn.send_bytes(_worker_entry(payload))
+    except EOFError:  # the driver is gone
+        pass
 
-    All workers fork eagerly at creation (from the creating thread —
-    never from a dispatcher). A crashed worker breaks the executor;
-    the pool drops it, counts a respawn, and recreates lazily on the
-    next task so the driver-side retry succeeds.
-    """
+
+_MP = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+_FORK_LOCK = threading.Lock()
+
+
+def _fork():
+    """One worker and the driver end of its pipe. Forks are serialized,
+    each closing the child end before the next, so a dead worker always
+    reads as EOF. Later forks inherit earlier *driver* ends, so closing
+    one is no EOF to its worker: shutdown sends the stop message."""
+    with _FORK_LOCK:
+        driver_end, worker_end = _MP.Pipe()
+        process = _MP.Process(target=_serve, args=(worker_end,),
+                              daemon=True)
+        process.start()
+        worker_end.close()
+    return process, driver_end
+
+
+class ProcessWorkerPool:
+    """A persistent set of forked workers, one duplex pipe each."""
 
     def __init__(self, num_workers: int):
         self.num_workers = num_workers
-        self._executor = None
         self._lock = threading.Lock()
+        self._workers = None  # slot -> (process, driver end)
+        self._idle = None     # slots free for a round trip
+        self._start()
 
-    @property
-    def started(self) -> bool:
-        return self._executor is not None
+    def _start(self):
+        if self._workers is None:
+            self._workers = [_fork() for _ in range(self.num_workers)]
+            self._idle = queue.SimpleQueue()
+            for slot in range(self.num_workers):
+                self._idle.put(slot)
+        return self._workers, self._idle
 
-    def _spawn(self) -> ProcessPoolExecutor:
-        methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else "spawn"
-        executor = ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            mp_context=multiprocessing.get_context(method))
-        # force every worker to fork NOW: each submit spawns a fresh
-        # process while none is idle, and the sleeps keep them busy
-        for future in [executor.submit(_warmup)
-                       for _ in range(self.num_workers)]:
-            future.result()
-        return executor
-
-    def ensure_started(self) -> None:
+    def run(self, payload: bytes, metrics) -> bytes:
         with self._lock:
-            if self._executor is None:
-                self._executor = self._spawn()
-
-    def run(self, payload: bytes, metrics=None) -> bytes:
-        with self._lock:
-            if self._executor is None:
-                self._executor = self._spawn()
-            executor = self._executor
+            workers, idle = self._start()
+        slot = idle.get()
+        if slot is None:  # shut down while waiting for a slot
+            idle.put(None)
+            raise RuntimeError(
+                "process pool shut down while the job was running")
+        process, conn = workers[slot]
         try:
-            return executor.submit(_worker_entry, payload).result()
-        except BrokenProcessPool as exc:
+            conn.send_bytes(payload)
+            return conn.recv_bytes()
+        except BaseException as exc:
+            # a trip cut short leaves the pipe mid-message: whatever the
+            # cause, this worker alone is replaced (unless shut down)
             with self._lock:
-                first = self._executor is executor
-                if first:
-                    self._executor = None
-            if first:
-                executor.shutdown(wait=False)
-                if metrics is not None:
+                if self._workers is workers:
+                    workers[slot] = _fork()
                     metrics.add(worker_respawns=1)
-            raise WorkerCrashed(
-                "worker process died executing a task; "
-                "the pool will respawn") from exc
+            process.kill()
+            process.join()
+            conn.close()
+            if isinstance(exc, (EOFError, OSError)):
+                raise WorkerCrashed("worker process died executing a "
+                                    "task; it was replaced") from exc
+            raise
+        finally:
+            idle.put(slot)
 
     def shutdown(self) -> None:
         with self._lock:
-            executor = self._executor
-            self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
+            workers, idle = self._workers, self._idle
+            self._workers = self._idle = None
+        if workers is None:
+            return
+        for _ in workers:  # taking every slot waits out trips in flight
+            process, conn = workers[idle.get()]
+            with contextlib.suppress(OSError):  # dead, not replaced
+                conn.send_bytes(b"")
+            process.join()
+            conn.close()
+        idle.put(None)  # wakes callers still waiting for a slot
 
 
 class ProcessTaskRunner:
@@ -419,9 +426,6 @@ class ProcessTaskRunner:
     def __init__(self, context):
         self.context = context
         self.pool = ProcessWorkerPool(context.num_executors)
-
-    def ensure_started(self) -> None:
-        self.pool.ensure_started()
 
     def shutdown(self) -> None:
         self.pool.shutdown()
@@ -529,13 +533,7 @@ class ProcessTaskRunner:
     def _run(self, task, parent_span):
         payload = self._build_payload(task)
         self.context.metrics.add(task_payload_bytes=len(payload))
-        try:
-            reply_bytes = self.pool.run(payload, self.context.metrics)
-        except CancelledError:
-            raise RuntimeError(
-                "process pool shut down while the job was running"
-            ) from None
-        reply = pickle.loads(reply_bytes)
+        reply = pickle.loads(self.pool.run(payload, self.context.metrics))
         self._absorb(task, reply, parent_span)
         if not reply["ok"]:
             raise reply["error"]

@@ -1,22 +1,31 @@
 """The process execution backend: workers, shm exchange, fault paths.
 
 Covers what the scheduler contract tests (which run whole scenarios
-under ``backend="process"``) do not: a worker killed mid-stage, the
-shared-memory block-exchange counters, cached-chunk handoff, span
-adoption, resource cleanup — no leaked ``/dev/shm`` segments or
-spill files after a run, even one that killed a worker — task payloads
-sliced to the partitions a task reads, and by-value closures that
-reach themselves.
+under ``backend="process"``) do not: a worker killed mid-stage (and
+replaced alone), callers sharing the workers' pipes, the shared-memory
+block-exchange counters, cached-chunk handoff, span adoption, resource
+cleanup — no leaked ``/dev/shm`` segments, spill files or worker
+processes after a run, even one that killed a worker or shut down mid-job
+— a clean exit after many jobs, task payloads sliced to the partitions
+a task reads, and by-value closures that reach themselves.
 """
 
+import multiprocessing
 import operator
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import (
     ClusterContext,
     HashPartitioner,
@@ -46,19 +55,49 @@ class _KillOnFirstAttempt:
     """A UDF that SIGKILLs its worker process once, then behaves.
 
     The sentinel file makes the crash one-shot: the first task to run
-    the closure creates it and dies; retries (and every other task) see
-    the file and pass records through unchanged.
+    the closure creates it (atomically, so two workers never both die),
+    writes its pid and dies; retries (and every other task) see the file
+    and pass records through unchanged.
     """
 
     def __init__(self, sentinel_path):
         self.sentinel_path = sentinel_path
 
     def __call__(self, record):
-        if not os.path.exists(self.sentinel_path):
-            with open(self.sentinel_path, "w") as fh:
-                fh.write("crashed")
-            os.kill(os.getpid(), signal.SIGKILL)
+        try:
+            fd = os.open(self.sentinel_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return record
+        os.write(fd, str(os.getpid()).encode())
+        os.close(fd)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _HoldUntilReleased:
+    """A UDF that marks its task started, then waits for a release file."""
+
+    def __init__(self, started_path, release_path):
+        self.started_path = started_path
+        self.release_path = release_path
+
+    def __call__(self, record):
+        open(self.started_path, "a").close()
+        deadline = time.monotonic() + 30
+        while not os.path.exists(self.release_path):
+            assert time.monotonic() < deadline, "never released"
+            time.sleep(0.005)
         return record
+
+
+def _task_pids(spans) -> set:
+    """The worker pids named on the task spans of ``spans``."""
+    return {span.attrs["worker"] for span in spans
+            if span.kind == "task" and "worker" in span.attrs}
+
+
+def _pool_children(before) -> set:
+    """Live child processes this process did not have at ``before``."""
+    return set(multiprocessing.active_children()) - before
 
 
 class TestWorkerDeath:
@@ -107,6 +146,35 @@ class TestWorkerDeath:
         assert len(tasks) == 4
         assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
+    def test_killed_worker_is_replaced_alone(self, tmp_path):
+        sentinel = str(tmp_path / "crash-once")
+        records = [(i % 5, i) for i in range(60)]
+        with ClusterContext(num_executors=2) as serial:
+            expected = sorted(serial.parallelize(records, 4)
+                              .reduce_by_key(operator.add).collect())
+        with ClusterContext(num_executors=2, backend="process",
+                            task_retries=3, trace=True) as ctx:
+            pairs = ctx.parallelize(records, 4)
+            pairs.map(lambda kv: kv).collect()
+            first = _task_pids(ctx.tracer.spans())
+            assert len(first) == 2
+            got = sorted(pairs.map(_KillOnFirstAttempt(sentinel))
+                         .reduce_by_key(operator.add).collect())
+            with open(sentinel) as fh:
+                killed = int(fh.read())
+            mark = len(ctx.tracer.spans())
+            again = sorted(pairs.reduce_by_key(operator.add).collect())
+            second = _task_pids(ctx.tracer.spans()[mark:])
+            respawns = ctx.metrics.snapshot().worker_respawns
+        assert got == expected and again == expected
+        assert respawns == 1
+        assert killed in first
+        # the survivor keeps serving under its old pid; the dead one's
+        # replacement is a new process
+        survivor = (first - {killed}).pop()
+        assert survivor in second and killed not in second
+        assert len(second) == 2
+
     def test_crash_with_no_retries_surfaces(self, tmp_path):
         from repro.errors import TaskFailure
 
@@ -119,6 +187,112 @@ class TestWorkerDeath:
             ctx.parallelize(range(40), 4).map(killer).collect()
         ctx.shutdown()
         assert leaked_segments(prefix) == []
+
+
+class TestWorkerSlots:
+    def test_more_callers_than_workers_get_their_own_replies(self):
+        """Six threads share two workers' pipes: each caller waits for
+        an idle worker, and every reply is the one for its payload."""
+        with ClusterContext(num_executors=2) as serial:
+            expected = [list(serial.parallelize(range(400), 8)
+                             .map(lambda x: x * 3).iterator(i))
+                        for i in range(8)]
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            rdd = ctx.parallelize(range(400), 8).map(lambda x: x * 3)
+
+            def call(i):
+                return ctx.process_runner.run_result(rdd, i % 8, list)
+
+            with ThreadPoolExecutor(6) as callers:
+                got = list(callers.map(call, range(48), timeout=120))
+        assert got == [expected[i % 8] for i in range(48)]
+
+
+class TestShutdownLeavesNoWorker:
+    """After ``ctx.shutdown()`` no worker process is left alive: each
+    one got the stop message and was joined."""
+
+    def _audit(self, ctx, before):
+        prefix = ctx.shm_registry.prefix
+        ctx.shutdown()
+        assert _pool_children(before) == set()
+        assert leaked_segments(prefix) == []
+
+    def test_clean_run(self):
+        before = set(multiprocessing.active_children())
+        ctx = ClusterContext(num_executors=2, backend="process")
+        assert len(_pool_children(before)) == 2
+        ctx.parallelize(range(40), 4).map(lambda x: x + 1).collect()
+        self._audit(ctx, before)
+
+    def test_run_with_a_killed_worker(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        ctx = ClusterContext(num_executors=2, backend="process",
+                             task_retries=3)
+        killer = _KillOnFirstAttempt(str(tmp_path / "crash-once"))
+        assert ctx.parallelize(range(40), 4).map(killer).collect() \
+            == list(range(40))
+        assert ctx.metrics.snapshot().worker_respawns == 1
+        assert len(_pool_children(before)) == 2
+        self._audit(ctx, before)
+
+    def test_shutdown_while_a_job_is_in_flight(self, tmp_path):
+        started = tmp_path / "started"
+        release = tmp_path / "release"
+        before = set(multiprocessing.active_children())
+        ctx = ClusterContext(num_executors=2, backend="process")
+        hold = _HoldUntilReleased(str(started), str(release))
+        failure = {}
+
+        def run_job():
+            try:
+                ctx.parallelize(range(32), 32).map(hold).collect()
+            except RuntimeError as exc:
+                failure["error"] = exc
+
+        job = threading.Thread(target=run_job)
+        job.start()
+        deadline = time.monotonic() + 30
+        while not started.exists():
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        # shutdown cancels the queued tasks, then waits out the two in
+        # the workers, which the timer releases
+        timer = threading.Timer(0.3, release.touch)
+        timer.start()
+        self._audit(ctx, before)
+        job.join(timeout=30)
+        timer.join(timeout=30)
+        assert not job.is_alive()
+        assert "executor pool was shut down" in str(failure["error"])
+
+
+#: thirty process-backend jobs, each followed by a full collection; the
+#: lookups compute their partition on the driver, which maps the
+#: workers' shuffle segments, so the exit path has mappings to release
+_JOBS_THEN_GC = """
+import gc, operator
+from repro.engine import ClusterContext, shm
+
+kept = []
+with ClusterContext(num_executors=2, backend="process") as ctx:
+    for _ in range(30):
+        pairs = ctx.parallelize([(k % 8, float(k)) for k in range(4000)], 4)
+        kept.append(pairs.reduce_by_key(operator.add).lookup(3))
+        gc.collect()
+assert shm._ATTACHED, "the driver mapped no segment"
+"""
+
+
+def test_process_jobs_then_gc_exit_cleanly():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run([sys.executable, "-c", _JOBS_THEN_GC],
+                               capture_output=True, text=True,
+                               timeout=300, env=env)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert "Traceback" not in completed.stderr, completed.stderr[-2000:]
 
 
 class TestSharedMemoryExchange:

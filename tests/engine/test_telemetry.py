@@ -290,7 +290,7 @@ class TestTopDashboard:
         for row in ("[memory]", "resident", "[tasks]", "tasks/s",
                     "[shuffle]", "bytes/s"):
             assert row in frame
-        # one row per pid that served a task, the respawned pool's too
+        # one row per pid that served a task, the replacement worker's too
         assert f"[workers]  {len(pids)} pids" in frame
         assert all(f"  {pid:<10} " in frame for pid in pids)
         assert "[health] WARN" in frame
