@@ -8,7 +8,7 @@ multi-dimensional array is described by :class:`ArrayMetadata`, cut into
 (:class:`SpangleDataset`) sharing a lazily-evaluated :class:`MaskRDD`.
 Chunk-local operators append kernels to a pending :class:`ChunkPlan`
 (:mod:`repro.core.plan`), which makes its two exact rewrites as each
-kernel goes in and compiles to one fused pass per chunk.
+kernel goes in and compiles to one fused pass per partition.
 """
 
 from repro.core.aggregates import (

@@ -47,6 +47,14 @@ def choose_mode(density: float) -> ChunkMode:
     return ChunkMode.SPARSE
 
 
+def choose_modes(counts, num_cells) -> np.ndarray:
+    """:func:`choose_mode` per chunk, as indices into ``tuple(ChunkMode)``."""
+    density = np.divide(counts, num_cells, out=np.zeros(len(counts)),
+                        where=num_cells > 0)
+    return np.add(density < DENSE_THRESHOLD,
+                  density < SUPER_SPARSE_THRESHOLD, dtype=np.intp)
+
+
 class Chunk:
     """One block of an array: values for the valid cells plus their mask.
 
@@ -297,36 +305,6 @@ class Chunk:
             return self, False
         return self.convert(target), True
 
-    def map_values(self, func, mode: ChunkMode = None) -> "Chunk":
-        """Apply a vectorized function to the valid values only."""
-        new_values = np.asarray(func(self.values()))
-        if new_values.shape != self.values().shape:
-            raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        return Chunk.from_sparse(self.num_cells, self.indices(), new_values,
-                                 mode=mode or self.mode)
-
-    def filter(self, predicate, mode: ChunkMode = None) -> "Chunk":
-        """Keep valid cells where ``predicate(values)`` is True.
-
-        ``predicate`` receives the vector of valid values and returns a
-        boolean vector; failing cells become invalid (their bits drop to
-        zero and, in compressed modes, their payload slots vanish).
-        """
-        values = self.values()
-        keep = np.asarray(predicate(values), dtype=bool)
-        if keep.shape != values.shape:
-            raise ArrayError("filter predicate must return one bool per value")
-        if mode is None:
-            density = int(keep.sum()) / self.num_cells \
-                if self.num_cells else 0.0
-            mode = choose_mode(density)
-        keep_cells = np.zeros(self.num_cells, dtype=bool)
-        keep_cells[self.indices()[keep]] = True
-        return _build_from_bools(self.num_cells, keep_cells,
-                                 values[keep], mode)
-
     def and_mask(self, other_mask: Bitmask, mode: ChunkMode = None) -> "Chunk":
         """Restrict validity to ``mask AND other_mask`` (Fig. 4a/4b).
 
@@ -354,50 +332,6 @@ class Chunk:
             # mask by the valid offsets selects the surviving slots
             compact = self.payload[keep[self.indices()]]
         return _build_from_bools(self.num_cells, keep, compact, mode)
-
-    def _values_at_offsets(self, offsets: np.ndarray) -> np.ndarray:
-        """Values at the given valid offsets (all must be valid)."""
-        if self.mode is ChunkMode.DENSE:
-            return self.payload[offsets]
-        own = self.indices()
-        slots = np.searchsorted(own, offsets)
-        return self.payload[slots]
-
-    # ------------------------------------------------------------------
-    # binary operations
-    # ------------------------------------------------------------------
-
-    def elementwise(self, other: "Chunk", op, how: str = "and",
-                    fill=0) -> "Chunk":
-        """Combine two chunks cell-by-cell.
-
-        ``how="and"`` keeps cells valid on *both* sides (the bitwise-AND
-        fast path of Fig. 5 — invalid pairs are never computed);
-        ``how="or"`` keeps cells valid on either side, with ``fill``
-        standing in for the missing operand.
-        """
-        if other.num_cells != self.num_cells:
-            raise ArrayError(
-                f"chunk size mismatch: {self.num_cells} vs "
-                f"{other.num_cells}"
-            )
-        left_mask = self.flat_mask()
-        right_mask = other.flat_mask()
-        if how == "and":
-            combined = left_mask & right_mask
-            offsets = combined.indices()
-            left_values = self._values_at_offsets(offsets)
-            right_values = other._values_at_offsets(offsets)
-            result = op(left_values, right_values)
-            return Chunk.from_sparse(self.num_cells, offsets, result)
-        if how == "or":
-            combined = left_mask | right_mask
-            offsets = combined.indices()
-            left_dense = self.to_dense(fill)
-            right_dense = other.to_dense(fill)
-            result = op(left_dense[offsets], right_dense[offsets])
-            return Chunk.from_sparse(self.num_cells, offsets, result)
-        raise ArrayError(f"unknown join mode {how!r}; use 'and' or 'or'")
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,7 +10,7 @@ Both paths reconcile through :meth:`MaskRDD.apply_to`, which builds a
 :class:`~repro.core.plan.ChunkPlan` (a ``MaskApplySource`` + drop-empty
 kernel). Lazily, the per-attribute restriction therefore fuses with any
 chunk-local operators the caller chains after :meth:`evaluate`; eagerly,
-``materialize()`` collapses the same plan in a single pass per chunk.
+``materialize()`` collapses the same plan in a single pass.
 """
 
 from __future__ import annotations

@@ -9,23 +9,81 @@ reconciled on demand with a single AND per chunk.
 Box restrictions are recorded, not executed: ``subarray`` appends to a
 pending box list and reading :attr:`rdd` lowers the whole list as one
 chunk-ID-pruning pass (so five chained subarrays cost one traversal,
-with their wanted-sets intersected up front). ``apply_to`` joins the
-target array with the mask and leaves the AND pending on the result's
-:class:`~repro.core.plan.ChunkPlan`, so the reconciliation fuses with
-the chunk-local operators after it.
+with their wanted-sets intersected up front).
+
+``filter_on``, ``and_`` and ``apply_to`` zip co-partitioned partitions
+instead of joining chunk by chunk, stacking a partition's mask words so
+predicate → bits, AND and ``any`` are one array operation each.
+``apply_to`` leaves the AND to the result's pending
+:class:`~repro.core.plan.ChunkPlan`, fused with the operators after it.
 
 The with/without-MaskRDD performance gap is the paper's Fig. 9b.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bitmask import Bitmask
+from repro.bitmask.stacked import deposit, segments_any, stack_words
 from repro.core import mapper
 from repro.core.metadata import ArrayMetadata
-from repro.core.plan import ChunkPlan, DropEmpty, MaskApplySource
-from repro.errors import ShapeMismatchError
+from repro.core.plan import ChunkPlan, DropEmpty, MaskApplySource, each
+from repro.engine import HashPartitioner
+from repro.errors import ArrayError, ShapeMismatchError
+
+
+def _co_partitioned(first, second):
+    """Both under ``first``'s partitioner, else ``second``'s, else hash."""
+    target = first.partitioner if first.partitioner is not None \
+        else second.partitioner
+    if target is None:
+        target = HashPartitioner(max(first.num_partitions,
+                                     second.num_partitions))
+    return first.partition_by(target), second.partition_by(target)
+
+
+def _paired(left, right) -> list:
+    """Two co-partitioned partitions inner-joined, in ``left``'s order."""
+    right = dict(right)
+    return [(cid, (value, right[cid])) for cid, value in left
+            if cid in right]
+
+
+class _AndMasks:
+    """Zipped partitions ANDed: masks with masks, or with the cells of
+    attribute chunks passing ``predicate``. Emits ``(chunk_id, Bitmask)``
+    per chunk left with a set bit, in the mask side's order."""
+
+    def __init__(self, predicate=None):
+        self.predicate = predicate
+
+    def __call__(self, left, right):
+        matched = _paired(left, right)
+        if not matched:
+            return []
+        ids, pairs = zip(*matched)
+        masks, others = zip(*pairs)
+        for mask, other in pairs:
+            bits = other.num_bits if self.predicate is None \
+                else other.num_cells
+            if bits != mask.num_bits:
+                raise ArrayError(f"bitmask length mismatch: "
+                                 f"{mask.num_bits} vs {bits}")
+        words, bounds = stack_words(masks)
+        if self.predicate is None:
+            words &= stack_words(others)[0]
+        else:
+            keep = each(self.predicate,
+                        [chunk.values() for chunk in others],
+                        "filter predicate must return one bool per value",
+                        bool)
+            words &= deposit(stack_words(
+                [chunk.flat_mask() for chunk in others])[0], keep)
+        starts = bounds.tolist()
+        return [(cid, Bitmask(mask.num_bits, words[lo:hi].copy()))
+                for cid, mask, lo, hi, alive in zip(
+                    ids, masks, starts, starts[1:],
+                    segments_any(words, bounds).tolist())
+                if alive]
 
 
 class _RestrictMasks:
@@ -123,8 +181,6 @@ class MaskRDD:
             records.append((chunk_id, Bitmask.from_bools(inside)))
         if num_partitions is None:
             num_partitions = context.default_parallelism
-        from repro.engine import HashPartitioner
-
         partitioner = HashPartitioner(num_partitions)
         rdd = context.parallelize(records, num_partitions,
                                   partitioner=partitioner)
@@ -160,27 +216,16 @@ class MaskRDD:
             raise ShapeMismatchError(
                 "filter attribute has a different shape from the mask"
             )
-
-        def to_mask(chunk):
-            keep = np.asarray(predicate(chunk.values()), dtype=bool)
-            flags = chunk.valid_bools()
-            flags[flags] = keep
-            return Bitmask.from_bools(flags)
-
-        passing = array_rdd.rdd.map_values(to_mask)
-        joined = self.rdd.join(passing)
-        combined = joined.map_values(lambda pair: pair[0] & pair[1]) \
-                         .filter(lambda kv: kv[1].any())
-        combined.partitioner = joined.partitioner
-        return self._with_rdd(combined)
+        chunks, masks = _co_partitioned(array_rdd.rdd, self.rdd)
+        return self._with_rdd(masks.zip_partitions(
+            chunks, _AndMasks(predicate), preserves_partitioning=True))
 
     def and_(self, other: "MaskRDD") -> "MaskRDD":
         """Cell-wise AND of two masks (and-join of Fig. 4c)."""
         self._check_compatible(other)
-        joined = self.rdd.join(other.rdd)
-        out = joined.map_values(lambda pair: pair[0] & pair[1]) \
-                    .filter(lambda kv: kv[1].any())
-        return self._with_rdd(out)
+        masks, others = _co_partitioned(self.rdd, other.rdd)
+        return self._with_rdd(masks.zip_partitions(
+            others, _AndMasks(), preserves_partitioning=True))
 
     def or_(self, other: "MaskRDD") -> "MaskRDD":
         """Cell-wise OR of two masks (or-join of Fig. 4c)."""
@@ -212,17 +257,19 @@ class MaskRDD:
     def apply_to(self, array_rdd):
         """Reconcile an attribute with this mask (the on-demand step).
 
-        Joins attribute chunks with mask chunks and ANDs; attribute
+        Pairs attribute chunks with mask chunks and ANDs; attribute
         chunks with no surviving cell — or no mask entry at all — are
         dropped.
 
-        The join is built now; the AND is a
+        The zip of the two sides is built now; the AND is a
         :class:`~repro.core.plan.MaskApplySource` on the result's pending
         plan, so it and any chunk-local operators applied to the result
         (a dataset's per-attribute restriction + filter chains) run as
-        one fused pass per chunk.
+        one fused pass per partition.
         """
-        joined = array_rdd.rdd.join(self.rdd)
+        chunks, masks = _co_partitioned(array_rdd.rdd, self.rdd)
+        joined = chunks.zip_partitions(masks, _paired,
+                                       preserves_partitioning=True)
         return array_rdd._derive(
             joined, ChunkPlan(MaskApplySource(), (DropEmpty(),)),
             array_rdd._chunk_ids)

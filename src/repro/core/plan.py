@@ -9,26 +9,29 @@ module replaces that with one plan layer: operators *append a kernel*
 to a pending :class:`ChunkPlan`, which makes two exact rewrites as the
 kernel goes in (:meth:`ChunkPlan.then`). When an action (or a wide
 operator, or ``cache()``) forces evaluation, the whole chain compiles
-to **one** ``map_partitions`` pass — one decode, one kernel pipeline
-over plain offset/value vectors, one encode per surviving chunk.
+to **one** ``map_partitions`` pass over whole partitions
+(:class:`Batch`): one decode of the partition's stacked masks, each
+kernel once over its offsets and values, one encode of the rebuilt
+chunks. ``map`` and ``filter`` callables still see one chunk per call.
 
-The contract is strict: a compiled plan is byte-identical to chaining
-the per-chunk :class:`~repro.core.chunk.Chunk` operators one at a time,
-in all three chunk modes. Kernels therefore replicate those operators'
-mode policy exactly — ``map_values`` preserves the input mode,
+The contract is strict: a compiled plan is byte-identical to applying
+the operators eagerly, one chunk and one operator at a time, in all
+three chunk modes. Kernels therefore replicate the eager mode policy
+exactly — ``map_values`` preserves the input mode,
 ``filter``/``mask_and`` re-apply :func:`choose_mode` on the new density
-— and the final encode goes through the same
-:func:`~repro.core.chunk._build_from_bools` construction they use.
+— and chunks no kernel changed pass through as the same objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bitmask.popcount import rank_counts
+from repro.bitmask import Bitmask, HierarchicalBitmask
+from repro.bitmask.popcount import WORD_BITS, rank_counts
+from repro.bitmask.stacked import bits_at, pack_positions, ranks, \
+    set_positions, stack_words
 from repro.core import mapper
-from repro.core.chunk import Chunk, ChunkMode, choose_mode, \
-    _build_from_bools
+from repro.core.chunk import Chunk, ChunkMode, choose_modes
 from repro.errors import ArrayError
 
 __all__ = [
@@ -45,103 +48,231 @@ __all__ = [
     "ScalarOpKernel",
 ]
 
+_MODES = tuple(ChunkMode)
+_MODE_INDEX = {mode: index for index, mode in enumerate(_MODES)}
+
+
+def each(func, parts, message: str, dtype=None) -> np.ndarray:
+    """``func`` called once per chunk on that chunk's values, the
+    results concatenated; each must keep its chunk's value count."""
+    out = []
+    for part in parts:
+        result = np.asarray(func(part), dtype=dtype)
+        if result.shape != part.shape:
+            raise ArrayError(message)
+        out.append(result)
+    return np.concatenate(out)
+
 
 # ----------------------------------------------------------------------
-# kernel state: one chunk decoded to plain vectors
+# the batch: one partition decoded to plain vectors
 # ----------------------------------------------------------------------
 
-class KernelState:
-    """A chunk mid-pipeline: ascending valid offsets + aligned values.
+class Batch:
+    """A partition mid-pipeline: its chunks' valid cells in two vectors.
 
-    ``rebuilt`` tracks whether any kernel changed the chunk (if not, the
-    original ``chunk`` object is passed through untouched, exactly like
-    the eager operators do). ``eager_builds`` counts how many
-    intermediate Chunk constructions the eager path would have performed
-    for the same record — the fusion savings counter.
+    Chunk ``i`` owns bits ``base[i]`` to ``base[i] + cells[i]`` of one
+    bit space (:mod:`repro.bitmask.stacked`); ``offsets`` (ascending)
+    and ``values`` hold the valid cells, chunk ``i``'s at
+    ``starts[i]:starts[i + 1]``, in one dtype, as an array's chunks
+    share. Per chunk: ``modes`` (into ``tuple(ChunkMode)``), ``rebuilt``
+    (the others pass through as the same objects) and ``builds``, the
+    Chunks the eager path would build; dropped chunks leave the batch
+    and their builds go to ``avoided``.
     """
 
-    __slots__ = ("num_cells", "offsets", "values", "mode", "chunk",
-                 "rebuilt", "dropped", "eager_builds", "repacked")
-
-    def __init__(self, num_cells, offsets, values, mode, chunk=None):
-        self.num_cells = num_cells
+    def __init__(self, ids, chunks, cells, base, bits, offsets, values,
+                 modes):
+        self.ids = list(ids)
+        self.chunks = list(chunks)
+        self.cells = cells
+        self.base = base
+        self.bits = bits
         self.offsets = offsets
         self.values = values
-        self.mode = mode
-        self.chunk = chunk
-        self.rebuilt = False
-        self.dropped = False
-        self.eager_builds = 0
+        self.modes = modes
+        self.starts = np.searchsorted(offsets, np.append(base, bits))
+        self.rebuilt = np.zeros(len(self.ids), dtype=bool)
+        self.builds = np.zeros(len(self.ids), dtype=np.int64)
         self.repacked = 0
+        self.avoided = 0
 
+    @classmethod
+    def decode(cls, ids, chunks, other=None, how="and", fill=0) -> "Batch":
+        """Decode the chunks in one pass over their stacked flat masks;
+        with ``other`` (stacked words, same layout) only the cells of
+        ``mask & other``, or of ``mask | other`` with ``fill`` for the
+        cells these chunks lack."""
+        words, bounds = stack_words([chunk.flat_mask() for chunk in chunks])
+        kept = words if other is None \
+            else words & other if how == "and" else words | other
+        base = bounds * WORD_BITS
+        batch = cls(ids, chunks,
+                    np.array([chunk.num_cells for chunk in chunks]),
+                    base[:-1], int(base[-1]), set_positions(kept), None,
+                    np.array([_MODE_INDEX[chunk.mode] for chunk in chunks]))
+        batch.values = batch.read(chunks, words,
+                                  None if how == "and" else fill)
+        return batch
 
-def _encode(state: KernelState) -> Chunk:
-    """Pack a rebuilt state into a Chunk — the single encode of the
-    fused pass, via the same construction the eager operators use."""
-    keep = np.zeros(state.num_cells, dtype=bool)
-    keep[state.offsets] = True
-    return _build_from_bools(state.num_cells, keep, state.values,
-                             state.mode)
+    def read(self, chunks, words, fill=None) -> np.ndarray:
+        """``chunks``' values at the offsets (``words``: their stacked
+        masks), one gather from their stacked payloads: a compressed
+        slot is the cell's rank, a DENSE one its offset less the padding
+        before it; ``fill`` where a chunk has no valid cell."""
+        payload = np.concatenate([chunk.payload for chunk in chunks])
+        dense = np.array([chunk.mode is ChunkMode.DENSE for chunk in chunks])
+        if not dense.any():
+            if fill is None and payload.size == self.offsets.size:
+                return payload      # every valid cell, in payload order
+            slots = ranks(words, self.offsets)
+        else:
+            sizes = np.array([chunk.payload.size for chunk in chunks])
+            first = np.cumsum(sizes) - sizes
+            slots = self.offsets
+            if not (dense.all() and np.array_equal(self.base, first)):
+                owner = np.repeat(np.arange(len(chunks)), self.counts())
+                slots = slots - (self.base - first)[owner]
+            if not dense.all():
+                valid = np.array([chunk.valid_count for chunk in chunks])
+                before = np.cumsum(valid) - valid
+                slots = np.where(dense[owner], slots,
+                                 ranks(words, self.offsets)
+                                 - (before - first)[owner])
+        if fill is None:
+            return payload[slots]
+        hit = bits_at(words, self.offsets)
+        values = np.full(self.offsets.size, fill, dtype=payload.dtype)
+        values[hit] = payload[slots[hit]]
+        return values
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    def views(self, values=None) -> list:
+        """Each chunk's slice of ``values`` (default: the batch's)."""
+        values = self.values if values is None else values
+        bounds = self.starts.tolist()
+        return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def touch(self, where, builds=1) -> None:
+        """Mark chunks ``where`` rebuilt, with ``builds`` eager builds."""
+        self.rebuilt |= where
+        self.builds += np.where(where, builds, 0)
+
+    def mark(self, touched) -> None:
+        """Chunks ``touched`` re-choose their mode for their current
+        density and count one eager build."""
+        self.modes = np.where(touched, choose_modes(self.counts(),
+                                                    self.cells), self.modes)
+        self.touch(touched)
+
+    def _keep_cells(self, keep) -> None:
+        kept = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        self.starts = kept[self.starts]
+        self.offsets = self.offsets[keep]
+        self.values = self.values[keep]
+
+    def restrict(self, keep, touched=None) -> None:
+        """Keep the valid cells where ``keep``; :meth:`mark` the chunks
+        ``touched`` (default: those that lost a cell), dropping any of
+        them left empty."""
+        before = self.counts()
+        self._keep_cells(keep)
+        counts = self.counts()
+        if touched is None:
+            touched = counts < before
+        self.mark(touched)
+        self.drop(touched & (counts == 0))
+
+    def drop(self, dead) -> None:
+        """Remove the chunks flagged ``dead`` from the batch."""
+        if not dead.any():
+            return
+        self.avoided += int(self.builds[dead].sum())
+        alive = ~dead
+        self._keep_cells(np.repeat(alive, self.counts()))
+        self.starts = np.append(self.starts[:-1][alive], self.starts[-1])
+        kept = np.flatnonzero(alive).tolist()
+        self.ids = [self.ids[i] for i in kept]
+        self.chunks = [self.chunks[i] for i in kept]
+        for name in ("cells", "base", "modes", "rebuilt", "builds"):
+            setattr(self, name, getattr(self, name)[alive])
+
+    def encode(self) -> list:
+        """The ``(chunk_id, Chunk)`` records: untouched chunks as they
+        came, rebuilt ones packed by one scatter and one ``packbits``
+        over the partition. Each rebuilt Chunk owns copies of its word
+        row and value slice, so no output pins the batch's buffers."""
+        out = list(zip(self.ids, self.chunks))
+        rebuilt = np.flatnonzero(self.rebuilt).tolist()
+        if not rebuilt:
+            return out
+        words = pack_positions(self.offsets, self.bits // WORD_BITS)
+        modes = [_MODES[self.modes[i]] for i in rebuilt]
+        if ChunkMode.DENSE in modes:
+            dense = np.zeros(self.bits, dtype=self.values.dtype)
+            dense[self.offsets] = self.values
+        cells, base, starts = (array.tolist() for array in
+                               (self.cells, self.base, self.starts))
+        for i, mode in zip(rebuilt, modes):
+            lo, size = base[i], cells[i]
+            row = words[lo // WORD_BITS:(lo + size - 1) // WORD_BITS + 1]
+            mask = Bitmask(size, row.copy())
+            if mode is ChunkMode.DENSE:
+                payload = dense[lo:lo + size].copy()
+            else:
+                payload = self.values[starts[i]:starts[i + 1]].copy()
+            if mode is ChunkMode.SUPER_SPARSE:
+                mask = HierarchicalBitmask.from_bitmask(mask)
+            out[i] = self.ids[i], Chunk(mode, payload, mask, size)
+        return out
 
 
 # ----------------------------------------------------------------------
-# sources: how a record enters the kernel pipeline
+# sources: how a partition's records enter the kernel pipeline
 # ----------------------------------------------------------------------
 
 class ChunkSource:
-    """Default source: the record value is already a Chunk."""
+    """Default source: the record values are already Chunks."""
 
     #: shown in the fused pipeline label (None = invisible pass-through)
     label = None
 
-    def begin(self, chunk_id, chunk) -> KernelState:
-        return KernelState(chunk.num_cells, chunk.indices(),
-                           chunk.values(), chunk.mode, chunk=chunk)
+    def begin(self, records) -> Batch:
+        ids, chunks = zip(*records)
+        return Batch.decode(ids, chunks)
 
 
 class MaskApplySource(ChunkSource):
-    """Source for ``(Chunk, Bitmask)`` join pairs: MaskRDD reconciliation.
+    """Source for ``(Chunk, Bitmask)`` pairs: MaskRDD reconciliation.
 
     Replicates :meth:`Chunk.and_mask` — including its return-self
-    fast path when the mask removes nothing — but leaves the result
-    decoded so downstream kernels fuse into the same pass.
+    fast path when the mask removes nothing — as one word AND over the
+    partition's stacked masks, decoding only the cells that survive.
     """
 
     label = "apply_mask"
 
-    def begin(self, chunk_id, pair) -> KernelState:
-        chunk, other_mask = pair
-        if other_mask.num_bits != chunk.num_cells:
-            raise ArrayError(
-                f"mask length {other_mask.num_bits} != chunk cells "
-                f"{chunk.num_cells}"
-            )
-        flat = chunk.flat_mask()
-        combined = flat & other_mask
-        if combined == flat:       # nothing was masked out
-            return ChunkSource.begin(self, chunk_id, chunk)
-        keep = combined.to_bools()
-        density = combined.count() / chunk.num_cells \
-            if chunk.num_cells else 0.0
-        if chunk.mode is ChunkMode.DENSE:
-            compact = chunk.payload[keep]
-        else:
-            compact = chunk.payload[keep[flat.to_bools()]]
-        state = KernelState(chunk.num_cells, combined.indices(), compact,
-                            choose_mode(density))
-        state.rebuilt = True
-        state.eager_builds = 1
-        return state
+    def begin(self, records) -> Batch:
+        ids, pairs = zip(*records)
+        chunks, masks = zip(*pairs)
+        for chunk, mask in pairs:
+            if mask.num_bits != chunk.num_cells:
+                raise ArrayError(f"mask length {mask.num_bits} != chunk "
+                                 f"cells {chunk.num_cells}")
+        batch = Batch.decode(ids, chunks, stack_words(masks)[0])
+        batch.mark(batch.counts() < [chunk.valid_count for chunk in chunks])
+        return batch
 
 
 class ElementwiseSource(ChunkSource):
     """Source for joined chunk pairs: the merge step of ``combine``.
 
-    Replicates :meth:`Chunk.elementwise` (and-join: AND the bitmasks,
-    compute only surviving pairs; or-join: OR the bitmasks with ``fill``
-    standing in for missing cells) but keeps the result decoded so
-    trailing kernels — ``DropEmpty``, a nonzero filter, scalar ops —
-    run in the same pass.
+    Replicates the eager per-chunk merge (and-join: cells valid on both
+    sides, only those computed; or-join: cells valid on either, ``fill``
+    for the missing side) over whole partitions; ``op`` runs per chunk.
     """
 
     def __init__(self, op, how: str, fill, num_cells: int, dtype):
@@ -152,58 +283,44 @@ class ElementwiseSource(ChunkSource):
         self.dtype = dtype
         self.label = f"combine_{how}"
 
-    def begin(self, chunk_id, pair) -> KernelState:
-        left, right = pair
-        if left is None:
-            left = Chunk.empty(self.num_cells, dtype=self.dtype)
-        if right is None:
-            right = Chunk.empty(self.num_cells, dtype=self.dtype)
-        if left.num_cells != right.num_cells:
-            raise ArrayError(
-                f"chunk size mismatch: {left.num_cells} vs "
-                f"{right.num_cells}"
-            )
-        left_mask = left.flat_mask()
-        right_mask = right.flat_mask()
-        if self.how == "and":
-            combined = left_mask & right_mask
-            offsets = combined.indices()
-            result = self.op(left._values_at_offsets(offsets),
-                             right._values_at_offsets(offsets))
-        else:
-            combined = left_mask | right_mask
-            offsets = combined.indices()
-            result = self.op(left.to_dense(self.fill)[offsets],
-                             right.to_dense(self.fill)[offsets])
-        density = offsets.size / left.num_cells if left.num_cells else 0.0
-        state = KernelState(left.num_cells, offsets, result,
-                            choose_mode(density))
-        state.rebuilt = True
-        state.eager_builds = 1
-        return state
+    def begin(self, records) -> Batch:
+        ids, pairs = zip(*records)
+        if any(chunk is None for pair in pairs for chunk in pair):
+            empty = Chunk.empty(self.num_cells, dtype=self.dtype)
+            pairs = [[chunk if chunk is not None else empty
+                      for chunk in pair] for pair in pairs]
+        sides = list(zip(*pairs))
+        for left, right in zip(*sides):
+            if left.num_cells != right.num_cells:
+                raise ArrayError(f"chunk size mismatch: {left.num_cells} "
+                                 f"vs {right.num_cells}")
+        right = stack_words([chunk.flat_mask() for chunk in sides[1]])[0]
+        batch = Batch.decode(ids, sides[0], right, self.how, self.fill)
+        right = batch.read(sides[1], right,
+                           None if self.how == "and" else self.fill)
+        batch.values = np.concatenate([
+            np.asarray(self.op(*pair)) for pair in
+            zip(batch.views(), batch.views(right))])
+        batch.mark(np.ones(len(ids), dtype=bool))
+        return batch
 
 
 # ----------------------------------------------------------------------
-# kernels: one chunk-local operator each
+# kernels: one chunk-local operator each, run over a whole batch
 # ----------------------------------------------------------------------
 
 class MapValuesKernel:
-    """Vectorized function over the valid values; mode is preserved."""
+    """Vectorized function over each chunk's valid values; mode kept."""
 
     label = "map"
 
     def __init__(self, func):
         self.func = func
 
-    def apply(self, chunk_id, state: KernelState) -> None:
-        new_values = np.asarray(self.func(state.values))
-        if new_values.shape != state.values.shape:
-            raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        state.values = new_values
-        state.rebuilt = True
-        state.eager_builds += 1
+    def apply(self, batch: Batch) -> None:
+        batch.values = each(self.func, batch.views(), "map_values "
+                            "function must preserve the value count")
+        batch.touch(True)
 
 
 class FoldedScalarKernel:
@@ -212,9 +329,10 @@ class FoldedScalarKernel:
     ``stages`` is a tuple of ``(op, scalar, reflected, name)`` applied
     strictly in order — the same arithmetic sequence one kernel per op
     would perform, so the fold is bit-identical; it only saves the
-    per-kernel dispatch and shape checks between stages.
-    :meth:`ChunkPlan.then` builds it when a scalar kernel follows
-    another.
+    per-kernel dispatch and shape checks between stages. The ops are
+    element-wise, so they run once over the batch's concatenated
+    values. :meth:`ChunkPlan.then` builds it when a scalar kernel
+    follows another.
     """
 
     def __init__(self, stages):
@@ -222,21 +340,16 @@ class FoldedScalarKernel:
         names = "+".join(stage[3] for stage in self.stages)
         self.label = f"fold[{names}]"
 
-    def apply(self, chunk_id, state: KernelState) -> None:
-        values = state.values
+    def apply(self, batch: Batch) -> None:
+        values = batch.values
         for op, scalar, reflected, _name in self.stages:
-            if reflected:
-                values = op(scalar, values)
-            else:
-                values = op(values, scalar)
-        new_values = np.asarray(values)
-        if new_values.shape != state.values.shape:
+            values = op(scalar, values) if reflected else op(values, scalar)
+        values = np.asarray(values)
+        if values.shape != batch.values.shape:
             raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        state.values = new_values
-        state.rebuilt = True
-        state.eager_builds += len(self.stages)
+                "map_values function must preserve the value count")
+        batch.values = values
+        batch.touch(True, len(self.stages))
 
 
 class ScalarOpKernel(FoldedScalarKernel):
@@ -258,20 +371,10 @@ class FilterKernel:
     def __init__(self, predicate):
         self.predicate = predicate
 
-    def apply(self, chunk_id, state: KernelState) -> None:
-        keep = np.asarray(self.predicate(state.values), dtype=bool)
-        if keep.shape != state.values.shape:
-            raise ArrayError(
-                "filter predicate must return one bool per value")
-        density = int(keep.sum()) / state.num_cells \
-            if state.num_cells else 0.0
-        state.offsets = state.offsets[keep]
-        state.values = state.values[keep]
-        state.mode = choose_mode(density)
-        state.rebuilt = True
-        state.eager_builds += 1
-        if state.offsets.size == 0:
-            state.dropped = True
+    def apply(self, batch: Batch) -> None:
+        keep = each(self.predicate, batch.views(),
+                    "filter predicate must return one bool per value", bool)
+        batch.restrict(keep, np.ones(len(batch.ids), dtype=bool))
 
 
 class MaskAndKernel:
@@ -291,27 +394,20 @@ class MaskAndKernel:
         self.hi = hi
         self.wanted = frozenset(mapper.chunk_ids_in_range(meta, lo, hi))
 
-    def apply(self, chunk_id, state: KernelState) -> None:
-        if chunk_id not in self.wanted:
-            state.dropped = True
-            return
-        if mapper.chunk_fully_inside(self.meta, chunk_id, self.lo,
-                                     self.hi):
-            return
-        inside = mapper.range_mask_for_chunk(self.meta, chunk_id,
-                                             self.lo, self.hi)
-        keep = inside[state.offsets]
-        if keep.all():             # nothing was masked out
-            return
-        count = int(keep.sum())
-        density = count / state.num_cells if state.num_cells else 0.0
-        state.offsets = state.offsets[keep]
-        state.values = state.values[keep]
-        state.mode = choose_mode(density)
-        state.rebuilt = True
-        state.eager_builds += 1
-        if state.offsets.size == 0:
-            state.dropped = True
+    def apply(self, batch: Batch) -> None:
+        batch.drop(np.array([cid not in self.wanted for cid in batch.ids],
+                            dtype=bool))
+        keep = np.ones(batch.offsets.size, dtype=bool)
+        bounds = batch.starts.tolist()
+        for i, chunk_id in enumerate(batch.ids):
+            if mapper.chunk_fully_inside(self.meta, chunk_id, self.lo,
+                                         self.hi):
+                continue
+            inside = mapper.range_mask_for_chunk(self.meta, chunk_id,
+                                                 self.lo, self.hi)
+            lo, hi = bounds[i], bounds[i + 1]
+            keep[lo:hi] = inside[batch.offsets[lo:hi] - batch.base[i]]
+        batch.restrict(keep)
 
 
 class RepackKernel:
@@ -320,22 +416,17 @@ class RepackKernel:
     The plan-level form of :meth:`Chunk.repack`: upstream kernels (a
     filter, a mask AND) may leave a chunk far from the mode it was
     built in; this kernel retargets the encode without an extra pass —
-    it only flips ``state.mode``, so in a fused pipeline repacking is
-    free. Chunks already in the policy's mode pass through untouched.
+    it only changes ``batch.modes``, so in a fused pipeline repacking
+    is free. Chunks already in the policy's mode pass through untouched.
     """
 
     label = "repack"
 
-    def apply(self, chunk_id, state: KernelState) -> None:
-        if state.num_cells == 0:
-            return
-        target = choose_mode(state.offsets.size / state.num_cells)
-        if target is state.mode:
-            return
-        state.mode = target
-        state.rebuilt = True
-        state.eager_builds += 1
-        state.repacked += 1
+    def apply(self, batch: Batch) -> None:
+        moved = choose_modes(batch.counts(), batch.cells) != batch.modes
+        moved &= batch.cells > 0
+        batch.mark(moved)
+        batch.repacked += int(moved.sum())
 
 
 class DropEmpty:
@@ -347,9 +438,8 @@ class DropEmpty:
 
     label = "drop_empty"
 
-    def apply(self, chunk_id, state: KernelState) -> None:
-        if state.offsets.size == 0:
-            state.dropped = True
+    def apply(self, batch: Batch) -> None:
+        batch.drop(batch.counts() == 0)
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +482,6 @@ class _CompiledPlanPass:
         self.metrics = getattr(context, "metrics", None)
 
     def __call__(self, _index, part):
-        source = self.source
-        kernels = self.kernels
         metrics = self.metrics
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
@@ -401,53 +489,43 @@ class _CompiledPlanPass:
             span = tracer.start(self.pipeline, "plan", partition=_index,
                                 kernels=list(self.labels))
             ranks_before = rank_counts()
-        chunks_in = 0
-        chunk_ids = []
-        mode_counts = {}
-        mode_bytes = {}
-        avoided = 0
-        repacked = 0
-        for chunk_id, value in part:
-            chunks_in += 1
-            if tracing:
-                chunk_ids.append(chunk_id)
-            state = source.begin(chunk_id, value)
-            for kernel in kernels:
-                kernel.apply(chunk_id, state)
-                if state.dropped:
+        records = live = list(part)
+        # leading subarrays prune chunk IDs before anything decodes
+        for kernel in self.kernels if type(self.source) is ChunkSource \
+                else ():
+            if not isinstance(kernel, MaskAndKernel):
+                break
+            live = [record for record in live if record[0] in kernel.wanted]
+        out, avoided, repacked = [], 0, 0
+        if live:
+            batch = self.source.begin(live)
+            for kernel in self.kernels:
+                if not batch.ids:
                     break
-            repacked += state.repacked
-            if state.dropped:
-                avoided += state.eager_builds
-                continue
-            if state.rebuilt:
-                avoided += state.eager_builds - 1
-                out = chunk_id, _encode(state)
-            else:
-                avoided += state.eager_builds
-                out = chunk_id, state.chunk
-            if tracing:
-                mode = out[1].mode.value
-                mode_counts[mode] = mode_counts.get(mode, 0) + 1
-                mode_bytes[mode] = (mode_bytes.get(mode, 0)
-                                    + int(out[1].payload.nbytes))
-            yield out
+                kernel.apply(batch)
+            out = batch.encode()
+            # a rebuilt chunk costs the pass its one encode
+            avoided = (batch.avoided + int(batch.builds.sum())
+                       - int(batch.rebuilt.sum()))
+            repacked = batch.repacked
         if metrics is not None and avoided:
             metrics.add(fused_chunks_avoided=avoided)
         if metrics is not None and repacked:
             metrics.add(chunks_repacked=repacked)
         if tracing:
-            chunks_out = sum(mode_counts.values())
-            attrs = {"chunks_in": chunks_in,
-                     "chunks_out": chunks_out,
+            attrs = {"chunks_in": len(records),
+                     "chunks_out": len(out),
                      "chunk_builds_avoided": avoided,
                      "chunk_ids": [list(cid) if isinstance(cid, tuple)
-                                   else cid for cid in chunk_ids]}
+                                   else cid for cid, _chunk in records]}
             if repacked:
                 attrs["chunks_repacked"] = repacked
-            for mode, count in mode_counts.items():
-                attrs[f"chunks_{mode}"] = count
-                attrs[f"payload_bytes_{mode}"] = mode_bytes[mode]
+            for _cid, chunk in out:
+                mode = chunk.mode.value
+                attrs[f"chunks_{mode}"] = attrs.get(f"chunks_{mode}", 0) + 1
+                attrs[f"payload_bytes_{mode}"] = (
+                    attrs.get(f"payload_bytes_{mode}", 0)
+                    + int(chunk.payload.nbytes))
             ranks_after = rank_counts()
             for name, before in ranks_before.items():
                 delta = ranks_after[name] - before
@@ -455,6 +533,7 @@ class _CompiledPlanPass:
                     attrs[name] = delta
             span.set(**attrs)
             tracer.finish(span)
+        return out
 
 
 class ChunkPlan:

@@ -220,7 +220,8 @@ class ClusterContext:
 
     def shutdown(self) -> None:
         """Stop the executor pool, the worker processes, unlink any
-        shared-memory segments and every spill file. An *idle* context
+        shared-memory segments, every spill file and the spill
+        directory the cache created. An *idle* context
         remains usable: the next parallel job lazily restarts the pools
         (shared-memory block handles exported to workers are
         invalidated, so cached blocks re-export on the next job);
@@ -230,7 +231,7 @@ class ClusterContext:
         if self.process_runner is not None:
             self.process_runner.shutdown()
         self.shm_registry.shutdown()
-        self.cache.drop_spilled()
+        self.cache.shutdown()
 
     def __enter__(self) -> "ClusterContext":
         return self

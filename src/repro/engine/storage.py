@@ -368,3 +368,13 @@ class CacheManager:
             self._infos.clear()
             self._used_bytes = 0
             self.drop_spilled()
+
+    def shutdown(self) -> None:
+        """Drop every spill file and remove the spill directory this
+        manager created; the next spill creates a fresh one."""
+        with self._lock:
+            self.drop_spilled()
+            if self._spill_tmp is not None:
+                self._spill_tmp.cleanup()
+                self._spill_tmp = None
+                self._spill_dir = None

@@ -13,7 +13,7 @@ Each operation is a combine followed by a nonzero filter: the combine
 joins the operands and the filter appends to the join's pending
 ChunkPlan. The whole chain — the elementwise merge source, the
 drop-empty kernel, and the nonzero ``FilterKernel`` — compiles to a
-single fused pass per chunk
+single fused pass per partition
 (``fused[combine_or→drop_empty→filter]`` in the stage plan) instead of
 building an intermediate combined chunk and re-encoding it.
 """

@@ -1,11 +1,13 @@
 """Eager per-chunk reference for the fused operator layer.
 
 Replays ArrayRDD operators one at a time over driver-side chunks with
-the :class:`~repro.core.chunk.Chunk` primitives — ``map_values``,
-``filter``, ``and_mask``, ``elementwise``, ``repack`` — building a fresh
-chunk per operator, in the order written, and dropping chunks left with
-no valid cell. A fused ChunkPlan pass, rewrites included, must be
-byte-identical to this chain in every chunk mode.
+per-chunk primitives — :func:`map_values`, :func:`filter_chunk` and
+:func:`elementwise` below, and :meth:`Chunk.and_mask
+<repro.core.chunk.Chunk.and_mask>` and :meth:`Chunk.repack
+<repro.core.chunk.Chunk.repack>` — building a fresh chunk per operator,
+in the order written, and dropping chunks left with no valid cell. A
+fused ChunkPlan pass, rewrites included, must be byte-identical to this
+chain in every chunk mode.
 
 :class:`EagerArray` mirrors the ArrayRDD operator surface, so one test
 lambda (``lambda a: a.subarray(lo, hi) * 2.0``) drives both.
@@ -16,7 +18,77 @@ import numpy as np
 from repro.bitmask import Bitmask
 from repro.core import mapper
 from repro.core.array_rdd import _chunk_selection
-from repro.core.chunk import Chunk
+from repro.core.chunk import Chunk, ChunkMode, _build_from_bools, \
+    choose_mode
+from repro.errors import ArrayError
+
+
+def map_values(chunk, func, mode=None) -> Chunk:
+    """Apply a vectorized function to the valid values only."""
+    new_values = np.asarray(func(chunk.values()))
+    if new_values.shape != chunk.values().shape:
+        raise ArrayError(
+            "map_values function must preserve the value count"
+        )
+    return Chunk.from_sparse(chunk.num_cells, chunk.indices(), new_values,
+                             mode=mode or chunk.mode)
+
+
+def filter_chunk(chunk, predicate, mode=None) -> Chunk:
+    """Keep valid cells where ``predicate(values)`` is True.
+
+    ``predicate`` receives the vector of valid values and returns a
+    boolean vector; failing cells become invalid (their bits drop to
+    zero and, in compressed modes, their payload slots vanish).
+    """
+    values = chunk.values()
+    keep = np.asarray(predicate(values), dtype=bool)
+    if keep.shape != values.shape:
+        raise ArrayError("filter predicate must return one bool per value")
+    if mode is None:
+        density = int(keep.sum()) / chunk.num_cells \
+            if chunk.num_cells else 0.0
+        mode = choose_mode(density)
+    keep_cells = np.zeros(chunk.num_cells, dtype=bool)
+    keep_cells[chunk.indices()[keep]] = True
+    return _build_from_bools(chunk.num_cells, keep_cells,
+                             values[keep], mode)
+
+
+def _values_at_offsets(chunk, offsets: np.ndarray) -> np.ndarray:
+    """Values at the given valid offsets (all must be valid)."""
+    if chunk.mode is ChunkMode.DENSE:
+        return chunk.payload[offsets]
+    slots = np.searchsorted(chunk.indices(), offsets)
+    return chunk.payload[slots]
+
+
+def elementwise(left, right, op, how: str = "and", fill=0) -> Chunk:
+    """Combine two chunks cell-by-cell.
+
+    ``how="and"`` keeps cells valid on *both* sides (the bitwise-AND
+    fast path of Fig. 5 — invalid pairs are never computed);
+    ``how="or"`` keeps cells valid on either side, with ``fill``
+    standing in for the missing operand.
+    """
+    if right.num_cells != left.num_cells:
+        raise ArrayError(
+            f"chunk size mismatch: {left.num_cells} vs "
+            f"{right.num_cells}"
+        )
+    left_mask = left.flat_mask()
+    right_mask = right.flat_mask()
+    if how == "and":
+        offsets = (left_mask & right_mask).indices()
+        result = op(_values_at_offsets(left, offsets),
+                    _values_at_offsets(right, offsets))
+        return Chunk.from_sparse(left.num_cells, offsets, result)
+    if how == "or":
+        offsets = (left_mask | right_mask).indices()
+        result = op(left.to_dense(fill)[offsets],
+                    right.to_dense(fill)[offsets])
+        return Chunk.from_sparse(left.num_cells, offsets, result)
+    raise ArrayError(f"unknown join mode {how!r}; use 'and' or 'or'")
 
 
 class EagerArray:
@@ -44,10 +116,11 @@ class EagerArray:
     # -- operators ------------------------------------------------------
 
     def map_values(self, func) -> "EagerArray":
-        return self._each(lambda _cid, chunk: chunk.map_values(func))
+        return self._each(lambda _cid, chunk: map_values(chunk, func))
 
     def filter(self, predicate) -> "EagerArray":
-        return self._each(lambda _cid, chunk: chunk.filter(predicate))
+        return self._each(
+            lambda _cid, chunk: filter_chunk(chunk, predicate))
 
     def repack(self) -> "EagerArray":
         changed = 0
@@ -91,14 +164,15 @@ class EagerArray:
         out = {}
         if how == "and":
             for chunk_id in left.keys() & right.keys():
-                out[chunk_id] = left[chunk_id].elementwise(
-                    right[chunk_id], op, how="and")
+                out[chunk_id] = elementwise(
+                    left[chunk_id], right[chunk_id], op, how="and")
         else:
             empty = Chunk.empty(self.meta.cells_per_chunk,
                                 dtype=self.meta.dtype)
             for chunk_id in left.keys() | right.keys():
-                out[chunk_id] = left.get(chunk_id, empty).elementwise(
-                    right.get(chunk_id, empty), op, how="or", fill=fill)
+                out[chunk_id] = elementwise(
+                    left.get(chunk_id, empty), right.get(chunk_id, empty),
+                    op, how="or", fill=fill)
         return EagerArray(out, self.meta)._each(
             lambda _cid, chunk: chunk)
 

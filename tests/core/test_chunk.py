@@ -1,4 +1,8 @@
-"""Tests for the Chunk: three modes, access paths, elementwise ops."""
+"""Tests for the Chunk: three modes, access paths, elementwise ops.
+
+``map_values``, ``filter`` and ``elementwise`` are the per-chunk eager
+operators of the fused path's reference (``tests/_reference/eager.py``).
+"""
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from repro.core.chunk import (
 )
 from repro.bitmask import Bitmask
 from repro.errors import ArrayError
+from tests._reference import eager
 
 
 def random_chunk(n, density, seed, mode=None):
@@ -107,13 +112,13 @@ class TestAcrossModes:
 
     def test_map_values(self, mode):
         chunk, values, valid = random_chunk(200, 0.3, seed=6, mode=mode)
-        doubled = chunk.map_values(lambda xs: xs * 2)
+        doubled = eager.map_values(chunk, lambda xs: xs * 2)
         assert np.allclose(doubled.values(), values[valid] * 2)
         assert doubled.valid_count == chunk.valid_count
 
     def test_filter(self, mode):
         chunk, values, valid = random_chunk(200, 0.5, seed=7, mode=mode)
-        kept = chunk.filter(lambda xs: xs > 0.5)
+        kept = eager.filter_chunk(chunk, lambda xs: xs > 0.5)
         expected = valid & (np.where(valid, values, 0) > 0.5)
         assert np.array_equal(kept.valid_bools(), expected)
 
@@ -154,7 +159,7 @@ class TestCompression:
     def test_recompress_after_filter(self):
         chunk, _values, _valid = random_chunk(65_536, 0.9, seed=14)
         assert chunk.mode is ChunkMode.DENSE
-        nearly_empty = chunk.filter(lambda xs: xs > 0.9999)
+        nearly_empty = eager.filter_chunk(chunk, lambda xs: xs > 0.9999)
         assert nearly_empty.mode is not ChunkMode.DENSE
 
     def test_and_mask_recompresses(self):
@@ -170,7 +175,7 @@ class TestElementwise:
     def test_and_semantics(self, left_mode, right_mode):
         a, av, am = random_chunk(300, 0.4, seed=16, mode=left_mode)
         b, bv, bm = random_chunk(300, 0.4, seed=17, mode=right_mode)
-        out = a.elementwise(b, np.multiply, how="and")
+        out = eager.elementwise(a, b, np.multiply, how="and")
         both = am & bm
         assert np.array_equal(out.valid_bools(), both)
         assert np.allclose(out.values(), (av * bv)[both])
@@ -178,7 +183,7 @@ class TestElementwise:
     def test_or_semantics_with_fill(self):
         a, av, am = random_chunk(300, 0.3, seed=18)
         b, bv, bm = random_chunk(300, 0.3, seed=19)
-        out = a.elementwise(b, np.add, how="or", fill=0.0)
+        out = eager.elementwise(a, b, np.add, how="or", fill=0.0)
         either = am | bm
         expected = np.where(am, av, 0.0) + np.where(bm, bv, 0.0)
         assert np.array_equal(out.valid_bools(), either)
@@ -188,12 +193,12 @@ class TestElementwise:
         a = Chunk.from_dense(np.arange(4.0))
         b = Chunk.from_dense(np.arange(5.0))
         with pytest.raises(ArrayError):
-            a.elementwise(b, np.add)
+            eager.elementwise(a, b, np.add)
 
     def test_unknown_how(self):
         a = Chunk.from_dense(np.arange(4.0))
         with pytest.raises(ArrayError):
-            a.elementwise(a, np.add, how="xor")
+            eager.elementwise(a, a, np.add, how="xor")
 
     def test_and_skips_null_pairs(self):
         """Bitmask AND means no op is applied to invalid pairs (Fig. 5)."""
@@ -205,7 +210,7 @@ class TestElementwise:
 
         a = Chunk.from_sparse(1000, [1, 2], [1.0, 2.0])
         b = Chunk.from_sparse(1000, [2, 3], [4.0, 5.0])
-        out = a.elementwise(b, spying_op, how="and")
+        out = eager.elementwise(a, b, spying_op, how="and")
         assert calls == [1]  # only the single common cell was computed
         assert out.valid_count == 1
         assert out.get(2) == 8.0

@@ -262,6 +262,26 @@ class TestLineageRecovery:
         ctx.shutdown()
         assert os.listdir(spill_dir) == []
 
+    def test_shutdown_removes_own_spill_directory_and_reuse_makes_fresh(
+            self):
+        ctx = ClusterContext(num_executors=2, default_parallelism=2,
+                             cache_budget_bytes=1500)
+        rdd = ctx.parallelize([bytes([i]) * 600 for i in range(4)], 4) \
+                 .persist(StorageLevel.MEMORY_AND_DISK)
+        expected = rdd.collect()
+        first = ctx.cache.spill_directory()
+        assert os.listdir(first)
+        ctx.shutdown()
+        assert not os.path.exists(first)
+        # the context is usable again: spilling makes a new directory
+        again = ctx.parallelize([bytes([i]) * 600 for i in range(4)], 4) \
+                   .persist(StorageLevel.MEMORY_AND_DISK)
+        assert again.collect() == expected
+        second = ctx.cache.spill_directory()
+        assert second != first and os.listdir(second)
+        ctx.shutdown()
+        assert not os.path.exists(second)
+
 
 class TestExactChunkSizing:
     @pytest.mark.parametrize("mode,density", [
