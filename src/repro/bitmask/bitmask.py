@@ -23,6 +23,7 @@ from repro.bitmask.popcount import (
     popcount_words_naive,
     popcount_words_vectorized,
 )
+from repro.bitmask.stacked import set_positions
 from repro.engine.batches import canonical_dtype
 from repro.errors import ArrayError
 
@@ -209,7 +210,7 @@ class Bitmask:
 
     def indices(self) -> np.ndarray:
         """Positions of set bits, ascending (int64)."""
-        return np.flatnonzero(self.to_bools()).astype(np.int64, copy=False)
+        return set_positions(self._words)
 
     @property
     def words(self) -> np.ndarray:

@@ -25,16 +25,9 @@ def stack_words(masks):
 
 
 def set_positions(words) -> np.ndarray:
-    """Positions of the set bits, ascending. When most bytes are zero,
-    only the nonzero ones are unpacked."""
-    octets = words.view(np.uint8)
-    nonzero = np.flatnonzero(octets != 0)
-    if 2 * nonzero.size > octets.size:
-        return np.flatnonzero(np.unpackbits(octets, bitorder="little")
-                              .view(bool))
-    bits = np.flatnonzero(np.unpackbits(octets[nonzero],
+    """Positions of the set bits, ascending."""
+    return np.flatnonzero(np.unpackbits(words.view(np.uint8),
                                         bitorder="little").view(bool))
-    return nonzero[bits >> 3] * 8 + (bits & 7)
 
 
 def deposit(words, keep) -> np.ndarray:

@@ -61,7 +61,7 @@ class SumAggregator(Aggregator):
         return 0.0
 
     def accumulate(self, state, values):
-        return state + float(values.sum())
+        return state + float(np.add.reduce(values))
 
     def accumulate_groups(self, values, starts):
         return np.add.reduceat(values.astype(float), starts).tolist()
@@ -127,7 +127,8 @@ class AvgAggregator(Aggregator):
         return (0.0, 0)
 
     def accumulate(self, state, values):
-        return (state[0] + float(values.sum()), state[1] + int(values.size))
+        return (state[0] + float(np.add.reduce(values)),
+                state[1] + int(values.size))
 
     def accumulate_groups(self, values, starts):
         return list(zip(SumAggregator().accumulate_groups(values, starts),

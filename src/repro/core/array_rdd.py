@@ -20,8 +20,10 @@ operators — :meth:`combine`, :meth:`partition_by`, a MaskRDD's
 the operands' :attr:`rdd` when called. Reading :attr:`rdd` is the plan
 barrier: the plan compiles once into a single fused ``map_partitions``
 pass. ``cache()`` and ``materialize()`` are plan barriers too: the
-cached data is the computed result. ``explain()`` renders the plan
-without compiling anything into the array's state.
+cached data is the computed result. ``aggregate`` and ``count_valid``
+are not: they compile the plan with themselves as its last stage (a
+*sink*), so the chunks they reduce are never built. ``explain()``
+renders the plan without compiling anything into the array's state.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.core.plan import (
     RepackKernel,
     ScalarOpKernel,
 )
-from repro.engine import HashPartitioner
+from repro.engine import HashPartitioner, StorageLevel
 from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
 from repro.engine.partitioner import ExplicitPartitioner
 from repro.errors import ArrayError, ShapeMismatchError
@@ -55,20 +57,31 @@ from repro.errors import ArrayError, ShapeMismatchError
 # ----------------------------------------------------------------------
 # Module-level, so process-backend tasks pickle them by reference.
 
-class _ChunkAggregate:
-    """Map side of ``aggregate``: one partial state per partition."""
+class _Aggregate:
+    """Sink of ``aggregate``: one partial state per partition, its
+    chunks' values folded in chunk order."""
 
     __slots__ = ("agg",)
+    label = "aggregate"
 
     def __init__(self, agg):
         self.agg = agg
 
-    def __call__(self, part):
+    def __call__(self, batch):
         agg = self.agg
         state = agg.initialize()
-        for _chunk_id, chunk in part:
-            state = agg.accumulate(state, chunk.values())
+        for values in batch.chunk_values():
+            state = agg.accumulate(state, values)
         return [state]
+
+
+class _CountValid:
+    """Sink of ``count_valid``: the partition's valid cells."""
+
+    label = "count_valid"
+
+    def __call__(self, batch):
+        return [int(batch.starts[-1])]
 
 
 class _CellPartials:
@@ -180,10 +193,6 @@ def aggregate_cells(array, out_meta, agg, axes, window,
     return ArrayRDD(chunks, out_meta, array.context)
 
 
-def _chunk_valid_count(kv) -> int:
-    return kv[1].valid_count
-
-
 def _chunk_nbytes(kv) -> int:
     return kv[1].nbytes
 
@@ -213,16 +222,20 @@ class ArrayRDD:
         the result is memoized, so repeat actions reuse the same
         compiled RDD and its cache entries.
         """
-        plan = self._plan
-        if plan.is_identity:
+        if self._plan.is_identity:
             return self._base
         if self._compiled is None:
-            metrics = self.context.metrics
-            if plan.rules:
-                metrics.add(optimizer_rules_fired=len(plan.rules),
-                            optimizer_chunks_pruned=self._pruned)
-            self._compiled = plan.compile(self._base, metrics)
+            self._compiled = self._lower()
         return self._compiled
+
+    def _lower(self, sink=None):
+        """Compile the pending plan over the base, ending in ``sink``
+        (see :meth:`ChunkPlan.compile`), recording its rewrites."""
+        plan, metrics = self._plan, self.context.metrics
+        if plan.rules:
+            metrics.add(optimizer_rules_fired=len(plan.rules),
+                        optimizer_chunks_pruned=self._pruned)
+        return plan.compile(self._base, metrics, sink)
 
     # ------------------------------------------------------------------
     # creation
@@ -313,6 +326,18 @@ class ArrayRDD:
             out._pruned += flowing
         return out
 
+    def _reduce(self, sink):
+        """The RDD of ``sink(batch)`` per partition: the pending plan's
+        fused pass with the reduction ``sink`` in place of its encode.
+        A persisted compiled RDD is read, not recomputed."""
+        compiled = self._compiled
+        if self._plan.is_identity or (
+                compiled is not None
+                and compiled.storage_level is not StorageLevel.NONE):
+            return ChunkPlan.identity().compile(
+                self.rdd, self.context.metrics, sink)
+        return self._lower(sink)
+
     def _collapse(self):
         """Compile the pending plan into the base (a plan barrier).
 
@@ -334,9 +359,7 @@ class ArrayRDD:
         return self.rdd.count()
 
     def count_valid(self) -> int:
-        return self.rdd.map(_chunk_valid_count).fold(
-            0, lambda a, b: a + b
-        )
+        return sum(self._reduce(_CountValid()).collect())
 
     def memory_bytes(self) -> int:
         """Total in-memory footprint of all chunks (payloads + masks)."""
@@ -515,7 +538,7 @@ class ArrayRDD:
     def aggregate(self, aggregator="sum"):
         """Collapse the whole array to one value with an Aggregator."""
         agg = resolve_aggregator(aggregator)
-        states = self.rdd.map_partitions(_ChunkAggregate(agg)).collect()
+        states = self._reduce(_Aggregate(agg)).collect()
         merged = agg.initialize()
         for state in states:
             merged = agg.merge(merged, state)

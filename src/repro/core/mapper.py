@@ -208,13 +208,10 @@ def chunk_fully_inside(meta: ArrayMetadata, chunk_id: int, lo, hi) -> bool:
     bitmask (it would be all-ones) for interior chunks.
     """
     origin = chunk_origin(meta, chunk_id)
-    for axis in range(meta.ndim):
-        if origin[axis] < lo[axis]:
-            return False
+    for first, extent, end, a, b in zip(origin, meta.chunk_shape,
+                                        meta.ends, lo, hi):
         # the chunk's last *in-bounds* cell along this axis
-        last = min(origin[axis] + meta.chunk_shape[axis],
-                   meta.ends[axis]) - 1
-        if last > hi[axis]:
+        if first < a or min(first + extent, end) - 1 > b:
             return False
     return True
 

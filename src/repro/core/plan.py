@@ -13,6 +13,10 @@ to **one** ``map_partitions`` pass over whole partitions
 (:class:`Batch`): one decode of the partition's stacked masks, each
 kernel once over its offsets and values, one encode of the rebuilt
 chunks. ``map`` and ``filter`` callables still see one chunk per call.
+A reduction (``aggregate``, ``count_valid``, the window partials of
+the raster queries) compiles the plan with itself as a *sink*: it
+reads the batch where the encode would be, so the chunks it consumes
+are never built.
 
 The contract is strict: a compiled plan is byte-identical to applying
 the operators eagerly, one chunk and one operator at a time, in all
@@ -23,6 +27,8 @@ exactly — ``map_values`` preserves the input mode,
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +55,6 @@ __all__ = [
 ]
 
 _MODES = tuple(ChunkMode)
-_MODE_INDEX = {mode: index for index, mode in enumerate(_MODES)}
 
 
 def each(func, parts, message: str, dtype=None) -> np.ndarray:
@@ -75,45 +80,109 @@ class Batch:
     bit space (:mod:`repro.bitmask.stacked`); ``offsets`` (ascending)
     and ``values`` hold the valid cells, chunk ``i``'s at
     ``starts[i]:starts[i + 1]``, in one dtype, as an array's chunks
-    share. Per chunk: ``modes`` (into ``tuple(ChunkMode)``), ``rebuilt``
-    (the others pass through as the same objects) and ``builds``, the
-    Chunks the eager path would build; dropped chunks leave the batch
-    and their builds go to ``avoided``.
+    share. Per chunk: ``modes`` (into ``tuple(ChunkMode)``),
+    ``rebuilt`` (the others pass through as the same objects) and
+    ``builds``, the Chunks the eager path would build; dropped chunks
+    leave the batch and their builds go to ``avoided``.
+
+    Every one of these is worked out from the chunks the first time
+    something reads it, so a reduction over untouched chunks decodes
+    nothing and pays for no per-chunk array it does not read. The bit
+    space is fixed when ``offsets`` are, before any chunk is dropped.
     """
 
-    def __init__(self, ids, chunks, cells, base, bits, offsets, values,
-                 modes):
+    def __init__(self, ids, chunks):
         self.ids = list(ids)
         self.chunks = list(chunks)
-        self.cells = cells
-        self.base = base
-        self.bits = bits
-        self.offsets = offsets
-        self.values = values
-        self.modes = modes
-        self.starts = np.searchsorted(offsets, np.append(base, bits))
-        self.rebuilt = np.zeros(len(self.ids), dtype=bool)
-        self.builds = np.zeros(len(self.ids), dtype=np.int64)
+        self._words = self._offsets = self._values = None
         self.repacked = 0
         self.avoided = 0
 
     @classmethod
     def decode(cls, ids, chunks, other=None, how="and", fill=0) -> "Batch":
-        """Decode the chunks in one pass over their stacked flat masks;
-        with ``other`` (stacked words, same layout) only the cells of
+        """The chunks as a batch, decoded on first read; with ``other``
+        (stacked words, same layout) decoded now, to only the cells of
         ``mask & other``, or of ``mask | other`` with ``fill`` for the
         cells these chunks lack."""
-        words, bounds = stack_words([chunk.flat_mask() for chunk in chunks])
-        kept = words if other is None \
-            else words & other if how == "and" else words | other
-        base = bounds * WORD_BITS
-        batch = cls(ids, chunks,
-                    np.array([chunk.num_cells for chunk in chunks]),
-                    base[:-1], int(base[-1]), set_positions(kept), None,
-                    np.array([_MODE_INDEX[chunk.mode] for chunk in chunks]))
+        batch = cls(ids, chunks)
+        if other is None:
+            return batch
+        words = batch.words()
+        batch.offsets = set_positions(words & other if how == "and"
+                                      else words | other)
+        batch.starts = np.searchsorted(batch.offsets, batch._bounds)
         batch.values = batch.read(chunks, words,
                                   None if how == "and" else fill)
         return batch
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        return np.array([chunk.num_cells for chunk in self.chunks],
+                        dtype=np.int64)
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """Each chunk's first bit, and the end: a flat mask starts on a
+        word."""
+        bounds = np.zeros(len(self.chunks) + 1, dtype=np.int64)
+        np.cumsum(-(-self.cells // WORD_BITS) * WORD_BITS, out=bounds[1:])
+        return bounds
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        return self._bounds[:-1]
+
+    @cached_property
+    def bits(self) -> int:
+        return int(self._bounds[-1])
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        starts = np.zeros(len(self.chunks) + 1, dtype=np.int64)
+        np.cumsum([chunk.valid_count for chunk in self.chunks],
+                  out=starts[1:])
+        return starts
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        return np.array([_MODES.index(chunk.mode) for chunk in self.chunks],
+                        dtype=np.intp)
+
+    @cached_property
+    def rebuilt(self) -> np.ndarray:
+        return np.zeros(len(self.ids), dtype=bool)
+
+    @cached_property
+    def builds(self) -> np.ndarray:
+        return np.zeros(len(self.ids), dtype=np.int64)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._offsets is None:
+            self.offsets = set_positions(self.words())
+        return self._offsets
+
+    @offsets.setter
+    def offsets(self, offsets) -> None:
+        self._offsets = offsets
+        self._bounds            # the bit space the offsets live in
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self.read(self.chunks, self.words())
+        return self._values
+
+    @values.setter
+    def values(self, values) -> None:
+        self._values = values
+
+    def words(self) -> np.ndarray:
+        """The chunks' flat masks, stacked."""
+        if self._words is None:
+            self._words = stack_words(
+                [chunk.flat_mask() for chunk in self.chunks])[0]
+        return self._words
 
     def read(self, chunks, words, fill=None) -> np.ndarray:
         """``chunks``' values at the offsets (``words``: their stacked
@@ -123,7 +192,7 @@ class Batch:
         payload = np.concatenate([chunk.payload for chunk in chunks])
         dense = np.array([chunk.mode is ChunkMode.DENSE for chunk in chunks])
         if not dense.any():
-            if fill is None and payload.size == self.offsets.size:
+            if fill is None and payload.size == self.starts[-1]:
                 return payload      # every valid cell, in payload order
             slots = ranks(words, self.offsets)
         else:
@@ -155,6 +224,14 @@ class Batch:
         bounds = self.starts.tolist()
         return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
+    def chunk_values(self) -> list:
+        """Each chunk's valid values, for a reduction to read: while no
+        kernel has decoded the batch, straight from the chunks (a
+        compressed chunk's is its payload, so never write to them)."""
+        if self._values is None:
+            return [chunk.values() for chunk in self.chunks]
+        return self.views()
+
     def touch(self, where, builds=1) -> None:
         """Mark chunks ``where`` rebuilt, with ``builds`` eager builds."""
         self.rebuilt |= where
@@ -168,11 +245,13 @@ class Batch:
         self.touch(touched)
 
     def _keep_cells(self, keep) -> None:
+        # a batch nothing has decoded yet reads its cells as they were
+        values = self.values
+        self.offsets = self.offsets[keep]
+        self.values = values[keep]
         kept = np.zeros(keep.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
         self.starts = kept[self.starts]
-        self.offsets = self.offsets[keep]
-        self.values = self.values[keep]
 
     def restrict(self, keep, touched=None) -> None:
         """Keep the valid cells where ``keep``; :meth:`mark` the chunks
@@ -194,11 +273,11 @@ class Batch:
         alive = ~dead
         self._keep_cells(np.repeat(alive, self.counts()))
         self.starts = np.append(self.starts[:-1][alive], self.starts[-1])
+        for name in ("cells", "base", "modes", "rebuilt", "builds"):
+            setattr(self, name, getattr(self, name)[alive])
         kept = np.flatnonzero(alive).tolist()
         self.ids = [self.ids[i] for i in kept]
         self.chunks = [self.chunks[i] for i in kept]
-        for name in ("cells", "base", "modes", "rebuilt", "builds"):
-            setattr(self, name, getattr(self, name)[alive])
 
     def encode(self) -> list:
         """The ``(chunk_id, Chunk)`` records: untouched chunks as they
@@ -451,7 +530,7 @@ _CHUNK_SOURCE = ChunkSource()
 
 class _CompiledPlanPass:
     """The lowered form of a plan: one callable running the whole
-    kernel chain over a partition.
+    kernel chain over a partition, ending in the encode or in a sink.
 
     A module-level class (not a closure) so compiled passes pickle by
     construction when a task ships to a worker process. The driver-side
@@ -463,13 +542,14 @@ class _CompiledPlanPass:
     """
 
     def __init__(self, source, kernels, labels, pipeline, tracer,
-                 metrics):
+                 metrics, sink=None):
         self.source = source
         self.kernels = kernels
         self.labels = labels
         self.pipeline = pipeline
         self.tracer = tracer
         self.metrics = metrics
+        self.sink = sink
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -496,17 +576,18 @@ class _CompiledPlanPass:
             if not isinstance(kernel, MaskAndKernel):
                 break
             live = [record for record in live if record[0] in kernel.wanted]
-        out, avoided, repacked = [], 0, 0
-        if live:
-            batch = self.source.begin(live)
-            for kernel in self.kernels:
-                if not batch.ids:
-                    break
-                kernel.apply(batch)
-            out = batch.encode()
-            # a rebuilt chunk costs the pass its one encode
-            avoided = (batch.avoided + int(batch.builds.sum())
-                       - int(batch.rebuilt.sum()))
+        batch = self.source.begin(live) if live else Batch((), ())
+        for kernel in self.kernels:
+            if not batch.ids:
+                break
+            kernel.apply(batch)
+        out = batch.encode() if self.sink is None else self.sink(batch)
+        avoided = repacked = 0
+        if self.labels:         # a bare sink builds and repacks nothing
+            avoided = batch.avoided + int(batch.builds.sum())
+            if self.sink is None:
+                # a rebuilt chunk costs the pass its one encode
+                avoided -= int(batch.rebuilt.sum())
             repacked = batch.repacked
         if metrics is not None and avoided:
             metrics.add(fused_chunks_avoided=avoided)
@@ -514,18 +595,19 @@ class _CompiledPlanPass:
             metrics.add(chunks_repacked=repacked)
         if tracing:
             attrs = {"chunks_in": len(records),
-                     "chunks_out": len(out),
+                     "chunks_out": len(batch.ids),
                      "chunk_builds_avoided": avoided,
                      "chunk_ids": [list(cid) if isinstance(cid, tuple)
                                    else cid for cid, _chunk in records]}
             if repacked:
                 attrs["chunks_repacked"] = repacked
-            for _cid, chunk in out:
-                mode = chunk.mode.value
-                attrs[f"chunks_{mode}"] = attrs.get(f"chunks_{mode}", 0) + 1
-                attrs[f"payload_bytes_{mode}"] = (
-                    attrs.get(f"payload_bytes_{mode}", 0)
-                    + int(chunk.payload.nbytes))
+            for mode, count in zip(_MODES, np.bincount(
+                    batch.modes, minlength=len(_MODES)).tolist()):
+                if count:
+                    attrs[f"chunks_{mode.value}"] = count
+            for _cid, chunk in out if self.sink is None else ():
+                key = f"payload_bytes_{chunk.mode.value}"
+                attrs[key] = attrs.get(key, 0) + int(chunk.payload.nbytes)
             ranks_after = rank_counts()
             for name, before in ranks_before.items():
                 delta = ranks_after[name] - before
@@ -534,6 +616,12 @@ class _CompiledPlanPass:
             span.set(**attrs)
             tracer.finish(span)
         return out
+
+
+def _pipeline_name(labels) -> str:
+    if len(labels) == 1:
+        return labels[0]
+    return "fused[" + "→".join(labels) + "]"
 
 
 class ChunkPlan:
@@ -599,33 +687,36 @@ class ChunkPlan:
         return labels
 
     def label(self) -> str:
-        labels = self.stage_labels()
-        if len(labels) == 1:
-            return labels[0]
-        return "fused[" + "→".join(labels) + "]"
+        return _pipeline_name(self.stage_labels())
 
-    def compile(self, base_rdd, metrics=None):
+    def compile(self, base_rdd, metrics=None, sink=None):
         """Lower the plan to one narrow ``map_partitions`` pass.
+
+        With a ``sink`` (internal: a reduction that reads batches, with
+        a ``label``), the pass returns ``sink(batch)`` per partition
+        where it would encode chunks, so no chunk is built only to be
+        read again; an identity plan then still makes the pass.
 
         When the owning context traces, every executed pass opens a
         ``plan`` span under the running task, annotated with the fused
-        kernel labels, per-chunk-mode output counts and payload bytes,
-        and the bitmask rank queries the pass issued (a thread-local
+        kernel labels, the per-chunk-mode counts of the chunks that
+        reach the encode (with their payload bytes) or the sink, and the
+        bitmask rank queries the pass issued (a thread-local
         before/after diff of :func:`repro.bitmask.rank_counts`, so the
         attribution is exact even under the threaded scheduler).
         """
-        if self.is_identity:
+        if self.is_identity and sink is None:
             return base_rdd
         labels = self.stage_labels()
         if metrics is not None and len(labels) >= 2:
             metrics.add(kernels_fused=len(labels))
-        run = _CompiledPlanPass(self.source, self.kernels, labels,
-                                self.label(),
+        name = _pipeline_name(labels + ([sink.label] if sink else []))
+        run = _CompiledPlanPass(self.source, self.kernels, labels, name,
                                 getattr(base_rdd.context, "tracer", None),
-                                metrics)
+                                metrics, sink)
         compiled = base_rdd.map_partitions_with_index(
-            run, preserves_partitioning=True)
-        return compiled.rename(self.label())
+            run, preserves_partitioning=sink is None)
+        return compiled.rename(name)
 
     def __repr__(self) -> str:
         return f"ChunkPlan({self.label() if not self.is_identity else 'id'})"

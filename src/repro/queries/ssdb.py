@@ -61,51 +61,83 @@ def _window_grid(meta, window: int):
     return first, extent
 
 
-def _window_partials(array: ArrayRDD, window: int):
-    """Per-chunk window partials, one packed record per non-empty chunk.
+class _WindowPartials:
+    """Sink of the window queries: a partition's window partials.
 
     Windows tile the (x, y) plane; images stay separate. Window
     ``(t, wr, wc)`` has the int64 id ``((t - t0) * NR + (wr - wr0)) * NC
-    + (wc - wc0)`` over :func:`_window_grid`. Each record is ``(ids
-    int64[n], sums float64[n], counts int64[n])``: window ``ids[i]`` has
-    ``counts[i] > 0`` valid cells in this chunk summing to ``sums[i]``.
+    + (wc - wc0)`` over :func:`_window_grid`. The partition's record is
+    ``(ids int64[n], sums float64[n], counts int64[n])``: window
+    ``ids[i]`` has ``counts[i] > 0`` valid cells in one chunk, summing
+    to ``sums[i]``, chunk by chunk in the batch's order and by window
+    within a chunk.
 
-    A chunk is read as ``(indices(), values())``, never expanded to its
-    dense cells: the offsets split into F-order local ``(x, y, t)``,
-    each valid cell is labelled with its window over the chunk's own
-    window span (small, so no sort), and two bincounts reduce the
-    payload. A window straddling chunk boundaries appears in several
-    records; :func:`_merge_windows` completes it on the driver.
+    Every valid cell of the partition gets one label: its chunk's first
+    label plus its window among the few the chunk overlaps. Which of
+    those a cell falls in depends only on its offset and on where the
+    chunk's origin sits in the window grid, so it is read from one
+    table per such phase; two bincounts then reduce the partition. A
+    window straddling chunk boundaries appears once per chunk;
+    :func:`_merge_windows` completes it on the driver.
     """
-    meta = array.meta
-    (t0, wr0, wc0), (_, grid_rows, grid_cols) = _window_grid(meta, window)
-    cx, cy, ci = meta.chunk_shape
 
-    def partials(part):
-        for chunk_id, chunk in part:
-            offsets = chunk.indices()
-            if not offsets.size:
-                continue
-            ox, oy, ot = mapper.chunk_origin(meta, chunk_id)
-            rest, x = np.divmod(offsets, cx)
-            t, y = np.divmod(rest, cy)
-            r0, c0 = ox // window, oy // window
-            nr = (ox + cx - 1) // window - r0 + 1
-            nc = (oy + cy - 1) // window - c0 + 1
-            labels = ((t * nr + (ox + x) // window - r0) * nc
-                      + (oy + y) // window - c0)
-            span = ci * nr * nc
-            counts = np.bincount(labels, minlength=span)
-            sums = np.bincount(labels, weights=chunk.values(),
-                               minlength=span)
-            local = np.flatnonzero(counts)
-            lt, cell = np.divmod(local, nr * nc)
-            lr, lc = np.divmod(cell, nc)
-            ids = (((ot - t0 + lt) * grid_rows + (r0 - wr0 + lr))
-                   * grid_cols + (c0 - wc0 + lc))
-            yield ids, sums[local], counts[local]
+    label = "window_partials"
 
-    return array.rdd.map_partitions(partials)
+    def __init__(self, meta, window: int):
+        self.meta = meta
+        self.window = window
+        self.grid = _window_grid(meta, window)
+
+    def _tables(self, phases):
+        """Per phase ``(px, py)``: each local offset's window label, and
+        the chunk's window rows and columns."""
+        window = self.window
+        cx, cy, ci = self.meta.chunk_shape
+        rows = (phases[:, 0] + cx - 1) // window + 1
+        cols = (phases[:, 1] + cy - 1) // window + 1
+        images = np.arange(ci)[None, None, :]
+        tables = [((images * nr + (px + np.arange(cx)[:, None, None])
+                    // window) * nc
+                   + (py + np.arange(cy)[None, :, None]) // window)
+                  .ravel(order="F")
+                  for (px, py), nr, nc in zip(phases.tolist(), rows, cols)]
+        return np.concatenate(tables), rows, cols
+
+    def __call__(self, batch):
+        if not batch.starts[-1]:
+            return []
+        meta, window = self.meta, self.window
+        (t0, wr0, wc0), (_, grid_rows, grid_cols) = self.grid
+        ox, oy, ot = np.array([mapper.chunk_origin(meta, chunk_id)
+                               for chunk_id in batch.ids]).T
+        phases, phase = np.unique(np.stack([ox % window, oy % window], 1),
+                                  axis=0, return_inverse=True)
+        phase = phase.ravel()
+        table, rows, cols = self._tables(phases)
+        rows, cols = rows[phase], cols[phase]
+        span = meta.chunk_shape[2] * rows * cols
+        first = np.cumsum(span) - span
+        owner = np.repeat(np.arange(len(batch.ids)), batch.counts())
+        shift = phase * meta.cells_per_chunk - batch.base
+        labels = table[batch.offsets + shift[owner]] + first[owner]
+        counts = np.bincount(labels, minlength=int(span.sum()))
+        sums = np.bincount(labels, weights=batch.values,
+                           minlength=counts.size)
+        hit = np.flatnonzero(counts)
+        chunk = np.searchsorted(first, hit, side="right") - 1
+        lt, cell = np.divmod(hit - first[chunk], (rows * cols)[chunk])
+        lr, lc = np.divmod(cell, cols[chunk])
+        ids = (((ot[chunk] - t0 + lt) * grid_rows
+                + ox[chunk] // window - wr0 + lr) * grid_cols
+               + oy[chunk] // window - wc0 + lc)
+        return [(ids, sums[hit], counts[hit])]
+
+
+def _window_partials(array: ArrayRDD, window: int):
+    """The RDD of window partial records (:class:`_WindowPartials`), one
+    per partition with a valid cell: the array's pending plan runs with
+    the partials as its sink, so no chunk is built to be read here."""
+    return array._reduce(_WindowPartials(array.meta, window))
 
 
 def _merge_windows(records: list, meta, window: int):
@@ -194,13 +226,3 @@ class SpangleRasterQueries:
             return 0
         _keys, _sums, counts = merged
         return int(np.count_nonzero(counts > min_count))
-
-
-def reference_window_counts(valid: np.ndarray, window: int) -> dict:
-    """Dense-numpy oracle for window observation counts (tests)."""
-    counts = {}
-    xs, ys, imgs = np.nonzero(valid)
-    for x, y, img in zip(xs, ys, imgs):
-        key = (int(img), int(x) // window, int(y) // window)
-        counts[key] = counts.get(key, 0) + 1
-    return counts

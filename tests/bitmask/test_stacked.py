@@ -14,7 +14,7 @@ from repro.bitmask.stacked import (
     stack_words,
 )
 
-# densities on both sides of set_positions' half-the-bytes switch
+# densities from an empty mask to a full one
 DENSITIES = [0.0, 0.002, 0.04, 0.5, 1.0]
 # lengths with and without a partial last word, and an empty mask
 LENGTHS = [0, 1, 63, 64, 65, 300, 16384]
@@ -49,3 +49,18 @@ def test_stacked_operations_match_numpy(density):
     keep = np.random.default_rng(7).random(positions.size) < 0.3
     assert np.array_equal(deposit(words, keep),
                           pack_positions(positions[keep], words.size))
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 16384])
+def test_bitmask_indices_match_flatnonzero(density, length):
+    rng = np.random.default_rng(length)
+    mask = Bitmask.from_bools(rng.random(length) < density)
+    got = mask.indices()
+    want = np.flatnonzero(mask.to_bools())
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the tail past the last bit stays clear after a complement too
+    assert np.array_equal((~mask).indices(),
+                          np.flatnonzero((~mask).to_bools()))
+

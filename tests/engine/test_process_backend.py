@@ -35,6 +35,7 @@ from repro.engine import (
 )
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.explain import memory_report
+from repro.engine.partitioner import ExplicitPartitioner
 from repro.engine.rdd import LineageStub
 from repro.engine.shm import SHM_BLOCK_MIN_BYTES, leaked_segments
 from repro.engine.top import health_events, render_dashboard
@@ -542,11 +543,12 @@ class TestSlicedPayload:
 
     def test_payload_ships_only_its_reducers_buckets(self):
         # string keys do not pack, so the buckets stay tuple lists that
-        # ride inline with the result tasks
+        # ride inline with the result tasks; placing them by their
+        # number (not the seeded str hash) gives each reducer 6 keys
         records = [(f"k{i % 24}", i) for i in range(2400)]
+        by_number = ExplicitPartitioner(4, lambda key: int(key[1:]))
         with ClusterContext(num_executors=2, backend="process") as ctx:
-            grouped = ctx.parallelize(records, 4) \
-                         .group_by_key(HashPartitioner(4))
+            grouped = ctx.parallelize(records, 4).group_by_key(by_number)
             payloads = _record_payloads(ctx)
             got = grouped.collect()
             full = len(task_dumps(grouped._buckets[0]))

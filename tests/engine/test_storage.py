@@ -20,9 +20,27 @@ from repro.engine import spill as spill_mod
 from repro.engine.sizing import estimate_partition_size, estimate_size
 
 
+#: the caches and contexts this test built, shut down when it ends, so
+#: none leaves its spill directory to the garbage collector
+_to_shut_down = []
+
+
+@pytest.fixture(autouse=True)
+def _shut_down_when_done():
+    yield
+    while _to_shut_down:
+        _to_shut_down.pop().shutdown()
+
+
+def shut_down_when_done(owner):
+    _to_shut_down.append(owner)
+    return owner
+
+
 def make_cache(budget=None, **kwargs):
     metrics = MetricsRegistry()
-    cache = CacheManager(metrics, budget_bytes=budget, **kwargs)
+    cache = shut_down_when_done(
+        CacheManager(metrics, budget_bytes=budget, **kwargs))
     return metrics, cache
 
 
@@ -234,8 +252,9 @@ class TestLineageRecovery:
         assert ctx.metrics.recomputations == 1
 
     def test_spilled_then_dropped_block_recomputes(self):
-        ctx = ClusterContext(num_executors=2, default_parallelism=2,
-                             cache_budget_bytes=1500)
+        ctx = shut_down_when_done(ClusterContext(
+            num_executors=2, default_parallelism=2,
+            cache_budget_bytes=1500))
         rdd = ctx.parallelize([bytes(600)] * 4, 4) \
                  .persist(StorageLevel.MEMORY_AND_DISK)
         assert rdd.count() == 4
@@ -401,8 +420,9 @@ class TestBudgetedDeterminism:
 
 class TestMemoryReport:
     def test_report_mentions_the_adaptive_counters(self):
-        ctx = ClusterContext(num_executors=2, cache_budget_bytes=1500,
-                             repack_on_admission=True)
+        ctx = shut_down_when_done(ClusterContext(
+            num_executors=2, cache_budget_bytes=1500,
+            repack_on_admission=True))
         rdd = ctx.parallelize([bytes(600)] * 4, 4) \
                  .persist(StorageLevel.MEMORY_AND_DISK)
         rdd.count()

@@ -18,7 +18,7 @@ import pytest
 from repro.core import ArrayRDD, ChunkMode, SpangleDataset
 from repro.engine import ClusterContext
 from repro.queries import SpangleRasterQueries
-from repro.queries.ssdb import reference_window_counts
+from tests._reference.windows import reference_window_counts
 
 SHAPE = (36, 28, 3)            # ragged against the 16 x 16 chunks
 CHUNK = (16, 16, 1)

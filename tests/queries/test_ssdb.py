@@ -14,11 +14,8 @@ from repro.data.raster import sdss_stack
 from repro.engine import ClusterContext
 from repro.errors import ArrayError
 from repro.queries import SpangleRasterQueries, load_spangle_dataset
-from repro.queries.ssdb import (
-    _merge_windows,
-    _window_partials,
-    reference_window_counts,
-)
+from repro.queries.ssdb import _merge_windows, _window_partials
+from tests._reference.windows import reference_window_counts
 
 
 @pytest.fixture()
