@@ -11,6 +11,7 @@ wall-clock and the cost-model's modeled cluster time.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -51,7 +52,9 @@ def run_measured(ctx: ClusterContext, fn, *args, **kwargs) -> Measured:
     """Run ``fn`` and capture wall time + modeled cluster time.
 
     Stage wall times and utilization come from the trace: they are
-    empty and 0 unless ``ctx`` was built with ``trace=True``.
+    empty and 0 unless ``ctx`` was built with ``trace=True``. A full
+    garbage collection runs before the clock starts, so a collection
+    left pending by setup (a dataset load) is not charged to ``fn``.
     Expected feasibility failures (OOM, bounded-time) become ``x`` cells
     — the paper's Fig. 10 marks — instead of propagating.
     """
@@ -60,6 +63,7 @@ def run_measured(ctx: ClusterContext, fn, *args, **kwargs) -> Measured:
     from repro.errors import OutOfMemoryError, TaskFailure
 
     expected = (OutOfMemoryError, SciDBTimeout, UnsupportedOperation)
+    gc.collect()
     with ctx.measure() as measurement:
         try:
             value = fn(*args, **kwargs)

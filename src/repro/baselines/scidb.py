@@ -237,13 +237,6 @@ class SciDBSystem:
             "kind": "matrix"}
         return name
 
-    def matrix_memory_bytes(self, name: str) -> int:
-        info = self._arrays[name]
-        total = 0
-        for path in self.storage_dir.glob(f"{name}__b*.npy"):
-            total += path.stat().st_size
-        return total
-
     def dot_vector(self, name: str, vector: SpangleVector) -> SpangleVector:
         info = self._arrays[name]
         block = info["block"]

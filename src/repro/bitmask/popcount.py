@@ -107,14 +107,6 @@ def per_word_popcounts(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).astype(np.int64)
 
 
-def cumulative_popcounts(words: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of per-word popcounts (length ``size + 1``)."""
-    counts = per_word_popcounts(words)
-    out = np.zeros(words.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
 class Milestones:
     """Cumulative popcounts every ``stride`` words.
 

@@ -43,7 +43,7 @@ slice of Spark that Spangle needs, in pure Python:
 
 from repro.engine.batches import RecordBatch
 from repro.engine.context import ClusterContext
-from repro.engine.costmodel import ClusterCostModel, CostReport
+from repro.engine.costmodel import CostReport
 from repro.engine.explain import memory_report
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.engine.partitioner import (
@@ -59,7 +59,6 @@ from repro.engine.tracing import JobProfile, Span, Tracer
 __all__ = [
     "CacheManager",
     "ClusterContext",
-    "ClusterCostModel",
     "CostReport",
     "ExecutorPool",
     "HashPartitioner",

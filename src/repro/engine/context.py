@@ -12,7 +12,7 @@ import functools
 import time
 from contextlib import contextmanager
 
-from repro.engine.costmodel import ClusterCostModel
+from repro.engine import costmodel
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.rdd import (
     GeneratedRDD,
@@ -72,8 +72,8 @@ class ClusterContext:
     trace:
         Record a structured span tree for every job
         (:mod:`repro.engine.tracing`), each job closing with a
-        ``gauge`` sample of counters, cache ledger, shm residency and
-        pool occupancy (:mod:`repro.engine.telemetry`), from which
+        ``gauge`` sample of counters, cache ledger and shm residency
+        (:mod:`repro.engine.telemetry`), from which
         :func:`repro.engine.top.health_events` reads the cluster's
         health. Off by default; when off, the instrumentation is a
         no-op attribute check.
@@ -97,7 +97,6 @@ class ClusterContext:
         self.default_parallelism = default_parallelism or num_executors
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(enabled=trace, num_executors=num_executors)
-        self.cost_model = ClusterCostModel()
         self.cache = CacheManager(self.metrics,
                                   budget_bytes=cache_budget_bytes,
                                   tracer=self.tracer,
@@ -273,8 +272,7 @@ class ClusterContext:
         finally:
             holder.wall_s = time.perf_counter() - start
             holder.delta = self.metrics.snapshot() - before
-            holder.report = self.cost_model.report(holder.wall_s,
-                                                   holder.delta)
+            holder.report = costmodel.report(holder.wall_s, holder.delta)
             # spans share the perf_counter clock, and a job's spans all
             # start after the job does
             spans = [span for span in self.tracer.spans()

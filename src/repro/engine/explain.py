@@ -209,40 +209,8 @@ def memory_report(context) -> str:
     return "\n".join(lines)
 
 
-def modeled_schedule(rdd: RDD) -> dict:
-    """Modeled barrier vs pipelined job time for ``rdd``'s stage plan.
-
-    Each stage is priced as its task-launch overhead
-    (``cost_model.shuffle_seconds(0, num_tasks)`` — data volume is
-    unknown before execution, launch overhead is not); the barrier
-    scheduler pays the stages in sequence
-    (:meth:`~repro.engine.costmodel.ClusterCostModel.serial_job_seconds`)
-    while the pipelined scheduler pays the critical path through the
-    stage DAG
-    (:meth:`~repro.engine.costmodel.ClusterCostModel.pipelined_job_seconds`).
-    Returns ``{"serial_s", "pipelined_s", "overlap"}``.
-    """
-    cost_model = rdd.context.cost_model
-    stages = stage_plan(rdd)
-    stage_seconds = {}
-    deps = {}
-    for stage in stages:
-        num_tasks = stage.rdds[0].num_partitions if stage.rdds else 0
-        stage_seconds[stage.stage_id] = cost_model.shuffle_seconds(
-            0, num_tasks)
-        deps[stage.stage_id] = [parent.stage_id
-                                for parent in stage.parent_stages]
-    serial_s = cost_model.serial_job_seconds(stage_seconds)
-    pipelined_s = cost_model.pipelined_job_seconds(stage_seconds, deps)
-    return {
-        "serial_s": serial_s,
-        "pipelined_s": pipelined_s,
-        "overlap": serial_s / pipelined_s if pipelined_s > 0 else 1.0,
-    }
-
-
 def explain(rdd: RDD) -> str:
-    """A printable stage plan, with the modeled schedule appended."""
+    """A printable stage plan."""
     lines = []
     for stage in stage_plan(rdd):
         parents = ", ".join(
@@ -255,9 +223,4 @@ def explain(rdd: RDD) -> str:
             lines.append(
                 f"  ({node.rdd_id}) {node.name}"
                 f"[{node.num_partitions}]{marker}")
-    schedule = modeled_schedule(rdd)
-    lines.append(
-        f"Modeled schedule: barrier {schedule['serial_s'] * 1e3:.1f} ms, "
-        f"pipelined {schedule['pipelined_s'] * 1e3:.1f} ms critical path "
-        f"({schedule['overlap']:.2f}x overlap)")
     return "\n".join(lines)

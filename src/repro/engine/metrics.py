@@ -70,12 +70,6 @@ cache.budget_bytes         gauge    bytes  engine.storage    cache budget, 0 whe
 cache.pressure             gauge    ratio  engine.storage    resident bytes over the budget
 shm.segments               gauge    count  engine.shm        live shared-memory segments
 shm.resident_bytes         gauge    bytes  engine.shm        bytes in live shared-memory segments
-pool.busy_threads          gauge    count  engine.scheduler  executor threads running a task
-pool.queued_tasks          gauge    count  engine.scheduler  tasks submitted but not started
-pool.active_jobs           gauge    count  engine.scheduler  jobs running on the executor pool
-pool.num_workers           gauge    count  engine.scheduler  executor threads in the pool
-scheduler.ready_stages     gauge    count  engine.scheduler  stages ready but not launched
-scheduler.inflight_stages  gauge    count  engine.scheduler  stages launched but not committed
 nnz.partition_max          gauge    cells  matrix            max partition nnz, last sparse stage
 nnz.partition_mean         gauge    cells  matrix            mean partition nnz, last sparse stage
 nnz.imbalance              gauge    ratio  matrix            max over mean partition nnz

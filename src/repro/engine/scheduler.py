@@ -77,16 +77,6 @@ class ExecutorPool:
         self._lock = threading.Lock()
         self._active = 0
         self._broken = False
-        # task-level occupancy gauges (catalog `pool.*`):
-        # _queued counts submitted-but-not-started tasks, _running
-        # counts tasks currently on an executor thread
-        self._queued = 0
-        self._running = 0
-        # stage-level gauges maintained by the scheduler: stages whose
-        # dependencies are satisfied but whose tasks have not launched,
-        # and stages launched but not yet committed
-        self._ready_stages = 0
-        self._inflight_stages = 0
 
     @property
     def started(self) -> bool:
@@ -109,43 +99,6 @@ class ExecutorPool:
         """Whether the calling thread is one of this pool's executors."""
         return threading.current_thread().name.startswith(self._prefix)
 
-    def gauges(self) -> dict:
-        """Occupancy in one lock acquisition (gauge sample), keyed by
-        catalog name; the stage pair belongs to the scheduler."""
-        with self._lock:
-            return {
-                "pool.busy_threads": self._running,
-                "pool.queued_tasks": self._queued,
-                "pool.active_jobs": self._active,
-                "pool.num_workers": self.num_workers,
-                "scheduler.ready_stages": self._ready_stages,
-                "scheduler.inflight_stages": self._inflight_stages,
-            }
-
-    # ------------------------------------------------------------------
-    # stage-level gauges (maintained by the StageScheduler)
-    # ------------------------------------------------------------------
-
-    def stage_ready(self) -> None:
-        """A stage's dependencies are satisfied; it awaits launch."""
-        with self._lock:
-            self._ready_stages += 1
-
-    def stage_launched(self) -> None:
-        """A ready stage launched its tasks."""
-        with self._lock:
-            self._ready_stages -= 1
-            self._inflight_stages += 1
-
-    def stage_finished(self, launched: bool = True) -> None:
-        """A stage committed (``launched``) or was found already
-        materialized / abandoned before launch (``not launched``)."""
-        with self._lock:
-            if launched:
-                self._inflight_stages -= 1
-            else:
-                self._ready_stages -= 1
-
     def begin_job(self) -> None:
         """Mark a job active.
 
@@ -163,41 +116,17 @@ class ExecutorPool:
     def submit_task(self, func):
         """Submit one task; returns its ``Future``.
 
-        The pool's one task entry point. Gauges count a task queued on
-        submit and running while on an executor thread; a done-callback
-        reconciles tasks cancelled before they started. The caller owns
-        completion handling — nothing here waits.
+        The pool's one task entry point. The caller owns completion
+        handling — nothing here waits.
         """
         executor = self._ensure()
-
-        def run_gauged():
-            with self._lock:
-                self._queued -= 1
-                self._running += 1
-            try:
-                return func()
-            finally:
-                with self._lock:
-                    self._running -= 1
-
-        def reconcile(future):
-            if future.cancelled():
-                with self._lock:
-                    self._queued -= 1
-
-        with self._lock:
-            self._queued += 1
         try:
-            future = executor.submit(run_gauged)
+            return executor.submit(func)
         except RuntimeError as exc:
             # the executor was shut down between _ensure and submit
-            with self._lock:
-                self._queued -= 1
             raise RuntimeError(
                 "executor pool was shut down while a job was "
                 "running; its tasks cannot be scheduled") from exc
-        future.add_done_callback(reconcile)
-        return future
 
     def shutdown(self) -> None:
         with self._lock:
@@ -228,8 +157,7 @@ class _Stage:
 
     __slots__ = ("node", "which", "kind", "key", "label", "num_tasks",
                  "task", "deps", "children", "pending", "done",
-                 "outputs", "span", "lock", "ready_s", "gauge",
-                 "position")
+                 "outputs", "span", "lock", "ready_s", "position")
 
     def __init__(self, node, which=None, kind="shuffle", task=None):
         self.node = node
@@ -252,7 +180,6 @@ class _Stage:
         self.span = None
         self.lock = None
         self.ready_s = 0.0
-        self.gauge = None
         self.position = 0
 
     @property
@@ -429,8 +356,8 @@ class StageScheduler:
         context = self.context
         tracer = context.tracer
         metrics = context.metrics
-        pool = context.executor_pool
-        inline = not context.parallel or pool.in_worker()
+        inline = not context.parallel or context.executor_pool.in_worker()
+        pool = None if inline else context.executor_pool
         events = queue.SimpleQueue()
         ready = []  # heap of (position, stage)
         foreign = []
@@ -440,15 +367,11 @@ class StageScheduler:
 
         def mark_ready(stage):
             stage.ready_s = time.perf_counter()
-            pool.stage_ready()
-            stage.gauge = "ready"
             heapq.heappush(ready, (stage.position, stage))
 
-        def finish(stage, launched):
+        def finish(stage):
             nonlocal remaining
             remaining -= 1
-            pool.stage_finished(launched=launched)
-            stage.gauge = None
             for child in stage.children:
                 child.pending -= 1
                 if child.pending == 0:
@@ -465,7 +388,7 @@ class StageScheduler:
                     return
                 if stage.node.shuffle_ready(stage.which):
                     lock.release()
-                    finish(stage, launched=False)
+                    finish(stage)
                     return
             launch(stage, lock)
 
@@ -475,8 +398,6 @@ class StageScheduler:
             stage.lock = lock  # held from launch to commit
             stage.outputs = [None] * stage.num_tasks
             stage.span = self._start_span(stage, parent_span)
-            pool.stage_launched()
-            stage.gauge = "inflight"
             if not stage.num_tasks:
                 commit(stage)
             for index in range(stage.num_tasks):
@@ -525,7 +446,7 @@ class StageScheduler:
             if stage.lock is not None:
                 stage.lock.release()
                 stage.lock = None
-            finish(stage, launched=True)
+            finish(stage)
 
         if not inline:
             pool.begin_job()
@@ -563,19 +484,15 @@ class StageScheduler:
             if not inline:
                 pool.end_job()
             for stage in nodes:
-                # failure path: close abandoned spans, release held
+                # failure path: close abandoned spans and release held
                 # locks without committing (a later job redoes the
-                # stage), and zero the stage gauges
+                # stage)
                 if stage.span is not None:
                     tracer.finish(stage.span)
                     stage.span = None
                 if stage.lock is not None:
                     stage.lock.release()
                     stage.lock = None
-                if stage.gauge is not None:
-                    pool.stage_finished(
-                        launched=stage.gauge == "inflight")
-                    stage.gauge = None
         if failure is not None:
             if isinstance(failure, CancelledError):
                 raise RuntimeError(

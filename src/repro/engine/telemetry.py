@@ -8,10 +8,9 @@ the work itself:
   the :data:`~repro.engine.metrics.METRICS` catalog and of its gauges,
   each source keying its ``gauges()`` by catalog name: the storage
   ledger (``CacheManager``), the shared-memory plane
-  (``SharedSegmentRegistry``), the executor pool (``ExecutorPool``)
-  and the sparse tier's nnz balance. On a traced context, every job
-  span closes with one zero-duration ``kind="gauge"`` event carrying
-  this sample (:func:`record_sample`).
+  (``SharedSegmentRegistry``) and the sparse tier's nnz balance. On a
+  traced context, every job span closes with one zero-duration
+  ``kind="gauge"`` event carrying this sample (:func:`record_sample`).
 - :class:`NnzBalanceStats` — the per-partition nnz loads behind the
   ``nnz.*`` gauges.
 
@@ -84,8 +83,7 @@ def collect_sample(context) -> dict:
     payload of a trace's ``gauge`` events.
     """
     gauges = {}
-    for source in (context.cache, context.shm_registry,
-                   context.executor_pool):
+    for source in (context.cache, context.shm_registry):
         gauges.update(source.gauges())
     # NnzBalanceStats.gauges() is also read bare (bench/probes.py reads
     # its "imbalance"), so its catalog namespace is added here

@@ -28,11 +28,7 @@ DASHBOARD_SERIES = (
     ("memory", (("cache.resident_bytes", "resident"),
                 ("cache.spilled_bytes", "spilled"),
                 ("shm.resident_bytes", "shm"))),
-    ("tasks", (("tasks_launched", "tasks/s"),
-               ("pool.busy_threads", "busy"),
-               ("pool.queued_tasks", "queued"),
-               ("scheduler.ready_stages", "ready"),
-               ("scheduler.inflight_stages", "inflight"))),
+    ("tasks", (("tasks_launched", "tasks/s"),)),
     ("shuffle", (("shuffle_bytes", "bytes/s"),
                  ("shuffle_records", "recs/s"),
                  ("cache_spills", "spills/s"),

@@ -380,9 +380,8 @@ def logical_tree(spans, exclude_kinds=_NON_LOGICAL_KINDS) -> tuple:
     the same uncached block both record a miss under threading where
     the serial run records one miss and one hit — a real scheduling
     difference, not a logical one (the compute-lock still guarantees
-    the block is computed once). So are ``gauge`` events: pool
-    occupancy and cache residency are observations of the cluster, not
-    of the job's logic.
+    the block is computed once). So are ``gauge`` events: cache and shm
+    residency are observations of the cluster, not of the job's logic.
     """
     spans = [span for span in spans if span.kind not in exclude_kinds]
     children = {}

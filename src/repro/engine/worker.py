@@ -49,7 +49,7 @@ from repro.engine.batches import RecordBatch, canonical_values
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.metrics import COUNTER_FIELDS, MetricsRegistry
 from repro.engine.rdd import LineageStub
-from repro.engine.scheduler import ExecutorPool, StageScheduler
+from repro.engine.scheduler import StageScheduler
 from repro.engine.storage import StorageLevel
 from repro.engine.tracing import Tracer
 
@@ -147,8 +147,7 @@ class WorkerContext:
         self.tracer = tracer
         self.cache = cache
         # a lazy fetch_buckets miss runs its stage inline through the
-        # scheduler's loop; this pool never starts, only its gauges move
-        self.executor_pool = ExecutorPool(1)
+        # scheduler's loop (``parallel`` is False: no executor pool)
         self.scheduler = StageScheduler(self)
 
 

@@ -31,17 +31,6 @@ class TaskFailure(EngineError):
         self.cause = cause
 
 
-class PartitionLostError(EngineError):
-    """A cached partition was lost (simulated executor failure)."""
-
-    def __init__(self, rdd_id, partition_index):
-        super().__init__(
-            f"partition {partition_index} of RDD {rdd_id} was lost"
-        )
-        self.rdd_id = rdd_id
-        self.partition_index = partition_index
-
-
 class OutOfMemoryError(EngineError):
     """The simulated memory budget of an executor or driver was exceeded.
 

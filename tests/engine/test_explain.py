@@ -7,7 +7,6 @@ from repro.engine.explain import (
     count_stages,
     explain,
     fused_pipelines,
-    modeled_schedule,
     stage_plan,
 )
 
@@ -86,33 +85,8 @@ class TestExplainText:
         rdd = ctx.parallelize(range(4), 2).map(lambda x: x).cache()
         assert "[cached]" in explain(rdd)
 
-    def test_reports_modeled_schedule(self, ctx):
-        rdd = ctx.parallelize([(1, 1)], 1) \
-                 .reduce_by_key(lambda a, b: a + b)
-        assert "Modeled schedule:" in explain(rdd)
-        assert "critical path" in explain(rdd)
-
 
 class TestModeledSchedule:
-    def test_chain_has_no_overlap(self, ctx):
-        rdd = ctx.parallelize([(1, 1)], 1) \
-                 .reduce_by_key(lambda a, b: a + b) \
-                 .map(lambda kv: (kv[1], kv[0])) \
-                 .reduce_by_key(lambda a, b: a + b)
-        schedule = modeled_schedule(rdd)
-        assert schedule["pipelined_s"] == pytest.approx(
-            schedule["serial_s"])
-        assert schedule["overlap"] == pytest.approx(1.0)
-
-    def test_join_diamond_overlaps(self, ctx):
-        left = ctx.parallelize([(1, "a")], 2).map(lambda kv: kv)
-        right = ctx.parallelize([(1, "b")], 2).map(lambda kv: kv)
-        schedule = modeled_schedule(left.join(right))
-        # the two independent shuffle sides overlap on the modeled
-        # cluster, so the critical path is strictly shorter
-        assert schedule["pipelined_s"] < schedule["serial_s"]
-        assert schedule["overlap"] > 1.0
-
     def test_mixed_cached_fused_plan(self, ctx):
         """One plan mixing both markers the explainer knows."""
         import numpy as np

@@ -100,10 +100,7 @@ class TestSamplerCollection:
             gauges = sample["gauges"]
             for name in ("cache.resident_bytes", "cache.spilled_bytes",
                          "cache.blocks", "cache.pressure",
-                         "shm.segments", "shm.resident_bytes",
-                         "pool.busy_threads", "pool.queued_tasks",
-                         "scheduler.ready_stages",
-                         "scheduler.inflight_stages"):
+                         "shm.segments", "shm.resident_bytes"):
                 assert name in gauges, name
             # every engine counter rides along, by name
             assert set(sample["counters"]) == set(COUNTER_FIELDS)
@@ -268,9 +265,34 @@ class TestTopDashboard:
         assert "[shuffle]" in frame
         assert "[health] OK" in frame
         assert "jobs=1" in frame
-        # the scheduler's readiness gauges ride in [tasks]
-        assert "ready" in frame
-        assert "inflight" in frame
+
+    def test_retired_pool_gauges_in_old_traces_change_nothing(self):
+        """Traces recorded while the executor pool was a sample source
+        carry six gauges the catalog no longer has; the dashboard and
+        the health read both ignore them."""
+        retired = {"pool.busy_threads": 3, "pool.queued_tasks": 7,
+                   "pool.active_jobs": 1, "pool.num_workers": 4,
+                   "scheduler.ready_stages": 2,
+                   "scheduler.inflight_stages": 1}
+
+        def trace(extra):
+            ids = itertools.count(1)
+            spans, bumps = [], 0
+            for index, hot in enumerate([False, True, True, False, True]):
+                bumps += hot
+                job = {"gauges": {"cache.budget_bytes": 100,
+                                  "cache.resident_bytes": 95 if hot else 10,
+                                  **extra},
+                       "counters": {"cache_spills": 100 * bumps}}
+                spans += _synthetic_job(ids, float(index), **job)
+            return spans
+
+        old, new = trace(retired), trace({})
+        assert "pool.busy_threads" in old[-1].attrs["gauges"]
+        assert health_events(old) == health_events(new)
+        assert health_events(new)
+        meta = {"num_executors": 4}
+        assert render_dashboard(old, meta) == render_dashboard(new, meta)
 
     def test_render_shows_workers_and_crash_events(self, tmp_path,
                                                    capsys):
