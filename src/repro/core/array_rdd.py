@@ -32,9 +32,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from repro.bitmask import Bitmask, HierarchicalBitmask
 from repro.core import mapper
 from repro.core.aggregates import combine_kernel_for, resolve_aggregator
-from repro.core.chunk import Chunk, ChunkMode
+from repro.core.chunk import Chunk, ChunkMode, choose_modes
 from repro.core.metadata import ArrayMetadata
 from repro.core.plan import (
     ChunkPlan,
@@ -45,6 +46,7 @@ from repro.core.plan import (
     MaskAndKernel,
     RepackKernel,
     ScalarOpKernel,
+    _MODES,
 )
 from repro.engine import HashPartitioner, StorageLevel
 from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
@@ -267,12 +269,8 @@ class ArrayRDD:
                 )
         if np.issubdtype(array.dtype, np.floating):
             valid = valid & ~np.isnan(array)
-        records = []
-        for chunk_id in range(meta.num_chunks):
-            chunk = _chunk_from_region(meta, chunk_id, array, valid, mode)
-            if chunk is not None:
-                records.append((chunk_id, chunk))
-        return cls._distribute(context, records, meta, num_partitions)
+        return cls._distribute(context, _cut(meta, array, valid, mode),
+                               meta, num_partitions)
 
     @classmethod
     def _distribute(cls, context, records, meta,
@@ -711,17 +709,41 @@ def _chunk_selection(meta: ArrayMetadata, chunk_id: int):
     return tuple(sel), tuple(local_shape)
 
 
-def _chunk_from_region(meta: ArrayMetadata, chunk_id: int, array, valid,
-                       mode):
-    """Cut one chunk out of a dense array; None when it has no valid cell."""
-    sel, local_shape = _chunk_selection(meta, chunk_id)
-    region_valid = valid[sel]
-    if not region_valid.any():
-        return None
-    padded_values = np.zeros(meta.chunk_shape, dtype=array.dtype)
-    padded_valid = np.zeros(meta.chunk_shape, dtype=bool)
-    clip = tuple(slice(0, n) for n in local_shape)
-    padded_values[clip] = array[sel]
-    padded_valid[clip] = region_valid
-    return Chunk.from_dense(padded_values.ravel(order="F"),
-                            padded_valid.ravel(order="F"), mode=mode)
+def _cut(meta: ArrayMetadata, array, valid, mode) -> list:
+    """The ``(chunk_id, Chunk)`` records of ``array``'s non-empty chunks,
+    cut in one pass: counts, modes, mask words and the compressed
+    chunks' values take one numpy call each over the whole grid; only a
+    DENSE payload is sliced per chunk, as one block copy."""
+    rows = mapper.chunk_major(meta, valid)
+    counts = np.count_nonzero(rows, axis=1)
+    ids = np.flatnonzero(counts)
+    cells = meta.cells_per_chunk
+    modes = choose_modes(counts[ids], cells) if mode is None \
+        else np.full(ids.size, _MODES.index(mode))
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words = np.ascontiguousarray(  # rows may be a Fortran-ordered view
+        np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))).view(np.uint64)
+    compressed = ids[modes != _MODES.index(ChunkMode.DENSE)]
+    cell = np.flatnonzero(rows if compressed.size == rows.shape[0]
+                          else rows[compressed])
+    base, local = mapper.chunk_major_index(meta)
+    source = base[compressed][cell // cells] + local[cell % cells]
+    payloads = iter(np.split(array.reshape(-1)[source],
+                             np.cumsum(counts[compressed])[:-1]))
+    records = []
+    for chunk_id, index in zip(ids.tolist(), modes.tolist()):
+        kind = _MODES[index]
+        if kind is ChunkMode.DENSE:
+            sel, local_shape = _chunk_selection(meta, chunk_id)
+            block = np.zeros(meta.chunk_shape, dtype=array.dtype)
+            block[tuple(slice(0, n) for n in local_shape)] = array[sel]
+            payload = block.ravel(order="F")
+            if counts[chunk_id] < cells:
+                payload[~rows[chunk_id]] = 0
+        else:
+            payload = next(payloads).copy()
+        mask = Bitmask(cells, words[chunk_id].copy())
+        if kind is ChunkMode.SUPER_SPARSE:
+            mask = HierarchicalBitmask.from_bitmask(mask)
+        records.append((chunk_id, Chunk(kind, payload, mask, cells)))
+    return records

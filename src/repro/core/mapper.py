@@ -7,12 +7,15 @@ numbering, and the same fastest-first order is used for the local offset
 of a cell inside its chunk.
 
 Everything has a vectorized twin (suffix ``_array``) operating on an
-``(n, ndim)`` coordinate matrix, used by ingest and the query operators.
+``(n, ndim)`` coordinate matrix, used by ingest and the query operators;
+:func:`chunk_major` and :func:`chunk_major_index` lay out a whole dense
+array chunk by chunk for ``ArrayRDD.from_numpy``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -153,6 +156,38 @@ def local_offsets_for_coords_array(meta: ArrayMetadata,
         offsets += (pos % meta.chunk_shape[axis]) * length
         length *= meta.chunk_shape[axis]
     return offsets
+
+
+def chunk_major(meta: ArrayMetadata, cells: np.ndarray) -> np.ndarray:
+    """``cells`` (shaped like the array) as one row per chunk ID whose
+    columns are the local offsets, both dimension-0-fastest; cells past
+    the array's edge read zero (``False``)."""
+    grid, interval = meta.chunk_grid, meta.chunk_shape
+    padded = tuple(g * c for g, c in zip(grid, interval))
+    if padded != cells.shape:
+        out = np.zeros(padded, dtype=cells.dtype)
+        out[tuple(slice(0, n) for n in cells.shape)] = cells
+        cells = out
+    split = cells.reshape([n for pair in zip(grid, interval) for n in pair])
+    axes = list(range(2 * meta.ndim - 2, -1, -2))
+    return split.transpose(axes + [a + 1 for a in axes]).reshape(
+        meta.num_chunks, meta.cells_per_chunk)
+
+
+def chunk_major_index(meta: ArrayMetadata) -> tuple:
+    """``(base, local)``: cell ``offset`` of chunk ``chunk_id`` is element
+    ``base[chunk_id] + local[offset]`` of the array's C-order ravel
+    (padding cells past the edge land elsewhere: index valid ones only)."""
+    ids, offsets = np.arange(meta.num_chunks), np.arange(meta.cells_per_chunk)
+    base, local = np.zeros_like(ids), np.zeros_like(offsets)
+    for axis, (grid, interval) in enumerate(zip(meta.chunk_grid,
+                                                meta.chunk_shape)):
+        stride = math.prod(meta.shape[axis + 1:])
+        base += ids % grid * (interval * stride)
+        local += offsets % interval * stride
+        ids //= grid
+        offsets //= interval
+    return base, local
 
 
 def coords_for_offsets_array(meta: ArrayMetadata, chunk_id: int,

@@ -36,8 +36,8 @@ set — concurrent attach/unregister pairs from different processes can
 interleave into a double-unregister that makes the tracker print
 KeyError tracebacks. Our names are therefore filtered out of tracker
 traffic entirely (the registry is the sole owner). And a mapping with
-exported buffer views cannot ``close()`` — the atexit path leaves it
-for the OS to reclaim at process exit.
+exported buffer views cannot ``close()`` — the atexit path closes its
+fd and leaves the mapping to the views.
 """
 
 from __future__ import annotations
@@ -282,20 +282,19 @@ def resolve_segment(segment, metrics=None):
 
 
 def _release_attachments() -> None:
-    """Close every cached mapping that no decoded view still uses.
-
-    A mapping whose buffer has exported views (decoded numpy columns
-    still referenced) raises BufferError on close and is left to the
-    OS to reclaim at process exit (its ``__del__`` reports the same
-    error as ignored). Process-backend jobs followed by collections
-    leave no such view at exit (``test_process_jobs_then_gc_exit_cleanly``).
-    """
+    """Close every cached mapping. One that decoded views still use
+    cannot close (BufferError): its fd is closed and the mapping left to
+    the views, so ``SharedMemory.__del__``, which ignores only OSError,
+    has nothing to retry at exit."""
     with _ATTACH_LOCK:
         for segment in _ATTACHED.values():
             try:
                 segment.close()
             except BufferError:
-                pass
+                if segment._fd >= 0:
+                    os.close(segment._fd)
+                    segment._fd = -1
+                segment._mmap = None
         _ATTACHED.clear()
 
 

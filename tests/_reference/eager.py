@@ -1,8 +1,10 @@
-"""Eager per-chunk reference for the fused operator layer.
+"""Eager per-chunk reference for ingest and the fused operator layer.
 
-Replays ArrayRDD operators one at a time over driver-side chunks with
-per-chunk primitives — :func:`map_values`, :func:`filter_chunk` and
-:func:`elementwise` below, and :meth:`Chunk.and_mask
+:meth:`EagerArray.from_numpy` cuts a numpy array one chunk at a time;
+``ArrayRDD.from_numpy``'s one vectorised cut must give byte-identical
+chunks. The operators replay ArrayRDD operators one at a time over
+driver-side chunks with per-chunk primitives — :func:`map_values`,
+:func:`filter_chunk` and :func:`elementwise` below, and :meth:`Chunk.and_mask
 <repro.core.chunk.Chunk.and_mask>` and :meth:`Chunk.repack
 <repro.core.chunk.Chunk.repack>` — building a fresh chunk per operator,
 in the order written, and dropping chunks left with no valid cell. A
@@ -21,6 +23,21 @@ from repro.core.array_rdd import _chunk_selection
 from repro.core.chunk import Chunk, ChunkMode, _build_from_bools, \
     choose_mode
 from repro.errors import ArrayError
+
+
+def chunk_from_region(meta, chunk_id: int, array, valid, mode):
+    """Cut one chunk out of a dense array; None when it has no valid cell."""
+    sel, local_shape = _chunk_selection(meta, chunk_id)
+    region_valid = valid[sel]
+    if not region_valid.any():
+        return None
+    padded_values = np.zeros(meta.chunk_shape, dtype=array.dtype)
+    padded_valid = np.zeros(meta.chunk_shape, dtype=bool)
+    clip = tuple(slice(0, n) for n in local_shape)
+    padded_values[clip] = array[sel]
+    padded_valid[clip] = region_valid
+    return Chunk.from_dense(padded_values.ravel(order="F"),
+                            padded_valid.ravel(order="F"), mode=mode)
 
 
 def map_values(chunk, func, mode=None) -> Chunk:
@@ -99,6 +116,21 @@ class EagerArray:
         self.meta = meta
         #: chunks whose mode the last ``repack()`` changed
         self.repacked = repacked
+
+    @classmethod
+    def from_numpy(cls, meta, array, valid=None, mode=None) -> "EagerArray":
+        """``ArrayRDD.from_numpy``'s chunks, cut one chunk at a time."""
+        array = np.asarray(array)
+        valid = np.ones(array.shape, dtype=bool) if valid is None \
+            else np.asarray(valid, dtype=bool)
+        if np.issubdtype(array.dtype, np.floating):
+            valid = valid & ~np.isnan(array)
+        chunks = {}
+        for chunk_id in range(meta.num_chunks):
+            chunk = chunk_from_region(meta, chunk_id, array, valid, mode)
+            if chunk is not None:
+                chunks[chunk_id] = chunk
+        return cls(chunks, meta)
 
     @classmethod
     def of(cls, array) -> "EagerArray":

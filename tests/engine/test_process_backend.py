@@ -285,15 +285,44 @@ assert shm._ATTACHED, "the driver mapped no segment"
 """
 
 
-def test_process_jobs_then_gc_exit_cleanly():
+def _run_script(script: str) -> str:
+    """Run ``script`` in a fresh interpreter; its stderr (exit 0)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    completed = subprocess.run([sys.executable, "-c", _JOBS_THEN_GC],
+    completed = subprocess.run([sys.executable, "-c", script],
                                capture_output=True, text=True,
                                timeout=300, env=env)
     assert completed.returncode == 0, completed.stderr[-2000:]
-    assert "Traceback" not in completed.stderr, completed.stderr[-2000:]
+    return completed.stderr
+
+
+def test_process_jobs_then_gc_exit_cleanly():
+    stderr = _run_script(_JOBS_THEN_GC)
+    assert "Traceback" not in stderr, stderr[-2000:]
+
+
+#: a reducer's shm-exported buckets, decoded on the driver and kept
+#: alive until exit, so their views still use the mapped segment
+_VIEWS_KEPT_TO_EXIT = """
+from repro.engine import ClusterContext, HashPartitioner, shm
+from repro.engine.rdd import ShuffledRDD
+
+with ClusterContext(num_executors=2, backend="process") as ctx:
+    pairs = ctx.parallelize([(k % 8, float(k)) for k in range(4000)], 4)
+    placed = pairs.partition_by(HashPartitioner(2))
+    placed.collect()
+    shuffled = placed.dependencies[0]
+    assert isinstance(shuffled, ShuffledRDD)
+    kept = shuffled._reduce_segments(0, 1)
+assert kept and shm._ATTACHED, "no bucket was read from a mapped segment"
+"""
+
+
+def test_views_of_a_mapped_segment_alive_at_exit_exit_cleanly():
+    stderr = _run_script(_VIEWS_KEPT_TO_EXIT)
+    assert "Exception ignored" not in stderr, stderr[-2000:]
+    assert "BufferError" not in stderr, stderr[-2000:]
 
 
 class TestSharedMemoryExchange:
