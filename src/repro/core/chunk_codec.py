@@ -16,7 +16,9 @@ originals):
 
 - payloads must be 1-D, share one dtype, and hold no Python objects;
 - a mask whose milestone rank cache has been populated is refused —
-  the rebuilt mask would pickle with a fresh (empty) cache;
+  the rebuilt mask would pickle with a fresh (empty) cache — unless the
+  caller passes ``exact=False`` (the ChunkStore, which never persists
+  the cache);
 - SUPER_SPARSE masks ship compressed: the record's word run is the
   upper-level words followed by the stored non-zero lower words, and
   the hierarchical mask is rebuilt exactly (prefix counts are
@@ -25,7 +27,8 @@ originals):
 Like every array-backed codec, shuffle packing refuses once the mean
 bytes per chunk reach :data:`repro.engine.batches.VALUE_PACK_BYTE_LIMIT`
 — big chunks move faster as references than as copied buffers. Spill
-packs with no limit.
+and the ChunkStore (:mod:`repro.io.store`, whose partition files hold
+these buffers) pack with no limit.
 """
 
 from __future__ import annotations
@@ -64,6 +67,33 @@ class ChunkValues:
         self.words = words                  # one flat uint64 buffer
         self.upper_lengths = upper_lengths  # int64; 0 for flat masks
 
+    @classmethod
+    def from_buffers(cls, modes, num_cells, upper_lengths, payload,
+                     payload_lengths, words, word_lengths) -> "ChunkValues":
+        """The column over the flat arrays :meth:`buffers` returns."""
+        return cls(modes, num_cells,
+                   ArrayValues(payload, payload_lengths,
+                               payload_lengths[:, None]),
+                   ArrayValues(words, word_lengths, word_lengths[:, None]),
+                   upper_lengths)
+
+    def buffers(self) -> tuple:
+        """The column as seven flat arrays (the ChunkStore's file
+        layout): modes, cell counts, upper lengths, payload and its
+        lengths, words and their lengths."""
+        return (self.modes, self.num_cells, self.upper_lengths,
+                self.payload.data, self.payload.lengths,
+                self.words.data, self.words.lengths)
+
+    def slot_nbytes(self) -> np.ndarray:
+        """Each record's bytes across :meth:`buffers`."""
+        payload, words = self.payload, self.words
+        fixed = (self.modes.itemsize + self.num_cells.itemsize
+                 + self.upper_lengths.itemsize + payload.lengths.itemsize
+                 + words.lengths.itemsize)
+        return (fixed + payload.lengths * payload.data.itemsize
+                + words.lengths * words.data.itemsize)
+
     def __len__(self) -> int:
         return self.modes.size
 
@@ -99,32 +129,34 @@ class ChunkValues:
                            self.upper_lengths[idx])
 
 
-def _mask_words(chunk: Chunk):
+def _mask_words(chunk: Chunk, exact: bool):
     """``(word_run, upper_length)`` for one chunk's mask, or None when
-    the mask cannot be rebuilt byte-identically."""
+    the mask cannot be rebuilt (byte-identically, when ``exact``)."""
     mask = chunk.mask
     if chunk.mode is ChunkMode.SUPER_SPARSE:
         if type(mask) is not HierarchicalBitmask:
             return None
         upper = mask._upper
-        if upper._milestones is not None:
+        if exact and upper._milestones is not None:
             return None
         return (np.concatenate([upper.words, mask._stored_words]),
                 upper.words.size)
     if type(mask) is not Bitmask:
         return None
-    if mask._milestones is not None:
+    if exact and mask._milestones is not None:
         return None
     return mask.words, 0
 
 
-def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT):
+def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT, exact=True):
     """``ChunkValues`` for a uniform column of chunks, or None.
 
     ``byte_limit`` is the mean-bytes-per-chunk refusal threshold;
     ``None`` packs unconditionally (the spill path wants exactly that —
     a spilled partition is large by definition, and on disk a copied
-    compressed buffer always beats pickled objects).
+    compressed buffer always beats pickled objects). ``exact=False``
+    also packs masks whose rank cache is populated; they unpack without
+    it (the ChunkStore's contract, :mod:`repro.io.store`).
     """
     first = values[0]
     if type(first) is not Chunk:
@@ -145,7 +177,7 @@ def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT):
         if (type(payload) is not np.ndarray or payload.dtype != dtype
                 or payload.ndim != 1):
             return None
-        packed_mask = _mask_words(chunk)
+        packed_mask = _mask_words(chunk, exact)
         if packed_mask is None:
             return None
         run, upper_length = packed_mask

@@ -70,6 +70,27 @@ class TestChunkCodec:
         chunk.mask.rank(100)  # ranks the upper mask
         assert probe_chunks([chunk]) is None
 
+    @pytest.mark.parametrize("mode", [ChunkMode.SPARSE,
+                                      ChunkMode.SUPER_SPARSE])
+    def test_inexact_packing_drops_the_milestone_cache(self, mode):
+        """``exact=False`` (the ChunkStore) packs a ranked mask; it
+        unpacks as the never-ranked chunk does."""
+        chunk = _chunk(mode, seed=4)
+        fresh = pickle.dumps(chunk)
+        chunk.mask.rank(100)
+        packed = probe_chunks([chunk], None, exact=False)
+        assert pickle.dumps(packed.unpack()[0]) == fresh
+
+    def test_flat_buffers_rebuild_the_column(self):
+        chunks = [_chunk(mode, seed=s) for s, mode in enumerate(ChunkMode)]
+        packed = probe_chunks(chunks, None)
+        buffers = packed.buffers()
+        assert all(buf.ndim == 1 for buf in buffers)
+        rebuilt = ChunkValues.from_buffers(*buffers)
+        assert pickle.dumps(rebuilt.unpack()) == pickle.dumps(chunks)
+        assert int(packed.slot_nbytes().sum()) \
+            == sum(buf.nbytes for buf in buffers)
+
     def test_large_chunks_ship_by_reference(self):
         # one dense 4096-cell chunk is ~32KB of payload — the copies
         # would dwarf the framing savings, so the codec refuses
