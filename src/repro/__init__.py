@@ -30,7 +30,8 @@ Package map:
   comparison systems.
 - :mod:`repro.data` -- synthetic datasets with the paper's signatures.
 - :mod:`repro.queries` -- the Table-I raster benchmark queries.
-- :mod:`repro.io` -- CSV and SNF (NetCDF-like) ingestion.
+- :mod:`repro.io` -- CSV and SNF (NetCDF-like) ingestion, and the
+  ChunkStore that saves and loads an ArrayRDD as its packed chunks.
 """
 
 from repro.bitmask import Bitmask

@@ -88,12 +88,17 @@ class Bitmask:
     def copy(self) -> "Bitmask":
         return Bitmask(self.num_bits, self._words.copy())
 
+    def __getstate__(self):
+        # the milestone rank cache is derived from the words: it never
+        # travels, so a ranked mask pickles as a never-ranked one
+        return self.num_bits, self._words
+
     def __setstate__(self, state) -> None:
         # unpickled words carry a dtype equal to numpy's singleton but
         # not it; re-interned, the mask pickles as a fresh one does
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._words = canonical_dtype(self._words)
+        self.num_bits, words = state
+        self._words = canonical_dtype(words)
+        self._milestones = None
 
     # ------------------------------------------------------------------
     # bit access

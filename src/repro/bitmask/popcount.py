@@ -21,8 +21,6 @@ import threading
 
 import numpy as np
 
-from repro.engine.batches import canonical_dtype
-
 WORD_BITS = 64
 MILESTONE_STRIDE_WORDS = 64
 
@@ -129,12 +127,6 @@ class Milestones:
             starts = np.arange(num_blocks, dtype=np.intp) * stride_words
             block_sums = np.add.reduceat(counts, starts)
             np.cumsum(block_sums, out=self._block_prefix[1:])
-
-    def __setstate__(self, state) -> None:
-        # setattr interns the attribute names, as the default does
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._block_prefix = canonical_dtype(self._block_prefix)
 
     @property
     def nbytes(self) -> int:

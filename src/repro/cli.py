@@ -48,7 +48,8 @@ def _cmd_info(_args) -> int:
         ("repro.data", "synthetic datasets with the paper's "
                        "signatures"),
         ("repro.queries", "the Table-I raster benchmark queries"),
-        ("repro.io", "CSV and SNF ingestion/export"),
+        ("repro.io", "CSV and SNF ingestion/export, ChunkStore "
+                     "save/load"),
     ]
     for name, blurb in packages:
         print(f"  {name:<18} {blurb}")

@@ -32,10 +32,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from repro.bitmask import Bitmask, HierarchicalBitmask
 from repro.core import mapper
 from repro.core.aggregates import combine_kernel_for, resolve_aggregator
-from repro.core.chunk import Chunk, ChunkMode, choose_modes
+from repro.core.chunk import MODES, Chunk, ChunkMode, choose_modes
 from repro.core.metadata import ArrayMetadata
 from repro.core.plan import (
     ChunkPlan,
@@ -46,7 +45,6 @@ from repro.core.plan import (
     MaskAndKernel,
     RepackKernel,
     ScalarOpKernel,
-    _MODES,
 )
 from repro.engine import HashPartitioner, StorageLevel
 from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
@@ -719,11 +717,11 @@ def _cut(meta: ArrayMetadata, array, valid, mode) -> list:
     ids = np.flatnonzero(counts)
     cells = meta.cells_per_chunk
     modes = choose_modes(counts[ids], cells) if mode is None \
-        else np.full(ids.size, _MODES.index(mode))
+        else np.full(ids.size, MODES.index(mode))
     packed = np.packbits(rows, axis=1, bitorder="little")
     words = np.ascontiguousarray(  # rows may be a Fortran-ordered view
         np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))).view(np.uint64)
-    compressed = ids[modes != _MODES.index(ChunkMode.DENSE)]
+    compressed = ids[modes != MODES.index(ChunkMode.DENSE)]
     cell = np.flatnonzero(rows if compressed.size == rows.shape[0]
                           else rows[compressed])
     base, local = mapper.chunk_major_index(meta)
@@ -732,7 +730,7 @@ def _cut(meta: ArrayMetadata, array, valid, mode) -> list:
                              np.cumsum(counts[compressed])[:-1]))
     records = []
     for chunk_id, index in zip(ids.tolist(), modes.tolist()):
-        kind = _MODES[index]
+        kind = MODES[index]
         if kind is ChunkMode.DENSE:
             sel, local_shape = _chunk_selection(meta, chunk_id)
             block = np.zeros(meta.chunk_shape, dtype=array.dtype)
@@ -742,8 +740,6 @@ def _cut(meta: ArrayMetadata, array, valid, mode) -> list:
                 payload[~rows[chunk_id]] = 0
         else:
             payload = next(payloads).copy()
-        mask = Bitmask(cells, words[chunk_id].copy())
-        if kind is ChunkMode.SUPER_SPARSE:
-            mask = HierarchicalBitmask.from_bitmask(mask)
-        records.append((chunk_id, Chunk(kind, payload, mask, cells)))
+        records.append((chunk_id, Chunk.assemble(
+            kind, cells, words[chunk_id].copy(), payload)))
     return records

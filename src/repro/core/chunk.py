@@ -32,6 +32,10 @@ class ChunkMode(enum.Enum):
     SUPER_SPARSE = "super_sparse"
 
 
+#: the one mode table: :func:`choose_modes`, a batch's ``modes`` and the
+#: codec's mode byte (the format-2 ChunkStore's on-disk byte) index it
+MODES = tuple(ChunkMode)
+
 #: density at or above which compression stops paying for itself
 DENSE_THRESHOLD = 0.5
 #: density below which the hierarchical bitmask usually wins
@@ -48,7 +52,7 @@ def choose_mode(density: float) -> ChunkMode:
 
 
 def choose_modes(counts, num_cells) -> np.ndarray:
-    """:func:`choose_mode` per chunk, as indices into ``tuple(ChunkMode)``."""
+    """:func:`choose_mode` per chunk, as indices into :data:`MODES`."""
     density = np.divide(counts, num_cells, out=np.zeros(len(counts)),
                         where=num_cells > 0)
     return np.add(density < DENSE_THRESHOLD,
@@ -59,8 +63,9 @@ class Chunk:
     """One block of an array: values for the valid cells plus their mask.
 
     Construct through :meth:`from_dense` (values + validity) or
-    :meth:`from_sparse` (valid offsets + values); the constructor itself
-    is the low-level path that trusts its arguments.
+    :meth:`from_sparse` (valid offsets + values), which check their
+    input; every builder ends in :meth:`assemble`. The constructor
+    itself is the low-level path that trusts its arguments.
     """
 
     __slots__ = ("mode", "payload", "mask", "num_cells")
@@ -101,21 +106,18 @@ class Chunk:
                     f"validity length {valid.size} != value length "
                     f"{values.size}"
                 )
-        num_cells = values.size
-        density = float(valid.sum()) / num_cells if num_cells else 0.0
         if mode is None:
-            mode = choose_mode(density)
+            mode = choose_mode(float(valid.sum()) / values.size
+                               if values.size else 0.0)
+        elif mode not in MODES:
+            raise ModeError(f"unknown chunk mode {mode!r}")
         if mode is ChunkMode.DENSE:
             payload = values.copy()
             payload[~valid] = 0
-            return cls(mode, payload, Bitmask.from_bools(valid), num_cells)
-        if mode is ChunkMode.SPARSE:
-            return cls(mode, values[valid].copy(),
-                       Bitmask.from_bools(valid), num_cells)
-        if mode is ChunkMode.SUPER_SPARSE:
-            return cls(mode, values[valid].copy(),
-                       HierarchicalBitmask.from_bools(valid), num_cells)
-        raise ModeError(f"unknown chunk mode {mode!r}")
+        else:
+            payload = values[valid]
+        return cls.assemble(mode, values.size,
+                            Bitmask.from_bools(valid).words, payload)
 
     @classmethod
     def from_sparse(cls, num_cells: int, offsets, values,
@@ -140,23 +142,30 @@ class Chunk:
         values = values[order]
         if offsets.size > 1 and (np.diff(offsets) == 0).any():
             raise ArrayError("duplicate offsets in sparse chunk input")
-        density = offsets.size / num_cells if num_cells else 0.0
         if mode is None:
-            mode = choose_mode(density)
+            mode = choose_mode(offsets.size / num_cells if num_cells else 0.0)
+        elif mode not in MODES:
+            raise ModeError(f"unknown chunk mode {mode!r}")
+        valid = np.zeros(num_cells, dtype=bool)
+        valid[offsets] = True
         if mode is ChunkMode.DENSE:
-            dense = np.zeros(num_cells, dtype=values.dtype)
-            dense[offsets] = values
-            valid = np.zeros(num_cells, dtype=bool)
-            valid[offsets] = True
-            return cls(mode, dense, Bitmask.from_bools(valid), num_cells)
-        if mode is ChunkMode.SPARSE:
-            return cls(mode, values.copy(),
-                       Bitmask.from_indices(num_cells, offsets), num_cells)
+            payload = np.zeros(num_cells, dtype=values.dtype)
+            payload[offsets] = values
+        else:
+            payload = values
+        return cls.assemble(mode, num_cells,
+                            Bitmask.from_bools(valid).words, payload)
+
+    @classmethod
+    def assemble(cls, mode: ChunkMode, num_cells: int, words,
+                 payload: np.ndarray) -> "Chunk":
+        """The chunk over a flat mask's ``words`` and a ``payload`` in
+        ``mode``'s layout (every cell for DENSE, else the valid cells
+        in offset order), owning both; ``mode`` is one of :data:`MODES`."""
+        mask = Bitmask(num_cells, words)
         if mode is ChunkMode.SUPER_SPARSE:
-            flat = Bitmask.from_indices(num_cells, offsets)
-            return cls(mode, values.copy(),
-                       HierarchicalBitmask.from_bitmask(flat), num_cells)
-        raise ModeError(f"unknown chunk mode {mode!r}")
+            mask = HierarchicalBitmask.from_bitmask(mask)
+        return cls(mode, payload, mask, num_cells)
 
     @classmethod
     def empty(cls, num_cells: int, dtype=np.float64) -> "Chunk":
@@ -305,41 +314,14 @@ class Chunk:
             return self, False
         return self.convert(target), True
 
-    def and_mask(self, other_mask: Bitmask, mode: ChunkMode = None) -> "Chunk":
-        """Restrict validity to ``mask AND other_mask`` (Fig. 4a/4b).
-
-        This is how Subarray's virtual bitmask and the MaskRDD are applied
-        to an attribute. The bitmask AND itself is one word-level
-        operation; rebuilding the payload is a single gather.
-        """
-        if other_mask.num_bits != self.num_cells:
-            raise ArrayError(
-                f"mask length {other_mask.num_bits} != chunk cells "
-                f"{self.num_cells}"
-            )
-        combined = self.flat_mask() & other_mask
-        if combined == self.flat_mask():
-            return self            # nothing was masked out
-        keep = combined.to_bools()
-        if mode is None:
-            density = combined.count() / self.num_cells \
-                if self.num_cells else 0.0
-            mode = choose_mode(density)
-        if self.mode is ChunkMode.DENSE:
-            compact = self.payload[keep]
-        else:
-            # payload order == ascending offsets, so indexing the keep
-            # mask by the valid offsets selects the surviving slots
-            compact = self.payload[keep[self.indices()]]
-        return _build_from_bools(self.num_cells, keep, compact, mode)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Chunk)
             and self.num_cells == other.num_cells
             and np.array_equal(self.indices(), other.indices())
             and np.allclose(self.values().astype(np.float64),
-                            other.values().astype(np.float64))
+                            other.values().astype(np.float64),
+                            equal_nan=True)
         )
 
     def __repr__(self) -> str:
@@ -348,22 +330,3 @@ class Chunk:
             f"valid={self.valid_count}, {self.nbytes}B)"
         )
 
-
-def _build_from_bools(num_cells: int, keep: np.ndarray,
-                      compact_values: np.ndarray,
-                      mode: ChunkMode) -> Chunk:
-    """Fast chunk construction from a keep-mask and compacted values.
-
-    Skips the sorting/validation of :meth:`Chunk.from_sparse` — callers
-    guarantee ``compact_values`` is in ascending-offset order and
-    ``keep`` has exactly that many set bits.
-    """
-    if mode is ChunkMode.DENSE:
-        payload = np.zeros(num_cells, dtype=compact_values.dtype)
-        payload[keep] = compact_values
-        return Chunk(mode, payload, Bitmask.from_bools(keep), num_cells)
-    if mode is ChunkMode.SPARSE:
-        return Chunk(mode, compact_values, Bitmask.from_bools(keep),
-                     num_cells)
-    return Chunk(ChunkMode.SUPER_SPARSE, compact_values,
-                 HierarchicalBitmask.from_bools(keep), num_cells)

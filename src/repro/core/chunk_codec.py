@@ -3,9 +3,10 @@
 Spangle's shuffle traffic is mostly ``(chunk_id, Chunk)`` records, and a
 Chunk is already columnar inside: a flat payload buffer plus bitmask
 words. This codec lets :mod:`repro.engine.batches` ship a whole bucket
-of chunks as four buffers — payload concatenation, mask-word
-concatenation, per-record modes, and per-record cell counts — instead of
-a Python object per chunk.
+of chunks as seven flat arrays (:meth:`ChunkValues.buffers`) — per
+record a mode byte, cell count and upper-mask length, plus the payload
+and mask-word concatenations and their lengths — instead of a Python
+object per chunk.
 
 The chunk owns it: ``Chunk.pack_column`` calls :func:`probe_chunks`,
 and the engine finds that hook on the value's type, so the engine layer
@@ -15,10 +16,9 @@ Byte-identity rules (unpacked chunks must pickle identically to the
 originals):
 
 - payloads must be 1-D, share one dtype, and hold no Python objects;
-- a mask whose milestone rank cache has been populated is refused —
-  the rebuilt mask would pickle with a fresh (empty) cache — unless the
-  caller passes ``exact=False`` (the ChunkStore, which never persists
-  the cache);
+- the mode byte indexes :data:`repro.core.chunk.MODES`;
+- a mask's milestone rank cache never travels (nor does it in a
+  pickle): a ranked chunk unpacks as its never-ranked twin;
 - SUPER_SPARSE masks ship compressed: the record's word run is the
   upper-level words followed by the stored non-zero lower words, and
   the hierarchical mask is rebuilt exactly (prefix counts are
@@ -37,12 +37,8 @@ import numpy as np
 
 from repro.bitmask import Bitmask, HierarchicalBitmask
 from repro.bitmask.popcount import WORD_BITS
-from repro.core.chunk import Chunk, ChunkMode
+from repro.core.chunk import MODES, Chunk, ChunkMode
 from repro.engine.batches import VALUE_PACK_BYTE_LIMIT, ArrayValues
-
-#: wire codes for ChunkMode, indexed by the uint8 stored per record
-_MODES = (ChunkMode.DENSE, ChunkMode.SPARSE, ChunkMode.SUPER_SPARSE)
-_MODE_CODES = {mode: code for code, mode in enumerate(_MODES)}
 
 
 def _flat_column(arrays) -> ArrayValues:
@@ -61,7 +57,7 @@ class ChunkValues:
     def __init__(self, modes: np.ndarray, num_cells: np.ndarray,
                  payload: ArrayValues, words: ArrayValues,
                  upper_lengths: np.ndarray):
-        self.modes = modes                  # uint8 wire codes
+        self.modes = modes                  # uint8 indices into MODES
         self.num_cells = num_cells          # int64
         self.payload = payload              # one flat value buffer
         self.words = words                  # one flat uint64 buffer
@@ -108,7 +104,7 @@ class ChunkValues:
         word_runs = self.words.unpack()
         out = []
         for i in range(self.modes.size):
-            mode = _MODES[self.modes[i]]
+            mode = MODES[self.modes[i]]
             cells = int(self.num_cells[i])
             run = word_runs[i]
             if mode is ChunkMode.SUPER_SPARSE:
@@ -129,34 +125,28 @@ class ChunkValues:
                            self.upper_lengths[idx])
 
 
-def _mask_words(chunk: Chunk, exact: bool):
+def _mask_words(chunk: Chunk):
     """``(word_run, upper_length)`` for one chunk's mask, or None when
-    the mask cannot be rebuilt (byte-identically, when ``exact``)."""
+    the mask is not the type its mode builds."""
     mask = chunk.mask
     if chunk.mode is ChunkMode.SUPER_SPARSE:
         if type(mask) is not HierarchicalBitmask:
             return None
         upper = mask._upper
-        if exact and upper._milestones is not None:
-            return None
         return (np.concatenate([upper.words, mask._stored_words]),
                 upper.words.size)
     if type(mask) is not Bitmask:
         return None
-    if exact and mask._milestones is not None:
-        return None
     return mask.words, 0
 
 
-def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT, exact=True):
+def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT):
     """``ChunkValues`` for a uniform column of chunks, or None.
 
     ``byte_limit`` is the mean-bytes-per-chunk refusal threshold;
     ``None`` packs unconditionally (the spill path wants exactly that —
     a spilled partition is large by definition, and on disk a copied
-    compressed buffer always beats pickled objects). ``exact=False``
-    also packs masks whose rank cache is populated; they unpack without
-    it (the ChunkStore's contract, :mod:`repro.io.store`).
+    compressed buffer always beats pickled objects).
     """
     first = values[0]
     if type(first) is not Chunk:
@@ -177,11 +167,11 @@ def probe_chunks(values, byte_limit=VALUE_PACK_BYTE_LIMIT, exact=True):
         if (type(payload) is not np.ndarray or payload.dtype != dtype
                 or payload.ndim != 1):
             return None
-        packed_mask = _mask_words(chunk, exact)
+        packed_mask = _mask_words(chunk)
         if packed_mask is None:
             return None
         run, upper_length = packed_mask
-        modes[i] = _MODE_CODES[chunk.mode]
+        modes[i] = MODES.index(chunk.mode)
         num_cells[i] = chunk.num_cells
         upper_lengths[i] = upper_length
         payloads.append(payload)

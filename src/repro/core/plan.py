@@ -32,12 +32,11 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.bitmask import Bitmask, HierarchicalBitmask
 from repro.bitmask.popcount import WORD_BITS, rank_counts
 from repro.bitmask.stacked import bits_at, pack_positions, ranks, \
     set_positions, stack_words
 from repro.core import mapper
-from repro.core.chunk import Chunk, ChunkMode, choose_modes
+from repro.core.chunk import MODES, Chunk, ChunkMode, choose_modes
 from repro.errors import ArrayError
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "RepackKernel",
     "ScalarOpKernel",
 ]
-
-_MODES = tuple(ChunkMode)
 
 
 def each(func, parts, message: str, dtype=None) -> np.ndarray:
@@ -80,7 +77,7 @@ class Batch:
     bit space (:mod:`repro.bitmask.stacked`); ``offsets`` (ascending)
     and ``values`` hold the valid cells, chunk ``i``'s at
     ``starts[i]:starts[i + 1]``, in one dtype, as an array's chunks
-    share. Per chunk: ``modes`` (into ``tuple(ChunkMode)``),
+    share. Per chunk: ``modes`` (into :data:`~repro.core.chunk.MODES`),
     ``rebuilt`` (the others pass through as the same objects) and
     ``builds``, the Chunks the eager path would build; dropped chunks
     leave the batch and their builds go to ``avoided``.
@@ -145,7 +142,7 @@ class Batch:
 
     @cached_property
     def modes(self) -> np.ndarray:
-        return np.array([_MODES.index(chunk.mode) for chunk in self.chunks],
+        return np.array([MODES.index(chunk.mode) for chunk in self.chunks],
                         dtype=np.intp)
 
     @cached_property
@@ -289,7 +286,7 @@ class Batch:
         if not rebuilt:
             return out
         words = pack_positions(self.offsets, self.bits // WORD_BITS)
-        modes = [_MODES[self.modes[i]] for i in rebuilt]
+        modes = [MODES[self.modes[i]] for i in rebuilt]
         if ChunkMode.DENSE in modes:
             dense = np.zeros(self.bits, dtype=self.values.dtype)
             dense[self.offsets] = self.values
@@ -298,14 +295,12 @@ class Batch:
         for i, mode in zip(rebuilt, modes):
             lo, size = base[i], cells[i]
             row = words[lo // WORD_BITS:(lo + size - 1) // WORD_BITS + 1]
-            mask = Bitmask(size, row.copy())
             if mode is ChunkMode.DENSE:
                 payload = dense[lo:lo + size].copy()
             else:
                 payload = self.values[starts[i]:starts[i + 1]].copy()
-            if mode is ChunkMode.SUPER_SPARSE:
-                mask = HierarchicalBitmask.from_bitmask(mask)
-            out[i] = self.ids[i], Chunk(mode, payload, mask, size)
+            out[i] = self.ids[i], Chunk.assemble(mode, size, row.copy(),
+                                                 payload)
         return out
 
 
@@ -327,9 +322,9 @@ class ChunkSource:
 class MaskApplySource(ChunkSource):
     """Source for ``(Chunk, Bitmask)`` pairs: MaskRDD reconciliation.
 
-    Replicates :meth:`Chunk.and_mask` — including its return-self
-    fast path when the mask removes nothing — as one word AND over the
-    partition's stacked masks, decoding only the cells that survive.
+    Replicates the eager oracle's ``and_mask`` — including its
+    return-self fast path when the mask removes nothing — as one word
+    AND over the partition's stacked masks, decoding only survivors.
     """
 
     label = "apply_mask"
@@ -461,7 +456,7 @@ class MaskAndKernel:
 
     Chunk-ID pruning happens first (a metadata check, no scan), chunks
     fully inside the box pass through untouched, and — like the eager
-    :meth:`Chunk.and_mask` — a chunk whose cells all survive is not
+    oracle's ``and_mask`` — a chunk whose cells all survive is not
     rebuilt.
     """
 
@@ -601,8 +596,8 @@ class _CompiledPlanPass:
                                    else cid for cid, _chunk in records]}
             if repacked:
                 attrs["chunks_repacked"] = repacked
-            for mode, count in zip(_MODES, np.bincount(
-                    batch.modes, minlength=len(_MODES)).tolist()):
+            for mode, count in zip(MODES, np.bincount(
+                    batch.modes, minlength=len(MODES)).tolist()):
                 if count:
                     attrs[f"chunks_{mode.value}"] = count
             for _cid, chunk in out if self.sink is None else ():

@@ -113,8 +113,6 @@ def merge_cells(array: ArrayRDD, records, how="replace",
 
 def delete_region(array: ArrayRDD, lo, hi) -> ArrayRDD:
     """Invalidate every cell inside the closed box [lo, hi]."""
-    from repro.bitmask import Bitmask
-
     meta = array.meta
     affected = set(mapper.chunk_ids_in_range(meta, lo, hi))
 
@@ -123,11 +121,15 @@ def delete_region(array: ArrayRDD, lo, hi) -> ArrayRDD:
             if chunk_id not in affected:
                 yield chunk_id, chunk
                 continue
-            inside = mapper.range_mask_for_chunk(meta, chunk_id, lo, hi)
-            keep_mask = Bitmask.from_bools(~inside)
-            remaining = chunk.and_mask(keep_mask)
-            if remaining.valid_count > 0:
-                yield chunk_id, remaining
+            offsets = chunk.indices()
+            keep = ~mapper.range_mask_for_chunk(meta, chunk_id, lo,
+                                                hi)[offsets]
+            if not keep.any():
+                continue         # the box holds every valid cell
+            if not keep.all():   # else the box misses them: pass through
+                chunk = Chunk.from_sparse(chunk.num_cells, offsets[keep],
+                                          chunk.values()[keep])
+            yield chunk_id, chunk
 
     out = array.rdd.map_partitions_with_index(
         erase, preserves_partitioning=True)

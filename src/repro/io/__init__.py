@@ -6,6 +6,9 @@
   container with a JSON header describing dimensions and attributes,
   followed by raw little-endian arrays. Stands in for NetCDF, which is
   not available offline.
+- :mod:`repro.io.store` — the ChunkStore: ``save_array`` writes an
+  ArrayRDD as one file of packed chunk-codec buffers per partition plus
+  a manifest, and ``load_array`` maps them back, byte-identically.
 """
 
 from repro.io.csv import read_csv_cells, write_csv_cells

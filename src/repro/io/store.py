@@ -33,7 +33,7 @@ def _write_partition(directory, index, records) -> list:
     name = f"part_{index}.bin"
     with open(directory / f"{name}.tmp", "wb") as out:
         for dtype, pairs in by_dtype.items():
-            column = probe_chunks([c for _, c in pairs], None, exact=False)
+            column = probe_chunks([c for _, c in pairs], None)
             if column is None:
                 raise IngestError(f"cannot store {dtype} chunk payloads")
             keys, buffers = np.array([k for k, _ in pairs], dtype=np.int64), []

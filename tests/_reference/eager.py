@@ -4,10 +4,10 @@
 ``ArrayRDD.from_numpy``'s one vectorised cut must give byte-identical
 chunks. The operators replay ArrayRDD operators one at a time over
 driver-side chunks with per-chunk primitives — :func:`map_values`,
-:func:`filter_chunk` and :func:`elementwise` below, and :meth:`Chunk.and_mask
-<repro.core.chunk.Chunk.and_mask>` and :meth:`Chunk.repack
-<repro.core.chunk.Chunk.repack>` — building a fresh chunk per operator,
-in the order written, and dropping chunks left with no valid cell. A
+:func:`filter_chunk`, :func:`and_mask` and :func:`elementwise` below,
+and :meth:`Chunk.repack <repro.core.chunk.Chunk.repack>` — building a
+fresh chunk per operator, in the order written, and dropping chunks
+left with no valid cell. A
 fused ChunkPlan pass, rewrites included, must be byte-identical to this
 chain in every chunk mode.
 
@@ -17,11 +17,10 @@ lambda (``lambda a: a.subarray(lo, hi) * 2.0``) drives both.
 
 import numpy as np
 
-from repro.bitmask import Bitmask
+from repro.bitmask import Bitmask, HierarchicalBitmask
 from repro.core import mapper
 from repro.core.array_rdd import _chunk_selection
-from repro.core.chunk import Chunk, ChunkMode, _build_from_bools, \
-    choose_mode
+from repro.core.chunk import Chunk, ChunkMode, choose_mode
 from repro.errors import ArrayError
 
 
@@ -68,8 +67,42 @@ def filter_chunk(chunk, predicate, mode=None) -> Chunk:
         mode = choose_mode(density)
     keep_cells = np.zeros(chunk.num_cells, dtype=bool)
     keep_cells[chunk.indices()[keep]] = True
-    return _build_from_bools(chunk.num_cells, keep_cells,
+    return build_from_bools(chunk.num_cells, keep_cells,
                              values[keep], mode)
+
+
+def and_mask(chunk, other_mask: Bitmask, mode=None) -> Chunk:
+    """Restrict validity to ``mask AND other_mask`` (Fig. 4a/4b), as
+    Subarray's virtual bitmask and the MaskRDD do; a chunk the mask
+    removes nothing from comes back as itself."""
+    if other_mask.num_bits != chunk.num_cells:
+        raise ArrayError(f"mask length {other_mask.num_bits} != chunk "
+                         f"cells {chunk.num_cells}")
+    combined = chunk.flat_mask() & other_mask
+    if combined == chunk.flat_mask():
+        return chunk
+    keep = combined.to_bools()
+    if mode is None:
+        mode = choose_mode(combined.count() / chunk.num_cells)
+    # payload order == ascending offsets, so indexing the keep mask by
+    # the valid offsets selects a compressed chunk's surviving slots
+    compact = chunk.payload[keep if chunk.mode is ChunkMode.DENSE
+                            else keep[chunk.indices()]]
+    return build_from_bools(chunk.num_cells, keep, compact, mode)
+
+
+def build_from_bools(num_cells: int, keep: np.ndarray,
+                     compact_values: np.ndarray, mode) -> Chunk:
+    """A chunk from a keep-mask and its values in ascending-offset
+    order, unvalidated: ``keep`` has exactly that many set bits."""
+    mask = Bitmask.from_bools(keep)
+    if mode is ChunkMode.DENSE:
+        payload = np.zeros(num_cells, dtype=compact_values.dtype)
+        payload[keep] = compact_values
+        return Chunk(mode, payload, mask, num_cells)
+    if mode is ChunkMode.SUPER_SPARSE:
+        mask = HierarchicalBitmask.from_bitmask(mask)
+    return Chunk(mode, compact_values, mask, num_cells)
 
 
 def _values_at_offsets(chunk, offsets: np.ndarray) -> np.ndarray:
@@ -172,7 +205,7 @@ class EagerArray:
             if mapper.chunk_fully_inside(meta, chunk_id, lo, hi):
                 return chunk
             inside = mapper.range_mask_for_chunk(meta, chunk_id, lo, hi)
-            return chunk.and_mask(Bitmask.from_bools(inside))
+            return and_mask(chunk, Bitmask.from_bools(inside))
 
         return self._each(restrict)
 
@@ -187,7 +220,7 @@ class EagerArray:
         """AND every chunk with its ``{chunk_id: Bitmask}`` entry; chunks
         without one vanish (the MaskRDD reconciliation join)."""
         return self._each(
-            lambda cid, chunk: chunk.and_mask(masks[cid])
+            lambda cid, chunk: and_mask(chunk, masks[cid])
             if cid in masks else None)
 
     def combine(self, other: "EagerArray", op, how: str = "and",

@@ -190,14 +190,14 @@ class TestSizing:
 
 class TestPickle:
     def test_unpickled_masks_pickle_as_fresh_ones(self):
-        """Unpickled words and milestones re-intern numpy's dtype
-        singletons: pickle memoizes dtypes by identity, so a list of
-        unpickled masks must pickle as the list of the originals."""
+        """Unpickled words re-intern numpy's dtype singletons: pickle
+        memoizes dtypes by identity, so a list of unpickled masks must
+        pickle as the list of the originals."""
         from repro.bitmask import HierarchicalBitmask
 
         rng = np.random.default_rng(3)
         flat = Bitmask.from_bools(rng.random(10_000) < 0.3)
-        flat.rank(9_000)   # builds the milestone cache, which pickles
+        flat.rank(9_000)   # builds the milestone cache, which stays behind
         hier = HierarchicalBitmask.from_bools(rng.random(10_000) < 0.001)
         hier.rank(9_000)
         fresh = [flat, hier]

@@ -4,20 +4,25 @@
 operators of the fused path's reference (``tests/_reference/eager.py``).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ArrayRDD
 from repro.core.chunk import (
     Chunk,
     ChunkMode,
     DENSE_THRESHOLD,
+    MODES,
     SUPER_SPARSE_THRESHOLD,
     choose_mode,
 )
 from repro.bitmask import Bitmask
-from repro.errors import ArrayError
+from repro.engine import ClusterContext
+from repro.errors import ArrayError, ModeError
 from tests._reference import eager
 
 
@@ -43,6 +48,49 @@ class TestModePolicy:
         assert chunk.mode is ChunkMode.SPARSE
         chunk, _v, _m = random_chunk(4096, 0.001, seed=0)
         assert chunk.mode is ChunkMode.SUPER_SPARSE
+
+
+class TestModeTable:
+    def test_mode_order_is_pinned(self):
+        # the codec's uint8 mode byte indexes MODES, and the format-2
+        # ChunkStore writes that byte to disk: reordering breaks stores
+        assert MODES == (ChunkMode.DENSE, ChunkMode.SPARSE,
+                         ChunkMode.SUPER_SPARSE)
+
+
+class TestAssembly:
+    """``from_dense`` and ``from_sparse`` assemble the same chunk."""
+
+    @pytest.mark.parametrize("num_cells", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("dtype", ["float64", ">f8", "int32", "bool"])
+    @pytest.mark.parametrize("mode", [None, *MODES],
+                             ids=["policy", *(m.value for m in MODES)])
+    def test_constructors_agree(self, mode, dtype, num_cells):
+        rng = np.random.default_rng(num_cells)
+        values = (rng.standard_normal(num_cells) * 100).astype(dtype)
+        if dtype == "float64":
+            values[rng.random(num_cells) < 0.3] = np.nan
+        chosen = set()
+        for count in sorted({0, 1, num_cells // 4, num_cells // 2 + 1,
+                             num_cells}):
+            valid = rng.permutation(num_cells) < count
+            offsets = np.flatnonzero(valid)
+            dense = Chunk.from_dense(values, valid, mode=mode)
+            sparse = Chunk.from_sparse(num_cells, offsets, values[valid],
+                                       mode=mode)
+            assert pickle.dumps(dense) == pickle.dumps(sparse)
+            assert dense.mode is (mode or choose_mode(count / num_cells))
+            assert np.array_equal(dense.indices(), offsets)
+            assert dense == sparse
+            chosen.add(dense.mode)
+            for unknown in ("dense", 0):
+                with pytest.raises(ModeError):
+                    Chunk.from_dense(values, valid, mode=unknown)
+                with pytest.raises(ModeError):
+                    Chunk.from_sparse(num_cells, offsets, values[valid],
+                                      mode=unknown)
+        if mode is None and num_cells > 1:
+            assert chosen == set(MODES)
 
 
 class TestConstruction:
@@ -71,6 +119,15 @@ class TestConstruction:
     def test_from_sparse_length_mismatch(self):
         with pytest.raises(ArrayError):
             Chunk.from_sparse(10, [1, 2], [1.0])
+
+    def test_nan_cell_equals_itself(self):
+        with ClusterContext(num_executors=1) as ctx, \
+                np.errstate(invalid="ignore"):
+            [(_cid, chunk)] = ArrayRDD.from_numpy(
+                ctx, np.array([[-1., 2.], [3., 4.]]), (2, 2)) \
+                .map_values(np.log).rdd.collect()
+        assert np.isnan(chunk.values()[0])
+        assert chunk == chunk
 
     def test_empty(self):
         chunk = Chunk.empty(100)
@@ -126,7 +183,7 @@ class TestAcrossModes:
         chunk, values, valid = random_chunk(200, 0.5, seed=8, mode=mode)
         rng = np.random.default_rng(9)
         other = rng.random(200) < 0.5
-        restricted = chunk.and_mask(Bitmask.from_bools(other))
+        restricted = eager.and_mask(chunk, Bitmask.from_bools(other))
         assert np.array_equal(restricted.valid_bools(), valid & other)
         assert np.allclose(restricted.values(), values[valid & other])
 
@@ -165,7 +222,7 @@ class TestCompression:
     def test_and_mask_recompresses(self):
         chunk, _values, _valid = random_chunk(65_536, 0.9, seed=15)
         tiny = Bitmask.from_indices(65_536, [1, 2, 3])
-        restricted = chunk.and_mask(tiny)
+        restricted = eager.and_mask(chunk, tiny)
         assert restricted.mode is ChunkMode.SUPER_SPARSE
 
 

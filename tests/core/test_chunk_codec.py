@@ -5,11 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import ArrayMetadata, Chunk, ChunkMode
+from repro.core import ArrayMetadata, ArrayRDD, Chunk, ChunkMode, mapper
 from repro.core.chunk_codec import ChunkValues, probe_chunks
 from repro.core.ingest import array_rdd_from_records
-from repro.engine import ClusterContext, HashPartitioner, StorageLevel
-from repro.engine.batches import pack_values
+from repro.engine import ClusterContext, HashPartitioner, StorageLevel, spill
+from repro.engine.batches import VALUE_PACK_BYTE_LIMIT, pack_values
 from repro.matrix import SpangleMatrix
 from repro.matrix.offsets import OffsetArrayChunk
 from tests._reference.engine import shuffle_path
@@ -60,26 +60,23 @@ class TestChunkCodec:
                     + chunk.mask.nbytes + 8 + 8)
         assert packed.nbytes == expected
 
-    def test_milestone_cache_refuses(self):
-        chunk = _chunk(ChunkMode.SPARSE, seed=2)
-        chunk.mask.rank(100)  # populates the milestone cache
-        assert probe_chunks([chunk]) is None
-
-    def test_hierarchical_milestone_cache_refuses(self):
-        chunk = _chunk(ChunkMode.SUPER_SPARSE, seed=3)
-        chunk.mask.rank(100)  # ranks the upper mask
-        assert probe_chunks([chunk]) is None
-
+    @pytest.mark.parametrize("byte_limit", [VALUE_PACK_BYTE_LIMIT, None],
+                             ids=["shuffle", "unbounded"])
     @pytest.mark.parametrize("mode", [ChunkMode.SPARSE,
                                       ChunkMode.SUPER_SPARSE])
-    def test_inexact_packing_drops_the_milestone_cache(self, mode):
-        """``exact=False`` (the ChunkStore) packs a ranked mask; it
-        unpacks as the never-ranked chunk does."""
+    def test_ranked_masks_pack_as_never_ranked_twins(self, mode,
+                                                     byte_limit):
+        """A populated milestone rank cache neither stops packing nor
+        travels: the chunk unpacks as its never-ranked twin."""
+        twin = _chunk(mode, seed=4)
         chunk = _chunk(mode, seed=4)
-        fresh = pickle.dumps(chunk)
-        chunk.mask.rank(100)
-        packed = probe_chunks([chunk], None, exact=False)
-        assert pickle.dumps(packed.unpack()[0]) == fresh
+        chunk.mask.rank(100)  # ranks the flat mask, or the upper one
+        flat = chunk.mask._upper if mode is ChunkMode.SUPER_SPARSE \
+            else chunk.mask
+        assert flat._milestones is not None
+        packed = probe_chunks([chunk], byte_limit)
+        assert isinstance(packed, ChunkValues)
+        assert pickle.dumps(packed.unpack()[0]) == pickle.dumps(twin)
 
     def test_flat_buffers_rebuild_the_column(self):
         chunks = [_chunk(mode, seed=s) for s, mode in enumerate(ChunkMode)]
@@ -147,6 +144,53 @@ class TestChunkShuffleByteIdentity:
         assert pickle.dumps(columnar_out) == pickle.dumps(generic_out)
         # the (offset, value) cell pairs ride packed batches
         assert snap.shuffle_batches > 0
+
+
+class TestRankedSpill:
+    @pytest.mark.parametrize("config", [
+        dict(), dict(backend="process"),
+    ], ids=["serial", "process"])
+    def test_ranked_partition_spills_packed(self, config, monkeypatch):
+        """A cached array that answered one ``get`` holds a ranked
+        chunk; its partition still spills as the packed column and
+        reloads byte-identically."""
+        bodies = []
+        encode = spill.encode_block
+
+        def spy(records):
+            records = list(records)
+            data = encode(records)
+            ranked = any(chunk.mask._milestones is not None
+                         for _cid, chunk in records)
+            bodies.append(([cid for cid, _ in records], ranked,
+                           pickle.loads(data)))
+            return data
+
+        monkeypatch.setattr(spill, "encode_block", spy)
+        rng = np.random.default_rng(6)
+        values = rng.random((64, 64))
+        valid = rng.random((64, 64)) < 0.1   # SPARSE 16x16 chunks
+        # one array fits (4 104 bytes) but not one more partition, so
+        # caching a second array spills every partition of the first
+        with ClusterContext(num_executors=2, cache_budget_bytes=4_600,
+                            **config) as ctx:
+            arr = ArrayRDD.from_numpy(ctx, values, (16, 16), valid=valid,
+                                      num_partitions=4)
+            cached = arr.rdd.persist(StorageLevel.MEMORY_AND_DISK)
+            first = sorted(cached.collect(), key=lambda kv: kv[0])
+            cell = tuple(int(i) for i in np.argwhere(valid)[0])
+            assert arr.get(cell) == values[cell]
+            ArrayRDD.from_numpy(ctx, values * 2, (16, 16), valid=valid,
+                                num_partitions=4) \
+                .rdd.persist(StorageLevel.MEMORY_AND_DISK).collect()
+            reread = sorted(cached.collect(), key=lambda kv: kv[0])
+            assert ctx.metrics.cache_reloads == 4
+        chunk_id = mapper.chunk_id_for_coords(arr.meta, cell)
+        [(_ids, ranked, body)] = [entry for entry in bodies
+                                  if chunk_id in entry[0]]
+        assert ranked
+        assert "column" in body
+        assert pickle.dumps(reread) == pickle.dumps(first)
 
 
 class TestOffsetChunkCodec:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ArrayRDD
+from repro.core import ArrayRDD, ChunkMode, mapper
 from repro.core.updates import delete_region, delete_where, merge_cells
 from repro.engine import ClusterContext
 from repro.errors import ArrayError
@@ -115,6 +115,35 @@ class TestDeletion:
         arr, _d, _v = base_array(ctx, density=1.0, seed=11)
         out = delete_region(arr, (0, 0), (7, 7))
         assert out.num_chunks_materialized() == 3
+
+    @pytest.mark.parametrize("mode", list(ChunkMode))
+    def test_delete_region_matches_dense_oracle(self, ctx, mode):
+        rng = np.random.default_rng(14)
+        data = rng.random((24, 24))
+        valid = rng.random((24, 24)) < 0.3
+        valid[4:8, 0:8] = False
+        arr = ArrayRDD.from_numpy(ctx, data, (8, 8), valid=valid,
+                                  mode=mode)
+        before = dict(arr.rdd.collect())
+        assert {chunk.mode for chunk in before.values()} == {mode}
+        out = delete_region(arr, (4, 0), (15, 11))
+        after = dict(out.rdd.collect())
+        values, got_valid = out.collect_dense()
+        expected = valid.copy()
+        expected[4:16, 0:12] = False
+        assert np.array_equal(got_valid, expected)
+        assert np.array_equal(values[expected], data[expected])
+
+        def chunk_at(coords):
+            return mapper.chunk_id_for_coords(arr.meta, coords)
+
+        # the box holds every cell of the chunk at rows 8-15, cols 0-7
+        assert chunk_at((8, 0)) in before
+        assert chunk_at((8, 0)) not in after
+        # it overlaps the chunk at rows 0-7, cols 0-7 only where that
+        # chunk stores no cell, so the chunk passes through
+        assert after[chunk_at((0, 0))] is before[chunk_at((0, 0))]
+        assert after[chunk_at((0, 16))] is before[chunk_at((0, 16))]
 
     def test_delete_where(self, ctx):
         arr, data, valid = base_array(ctx, density=0.8, seed=12)
