@@ -29,6 +29,7 @@ class Measured:
     network_s: float = 0.0
     scheduling_s: float = 0.0
     disk_s: float = 0.0
+    shuffle_bytes: int = 0
     stage_timings: list = None
     utilization: float = 0.0
 
@@ -84,6 +85,7 @@ def run_measured(ctx: ClusterContext, fn, *args, **kwargs) -> Measured:
                     network_s=measurement.report.network_s,
                     scheduling_s=measurement.report.scheduling_s,
                     disk_s=measurement.report.disk_s,
+                    shuffle_bytes=measurement.delta.shuffle_bytes,
                     stage_timings=list(measurement.stage_timings),
                     utilization=measurement.utilization)
 

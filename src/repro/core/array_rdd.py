@@ -49,7 +49,7 @@ from repro.core.plan import (
 from repro.engine import HashPartitioner, StorageLevel
 from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
 from repro.engine.partitioner import ExplicitPartitioner
-from repro.errors import ArrayError, ShapeMismatchError
+from repro.errors import ArrayError, ModeError, ShapeMismatchError
 
 
 # ----------------------------------------------------------------------
@@ -153,15 +153,12 @@ class _BuildChunks:
             # a state that evaluates to None leaves its cell invalid
             keys = keys[[value is not None for value in values]]
             values = [value for value in values if value is not None]
-        values = np.array(values, dtype=np.float64)
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
         cells_per_chunk = self.meta.cells_per_chunk
-        chunk_ids, offsets = np.divmod(keys, cells_per_chunk)
-        bounds = np.flatnonzero(np.diff(chunk_ids, prepend=-1))
-        for lo, hi in zip(bounds.tolist(), bounds[1:].tolist() + [None]):
-            yield int(chunk_ids[lo]), Chunk.from_sparse(
-                cells_per_chunk, offsets[lo:hi], values[lo:hi])
+        for chunk_id, offsets, cell_values in mapper.runs_by_chunk(
+                *np.divmod(keys, cells_per_chunk),
+                np.array(values, dtype=np.float64)):
+            yield chunk_id, Chunk.from_sparse(cells_per_chunk, offsets,
+                                              cell_values)
 
 
 def aggregate_cells(array, out_meta, agg, axes, window,
@@ -252,6 +249,8 @@ class ArrayRDD:
         with NaN values are additionally treated as null, matching the
         paper's NaN discussion in Section II-B.
         """
+        if mode is not None and mode not in MODES:
+            raise ModeError(f"unknown chunk mode {mode!r}")
         array = np.asarray(array)
         meta = ArrayMetadata(array.shape, chunk_shape, starts=starts,
                              dim_names=dim_names, dtype=array.dtype,

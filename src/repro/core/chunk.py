@@ -246,7 +246,7 @@ class Chunk:
     # cell access
     # ------------------------------------------------------------------
 
-    def get(self, offset: int, rank_strategy: str = "milestone"):
+    def get(self, offset: int):
         """Value at ``offset``, or None when the cell is invalid.
 
         Dense chunks index the payload directly; compressed chunks pay a
@@ -257,17 +257,11 @@ class Chunk:
             raise ArrayError(
                 f"offset {offset} out of range [0, {self.num_cells})"
             )
-        if self.mode is ChunkMode.DENSE:
-            if not self.mask.get(offset):
-                return None
-            return self.payload[offset]
         if not self.mask.get(offset):
             return None
-        if isinstance(self.mask, HierarchicalBitmask):
-            slot = self.mask.rank(offset)
-        else:
-            slot = self.mask.rank(offset, rank_strategy)
-        return self.payload[slot]
+        if self.mode is ChunkMode.DENSE:
+            return self.payload[offset]
+        return self.payload[self.mask.rank(offset)]
 
     def values(self) -> np.ndarray:
         """Values of the valid cells, in offset order."""

@@ -43,8 +43,7 @@ class _AssignChunkIds:
                 f"{coords.shape}"
             )
         values = np.array([record[1] for record in part])
-        chunk_ids = mapper.chunk_ids_for_coords_array(meta, coords)
-        offsets = mapper.local_offsets_for_coords_array(meta, coords)
+        chunk_ids, offsets = mapper.locate(meta, coords)
         if values.dtype != object:
             # plain Python scalars, so the shuffle's columnar path can
             # pack the (offset, value) pairs into one record batch

@@ -6,8 +6,10 @@ Algorithm 1 exactly: dimension 0 varies fastest in the chunk-ID
 numbering, and the same fastest-first order is used for the local offset
 of a cell inside its chunk.
 
-Everything has a vectorized twin (suffix ``_array``) operating on an
-``(n, ndim)`` coordinate matrix, used by ingest and the query operators;
+Every cell builder takes Section III-A's two steps here: :func:`locate`
+is the one vectorized Algorithm 1 (bounds-checked chunk IDs and local
+offsets of an ``(n, ndim)`` coordinate matrix), and
+:func:`runs_by_chunk` groups the cells that share a chunk ID.
 :func:`chunk_major` and :func:`chunk_major_index` lay out a whole dense
 array chunk by chunk for ``ArrayRDD.from_numpy``.
 """
@@ -124,12 +126,16 @@ def in_bounds_mask_for_chunk(meta: ArrayMetadata,
 
 
 # ----------------------------------------------------------------------
-# vectorized twins
+# vectorized: Algorithm 1, grouping by chunk, whole-array layouts
 # ----------------------------------------------------------------------
 
-def chunk_ids_for_coords_array(meta: ArrayMetadata,
-                               coords: np.ndarray) -> np.ndarray:
-    """Vectorized Algorithm 1 over an ``(n, ndim)`` coordinate matrix."""
+def locate(meta: ArrayMetadata, coords) -> tuple:
+    """Vectorized Algorithm 1: ``(chunk_ids, offsets)`` for an
+    ``(n, ndim)`` coordinate matrix, in one pass over the axes.
+
+    The first row outside the array raises :class:`CoordinateError`
+    with :meth:`ArrayMetadata.check_coords`'s message.
+    """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != meta.ndim:
         raise CoordinateError(
@@ -137,25 +143,34 @@ def chunk_ids_for_coords_array(meta: ArrayMetadata,
             f"shape {coords.shape}"
         )
     chunk_ids = np.zeros(coords.shape[0], dtype=np.int64)
-    length = 1
-    for axis in range(meta.ndim):
-        pos = coords[:, axis] - meta.starts[axis]
-        chunk_ids += (pos // meta.chunk_shape[axis]) * length
-        length *= meta.chunk_grid[axis]
-    return chunk_ids
-
-
-def local_offsets_for_coords_array(meta: ArrayMetadata,
-                                   coords: np.ndarray) -> np.ndarray:
-    """Vectorized local offsets over an ``(n, ndim)`` coordinate matrix."""
-    coords = np.asarray(coords, dtype=np.int64)
     offsets = np.zeros(coords.shape[0], dtype=np.int64)
-    length = 1
+    id_stride = offset_stride = 1
     for axis in range(meta.ndim):
         pos = coords[:, axis] - meta.starts[axis]
-        offsets += (pos % meta.chunk_shape[axis]) * length
-        length *= meta.chunk_shape[axis]
-    return offsets
+        if pos.size and not 0 <= pos.min() <= pos.max() < meta.shape[axis]:
+            outside = (coords < meta.starts) | (coords >= meta.ends)
+            meta.check_coords(coords[np.argmax(outside.any(axis=1))])
+        # ``//`` and ``%`` rather than ``divmod``: numpy reuses each
+        # product's temporary, so the pass holds one fewer n-cell array
+        chunk_ids += pos // meta.chunk_shape[axis] * id_stride
+        offsets += pos % meta.chunk_shape[axis] * offset_stride
+        id_stride *= meta.chunk_grid[axis]
+        offset_stride *= meta.chunk_shape[axis]
+    return chunk_ids, offsets
+
+
+def runs_by_chunk(chunk_ids, *columns):
+    """Group cells by chunk ID with one stable sort: yields
+    ``(chunk_id, *column_slices)`` per distinct ID, ascending, each run
+    keeping its cells' input order."""
+    order = np.argsort(chunk_ids, kind="stable")
+    chunk_ids = chunk_ids[order]
+    columns = [column[order] for column in columns]
+    # a boolean compare, not ``np.diff``: no n-cell int64 temporaries
+    changes = np.flatnonzero(chunk_ids[1:] != chunk_ids[:-1]) + 1
+    bounds = [0, *changes.tolist(), chunk_ids.size] if chunk_ids.size else []
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield (int(chunk_ids[lo]), *(column[lo:hi] for column in columns))
 
 
 def chunk_major(meta: ArrayMetadata, cells: np.ndarray) -> np.ndarray:

@@ -42,20 +42,9 @@ def _shuffle_cells(array: ArrayRDD, new_meta: ArrayMetadata,
                                                      offsets)
             if coord_transform is not None:
                 coords = coord_transform(coords)
-            new_ids = mapper.chunk_ids_for_coords_array(new_meta, coords)
-            new_offsets = mapper.local_offsets_for_coords_array(new_meta,
-                                                                coords)
-            values = chunk.values()
-            order = np.argsort(new_ids, kind="stable")
-            new_ids = new_ids[order]
-            new_offsets = new_offsets[order]
-            values = values[order]
-            boundaries = np.nonzero(np.diff(new_ids))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [new_ids.size]])
-            for start, end in zip(starts, ends):
-                yield (int(new_ids[start]),
-                       (new_offsets[start:end], values[start:end]))
+            for new_id, offsets, values in mapper.runs_by_chunk(
+                    *mapper.locate(new_meta, coords), chunk.values()):
+                yield new_id, (offsets, values)
 
     partitioner = HashPartitioner(num_partitions)
 

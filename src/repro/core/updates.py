@@ -55,26 +55,14 @@ def merge_cells(array: ArrayRDD, records, how="replace",
         return array
 
     coords = np.array([record[0] for record in records], dtype=np.int64)
-    for row in coords:
-        meta.check_coords(tuple(int(c) for c in row))
     values = np.array([record[1] for record in records],
                       dtype=np.float64)
-    chunk_ids = mapper.chunk_ids_for_coords_array(meta, coords)
-    offsets = mapper.local_offsets_for_coords_array(meta, coords)
-    order = np.argsort(chunk_ids, kind="stable")
-    chunk_ids = chunk_ids[order]
-    offsets = offsets[order]
-    values = values[order]
     updates = {}
-    boundaries = np.nonzero(np.diff(chunk_ids))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [chunk_ids.size]])
-    for start, end in zip(starts, ends):
-        chunk_offsets = offsets[start:end]
-        chunk_values = values[start:end]
+    for chunk_id, chunk_offsets, chunk_values in mapper.runs_by_chunk(
+            *mapper.locate(meta, coords), values):
         if np.unique(chunk_offsets).size != chunk_offsets.size:
             raise ArrayError("duplicate coordinates in one update batch")
-        updates[int(chunk_ids[start])] = (chunk_offsets, chunk_values)
+        updates[chunk_id] = (chunk_offsets, chunk_values)
 
     num_partitions = array.rdd.num_partitions
     partitioner = array.rdd.partitioner \

@@ -62,24 +62,11 @@ class SpangleMatrix:
             raise ShapeMismatchError("rows/cols/values length mismatch")
         meta = ArrayMetadata(shape, block_shape, dim_names=("row", "col"))
         coords = np.stack([rows, cols], axis=1)
-        chunk_ids = mapper.chunk_ids_for_coords_array(meta, coords)
-        offsets = mapper.local_offsets_for_coords_array(meta, coords)
-        order = np.argsort(chunk_ids, kind="stable")
-        chunk_ids = chunk_ids[order]
-        offsets = offsets[order]
-        values = values[order]
-        boundaries = np.nonzero(np.diff(chunk_ids))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [chunk_ids.size]])
-        records = []
-        for start, end in zip(starts, ends):
-            if start == end:
-                continue
-            cid = int(chunk_ids[start])
-            chunk = Chunk.from_sparse(meta.cells_per_chunk,
-                                      offsets[start:end],
-                                      values[start:end])
-            records.append((cid, chunk))
+        records = [
+            (cid, Chunk.from_sparse(meta.cells_per_chunk, offsets,
+                                    cell_values))
+            for cid, offsets, cell_values in mapper.runs_by_chunk(
+                *mapper.locate(meta, coords), values)]
         array = ArrayRDD.from_chunks(context, records, meta,
                                      num_partitions)
         return cls(array)

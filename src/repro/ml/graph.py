@@ -19,7 +19,7 @@ from repro.core import mapper
 from repro.core.metadata import ArrayMetadata
 from repro.engine import HashPartitioner
 from repro.engine.partitioner import NnzBalancedPartitioner
-from repro.errors import ArrayError, ShapeMismatchError
+from repro.errors import ArrayError, CoordinateError, ShapeMismatchError
 from repro.matrix.offsets import bitmask_bytes, offset_array_bytes
 
 
@@ -154,7 +154,7 @@ class BitmaskGraph:
             raise ShapeMismatchError("edges must be an (m, 2) array")
         if edges.size and (edges.min() < 0
                            or edges.max() >= num_vertices):
-            raise ArrayError(
+            raise CoordinateError(
                 f"vertex ids out of range [0, {num_vertices})"
             )
         src = edges[:, 0]
@@ -168,23 +168,11 @@ class BitmaskGraph:
 
         # rows = destination, cols = source
         coords = np.stack([dst, src], axis=1)
-        chunk_ids = mapper.chunk_ids_for_coords_array(meta, coords)
-        offsets = mapper.local_offsets_for_coords_array(meta, coords)
-        order = np.argsort(chunk_ids, kind="stable")
-        chunk_ids = chunk_ids[order]
-        offsets = offsets[order]
-        cells = meta.cells_per_chunk
-        boundaries = np.nonzero(np.diff(chunk_ids))[0] + 1
-        starts = np.concatenate([[0], boundaries]) if chunk_ids.size \
-            else np.array([], dtype=np.int64)
-        ends = np.concatenate([boundaries, [chunk_ids.size]]) \
-            if chunk_ids.size else np.array([], dtype=np.int64)
-        records = []
-        for start, end in zip(starts, ends):
-            cid = int(chunk_ids[start])
-            block_offsets = np.unique(offsets[start:end])
-            records.append(
-                (cid, _encode_block(block_offsets, cells, mode)))
+        records = [
+            (cid, _encode_block(np.unique(offsets), meta.cells_per_chunk,
+                                mode))
+            for cid, offsets in mapper.runs_by_chunk(
+                *mapper.locate(meta, coords))]
         if num_partitions is None:
             num_partitions = context.default_parallelism
         if balance == "nnz" and records:

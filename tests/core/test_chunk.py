@@ -71,24 +71,28 @@ class TestAssembly:
         if dtype == "float64":
             values[rng.random(num_cells) < 0.3] = np.nan
         chosen = set()
-        for count in sorted({0, 1, num_cells // 4, num_cells // 2 + 1,
-                             num_cells}):
-            valid = rng.permutation(num_cells) < count
-            offsets = np.flatnonzero(valid)
-            dense = Chunk.from_dense(values, valid, mode=mode)
-            sparse = Chunk.from_sparse(num_cells, offsets, values[valid],
-                                       mode=mode)
-            assert pickle.dumps(dense) == pickle.dumps(sparse)
-            assert dense.mode is (mode or choose_mode(count / num_cells))
-            assert np.array_equal(dense.indices(), offsets)
-            assert dense == sparse
-            chosen.add(dense.mode)
-            for unknown in ("dense", 0):
-                with pytest.raises(ModeError):
-                    Chunk.from_dense(values, valid, mode=unknown)
-                with pytest.raises(ModeError):
-                    Chunk.from_sparse(num_cells, offsets, values[valid],
-                                      mode=unknown)
+        with ClusterContext(num_executors=1) as ctx:
+            for count in sorted({0, 1, num_cells // 4, num_cells // 2 + 1,
+                                 num_cells}):
+                valid = rng.permutation(num_cells) < count
+                offsets = np.flatnonzero(valid)
+                dense = Chunk.from_dense(values, valid, mode=mode)
+                sparse = Chunk.from_sparse(num_cells, offsets, values[valid],
+                                           mode=mode)
+                assert pickle.dumps(dense) == pickle.dumps(sparse)
+                assert dense.mode is (mode or choose_mode(count / num_cells))
+                assert np.array_equal(dense.indices(), offsets)
+                assert dense == sparse
+                chosen.add(dense.mode)
+                for unknown in ("dense", 0):
+                    with pytest.raises(ModeError):
+                        Chunk.from_dense(values, valid, mode=unknown)
+                    with pytest.raises(ModeError):
+                        Chunk.from_sparse(num_cells, offsets, values[valid],
+                                          mode=unknown)
+                    with pytest.raises(ModeError):
+                        ArrayRDD.from_numpy(ctx, values, (num_cells,),
+                                            valid=valid, mode=unknown)
         if mode is None and num_cells > 1:
             assert chosen == set(MODES)
 

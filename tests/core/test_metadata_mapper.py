@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ArrayMetadata
+from repro.core import ArrayMetadata, ArrayRDD
 from repro.core import mapper
-from repro.errors import CoordinateError, MetadataError
+from repro.core.ingest import array_rdd_from_records
+from repro.core.updates import merge_cells
+from repro.engine import ClusterContext
+from repro.errors import CoordinateError, MetadataError, TaskFailure
+from repro.matrix import SpangleMatrix
+from repro.ml.graph import BitmaskGraph
 
 
 class TestMetadata:
@@ -174,8 +179,7 @@ class TestLocalOffsets:
             rng.integers(0, 11, 200),
             rng.integers(-1, 3, 200),
         ], axis=1)
-        ids = mapper.chunk_ids_for_coords_array(meta, coords)
-        offs = mapper.local_offsets_for_coords_array(meta, coords)
+        ids, offs = mapper.locate(meta, coords)
         for k in range(coords.shape[0]):
             c = tuple(coords[k])
             assert ids[k] == mapper.chunk_id_for_coords(meta, c)
@@ -192,7 +196,7 @@ class TestLocalOffsets:
     def test_bad_matrix_shape(self):
         meta = ArrayMetadata((4, 4), (2, 2))
         with pytest.raises(CoordinateError):
-            mapper.chunk_ids_for_coords_array(meta, np.zeros((3, 3)))
+            mapper.locate(meta, np.zeros((3, 3)))
 
 
 class TestRangeQueries:
@@ -249,3 +253,108 @@ def test_mapper_bijection_property(shape, chunk, data):
     assert 0 <= cid < meta.num_chunks
     assert 0 <= off < meta.cells_per_chunk
     assert mapper.coords_for_offset(meta, cid, off) == (i, j)
+
+
+@st.composite
+def geometries(draw):
+    """1-4-D metadata: negative starts, ragged last chunks and chunks
+    larger than the array."""
+    ndim = draw(st.integers(1, 4))
+    return ArrayMetadata(
+        tuple(draw(st.integers(1, 7)) for _ in range(ndim)),
+        tuple(draw(st.integers(1, 9)) for _ in range(ndim)),
+        starts=tuple(draw(st.integers(-6, 6)) for _ in range(ndim)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(meta=geometries(), data=st.data())
+def test_locate_property(meta, data):
+    """``locate`` equals scalar Algorithm 1 and the dense chunk-major
+    layout row by row; the first row outside raises ``check_coords``'s
+    error."""
+    n = data.draw(st.integers(0, 12))
+    coords = np.array(
+        [[data.draw(st.integers(s, e - 1))
+          for s, e in zip(meta.starts, meta.ends)] for _ in range(n)],
+        dtype=np.int64).reshape(n, meta.ndim)
+    for row in sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)),
+                                        max_size=2 if n else 0))):
+        axis = data.draw(st.integers(0, meta.ndim - 1))
+        coords[row, axis] = data.draw(st.one_of(
+            st.integers(meta.starts[axis] - 9, meta.starts[axis] - 1),
+            st.integers(meta.ends[axis], meta.ends[axis] + 9)))
+    inside = [all(s <= c < e for c, s, e in
+                  zip(row, meta.starts, meta.ends)) for row in coords]
+    if not all(inside):
+        with pytest.raises(CoordinateError) as want:
+            meta.check_coords(coords[inside.index(False)])
+        with pytest.raises(CoordinateError) as got:
+            mapper.locate(meta, coords)
+        assert str(got.value) == str(want.value)
+        return
+    ids, offsets = mapper.locate(meta, coords)
+    for row, cid, offset in zip(coords, ids, offsets):
+        assert cid == mapper.chunk_id_for_coords(meta, row)
+        assert offset == mapper.local_offset(meta, row)
+    rows = mapper.chunk_major(
+        meta, np.arange(meta.num_cells).reshape(meta.shape))
+    flat = np.ravel_multi_index(tuple((coords - meta.starts).T),
+                                meta.shape)
+    assert np.array_equal(rows[ids, offsets], flat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=40))
+def test_runs_by_chunk_matches_grouping_oracle(chunk_ids):
+    """One run per distinct ID, ascending, in the cells' input order."""
+    want = {}
+    for position, cid in enumerate(chunk_ids):
+        want.setdefault(cid, []).append(position)
+    positions = np.arange(len(chunk_ids))
+    runs = list(mapper.runs_by_chunk(np.array(chunk_ids, dtype=np.int64),
+                                     positions, positions * 0.5))
+    assert [cid for cid, _p, _h in runs] == sorted(want)
+    for cid, position, half in runs:
+        assert type(cid) is int
+        assert position.tolist() == want[cid]
+        assert half.tolist() == [p * 0.5 for p in want[cid]]
+
+
+def _build_cells(builder, ctx, meta, cells):
+    """The chunk RDD ``builder`` makes of ``(coords, value)`` cells."""
+    coords = np.array([c for c, _v in cells])
+    values = [v for _c, v in cells]
+    if builder == "ingest":
+        return array_rdd_from_records(ctx, cells, meta).rdd
+    if builder == "from_coo":
+        return SpangleMatrix.from_coo(ctx, coords[:, 0], coords[:, 1],
+                                      values, meta.shape,
+                                      meta.chunk_shape).array.rdd
+    if builder == "merge_cells":
+        empty = ArrayRDD.from_numpy(ctx, np.zeros(meta.shape),
+                                    meta.chunk_shape,
+                                    valid=np.zeros(meta.shape, bool))
+        return merge_cells(empty, cells).rdd
+    # a graph's coordinates are (dst, src); its edges are (src, dst)
+    return BitmaskGraph.from_edges(ctx, coords[:, ::-1], meta.shape[0],
+                                   block_size=meta.chunk_shape[0]).rdd
+
+
+@pytest.mark.parametrize("config", [dict(), dict(backend="process")],
+                         ids=["serial", "process"])
+@pytest.mark.parametrize("builder",
+                         ["ingest", "from_coo", "merge_cells", "from_edges"])
+def test_cell_outside_array_is_rejected(builder, config):
+    """A cell outside the array raises and is never stored as some
+    other chunk's cell ((4, 0) used to land on (0, 2) of a 4x4 array)."""
+    meta = ArrayMetadata((4, 4), (2, 2))
+    with ClusterContext(num_executors=2, **config) as ctx:
+        inside = _build_cells(builder, ctx, meta, [((1, 1), 5.0)])
+        assert [cid for cid, _chunk in inside.collect()] == [0]
+        with pytest.raises((CoordinateError, TaskFailure)) as info:
+            _build_cells(builder, ctx, meta,
+                         [((1, 1), 5.0), ((4, 0), 7.0)]).collect()
+    error = info.value
+    if isinstance(error, TaskFailure):
+        error = error.cause
+    assert isinstance(error, CoordinateError)
