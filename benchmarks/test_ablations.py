@@ -188,13 +188,13 @@ def test_ablation_store_pruning(benchmark, tmp_path):
         before = ctx.metrics.snapshot()
         full = load_array(ctx, tmp_path / "store")
         full.count_valid()
-        full_read = (ctx.metrics.snapshot() - before).disk_read_bytes
+        full_read = (ctx.metrics.snapshot() - before).store_read_bytes
         before = ctx.metrics.snapshot()
         window = load_array(ctx, tmp_path / "store",
                             region=((0, 0), (63, 63)))
         count = window.count_valid()
         window_read = (ctx.metrics.snapshot()
-                       - before).disk_read_bytes
+                       - before).store_read_bytes
         return full_read, window_read, count
 
     full_read, window_read, count = benchmark.pedantic(

@@ -5,7 +5,8 @@ The tracer's contract is that a context created with the default
 fused 4-operator chain from the fusion benchmark is run with tracing
 off and with tracing on, and the disabled run must not be slower than
 the traced run beyond timer noise (``wall_disabled <= wall_traced *
-1.05``, min-over-repeats on both sides). The traced run's absolute
+1.05``, min-over-repeats on both sides, the repeats of the two modes
+interleaved). The traced run's absolute
 overhead is recorded in the JSON artifact so regressions show up in CI
 history.
 
@@ -57,29 +58,33 @@ def _chain(arr: ArrayRDD) -> ArrayRDD:
             * 10.0)
 
 
-def _run_mode(trace: bool) -> dict:
-    ctx = fresh_context(8, trace=trace)
-    arr = _build_array(ctx)
-    walls = []
-    count = None
-    for _ in range(REPEATS):
-        out = _chain(arr)
-        start = time.perf_counter()
-        count = out.count_valid()
-        walls.append(time.perf_counter() - start)
-    spans = ctx.tracer.spans() if trace else []
+def _mode(trace: bool, ctx, walls: list, count) -> dict:
     return {
         "trace": trace,
         "wall_s": min(walls),
         "walls_s": walls,
         "count": count,
-        "num_spans": len(spans),
+        "num_spans": len(ctx.tracer.spans()),
     }
 
 
 def run() -> dict:
-    disabled = _run_mode(False)
-    traced = _run_mode(True)
+    """Both contexts are built first, then the repeats interleave
+    (untraced, traced, untraced, ...), so host drift during the run
+    lands on both modes alike instead of on whichever ran second."""
+    contexts = [fresh_context(8, trace=trace) for trace in (False, True)]
+    arrays = [_build_array(ctx) for ctx in contexts]
+    walls, counts = ([], []), [None, None]
+    for _ in range(REPEATS):
+        for mode, arr in enumerate(arrays):
+            out = _chain(arr)
+            start = time.perf_counter()
+            counts[mode] = out.count_valid()
+            walls[mode].append(time.perf_counter() - start)
+    disabled, traced = (_mode(bool(mode), ctx, walls[mode], counts[mode])
+                        for mode, ctx in enumerate(contexts))
+    for ctx in contexts:
+        ctx.shutdown()
     overhead = traced["wall_s"] / max(disabled["wall_s"], 1e-9)
     artifact = {
         "shape": list(SHAPE),

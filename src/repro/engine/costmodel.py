@@ -2,14 +2,14 @@
 
 The reproduction runs in one process, so raw wall-clock misses the two
 costs that dominate the paper's cluster experiments: network transfer
-during shuffles and task scheduling overhead (plus disk I/O for the
-SciDB-style baseline). :func:`report` converts the engine's exact byte
+during shuffles and task scheduling overhead (plus disk I/O: the spill
+tier, the ChunkStore and the SciDB-style baseline). :func:`report` converts the engine's exact byte
 and task counts into a modeled time:
 
     modeled = wall_clock
             + shuffle_bytes / network_bandwidth
             + tasks * task_overhead
-            + (disk_read + disk_write) / disk_bandwidth
+            + (spill and store disk bytes) / disk_bandwidth
 
 The constants approximate the paper's testbed: 1 GbE (~117 MB/s
 effective), 7200 RPM HDDs (~150 MB/s sequential), and Spark's
@@ -62,8 +62,10 @@ def report(wall_clock_s: float, delta: MetricsSnapshot) -> CostReport:
         / NETWORK_BANDWIDTH_BYTES_S
     )
     scheduling_s = delta.tasks_launched * TASK_OVERHEAD_S
+    # the spill tier and the ChunkStore share the one disk
     disk_s = (
-        (delta.disk_read_bytes + delta.disk_write_bytes)
+        (delta.disk_read_bytes + delta.disk_write_bytes
+         + delta.store_read_bytes + delta.store_write_bytes)
         / DISK_BANDWIDTH_BYTES_S
     )
     return CostReport(

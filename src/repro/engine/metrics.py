@@ -41,8 +41,10 @@ shuffle_bytes              counter  bytes  engine.shuffle    bytes moved by shuf
 shuffles_performed         counter  count  engine.shuffle    shuffle map stages materialized
 shuffle_batches            counter  count  engine.shuffle    packed RecordBatches shipped
 shuffle_batch_records      counter  count  engine.shuffle    records that rode in packed batches
-disk_read_bytes            counter  bytes  engine.spill      spill and store bytes read
-disk_write_bytes           counter  bytes  engine.spill      spill and store bytes written
+disk_read_bytes            counter  bytes  engine.spill      spill-tier bytes read
+disk_write_bytes           counter  bytes  engine.spill      spill-tier bytes written
+store_read_bytes           counter  bytes  io                ChunkStore slot bytes read by loads
+store_write_bytes          counter  bytes  io                ChunkStore file bytes written by saves
 result_bytes               counter  bytes  engine.scheduler  task outputs returned to the driver
 broadcast_bytes            counter  bytes  engine.broadcast  broadcast value bytes times executors
 cache_hits                 counter  count  engine.storage    block reads served from memory or spill

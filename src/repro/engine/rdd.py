@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 
 import numpy as np
 
@@ -293,10 +294,11 @@ class RDD:
     def __getstate__(self) -> dict:
         """Ship lineage across the process boundary.
 
-        Driver-only machinery — the context and every lock — stays
-        behind; the worker rebinds a fresh context over the lineage
-        walk. ``_cached_indices`` is copied under retry because
-        dispatcher threads may be adding to it concurrently.
+        Driver-only machinery — the context, every lock and a shuffle's
+        segment finalizers — stays behind; the worker rebinds a fresh
+        context over the lineage walk. ``_cached_indices`` is copied
+        under retry because dispatcher threads may be adding to it
+        concurrently.
         """
         state = self.__dict__.copy()
         state["context"] = None
@@ -304,6 +306,7 @@ class RDD:
         state["_compute_locks_guard"] = None
         state["_mat_locks"] = {}
         state["_mat_locks_guard"] = None
+        state.pop("_releases", None)    # shm segments stay the driver's
         while True:
             try:
                 state["_cached_indices"] = set(self._cached_indices)
@@ -658,6 +661,7 @@ class _ShuffleStageBase(RDD):
                          num_partitions=partitioner.num_partitions,
                          partitioner=partitioner, name=name)
         self._buckets = [None] * len(self.dependencies)
+        self._releases = {}    # which -> finalizer unlinking its segments
 
     def wide_slots(self) -> tuple:
         return tuple(
@@ -710,6 +714,7 @@ class _ShuffleStageBase(RDD):
             with self._materialize_lock(which):
                 if self._buckets[which] is not None:
                     self._buckets[which] = None
+                    self._releases.pop(which, lambda: None)()
                     dropped += 1
         return dropped
 
@@ -832,6 +837,13 @@ class _ShuffleStageBase(RDD):
                     shuffle_bytes=total_bytes, shuffle_batches=total_batches,
                     shuffle_batch_records=total_batch_records)
         self._buckets[which] = buckets
+        # the map output's shm segments die with it: when it is
+        # invalidated, or when this RDD is garbage-collected
+        names = {segment.segment for bucket in buckets for segment in bucket
+                 if isinstance(segment, shm_mod.ShmRef)}
+        if names:
+            self._releases[which] = weakref.finalize(
+                self, self.context.shm_registry.release, *names)
 
 
 class ShuffledRDD(_ShuffleStageBase):

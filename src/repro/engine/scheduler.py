@@ -227,6 +227,7 @@ class StageScheduler:
                     ordered.append((node, which))
 
         visit(rdd)
+        del visit    # a recursive closure is a cycle holding the lineage
         return ordered
 
     def _fully_cached(self, node: RDD) -> bool:
@@ -289,6 +290,7 @@ class StageScheduler:
                     deps.append(stage)
 
         visit(root)
+        del visit
         return deps
 
 
@@ -493,6 +495,9 @@ class StageScheduler:
                 if stage.lock is not None:
                     stage.lock.release()
                     stage.lock = None
+                # unlink the graph: its stage <-> child cycles would
+                # keep the lineage (and its shm segments) until a GC
+                stage.deps = stage.children = ()
         if failure is not None:
             if isinstance(failure, CancelledError):
                 raise RuntimeError(

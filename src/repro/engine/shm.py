@@ -24,11 +24,11 @@ Three handle types travel between processes:
   value inside the task payload.
 
 Lifecycle is owned by a driver-side :class:`SharedSegmentRegistry`:
-worker-created segments are *adopted* into it from task replies,
-driver-side block exports are created by it, and ``shutdown()`` unlinks
-everything it knows about plus any same-prefix stragglers left in
-``/dev/shm`` by workers that died mid-task. An atexit hook covers
-contexts that are never shut down explicitly.
+worker-created segments are *adopted* into it from task replies (and
+released with the shuffle that owns them), block exports are created by
+it, and ``shutdown()`` unlinks all of it plus any same-prefix stragglers
+of workers that died mid-task. An atexit hook covers contexts never
+shut down; a new registry sweeps the segments of dead drivers.
 
 POSIX notes baked in below: ``resource_tracker`` would register a
 segment on *attach* as well as on create, and its per-name cache is a
@@ -328,6 +328,29 @@ def leaked_segments(prefix: str) -> list:
                   if name.startswith(prefix))
 
 
+def _start_time(pid: int) -> str:
+    """``pid``'s start time in clock ticks since boot ("" if gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[19]
+    except (OSError, IndexError):
+        return ""
+
+
+def _sweep_dead_drivers() -> None:
+    """Unlink the segments of drivers a SIGKILL left no atexit sweep.
+    Names carry the driver's pid and start time (``spgl-<pid>.<start>-``)
+    so a reused pid is not mistaken for it; others are left alone."""
+    for name in leaked_segments(_NAME_MARK):
+        driver = name[len(_NAME_MARK):].split("-", 1)[0]
+        pid, _dot, start = driver.partition(".")
+        try:
+            if start and _start_time(int(pid, 16)) != start:
+                os.unlink(os.path.join("/dev/shm", name))
+        except (ValueError, OSError):  # a foreign name, or a racing sweep
+            pass
+
+
 # ----------------------------------------------------------------------
 # driver-side segment registry
 # ----------------------------------------------------------------------
@@ -347,8 +370,10 @@ class SharedSegmentRegistry:
     """
 
     def __init__(self, metrics=None):
-        self.prefix = \
-            f"{_NAME_MARK}{os.getpid():x}-{next(_REGISTRY_SEQ):x}-"
+        pid = os.getpid()
+        self.prefix = (f"{_NAME_MARK}{pid:x}.{_start_time(pid)}-"
+                       f"{next(_REGISTRY_SEQ):x}-")
+        _sweep_dead_drivers()
         self._metrics = metrics
         self._segments = {}        # name -> nbytes
         self._block_exports = {}   # (rdd_id, index) -> (data, handle)
@@ -394,11 +419,13 @@ class SharedSegmentRegistry:
             self.release(stale.segment)
         return handle
 
-    def release(self, name: str) -> None:
-        """Unlink one segment (idempotent)."""
+    def release(self, *names: str) -> None:
+        """Unlink segments (idempotent)."""
         with self._lock:
-            self._segments.pop(name, None)
-        _unlink_segment(name)
+            for name in names:
+                self._segments.pop(name, None)
+        for name in names:
+            _unlink_segment(name)
 
     def segment_count(self) -> int:
         with self._lock:

@@ -75,7 +75,7 @@ def save_array(array: ArrayRDD, directory) -> int:
     staged = directory / f"{MANIFEST}.tmp"
     staged.write_text(json.dumps(manifest))
     os.replace(staged, directory / MANIFEST)
-    array.context.metrics.add(disk_write_bytes=sum(sizes.values()))
+    array.context.metrics.add(store_write_bytes=sum(sizes.values()))
     return len(chunks)
 
 
@@ -110,7 +110,7 @@ class _LoadTask:
         for run in {row[1] for row in rows}:
             slots = [row[2] for row in rows if row[1] == run]
             chunks.update(self._read(self.runs[run], slots))
-        self.metrics.add(disk_read_bytes=sum(row[3] for row in rows))
+        self.metrics.add(store_read_bytes=sum(row[3] for row in rows))
         return [(row[0], chunks[row[0]]) for row in rows]
 
     def _read(self, run, slots) -> dict:

@@ -6,6 +6,10 @@ needs *no payload at all*: the bitmask (one bit per potential edge) or,
 for super-sparse blocks, the edge offset list, is the entire chunk. An
 edge costs one bit instead of an eight-byte value.
 
+Each partition holds its edges once, as one :class:`EdgeList` that the
+spmv scatters over; a block is a ``[lo, hi)`` slice of it (plus its
+bitmask in sparse mode) and reports its paper form as ``nbytes``.
+
 Convention (Section VI-B): rows are destination vertices, columns are
 source vertices; entry (i, j) set means an edge j → i.
 """
@@ -17,18 +21,68 @@ import numpy as np
 from repro.bitmask import Bitmask
 from repro.core import mapper
 from repro.core.metadata import ArrayMetadata
-from repro.engine import HashPartitioner
-from repro.engine.partitioner import NnzBalancedPartitioner
+from repro.engine.partitioner import HashPartitioner, NnzBalancedPartitioner
 from repro.errors import ArrayError, CoordinateError, ShapeMismatchError
 from repro.matrix.offsets import bitmask_bytes, offset_array_bytes
 
 
-class _BitmaskBlock:
-    """One adjacency block stored as a flat bitmask."""
+class EdgeList:
+    """One partition's adjacency as global ``(row, col)`` vertex pairs:
+    the one copy of its edges, which its blocks slice.
+
+    Rows are destinations, columns sources; int32 whenever the vertex
+    ids fit, so an edge costs 8 bytes. Blocks follow partition order and
+    keep their ascending offsets, so a sequential scatter over the list
+    is deterministic for a given placement.
+    """
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+        self.rows, self.cols = rows, cols
+
+
+class _OffsetBlock:
+    """One adjacency block: the ``[lo, hi)`` slice of its partition's
+    :class:`EdgeList`. Its paper form is the offset array (super-sparse,
+    8 B per edge), which is what ``nbytes`` reports."""
+
+    __slots__ = ("edges", "lo", "hi", "side")
+
+    def __init__(self, edges: EdgeList, lo: int, hi: int, side: int):
+        self.edges, self.lo, self.hi, self.side = edges, lo, hi, side
+
+    @property
+    def edge_count(self) -> int:
+        return self.hi - self.lo
+
+    @property
+    def nbytes(self) -> int:
+        return offset_array_bytes(self.edge_count)
+
+    @property
+    def resident_nbytes(self) -> int:
+        """The slice this block holds, not the form it reports."""
+        edges = self.edges
+        return self.edge_count * (edges.rows.itemsize
+                                  + edges.cols.itemsize)
+
+    def edge_offsets(self) -> np.ndarray:
+        """Ascending int64 in-block offsets (dimension 0 fastest)."""
+        rows = self.edges.rows[self.lo:self.hi].astype(np.int64)
+        cols = self.edges.cols[self.lo:self.hi].astype(np.int64)
+        return rows % self.side + cols % self.side * self.side
+
+
+class _BitmaskBlock(_OffsetBlock):
+    """A sparse-mode block: the slice plus the flat bitmask the paper
+    stores (one bit per potential edge), which ``nbytes`` reports."""
 
     __slots__ = ("mask",)
 
-    def __init__(self, mask: Bitmask):
+    def __init__(self, edges: EdgeList, lo: int, hi: int, side: int,
+                 mask: Bitmask):
+        super().__init__(edges, lo, hi, side)
         self.mask = mask
 
     @property
@@ -36,79 +90,15 @@ class _BitmaskBlock:
         return self.mask.nbytes
 
     @property
-    def edge_count(self) -> int:
-        return self.mask.count()
-
-    def edge_offsets(self) -> np.ndarray:
-        return self.mask.indices()
+    def resident_nbytes(self) -> int:
+        return super().resident_nbytes + self.mask.nbytes
 
 
-class _OffsetBlock:
-    """One adjacency block stored as edge offsets (super-sparse)."""
-
-    __slots__ = ("offsets", "num_cells")
-
-    def __init__(self, offsets: np.ndarray, num_cells: int):
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.num_cells = num_cells
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.offsets.nbytes)
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.offsets.size)
-
-    def edge_offsets(self) -> np.ndarray:
-        return self.offsets
-
-
-class EdgeList:
-    """One partition's adjacency as global ``(row, col)`` vertex pairs.
-
-    Rows are destinations, columns sources; int32 whenever the vertex
-    ids fit, so an edge costs 8 bytes. Blocks follow partition order and
-    keep their ascending offsets, so every row meets its edges in
-    ascending-column order and a sequential scatter over the list is
-    deterministic for a given placement.
-    """
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray):
-        self.rows = rows
-        self.cols = cols
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.rows.nbytes) + int(self.cols.nbytes)
-
-
-class _PartitionEdges:
-    """Per-partition build task: adjacency blocks → one :class:`EdgeList`.
-
-    A module-level class so process-backend tasks pickle it by
-    reference. The only place block offsets are decoded into vertex ids.
-    """
-
-    __slots__ = ("block", "grid_rows", "dtype")
-
-    def __init__(self, block: int, grid_rows: int, dtype):
-        self.block = block
-        self.grid_rows = grid_rows
-        self.dtype = dtype
-
-    def __call__(self, part):
-        block = self.block
-        rows = [np.zeros(0, dtype=self.dtype)]
-        cols = [np.zeros(0, dtype=self.dtype)]
-        for chunk_id, adjacency in part:
-            offsets = adjacency.edge_offsets()
-            rb, cb = chunk_id % self.grid_rows, chunk_id // self.grid_rows
-            rows.append((rb * block + offsets % block).astype(self.dtype))
-            cols.append((cb * block + offsets // block).astype(self.dtype))
-        return [EdgeList(np.concatenate(rows), np.concatenate(cols))]
+def _partition_edges(part) -> list:
+    """``[EdgeList]`` of one partition: all of its blocks slice one."""
+    for _cid, block in part:
+        return [block.edges]
+    return []
 
 
 class BitmaskGraph:
@@ -126,7 +116,6 @@ class BitmaskGraph:
         self.meta = meta
         self.out_degrees = out_degrees
         self.context = context
-        self._edge_rdd = None
 
     @classmethod
     def from_edges(cls, context, edges, num_vertices: int,
@@ -157,27 +146,17 @@ class BitmaskGraph:
             raise CoordinateError(
                 f"vertex ids out of range [0, {num_vertices})"
             )
-        src = edges[:, 0]
-        dst = edges[:, 1]
         block_size = min(block_size, num_vertices)
         meta = ArrayMetadata((num_vertices, num_vertices),
                              (block_size, block_size),
                              dim_names=("dst", "src"), dtype=np.bool_)
-        out_degrees = np.bincount(src, minlength=num_vertices) \
+        out_degrees = np.bincount(edges[:, 0], minlength=num_vertices) \
                         .astype(np.float64)
-
-        # rows = destination, cols = source
-        coords = np.stack([dst, src], axis=1)
-        records = [
-            (cid, _encode_block(np.unique(offsets), meta.cells_per_chunk,
-                                mode))
-            for cid, offsets in mapper.runs_by_chunk(
-                *mapper.locate(meta, coords))]
+        runs = _unique_runs(meta, edges)
         if num_partitions is None:
             num_partitions = context.default_parallelism
-        if balance == "nnz" and records:
-            weights = {cid: float(block.edge_count)
-                       for cid, block in records}
+        if balance == "nnz" and runs:
+            weights = {cid: float(rows.size) for cid, rows, _cols in runs}
             partitioner = NnzBalancedPartitioner.from_weights(
                 weights, num_partitions)
             stats = getattr(context, "nnz_stats", None)
@@ -186,9 +165,20 @@ class BitmaskGraph:
                              partitioner.partition_loads(weights))
         else:
             partitioner = HashPartitioner(num_partitions)
+        # each partition's edges are written once, in the order
+        # parallelize places its blocks; a block keeps its [lo, hi)
+        parts = [[] for _ in range(partitioner.num_partitions)]
+        for run in runs:
+            parts[partitioner.partition(run[0])].append(run)
+        records = []
+        for part in filter(None, parts):
+            cids, rows, cols = zip(*part)
+            edges = EdgeList(np.concatenate(rows), np.concatenate(cols))
+            bounds = np.cumsum([0, *map(len, rows)]).tolist()
+            records += [(cid, _encode_block(edges, lo, hi, meta, mode))
+                        for cid, lo, hi in zip(cids, bounds, bounds[1:])]
         rdd = context.parallelize(records, num_partitions,
                                   partitioner=partitioner)
-        rdd.partitioner = partitioner
         return cls(rdd, meta, out_degrees, context)
 
     # ------------------------------------------------------------------
@@ -212,27 +202,13 @@ class BitmaskGraph:
         self.rdd.cache()
         return self
 
-    def edge_lists(self):
-        """The cached per-partition :class:`EdgeList` twin of the blocks.
-
-        Built lazily (one pass, no sort) and kept cached: iterative
-        consumers scatter over constant global vertex ids instead of
-        re-deriving ``row = off % block`` every power iteration.
-        """
-        if self._edge_rdd is None:
-            dtype = np.int32 if self.num_vertices <= 2 ** 31 else np.int64
-            self._edge_rdd = self.rdd.map_partitions(_PartitionEdges(
-                self.meta.chunk_shape[0], self.meta.chunk_grid[0],
-                dtype)).cache()
-        return self._edge_rdd
-
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """``y = A' @ x``: sum x over in-edges, no multiplications.
 
         Because every stored entry is exactly 1, the kernel is a gather
         plus a scatter-add — the payload-free benefit of the bitmask
-        representation: one ``np.add.at`` per partition over its cached
-        edge list, then the driver sums the partition partials.
+        representation: one ``np.add.at`` per partition over the edge
+        list its blocks slice, then the driver sums the partials.
         """
         if x.size != self.num_vertices:
             raise ShapeMismatchError(
@@ -243,19 +219,19 @@ class BitmaskGraph:
 
         def scatter(part):
             partial = np.zeros(n)
-            for edges in part:
+            for edges in _partition_edges(part):
                 np.add.at(partial, edges.rows, x.take(edges.cols))
             return [partial]
 
         result = np.zeros(n)
-        for piece in self.edge_lists().map_partitions(scatter).collect():
+        for piece in self.rdd.map_partitions(scatter).collect():
             result += piece
         return result
 
     def to_dense(self) -> np.ndarray:
         """Dense boolean adjacency (tests only — O(N^2) memory)."""
         out = np.zeros(self.meta.shape, dtype=bool)
-        for edges in self.edge_lists().collect():
+        for edges in self.rdd.map_partitions(_partition_edges).collect():
             out[edges.rows, edges.cols] = True
         return out
 
@@ -266,12 +242,35 @@ class BitmaskGraph:
         )
 
 
-def _encode_block(offsets: np.ndarray, cells: int, mode: str):
-    if mode == "sparse":
-        return _BitmaskBlock(Bitmask.from_indices(cells, offsets))
-    if mode == "super_sparse":
-        return _OffsetBlock(offsets, cells)
+def _unique_runs(meta: ArrayMetadata, edges: np.ndarray) -> list:
+    """``[(chunk_id, rows, cols)]``: the distinct edges cut by block,
+    ascending by chunk ID, then offset. One sort of ``chunk_id ×
+    cells_per_chunk + offset`` dedups every edge; each transient column
+    is dropped as soon as the next one is built."""
+    # rows = destination, cols = source
+    keys, offsets = mapper.locate(meta, edges[:, ::-1])
+    keys *= meta.cells_per_chunk
+    keys += offsets
+    del offsets
+    keys.sort()
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+    chunk_ids, offsets = np.divmod(keys, meta.cells_per_chunk)
+    del keys
+    side, grid = meta.chunk_shape[0], meta.chunk_grid[0]
+    dtype = np.int32 if meta.shape[0] <= 2 ** 31 else np.int64
+    rows = (chunk_ids % grid * side + offsets % side).astype(dtype)
+    cols = (chunk_ids // grid * side + offsets // side).astype(dtype)
+    del offsets
+    return list(mapper.runs_by_chunk(chunk_ids, rows, cols))
+
+
+def _encode_block(edges: EdgeList, lo: int, hi: int, meta: ArrayMetadata,
+                  mode: str):
+    block = _OffsetBlock(edges, lo, hi, meta.chunk_shape[0])
+    cells = meta.cells_per_chunk
     # auto: pick whichever structure is smaller for this block
-    if offset_array_bytes(offsets.size) < bitmask_bytes(cells):
-        return _OffsetBlock(offsets, cells)
-    return _BitmaskBlock(Bitmask.from_indices(cells, offsets))
+    smaller = offset_array_bytes(hi - lo) < bitmask_bytes(cells)
+    if mode == "super_sparse" or (mode == "auto" and smaller):
+        return block
+    return _BitmaskBlock(edges, lo, hi, block.side,
+                         Bitmask.from_indices(cells, block.edge_offsets()))

@@ -6,8 +6,10 @@ The power iteration
 
     p_k = α A' (w ∘ p_{k-1}) + (1 − α)/n
 
-then only ever touches A' — which lives as bitmask blocks — and two
-cheap vector operations. Dangling vertices (out-degree zero) get w = 0,
+then only ever touches A' — stored once, as blocks that each slice
+their partition's one edge list (a bitmask rides along in sparse mode),
+so the spmv is one scatter per partition — and two cheap vector
+operations. Dangling vertices (out-degree zero) get w = 0,
 matching the basic algorithm the paper says it uses.
 """
 

@@ -36,6 +36,7 @@ def test_report_is_exact_counters_over_fixed_constants():
     ) / 117e6
     assert report.scheduling_s == delta.tasks_launched * 0.005
     assert report.disk_s == (
-        delta.disk_read_bytes + delta.disk_write_bytes) / 150e6
+        delta.disk_read_bytes + delta.disk_write_bytes
+        + delta.store_read_bytes + delta.store_write_bytes) / 150e6
     assert report.modeled_s == (report.wall_clock_s + report.network_s
                                 + report.scheduling_s + report.disk_s)

@@ -100,7 +100,7 @@ class TestSaveLoad:
         assert count == 16 * 16
         # only one 16x16 chunk's slot was read from disk
         single_chunk_bytes = max(slot_bytes(tmp_path / "store").values())
-        assert delta.disk_read_bytes <= single_chunk_bytes * 1.5
+        assert delta.store_read_bytes <= single_chunk_bytes * 1.5
 
     def test_save_overwrites_stale_chunks(self, ctx, tmp_path):
         arr, _d, _v = random_array(ctx, density=1.0, seed=2)
@@ -120,11 +120,23 @@ class TestSaveLoad:
         before = ctx.metrics.snapshot()
         save_array(arr, tmp_path / "store")
         delta = ctx.metrics.snapshot() - before
-        assert delta.disk_write_bytes > 0
+        assert delta.store_write_bytes > 0
+        assert delta.disk_write_bytes == 0    # the spill tier's counter
         before = ctx.metrics.snapshot()
         load_array(ctx, tmp_path / "store").count_valid()
         delta = ctx.metrics.snapshot() - before
-        assert delta.disk_read_bytes > 0
+        assert delta.store_read_bytes > 0
+        assert delta.disk_read_bytes == 0
+
+    def test_cost_model_charges_store_bytes(self, ctx, tmp_path):
+        arr, _d, _v = random_array(ctx, seed=3)
+        with ctx.measure() as measurement:
+            save_array(arr, tmp_path / "store")
+            load_array(ctx, tmp_path / "store").count_valid()
+        delta = measurement.delta
+        assert delta.disk_read_bytes == delta.disk_write_bytes == 0
+        assert measurement.report.disk_s == (
+            delta.store_read_bytes + delta.store_write_bytes) / 150e6 > 0
 
     def test_disk_io_charges_exact_bytes(self, ctx, tmp_path):
         """Writes charge the partition files' bytes; reads charge the
@@ -132,19 +144,19 @@ class TestSaveLoad:
         arr, _d, _v = random_array(ctx, density=0.6, seed=3)
         before = ctx.metrics.snapshot()
         save_array(arr, tmp_path / "store")
-        written = (ctx.metrics.snapshot() - before).disk_write_bytes
+        written = (ctx.metrics.snapshot() - before).store_write_bytes
         assert written == sum(path.stat().st_size
                               for path in (tmp_path / "store").glob("part_*"))
         spans = slot_bytes(tmp_path / "store")
         before = ctx.metrics.snapshot()
         load_array(ctx, tmp_path / "store").count_valid()
-        assert (ctx.metrics.snapshot() - before).disk_read_bytes \
+        assert (ctx.metrics.snapshot() - before).store_read_bytes \
             == sum(spans.values())
         window = load_array(ctx, tmp_path / "store",
                             region=((10, 20), (30, 40)))
         before = ctx.metrics.snapshot()
         window.count_valid()
-        assert (ctx.metrics.snapshot() - before).disk_read_bytes \
+        assert (ctx.metrics.snapshot() - before).store_read_bytes \
             == sum(spans[cid] for cid in window._chunk_ids)
 
     def test_lazy_read_in_tasks(self, ctx, tmp_path):
@@ -153,9 +165,9 @@ class TestSaveLoad:
         before = ctx.metrics.snapshot()
         loaded = load_array(ctx, tmp_path / "store")
         # building the RDD reads nothing; the action does
-        assert (ctx.metrics.snapshot() - before).disk_read_bytes == 0
+        assert (ctx.metrics.snapshot() - before).store_read_bytes == 0
         loaded.count_valid()
-        assert (ctx.metrics.snapshot() - before).disk_read_bytes > 0
+        assert (ctx.metrics.snapshot() - before).store_read_bytes > 0
 
     @pytest.mark.parametrize("mode", list(ChunkMode))
     def test_loaded_chunks_keep_their_stored_mode(self, ctx, tmp_path,
@@ -446,7 +458,7 @@ def test_process_backend_round_trip_matches_serial(mixed, tmp_path):
         records, _loaded = round_trip(ctx, array, tmp_path / "process",
                                       case["load_parts"])
         delta = ctx.metrics.snapshot() - before
-        assert delta.disk_read_bytes == sum(
+        assert delta.store_read_bytes == sum(
             slot_bytes(tmp_path / "process").values())
     runs = load_manifest(tmp_path / "process")["runs"]
     assert (len(runs) > len({run["file"] for run in runs})) == mixed

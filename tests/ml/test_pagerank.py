@@ -149,7 +149,7 @@ class TestPageRank:
 
 
 class TestSparseKernels:
-    """The cached per-partition edge lists behind ``spmv``."""
+    """Blocks as slices of one edge list per partition, behind ``spmv``."""
 
     def _graph(self, ctx, balance="hash"):
         rng = np.random.default_rng(17)
@@ -190,24 +190,78 @@ class TestSparseKernels:
         assert ranks[0].tobytes() == ranks[2].tobytes()
         assert np.allclose(ranks[0], reference, rtol=0.0, atol=1e-10)
 
-    def test_edge_list_pickle_roundtrip(self, ctx):
-        graph, _edges = self._graph(ctx)
-        for edges in graph.edge_lists().collect():
-            clone = pickle.loads(pickle.dumps(edges))
-            assert clone.rows.dtype == edges.rows.dtype == np.int32
-            assert clone.rows.tobytes() == edges.rows.tobytes()
-            assert clone.cols.tobytes() == edges.cols.tobytes()
-            assert clone.nbytes == edges.nbytes
+    @pytest.mark.parametrize("mode", ["super_sparse", "sparse"])
+    def test_cache_holds_one_copy(self, ctx, mode):
+        # blocks slice one edge list per partition: the cache holds the
+        # paper form (offsets or mask), plus 8 B per edge for a mask
+        # block's slice, plus 16 B of (cid, block) framing per record
+        rng = np.random.default_rng(17)
+        edges = rng.integers(0, 256, size=(2000, 2))
+        graph = BitmaskGraph.from_edges(ctx, edges, 256, block_size=64,
+                                        mode=mode).cache()
+        pagerank(graph, max_iterations=2)
+        rdd = graph.rdd
+        assert ctx.cache.block_count() == rdd.num_partitions
+        assert all(ctx.cache.contains(rdd.rdd_id, index)
+                   for index in range(rdd.num_partitions))
+        blocks = rdd.collect()
+        slices = 8 * graph.num_edges() if mode == "sparse" else 0
+        excess = ctx.cache.used_bytes() - graph.memory_bytes() - slices
+        assert 0 <= excess <= 16 * len(blocks)
+        for _cid, block in blocks:
+            if mode == "sparse":
+                assert block.mask.indices().tobytes() \
+                    == block.edge_offsets().tobytes()
+            else:
+                assert not hasattr(block, "mask")
 
-    def test_twin_costs_at_most_eight_bytes_per_edge(self, ctx):
-        graph, edges = self._graph(ctx)
-        twin = sum(part.nbytes for part in graph.edge_lists().collect())
-        assert graph.num_edges() == len(edges)
-        assert twin <= 8 * len(edges)
+    @pytest.mark.parametrize("config", [dict(), dict(backend="process")],
+                             ids=["serial", "process"])
+    def test_spmv_is_sequential_scatter_across_backends(self, config):
+        # the oracle: distinct edges ordered partition -> block ->
+        # offset, one np.add.at per partition, partials summed in
+        # partition order
+        rng = np.random.default_rng(23)
+        n, side = 300, 70
+        edges = rng.integers(0, n, size=(4000, 2))
+        x = rng.random(n)
+        with ClusterContext(num_executors=2, **config) as context:
+            graph = BitmaskGraph.from_edges(
+                context, edges, n, block_size=side, num_partitions=4,
+                balance="nnz").cache()
+            spread = graph.spmv(x)
+            partition = graph.rdd.partitioner.partition
+        src, dst = np.unique(edges, axis=0).T
+        grid = -(-n // side)
+        cids = dst // side + src // side * grid
+        offsets = dst % side + src % side * side
+        parts = np.array([partition(int(cid)) for cid in cids])
+        order = np.lexsort((offsets, cids, parts))
+        expected = np.zeros(n)
+        for part in range(4):
+            picked = order[parts[order] == part]
+            partial = np.zeros(n)
+            np.add.at(partial, dst[picked], x[src[picked]])
+            expected += partial
+        assert spread.tobytes() == expected.tobytes()
 
-    def test_edge_lists_cached_once(self, ctx):
+    def test_cached_partition_pickles_with_one_edge_list(self, ctx):
         graph, _edges = self._graph(ctx)
-        assert graph.edge_lists() is graph.edge_lists()
+        graph.num_edges()
+        rdd = graph.rdd
+        shared = 0
+        for index in range(rdd.num_partitions):
+            found, part = ctx.cache.get(rdd.rdd_id, index)
+            assert found
+            clone = pickle.loads(pickle.dumps(part))
+            lists = {id(block.edges) for _cid, block in clone}
+            assert len(lists) <= 1
+            for _cid, block in clone:
+                assert block.edges.rows.dtype == np.int32
+                assert block.edges.rows.size \
+                    == sum(b.edge_count for _c, b in clone)
+            shared += len(clone) > 1
+        assert shared   # some partition really holds several blocks
 
     @pytest.mark.parametrize("edges", [[], np.zeros((0, 2))])
     def test_empty_edge_list(self, ctx, edges):
