@@ -11,12 +11,12 @@ An :class:`Aggregator` is the paper's four-function abstraction:
 aggregates stay numpy-fast; a scalar-at-a-time user function can be
 wrapped with :func:`scalar_aggregator`.
 
-Group-bys (``aggregate_by``, ``window_aggregate``) fold a chunk into
-one fresh state per group with the grouped form
-``accumulate_groups(values, starts)``: values sorted by group, group
-``g`` starting at ``starts[g]`` (numpy's ``reduceat`` convention). Its
-default runs ``initialize`` and ``accumulate`` per group, so every
-Aggregator works; the five builtins override it with one numpy pass.
+Group-bys (``aggregate_by``, ``window_aggregate``) fold a partition
+into one fresh state per group with ``accumulate_groups(values,
+starts)`` (values sorted by group, group ``g`` from ``starts[g]``:
+numpy's ``reduceat`` convention) and evaluate merged states with
+``evaluate_groups``: per state on lists by default, one numpy pass
+over a packed state column (:mod:`repro.engine.batches`) for builtins.
 
 The Accumulator — running (prefix) accumulation along an axis — is
 :func:`repro.core.accumulate.accumulate_axis`.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.batches import PairValues, ScalarValues
 from repro.errors import ArrayError
 
 
@@ -40,10 +41,9 @@ class Aggregator:
     def accumulate(self, state, values: np.ndarray):
         raise NotImplementedError
 
-    def accumulate_groups(self, values: np.ndarray, starts: np.ndarray
-                          ) -> list:
+    def accumulate_groups(self, values: np.ndarray, starts: np.ndarray):
         """One fresh state per group of ``values`` (sorted by group,
-        group ``g`` starting at ``starts[g]``; no group is empty)."""
+        group ``g`` from ``starts[g]``; none empty): a list here."""
         return [self.accumulate(self.initialize(), group)
                 for group in np.split(values, starts[1:])]
 
@@ -52,6 +52,13 @@ class Aggregator:
 
     def evaluate(self, state):
         return state
+
+    def evaluate_groups(self, states):
+        """``evaluate`` of each state: a float64 array, or a list where
+        None leaves a cell invalid (packed states are the builtins')."""
+        if isinstance(states, ScalarValues):
+            return states.data.astype(np.float64)
+        return [self.evaluate(state) for state in states]
 
 
 class SumAggregator(Aggregator):
@@ -64,7 +71,8 @@ class SumAggregator(Aggregator):
         return state + float(np.add.reduce(values))
 
     def accumulate_groups(self, values, starts):
-        return np.add.reduceat(values.astype(float), starts).tolist()
+        return ScalarValues(np.add.reduceat(values.astype(float), starts),
+                            "float")
 
     def merge(self, a, b):
         return a + b
@@ -80,7 +88,7 @@ class CountAggregator(Aggregator):
         return state + int(values.size)
 
     def accumulate_groups(self, values, starts):
-        return np.diff(starts, append=values.size).tolist()
+        return ScalarValues(np.diff(starts, append=values.size), "int")
 
     def merge(self, a, b):
         return a + b
@@ -101,7 +109,8 @@ class MinAggregator(Aggregator):
         return self.merge(state, float(self._ufunc.reduce(values)))
 
     def accumulate_groups(self, values, starts):
-        return self._ufunc.reduceat(values, starts).astype(float).tolist()
+        return ScalarValues(
+            self._ufunc.reduceat(values, starts).astype(float), "float")
 
     def merge(self, a, b):
         if a is None:
@@ -131,9 +140,8 @@ class AvgAggregator(Aggregator):
                 state[1] + int(values.size))
 
     def accumulate_groups(self, values, starts):
-        return list(zip(SumAggregator().accumulate_groups(values, starts),
-                        CountAggregator().accumulate_groups(values,
-                                                            starts)))
+        return PairValues(*(kind().accumulate_groups(values, starts)
+                            for kind in (SumAggregator, CountAggregator)))
 
     def merge(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -141,6 +149,11 @@ class AvgAggregator(Aggregator):
     def evaluate(self, state):
         total, count = state
         return total / count if count else None
+
+    def evaluate_groups(self, states):
+        if isinstance(states, PairValues):      # (sum, count) columns
+            return states.first.data / states.second.data
+        return super().evaluate_groups(states)
 
 
 def scalar_aggregator(name, initialize, accumulate_one, merge,
@@ -194,6 +207,7 @@ _KERNEL_AGGREGATORS = {
     CountAggregator: "sum",
     MinAggregator: "min",
     MaxAggregator: "max",
+    AvgAggregator: "pair_sum",
 }
 
 

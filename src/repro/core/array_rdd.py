@@ -28,8 +28,6 @@ renders the plan without compiling anything into the array's state.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 import numpy as np
 
 from repro.core import mapper
@@ -46,7 +44,7 @@ from repro.core.plan import (
     RepackKernel,
     ScalarOpKernel,
 )
-from repro.engine import HashPartitioner, StorageLevel
+from repro.engine import HashPartitioner, RecordBatch, StorageLevel
 from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
 from repro.engine.partitioner import ExplicitPartitioner
 from repro.errors import ArrayError, ModeError, ShapeMismatchError
@@ -85,10 +83,13 @@ class _CountValid:
 
 
 class _CellPartials:
-    """Map side of ``aggregate_cells``: each chunk's valid cells fold
-    into one state per output cell key (``accumulate_groups``)."""
+    """Sink of ``aggregate_cells``: each chunk's cells fold into one
+    state per output cell key, in one ``accumulate_groups`` for the
+    partition: one :class:`RecordBatch` of keys and packed states, or
+    ``(key, state)`` records if the states are a list (a user's)."""
 
     __slots__ = ("meta", "out_meta", "axes", "window", "agg")
+    label = "cell_partials"
 
     def __init__(self, meta, out_meta, axes, window, agg):
         self.meta = meta
@@ -98,44 +99,63 @@ class _CellPartials:
         self.agg = agg
 
     def _keys(self, chunk_id, offsets) -> np.ndarray:
-        """Output keys of the cells at ``offsets`` of chunk ``chunk_id``:
-        Algorithm 1 on the output metadata is a sum of per-axis terms,
-        each looked up by the cell's local coordinate on that axis."""
-        meta, out = self.meta, self.out_meta
+        """Output keys of chunk ``chunk_id``'s cells at ``offsets``: a sum
+        of per-axis terms (Algorithm 1 on the output metadata), those of
+        the leading axes (about sqrt(cells)) and the rest summed into two
+        small tables, read at ``divmod(offset, low.size)``."""
+        meta, out, shape = self.meta, self.out_meta, self.meta.chunk_shape
+        split = next(k for k in range(meta.ndim + 1)
+                     if int(np.prod(shape[:k])) ** 2 >= meta.cells_per_chunk)
         origin = mapper.chunk_origin(meta, chunk_id)
-        keys = np.zeros(offsets.size, dtype=np.int64)
+        tables = [np.zeros(shape[:split], dtype=np.int64),
+                  np.zeros(shape[split:], dtype=np.int64)]
         chunk_stride, offset_stride = out.cells_per_chunk, 1
         for j, axis in enumerate(self.axes):
-            extent = meta.chunk_shape[axis]
-            pos = (np.arange(extent, dtype=np.int64)
+            pos = (np.arange(shape[axis], dtype=np.int64)
                    + (origin[axis] - meta.starts[axis])) // self.window[j]
             grid_pos, local = np.divmod(pos, out.chunk_shape[j])
-            term = grid_pos * chunk_stride + local * offset_stride
-            in_stride = int(np.prod(meta.chunk_shape[:axis]))
-            keys += term[offsets // in_stride % extent]
+            table, at = (tables[0], axis) if axis < split \
+                else (tables[1], axis - split)
+            table += (grid_pos * chunk_stride + local * offset_stride) \
+                .reshape([-1 if a == at else 1 for a in range(table.ndim)])
             chunk_stride *= out.chunk_grid[j]
             offset_stride *= out.chunk_shape[j]
+        low, high = (table.ravel(order="F") for table in tables)
+        keys = low[offsets % low.size]
+        if max(self.axes) >= split:
+            keys += high[offsets // low.size]
         return keys
 
-    def __call__(self, part):
-        records = []
-        for chunk_id, chunk in part:
-            offsets = chunk.indices()
-            if offsets.size == 0:
-                continue
-            keys = self._keys(chunk_id, offsets)
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            states = self.agg.accumulate_groups(chunk.values()[order],
-                                                starts)
-            records.extend(zip(keys[starts].tolist(), states))
-        return records
+    def __call__(self, batch):
+        if not batch.starts[-1]:
+            return []
+        local = batch.offsets - np.repeat(batch.base, batch.counts())
+        keys, order, new = [], [], []
+        for chunk_id, offsets, first in zip(
+                batch.ids, batch.views(local), batch.starts.tolist()):
+            if offsets.size:
+                chunk_keys = self._keys(chunk_id, offsets)
+                # the same stable order, radix-sorted when it fits uint16
+                rel = chunk_keys - chunk_keys.min()
+                sort = np.argsort(rel if rel.max() >> 16
+                                  else rel.astype(np.uint16), kind="stable")
+                keys.append(chunk_keys[sort])
+                order.append(sort + first)
+                # a group starts at a chunk's first cell or a new key
+                new.append(np.empty(offsets.size, dtype=bool))
+                new[-1][0] = True
+                np.not_equal(keys[-1][1:], keys[-1][:-1], out=new[-1][1:])
+        starts = np.flatnonzero(np.concatenate(new))
+        keys = np.concatenate(keys)[starts]
+        states = self.agg.accumulate_groups(
+            batch.values[np.concatenate(order)], starts)
+        return list(zip(keys.tolist(), states)) \
+            if isinstance(states, list) else RecordBatch(keys, states)
 
 
 class _BuildChunks:
     """Reduce side of ``aggregate_cells``: evaluate the merged states
-    and build the output chunks this partition owns."""
+    in one ``evaluate_groups`` and build this partition's chunks."""
 
     __slots__ = ("meta", "agg")
 
@@ -146,17 +166,17 @@ class _BuildChunks:
     def __call__(self, part):
         if not part:
             return
-        keys = np.fromiter(map(itemgetter(0), part), dtype=np.int64,
-                           count=len(part))
-        values = list(map(self.agg.evaluate, map(itemgetter(1), part)))
-        if None in values:
-            # a state that evaluates to None leaves its cell invalid
-            keys = keys[[value is not None for value in values]]
-            values = [value for value in values if value is not None]
+        keys, states = (part.keys, part.values) \
+            if isinstance(part, RecordBatch) else zip(*part)
+        values = self.agg.evaluate_groups(states)
+        if isinstance(values, list):
+            keep = [value is not None for value in values]  # else invalid
+            keys = np.array(keys, dtype=np.int64)[keep]
+            values = np.array([value for value in values
+                               if value is not None], dtype=np.float64)
         cells_per_chunk = self.meta.cells_per_chunk
         for chunk_id, offsets, cell_values in mapper.runs_by_chunk(
-                *np.divmod(keys, cells_per_chunk),
-                np.array(values, dtype=np.float64)):
+                *np.divmod(keys, cells_per_chunk), values):
             yield chunk_id, Chunk.from_sparse(cells_per_chunk, offsets,
                                               cell_values)
 
@@ -167,8 +187,8 @@ def aggregate_cells(array, out_meta, agg, axes, window,
 
     Input cell ``c`` folds into output cell ``(c[axes] - starts[axes])
     // window + out_meta.starts``, keyed ``out_chunk_id *
-    cells_per_chunk + local_offset``. One ``reduce_by_key`` on plain
-    ``(key, state)`` records (so the columnar shuffle packs them) places
+    cells_per_chunk + local_offset``. The partials sink the array's
+    pending plan, and one ``reduce_by_key`` over their columns places
     keys by output chunk ID; each reduce partition builds its chunks.
     """
     cells_per_chunk = out_meta.cells_per_chunk
@@ -180,9 +200,8 @@ def aggregate_cells(array, out_meta, agg, axes, window,
         num_partitions, lambda key: key // cells_per_chunk,
         tag=("output-chunk", cells_per_chunk),
         array_func=lambda keys: keys // cells_per_chunk)
-    chunks = array.rdd \
-        .map_partitions(_CellPartials(array.meta, out_meta, axes, window,
-                                      agg)) \
+    chunks = array._reduce(_CellPartials(array.meta, out_meta, axes,
+                                         window, agg)) \
         .reduce_by_key(agg.merge, partitioner=by_chunk,
                        combine_kernel=combine_kernel_for(agg)) \
         .map_partitions(_BuildChunks(out_meta, agg))

@@ -56,8 +56,10 @@ def window_aggregate(array: ArrayRDD, window_shape, aggregator="avg",
         dtype=np.float64,
         attribute=f"{agg.name}_{meta.attribute}")
 
+    # the base's count: reading ``array.rdd`` would compile (and count)
+    # the pending plan that the partials sink lowers again
     return aggregate_cells(array, out_meta, agg, range(meta.ndim),
-                           window_shape, array.rdd.num_partitions)
+                           window_shape, array._base.num_partitions)
 
 
 def window_counts(array: ArrayRDD, window_shape) -> ArrayRDD:

@@ -7,6 +7,11 @@ bucket as ``(key_array, value_payload_buffer, offsets, bitmask_words)``
 with exact ``nbytes`` accounting, and the combine kernels fold values on
 sorted key runs in one numpy pass.
 
+The shuffle packs a partition of tuples itself, or a map function hands
+it over as one ``RecordBatch`` (``aggregate_by``'s keys and states)
+that is folded, bucketed and merged with no tuple built; a
+kernel-merged reduce partition stays one, iterating to its records.
+
 The contract is strict: everything here must be **byte-identical** to
 the generic per-record path (the dict-based combine/merge in
 ``engine/rdd.py``) — same record order, same Python value types, same
@@ -355,6 +360,9 @@ class RecordBatch:
         """The original ``(key, value)`` tuples, byte-identical."""
         return list(zip(self.keys.tolist(), self.values.unpack()))
 
+    def __iter__(self):
+        return iter(self.records())
+
     def __repr__(self) -> str:
         return (f"<RecordBatch n={len(self)} "
                 f"values={type(self.values).__name__} "
@@ -444,6 +452,40 @@ def combine_runs(keys: np.ndarray, data: np.ndarray, kernel: str):
     return sorted_keys[starts][appearance], combined[appearance]
 
 
-#: kernels understood by :func:`combine_runs`; ``combine_kernel=``
+def combine_column(keys: np.ndarray, values, kernel: str):
+    """:func:`combine_runs` over a packed column: ``(keys, values)``, or
+    None when the column or a guard refuses. :class:`ScalarValues` fold
+    under "sum" | "min" | "max", :class:`PairValues` under "pair_sum"
+    (each half summed)."""
+    if kernel == "pair_sum" and type(values) is PairValues:
+        halves = [combine_column(keys, half, "sum")
+                  for half in (values.first, values.second)]
+        return None if None in halves else (
+            halves[0][0], PairValues(halves[0][1], halves[1][1]))
+    if kernel == "pair_sum" or type(values) is not ScalarValues:
+        return None
+    combined = combine_runs(keys, values.data, kernel)
+    return None if combined is None else (
+        combined[0], ScalarValues(combined[1], values.pykind))
+
+
+def concat_values(columns):
+    """``columns`` as one column, in order, or None unless all are
+    :class:`ScalarValues` of one Python kind or all :class:`PairValues`
+    whose halves are."""
+    first = columns[0]
+    if all(type(column) is PairValues for column in columns):
+        halves = [concat_values([column.first for column in columns]),
+                  concat_values([column.second for column in columns])]
+        return None if None in halves else PairValues(*halves)
+    if all(type(column) is ScalarValues and column.pykind == first.pykind
+           for column in columns):
+        return ScalarValues(np.concatenate([column.data
+                                            for column in columns]),
+                            first.pykind)
+    return None
+
+
+#: kernels understood by :func:`combine_column`; ``combine_kernel=``
 #: arguments are validated against this set
-COMBINE_KERNELS = ("sum", "min", "max")
+COMBINE_KERNELS = ("sum", "min", "max", "pair_sum")

@@ -65,10 +65,10 @@ def combine_by_key(rdd: RDD, create_combiner, merge_value, merge_combiners,
                    combine_kernel=None) -> RDD:
     """Generic shuffle-based aggregation (Spark's ``combineByKey``).
 
-    ``combine_kernel`` ("sum" | "min" | "max") opts the shuffle into
-    the vectorized columnar combine; declaring it promises that
-    ``create_combiner`` is the identity and that both merge functions
-    equal the kernel's scalar fold (see :class:`ShuffledRDD`).
+    ``combine_kernel`` ("sum" | "min" | "max" | "pair_sum") opts the
+    shuffle into the vectorized columnar combine; declaring it promises
+    that ``create_combiner`` is the identity and that both merge
+    functions equal the kernel's scalar fold (see :class:`ShuffledRDD`).
     """
     partitioner = _default_partitioner(rdd, partitioner)
     return ShuffledRDD(rdd, partitioner, create_combiner, merge_value,

@@ -24,8 +24,8 @@ from repro.engine import batches
 from repro.engine import shm as shm_mod
 from repro.engine.batches import (
     RecordBatch,
-    ScalarValues,
-    combine_runs,
+    combine_column,
+    concat_values,
     group_indices_by_partition,
     pack_int_keys,
     pack_values,
@@ -183,6 +183,15 @@ def _add(a, b):
 def _keep(parts, indices) -> dict:
     """``{index: parts[index]}`` for the partitions a task reads."""
     return {index: parts[index] for index in indices}
+
+
+def _columns(part):
+    """``(records, keys, values)``: a :class:`RecordBatch`'s columns, or
+    a record list and its packed keys (None if they don't pack)."""
+    if isinstance(part, RecordBatch):
+        return None, part.keys, part.values
+    records = list(part)
+    return records, pack_int_keys(records), None
 
 
 class RDD:
@@ -586,8 +595,9 @@ class MapPartitionsRDD(RDD):
         self._func = func
 
     def compute(self, index: int) -> list:
-        parent = self.dependencies[0]
-        return list(self._func(index, parent.iterator(index)))
+        """``func``'s output: a list, or one :class:`RecordBatch`."""
+        out = self._func(index, self.dependencies[0].iterator(index))
+        return out if isinstance(out, RecordBatch) else list(out)
 
     def parent_partitions(self, index: int) -> list:
         return [(self.dependencies[0], index)]
@@ -730,15 +740,10 @@ class _ShuffleStageBase(RDD):
     # map side
     # ------------------------------------------------------------------
 
-    def _map_side(self, records, keys):
-        """The map-side step before bucketing; the base passes through.
-
-        ``keys`` is the packed int64 key column of ``records`` (None
-        when keys don't pack). Returns ``(records, keys, values)``:
-        ``values`` is a packed value column when the step already built
-        one, and ``records`` may then be None.
-        """
-        return records, keys, None
+    def _map_side(self, part):
+        """The map-side step on a partition before bucketing; the base
+        passes it through."""
+        return part
 
     def _map_task(self, which: int, parent_index: int):
         """One shuffle map task: bucket one partition of parent
@@ -747,15 +752,14 @@ class _ShuffleStageBase(RDD):
         Each map task owns its buckets, so tasks run with no shared
         state; the reduce-side merge concatenates them in parent order.
         Buckets are :class:`RecordBatch` packed blocks when the keys
-        pack, ``partition_array`` accepts them and the values pack —
-        one numpy pass for partition ids, one stable argsort for
-        grouping, which preserves the map-side step's record order
-        within every bucket — and lists of ``(key, value)`` pairs
+        and values pack (or come as one batch) and ``partition_array``
+        accepts the keys — one numpy pass for partition ids, one stable
+        argsort for grouping, which keeps the map-side step's record
+        order within every bucket — and lists of ``(key, value)`` pairs
         otherwise. Returns ``(buckets, records, bytes, batch_stats)``.
         """
-        records = list(self.dependencies[which].iterator(parent_index))
-        records, keys, values = self._map_side(records,
-                                               pack_int_keys(records))
+        records, keys, values = _columns(
+            self._map_side(self.dependencies[which].iterator(parent_index)))
         pids = None
         if keys is not None:
             pids = self.partitioner.partition_array(keys)
@@ -857,8 +861,9 @@ class ShuffledRDD(_ShuffleStageBase):
     With ``map_side_combine`` each map task folds its partition before
     bucketing and the reduce side merges combiners; without it the
     reduce side creates and merges raw values. When ``combine_kernel``
-    names a commutative scalar kernel ("sum" | "min" | "max") the folds
-    run over sorted key runs in one numpy pass. Declaring a kernel
+    names a commutative kernel ("sum" | "min" | "max", or "pair_sum"
+    over 2-tuples) the folds run over sorted key runs in one numpy
+    pass, and the merged partition stays a batch. Declaring a kernel
     promises that ``create_combiner`` is the identity and that
     ``merge_value``/``merge_combiners`` both equal the kernel's scalar
     fold; the packed path is byte-identical to the generic dict fold
@@ -890,75 +895,46 @@ class ShuffledRDD(_ShuffleStageBase):
                 combined[key] = self._create(value)
         return combined
 
-    def _kernel_combine(self, records, keys):
-        """The vectorized fold of ``records`` over sorted key runs:
-        ``(keys, ScalarValues)``, or None when no kernel is declared or
-        the keys, values or numeric guards refuse."""
-        if self._combine_kernel is None or keys is None:
-            return None
-        values = pack_values([rec[1] for rec in records])
-        if not isinstance(values, ScalarValues):
-            return None
-        combined = combine_runs(keys, values.data, self._combine_kernel)
-        if combined is None:
-            return None
-        return combined[0], ScalarValues(combined[1], values.pykind)
+    def _fold(self, part):
+        """The partition combined by key in first-appearance order (the
+        dict combine's): a :class:`RecordBatch` if the declared kernel
+        folds its columns, else the dict combine's record list."""
+        if self._combine_kernel is not None:
+            records, keys, values = _columns(part)
+            if keys is not None and values is None:
+                values = pack_values([rec[1] for rec in records])
+            combined = combine_column(keys, values, self._combine_kernel)
+            if combined is not None:
+                return RecordBatch(*combined)
+        return list(self._combine_partition(part).items())
 
-    def _map_side(self, records, keys):
-        """Fold the partition before bucketing (with map-side combine).
-
-        The fold keeps first-appearance key order, exactly the dict
-        combine's insertion order, so bucketing sees the same records
-        whichever fold ran.
-        """
-        if not self._map_side_combine:
-            return records, keys, None
-        combined = self._kernel_combine(records, keys)
-        if combined is not None:
-            return None, combined[0], combined[1]
-        records = list(self._combine_partition(records).items())
-        if keys is not None:
-            keys = pack_int_keys(records)
-        return records, keys, None
+    def _map_side(self, part):
+        """Fold the partition before bucketing (with map-side combine);
+        bucketing sees the same records whichever fold ran."""
+        return self._fold(part) if self._map_side_combine else part
 
     def shuffle_label(self, which: int) -> str:
         return self.name
 
     def _merge_columnar(self, segments):
-        """Vectorized reduce-side merge, or None to fall back.
-
-        Engages only when every segment arriving at this reducer is a
-        packed scalar batch of the same python kind and a combine
-        kernel is declared; the segments are concatenated in arrival
-        (= parent partition) order, so the run fold replays the exact
-        add sequence of the generic dict merge.
+        """Vectorized reduce-side merge into one :class:`RecordBatch`,
+        or None to fall back. Engages only when a combine kernel is
+        declared and every segment is a batch whose columns concatenate;
+        they do so in arrival (= parent partition) order, so the run
+        fold replays the exact add sequence of the generic dict merge.
         """
-        if self._combine_kernel is None or not segments:
+        if self._combine_kernel is None or not segments or not all(
+                isinstance(segment, RecordBatch) for segment in segments):
             return None
-        key_parts = []
-        data_parts = []
-        pykind = None
-        for segment in segments:
-            if not isinstance(segment, RecordBatch):
-                return None
-            values = segment.values
-            if not isinstance(values, ScalarValues):
-                return None
-            if pykind is None:
-                pykind = values.pykind
-            elif values.pykind != pykind:
-                return None
-            key_parts.append(segment.keys)
-            data_parts.append(values.data)
-        combined = combine_runs(np.concatenate(key_parts),
-                                np.concatenate(data_parts),
-                                self._combine_kernel)
-        if combined is None:
-            return None
-        out_keys, out_data = combined
-        return list(zip(out_keys.tolist(), out_data.tolist()))
+        values = concat_values([segment.values for segment in segments])
+        combined = combine_column(
+            np.concatenate([segment.keys for segment in segments]),
+            values, self._combine_kernel)
+        return combined and RecordBatch(*combined)
 
     def compute(self, index: int) -> list:
+        """The partition's merged records; a kernel-combined one is a
+        :class:`RecordBatch` (iterating it yields the records)."""
         if not self.wide_slots():
             # annotated but free: the parent is already partitioned the
             # way this shuffle wants, so nothing moves (Section VI-A)
@@ -966,15 +942,7 @@ class ShuffledRDD(_ShuffleStageBase):
             tracer = self.context.tracer
             with tracer.span("narrow_shuffle", "shuffle", narrow=True,
                              partition=index) as span:
-                records = list(parent.iterator(index))
-                keys = (pack_int_keys(records)
-                        if self._combine_kernel is not None else None)
-                combined = self._kernel_combine(records, keys)
-                if combined is None:
-                    out = list(self._combine_partition(records).items())
-                else:
-                    out = list(zip(combined[0].tolist(),
-                                   combined[1].unpack()))
+                out = self._fold(parent.iterator(index))
                 span.set(records=len(out))
             return out
         segments = self._reduce_segments(0, index)
@@ -988,8 +956,6 @@ class ShuffledRDD(_ShuffleStageBase):
             create, merge = self._create, self._merge_value
         merged = {}
         for segment in segments:
-            if isinstance(segment, RecordBatch):
-                segment = segment.records()
             for key, value in segment:
                 if key in merged:
                     merged[key] = merge(merged[key], value)
@@ -1023,8 +989,6 @@ class CoGroupedRDD(_ShuffleStageBase):
                 # one pseudo-segment: the parent partition itself
                 segments = [parent.iterator(index)]
             for segment in segments:
-                if isinstance(segment, RecordBatch):
-                    segment = segment.records()
                 for key, value in segment:
                     if key not in groups:
                         groups[key] = [[] for _ in range(arity)]

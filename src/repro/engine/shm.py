@@ -241,8 +241,9 @@ def write_segment(prefix: str, builder: SegmentBuilder, metrics=None):
 # decoding: per-process attachment cache
 # ----------------------------------------------------------------------
 
-#: name -> SharedMemory; mappings stay open for the process lifetime so
-#: zero-copy views into them remain valid however long results live
+#: name -> SharedMemory; mappings stay open so zero-copy views into them
+#: remain valid however long results live, except that a worker closes
+#: those of unlinked segments between tasks (:func:`release_unlinked`)
 _ATTACHED = {}
 _ATTACH_LOCK = threading.Lock()
 
@@ -281,21 +282,42 @@ def resolve_segment(segment, metrics=None):
     return segment
 
 
+def _close(segment) -> None:
+    """Close one cached mapping. One that decoded views still use cannot
+    close (BufferError): its fd is closed and the mapping left to the
+    views, unmapped when the last of them dies, so
+    ``SharedMemory.__del__``, which ignores only OSError, has nothing to
+    retry."""
+    try:
+        segment.close()
+    except BufferError:
+        if segment._fd >= 0:
+            os.close(segment._fd)
+            segment._fd = -1
+        segment._mmap = None
+
+
 def _release_attachments() -> None:
-    """Close every cached mapping. One that decoded views still use
-    cannot close (BufferError): its fd is closed and the mapping left to
-    the views, so ``SharedMemory.__del__``, which ignores only OSError,
-    has nothing to retry at exit."""
+    """Close every cached mapping."""
     with _ATTACH_LOCK:
         for segment in _ATTACHED.values():
-            try:
-                segment.close()
-            except BufferError:
-                if segment._fd >= 0:
-                    os.close(segment._fd)
-                    segment._fd = -1
-                segment._mmap = None
+            _close(segment)
         _ATTACHED.clear()
+
+
+def release_unlinked() -> None:
+    """Close the cached mappings of segments whose ``/dev/shm`` entry is
+    gone: the driver unlinked them with the shuffle that owned them.
+
+    A worker calls this when a task ends and the driver has released
+    segments since, so a segment's pages go with its last reader
+    instead of staying mapped for the worker's life."""
+    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
+        return
+    with _ATTACH_LOCK:
+        for name in [name for name in _ATTACHED
+                     if not os.path.exists(f"/dev/shm/{name}")]:
+            _close(_ATTACHED.pop(name))
 
 
 def _unlink_segment(name: str) -> None:
@@ -377,6 +399,9 @@ class SharedSegmentRegistry:
         self._metrics = metrics
         self._segments = {}        # name -> nbytes
         self._block_exports = {}   # (rdd_id, index) -> (data, handle)
+        #: release() calls so far; task payloads carry it, and a worker
+        #: looks for unlinked segments only when it has moved
+        self.releases = 0
         self._lock = threading.Lock()
         _LIVE_REGISTRIES.add(self)
 
@@ -422,6 +447,7 @@ class SharedSegmentRegistry:
     def release(self, *names: str) -> None:
         """Unlink segments (idempotent)."""
         with self._lock:
+            self.releases += 1
             for name in names:
                 self._segments.pop(name, None)
         for name in names:

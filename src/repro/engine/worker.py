@@ -277,14 +277,18 @@ def _export_map_output(out, prefix, metrics, created):
     return shipped, num_records, total_bytes, stats
 
 
-def _worker_entry(payload: bytes) -> bytes:
-    """Run one task in a worker process; returns the pickled reply."""
+def _worker_entry(payload: bytes):
+    """Run one task in a worker process; returns the pickled reply and
+    the driver registry's release count the payload carried (None if
+    it did not decode)."""
     metrics = MetricsRegistry()
     tracer = Tracer(enabled=False)
     cache = TaskBlockCache(metrics, {})
     created = []
+    releases = None
     try:
         data = task_loads(payload)
+        releases = data["releases"]
         tracer = Tracer(enabled=data["trace"])
         cache = TaskBlockCache(metrics, data["blocks"])
         context = WorkerContext(metrics, tracer, cache)
@@ -307,6 +311,11 @@ def _worker_entry(payload: bytes) -> bytes:
                       if tracer.enabled else [])
     reply["contributions"] = cache.contributions
     reply["segments"] = created
+    return _dump_reply(reply), releases
+
+
+def _dump_reply(reply: dict) -> bytes:
+    """``reply`` pickled, or as an error reply if it does not pickle."""
     try:
         return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
@@ -326,10 +335,20 @@ def _worker_entry(payload: bytes) -> bytes:
 # ----------------------------------------------------------------------
 
 def _serve(conn) -> None:
-    """A worker's loop: payload in, reply out, until the stop message."""
+    """A worker's loop: payload in, reply out, until the stop message.
+
+    After a reply, once the task's views are gone, a worker whose
+    driver has released segments since its last look unmaps those the
+    driver unlinked (:func:`~repro.engine.shm.release_unlinked`), while
+    the driver takes in the reply."""
+    seen = 0
     try:
         while payload := conn.recv_bytes():
-            conn.send_bytes(_worker_entry(payload))
+            reply, releases = _worker_entry(payload)
+            conn.send_bytes(reply)
+            if releases not in (None, seen):
+                seen = releases
+                shm_mod.release_unlinked()
     except EOFError:  # the driver is gone
         pass
 
@@ -502,6 +521,7 @@ class ProcessTaskRunner:
             "trace": context.tracer.enabled,
             "blocks": blocks,
             "prefix": context.shm_registry.prefix,
+            "releases": context.shm_registry.releases,
         }, overrides)
 
     def _absorb(self, task, reply, parent_span) -> None:

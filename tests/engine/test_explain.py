@@ -164,12 +164,13 @@ class TestFusedPipelines:
         rng = np.random.default_rng(3)
         arr = ArrayRDD.from_numpy(ctx, rng.random((32, 32)), (16, 16))
         first = (arr * 2.0).map_values(lambda a: a + 1.0)
-        # aggregate_by shuffles; the downstream side compiles its own
-        # fused pipeline over the aggregated chunks
+        # aggregate_by shuffles: the upstream pipeline ends in its cell
+        # partials sink, and the downstream side compiles its own fused
+        # pipeline over the aggregated chunks
         regrouped = first.aggregate_by((0,), "sum")
         second = (regrouped * 3.0).map_values(lambda a: a - 1.0)
         labels = fused_pipelines(second.rdd)
-        assert labels == ["fused[scalar_mul→map]",
+        assert labels == ["fused[scalar_mul→map→cell_partials]",
                           "fused[scalar_mul→map]"]
         # a cached mid-point keeps both pipelines in the plan
         second.cache().materialize()

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,46 @@ def test_aggregate_loop_holds_segments_flat_on_process():
         prefix = ctx.shm_registry.prefix
         assert counts == counts[:1] * 200
         assert len(leaked_segments(prefix)) == counts[0]
+
+
+def _mapped_segments(pid):
+    """The engine segments process ``pid`` has mapped, deleted or not."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {line.split("/dev/shm/", 1)[1].split()[0]
+                for line in maps if "/dev/shm/spgl-" in line}
+
+
+def _mapped_at_most(pid, limit, timeout=10.0) -> bool:
+    """Whether process ``pid`` maps at most ``limit`` engine segments
+    within ``timeout`` seconds (a worker unmaps after its reply)."""
+    deadline = time.monotonic() + timeout
+    while len(_mapped_segments(pid)) > limit:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_workers_unmap_unlinked_segments_on_process():
+    """A worker closes its mapping of a segment the driver unlinked
+    when its next task ends, so over 50 calls it never maps more
+    segments than ``/dev/shm`` holds (before, it kept every one it had
+    attached: about two per call)."""
+    cube = np.random.default_rng(0).random((64, 64, 16))
+    with ClusterContext(num_executors=2, backend="process",
+                        default_parallelism=4) as ctx:
+        arr = ArrayRDD.from_numpy(ctx, cube, (16, 16, 16)).cache()
+        arr.count_valid()
+        workers = [process.pid
+                   for process, _conn in ctx.process_runner.pool._workers]
+        for _ in range(50):
+            # the last result stays alive, the one before is dropped
+            out = arr.aggregate_by((0, 1))
+            out.sum()
+            live = leaked_segments(ctx.shm_registry.prefix)
+            for pid in workers:
+                assert _mapped_at_most(pid, len(live))
+        assert out.num_chunks_materialized() > 0
 
 
 def test_dropped_shuffle_releases_its_segments_on_process():
