@@ -45,7 +45,7 @@ from repro.core.plan import (
     ScalarOpKernel,
 )
 from repro.engine import HashPartitioner, RecordBatch, StorageLevel
-from repro.engine.batches import HASH_MODULUS as _KEY_LIMIT
+from repro.engine.partitioner import HASH_MODULUS as _KEY_LIMIT
 from repro.engine.partitioner import ExplicitPartitioner
 from repro.errors import ArrayError, ModeError, ShapeMismatchError
 

@@ -4,6 +4,12 @@ Spangle ingests data (CSV, NetCDF) by assigning every cell a chunk ID
 (Algorithm 1), grouping cells with equal IDs, and building payloads and
 bitmasks — all as one pipeline. Empty chunks are never created.
 
+Every operator that moves cells to new chunks runs that pipeline as
+:func:`cells_to_chunks`: one ``(chunk_id, (offsets, values))`` piece per
+source partition and destination chunk, one shuffle by chunk ID, one
+chunk built from its pieces in arrival order. Record ingest, ``rechunk``
+and ``permute_axes`` (so the matrix transpose) are its callers.
+
 The cell-record form is ``(coords_tuple, value)``.
 """
 
@@ -19,12 +25,21 @@ from repro.engine import HashPartitioner
 from repro.errors import IngestError
 
 
+def chunk_pieces(meta: ArrayMetadata, coords, values):
+    """One ``(chunk_id, (offsets, values))`` piece per chunk of ``meta``
+    that the ``(n, ndim)`` global ``coords`` land in, cells in input
+    order; a cell outside the array raises :class:`CoordinateError`."""
+    for chunk_id, offsets, run in mapper.runs_by_chunk(
+            *mapper.locate(meta, coords), values):
+        yield chunk_id, (offsets, run)
+
+
 # module-level task callables: tasks ship these to worker processes by
 # qualified name instead of serializing closure cells (see the note in
 # repro.engine.rdd)
 
-class _AssignChunkIds:
-    """Map one partition of cell records to ``(chunk_id, (offset, value))``."""
+class _RecordPieces:
+    """A partition of ``(coords, value)`` records as ``meta.dtype`` pieces."""
 
     __slots__ = ("meta",)
 
@@ -35,57 +50,55 @@ class _AssignChunkIds:
         meta = self.meta
         part = list(part)
         if not part:
-            return
+            return ()
         coords = np.array([record[0] for record in part], dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != meta.ndim:
             raise IngestError(
                 f"expected {meta.ndim}-d coordinates, got shape "
                 f"{coords.shape}"
             )
-        values = np.array([record[1] for record in part])
-        chunk_ids, offsets = mapper.locate(meta, coords)
-        if values.dtype != object:
-            # plain Python scalars, so the shuffle's columnar path can
-            # pack the (offset, value) pairs into one record batch
-            values = values.tolist()
-        for chunk_id, offset, value in zip(chunk_ids, offsets, values):
-            yield int(chunk_id), (int(offset), value)
+        values = np.array([record[1] for record in part], dtype=meta.dtype)
+        return chunk_pieces(meta, coords, values)
 
 
-class _BuildChunk:
-    """Assemble one chunk from its grouped ``(offset, value)`` pairs."""
+class _ChunkFromPieces:
+    """One chunk from its grouped ``(offsets, values)`` pieces."""
 
-    __slots__ = ("meta",)
+    __slots__ = ("num_cells",)
 
-    def __init__(self, meta):
-        self.meta = meta
+    def __init__(self, num_cells):
+        self.num_cells = num_cells
 
-    def __call__(self, pairs):
-        offsets = np.fromiter((p[0] for p in pairs), dtype=np.int64,
-                              count=len(pairs))
-        values = np.array([p[1] for p in pairs], dtype=self.meta.dtype)
-        return Chunk.from_sparse(self.meta.cells_per_chunk, offsets,
-                                 values)
+    def __call__(self, grouped):
+        return Chunk.from_sparse(self.num_cells,
+                                 np.concatenate([p[0] for p in grouped]),
+                                 np.concatenate([p[1] for p in grouped]))
+
+
+def cells_to_chunks(piece_rdd, meta: ArrayMetadata,
+                    num_partitions: int) -> ArrayRDD:
+    """The ArrayRDD whose chunks are built from ``piece_rdd``'s
+    ``(chunk_id, (offsets, values))`` pieces: one shuffle by chunk ID
+    into ``num_partitions`` hash partitions, then one chunk per ID."""
+    partitioner = HashPartitioner(num_partitions)
+    chunks = piece_rdd.group_by_key(partitioner=partitioner) \
+        .map_values(_ChunkFromPieces(meta.cells_per_chunk))
+    chunks.partitioner = partitioner
+    return ArrayRDD(chunks, meta, piece_rdd.context)
 
 
 def array_rdd_from_cell_rdd(context, cell_rdd, meta: ArrayMetadata,
                             num_partitions=None) -> ArrayRDD:
     """Build an ArrayRDD from an engine RDD of ``(coords, value)`` records.
 
-    The pipeline maps each record to ``(chunk_id, (offset, value))``,
-    shuffles by chunk ID, and assembles one chunk per group — the
-    map-then-reduce creation path of Section III-A.
+    Each partition's records become pieces that
+    :func:`cells_to_chunks` shuffles and builds — the map-then-reduce
+    creation path of Section III-A.
     """
     if num_partitions is None:
         num_partitions = context.default_parallelism
-    partitioner = HashPartitioner(num_partitions)
-    chunks = (
-        cell_rdd.map_partitions(_AssignChunkIds(meta))
-        .group_by_key(partitioner=partitioner)
-        .map_values(_BuildChunk(meta))
-    )
-    chunks.partitioner = partitioner
-    return ArrayRDD(chunks, meta, context)
+    return cells_to_chunks(cell_rdd.map_partitions(_RecordPieces(meta)),
+                           meta, num_partitions)
 
 
 def array_rdd_from_records(context, records, meta: ArrayMetadata,

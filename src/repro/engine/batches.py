@@ -62,11 +62,6 @@ __all__ = [
 # key column
 # ----------------------------------------------------------------------
 
-#: Python hashes ints modulo this Mersenne prime; keys at or beyond it
-#: no longer satisfy ``hash(k) == k`` and must take the generic path.
-HASH_MODULUS = (1 << 61) - 1
-
-
 def canonical_dtype(array: np.ndarray) -> np.ndarray:
     """``array`` viewed (zero-copy) through numpy's canonical dtype.
 
@@ -151,8 +146,8 @@ class ScalarValues:
 
 
 class PairValues:
-    """A column of uniform 2-tuples of scalars, e.g. ``(offset, value)``
-    cell records from the ingest pipeline."""
+    """A column of uniform 2-tuples of scalars, e.g. avg's
+    ``(sum, count)`` states."""
 
     __slots__ = ("first", "second")
 

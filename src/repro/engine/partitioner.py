@@ -17,9 +17,10 @@ import numpy as np
 
 from repro.errors import EngineError
 
-#: Python hashes ints modulo this Mersenne prime; int keys at or beyond
-#: it fall back to per-record hashing
-_HASH_MODULUS = (1 << 61) - 1
+#: Python hashes ints modulo this Mersenne prime: ``hash(k) == k`` holds
+#: only for int keys strictly inside it, so keys at or beyond it take the
+#: per-record path
+HASH_MODULUS = (1 << 61) - 1
 
 
 class Partitioner:
@@ -73,8 +74,8 @@ class HashPartitioner(Partitioner):
     def partition_array(self, keys):
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if (int(keys.max()) >= _HASH_MODULUS
-                or int(keys.min()) <= -_HASH_MODULUS):
+        if (int(keys.max()) >= HASH_MODULUS
+                or int(keys.min()) <= -HASH_MODULUS):
             # hash(k) != k once the modulus engages
             return None
         pids = keys % self.num_partitions
@@ -198,8 +199,8 @@ class NnzBalancedPartitioner(Partitioner):
     def partition_array(self, keys):
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if (int(keys.max()) >= _HASH_MODULUS
-                or int(keys.min()) <= -_HASH_MODULUS):
+        if (int(keys.max()) >= HASH_MODULUS
+                or int(keys.min()) <= -HASH_MODULUS):
             # the hash fallback diverges from ``key % n`` out there
             return None
         pids = keys % self.num_partitions

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import mapper
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk, ChunkMode
+from repro.core.ingest import chunk_pieces
 from repro.core.metadata import ArrayMetadata
-from repro.engine import HashPartitioner
+from repro.core.reshape import permute_axes
 from repro.errors import ArrayError, ShapeMismatchError
 from repro.matrix.offsets import encode_static
 from repro.matrix.vector import SpangleVector
@@ -62,11 +62,8 @@ class SpangleMatrix:
             raise ShapeMismatchError("rows/cols/values length mismatch")
         meta = ArrayMetadata(shape, block_shape, dim_names=("row", "col"))
         coords = np.stack([rows, cols], axis=1)
-        records = [
-            (cid, Chunk.from_sparse(meta.cells_per_chunk, offsets,
-                                    cell_values))
-            for cid, offsets, cell_values in mapper.runs_by_chunk(
-                *mapper.locate(meta, coords), values)]
+        records = [(cid, Chunk.from_sparse(meta.cells_per_chunk, *piece))
+                   for cid, piece in chunk_pieces(meta, coords, values)]
         array = ArrayRDD.from_chunks(context, records, meta,
                                      num_partitions)
         return cls(array)
@@ -169,47 +166,7 @@ class SpangleMatrix:
                 f"matrix has {self.shape[1]} columns but vector has "
                 f"{vector.size} entries"
             )
-        n_rows = self.shape[0]
-        block_rows, block_cols = self.block_shape
-        grid_rows = self.grid_rows
-        data = vector.data
-        as_block = self.block_as_ndarray
-
-        def partials(part):
-            partial = np.zeros(n_rows)
-            for chunk_id, chunk in part:
-                if chunk.valid_count == 0:
-                    continue
-                rb = chunk_id % grid_rows
-                cb = chunk_id // grid_rows
-                r0 = rb * block_rows
-                c0 = cb * block_cols
-                v_slice = data[c0:c0 + block_cols]
-                out_len = min(block_rows, n_rows - r0)
-                if _prefer_sparse_kernel(chunk):
-                    offsets = chunk.indices()
-                    local_rows = offsets % block_rows
-                    local_cols = offsets // block_rows
-                    contrib = np.bincount(
-                        local_rows,
-                        weights=chunk.values() * v_slice[local_cols],
-                        minlength=block_rows,
-                    )
-                else:
-                    block = as_block(chunk)
-                    if v_slice.size < block_cols:
-                        padded = np.zeros(block_cols)
-                        padded[:v_slice.size] = v_slice
-                        v_slice = padded
-                    contrib = block @ v_slice
-                partial[r0:r0 + out_len] += contrib[:out_len]
-            return [partial]
-
-        pieces = self.array.rdd.map_partitions(partials).collect()
-        result = np.zeros(n_rows)
-        for piece in pieces:
-            result += piece
-        return SpangleVector(result, "col")
+        return self._matvec(vector)
 
     def vector_dot(self, vector: SpangleVector) -> SpangleVector:
         """``vᵀ × M`` → row vector of length n_cols.
@@ -227,47 +184,56 @@ class SpangleMatrix:
                 f"matrix has {self.shape[0]} rows but vector has "
                 f"{vector.size} entries"
             )
-        n_cols = self.shape[1]
-        block_rows, block_cols = self.block_shape
+        return self._matvec(vector)
+
+    def _matvec(self, vector: SpangleVector) -> SpangleVector:
+        """The one matvec kernel: a column vector contracts the blocks'
+        columns into rows (``M × v``), a row vector their rows into
+        columns (``vᵀ × M``); one partial per partition, summed on the
+        driver."""
+        out_axis = 0 if vector.orientation == "col" else 1
+        n_out = self.shape[out_axis]
+        block_shape = self.block_shape
         grid_rows = self.grid_rows
         data = vector.data
-        as_block = self.block_as_ndarray
 
         def partials(part):
-            partial = np.zeros(n_cols)
+            partial = np.zeros(n_out)
             for chunk_id, chunk in part:
                 if chunk.valid_count == 0:
                     continue
-                rb = chunk_id % grid_rows
-                cb = chunk_id // grid_rows
-                r0 = rb * block_rows
-                c0 = cb * block_cols
-                v_slice = data[r0:r0 + block_rows]
-                out_len = min(block_cols, n_cols - c0)
-                if _prefer_sparse_kernel(chunk):
+                origin = (chunk_id % grid_rows * block_shape[0],
+                          chunk_id // grid_rows * block_shape[1])
+                out0, in0 = origin[out_axis], origin[1 - out_axis]
+                out_block = block_shape[out_axis]
+                in_block = block_shape[1 - out_axis]
+                v_slice = data[in0:in0 + in_block]
+                out_len = min(out_block, n_out - out0)
+                if chunk.density < 0.05:   # gather/scatter a sparse block
                     offsets = chunk.indices()
-                    local_rows = offsets % block_rows
-                    local_cols = offsets // block_rows
+                    local = (offsets % block_shape[0],
+                             offsets // block_shape[0])
                     contrib = np.bincount(
-                        local_cols,
-                        weights=chunk.values() * v_slice[local_rows],
-                        minlength=block_cols,
+                        local[out_axis],
+                        weights=chunk.values() * v_slice[local[1 - out_axis]],
+                        minlength=out_block,
                     )
                 else:
-                    block = as_block(chunk)
-                    if v_slice.size < block_rows:
-                        padded = np.zeros(block_rows)
+                    block = chunk.to_dense(0).reshape(block_shape, order="F")
+                    if v_slice.size < in_block:
+                        padded = np.zeros(in_block)
                         padded[:v_slice.size] = v_slice
                         v_slice = padded
-                    contrib = v_slice @ block
-                partial[c0:c0 + out_len] += contrib[:out_len]
+                    contrib = (block @ v_slice if out_axis == 0
+                               else v_slice @ block)
+                partial[out0:out0 + out_len] += contrib[:out_len]
             return [partial]
 
         pieces = self.array.rdd.map_partitions(partials).collect()
-        result = np.zeros(n_cols)
+        result = np.zeros(n_out)
         for piece in pieces:
             result += piece
-        return SpangleVector(result, "row")
+        return SpangleVector(result, vector.orientation)
 
     # ------------------------------------------------------------------
     # matrix-matrix operations
@@ -310,33 +276,14 @@ class SpangleMatrix:
         return SpangleMatrix(self.array.map_values(lambda xs: xs * scalar))
 
     def transpose(self) -> "SpangleMatrix":
-        """Physical distributed transpose (re-key + re-shuffle blocks).
+        """Physical distributed transpose: :func:`permute_axes` moves
+        every valid cell, stored zeros included, to its transposed block
+        in one shuffle.
 
         This is the expensive operation the paper's *opt1* avoids for
         SGD (Section VI-C) by rewriting Mᵀz as (zᵀM)ᵀ.
         """
-        meta = self.meta
-        grid_rows = self.grid_rows
-        grid_cols = self.grid_cols
-        block_rows, block_cols = self.block_shape
-
-        def flip(record):
-            chunk_id, chunk = record
-            rb = chunk_id % grid_rows
-            cb = chunk_id // grid_rows
-            new_id = cb + rb * grid_cols
-            block = chunk.to_dense(0).reshape(
-                (block_rows, block_cols), order="F")
-            flipped = block.T
-            return new_id, Chunk.from_dense(
-                flipped.ravel(order="F"),
-                (flipped != 0).ravel(order="F"))
-
-        rekeyed = self.array.rdd.map(flip)
-        partitioner = HashPartitioner(self.array.rdd.num_partitions)
-        shuffled = rekeyed.partition_by(partitioner)
-        new_meta = meta.transposed().with_attribute(meta.attribute)
-        return SpangleMatrix(ArrayRDD(shuffled, new_meta, self.context))
+        return SpangleMatrix(permute_axes(self.array, (1, 0)))
 
     def __repr__(self) -> str:
         return (
@@ -344,7 +291,3 @@ class SpangleMatrix:
             f"blocks={self.block_shape})"
         )
 
-
-def _prefer_sparse_kernel(chunk) -> bool:
-    """Use the gather/scatter kernel when the block is truly sparse."""
-    return chunk.density < 0.05

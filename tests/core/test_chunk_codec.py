@@ -137,13 +137,17 @@ class TestChunkShuffleByteIdentity:
                            if rng.random() < 0.5]
                 arr = array_rdd_from_records(ctx, records, meta)
                 out = sorted(arr.rdd.collect(), key=lambda kv: kv[0])
-                return out, ctx.metrics.snapshot()
+                snap = ctx.metrics.snapshot()
+                pieces = sum(ctx.parallelize(records).map_partitions(
+                    lambda part: [len({mapper.chunk_id_for_coords(meta, c)
+                                       for c, _v in part})]).collect())
+                return out, snap, pieces
 
-        columnar_out, snap = run(True)
-        generic_out, _ = run(False)
+        columnar_out, snap, pieces = run(True)
+        generic_out, _, _ = run(False)
         assert pickle.dumps(columnar_out) == pickle.dumps(generic_out)
-        # the (offset, value) cell pairs ride packed batches
-        assert snap.shuffle_batches > 0
+        # one (offsets, values) piece per source partition and chunk
+        assert snap.shuffle_records == pieces
 
 
 class TestRankedSpill:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.engine import ClusterContext
 from repro.engine.batches import (
-    HASH_MODULUS,
     VALUE_PACK_BYTE_LIMIT,
     ArrayValues,
     RecordBatch,
@@ -26,7 +25,11 @@ from repro.engine.batches import (
     pack_values,
 )
 from repro.engine.pairs import cogroup
-from repro.engine.partitioner import ExplicitPartitioner, HashPartitioner
+from repro.engine.partitioner import (
+    HASH_MODULUS,
+    ExplicitPartitioner,
+    HashPartitioner,
+)
 from repro.errors import EngineError
 from tests._reference.engine import shuffle_path
 

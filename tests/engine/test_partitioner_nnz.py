@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ClusterContext, NnzBalancedPartitioner
-from repro.engine.partitioner import _HASH_MODULUS
+from repro.engine.partitioner import HASH_MODULUS
 from repro.errors import EngineError
 
 
@@ -69,7 +69,7 @@ def test_lpt_beats_hash_on_power_law_weights():
 interesting_keys = st.one_of(
     st.integers(-3, 70),
     st.just(-1),
-    st.integers(_HASH_MODULUS - 2, _HASH_MODULUS + 2),
+    st.integers(HASH_MODULUS - 2, HASH_MODULUS + 2),
 )
 
 
@@ -84,7 +84,7 @@ def test_partition_array_matches_scalar(keys, parts):
     scalar = [partitioner.partition(k) for k in keys]
     if vectorized is None:
         # only permissible when the hash fallback range is exceeded
-        assert any(abs(k) >= _HASH_MODULUS for k in keys)
+        assert any(abs(k) >= HASH_MODULUS for k in keys)
     else:
         assert vectorized.tolist() == scalar
 

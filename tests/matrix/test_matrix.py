@@ -1,5 +1,7 @@
 """Tests for SpangleMatrix: kernels, multiplication, local join, transpose."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro.engine import ClusterContext
 from repro.errors import ArrayError, ShapeMismatchError
 from repro.matrix import SpangleMatrix, SpangleVector
 from repro.matrix.multiply import prepare_local
+from tests._reference import matvec as reference
 
 
 @pytest.fixture()
@@ -112,6 +115,29 @@ class TestMatVec:
         v = SpangleVector(np.ones(300))
         assert np.allclose(m.dot_vector(v).data, dense @ v.data)
 
+    @pytest.mark.parametrize("backend", [{}, {"backend": "process"}],
+                             ids=["serial", "process"])
+    @pytest.mark.parametrize("density", [0.02, 0.3, 0.9])
+    def test_both_orientations_bit_identical_to_reference(self, backend,
+                                                          density):
+        """One kernel serves ``M × v`` and ``vᵀ × M``: sparse (gather/
+        scatter) and dense (BLAS) blocks, ragged edges, every bit equal
+        to the two-body reference; its tasks carry no driver state, so
+        they run on worker processes too."""
+        dense = random_sparse((70, 45), density, seed=9)
+        dense[dense != 0] -= 0.5
+        rng = np.random.default_rng(10)
+        col, row = rng.normal(size=45), rng.normal(size=70)
+        with ClusterContext(num_executors=2, default_parallelism=3,
+                            **backend) as ctx:
+            m = SpangleMatrix.from_numpy(ctx, dense, (16, 12))
+            assert np.array_equal(
+                m.dot_vector(SpangleVector(col, "col")).data,
+                reference.matvec(m, col, "col"))
+            assert np.array_equal(
+                m.vector_dot(SpangleVector(row, "row")).data,
+                reference.matvec(m, row, "row"))
+
 
 class TestMultiply:
     @pytest.mark.parametrize("local", [False, True])
@@ -199,6 +225,20 @@ class TestTransposeAndElementwise:
         a = random_sparse((20, 12), 0.4, seed=15)
         m = SpangleMatrix.from_numpy(ctx, a, (8, 8))
         assert np.allclose(m.transpose().transpose().to_numpy(), a)
+
+    def test_transpose_keeps_valid_zeros(self, ctx):
+        """With ``sparse_zeros=False`` a stored zero is a valid cell and
+        stays one through the transpose."""
+        a = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 5.0]])
+        m = SpangleMatrix.from_numpy(ctx, a, (2, 2), sparse_zeros=False)
+        t = m.transpose()
+        assert m.nnz() == t.nnz() == 6
+        values, valid = t.array.collect_dense()
+        assert valid.all() and np.array_equal(values, a.T)
+        back = t.transpose()
+        assert back.meta == m.meta
+        assert pickle.dumps(sorted(back.array.rdd.collect())) \
+            == pickle.dumps(sorted(m.array.rdd.collect()))
 
     def test_add_subtract_hadamard(self, ctx):
         a = random_sparse((24, 24), 0.4, seed=16)
