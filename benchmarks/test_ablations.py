@@ -2,7 +2,8 @@
 
 Beyond the paper's figures, these isolate each optimization:
 
-- local-join fusion for matmul (Section VI-A) — input shuffles on/off;
+- local join for matmul (Section VI-A) — operands placed by the
+  product vs prepared once, so the product skips its input shuffles;
 - offset-array vs bitmask encoding for static matrices (Section V-A-4)
   — the size crossover that drives the conversion rule;
 - population-count strategies (Section IV-B) — naive vs builtin vs
@@ -31,7 +32,7 @@ from repro.matrix.offsets import bitmask_bytes, offset_array_bytes
 
 
 def test_ablation_local_join(benchmark):
-    """Matmul with and without the local-join fusion."""
+    """Matmul on operands as built vs prepared for the local join."""
     rng = np.random.default_rng(0)
     a = rng.random((512, 512))
     a[rng.random((512, 512)) > 0.2] = 0
@@ -48,22 +49,21 @@ def test_ablation_local_join(benchmark):
         default = run_measured(
             ctx, lambda: ma.multiply(mb).array.rdd.count())
         local = run_measured(
-            ctx, lambda: la.multiply(lb, local_join=True)
-            .array.rdd.count())
+            ctx, lambda: la.multiply(lb).array.rdd.count())
         return default, local
 
     default, local = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
         "Ablation — matmul local join",
         ["variant", "wall / modeled", "network_s"],
-        [["three-stage (shuffle inputs)", default.cell(),
+        [["unprepared (shuffle inputs)", default.cell(),
           f"{default.network_s:.3f}"],
-         ["local join (fused)", local.cell(),
+         ["prepared (local join)", local.cell(),
           f"{local.network_s:.3f}"]])
     # correctness
     assert np.allclose(
-        ma.multiply(mb).to_numpy(), la.multiply(lb, True).to_numpy())
-    # the fusion removes input shuffle traffic
+        ma.multiply(mb).to_numpy(), la.multiply(lb).to_numpy())
+    # preparing removes input shuffle traffic
     assert local.network_s < default.network_s
     assert local.modeled_s < default.modeled_s
 

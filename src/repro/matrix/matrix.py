@@ -239,12 +239,11 @@ class SpangleMatrix:
     # matrix-matrix operations
     # ------------------------------------------------------------------
 
-    def multiply(self, other: "SpangleMatrix",
-                 local_join: bool = False) -> "SpangleMatrix":
+    def multiply(self, other: "SpangleMatrix") -> "SpangleMatrix":
         """Distributed block matmul; see :mod:`repro.matrix.multiply`."""
         from repro.matrix.multiply import block_matmul
 
-        return block_matmul(self, other, local_join=local_join)
+        return block_matmul(self, other)
 
     def gram(self) -> "SpangleMatrix":
         """``Mᵀ × M`` without materializing the transpose."""

@@ -1,14 +1,12 @@
 """Distributed block matrix multiplication (Sections V-A-4 and VI-A).
 
-The default path mirrors Spark's three-stage plan: two shuffles to key
-the operands by the contraction block index *k*, then a reduce to gather
-partial products per output block. Both shuffles place keys by hash.
-
-The **local join** path (Section VI-A) applies when the left operand is
-partitioned by column-block and the right by row-block under the *same*
-partitioner: the join becomes a per-partition zip — one fused stage, no
-input shuffle — and only the final gather shuffles. The paper reports
-this is what lets Spangle survive the largest (Mawi) matrices.
+One plan: each operand is placed by its contraction block index *k*
+(:func:`k_partitioners`), co-numbered partitions are zipped into
+partial products keyed by output block, and one shuffle gathers them.
+A placement is free when the operand already carries it, which is the
+paper's local join (Section VI-A): after :func:`prepare_local` a
+product shuffles only in the gather. The paper reports this is what
+lets Spangle survive the largest (Mawi) matrices.
 
 Partial products are bitmask-gated: a pair of blocks is multiplied only
 when both carry valid cells, and zero rows/columns never reach the
@@ -31,7 +29,6 @@ import numpy as np
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
 from repro.core.metadata import ArrayMetadata
-from repro.engine import HashPartitioner
 from repro.engine.partitioner import ExplicitPartitioner
 from repro.errors import ShapeMismatchError
 from repro.matrix.offsets import csc_from_offsets, csr_from_offsets
@@ -245,160 +242,177 @@ class _BlockKernel:
         return partial
 
 
-def _result_meta(left, right) -> ArrayMetadata:
-    return ArrayMetadata(
-        (left.shape[0], right.shape[1]),
-        (left.block_shape[0], right.block_shape[1]),
-        dim_names=("row", "col"),
-    )
+def _to_chunks(records):
+    out = []
+    for chunk_id, partial in records:
+        flat = _partial_to_dense(partial).ravel(order="F")
+        chunk = Chunk.from_dense(flat, flat != 0)
+        if chunk.valid_count:
+            out.append((chunk_id, chunk))
+    return out
 
 
 def _assemble(context, partials_rdd, meta) -> ArrayRDD:
     """(chunk_id, partial sum) records → (chunk_id, Chunk) records.
 
-    The gather shuffle upstream already keys partials by output chunk
-    ID (``rb + cb * out_grid_rows``) so its int keys ride the columnar
-    path; this step only densifies.
+    The gather upstream keys partials by output chunk ID (``rb + cb *
+    out_grid_rows``, an int the columnar shuffle packs) and places them
+    by hash; chunks are built in place, so the gather's partitioner is
+    the product's and nothing moves again.
     """
-
-    def to_chunk(record):
-        chunk_id, partial = record
-        flat = _partial_to_dense(partial).ravel(order="F")
-        return chunk_id, Chunk.from_dense(flat, flat != 0)
-
-    chunks = partials_rdd.map(to_chunk) \
-        .filter(lambda kv: kv[1].valid_count > 0)
-    partitioner = HashPartitioner(partials_rdd.num_partitions)
-    placed = chunks.partition_by(partitioner)
-    return ArrayRDD(placed, meta, context)
+    chunks = partials_rdd.map_partitions(_to_chunks,
+                                         preserves_partitioning=True)
+    return ArrayRDD(chunks, meta, context)
 
 
 def k_partitioners(left, right, num_partitions: int):
-    """The co-partitioning pair for the local join.
+    """The contraction-index placements of a product's two operands.
 
     Left blocks are placed by their column-block index, right blocks by
-    their row-block index — both modulo the same partition count and
-    under the same tag, so the engine treats them as equal partitioners
-    and the contraction index *k* of both operands lands in the same
-    partition.
+    their row-block index, both modulo ``num_partitions``, so the
+    contraction index *k* of both operands lands in the same partition.
+    Each tag names the role and the operand's grid rows: two placements
+    compare equal only when they put every block in the same partition,
+    so ``partition_by`` skips exactly the shuffles that would move
+    nothing.
     """
-    tag = ("matmul-k", num_partitions)
     grid_rows_left = left.grid_rows
     grid_rows_right = right.grid_rows
     left_part = ExplicitPartitioner(
-        num_partitions, lambda cid: cid // grid_rows_left, tag=tag,
+        num_partitions, lambda cid: cid // grid_rows_left,
+        tag=("matmul-k-left", grid_rows_left),
         array_func=lambda cids: cids // grid_rows_left)
     right_part = ExplicitPartitioner(
-        num_partitions, lambda cid: cid % grid_rows_right, tag=tag,
+        num_partitions, lambda cid: cid % grid_rows_right,
+        tag=("matmul-k-right", grid_rows_right),
         array_func=lambda cids: cids % grid_rows_right)
     return left_part, right_part
 
 
 def prepare_local(left, right, num_partitions=None):
-    """Pre-place both operands for the local join (one-off shuffles).
+    """Pre-place both operands by their contraction index (one-off
+    shuffles).
 
-    Returns ``(left_prepared, right_prepared)``. Once prepared, every
-    ``block_matmul(..., local_join=True)`` on the pair runs without
-    shuffling the inputs — the fused single stage of Section VI-A.
+    Returns ``(left_prepared, right_prepared)``. Every later product of
+    the pair then runs without shuffling its inputs — the local join of
+    Section VI-A.
     """
     from repro.matrix.matrix import SpangleMatrix
 
     if num_partitions is None:
         num_partitions = left.array.rdd.num_partitions
-    left_part, right_part = k_partitioners(left, right, num_partitions)
-    left_placed = left.array.rdd.partition_by(left_part)
-    right_placed = right.array.rdd.partition_by(right_part)
-    return (
-        SpangleMatrix(ArrayRDD(left_placed, left.meta, left.context)),
-        SpangleMatrix(ArrayRDD(right_placed, right.meta, right.context)),
-    )
+    placements = k_partitioners(left, right, num_partitions)
+    return tuple(
+        SpangleMatrix(ArrayRDD(operand.array.rdd.partition_by(placement),
+                               operand.meta, operand.context))
+        for operand, placement in zip((left, right), placements))
 
 
-def block_matmul(left, right, local_join: bool = False):
+def _by_k_partitions(left, right) -> int:
+    """An operand already placed by its contraction index keeps its
+    partition count (left first); otherwise the larger count."""
+    for role, operand in enumerate((left, right)):
+        rdd = operand.array.rdd
+        if rdd.partitioner == k_partitioners(
+                left, right, rdd.num_partitions)[role]:
+            return rdd.num_partitions
+    return max(left.array.rdd.num_partitions,
+               right.array.rdd.num_partitions)
+
+
+def block_matmul(left, right):
     """``left × right`` as a SpangleMatrix.
 
-    Builds the three-stage plan over the operands' RDDs now; like every
-    engine RDD it runs only when an action forces it.
+    Places both operands by *k*, zips co-numbered partitions into
+    partials keyed by output chunk ID and gathers them; like every
+    engine RDD the plan runs only when an action forces it.
     """
     from repro.matrix.matrix import SpangleMatrix
 
     _check_dims(left, right)
-    meta = _result_meta(left, right)
-    out_grid_rows = meta.chunk_grid[0]
+    meta = ArrayMetadata((left.shape[0], right.shape[1]),
+                         (left.block_shape[0], right.block_shape[1]),
+                         dim_names=("row", "col"))
+    left_part, right_part = k_partitioners(
+        left, right, _by_k_partitions(left, right))
     kernel = _BlockKernel(tuple(left.block_shape),
                           tuple(right.block_shape))
-    if local_join:
-        partials = _local_join_partials(left, right, kernel)
-    else:
-        partials = _shuffled_partials(left, right, kernel)
-    # gather on the output chunk ID (an int) rather than the
-    # (row_block, col_block) tuple: the columnar shuffle packs it
-    keyed = partials.map(
-        lambda kv: (kv[0][0] + kv[0][1] * out_grid_rows, kv[1])
-    )
-    summed = keyed.reduce_by_key(_merge_partials)
+    grid_rows_left, grid_rows_right = left.grid_rows, right.grid_rows
+    out_grid_rows = meta.chunk_grid[0]
+
+    def zipper(left_records, right_records):
+        # group by k in first-seen order, left blocks before right
+        groups = {}
+        for cid, chunk in left_records:
+            groups.setdefault(cid // grid_rows_left, ([], []))[0].append(
+                (cid % grid_rows_left, chunk))
+        for cid, chunk in right_records:
+            group = groups.get(cid % grid_rows_right)
+            if group is not None:
+                group[1].append((cid // grid_rows_right, chunk))
+        out = []
+        for left_blocks, right_blocks in groups.values():
+            for rb, left_chunk in left_blocks:
+                for cb, right_chunk in right_blocks:
+                    partial = kernel(left_chunk, right_chunk)
+                    if partial is not None:
+                        out.append((rb + cb * out_grid_rows, partial))
+        return out
+
+    partials = left.array.rdd.partition_by(left_part).zip_partitions(
+        right.array.rdd.partition_by(right_part), zipper)
+    summed = partials.reduce_by_key(_merge_partials)
     return SpangleMatrix(_assemble(left.context, summed, meta))
 
 
-def _shuffled_partials(left, right, kernel):
-    """Spark-style: key both sides by k, cogroup (two shuffles)."""
-    grid_rows_left = left.grid_rows
-    grid_rows_right = right.grid_rows
+class _GramKernel:
+    """The per-group kernel of :func:`gram_matmul`, shipped to workers.
 
-    left_by_k = left.array.rdd.map(
-        lambda kv: (kv[0] // grid_rows_left,
-                    (kv[0] % grid_rows_left, kv[1]))
-    )
-    right_by_k = right.array.rdd.map(
-        lambda kv: (kv[0] % grid_rows_right,
-                    (kv[0] // grid_rows_right, kv[1]))
-    )
-    grouped = left_by_k.cogroup(right_by_k)
-
-    def emit(groups):
-        left_blocks, right_blocks = groups
-        out = []
-        for rb, left_chunk in left_blocks:
-            for cb, right_chunk in right_blocks:
-                partial = kernel(left_chunk, right_chunk)
-                if partial is not None:
-                    out.append(((rb, cb), partial))
-        return out
-
-    return grouped.flat_map_values(lambda g: emit(g)) \
-                  .map(lambda kv: kv[1])
-
-
-def _local_join_partials(left, right, kernel):
-    """Fused stage: zip co-partitioned operands, no input shuffle.
-
-    ``prepare_local`` (or matching prior placement) makes the
-    ``partition_by`` calls below no-ops; otherwise they fall back to the
-    one-off placement shuffles.
+    A module-level class, as :class:`_BlockKernel` is, so a task carries
+    the block shape and output grid, never the matrix. A group whose
+    live blocks are all below :data:`SPARSE_KERNEL_THRESHOLD` joins
+    their COO forms; any other group densifies each block once and runs
+    BLAS per pair.
     """
-    num_partitions = left.array.rdd.num_partitions
-    left_part, right_part = k_partitioners(left, right, num_partitions)
-    left_placed = left.array.rdd.partition_by(left_part)
-    right_placed = right.array.rdd.partition_by(right_part)
-    grid_rows_left = left.grid_rows
-    grid_rows_right = right.grid_rows
 
-    def zipper(left_records, right_records):
-        right_by_k = {}
-        for cid, chunk in right_records:
-            right_by_k.setdefault(cid % grid_rows_right, []).append(
-                (cid // grid_rows_right, chunk))
+    def __init__(self, block_shape, out_grid_rows):
+        self.block_shape = block_shape
+        self.out_grid_rows = out_grid_rows
+
+    def __call__(self, record):
+        _k, blocks = record
+        block_rows, block_cols = self.block_shape
+        out_shape = (block_cols, block_cols)
         out = []
-        for cid, left_chunk in left_records:
-            k = cid // grid_rows_left
-            rb = cid % grid_rows_left
-            for cb, right_chunk in right_by_k.get(k, ()):
-                partial = kernel(left_chunk, right_chunk)
-                if partial is not None:
-                    out.append(((rb, cb), partial))
+        live = [(cb, chunk) for cb, chunk in blocks if chunk.valid_count]
+        if all(chunk.density < SPARSE_KERNEL_THRESHOLD
+               for _cb, chunk in live):
+            # a block (k × c) transposes by swapping its offset
+            # decomposition; only matching k-indices join
+            coo = {}
+            for cb, chunk in live:
+                offsets = chunk.indices()
+                coo[cb] = (offsets % block_rows,       # k-index
+                           offsets // block_rows,      # column
+                           chunk.values())
+            for c1, (a_ks, a_cols, a_vals) in coo.items():
+                for c2, (b_ks, b_cols, b_vals) in coo.items():
+                    partial = _csr_join(a_cols, a_ks, a_vals, b_ks,
+                                        b_cols, b_vals, out_shape)
+                    if partial is not None:
+                        out.append((c1 + c2 * self.out_grid_rows,
+                                    partial))
+            return out
+        dense = {cb: chunk.to_dense(0).reshape(self.block_shape,
+                                               order="F")
+                 for cb, chunk in live}
+        for c1, a in dense.items():
+            at = a.T
+            for c2, b in dense.items():
+                partial = at @ b
+                if partial.any():
+                    out.append((c1 + c2 * self.out_grid_rows, partial))
         return out
-
-    return left_placed.zip_partitions(right_placed, zipper)
 
 
 def gram_matmul(matrix):
@@ -414,53 +428,10 @@ def gram_matmul(matrix):
     block_cols = matrix.block_shape[1]
     meta = ArrayMetadata((n_cols, n_cols), (block_cols, block_cols),
                          dim_names=("row", "col"))
-    out_grid_rows = meta.chunk_grid[0]
     grid_rows = matrix.grid_rows
-
     by_k = matrix.array.rdd.map(
         lambda kv: (kv[0] % grid_rows, (kv[0] // grid_rows, kv[1]))
     ).group_by_key()
-
-    block_rows = matrix.block_shape[0]
-    out_shape = (matrix.block_shape[1], matrix.block_shape[1])
-
-    def emit(blocks):
-        out = []
-        live = [(cb, chunk) for cb, chunk in blocks
-                if chunk.valid_count]
-        all_sparse = all(
-            chunk.density < SPARSE_KERNEL_THRESHOLD
-            for _cb, chunk in live)
-        if all_sparse:
-            # sparse kernel: a block (k × c) transposes by swapping its
-            # offset decomposition; only matching k-indices join
-            coo = {}
-            for cb, chunk in live:
-                offsets = chunk.indices()
-                coo[cb] = (offsets % block_rows,       # k-index
-                           offsets // block_rows,      # column
-                           chunk.values())
-            for c1, (a_ks, a_cols, a_vals) in coo.items():
-                for c2, (b_ks, b_cols, b_vals) in coo.items():
-                    partial = _csr_join(a_cols, a_ks, a_vals, b_ks,
-                                        b_cols, b_vals, out_shape)
-                    if partial is not None:
-                        out.append(((c1, c2), partial))
-            return out
-        dense = {
-            cb: chunk.to_dense(0).reshape(matrix.block_shape, order="F")
-            for cb, chunk in live
-        }
-        for c1, a in dense.items():
-            at = a.T
-            for c2, b in dense.items():
-                partial = at @ b
-                if partial.any():
-                    out.append(((c1, c2), partial))
-        return out
-
-    partials = by_k.flat_map_values(emit).map(lambda kv: kv[1])
-    summed = partials.map(
-        lambda kv: (kv[0][0] + kv[0][1] * out_grid_rows, kv[1])
-    ).reduce_by_key(_merge_partials)
+    kernel = _GramKernel(tuple(matrix.block_shape), meta.chunk_grid[0])
+    summed = by_k.flat_map(kernel).reduce_by_key(_merge_partials)
     return SpangleMatrix(_assemble(matrix.context, summed, meta))

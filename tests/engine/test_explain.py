@@ -119,14 +119,14 @@ class TestModeledSchedule:
                     return stage
             raise AssertionError(f"no stage contains {op_name}")
 
-        # default: the contraction cogroup sits below two shuffles
+        # built operands: the zip sits below the two placement shuffles
         default_plan = stage_plan(ma.multiply(mb).array.rdd)
-        assert len(stage_of(default_plan, "cogroup").parent_stages) == 2
+        assert len(
+            stage_of(default_plan, "zip_partitions").parent_stages) == 2
 
-        # local join: the fused zip stage has no shuffle parents at all
+        # local join: the same zip, with no shuffle parents at all
         la, lb = prepare_local(ma, mb)
-        local_plan = stage_plan(
-            la.multiply(lb, local_join=True).array.rdd)
+        local_plan = stage_plan(la.multiply(lb).array.rdd)
         zip_stage = stage_of(local_plan, "zip_partitions")
         assert all(
             "zip_partitions" not in

@@ -131,11 +131,11 @@ class TestFaultTolerance:
         a = rng.random((24, 16)) * (rng.random((24, 16)) < 0.4)
         b = rng.random((16, 20)) * (rng.random((16, 20)) < 0.4)
         product = SpangleMatrix.from_numpy(ctx, a, (8, 8)).multiply(
-            SpangleMatrix.from_numpy(ctx, b, (8, 8)), local_join=False)
+            SpangleMatrix.from_numpy(ctx, b, (8, 8)))
         first, second, first_delta, delta, lost = \
             self._struck_rerun(ctx, product.array.rdd)
         assert second == first
-        assert lost >= 3  # both cogroup slots and the gather reduce
+        assert lost >= 3  # both placements and the gather reduce
         assert first_delta.shuffles_performed >= 3
         assert delta.shuffles_performed == first_delta.shuffles_performed
         assert delta.shuffle_records == first_delta.shuffle_records

@@ -5,8 +5,10 @@ bit-identical to the per-k COO join reference in
 ``tests._reference.coo``; the one-sided scatter kernel must agree with
 dense BLAS; every kernel yields the same bytes for a block pair), the
 per-pair density gates of ``_BlockKernel``, and end to end (the product
-stays byte-identical across backends and join strategies).
+stays byte-identical across backends and operand placements).
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.matrix.multiply import (
     _partial_to_dense,
     _scatter_partial,
     _sparse_partial,
+    prepare_local,
 )
 from tests._reference.coo import _coo_join
 
@@ -157,12 +160,58 @@ class TestSparseConfig:
 # ----------------------------------------------------------------------
 
 class TestEndToEnd:
+    #: (left, right) densities that put every block pair in one kernel
+    #: regime: CSR join, one-sided scatter, dense BLAS
+    REGIMES = {"join": (0.005, 0.005), "scatter": (0.04, 0.5),
+               "dense": (0.5, 0.5)}
+
     def _product(self, ctx, seed=11):
         a = sparse_ints((40, 30), 0.05, seed=seed)
         b = sparse_ints((30, 20), 0.05, seed=seed + 1)
         ma = SpangleMatrix.from_numpy(ctx, a, (10, 10))
         mb = SpangleMatrix.from_numpy(ctx, b, (10, 10))
         return a @ b, ma.multiply(mb).to_numpy()
+
+    @staticmethod
+    def _operands(regime, values, seed):
+        left, right = TestEndToEnd.REGIMES[regime]
+        a = sparse_ints((40, 60), left, seed=seed)
+        b = sparse_ints((60, 40), right, seed=seed + 1)
+        densities = [[np.count_nonzero(m[r:r + 20, c:c + 20]) / 400
+                      for r in range(0, m.shape[0], 20)
+                      for c in range(0, m.shape[1], 20)] for m in (a, b)]
+        if regime == "join":
+            assert max(densities[0] + densities[1]) \
+                < SPARSE_KERNEL_THRESHOLD
+        elif regime == "scatter":
+            assert max(densities[0]) < SCATTER_KERNEL_THRESHOLD \
+                <= min(densities[1])
+        else:
+            assert min(densities[0] + densities[1]) \
+                >= SCATTER_KERNEL_THRESHOLD
+        if values == "float":
+            rng = np.random.default_rng(seed + 2)
+            for m in (a, b):
+                m[m != 0] = rng.random(np.count_nonzero(m)) - 1.5
+        return a, b
+
+    @staticmethod
+    def _placed_product(ctx, a, b, placement):
+        """The product's chunk records, sorted, its dense value and
+        numpy's: operands as built, prepared for the local join, or
+        prepared and then used in each other's role. The partition
+        count is fixed, so float sums add in one order everywhere."""
+        ma = SpangleMatrix.from_numpy(ctx, a, (20, 20), num_partitions=3)
+        mb = SpangleMatrix.from_numpy(ctx, b, (20, 20), num_partitions=3)
+        if placement == "unprepared":
+            product, expected = ma.multiply(mb), a @ b
+        else:
+            la, lb = prepare_local(ma, mb)
+            product, expected = ((la.multiply(lb), a @ b)
+                                 if placement == "prepared"
+                                 else (lb.multiply(la), b @ a))
+        return sorted(product.array.rdd.collect(),
+                      key=lambda kv: kv[0]), product.to_numpy(), expected
 
     def test_csr_matches_numpy_exactly(self, ctx):
         expected, got = self._product(ctx)
@@ -217,25 +266,69 @@ class TestEndToEnd:
         assert pairs > 0
 
     def test_backends_byte_identical(self):
+        """Every kernel regime, integer and float values, operands as
+        built, prepared and role-swapped: the product's chunks pickle
+        to the same bytes on serial, threaded and process contexts,
+        and integer products equal numpy exactly."""
+        cases = [(regime, values, placement)
+                 for regime in self.REGIMES
+                 for values in ("int", "float")
+                 for placement in ("unprepared", "prepared", "swapped")]
         serial = ClusterContext(num_executors=1,
                                 default_parallelism=1)
-        _, one = self._product(serial)
         threaded = ClusterContext(num_executors=4,
                                   default_parallelism=4)
-        _, many = self._product(threaded)
         with ClusterContext(num_executors=2,
-                            backend="process") as ctx:
-            _, proc = self._product(ctx)
-        assert one.tobytes() == many.tobytes() == proc.tobytes()
+                            backend="process") as proc:
+            for seed, (regime, values, placement) in enumerate(cases):
+                a, b = self._operands(regime, values, seed)
+                runs = [self._placed_product(ctx, a, b, placement)
+                        for ctx in (serial, threaded, proc)]
+                case = (regime, values, placement)
+                assert len({pickle.dumps(chunks)
+                            for chunks, _, _ in runs}) == 1, case
+                _, got, expected = runs[0]
+                if values == "int":
+                    np.testing.assert_array_equal(got, expected)
+                else:
+                    np.testing.assert_allclose(got, expected)
+        _, one = self._product(serial)
+        _, many = self._product(threaded)
+        assert one.tobytes() == many.tobytes()
 
     def test_local_join_agrees(self, ctx):
+        """Operands prepared for the local join give the same bytes as
+        operands placed by the product itself."""
         a = sparse_ints((40, 30), 0.05, seed=21)
         b = sparse_ints((30, 20), 0.05, seed=22)
         ma = SpangleMatrix.from_numpy(ctx, a, (10, 10))
         mb = SpangleMatrix.from_numpy(ctx, b, (10, 10))
+        la, lb = prepare_local(ma, mb)
         shuffled = ma.multiply(mb).to_numpy()
-        local = ma.multiply(mb, local_join=True).to_numpy()
+        local = la.multiply(lb).to_numpy()
         assert shuffled.tobytes() == local.tobytes()
+
+    def test_gram_on_process_matches_serial(self):
+        """``gram`` ships no matrix to workers: on a process context it
+        gives the serial bytes and ``a.T @ a`` exactly, through an
+        all-sparse row-block group and a dense one."""
+        a = np.zeros((40, 30))
+        a[:20] = sparse_ints((20, 30), 0.005, seed=31)   # join group
+        a[20:] = sparse_ints((20, 30), 0.5, seed=32)     # dense group
+        blocks = [np.count_nonzero(a[r:r + 20, c:c + 10]) / 200
+                  for r in (0, 20) for c in (0, 10, 20)]
+        assert max(blocks[:3]) < SPARSE_KERNEL_THRESHOLD
+        assert min(blocks[3:]) >= SPARSE_KERNEL_THRESHOLD
+        serial = ClusterContext(num_executors=1, default_parallelism=1)
+        with ClusterContext(num_executors=2, backend="process") as proc:
+            runs = [SpangleMatrix.from_numpy(ctx, a, (20, 10)).gram()
+                    for ctx in (serial, proc)]
+            chunks = [pickle.dumps(sorted(m.array.rdd.collect(),
+                                          key=lambda kv: kv[0]))
+                      for m in runs]
+            got = runs[1].to_numpy()
+        assert chunks[0] == chunks[1]
+        np.testing.assert_array_equal(got, a.T @ a)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +337,6 @@ class TestEndToEnd:
 
 class TestBlockKernel:
     def test_pickles_by_value(self):
-        import pickle
-
         kernel = _BlockKernel((4, 6), (6, 5))
         clone = pickle.loads(pickle.dumps(kernel))
         assert clone.left_shape == (4, 6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ClusterContext
+from repro.engine import ClusterContext, HashPartitioner
 from repro.errors import ArrayError, ShapeMismatchError
 from repro.matrix import SpangleMatrix, SpangleVector
 from repro.matrix.multiply import prepare_local
@@ -140,14 +140,15 @@ class TestMatVec:
 
 
 class TestMultiply:
-    @pytest.mark.parametrize("local", [False, True])
-    def test_matmul_matches_numpy(self, ctx, local):
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_matmul_matches_numpy(self, ctx, prepared):
         a = random_sparse((37, 29), 0.3, seed=5)
         b = random_sparse((29, 23), 0.3, seed=6)
         ma = SpangleMatrix.from_numpy(ctx, a, (8, 8))
         mb = SpangleMatrix.from_numpy(ctx, b, (8, 8))
-        result = ma.multiply(mb, local_join=local)
-        assert np.allclose(result.to_numpy(), a @ b)
+        if prepared:
+            ma, mb = prepare_local(ma, mb)
+        assert np.allclose(ma.multiply(mb).to_numpy(), a @ b)
 
     def test_dimension_checks(self, ctx):
         ma = SpangleMatrix.from_numpy(ctx, np.ones((4, 6)), (2, 2))
@@ -167,7 +168,7 @@ class TestMultiply:
         la.materialize()
         lb.materialize()
         before = ctx.metrics.snapshot()
-        la.multiply(lb, local_join=True).array.rdd.count()
+        la.multiply(lb).array.rdd.count()
         local_delta = ctx.metrics.snapshot() - before
 
         ma.materialize()
@@ -179,6 +180,53 @@ class TestMultiply:
         assert local_delta.shuffles_performed \
             < default_delta.shuffles_performed
         assert local_delta.shuffle_bytes < default_delta.shuffle_bytes
+
+    def test_prepared_operands_in_either_role(self, ctx):
+        """A placement names its role: a prepared operand used in the
+        other role (or both) is placed again, never zipped as is."""
+        a = np.random.default_rng(14).integers(-3, 4, (32, 32)) * 1.0
+        b = np.random.default_rng(15).integers(-3, 4, (32, 32)) * 1.0
+        la, lb = prepare_local(SpangleMatrix.from_numpy(ctx, a, (8, 8)),
+                               SpangleMatrix.from_numpy(ctx, b, (8, 8)))
+        la.materialize()
+        lb.materialize()
+        for left, right, x, y in ((la, lb, a, b), (lb, la, b, a),
+                                  (la, la, a, a), (lb, lb, b, b)):
+            np.testing.assert_array_equal(
+                left.multiply(right).to_numpy(), x @ y)
+        before = ctx.metrics.snapshot()
+        la.multiply(lb).array.rdd.count()
+        assert (ctx.metrics.snapshot() - before).shuffles_performed == 1
+
+    @pytest.mark.parametrize("left_parts,right_parts", [(4, 4), (5, 2),
+                                                        (2, 5)])
+    def test_shuffle_count_contract(self, ctx, left_parts, right_parts):
+        """Two placements and a gather for built operands, the gather
+        alone for a prepared pair, a group and a gather for ``gram``;
+        the gather's hash partitioner is the product's."""
+        a = random_sparse((48, 40), 0.3, seed=16)
+        b = random_sparse((40, 32), 0.3, seed=17)
+        ma = SpangleMatrix.from_numpy(ctx, a, (8, 8),
+                                      num_partitions=left_parts)
+        mb = SpangleMatrix.from_numpy(ctx, b, (8, 8),
+                                      num_partitions=right_parts)
+        la, lb = prepare_local(ma, mb)
+        for m in (ma, mb, la, lb):
+            m.materialize()
+
+        def shuffles(product):
+            before = ctx.metrics.snapshot()
+            product.array.rdd.count()
+            return (ctx.metrics.snapshot() - before).shuffles_performed
+
+        product = ma.multiply(mb)
+        parts = max(left_parts, right_parts)
+        assert product.array.rdd.partitioner == HashPartitioner(parts)
+        assert shuffles(product) == 3
+        assert shuffles(la.multiply(lb)) == 1
+        assert la.multiply(lb).array.rdd.num_partitions == left_parts
+        assert shuffles(ma.gram()) == 2
+        assert ma.gram().array.rdd.num_partitions == left_parts
 
     def test_bitmask_gating_skips_empty_pairs(self, ctx):
         # block-diagonal inputs: off-diagonal block pairs must never
