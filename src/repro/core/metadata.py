@@ -88,6 +88,10 @@ class ArrayMetadata:
             raise MetadataError(f"duplicate dimension names: {dim_names}")
         object.__setattr__(self, "dim_names", dim_names)
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        if self.num_chunks >= 2**63:
+            raise MetadataError(
+                f"{self.num_chunks} chunks do not fit int64 chunk IDs: "
+                f"shape {shape}, chunk_shape {chunk_shape}")
 
     # ------------------------------------------------------------------
     # derived geometry
@@ -116,7 +120,7 @@ class ArrayMetadata:
     def chunk_grid(self) -> tuple:
         """Number of chunks along each dimension."""
         return tuple(
-            math.ceil(size / interval)
+            -(-size // interval)
             for size, interval in zip(self.shape, self.chunk_shape)
         )
 

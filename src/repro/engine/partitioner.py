@@ -1,8 +1,8 @@
 """Partitioners: how keys map to partitions.
 
 Spangle relies on hash partitioning (the default for shuffles) and on
-explicit, function-defined placement (row-block co-location for the
-matmul local join).
+explicit, function-defined placement (contraction-index co-location for
+the matmul local join).
 :class:`NnzBalancedPartitioner` adds the nnz-aware placement the sparse
 execution tier uses: chunk keys pack into partitions by their valid-cell
 counts instead of by count alone, so one dense block cannot serialize a
@@ -89,8 +89,9 @@ class HashPartitioner(Partitioner):
 class ExplicitPartitioner(Partitioner):
     """Partition through a user-supplied function.
 
-    Spangle's matrix multiply partitions the left operand by row-block ID
-    and the right operand by column-block ID; this partitioner lets those
+    Spangle's matrix multiply partitions both operands by the contraction
+    index k: the left operand by column-block ID, the right by row-block
+    ID (``matrix.multiply.k_partitioners``); this partitioner lets those
     layouts be expressed directly.
     """
 

@@ -730,8 +730,9 @@ class _ShuffleStageBase(RDD):
 
     def _reduce_segments(self, which: int, index: int) -> list:
         """Reducer ``index``'s buckets from stage ``which``, in parent
-        order; shm-exported ones (the process backend) resolve to their
-        packed batches here, zero-copy over the mapped segment."""
+        order; shm-exported ones (the process backend) resolve here:
+        packed batches zero-copy over the mapped segment, tuple lists as
+        writable copies."""
         metrics = self.context.metrics
         return [shm_mod.resolve_segment(segment, metrics)
                 for segment in self.fetch_buckets(which)[index]]

@@ -6,17 +6,18 @@ through the task-result pipe. The encoding is pickle protocol 5 with
 out-of-band buffers: an object's pickle *head* (structure, scalars) and
 its flat payload buffers (numpy arrays — the columnar RecordBatch key
 and value columns, chunk payloads) are laid out side by side in one
-segment, and the consumer rebuilds the object over read-only
-``memoryview`` slices of the mapping — the buffers themselves are never
-copied or re-serialized (the zero-copy exchange Sparkle builds its
-large-memory story on).
+segment, and the consumer rebuilds a packed batch over read-only
+``memoryview`` slices of the mapping — its buffers are never copied or
+re-serialized (the zero-copy exchange Sparkle builds its large-memory
+story on); a ``(key, value)`` list is read back as private copies.
 
 Three handle types travel between processes:
 
 - :class:`ShmRef` — locator of one pickled object inside a segment
-  (head span + buffer spans). Shuffle map tasks replace packed
-  ``RecordBatch`` buckets with refs; the reduce side resolves them
-  lazily via :func:`load_ref`.
+  (head span + buffer spans). A shuffle map task writes every non-empty
+  bucket into its one segment and ships refs; the reduce side resolves
+  them lazily via :func:`load_ref` — packed ``RecordBatch`` buckets
+  zero-copy and read-only, ``(key, value)`` lists as writable copies.
 - :class:`SpillFileHandle` — a cached block living in the spill tier;
   the worker decodes the spill file itself so the disk-read metering
   matches the serial path byte for byte.
@@ -42,6 +43,7 @@ fd and leaves the mapping to the views.
 
 from __future__ import annotations
 
+import _posixshmem
 import atexit
 import itertools
 import os
@@ -67,6 +69,11 @@ SHM_BLOCK_MIN_BYTES = 4096
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+#: the filler of alignment gaps; the most buffers one ``pwritev`` takes
+_ZEROS = memoryview(bytes(_ALIGN))
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 #: every segment name we create starts with this mark (registry
@@ -123,13 +130,15 @@ _install_tracker_filter()
 class ShmRef:
     """Locator of one pickled object inside a shared-memory segment."""
 
-    __slots__ = ("segment", "head", "buffers", "nbytes")
+    __slots__ = ("segment", "head", "buffers", "nbytes", "writable")
 
-    def __init__(self, segment: str, head, buffers, nbytes: int):
+    def __init__(self, segment: str, head, buffers, nbytes: int,
+                 writable: bool = False):
         self.segment = segment      # segment name
         self.head = head            # (offset, length) of the pickle head
         self.buffers = buffers      # ((offset, length), ...) per buffer
         self.nbytes = nbytes        # payload bytes of this object
+        self.writable = writable    # load buffers as private copies
 
     def __repr__(self) -> str:
         return (f"<ShmRef seg={self.segment} nbytes={self.nbytes} "
@@ -159,52 +168,54 @@ class InlineBlockHandle:
 # encoding: objects -> one segment
 # ----------------------------------------------------------------------
 
-def _encode(obj):
-    """``(head_bytes, raw_buffers)`` — protocol-5 out-of-band pickle."""
-    picklebuffers = []
-    head = pickle.dumps(obj, protocol=5,
-                        buffer_callback=picklebuffers.append)
-    return head, [pb.raw() for pb in picklebuffers]
-
-
 class SegmentBuilder:
     """Accumulates objects, then lays them out in one segment."""
 
     def __init__(self):
-        self._pieces = []    # (offset, bytes-like)
-        self._entries = []   # (head_span, buffer_spans, payload_bytes)
+        self._pieces = []    # the layout, gaps included, back to back
+        self._entries = []   # (head_span, buffer_spans, payload, writable)
         self._size = 0
 
     def _append(self, piece) -> tuple:
-        length = piece.nbytes if isinstance(piece, memoryview) \
-            else len(piece)
+        piece = memoryview(piece)
         offset = self._size
-        self._pieces.append((offset, piece))
-        self._size = _align(offset + length)
-        return offset, length
+        end = offset + piece.nbytes
+        self._size = _align(end)
+        self._pieces += (piece, _ZEROS[:self._size - end])
+        return offset, piece.nbytes
 
-    def add(self, obj) -> int:
-        """Stage ``obj``; returns its entry index."""
-        head, raws = _encode(obj)
-        head_span = self._append(head)
-        buffer_spans = tuple(self._append(raw) for raw in raws)
+    def add(self, obj, writable: bool = False) -> int:
+        """Stage ``obj`` (a protocol-5 pickle head and its out-of-band
+        buffers); returns its entry index. A ``writable`` entry loads as
+        a private copy instead of read-only views."""
+        raws = []
+        head_span = self._append(pickle.dumps(obj, protocol=5,
+                                              buffer_callback=raws.append))
+        buffer_spans = tuple(self._append(raw.raw()) for raw in raws)
         payload = head_span[1] + sum(span[1] for span in buffer_spans)
-        self._entries.append((head_span, buffer_spans, payload))
+        self._entries.append((head_span, buffer_spans, payload, writable))
         return len(self._entries) - 1
 
     @property
     def nbytes(self) -> int:
         return self._size
 
-    def write(self, buf) -> None:
-        for offset, piece in self._pieces:
-            length = piece.nbytes if isinstance(piece, memoryview) \
-                else len(piece)
-            buf[offset:offset + length] = piece
+    def write(self, fd: int) -> None:
+        """Write the layout at offset 0 of ``fd`` with ``os.pwritev``: at
+        most ``SC_IOV_MAX`` buffers a call, resuming after short writes."""
+        views = [piece for piece in self._pieces if piece.nbytes]
+        offset = start = 0
+        while start < len(views):
+            written = os.pwritev(fd, views[start:start + _IOV_MAX], offset)
+            offset += written
+            while start < len(views) and written >= views[start].nbytes:
+                written -= views[start].nbytes
+                start += 1
+            if written:
+                views[start] = views[start][written:]
 
     def refs(self, segment_name: str) -> list:
-        return [ShmRef(segment_name, head, buffers, payload)
-                for head, buffers, payload in self._entries]
+        return [ShmRef(segment_name, *entry) for entry in self._entries]
 
 
 #: distinguishes segments created by the same forked process image
@@ -214,24 +225,32 @@ _CREATE_SEQ = itertools.count(1)
 def write_segment(prefix: str, builder: SegmentBuilder, metrics=None):
     """Create a segment under ``prefix`` holding ``builder``'s layout.
 
-    Returns ``(name, total_bytes, refs)``. The creating process closes
-    its mapping immediately — readers attach by name; the driver
-    registry owns the unlink (the resource tracker never hears about
-    these names, see :func:`_install_tracker_filter`).
+    Returns ``(name, total_bytes, refs)``. The writer never maps the
+    segment: it sizes the new file and writes the layout into it
+    (:meth:`SegmentBuilder.write`), so a full ``/dev/shm`` raises
+    ``OSError`` (ENOSPC), after which the segment is unlinked and the
+    caller ships inline, where a store through a mapping would kill the
+    process with SIGBUS. Readers attach by name, and the driver registry
+    owns the unlink (the resource tracker never hears about these
+    names, see :func:`_install_tracker_filter`).
     """
     pid = os.getpid()
     while True:
         name = f"{prefix}{pid:x}-{next(_CREATE_SEQ):x}"
         try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=max(builder.nbytes, 1))
+            fd = _posixshmem.shm_open(
+                "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
             break
         except FileExistsError:  # pragma: no cover - seq makes it rare
             continue
     try:
-        builder.write(segment.buf)
+        os.ftruncate(fd, max(builder.nbytes, 1))
+        builder.write(fd)
+    except BaseException:
+        _posixshmem.shm_unlink("/" + name)
+        raise
     finally:
-        segment.close()
+        os.close(fd)
     if metrics is not None:
         metrics.add(shm_segments_created=1)
     return name, builder.nbytes, builder.refs(name)
@@ -241,9 +260,9 @@ def write_segment(prefix: str, builder: SegmentBuilder, metrics=None):
 # decoding: per-process attachment cache
 # ----------------------------------------------------------------------
 
-#: name -> SharedMemory; mappings stay open so zero-copy views into them
-#: remain valid however long results live, except that a worker closes
-#: those of unlinked segments between tasks (:func:`release_unlinked`)
+#: name -> SharedMemory; mappings stay open so views into them stay valid,
+#: but a worker closes those it inherited and, between tasks, those of
+#: unlinked segments (:func:`_after_fork`, :func:`release_unlinked`)
 _ATTACHED = {}
 _ATTACH_LOCK = threading.Lock()
 
@@ -259,20 +278,37 @@ def _attach(name: str, metrics=None):
         return segment
 
 
-def load_ref(ref: ShmRef, metrics=None):
-    """Rebuild the object ``ref`` points at, zero-copy.
+def _read_copies(ref: ShmRef) -> list:
+    """``ref``'s head and buffers as private ``bytearray``s, read with
+    ``os.preadv`` from the segment's file, which is never mapped."""
+    fd = _posixshmem.shm_open("/" + ref.segment, os.O_RDONLY, mode=0o600)
+    try:
+        copies = []
+        for offset, length in (ref.head, *ref.buffers):
+            copies.append(bytearray(length))
+            if os.preadv(fd, [copies[-1]], offset) != length:
+                raise EOFError(f"segment {ref.segment} is short")
+        return copies
+    finally:
+        os.close(fd)
 
-    The pickle head is copied (it is tiny); the payload buffers are
-    read-only memoryview slices of the mapping, so numpy columns alias
-    the shared segment directly.
+
+def load_ref(ref: ShmRef, metrics=None):
+    """Rebuild the object ``ref`` points at.
+
+    A packed ref loads zero-copy: its pickle head is copied and its
+    payload buffers are read-only memoryview slices of the cached
+    mapping, so numpy columns alias the shared segment directly. A
+    ``writable`` ref (a tuple list, whose head holds most of its data)
+    is read into private copies, as unpickling gives, and maps nothing.
     """
-    segment = _attach(ref.segment, metrics)
-    buf = segment.buf
+    if ref.writable:
+        head, *views = _read_copies(ref)
+        return pickle.loads(head, buffers=views)
+    buf = _attach(ref.segment, metrics).buf
     head_off, head_len = ref.head
-    head = bytes(buf[head_off:head_off + head_len])
-    views = [buf[off:off + length].toreadonly()
-             for off, length in ref.buffers]
-    return pickle.loads(head, buffers=views)
+    views = [buf[off:off + length].toreadonly() for off, length in ref.buffers]
+    return pickle.loads(buf[head_off:head_off + head_len], buffers=views)
 
 
 def resolve_segment(segment, metrics=None):
@@ -305,13 +341,24 @@ def _release_attachments() -> None:
         _ATTACHED.clear()
 
 
+def _after_fork() -> None:
+    """A fork closes the mappings it inherited (its parent's reads), under
+    a fresh lock: another parent thread may have held the old one."""
+    global _ATTACH_LOCK
+    _ATTACH_LOCK = threading.Lock()
+    _release_attachments()
+
+
+os.register_at_fork(after_in_child=_after_fork)
+
+
 def release_unlinked() -> None:
     """Close the cached mappings of segments whose ``/dev/shm`` entry is
     gone: the driver unlinked them with the shuffle that owned them.
 
     A worker calls this when a task ends and the driver has released
-    segments since, so a segment's pages go with its last reader
-    instead of staying mapped for the worker's life."""
+    segments since, before it replies, so a segment's pages go with its
+    last reader instead of staying mapped for the worker's life."""
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         return
     with _ATTACH_LOCK:
@@ -322,23 +369,10 @@ def release_unlinked() -> None:
 
 def _unlink_segment(name: str) -> None:
     """Unlink ``name`` whether or not this process has it mapped."""
-    with _ATTACH_LOCK:
-        cached = _ATTACHED.get(name)
-    if cached is not None:
-        try:
-            cached.unlink()
-        except FileNotFoundError:
-            pass
-        return
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        _posixshmem.shm_unlink("/" + name)
     except FileNotFoundError:
-        return
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - racing cleanup
         pass
-    segment.close()
 
 
 def leaked_segments(prefix: str) -> list:
@@ -445,13 +479,15 @@ class SharedSegmentRegistry:
         return handle
 
     def release(self, *names: str) -> None:
-        """Unlink segments (idempotent)."""
+        """Unlink segments (idempotent). The release count moves after
+        the unlinks, so a payload that carries it finds them gone."""
         with self._lock:
-            self.releases += 1
             for name in names:
                 self._segments.pop(name, None)
         for name in names:
             _unlink_segment(name)
+        with self._lock:
+            self.releases += 1
 
     def segment_count(self) -> int:
         with self._lock:
@@ -479,18 +515,10 @@ class SharedSegmentRegistry:
             names = list(self._segments)
             self._segments.clear()
             self._block_exports.clear()
-        for name in names:
-            _unlink_segment(name)
         # segments created by workers that died before the driver could
         # adopt them share this registry's prefix — sweep them too
-        base = "/dev/shm"
-        if os.path.isdir(base):
-            for fname in os.listdir(base):
-                if fname.startswith(self.prefix):
-                    try:
-                        os.unlink(os.path.join(base, fname))
-                    except OSError:  # pragma: no cover - racing cleanup
-                        pass
+        for name in names + leaked_segments(self.prefix):
+            _unlink_segment(name)
 
 
 def _cleanup_at_exit() -> None:  # pragma: no cover - interpreter exit

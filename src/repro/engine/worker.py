@@ -18,8 +18,9 @@ One round trip:
 2. :func:`_worker_entry` rebuilds the task over a
    :class:`WorkerContext` (fresh metrics, fresh tracer, a
    :class:`TaskBlockCache` seeded from the handles) and runs it;
-   shuffle map output is exported to a shared-memory segment before
-   the reply, so bucket payloads never ride the result pipe;
+   a shuffle map task writes all its non-empty buckets into one
+   shared-memory segment before the reply, so bucket payloads never
+   ride the result pipe: replies and reduce payloads carry refs;
 3. the reply carries the result plus everything the driver must merge
    back: metric counter deltas, spans (stage and task wall times are
    read off them), cache contributions (blocks the task computed for
@@ -250,22 +251,22 @@ def bind_lineage(roots, context) -> None:
 # ----------------------------------------------------------------------
 
 def _export_map_output(out, prefix, metrics, created):
-    """Move packed shuffle buckets into one shared-memory segment.
+    """Move a map task's non-empty buckets into one shared-memory segment.
 
-    Tuple-list fallback buckets (and empty ones) stay inline; packed
-    ``RecordBatch`` buckets are replaced by
-    :class:`~repro.engine.shm.ShmRef` locators. On any shm failure the
-    original buckets ship inline — correctness never depends on the
-    segment."""
+    Each is replaced by a :class:`~repro.engine.shm.ShmRef` locator:
+    packed ``RecordBatch`` buckets load zero-copy and read-only,
+    ``(key, value)`` lists as writable copies, as the pipe gave them. On
+    any shm failure the original buckets ship inline — correctness
+    never depends on the segment."""
     buckets, num_records, total_bytes, stats = out
-    exportable = [i for i, bucket in enumerate(buckets)
-                  if isinstance(bucket, RecordBatch)]
+    exportable = [i for i, bucket in enumerate(buckets) if len(bucket)]
     if not exportable:
         return out
     try:
         builder = shm_mod.SegmentBuilder()
         for i in exportable:
-            builder.add(buckets[i])
+            builder.add(buckets[i],
+                        writable=not isinstance(buckets[i], RecordBatch))
         name, nbytes, refs = shm_mod.write_segment(
             prefix, builder, metrics)
     except Exception:
@@ -337,18 +338,19 @@ def _dump_reply(reply: dict) -> bytes:
 def _serve(conn) -> None:
     """A worker's loop: payload in, reply out, until the stop message.
 
-    After a reply, once the task's views are gone, a worker whose
+    Once a task's views are gone, and before its reply, a worker whose
     driver has released segments since its last look unmaps those the
-    driver unlinked (:func:`~repro.engine.shm.release_unlinked`), while
-    the driver takes in the reply."""
+    driver unlinked (:func:`~repro.engine.shm.release_unlinked`): when
+    a job returns, no worker that served it maps a segment released
+    before the job's tasks were sent."""
     seen = 0
     try:
         while payload := conn.recv_bytes():
             reply, releases = _worker_entry(payload)
-            conn.send_bytes(reply)
             if releases not in (None, seen):
                 seen = releases
                 shm_mod.release_unlinked()
+            conn.send_bytes(reply)
     except EOFError:  # the driver is gone
         pass
 

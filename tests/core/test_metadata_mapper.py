@@ -72,6 +72,19 @@ class TestMetadata:
         with pytest.raises(MetadataError):
             ArrayMetadata((4, 4), (2, 0))
 
+    def test_chunk_ids_past_int64_rejected(self):
+        # 2**64 chunks: int64 chunk IDs wrapped, and get() missed a
+        # stored cell that sum() counted
+        with pytest.raises(MetadataError, match="int64"):
+            ArrayMetadata((2**20,) * 4, (16,) * 4)
+        with pytest.raises(MetadataError):
+            ArrayMetadata((2**63,), (1,))
+        assert ArrayMetadata((2**31, 2**31, 16), (4, 4, 4)).num_chunks \
+            == 2**60
+        assert ArrayMetadata((2**63 - 1,), (1,)).num_chunks == 2**63 - 1
+        # the grid is exact integer division, not a float ceil
+        assert ArrayMetadata((2**53 + 1,), (1,)).chunk_grid == (2**53 + 1,)
+
     def test_check_coords_arity(self):
         meta = ArrayMetadata((4, 4), (2, 2))
         with pytest.raises(CoordinateError):

@@ -3,13 +3,16 @@
 Covers what the scheduler contract tests (which run whole scenarios
 under ``backend="process"``) do not: a worker killed mid-stage (and
 replaced alone), callers sharing the workers' pipes, the shared-memory
-block-exchange counters, cached-chunk handoff, span adoption, resource
+block-exchange counters, tuple buckets crossing as shm refs, cached-chunk
+handoff, span adoption, resource
 cleanup — no leaked ``/dev/shm`` segments, spill files or worker
 processes after a run, even one that killed a worker or shut down mid-job
 — a clean exit after many jobs, task payloads sliced to the partitions
 a task reads, and by-value closures that reach themselves.
 """
 
+import errno
+import gc
 import multiprocessing
 import operator
 import os
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import ArrayRDD, SpangleMatrix
 from repro.engine import (
     ClusterContext,
     HashPartitioner,
@@ -35,18 +39,26 @@ from repro.engine import (
 )
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.explain import memory_report
+from repro.engine.lineage import FaultInjector
 from repro.engine.partitioner import ExplicitPartitioner
 from repro.engine.rdd import LineageStub
-from repro.engine.shm import SHM_BLOCK_MIN_BYTES, leaked_segments
+from repro.engine.shm import (
+    SHM_BLOCK_MIN_BYTES,
+    ShmRef,
+    leaked_segments,
+    load_ref,
+)
 from repro.engine.top import health_events, render_dashboard
 from repro.engine.worker import (
     ResultTask,
     TaskBlockCache,
     WorkerContext,
     bind_lineage,
+    lineage_nodes,
 )
 from repro.errors import EngineError
 from tests.engine.test_scheduler import LOGICAL_FIELDS
+from tests.engine.test_shm_lifecycle import _mapped_segments
 
 # a module-level recursive lambda reaches itself through its globals
 fact = lambda n: 1 if n <= 1 else n * fact(n - 1)  # noqa: E731
@@ -382,6 +394,149 @@ class TestSharedMemoryExchange:
             assert snap.shm_bytes_mapped == 0
 
 
+def _committed_buckets(rdd) -> list:
+    """Every non-empty bucket the shuffles under ``rdd`` committed."""
+    return [segment for node in lineage_nodes([rdd])
+            for buckets in getattr(node, "_buckets", ())
+            if buckets is not None
+            for bucket in buckets for segment in bucket]
+
+
+def _add_in_place(a, b):
+    a += b
+    return a
+
+
+def _process_group_strings(ctx):
+    records = [(f"k{i % 24}", i) for i in range(2400)]
+    grouped = ctx.parallelize(records, 4).group_by_key()
+    return grouped, sorted((k, sorted(vs)) for k, vs in grouped.collect())
+
+
+def _process_combine_chunks(ctx):
+    rng = np.random.default_rng(5)
+    sides = []
+    for parts in (4, 3):
+        chunked = ArrayRDD.from_numpy(ctx, rng.random((128, 128)),
+                                      (64, 64), valid=rng.random((128, 128))
+                                      < 0.6)
+        # no partitioner: the combine shuffles this side's chunk records
+        sides.append(ArrayRDD(ctx.parallelize(chunked.rdd.collect(), parts),
+                              chunked.meta, ctx))
+    combined = sides[0].combine(sides[1], operator.add, how="and")
+    return combined.rdd, combined.collect_dense(fill=0.0)
+
+
+def _process_matmul_partials(ctx):
+    rng = np.random.default_rng(6)
+    a, b = rng.random((128, 96)), rng.random((96, 128))
+    product = SpangleMatrix.from_numpy(ctx, a, (32, 32), num_partitions=3) \
+        .multiply(SpangleMatrix.from_numpy(ctx, b, (32, 32),
+                                           num_partitions=4))
+    return product.array.rdd, product.to_numpy()
+
+
+TUPLE_BUCKET_SCENARIOS = {
+    "group_by_key_strings": _process_group_strings,
+    "combine_chunks": _process_combine_chunks,
+    "matmul_partials": _process_matmul_partials,
+}
+
+
+class TestPayloadsCarryTupleBucketRefs:
+    """Buckets the columnar codec refuses (``(key, value)`` lists) cross
+    by shared memory, as packed batches do, and load writable."""
+
+    @pytest.mark.parametrize("name", sorted(TUPLE_BUCKET_SCENARIOS))
+    def test_tuple_buckets_commit_as_shm_refs_on_process(self, name):
+        scenario = TUPLE_BUCKET_SCENARIOS[name]
+        with ClusterContext(num_executors=2) as ctx:
+            _rdd, expected = scenario(ctx)
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            rdd, got = scenario(ctx)
+            buckets = _committed_buckets(rdd)
+            assert buckets and all(isinstance(ref, ShmRef)
+                                   for ref in buckets)
+            assert any(ref.writable for ref in buckets)
+        assert pickle.dumps(got) == pickle.dumps(expected)
+
+    def test_payload_of_a_reduce_stage_does_not_grow_with_its_buckets(self):
+        sizes = {}
+        for width in (8, 8192):
+            records = [(f"k{i % 8}", np.full(width, float(i)))
+                       for i in range(64)]
+            with ClusterContext(num_executors=2, backend="process") as ctx:
+                grouped = ctx.parallelize(records, 4).group_by_key()
+                payloads = _record_payloads(ctx)
+                got = grouped.collect()
+                before = ctx.metrics.snapshot()
+                grouped.count()
+                delta = ctx.metrics.snapshot() - before
+            assert sum(len(vs) for _k, vs in got) == 64
+            assert len(payloads) == 8 + 4    # map tasks, then reducers
+            reduce_bytes = sum(map(len, payloads[-4:]))
+            assert delta.task_payload_bytes == reduce_bytes
+            sizes[width] = reduce_bytes
+        # 1000x the bucket bytes; only the refs' offsets widen
+        assert sizes[8192] < 1.2 * sizes[8]
+
+    @pytest.mark.parametrize("width", [4, 2048])
+    def test_in_place_merge_matches_serial_on_process(self, width):
+        results = {}
+        for mode, extra in (("serial", {}), ("process", {"backend":
+                                                           "process"})):
+            with ClusterContext(num_executors=2, **extra) as ctx:
+                records = [(i % 5, np.full(width, float(i)))
+                           for i in range(40)]
+                summed = ctx.parallelize(records, 4) \
+                    .reduce_by_key(_add_in_place)
+                results[mode] = pickle.dumps(sorted(
+                    (k, v.tolist()) for k, v in summed.collect()))
+        assert results["process"] == results["serial"]
+
+    def test_driver_reads_of_tuple_buckets_map_nothing_on_process(self):
+        # a lookup (as ``ArrayRDD.get`` makes) computes its partition on
+        # the driver, which reads the combine's chunk records as copies
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            rdd, _dense = _process_combine_chunks(ctx)
+            buckets = _committed_buckets(rdd)
+            assert buckets and all(isinstance(ref, ShmRef) and ref.writable
+                                   for ref in buckets)
+            (chunk,) = rdd.lookup(3)
+            assert pickle.dumps(chunk) == pickle.dumps(dict(rdd.collect())[3])
+            del rdd, buckets, chunk
+            gc.collect()
+            prefix = ctx.shm_registry.prefix
+            assert _mapped_segments(os.getpid(), prefix) == set()
+
+    def test_full_shm_ships_buckets_inline_on_process(self, monkeypatch):
+        def full(fd, buffers, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with ClusterContext(num_executors=2) as ctx:
+            _rdd, expected = _process_group_strings(ctx)
+        # the forked workers inherit the patched write
+        monkeypatch.setattr(os, "pwritev", full)
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            grouped, got = _process_group_strings(ctx)
+            buckets = _committed_buckets(grouped)
+            assert buckets and not any(isinstance(bucket, ShmRef)
+                                       for bucket in buckets)
+            assert ctx.metrics.snapshot().shm_segments_created == 0
+            assert leaked_segments(ctx.shm_registry.prefix) == []
+        assert got == expected
+
+    def test_struck_tuple_buckets_recompute_on_process(self):
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            rdd, _dense = _process_combine_chunks(ctx)
+            first = pickle.dumps(sorted(rdd.collect()))
+            lost = FaultInjector(ctx, seed=0).strike(rdd, kill_fraction=1.0)
+            assert lost >= 2          # both combine sides' map output
+            assert pickle.dumps(sorted(rdd.collect())) == first
+            prefix = ctx.shm_registry.prefix
+        assert leaked_segments(prefix) == []
+
+
 class TestSpillInterplay:
     def test_spilled_blocks_reach_workers_and_clean_up(self):
         from repro.engine import StorageLevel
@@ -571,24 +726,27 @@ class TestSlicedPayload:
         assert delta.task_payload_bytes == sum(map(len, payloads))
 
     def test_payload_ships_only_its_reducers_buckets(self):
-        # string keys do not pack, so the buckets stay tuple lists that
-        # ride inline with the result tasks; placing them by their
+        # string keys do not pack, so the buckets are tuple lists, which
+        # cross as shm refs like packed ones; placing them by their
         # number (not the seeded str hash) gives each reducer 6 keys
-        records = [(f"k{i % 24}", i) for i in range(2400)]
+        records = [(f"k{i % 24}", i) for i in range(24000)]
         by_number = ExplicitPartitioner(4, lambda key: int(key[1:]))
         with ClusterContext(num_executors=2, backend="process") as ctx:
             grouped = ctx.parallelize(records, 4).group_by_key(by_number)
             payloads = _record_payloads(ctx)
             got = grouped.collect()
-            full = len(task_dumps(grouped._buckets[0]))
-        assert sorted(v for _k, vs in got for v in vs) == list(range(2400))
+            inline = [len(task_dumps([load_ref(ref) for ref in bucket]))
+                      for bucket in grouped._buckets[0]]
+        assert sorted(v for _k, vs in got for v in vs) == list(range(24000))
         tasks = [task_loads(payload)["task"] for payload in payloads]
         results = [(task, payload) for task, payload in zip(tasks, payloads)
                    if isinstance(task, ResultTask)]
         assert len(results) == 4
         for task, payload in results:
             assert list(task.rdd._buckets[0]) == [task.index]
-            assert len(payload) < full / 2
+            assert all(isinstance(ref, ShmRef)
+                       for ref in task.rdd._buckets[0][task.index])
+            assert len(payload) < inline[task.index] / 10
 
     def test_payload_stub_without_its_handle_raises(self):
         with ClusterContext(num_executors=2, backend="process") as ctx:
