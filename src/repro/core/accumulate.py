@@ -18,6 +18,9 @@ Invalid cells pass the running value through and stay invalid.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
+
 import numpy as np
 
 from repro.core import mapper
@@ -71,6 +74,36 @@ def _rebuild(prefix, valid):
                             valid.ravel(order="F"))
 
 
+def _internal(meta, axis, ufunc, identity, part):
+    """Async phase 1: each chunk's internal prefix, validity and total."""
+    for chunk_id, chunk in part:
+        yield chunk_id, _chunk_prefix(meta, chunk, axis, ufunc, identity)
+
+
+def _apply_offsets(offsets, axis, ufunc, pair):
+    """Async phase 3: a staged chunk plus its broadcast strip offset."""
+    chunk_id, (prefix, valid, _total) = pair
+    offset = offsets.value.get(chunk_id)
+    if offset is not None:
+        prefix = ufunc(prefix, np.expand_dims(offset, axis))
+    return chunk_id, _rebuild(prefix, valid)
+
+
+def _advance(meta, axis, ufunc, identity, step, carries, part):
+    """Sync step ``step``: the chunks at that strip position, carried."""
+    for chunk_id, chunk in part:
+        cross, position = _strip_key(meta, chunk_id, axis)
+        if position != step:
+            continue
+        prefix, valid, total = _chunk_prefix(meta, chunk, axis, ufunc,
+                                             identity)
+        carry = carries.get(cross)
+        if carry is not None:
+            prefix = ufunc(prefix, np.expand_dims(carry, axis))
+            total = ufunc(total, carry)
+        yield chunk_id, (_rebuild(prefix, valid), total, cross)
+
+
 def accumulate_axis(array: ArrayRDD, axis, op="sum",
                     mode: str = "async") -> ArrayRDD:
     """Running accumulation along ``axis``; returns a new ArrayRDD."""
@@ -91,19 +124,12 @@ def _accumulate_async(array, axis, ufunc, identity):
     meta = array.meta
 
     # phase 1 (parallel): internal prefixes + per-chunk strip totals
-    def internal(part):
-        for chunk_id, chunk in part:
-            prefix, valid, total = _chunk_prefix(meta, chunk, axis,
-                                                 ufunc, identity)
-            yield chunk_id, (prefix, valid, total)
-
-    staged = array.rdd.map_partitions(internal,
-                                      preserves_partitioning=True) \
-                      .cache()
+    staged = array.rdd.map_partitions(
+        partial(_internal, meta, axis, ufunc, identity),
+        preserves_partitioning=True).cache()
 
     # phase 2 (driver): exclusive scan of the tiny per-chunk totals
-    totals = staged.map(
-        lambda kv: (kv[0], kv[1][2])).collect()
+    totals = staged.map_values(itemgetter(2)).collect()
     strips = {}
     for chunk_id, total in totals:
         cross, position = _strip_key(meta, chunk_id, axis)
@@ -120,16 +146,8 @@ def _accumulate_async(array, axis, ufunc, identity):
                 carry = total
 
     # phase 3 (parallel): add offsets, rebuild chunks
-    offsets_broadcast = array.context.broadcast(offsets)
-
-    def apply_offsets(pair):
-        chunk_id, (prefix, valid, _total) = pair
-        offset = offsets_broadcast.value.get(chunk_id)
-        if offset is not None:
-            prefix = ufunc(prefix, np.expand_dims(offset, axis))
-        return chunk_id, _rebuild(prefix, valid)
-
-    out = staged.map(apply_offsets)
+    out = staged.map(partial(_apply_offsets, array.context.broadcast(
+        offsets), axis, ufunc))
     out.partitioner = array.rdd.partitioner
     result = ArrayRDD(out, meta, array.context).materialize()
     staged.unpersist()
@@ -143,24 +161,8 @@ def _accumulate_sync(array, axis, ufunc, identity):
     carries = {}
     finished = []
     for step in range(steps):
-        step_carries = dict(carries)
-
-        def advance(part, step=step, step_carries=step_carries):
-            for chunk_id, chunk in part:
-                _cross, position = _strip_key(meta, chunk_id, axis)
-                if position != step:
-                    continue
-                prefix, valid, total = _chunk_prefix(
-                    meta, chunk, axis, ufunc, identity)
-                cross, _position = _strip_key(meta, chunk_id, axis)
-                carry = step_carries.get(cross)
-                if carry is not None:
-                    prefix = ufunc(prefix, np.expand_dims(carry, axis))
-                    total = ufunc(total, carry)
-                yield chunk_id, (_rebuild(prefix, valid), total, cross)
-
-        produced = array.rdd.map_partitions(advance).collect()
-        carries = dict(carries)
+        produced = array.rdd.map_partitions(partial(
+            _advance, meta, axis, ufunc, identity, step, carries)).collect()
         for chunk_id, (chunk, total, cross) in produced:
             finished.append((chunk_id, chunk))
             carries[cross] = total

@@ -28,6 +28,8 @@ renders the plan without compiling anything into the array's state.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from repro.core import mapper
@@ -46,14 +48,9 @@ from repro.core.plan import (
 )
 from repro.engine import HashPartitioner, RecordBatch, StorageLevel
 from repro.engine.partitioner import HASH_MODULUS as _KEY_LIMIT
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.partitioner import BlockPartitioner
 from repro.errors import ArrayError, ModeError, ShapeMismatchError
 
-
-# ----------------------------------------------------------------------
-# module-level task callables
-# ----------------------------------------------------------------------
-# Module-level, so process-backend tasks pickle them by reference.
 
 class _Aggregate:
     """Sink of ``aggregate``: one partial state per partition, its
@@ -196,10 +193,7 @@ def aggregate_cells(array, out_meta, agg, axes, window,
         raise ArrayError(
             f"aggregation output has {out_meta.num_chunks} chunks of "
             f"{cells_per_chunk} cells: its cell keys reach 2**61 - 1")
-    by_chunk = ExplicitPartitioner(
-        num_partitions, lambda key: key // cells_per_chunk,
-        tag=("output-chunk", cells_per_chunk),
-        array_func=lambda keys: keys // cells_per_chunk)
+    by_chunk = BlockPartitioner(num_partitions, divisor=cells_per_chunk)
     chunks = array._reduce(_CellPartials(array.meta, out_meta, axes,
                                          window, agg)) \
         .reduce_by_key(agg.merge, partitioner=by_chunk,
@@ -209,8 +203,9 @@ def aggregate_cells(array, out_meta, agg, axes, window,
     return ArrayRDD(chunks, out_meta, array.context)
 
 
-def _chunk_nbytes(kv) -> int:
-    return kv[1].nbytes
+def has_cells(kv) -> bool:
+    """Whether a ``(chunk_id, Chunk)`` record keeps a valid cell."""
+    return kv[1].valid_count > 0
 
 
 class ArrayRDD:
@@ -377,9 +372,7 @@ class ArrayRDD:
 
     def memory_bytes(self) -> int:
         """Total in-memory footprint of all chunks (payloads + masks)."""
-        return self.rdd.map(_chunk_nbytes).fold(
-            0, lambda a, b: a + b
-        )
+        return self.rdd.values().map(attrgetter("nbytes")).sum()
 
     def get(self, coords):
         """Point query: value at global coordinates, or None if invalid."""

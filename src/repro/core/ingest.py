@@ -34,10 +34,6 @@ def chunk_pieces(meta: ArrayMetadata, coords, values):
         yield chunk_id, (offsets, run)
 
 
-# module-level task callables: tasks ship these to worker processes by
-# qualified name instead of serializing closure cells (see the note in
-# repro.engine.rdd)
-
 class _RecordPieces:
     """A partition of ``(coords, value)`` records as ``meta.dtype`` pieces."""
 

@@ -22,6 +22,8 @@ The with/without-MaskRDD performance gap is the paper's Fig. 9b.
 
 from __future__ import annotations
 
+from operator import methodcaller
+
 from repro.bitmask import Bitmask
 from repro.bitmask.stacked import deposit, segments_any, stack_words
 from repro.core import mapper
@@ -39,6 +41,16 @@ def _co_partitioned(first, second):
         target = HashPartitioner(max(first.num_partitions,
                                      second.num_partitions))
     return first.partition_by(target), second.partition_by(target)
+
+
+def _or_masks(pair):
+    """A full outer join's ``(left, right)`` masks ORed (None: absent)."""
+    left, right = pair
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left | right
 
 
 def _paired(left, right) -> list:
@@ -89,11 +101,10 @@ class _AndMasks:
 class _RestrictMasks:
     """One pass applying every pending box to a partition of masks.
 
-    A module-level class (pickled by reference when tasks ship to
-    worker processes). Chunk-ID pruning uses the intersection of the
-    boxes' wanted-sets — a chunk outside *any* box is skipped without
-    touching its bitmask; boxes then AND in recorded order, exactly as
-    the chained eager restrictions would.
+    Chunk-ID pruning uses the intersection of the boxes' wanted-sets —
+    a chunk outside *any* box is skipped without touching its bitmask;
+    boxes then AND in recorded order, exactly as the chained eager
+    restrictions would.
     """
 
     __slots__ = ("meta", "boxes", "wanted")
@@ -168,7 +179,7 @@ class MaskRDD:
     @classmethod
     def from_array_rdd(cls, array_rdd) -> "MaskRDD":
         """Initial mask: exactly the validity of one attribute."""
-        masks = array_rdd.rdd.map_values(lambda chunk: chunk.flat_mask())
+        masks = array_rdd.rdd.map_values(methodcaller("flat_mask"))
         return cls(masks, array_rdd.meta, array_rdd.context)
 
     @classmethod
@@ -231,16 +242,7 @@ class MaskRDD:
         """Cell-wise OR of two masks (or-join of Fig. 4c)."""
         self._check_compatible(other)
         joined = self.rdd.full_outer_join(other.rdd)
-
-        def merge(pair):
-            left, right = pair
-            if left is None:
-                return right
-            if right is None:
-                return left
-            return left | right
-
-        return self._with_rdd(joined.map_values(merge))
+        return self._with_rdd(joined.map_values(_or_masks))
 
     def _check_compatible(self, other: "MaskRDD") -> None:
         if other.meta.shape != self.meta.shape \
@@ -275,8 +277,7 @@ class MaskRDD:
             array_rdd._chunk_ids)
 
     def count_valid(self) -> int:
-        return self.rdd.map(lambda kv: kv[1].count()).fold(
-            0, lambda a, b: a + b)
+        return self.rdd.values().map(methodcaller("count")).sum()
 
     def cache(self) -> "MaskRDD":
         self.rdd.cache()

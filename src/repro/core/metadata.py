@@ -88,10 +88,14 @@ class ArrayMetadata:
             raise MetadataError(f"duplicate dimension names: {dim_names}")
         object.__setattr__(self, "dim_names", dim_names)
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
-        if self.num_chunks >= 2**63:
+        # the vectorized mapper holds IDs, offsets and coordinates in int64
+        limit = 2**63
+        if (self.num_chunks >= limit or self.cells_per_chunk >= limit
+                or max(shape) > limit or min(starts) < -limit
+                or max(self.ends) > limit):
             raise MetadataError(
-                f"{self.num_chunks} chunks do not fit int64 chunk IDs: "
-                f"shape {shape}, chunk_shape {chunk_shape}")
+                f"geometry does not fit int64: shape {shape}, chunk_shape "
+                f"{chunk_shape}, starts {starts}")
 
     # ------------------------------------------------------------------
     # derived geometry

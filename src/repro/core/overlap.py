@@ -15,11 +15,12 @@ optionally validity) for the *core* region.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 
 from repro.core import mapper
-from repro.core.array_rdd import ArrayRDD
+from repro.core.array_rdd import ArrayRDD, has_cells
 from repro.core.chunk import Chunk
 from repro.errors import ArrayError
 
@@ -95,57 +96,55 @@ def expanded_chunks(array_rdd: ArrayRDD, depth: int):
     neighbour_offsets = [
         o for o in itertools.product(*axis_choices) if any(o)
     ]
-
-    def emit_halos(part):
-        for chunk_id, chunk in part:
-            grid = mapper.chunk_coords_from_id(meta, chunk_id)
-            values, valid = _chunk_as_ndarray(meta, chunk)
-            for offsets in neighbour_offsets:
-                target_grid = tuple(
-                    g + o for g, o in zip(grid, offsets))
-                if any(
-                    not 0 <= t < meta.chunk_grid[axis]
-                    for axis, t in enumerate(target_grid)
-                ):
-                    continue
-                src = _halo_slices(meta, offsets, depths, "source")
-                slab_valid = valid[src]
-                if not slab_valid.any():
-                    continue
-                target_id = mapper.chunk_id_from_chunk_coords(
-                    meta, target_grid)
-                # a slab sent to the neighbour at offset +1 arrives at the
-                # receiver's low-side halo: placement is keyed by the
-                # sender's offset vector as-is (see _halo_slices)
-                yield target_id, (offsets, values[src].copy(),
-                                  slab_valid.copy())
-
-    halos = array_rdd.rdd.map_partitions(emit_halos)
+    halos = array_rdd.rdd.map_partitions(
+        partial(_emit_halos, meta, depths, neighbour_offsets))
     grouped = array_rdd.rdd.cogroup(halos,
                                     partitioner=array_rdd.rdd.partitioner)
-    expanded_shape = tuple(
-        s + 2 * d for s, d in zip(meta.chunk_shape, depths))
-
-    def assemble(pair):
-        own_chunks, slabs = pair
-        values = np.zeros(expanded_shape, dtype=meta.dtype)
-        valid = np.zeros(expanded_shape, dtype=bool)
-        if own_chunks:
-            core_values, core_valid = _chunk_as_ndarray(meta, own_chunks[0])
-            core = tuple(
-                slice(d, d + s)
-                for d, s in zip(depths, meta.chunk_shape))
-            values[core] = core_values
-            valid[core] = core_valid
-        for sender_offsets, slab_values, slab_valid in slabs:
-            dst = _halo_slices(meta, sender_offsets, depths, "target")
-            values[dst] = slab_values
-            valid[dst] = slab_valid
-        return values, valid
-
-    out = grouped.map_values(assemble)
+    out = grouped.map_values(partial(_assemble, meta, depths))
     out.partitioner = grouped.partitioner
     return out
+
+
+def _emit_halos(meta, depths, neighbour_offsets, part):
+    """Every chunk's boundary slabs, keyed by the neighbour they go to."""
+    for chunk_id, chunk in part:
+        grid = mapper.chunk_coords_from_id(meta, chunk_id)
+        values, valid = _chunk_as_ndarray(meta, chunk)
+        for offsets in neighbour_offsets:
+            target_grid = tuple(g + o for g, o in zip(grid, offsets))
+            if any(not 0 <= t < meta.chunk_grid[axis]
+                   for axis, t in enumerate(target_grid)):
+                continue
+            src = _halo_slices(meta, offsets, depths, "source")
+            slab_valid = valid[src]
+            if not slab_valid.any():
+                continue
+            target_id = mapper.chunk_id_from_chunk_coords(meta, target_grid)
+            # a slab sent to the neighbour at offset +1 arrives at the
+            # receiver's low-side halo: placement is keyed by the
+            # sender's offset vector as-is (see _halo_slices)
+            yield target_id, (offsets, values[src].copy(), slab_valid.copy())
+
+
+def _assemble(meta, depths, pair):
+    """A cogrouped ``(own_chunks, slabs)`` pair as the expanded
+    ``(values, valid)`` arrays."""
+    own_chunks, slabs = pair
+    expanded_shape = tuple(s + 2 * d for s, d in zip(meta.chunk_shape,
+                                                     depths))
+    values = np.zeros(expanded_shape, dtype=meta.dtype)
+    valid = np.zeros(expanded_shape, dtype=bool)
+    if own_chunks:
+        core_values, core_valid = _chunk_as_ndarray(meta, own_chunks[0])
+        core = tuple(slice(d, d + s)
+                     for d, s in zip(depths, meta.chunk_shape))
+        values[core] = core_values
+        valid[core] = core_valid
+    for sender_offsets, slab_values, slab_valid in slabs:
+        dst = _halo_slices(meta, sender_offsets, depths, "target")
+        values[dst] = slab_values
+        valid[dst] = slab_valid
+    return values, valid
 
 
 def stencil(array_rdd: ArrayRDD, func, depth: int) -> ArrayRDD:
@@ -162,31 +161,31 @@ def stencil(array_rdd: ArrayRDD, func, depth: int) -> ArrayRDD:
     """
     meta = array_rdd.meta
     depths = _normalize_depth(meta, depth)
-    core = tuple(
-        slice(d, d + s) for d, s in zip(depths, meta.chunk_shape))
-
-    def apply_stencil(pair):
-        values, valid = pair
-        result = func(values, valid, depths)
-        if isinstance(result, tuple):
-            new_values, new_valid = result
-        else:
-            new_values, new_valid = result, valid[core]
-        new_values = np.asarray(new_values)
-        if new_values.shape != meta.chunk_shape:
-            raise ArrayError(
-                f"stencil function returned shape {new_values.shape}, "
-                f"expected {meta.chunk_shape}"
-            )
-        return Chunk.from_dense(new_values.ravel(order="F"),
-                                np.asarray(new_valid,
-                                           dtype=bool).ravel(order="F"))
-
     chunks = expanded_chunks(array_rdd, depth) \
-        .map_values(apply_stencil) \
-        .filter(lambda kv: kv[1].valid_count > 0)
+        .map_values(partial(_apply_stencil, meta, func, depths)) \
+        .filter(has_cells)
     chunks.partitioner = array_rdd.rdd.partitioner
     return ArrayRDD(chunks, meta, array_rdd.context)
+
+
+def _apply_stencil(meta, func, depths, pair):
+    """``func`` over an expanded ``(values, valid)`` pair, as a chunk."""
+    values, valid = pair
+    result = func(values, valid, depths)
+    if isinstance(result, tuple):
+        new_values, new_valid = result
+    else:
+        core = tuple(slice(d, d + s)
+                     for d, s in zip(depths, meta.chunk_shape))
+        new_values, new_valid = result, valid[core]
+    new_values = np.asarray(new_values)
+    if new_values.shape != meta.chunk_shape:
+        raise ArrayError(
+            f"stencil function returned shape {new_values.shape}, "
+            f"expected {meta.chunk_shape}"
+        )
+    return Chunk.from_dense(new_values.ravel(order="F"),
+                            np.asarray(new_valid, dtype=bool).ravel(order="F"))
 
 
 def mean_stencil(window):
@@ -195,23 +194,24 @@ def mean_stencil(window):
     ``window`` is the half-width (the overlap depth) — an int or a
     per-axis tuple matching the depth passed to :func:`stencil`.
     """
+    return _window_mean
 
-    def func(values, valid, depths):
-        if isinstance(depths, int):
-            depths = (depths,) * values.ndim
-        filled = np.where(valid, values, 0.0)
-        sums = _box_sum(filled, depths)
-        counts = _box_sum(valid.astype(np.float64), depths)
-        core = tuple(
-            slice(d, values.shape[a] - d) if d else slice(None)
-            for a, d in enumerate(depths)
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = np.where(counts[core] > 0,
-                             sums[core] / counts[core], 0.0)
-        return means, valid[core] & (counts[core] > 0)
 
-    return func
+def _window_mean(values, valid, depths):
+    """The :func:`mean_stencil` function: the depths are the window."""
+    if isinstance(depths, int):
+        depths = (depths,) * values.ndim
+    filled = np.where(valid, values, 0.0)
+    sums = _box_sum(filled, depths)
+    counts = _box_sum(valid.astype(np.float64), depths)
+    core = tuple(
+        slice(d, values.shape[a] - d) if d else slice(None)
+        for a, d in enumerate(depths)
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = np.where(counts[core] > 0,
+                         sums[core] / counts[core], 0.0)
+    return means, valid[core] & (counts[core] > 0)
 
 
 def _box_sum(array: np.ndarray, radii) -> np.ndarray:

@@ -527,13 +527,11 @@ class _CompiledPlanPass:
     """The lowered form of a plan: one callable running the whole
     kernel chain over a partition, ending in the encode or in a sink.
 
-    A module-level class (not a closure) so compiled passes pickle by
-    construction when a task ships to a worker process. The driver-side
-    tracer and metrics references are dropped from the pickled state
-    (``__getstate__``) and the worker's context-binding walk re-attaches
-    its own via :meth:`bind_engine_context`, so per-pass counters and
-    ``plan`` spans flow through the worker's registries and merge back
-    with the task reply.
+    The driver-side tracer and metrics references are dropped from the
+    pickled state (``__getstate__``) and the worker's context-binding
+    walk re-attaches its own via :meth:`bind_engine_context`, so
+    per-pass counters and ``plan`` spans flow through the worker's
+    registries and merge back with the task reply.
     """
 
     def __init__(self, source, kernels, labels, pipeline, tracer,

@@ -10,6 +10,7 @@ uniform cell sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,23 +51,51 @@ def _merge_moments(a, b):
     return (count, mean, m2, min(min_a, min_b), max(max_a, max_b))
 
 
+def _moments(part):
+    """``[moments]`` of a partition's valid values."""
+    state = (0, 0.0, 0.0, np.inf, -np.inf)
+    for _chunk_id, chunk in part:
+        values = chunk.values().astype(np.float64)
+        if values.size == 0:
+            continue
+        mean = float(values.mean())
+        local = (values.size, mean,
+                 float(((values - mean) ** 2).sum()),
+                 float(values.min()), float(values.max()))
+        state = _merge_moments(state, local)
+    return [state]
+
+
+def _counts(edges, part):
+    """``[histogram counts]`` of a partition's valid values."""
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for _chunk_id, chunk in part:
+        values = chunk.values()
+        if values.size:
+            counts += np.histogram(values, bins=edges)[0]
+    return [counts]
+
+
+def _sample(sample_fraction, seed, index, part):
+    """``[sampled values]`` of partition ``index`` (empty: none)."""
+    rng = np.random.default_rng(seed * 100_003 + index)
+    out = []
+    for _chunk_id, chunk in part:
+        values = chunk.values()
+        if values.size == 0:
+            continue
+        if sample_fraction >= 1.0:
+            out.append(values)
+        else:
+            keep = rng.random(values.size) < sample_fraction
+            if keep.any():
+                out.append(values[keep])
+    return [np.concatenate(out)] if out else []
+
+
 def describe(array: ArrayRDD) -> Description:
     """Count, mean, population std, min, max — one distributed pass."""
-
-    def per_partition(part):
-        state = (0, 0.0, 0.0, np.inf, -np.inf)
-        for _chunk_id, chunk in part:
-            values = chunk.values().astype(np.float64)
-            if values.size == 0:
-                continue
-            mean = float(values.mean())
-            local = (values.size, mean,
-                     float(((values - mean) ** 2).sum()),
-                     float(values.min()), float(values.max()))
-            state = _merge_moments(state, local)
-        return [state]
-
-    states = array.rdd.map_partitions(per_partition).collect()
+    states = array.rdd.map_partitions(_moments).collect()
     merged = (0, 0.0, 0.0, np.inf, -np.inf)
     for state in states:
         merged = _merge_moments(merged, state)
@@ -97,16 +126,7 @@ def histogram(array: ArrayRDD, bins: int = 10,
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-
-    def per_partition(part):
-        counts = np.zeros(bins, dtype=np.int64)
-        for _chunk_id, chunk in part:
-            values = chunk.values()
-            if values.size:
-                counts += np.histogram(values, bins=edges)[0]
-        return [counts]
-
-    pieces = array.rdd.map_partitions(per_partition).collect()
+    pieces = array.rdd.map_partitions(partial(_counts, edges)).collect()
     total = np.zeros(bins, dtype=np.int64)
     for piece in pieces:
         total += piece
@@ -126,25 +146,8 @@ def approx_quantiles(array: ArrayRDD, quantiles,
         raise ArrayError("quantiles must lie in [0, 1]")
     if not 0 < sample_fraction <= 1:
         raise ArrayError("sample_fraction must be in (0, 1]")
-
-    def sample(index, part):
-        rng = np.random.default_rng(seed * 100_003 + index)
-        out = []
-        for _chunk_id, chunk in part:
-            values = chunk.values()
-            if values.size == 0:
-                continue
-            if sample_fraction >= 1.0:
-                out.append(values)
-            else:
-                keep = rng.random(values.size) < sample_fraction
-                if keep.any():
-                    out.append(values[keep])
-        if not out:
-            return []
-        return [np.concatenate(out)]
-
-    pieces = array.rdd.map_partitions_with_index(sample).collect()
+    pieces = array.rdd.map_partitions_with_index(
+        partial(_sample, sample_fraction, seed)).collect()
     if not pieces:
         return np.full(quantiles.size, np.nan)
     pooled = np.concatenate(pieces)

@@ -29,7 +29,7 @@ slice of Spark that Spangle needs, in pure Python:
 - :mod:`repro.engine.worker` — the process execution backend
   (``ClusterContext(backend="process")``): forked worker processes run
   task bodies for true multi-core parallelism, with tasks serialized by
-  :mod:`repro.engine.closure` (lambdas ship by value) and shuffle
+  :mod:`repro.engine.closure` (user lambdas ship by value) and shuffle
   blocks / cached chunks exchanged zero-copy through
   ``multiprocessing`` shared memory (:mod:`repro.engine.shm`).
 - :mod:`repro.engine.telemetry` — gauges in the trace: a traced job

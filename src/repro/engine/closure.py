@@ -13,9 +13,13 @@ ships them anyway, the way cloudpickle does but in miniature:
   (modules by import name, nested non-importable functions recursively
   by value).
 
-The engine's own hot-path callables were refactored into module-level
-classes precisely so they take the cheap by-reference path; the
-by-value path exists for *user* UDFs, which stay ergonomic lambdas.
+The rule for ``repro``'s own code: every callable a task carries is
+importable by name (a module-level function, bound to its parameters
+with ``functools.partial``, or a module-level class holding them) and
+every placement is a partitioner value, so a task never holds a matrix,
+a context or its locks, and the by-value path serves only *user* UDFs,
+which stay ergonomic lambdas. ``tests/conftest.py`` makes the pickler
+raise on any ``repro`` function it would ship by value.
 
 ``task_dumps``/``task_loads`` wrap a whole task payload; the worker
 side is plain ``pickle.loads`` because a by-value function reduces to

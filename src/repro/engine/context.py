@@ -44,7 +44,8 @@ class ClusterContext:
       ``num_executors`` forked worker processes, exchanging shuffle
       blocks and cached chunks through shared memory
       (:mod:`repro.engine.shm`); tasks and their closures must pickle
-      (:mod:`repro.engine.closure` ships lambdas by value).
+      (:mod:`repro.engine.closure`: user lambdas ship by value, the
+      engine's own code by reference).
 
     Parameters
     ----------

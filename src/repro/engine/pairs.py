@@ -28,9 +28,6 @@ from repro.engine.rdd import (
 )
 
 
-# module-level task callables: these ship across the process boundary
-# by qualified name (see the note in repro.engine.rdd)
-
 def _emit_inner(groups):
     left_values, right_values = groups
     return [(lv, rv) for lv in left_values for rv in right_values]

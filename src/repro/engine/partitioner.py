@@ -1,8 +1,11 @@
 """Partitioners: how keys map to partitions.
 
 Spangle relies on hash partitioning (the default for shuffles) and on
-explicit, function-defined placement (contraction-index co-location for
-the matmul local join).
+computed block placement (contraction-index co-location for the matmul
+local join, output-chunk placement for group-by aggregation). Every
+partitioner is a value: it pickles by reference to its class, and two
+instances compare equal only when they place every key alike, which
+is what lets ``partition_by`` skip a shuffle that would move nothing.
 :class:`NnzBalancedPartitioner` adds the nnz-aware placement the sparse
 execution tier uses: chunk keys pack into partitions by their valid-cell
 counts instead of by count alone, so one dense block cannot serialize a
@@ -46,17 +49,20 @@ class Partitioner:
         """
         return None
 
+    def _fields(self) -> tuple:
+        """What the placement depends on: equal fields, equal placement."""
+        return (self.num_partitions,)
+
     def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.num_partitions == other.num_partitions
-        )
+        return (type(self) is type(other)
+                and self._fields() == other._fields())
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.num_partitions))
+        return hash((type(self).__name__, *self._fields()))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.num_partitions})"
+        fields = ", ".join(map(repr, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
 class HashPartitioner(Partitioner):
@@ -72,64 +78,50 @@ class HashPartitioner(Partitioner):
         return hash(key) % self.num_partitions
 
     def partition_array(self, keys):
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if (int(keys.max()) >= HASH_MODULUS
-                or int(keys.min()) <= -HASH_MODULUS):
-            # hash(k) != k once the modulus engages
-            return None
+        if keys.size and (int(keys.max()) >= HASH_MODULUS
+                          or int(keys.min()) <= -HASH_MODULUS):
+            return None   # hash(k) != k once the modulus engages
         pids = keys % self.num_partitions
-        minus_one = keys == -1
-        if minus_one.any():
-            # CPython quirk: hash(-1) == -2
-            pids[minus_one] = (-2) % self.num_partitions
+        pids[keys == -1] = (-2) % self.num_partitions   # hash(-1) == -2
         return pids
 
 
-class ExplicitPartitioner(Partitioner):
-    """Partition through a user-supplied function.
+class BlockPartitioner(Partitioner):
+    """Place key ``k`` at ``k // divisor % modulus % num_partitions``.
 
-    Spangle's matrix multiply partitions both operands by the contraction
-    index k: the left operand by column-block ID, the right by row-block
-    ID (``matrix.multiply.k_partitioners``); this partitioner lets those
-    layouts be expressed directly.
+    The engine's computed placements: matmul puts a left block by its
+    column-block index (``divisor`` = grid rows) and a right block by
+    its row-block index (``modulus`` = grid rows), so both operands'
+    contraction index *k* meet (``matrix.multiply.k_partitioners``);
+    ``aggregate_cells`` puts an output cell key by its chunk ID
+    (``divisor`` = cells per chunk). A value, not a function: it
+    vectorizes with the same integer arithmetic and two instances
+    compare equal exactly when their fields do.
     """
 
-    def __init__(self, num_partitions: int, func, tag=None,
-                 array_func=None):
+    def __init__(self, num_partitions: int, divisor: int = 1,
+                 modulus=None):
         super().__init__(num_partitions)
-        self._func = func
-        self._tag = tag
-        # optional vectorized twin of func over an int64 key column
-        self._array_func = array_func
+        if divisor <= 0 or (modulus is not None and modulus <= 0):
+            raise EngineError(f"divisor and modulus must be positive, "
+                              f"got {divisor} and {modulus}")
+        self.divisor = int(divisor)
+        self.modulus = None if modulus is None else int(modulus)
 
     def partition(self, key) -> int:
-        return self._func(key) % self.num_partitions
+        return int(self.partition_array(key))
 
     def partition_array(self, keys):
-        if self._array_func is None:
-            return None
-        try:
-            out = np.asarray(self._array_func(keys), dtype=np.int64)
-        except Exception:  # noqa: BLE001 - fall back per record
-            return None
-        if out.shape != keys.shape:
-            return None
-        return out % self.num_partitions
+        blocks = keys // self.divisor
+        if self.modulus is not None:
+            blocks = blocks % self.modulus
+        return blocks % self.num_partitions
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.num_partitions == other.num_partitions
-            and self._tag is not None
-            and self._tag == other._tag
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ExplicitPartitioner", self.num_partitions, self._tag))
+    def _fields(self) -> tuple:
+        return self.num_partitions, self.divisor, self.modulus
 
 
-class NnzBalancedPartitioner(Partitioner):
+class NnzBalancedPartitioner(HashPartitioner):
     """Place known keys so per-partition nnz is balanced, not key count.
 
     Built from per-key weights (a chunk's valid-cell count, a
@@ -138,7 +130,8 @@ class NnzBalancedPartitioner(Partitioner):
     currently lightest partition, which bounds the max/mean load ratio
     the way chunk-count placement cannot on skewed (power-law) inputs.
     Keys outside the assignment — records created after the stats were
-    taken — fall back to hash placement, so the partitioner stays total.
+    taken — fall back to :class:`HashPartitioner` placement, so the
+    partitioner stays total.
 
     Equality is by assignment content: two instances packed from the
     same weights compare equal, which keeps the engine's
@@ -195,26 +188,16 @@ class NnzBalancedPartitioner(Partitioner):
             slot = int(np.searchsorted(self._keys, key))
             if slot < self._keys.size and self._keys[slot] == key:
                 return int(self._pids[slot])
-        return hash(key) % self.num_partitions
+        return super().partition(key)
 
     def partition_array(self, keys):
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if (int(keys.max()) >= HASH_MODULUS
-                or int(keys.min()) <= -HASH_MODULUS):
-            # the hash fallback diverges from ``key % n`` out there
-            return None
-        pids = keys % self.num_partitions
-        minus_one = keys == -1
-        if minus_one.any():
-            # CPython quirk: hash(-1) == -2
-            pids[minus_one] = (-2) % self.num_partitions
-        if self._keys.size:
+        pids = super().partition_array(keys)
+        if pids is not None and self._keys.size:
             slots = np.searchsorted(self._keys, keys)
             slots_clipped = np.minimum(slots, self._keys.size - 1)
             known = self._keys[slots_clipped] == keys
             pids[known] = self._pids[slots_clipped[known]]
-        return pids.astype(np.int64, copy=False)
+        return pids
 
     def __getstate__(self):
         return (self.num_partitions, self._keys, self._pids)

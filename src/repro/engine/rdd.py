@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from functools import partial
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -56,15 +58,9 @@ def run_task_with_retries(context, index, attempt_func):
 
 
 # ----------------------------------------------------------------------
-# task callables
-#
-# The engine's own per-partition functions are module-level classes, not
-# lambdas, so a task crossing the process boundary pickles them by
-# reference (a qualified name) instead of marshaling code by value —
-# only the *user's* UDF inside them ever needs the by-value path of
-# repro.engine.closure. Each wrapper exposes the wrapped callable as
-# ``func`` so the worker's context-binding walk can reach through
-# arbitrarily nested wrappers.
+# task callables, importable by name (the rule in repro.engine.closure).
+# Each wrapper exposes the wrapped callable as ``func`` so the worker's
+# context-binding walk can reach through arbitrarily nested wrappers.
 # ----------------------------------------------------------------------
 
 class _IgnoreIndex:
@@ -154,10 +150,6 @@ def _identity(value):
     return value
 
 
-def _second_element(kv):
-    return kv[1]
-
-
 def _singleton_list(value):
     return [value]
 
@@ -176,8 +168,8 @@ def _one(_value):
     return 1
 
 
-def _add(a, b):
-    return a + b
+def _has_key(key, kv) -> bool:
+    return kv[0] == key
 
 
 def _keep(parts, indices) -> dict:
@@ -421,7 +413,7 @@ class RDD:
     # ------------------------------------------------------------------
 
     def values(self):
-        return self.map(_second_element).rename("values")
+        return self.map(itemgetter(1)).rename("values")
 
     def map_values(self, func):
         return self.map_partitions(
@@ -486,7 +478,7 @@ class RDD:
     def count_by_key(self) -> dict:
         return dict(
             self.map_values(_one)
-            .reduce_by_key(_add, combine_kernel="sum")
+            .reduce_by_key(add, combine_kernel="sum")
             .collect()
         )
 
@@ -498,7 +490,7 @@ class RDD:
                 v for k, v in self.context.run_partition(self, index)
                 if k == key
             ]
-        return self.filter(lambda kv: kv[0] == key).values().collect()
+        return self.filter(partial(_has_key, key)).values().collect()
 
     # ------------------------------------------------------------------
     # actions
@@ -522,7 +514,7 @@ class RDD:
         return result
 
     def sum(self):
-        return self.fold(0, lambda a, b: a + b)
+        return self.fold(0, add)
 
     def __repr__(self) -> str:
         return (

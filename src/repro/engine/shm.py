@@ -260,9 +260,10 @@ def write_segment(prefix: str, builder: SegmentBuilder, metrics=None):
 # decoding: per-process attachment cache
 # ----------------------------------------------------------------------
 
-#: name -> SharedMemory; mappings stay open so views into them stay valid,
-#: but a worker closes those it inherited and, between tasks, those of
-#: unlinked segments (:func:`_after_fork`, :func:`release_unlinked`)
+#: name -> SharedMemory; a mapping stays open while views into it may live:
+#: a fork closes those it inherited, a worker those of unlinked segments
+#: after each task, the driver those it releases (:func:`_after_fork`,
+#: :func:`release_unlinked`, :meth:`SharedSegmentRegistry.release`)
 _ATTACHED = {}
 _ATTACH_LOCK = threading.Lock()
 
@@ -336,7 +337,7 @@ def _close(segment) -> None:
 def _release_attachments() -> None:
     """Close every cached mapping."""
     with _ATTACH_LOCK:
-        for segment in _ATTACHED.values():
+        for segment in list(_ATTACHED.values()):
             _close(segment)
         _ATTACHED.clear()
 
@@ -362,7 +363,7 @@ def release_unlinked() -> None:
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         return
     with _ATTACH_LOCK:
-        for name in [name for name in _ATTACHED
+        for name in [name for name in list(_ATTACHED)
                      if not os.path.exists(f"/dev/shm/{name}")]:
             _close(_ATTACHED.pop(name))
 
@@ -479,13 +480,20 @@ class SharedSegmentRegistry:
         return handle
 
     def release(self, *names: str) -> None:
-        """Unlink segments (idempotent). The release count moves after
-        the unlinks, so a payload that carries it finds them gone."""
+        """Unlink segments (idempotent) and close this process's
+        mappings of them; decoded views still in use keep their pages
+        (:func:`_close`). The release count moves after the unlinks, so
+        a payload that carries it finds them gone."""
         with self._lock:
             for name in names:
                 self._segments.pop(name, None)
         for name in names:
             _unlink_segment(name)
+            # no _ATTACH_LOCK: a GC finalizer runs this, possibly inside
+            # _attach on the same thread; one dict pop is atomic
+            segment = _ATTACHED.pop(name, None)
+            if segment is not None:
+                _close(segment)
         with self._lock:
             self.releases += 1
 

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import mmap
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def save_array(array: ArrayRDD, directory) -> int:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write = array.rdd.map_partitions_with_index(
-        lambda index, records: _write_partition(directory, index, records))
+        partial(_write_partition, directory))
     try:
         written = sum(array.context.run_job(write, list), [])
     except BaseException:

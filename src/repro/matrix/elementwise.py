@@ -20,6 +20,8 @@ building an intermediate combined chunk and re-encoding it.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.errors import ShapeMismatchError
@@ -43,7 +45,7 @@ def _combine_nonzero(left, right, op, how, fill=0.0):
     _check(left, right)
     combined = left.array.combine(right.array, op, how=how, fill=fill)
     # zero results (a + (-a), gated products) are not valid matrix cells
-    nonzero = combined.filter(lambda xs: xs != 0)
+    nonzero = combined.filter(partial(np.not_equal, 0))
     return matrix_mod.SpangleMatrix(nonzero)
 
 

@@ -11,6 +11,8 @@ dimension 1; a block's chunk ID is ``row_block + col_block * grid_rows``.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.array_rdd import ArrayRDD
@@ -21,6 +23,42 @@ from repro.core.reshape import permute_axes
 from repro.errors import ArrayError, ShapeMismatchError
 from repro.matrix.offsets import encode_static
 from repro.matrix.vector import SpangleVector
+
+
+def _matvec_partial(data, out_axis, n_out, block_shape, grid_rows, part):
+    """The matvec task: a partition's blocks contract the vector
+    ``data`` into one partial of length ``n_out`` (``M × v`` for
+    ``out_axis`` 0, ``vᵀ × M`` for 1). It is bound to the vector and
+    the block geometry, never to the matrix."""
+    out = np.zeros(n_out)
+    for chunk_id, chunk in part:
+        if chunk.valid_count == 0:
+            continue
+        origin = (chunk_id % grid_rows * block_shape[0],
+                  chunk_id // grid_rows * block_shape[1])
+        out0, in0 = origin[out_axis], origin[1 - out_axis]
+        out_block = block_shape[out_axis]
+        in_block = block_shape[1 - out_axis]
+        v_slice = data[in0:in0 + in_block]
+        out_len = min(out_block, n_out - out0)
+        if chunk.density < 0.05:   # gather/scatter a sparse block
+            offsets = chunk.indices()
+            local = (offsets % block_shape[0], offsets // block_shape[0])
+            contrib = np.bincount(
+                local[out_axis],
+                weights=chunk.values() * v_slice[local[1 - out_axis]],
+                minlength=out_block,
+            )
+        else:
+            block = chunk.to_dense(0).reshape(block_shape, order="F")
+            if v_slice.size < in_block:
+                padded = np.zeros(in_block)
+                padded[:v_slice.size] = v_slice
+                v_slice = padded
+            contrib = (block @ v_slice if out_axis == 0
+                       else v_slice @ block)
+        out[out0:out0 + out_len] += contrib[:out_len]
+    return [out]
 
 
 class SpangleMatrix:
@@ -192,45 +230,10 @@ class SpangleMatrix:
         columns (``vᵀ × M``); one partial per partition, summed on the
         driver."""
         out_axis = 0 if vector.orientation == "col" else 1
-        n_out = self.shape[out_axis]
-        block_shape = self.block_shape
-        grid_rows = self.grid_rows
-        data = vector.data
-
-        def partials(part):
-            partial = np.zeros(n_out)
-            for chunk_id, chunk in part:
-                if chunk.valid_count == 0:
-                    continue
-                origin = (chunk_id % grid_rows * block_shape[0],
-                          chunk_id // grid_rows * block_shape[1])
-                out0, in0 = origin[out_axis], origin[1 - out_axis]
-                out_block = block_shape[out_axis]
-                in_block = block_shape[1 - out_axis]
-                v_slice = data[in0:in0 + in_block]
-                out_len = min(out_block, n_out - out0)
-                if chunk.density < 0.05:   # gather/scatter a sparse block
-                    offsets = chunk.indices()
-                    local = (offsets % block_shape[0],
-                             offsets // block_shape[0])
-                    contrib = np.bincount(
-                        local[out_axis],
-                        weights=chunk.values() * v_slice[local[1 - out_axis]],
-                        minlength=out_block,
-                    )
-                else:
-                    block = chunk.to_dense(0).reshape(block_shape, order="F")
-                    if v_slice.size < in_block:
-                        padded = np.zeros(in_block)
-                        padded[:v_slice.size] = v_slice
-                        v_slice = padded
-                    contrib = (block @ v_slice if out_axis == 0
-                               else v_slice @ block)
-                partial[out0:out0 + out_len] += contrib[:out_len]
-            return [partial]
-
-        pieces = self.array.rdd.map_partitions(partials).collect()
-        result = np.zeros(n_out)
+        pieces = self.array.rdd.map_partitions(partial(
+            _matvec_partial, vector.data, out_axis, self.shape[out_axis],
+            self.block_shape, self.grid_rows)).collect()
+        result = np.zeros(self.shape[out_axis])
         for piece in pieces:
             result += piece
         return SpangleVector(result, vector.orientation)
@@ -272,7 +275,8 @@ class SpangleMatrix:
                 "scaling by zero would invalidate every cell; build an "
                 "empty matrix explicitly instead"
             )
-        return SpangleMatrix(self.array.map_values(lambda xs: xs * scalar))
+        return SpangleMatrix(self.array.map_values(
+            partial(np.multiply, scalar)))
 
     def transpose(self) -> "SpangleMatrix":
         """Physical distributed transpose: :func:`permute_axes` moves

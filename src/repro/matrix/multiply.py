@@ -24,12 +24,14 @@ order.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
 from repro.core.metadata import ArrayMetadata
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.partitioner import BlockPartitioner
 from repro.errors import ShapeMismatchError
 from repro.matrix.offsets import csc_from_offsets, csr_from_offsets
 
@@ -201,24 +203,15 @@ def _scatter_partial(left_chunk, right_chunk, left_shape, right_shape,
 
 
 class _BlockKernel:
-    """The per-block-pair kernel, shipped to workers.
-
-    A module-level class (process-backend tasks pickle it by
-    reference); the kernel each pair runs follows from the two blocks'
-    densities and the module's gates alone.
-    """
+    """The per-block-pair kernel, shipped to workers: the kernel each
+    pair runs follows from the two blocks' densities and the module's
+    gates alone."""
 
     __slots__ = ("left_shape", "right_shape")
 
     def __init__(self, left_shape, right_shape):
         self.left_shape = left_shape
         self.right_shape = right_shape
-
-    def __getstate__(self):
-        return self.left_shape, self.right_shape
-
-    def __setstate__(self, state):
-        self.left_shape, self.right_shape = state
 
     def __call__(self, left_chunk, right_chunk):
         if left_chunk.valid_count == 0 or right_chunk.valid_count == 0:
@@ -271,22 +264,12 @@ def k_partitioners(left, right, num_partitions: int):
     Left blocks are placed by their column-block index, right blocks by
     their row-block index, both modulo ``num_partitions``, so the
     contraction index *k* of both operands lands in the same partition.
-    Each tag names the role and the operand's grid rows: two placements
-    compare equal only when they put every block in the same partition,
-    so ``partition_by`` skips exactly the shuffles that would move
-    nothing.
+    Placements are :class:`BlockPartitioner` values: two compare equal
+    only when they put every block in the same partition, so
+    ``partition_by`` skips exactly the shuffles that would move nothing.
     """
-    grid_rows_left = left.grid_rows
-    grid_rows_right = right.grid_rows
-    left_part = ExplicitPartitioner(
-        num_partitions, lambda cid: cid // grid_rows_left,
-        tag=("matmul-k-left", grid_rows_left),
-        array_func=lambda cids: cids // grid_rows_left)
-    right_part = ExplicitPartitioner(
-        num_partitions, lambda cid: cid % grid_rows_right,
-        tag=("matmul-k-right", grid_rows_right),
-        array_func=lambda cids: cids % grid_rows_right)
-    return left_part, right_part
+    return (BlockPartitioner(num_partitions, divisor=left.grid_rows),
+            BlockPartitioner(num_partitions, modulus=right.grid_rows))
 
 
 def prepare_local(left, right, num_partitions=None):
@@ -320,6 +303,29 @@ def _by_k_partitions(left, right) -> int:
                right.array.rdd.num_partitions)
 
 
+def _zip_by_k(kernel, left_rows, right_rows, out_rows, left_records,
+              right_records):
+    """The zip of :func:`block_matmul`: co-placed blocks group by *k* in
+    first-seen order, left blocks before right, and every pair's
+    partial is keyed by its output chunk ID."""
+    groups = {}
+    for cid, chunk in left_records:
+        groups.setdefault(cid // left_rows, ([], []))[0].append(
+            (cid % left_rows, chunk))
+    for cid, chunk in right_records:
+        group = groups.get(cid % right_rows)
+        if group is not None:
+            group[1].append((cid // right_rows, chunk))
+    out = []
+    for left_blocks, right_blocks in groups.values():
+        for rb, left_chunk in left_blocks:
+            for cb, right_chunk in right_blocks:
+                product = kernel(left_chunk, right_chunk)
+                if product is not None:
+                    out.append((rb + cb * out_rows, product))
+    return out
+
+
 def block_matmul(left, right):
     """``left × right`` as a SpangleMatrix.
 
@@ -335,30 +341,9 @@ def block_matmul(left, right):
                          dim_names=("row", "col"))
     left_part, right_part = k_partitioners(
         left, right, _by_k_partitions(left, right))
-    kernel = _BlockKernel(tuple(left.block_shape),
-                          tuple(right.block_shape))
-    grid_rows_left, grid_rows_right = left.grid_rows, right.grid_rows
-    out_grid_rows = meta.chunk_grid[0]
-
-    def zipper(left_records, right_records):
-        # group by k in first-seen order, left blocks before right
-        groups = {}
-        for cid, chunk in left_records:
-            groups.setdefault(cid // grid_rows_left, ([], []))[0].append(
-                (cid % grid_rows_left, chunk))
-        for cid, chunk in right_records:
-            group = groups.get(cid % grid_rows_right)
-            if group is not None:
-                group[1].append((cid // grid_rows_right, chunk))
-        out = []
-        for left_blocks, right_blocks in groups.values():
-            for rb, left_chunk in left_blocks:
-                for cb, right_chunk in right_blocks:
-                    partial = kernel(left_chunk, right_chunk)
-                    if partial is not None:
-                        out.append((rb + cb * out_grid_rows, partial))
-        return out
-
+    zipper = partial(_zip_by_k, _BlockKernel(tuple(left.block_shape),
+                                             tuple(right.block_shape)),
+                     left.grid_rows, right.grid_rows, meta.chunk_grid[0])
     partials = left.array.rdd.partition_by(left_part).zip_partitions(
         right.array.rdd.partition_by(right_part), zipper)
     summed = partials.reduce_by_key(_merge_partials)
@@ -366,10 +351,8 @@ def block_matmul(left, right):
 
 
 class _GramKernel:
-    """The per-group kernel of :func:`gram_matmul`, shipped to workers.
-
-    A module-level class, as :class:`_BlockKernel` is, so a task carries
-    the block shape and output grid, never the matrix. A group whose
+    """The per-group kernel of :func:`gram_matmul`, shipped to workers
+    with the block shape and output grid, never the matrix. A group whose
     live blocks are all below :data:`SPARSE_KERNEL_THRESHOLD` joins
     their COO forms; any other group densifies each block once and runs
     BLAS per pair.
@@ -415,6 +398,11 @@ class _GramKernel:
         return out
 
 
+def _by_row_block(grid_rows, kv):
+    """``(k, (c, block))`` for the block at row-block k, column c."""
+    return kv[0] % grid_rows, (kv[0] // grid_rows, kv[1])
+
+
 def gram_matmul(matrix):
     """``Mᵀ × M`` directly from M's blocks — no transpose materialized.
 
@@ -428,10 +416,8 @@ def gram_matmul(matrix):
     block_cols = matrix.block_shape[1]
     meta = ArrayMetadata((n_cols, n_cols), (block_cols, block_cols),
                          dim_names=("row", "col"))
-    grid_rows = matrix.grid_rows
     by_k = matrix.array.rdd.map(
-        lambda kv: (kv[0] % grid_rows, (kv[0] // grid_rows, kv[1]))
-    ).group_by_key()
+        partial(_by_row_block, matrix.grid_rows)).group_by_key()
     kernel = _GramKernel(tuple(matrix.block_shape), meta.chunk_grid[0])
     summed = by_k.flat_map(kernel).reduce_by_key(_merge_partials)
     return SpangleMatrix(_assemble(matrix.context, summed, meta))

@@ -16,6 +16,9 @@ source vertices; entry (i, j) set means an edge j → i.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
+
 import numpy as np
 
 from repro.bitmask import Bitmask
@@ -190,13 +193,11 @@ class BitmaskGraph:
         return self.meta.shape[0]
 
     def num_edges(self) -> int:
-        return self.rdd.map(lambda kv: kv[1].edge_count).fold(
-            0, lambda a, b: a + b)
+        return self.rdd.values().map(attrgetter("edge_count")).sum()
 
     def memory_bytes(self) -> int:
         """Adjacency footprint — the one-bit-per-edge claim lives here."""
-        return self.rdd.map(lambda kv: kv[1].nbytes).fold(
-            0, lambda a, b: a + b)
+        return self.rdd.values().map(attrgetter("nbytes")).sum()
 
     def cache(self) -> "BitmaskGraph":
         self.rdd.cache()
@@ -215,16 +216,9 @@ class BitmaskGraph:
                 f"vector length {x.size} != vertex count "
                 f"{self.num_vertices}"
             )
-        n = self.num_vertices
-
-        def scatter(part):
-            partial = np.zeros(n)
-            for edges in _partition_edges(part):
-                np.add.at(partial, edges.rows, x.take(edges.cols))
-            return [partial]
-
-        result = np.zeros(n)
-        for piece in self.rdd.map_partitions(scatter).collect():
+        result = np.zeros(self.num_vertices)
+        for piece in self.rdd.map_partitions(
+                partial(_scatter, x)).collect():
             result += piece
         return result
 
@@ -240,6 +234,14 @@ class BitmaskGraph:
             f"BitmaskGraph(vertices={self.num_vertices}, "
             f"block={self.meta.chunk_shape[0]})"
         )
+
+
+def _scatter(x, part):
+    """``[A'_part @ x]``: one partition's in-edge sums of ``x``."""
+    out = np.zeros(x.size)
+    for edges in _partition_edges(part):
+        np.add.at(out, edges.rows, x.take(edges.cols))
+    return [out]
 
 
 def _unique_runs(meta: ArrayMetadata, edges: np.ndarray) -> list:

@@ -26,10 +26,12 @@ feature-length vector per chunk.
 from __future__ import annotations
 
 import random
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.partitioner import HashPartitioner
 from repro.errors import ArrayError, ShapeMismatchError
 
 
@@ -209,9 +211,7 @@ class DistributedSamples:
                     (chunk_id(num_partitions, r_id, p_id), chunk))
                 r_count += 1
             chunks_per_partition.append(r_count)
-        partitioner = ExplicitPartitioner(
-            num_partitions, lambda cid: cid % num_partitions,
-            tag=("eq2", num_partitions))
+        partitioner = HashPartitioner(num_partitions)
         rdd = context.parallelize(records, num_partitions,
                                   partitioner=partitioner)
         rdd.partitioner = partitioner
@@ -228,20 +228,12 @@ class DistributedSamples:
         Chunk IDs are assigned inside each partition with Eq. 2 — the
         paper's point is exactly that this needs no coordination.
         """
-        partitioner = ExplicitPartitioner(
-            num_partitions, lambda cid: cid % num_partitions,
-            tag=("eq2", num_partitions))
-
-        def generate(p_id):
-            for r_id, chunk in enumerate(partition_chunks(p_id)):
-                yield chunk_id(num_partitions, r_id, p_id), chunk
-
-        rdd = context.generate(num_partitions, generate,
-                               partitioner=partitioner).cache()
-        counts = rdd.map_partitions(
-            lambda part: [len(list(part))]).collect()
-        rows = rdd.map(lambda kv: kv[1].num_rows).fold(
-            0, lambda a, b: a + b)
+        rdd = context.generate(
+            num_partitions,
+            partial(_numbered, partition_chunks, num_partitions),
+            partitioner=HashPartitioner(num_partitions)).cache()
+        counts = rdd.map_partitions(_num_records).collect()
+        rows = rdd.values().map(attrgetter("num_rows")).sum()
         return cls(rdd, num_features, num_partitions, counts, rows,
                    context)
 
@@ -254,12 +246,10 @@ class DistributedSamples:
         return self
 
     def nnz(self) -> int:
-        return self.rdd.map(lambda kv: kv[1].nnz).fold(
-            0, lambda a, b: a + b)
+        return self.rdd.values().map(attrgetter("nnz")).sum()
 
     def memory_bytes(self) -> int:
-        return self.rdd.map(lambda kv: kv[1].nbytes).fold(
-            0, lambda a, b: a + b)
+        return self.rdd.values().map(attrgetter("nbytes")).sum()
 
     def sampled_gradient(self, x: np.ndarray, step: int,
                          chunks_per_step: int = 1, opt1: bool = True,
@@ -272,34 +262,10 @@ class DistributedSamples:
         ``x``, and the driver sums the partials.
         Returns ``(gradient_row, num_samples)``.
         """
-        num_features = self.num_features
-        num_partitions = self.num_partitions
-
-        def partial(index, part):
-            records = list(part)
-            # the one feature-length vector this partition touches
-            grad = np.zeros(num_features)
-            if not records:
-                return [(grad, 0)]
-            rng = random.Random(seed * 1_000_003 + step * 7919 + index)
-            count = 0
-            picks = min(chunks_per_step, len(records))
-            local = {row_chunk_of(cid, num_partitions): chunk
-                     for cid, chunk in records}
-            chosen_rids = rng.sample(sorted(local), picks)
-            for r_id in chosen_rids:
-                chunk = local[r_id]
-                z = chunk.dot(x)
-                error = _sigmoid(z) - chunk.labels
-                if opt1:
-                    chunk.add_t_dot(grad, error)
-                else:
-                    grad += chunk.t_dot_materialized(error, num_features)
-                count += chunk.num_rows
-            return [(grad, count)]
-
-        pieces = self.rdd.map_partitions_with_index(partial).collect()
-        grad = np.zeros(num_features)
+        pieces = self.rdd.map_partitions_with_index(partial(
+            _sampled_gradient, x, step, chunks_per_step, opt1, seed,
+            self.num_features, self.num_partitions)).collect()
+        grad = np.zeros(self.num_features)
         total = 0
         for piece_grad, piece_count in pieces:
             grad += piece_grad
@@ -308,22 +274,61 @@ class DistributedSamples:
 
     def evaluate_accuracy(self, x: np.ndarray) -> float:
         """Fraction of rows classified correctly under weights ``x``."""
-
-        def count_correct(part):
-            correct = 0
-            total = 0
-            for _cid, chunk in part:
-                if chunk.num_rows == 0:
-                    continue
-                predicted = _sigmoid(chunk.dot(x)) >= 0.5
-                correct += int((predicted == (chunk.labels >= 0.5)).sum())
-                total += chunk.num_rows
-            return [(correct, total)]
-
-        pieces = self.rdd.map_partitions(count_correct).collect()
+        pieces = self.rdd.map_partitions(
+            partial(_count_correct, x)).collect()
         correct = sum(piece[0] for piece in pieces)
         total = sum(piece[1] for piece in pieces)
         return correct / total if total else 0.0
+
+
+def _numbered(partition_chunks, num_partitions, p_id):
+    """Partition ``p_id``'s chunks under their Eq. 2 IDs."""
+    for r_id, chunk in enumerate(partition_chunks(p_id)):
+        yield chunk_id(num_partitions, r_id, p_id), chunk
+
+
+def _num_records(part):
+    return [len(list(part))]
+
+
+def _sampled_gradient(x, step, chunks_per_step, opt1, seed, num_features,
+                      num_partitions, index, part):
+    """A partition's ``[(partial_gradient, rows)]`` over
+    ``chunks_per_step`` of its chunks, drawn by step and partition."""
+    records = list(part)
+    # the one feature-length vector this partition touches
+    grad = np.zeros(num_features)
+    if not records:
+        return [(grad, 0)]
+    rng = random.Random(seed * 1_000_003 + step * 7919 + index)
+    count = 0
+    picks = min(chunks_per_step, len(records))
+    local = {row_chunk_of(cid, num_partitions): chunk
+             for cid, chunk in records}
+    chosen_rids = rng.sample(sorted(local), picks)
+    for r_id in chosen_rids:
+        chunk = local[r_id]
+        z = chunk.dot(x)
+        error = _sigmoid(z) - chunk.labels
+        if opt1:
+            chunk.add_t_dot(grad, error)
+        else:
+            grad += chunk.t_dot_materialized(error, num_features)
+        count += chunk.num_rows
+    return [(grad, count)]
+
+
+def _count_correct(x, part):
+    """``[(correct, rows)]`` of a partition under weights ``x``."""
+    correct = 0
+    total = 0
+    for _cid, chunk in part:
+        if chunk.num_rows == 0:
+            continue
+        predicted = _sigmoid(chunk.dot(x)) >= 0.5
+        correct += int((predicted == (chunk.labels >= 0.5)).sum())
+        total += chunk.num_rows
+    return [(correct, total)]
 
 
 def _check_indices(axis: str, indices: np.ndarray, bound: int) -> None:

@@ -25,7 +25,7 @@ from repro.core.aggregates import (
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
 from repro.engine import HashPartitioner
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.partitioner import BlockPartitioner
 
 
 def _sums(values, starts):
@@ -123,10 +123,7 @@ def aggregate_cells(array, out_meta, agg, axes, window, num_partitions):
     """The per-record form of :func:`repro.core.array_rdd.aggregate_cells`
     (same arguments, same output array)."""
     cells_per_chunk = out_meta.cells_per_chunk
-    by_chunk = ExplicitPartitioner(
-        num_partitions, lambda key: key // cells_per_chunk,
-        tag=("output-chunk", cells_per_chunk),
-        array_func=lambda keys: keys // cells_per_chunk)
+    by_chunk = BlockPartitioner(num_partitions, divisor=cells_per_chunk)
     chunks = array.rdd \
         .map_partitions(_CellPartials(array.meta, out_meta, axes, window,
                                       agg)) \

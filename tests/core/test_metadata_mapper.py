@@ -85,6 +85,25 @@ class TestMetadata:
         # the grid is exact integer division, not a float ceil
         assert ArrayMetadata((2**53 + 1,), (1,)).chunk_grid == (2**53 + 1,)
 
+    def test_geometry_past_int64_rejected(self):
+        # a chunk of 2**80 cells: locate's int64 offset of the last cell
+        # wrapped to -1 while the scalar local_offset gave 2**80 - 1
+        with pytest.raises(MetadataError, match="int64"):
+            ArrayMetadata((2**40,) * 2, (2**40,) * 2)
+        # a valid cell at 2**63 + 3: locate raised a bare OverflowError
+        with pytest.raises(MetadataError, match="int64"):
+            ArrayMetadata((10,), (4,), starts=(2**63 - 5,))
+        with pytest.raises(MetadataError, match="int64"):
+            ArrayMetadata((4,), (2,), starts=(-2**63 - 1,))
+        # start-relative coordinates reach 2**63
+        with pytest.raises(MetadataError, match="int64"):
+            ArrayMetadata((2**63 + 1,), (2**62,), starts=(-2**63,))
+        # the extremes themselves are addressable
+        assert ArrayMetadata((5,), (2,), starts=(2**63 - 5,)).ends \
+            == (2**63,)
+        assert ArrayMetadata((2**63,), (2**62,),
+                             starts=(-2**63,)).num_chunks == 2
+
     def test_check_coords_arity(self):
         meta = ArrayMetadata((4, 4), (2, 2))
         with pytest.raises(CoordinateError):
@@ -314,6 +333,43 @@ def test_locate_property(meta, data):
     flat = np.ravel_multi_index(tuple((coords - meta.starts).T),
                                 meta.shape)
     assert np.array_equal(rows[ids, offsets], flat)
+
+
+@st.composite
+def int64_geometries(draw):
+    """Accepted 1-4-D geometries up to the int64 limits: extents and
+    chunks up to 2**62 cells or 2**63 along an axis, negative starts
+    and ragged last chunks."""
+    ndim = draw(st.integers(1, 4))
+    chunk_bits, grid_bits = 62, 62
+    shape, chunk, starts = [], [], []
+    for _axis in range(ndim):
+        bits = draw(st.integers(0, chunk_bits))
+        chunk_bits -= bits
+        chunk.append(draw(st.integers(1, 2**bits)))
+        bits = draw(st.integers(0, grid_bits))
+        grid_bits -= bits
+        grid = draw(st.integers(1, 2**bits))
+        size = min(draw(st.integers((grid - 1) * chunk[-1] + 1,
+                                    grid * chunk[-1])), 2**63)
+        shape.append(size)
+        starts.append(draw(st.integers(-2**63, 2**63 - size)))
+    return ArrayMetadata(tuple(shape), tuple(chunk), starts=tuple(starts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(meta=int64_geometries(), data=st.data())
+def test_locate_matches_scalar_up_to_int64_limits(meta, data):
+    """On every accepted geometry, however large, ``locate`` equals the
+    scalar Algorithm 1 in Python ints, corner cells included."""
+    rows = [[data.draw(st.one_of(st.sampled_from([s, e - 1]),
+                                 st.integers(s, e - 1)))
+             for s, e in zip(meta.starts, meta.ends)] for _ in range(4)]
+    rows.append([e - 1 for e in meta.ends])
+    ids, offsets = mapper.locate(meta, np.array(rows, dtype=np.int64))
+    for row, cid, offset in zip(rows, ids.tolist(), offsets.tolist()):
+        assert cid == mapper.chunk_id_for_coords(meta, row)
+        assert offset == mapper.local_offset(meta, row)
 
 
 @settings(max_examples=80, deadline=None)

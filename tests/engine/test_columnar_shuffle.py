@@ -8,6 +8,7 @@ whenever it cannot guarantee that.
 
 import pickle
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from repro.engine.batches import (
 from repro.engine.pairs import cogroup
 from repro.engine.partitioner import (
     HASH_MODULUS,
-    ExplicitPartitioner,
+    BlockPartitioner,
     HashPartitioner,
 )
 from repro.errors import EngineError
+from repro.matrix.multiply import k_partitioners
 from tests._reference.engine import shuffle_path
 
 
@@ -62,21 +64,38 @@ class TestPartitionArray:
         # just inside the modulus still packs
         self._check(part, [HASH_MODULUS - 1, -(HASH_MODULUS - 1)])
 
-    def test_explicit_without_array_func_refuses(self):
-        part = ExplicitPartitioner(4, lambda k: k // 10)
-        assert part.partition_array(
-            np.array([1, 2], dtype=np.int64)) is None
+    @pytest.mark.parametrize("part", [
+        BlockPartitioner(4, divisor=10),
+        BlockPartitioner(4, modulus=3),
+        BlockPartitioner(5, divisor=7, modulus=11),
+        BlockPartitioner(3),
+    ], ids=["divisor", "modulus", "both", "plain"])
+    def test_block_matches(self, part):
+        # no hash is involved, so keys at and past the modulus pack too
+        self._check(part, [0, 9, 10, 45, 399, -1, -2, -11, -399,
+                           HASH_MODULUS - 1, HASH_MODULUS, HASH_MODULUS + 5,
+                           -(HASH_MODULUS - 1), -HASH_MODULUS,
+                           2 ** 63 - 1, -2 ** 63])
 
-    def test_explicit_with_array_func_matches(self):
-        part = ExplicitPartitioner(4, lambda k: k // 10,
-                                   array_func=lambda ks: ks // 10)
-        self._check(part, [0, 9, 10, 45, 399])
 
-    def test_explicit_broken_array_func_falls_back(self):
-        part = ExplicitPartitioner(
-            4, lambda k: 0, array_func=lambda ks: 1 / 0)
-        assert part.partition_array(
-            np.array([1], dtype=np.int64)) is None
+class TestBlockPartitionerEquality:
+    """Placements are values: equal fields, equal placement."""
+
+    def test_left_and_right_k_placements_differ(self):
+        grid = SimpleNamespace(grid_rows=3)
+        left, right = k_partitioners(grid, grid, 4)
+        assert left != right
+        assert right != left
+
+    def test_equal_grid_rows_give_equal_left_placements(self):
+        left, _right = k_partitioners(SimpleNamespace(grid_rows=3),
+                                      SimpleNamespace(grid_rows=5), 4)
+        again, _other = k_partitioners(SimpleNamespace(grid_rows=3),
+                                       SimpleNamespace(grid_rows=7), 4)
+        assert left == again
+        assert hash(left) == hash(again)
+        assert left != k_partitioners(SimpleNamespace(grid_rows=2),
+                                      SimpleNamespace(grid_rows=5), 4)[0]
 
 
 class TestKeyPacking:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import ClusterContext, HashPartitioner
 from repro.engine.explain import count_stages
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.partitioner import BlockPartitioner
 
 
 @pytest.fixture()
@@ -124,8 +124,8 @@ class TestPartitioning:
                  .partition_by(part)
         assert rdd.partition_by(part) is rdd
 
-    def test_explicit_partitioner(self, ctx):
-        part = ExplicitPartitioner(4, lambda key: key // 10, tag="rows")
+    def test_block_partitioner(self, ctx):
+        part = BlockPartitioner(4, divisor=10)
         rdd = ctx.parallelize([(i, None) for i in range(40)], 4) \
                  .partition_by(part)
         for index, records in enumerate(ctx.run_job(rdd, list)):

@@ -40,7 +40,7 @@ from repro.engine import (
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.explain import memory_report
 from repro.engine.lineage import FaultInjector
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.partitioner import Partitioner
 from repro.engine.rdd import LineageStub
 from repro.engine.shm import (
     SHM_BLOCK_MIN_BYTES,
@@ -282,7 +282,9 @@ class TestShutdownLeavesNoWorker:
 
 #: thirty process-backend jobs, each followed by a full collection; the
 #: lookups compute their partition on the driver, which maps the
-#: workers' shuffle segments, so the exit path has mappings to release
+#: workers' shuffle segments. Releasing a shuffle closes the driver's
+#: mappings, so the last job's RDD stays alive: the exit path has
+#: mappings to release
 _JOBS_THEN_GC = """
 import gc, operator
 from repro.engine import ClusterContext, shm
@@ -291,7 +293,8 @@ kept = []
 with ClusterContext(num_executors=2, backend="process") as ctx:
     for _ in range(30):
         pairs = ctx.parallelize([(k % 8, float(k)) for k in range(4000)], 4)
-        kept.append(pairs.reduce_by_key(operator.add).lookup(3))
+        live = pairs.reduce_by_key(operator.add)
+        kept.append(live.lookup(3))
         gc.collect()
 assert shm._ATTACHED, "the driver mapped no segment"
 """
@@ -642,6 +645,13 @@ class TestBackendValidation:
 # sliced task payloads
 # ----------------------------------------------------------------------
 
+class _ByNumber(Partitioner):
+    """Places key ``"k<n>"`` at ``n % num_partitions``."""
+
+    def partition(self, key) -> int:
+        return int(key[1:]) % self.num_partitions
+
+
 def _record_payloads(ctx) -> list:
     """Collect every payload the context's process runner builds."""
     payloads = []
@@ -730,7 +740,7 @@ class TestSlicedPayload:
         # cross as shm refs like packed ones; placing them by their
         # number (not the seeded str hash) gives each reducer 6 keys
         records = [(f"k{i % 24}", i) for i in range(24000)]
-        by_number = ExplicitPartitioner(4, lambda key: int(key[1:]))
+        by_number = _ByNumber(4)
         with ClusterContext(num_executors=2, backend="process") as ctx:
             grouped = ctx.parallelize(records, 4).group_by_key(by_number)
             payloads = _record_payloads(ctx)

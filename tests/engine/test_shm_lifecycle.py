@@ -97,7 +97,9 @@ def test_new_context_workers_map_no_earlier_segment_on_process():
     with ClusterContext(num_executors=2, backend="process") as first:
         pairs = first.parallelize([(k % 8, float(k)) for k in range(4000)],
                                   4)
-        assert pairs.reduce_by_key(operator.add).lookup(3)
+        # kept alive: the driver closes its mappings of released segments
+        summed = pairs.reduce_by_key(operator.add)
+        assert summed.lookup(3)
         earlier = first.shm_registry.prefix
     assert _mapped_segments(os.getpid(), earlier)
     with ClusterContext(num_executors=2, backend="process") as second:
@@ -106,6 +108,25 @@ def test_new_context_workers_map_no_earlier_segment_on_process():
                    for process, _conn in second.process_runner.pool._workers]
         for pid in workers:
             assert _mapped_segments(pid, earlier) == set()
+
+
+def test_driver_closes_its_mappings_of_released_segments_on_process():
+    """``lookup`` computes its partition on the driver, which maps the
+    workers' segments; dropping the RDD releases them, and the driver's
+    mappings go with them."""
+    with ClusterContext(num_executors=2, backend="process") as ctx:
+        prefix = ctx.shm_registry.prefix
+        for _ in range(30):
+            pairs = ctx.parallelize([(k % 8, float(k)) for k in range(4000)],
+                                    4)
+            assert pairs.reduce_by_key(operator.add).lookup(3) == [
+                float(sum(range(3, 4000, 8)))]
+            del pairs
+            gc.collect()
+        mapped = [name for name in shm._ATTACHED if name.startswith(prefix)]
+        assert [name for name in mapped
+                if not os.path.exists(f"/dev/shm/{name}")] == []
+        assert _mapped_segments(os.getpid(), prefix) == set()
 
 
 def test_dropped_shuffle_releases_its_segments_on_process():
