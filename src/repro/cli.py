@@ -9,7 +9,7 @@ Commands:
 - ``bench``     — run the figure/table reproduction benchmarks
   (requires pytest-benchmark); ``--figure fig9`` narrows to one file.
 - ``trace``     — replay a saved ``*.trace.jsonl`` event log into a
-  stage-breakdown report (``profile`` is an alias); ``--chrome OUT``
+  stage-breakdown report; ``--chrome OUT``
   additionally re-exports the log in Chrome ``trace_event`` format.
 - ``top``       — one dashboard frame from a saved ``*.trace.jsonl``:
   sparkline series for memory/tasks/shuffle from its gauge events,
@@ -192,15 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the paper-figure benchmarks")
     bench.add_argument("--figure",
                        help="one of fig7..fig12, table3, ablations")
-    for name in ("trace", "profile"):
-        trace = subparsers.add_parser(
-            name, help="replay a saved trace event log into a report")
-        trace.add_argument("log", help="path to a *.trace.jsonl file")
-        trace.add_argument("--chrome", metavar="OUT",
-                           help="also write a Chrome trace_event file")
-        trace.add_argument("--executors", type=int, default=None,
-                           help="override executor count for the "
-                                "utilization report")
+    trace = subparsers.add_parser(
+        "trace", help="replay a saved trace event log into a report")
+    trace.add_argument("log", help="path to a *.trace.jsonl file")
+    trace.add_argument("--chrome", metavar="OUT",
+                       help="also write a Chrome trace_event file")
+    trace.add_argument("--executors", type=int, default=None,
+                       help="override executor count for the "
+                            "utilization report")
     top = subparsers.add_parser(
         "top", help="render a saved trace's gauges, workers and the "
                     "health read from it as one dashboard frame")
@@ -217,7 +216,6 @@ def main(argv=None) -> int:
         "selftest": _cmd_selftest,
         "bench": _cmd_bench,
         "trace": _cmd_trace,
-        "profile": _cmd_trace,
         "top": _cmd_top,
     }
     if args.command is None:

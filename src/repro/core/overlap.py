@@ -191,19 +191,27 @@ def _apply_stencil(meta, func, depths, pair):
 def mean_stencil(window):
     """A ready-made stencil: mean of the valid cells in a window.
 
-    ``window`` is the half-width (the overlap depth) — an int or a
-    per-axis tuple matching the depth passed to :func:`stencil`.
+    ``window`` is the half-width, an int or a per-axis tuple; it must
+    fit inside the overlap depth passed to :func:`stencil` (a wider
+    window raises :class:`ArrayError` in the task).
     """
-    return _window_mean
+    return partial(_window_mean, window)
 
 
-def _window_mean(values, valid, depths):
-    """The :func:`mean_stencil` function: the depths are the window."""
-    if isinstance(depths, int):
-        depths = (depths,) * values.ndim
+def _window_mean(window, values, valid, depths):
+    """The :func:`mean_stencil` function over the chunk expanded by
+    ``depths``: the mean of the valid cells within ``window``."""
+    if isinstance(window, int):
+        window = (window,) * values.ndim
+    window = tuple(int(w) for w in window)
+    if len(window) != values.ndim or any(
+            not 0 <= w <= d for w, d in zip(window, depths)):
+        raise ArrayError(
+            f"mean window {window} does not fit the overlap depth "
+            f"{tuple(depths)}")
     filled = np.where(valid, values, 0.0)
-    sums = _box_sum(filled, depths)
-    counts = _box_sum(valid.astype(np.float64), depths)
+    sums = _box_sum(filled, window)
+    counts = _box_sum(valid.astype(np.float64), window)
     core = tuple(
         slice(d, values.shape[a] - d) if d else slice(None)
         for a, d in enumerate(depths)

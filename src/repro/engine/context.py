@@ -18,7 +18,8 @@ from repro.engine.rdd import (
     GeneratedRDD,
     ParallelCollectionRDD,
     RDD,
-    run_task_with_retries,
+    ResultTask,
+    run_task,
 )
 from repro.engine.scheduler import ExecutorPool, StageScheduler
 from repro.engine.storage import CacheManager
@@ -80,15 +81,17 @@ class ClusterContext:
         no-op attribute check.
     """
 
+    #: retries after a task's first attempt: 4 attempts in all, Spark's
+    #: default ``spark.task.maxFailures``
+    task_retries = 3
+
     def __init__(self, num_executors: int = 4, default_parallelism=None,
                  cache_budget_bytes=None, use_threads: bool = False,
-                 task_retries: int = 3, trace: bool = False,
-                 spill_dir=None, repack_on_admission: bool = False,
+                 trace: bool = False, spill_dir=None,
+                 repack_on_admission: bool = False,
                  backend: str = "thread"):
         if num_executors <= 0:
             raise EngineError("num_executors must be positive")
-        if task_retries < 0:
-            raise EngineError("task_retries must be >= 0")
         _check_non_negative("default_parallelism", default_parallelism)
         if backend not in ("thread", "process"):
             raise EngineError(
@@ -105,7 +108,6 @@ class ClusterContext:
                                   repack_on_admission=repack_on_admission)
         self.use_threads = use_threads
         self.backend = backend
-        self.task_retries = task_retries
         self._rdd_counter = 0
         # the executor pool is persistent: created lazily on the first
         # parallel job and reused by every job after it (Spark keeps
@@ -209,10 +211,10 @@ class ClusterContext:
         self.metrics.add(jobs_run=1, stages_run=1)
         with self.tracer.span(f"{rdd.name}:partition", "job",
                               executors=self.num_executors):
-            with self.tracer.span(rdd.name, "stage", stage_kind="result"):
-                with self.tracer.span("task", "task", partition=index):
-                    return run_task_with_retries(
-                        self, index, lambda: rdd.iterator(index))
+            with self.tracer.span(rdd.name, "stage",
+                                  stage_kind="result") as stage_span:
+                return run_task(self, ResultTask(rdd, index), index,
+                                stage_span)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -4,7 +4,7 @@ RDDs already carry their lineage (``RDD.dependencies``); this module adds
 driver-side tools used by tests and by the fault-tolerance example
 (stage counting lives in :func:`repro.engine.explain.count_stages`):
 
-- :func:`collect_rdds` — every distinct RDD of a DAG.
+- :func:`collect_rdds` — every distinct RDD of a DAG, parents first.
 - :class:`FaultInjector` — deterministically lose cached blocks and
   shuffle outputs mid-computation, so tests can assert that results are
   rebuilt from lineage instead of silently going wrong.
@@ -17,19 +17,34 @@ import random
 from repro.engine.rdd import RDD, _ShuffleStageBase
 
 
-def collect_rdds(rdd: RDD) -> list:
-    """All distinct RDDs in the DAG, root last (topological-ish)."""
-    seen = {}
+def collect_rdds(*roots, opaque=None) -> list:
+    """Every distinct RDD reachable from ``roots``, parents first: each
+    after all of its dependencies, in the order a depth-first descent
+    through ``dependencies`` finishes them (the roots' last).
 
-    def visit(node):
-        if node.rdd_id in seen:
-            return
-        for dep in node.dependencies:
-            visit(dep)
-        seen[node.rdd_id] = node
-
-    visit(rdd)
-    return list(seen.values())
+    A node for which ``opaque(node)`` is true is neither listed nor
+    descended into; ``opaque`` is asked once per distinct node. The
+    walk is iterative, so no lineage depth meets the recursion limit.
+    """
+    done = {}
+    path = [None]          # the nodes being descended, under the roots
+    stack = [iter(roots)]  # each one's dependencies still to visit
+    while stack:
+        for node in stack[-1]:
+            if id(node) in done:
+                continue
+            if opaque is not None and opaque(node):
+                done[id(node)] = None
+                continue
+            path.append(node)
+            stack.append(iter(node.dependencies))
+            break
+        else:
+            stack.pop()
+            node = path.pop()
+            if node is not None:
+                done[id(node)] = node
+    return [node for node in done.values() if node is not None]
 
 
 class FaultInjector:

@@ -33,19 +33,15 @@ from repro.engine.batches import (
     pack_values,
 )
 from repro.engine.partitioner import Partitioner
-from repro.engine.sizing import estimate_partition_size
+from repro.engine.sizing import estimate_partition_size, estimate_size
 from repro.engine.storage import StorageLevel
 from repro.errors import EngineError, TaskFailure
 
 
 def run_task_with_retries(context, index, attempt_func):
-    """One logical task: ``1 + task_retries`` attempts, all metered.
-
-    Mirrors Spark's ``spark.task.maxFailures``: deterministic failures
-    exhaust the attempts and surface as a :class:`TaskFailure`. Used by
-    every task — shuffle map, result, and the driver's partition probe
-    — so retry semantics are identical everywhere.
-    """
+    """One logical task: ``1 + context.task_retries`` attempts, all
+    metered; exhausted attempts surface as a :class:`TaskFailure`
+    (Spark's ``spark.task.maxFailures``)."""
     metrics = context.metrics
     last_error = None
     for attempt in range(1 + context.task_retries):
@@ -55,6 +51,97 @@ def run_task_with_retries(context, index, attempt_func):
         except Exception as exc:  # noqa: BLE001 - retried
             last_error = exc
     raise TaskFailure(index, last_error) from last_error
+
+
+def run_task(context, task, index, stage_span):
+    """Every task's one path: a traced, retried run of ``task``.
+
+    The task span opens under ``stage_span`` (explicitly: an executor
+    thread's span stack is empty). The body runs inline, or in a worker
+    process when the context has a process runner and the task ships;
+    retries, counters and spans stay on the driver either way.
+    """
+    runner = context.process_runner if task.ships else None
+    with context.tracer.span(task.span_name, "task", parent=stage_span,
+                             partition=index) as span:
+        attempt = task.run
+        if runner is not None:
+            attempt = partial(runner.run, task, span)
+        result = run_task_with_retries(context, index, attempt)
+        task.record(result, span, context.metrics)
+    return result
+
+
+class ResultTask:
+    """One result-stage task: ``partition_func(rdd.iterator(index))``.
+
+    Its span carries ``result_bytes``. Without a ``partition_func`` it
+    is the driver's partition probe (:meth:`ClusterContext.run_partition`):
+    the partition as ``iterator`` returns it, possibly a lazy iterator,
+    so it never ships and meters no size.
+
+    Every task class answers ``reads() -> (pinned, reads)``: ``pinned``
+    lists the roots the body uses directly (so they never ship as
+    stubs), and ``reads`` lists the ``(rdd, index)`` partitions the body
+    reads through ``iterator``.
+    """
+
+    __slots__ = ("rdd", "index", "partition_func")
+    span_name = "task"
+
+    def __init__(self, rdd, index, partition_func=None):
+        self.rdd = rdd
+        self.index = index
+        self.partition_func = partition_func
+
+    @property
+    def ships(self) -> bool:
+        return self.partition_func is not None
+
+    def roots(self):
+        return (self.rdd,)
+
+    def reads(self):
+        return (), [(self.rdd, self.index)]
+
+    def run(self):
+        part = self.rdd.iterator(self.index)
+        if self.partition_func is None:
+            return part
+        return self.partition_func(part)
+
+    def record(self, result, span, metrics) -> None:
+        if self.ships:
+            result_bytes = estimate_size(result)
+            span.set(result_bytes=result_bytes)
+            metrics.add(result_bytes=result_bytes)
+
+
+class ShuffleMapTask:
+    """One shuffle map task: bucket partition ``parent_index`` of wide
+    parent slot ``which``. Its span carries ``records`` and ``bytes``."""
+
+    __slots__ = ("rdd", "which", "parent_index")
+    span_name = "map_task"
+    ships = True
+
+    def __init__(self, rdd, which, parent_index):
+        self.rdd = rdd
+        self.which = which
+        self.parent_index = parent_index
+
+    def roots(self):
+        return (self.rdd,)
+
+    def reads(self):
+        parent = self.rdd.dependencies[self.which]
+        return (self.rdd,), [(parent, self.parent_index)]
+
+    def run(self):
+        return self.rdd._map_task(self.which, self.parent_index)
+
+    def record(self, result, span, metrics) -> None:
+        span.set(records=result[1], bytes=result[2])
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +736,7 @@ class _ShuffleStageBase(RDD):
     partition, merges the per-task buckets in parent-partition order
     (the byte-identity contract), records the shuffle metrics, and
     stores the buckets in ``_buckets[which]``. The scheduler's stage
-    loop owns all of it: it runs :meth:`run_shuffle_map_task` for each
+    loop owns all of it: it runs a :class:`ShuffleMapTask` for each
     parent partition and calls :meth:`commit_shuffle` when the last
     output lands — inside a job, or on demand for a lazy
     :meth:`fetch_buckets` miss.
@@ -782,30 +869,6 @@ class _ShuffleStageBase(RDD):
             buckets[partition(key)].append((key, value))
         return (buckets, len(records), estimate_partition_size(records),
                 (0, 0))
-
-    def run_shuffle_map_task(self, which: int, parent_index: int,
-                             stage_span):
-        """One traced, retried shuffle map task (any thread).
-
-        Returns the ``(buckets, records, bytes, batch_stats)`` tuple of
-        ``_map_task``; under the process backend the body round-trips
-        through a worker instead.
-        """
-        tracer = self.context.tracer
-        runner = self.context.process_runner
-        with tracer.span("map_task", "task", parent=stage_span,
-                         partition=parent_index) as task_span:
-            if runner is not None:
-                def attempt():
-                    return runner.run_shuffle_map(
-                        self, which, parent_index, task_span)
-            else:
-                def attempt():
-                    return self._map_task(which, parent_index)
-            out = run_task_with_retries(self.context, parent_index,
-                                        attempt)
-            task_span.set(records=out[1], bytes=out[2])
-            return out
 
     def commit_shuffle(self, which: int, outputs, span) -> None:
         """Merge map outputs in parent-partition order and store them.

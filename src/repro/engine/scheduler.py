@@ -46,8 +46,8 @@ import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 
-from repro.engine.rdd import RDD, run_task_with_retries
-from repro.engine.sizing import estimate_size
+from repro.engine.lineage import collect_rdds
+from repro.engine.rdd import RDD, ResultTask, ShuffleMapTask, run_task
 from repro.engine.storage import StorageLevel
 from repro.errors import EngineError
 
@@ -146,16 +146,17 @@ class ExecutorPool:
 class _Stage:
     """One node of a job's stage graph.
 
-    ``kind`` is ``"shuffle"`` for a pending shuffle map stage — one map
-    task per partition of parent ``which`` of ``node`` — or
-    ``"result"`` for the graph's last node, a job's result stage: one
-    ``task(index, span)`` per partition of ``node``. ``pending`` counts
+    ``kind`` is ``"shuffle"`` for a pending shuffle map stage — one
+    :class:`ShuffleMapTask` per partition of parent ``which`` of
+    ``node`` — or ``"result"`` for the graph's last node, a job's
+    result stage: one :class:`ResultTask` per partition of ``node``.
+    ``task(index)`` builds task ``index``. ``pending`` counts
     unfinished dependency stages; the loop launches the stage when it
     reaches zero, and ``done`` counts task outputs until the last one
     lands.
     """
 
-    __slots__ = ("node", "which", "kind", "key", "label", "num_tasks",
+    __slots__ = ("node", "which", "kind", "label", "num_tasks",
                  "task", "deps", "children", "pending", "done",
                  "outputs", "span", "lock", "ready_s", "position")
 
@@ -163,11 +164,10 @@ class _Stage:
         self.node = node
         self.which = which
         self.kind = kind
-        self.key = (node.rdd_id, which)
         if kind == "shuffle":
             self.label = node.shuffle_label(which)
             self.num_tasks = node.dependencies[which].num_partitions
-            self.task = functools.partial(node.run_shuffle_map_task, which)
+            self.task = functools.partial(ShuffleMapTask, node, which)
         else:
             self.label = node.name
             self.num_tasks = node.num_partitions
@@ -181,6 +181,13 @@ class _Stage:
         self.lock = None
         self.ready_s = 0.0
         self.position = 0
+
+    def gate(self, deps: list) -> None:
+        """Wait for ``deps``: wire the edges both ways."""
+        self.deps = deps
+        self.pending = len(deps)
+        for dep in deps:
+            dep.children.append(self)
 
     @property
     def edge_name(self) -> str:
@@ -201,35 +208,6 @@ class StageScheduler:
     # DAG analysis
     # ------------------------------------------------------------------
 
-    def shuffle_stages(self, rdd: RDD) -> list:
-        """Pending shuffle map stages beneath ``rdd``, parents first.
-
-        Each entry is ``(shuffle_rdd, which)``, one per wide parent slot
-        (:meth:`RDD.wide_slots`). Narrow parents, already-materialized
-        map output, and subtrees hidden behind a fully cached RDD
-        (whose partitions will be served from the block cache without
-        recomputation) are all skipped, so eager scheduling records
-        exactly the stages lazy evaluation would.
-        """
-        ordered = []
-        seen = set()
-
-        def visit(node: RDD) -> None:
-            if node.rdd_id in seen:
-                return
-            seen.add(node.rdd_id)
-            if self._fully_cached(node):
-                return
-            for dep in node.dependencies:
-                visit(dep)
-            for which in node.wide_slots():
-                if not node.shuffle_ready(which):
-                    ordered.append((node, which))
-
-        visit(rdd)
-        del visit    # a recursive closure is a cycle holding the lineage
-        return ordered
-
     def _fully_cached(self, node: RDD) -> bool:
         if node.storage_level is StorageLevel.NONE:
             return False
@@ -240,59 +218,38 @@ class StageScheduler:
         )
 
     def stage_graph(self, rdd: RDD) -> tuple:
-        """``(stages, result_deps)``: the pending shuffle map stages as
-        an explicit dependency DAG, plus the result stage's direct
-        stage dependencies.
+        """``(stages, result_deps)``: the pending shuffle map stages
+        beneath ``rdd`` as an explicit dependency DAG, plus the result
+        stage's direct stage dependencies.
 
-        ``stages`` is :meth:`shuffle_stages` order (parents first) with
-        ``deps``/``children`` edges wired between the nearest pending
-        stages; ``result_deps`` are the stages the result stage's tasks
-        read from directly. Both are deterministic for a given lineage,
-        so every run stamps identical ``depends_on`` span attributes
-        whatever order its stages finish in.
+        One post-order walk of the lineage (:func:`collect_rdds`) reads
+        each node's cached state once. A fully cached RDD hides its
+        subtree (its partitions are served from the block cache);
+        narrow dependencies and materialized shuffles are transparent,
+        so eager scheduling records exactly the stages lazy evaluation
+        would. A node's pending wide slots become stages, in ``which``
+        order, after every stage beneath them (parents first); each
+        depends on the nearest pending stages beneath its parent slot,
+        and ``result_deps`` are those beneath ``rdd``. Both are
+        deterministic for a given lineage, so every run stamps identical
+        ``depends_on`` span attributes whatever order its stages finish
+        in.
         """
-        ordered = self.shuffle_stages(rdd)
-        stages = [_Stage(node, which) for node, which in ordered]
-        by_key = {stage.key: stage for stage in stages}
-        for stage in stages:
-            root = stage.node.dependencies[stage.which]
-            for dep in self._direct_stage_deps(root, by_key):
-                stage.deps.append(dep)
-                dep.children.append(stage)
-            stage.pending = len(stage.deps)
-        return stages, self._direct_stage_deps(rdd, by_key)
-
-    def _direct_stage_deps(self, root: RDD, by_key: dict) -> list:
-        """The nearest pending stages reachable from ``root`` without
-        crossing another pending stage boundary.
-
-        Mirrors :meth:`shuffle_stages`'s descent rules (fully cached
-        subtrees are opaque; narrow and materialized shuffles are
-        transparent) but stops at each pending stage: what lies beneath
-        one is *its* dependency, not the caller's.
-        """
-        deps = []
-        found = set()
-        seen = set()
-
-        def visit(node: RDD) -> None:
-            if node.rdd_id in seen:
-                return
-            seen.add(node.rdd_id)
-            if self._fully_cached(node):
-                return
+        stages = []
+        fronts = {}  # rdd_id -> the nearest pending stages at or below
+        for node in collect_rdds(rdd, opaque=self._fully_cached):
+            wide = node.wide_slots()
+            front = {}
             for which, parent in enumerate(node.dependencies):
-                stage = by_key.get((node.rdd_id, which))
-                if stage is None:
-                    visit(parent)
-                elif stage.key not in found:
-                    found.add(stage.key)
-                    deps.append(stage)
-
-        visit(root)
-        del visit
-        return deps
-
+                below = fronts.get(parent.rdd_id, ())
+                if which in wide and not node.shuffle_ready(which):
+                    stage = _Stage(node, which)
+                    stage.gate(list(below))
+                    stages.append(stage)
+                    below = (stage,)
+                front.update(dict.fromkeys(below))
+            fronts[node.rdd_id] = list(front)
+        return stages, fronts.get(rdd.rdd_id, [])
 
     # ------------------------------------------------------------------
     # execution
@@ -304,28 +261,20 @@ class StageScheduler:
         one result stage and one task per result partition; shuffle map
         stages record themselves as they launch."""
         self.context.metrics.add(jobs_run=1)
-        final = _Stage(rdd, kind="result", task=functools.partial(
-            self._result_task, rdd, partition_func))
         with self.context.tracer.span(
                 rdd.name, "job", executors=self.context.num_executors,
                 partitions=rdd.num_partitions) as job_span:
-            return self._run_graph(self._graph_to(rdd, final), job_span)
+            stages, result_deps = self.stage_graph(rdd)
+            final = _Stage(rdd, kind="result", task=functools.partial(
+                ResultTask, rdd, partition_func=partition_func))
+            final.gate(result_deps)
+            return self._run_graph(stages + [final], job_span)
 
     def run_stage(self, node: RDD, which: int) -> None:
         """Materialize one shuffle map stage on demand: a lazy
         ``fetch_buckets`` miss (a partition computed outside a job, or
         map output lost after its job was planned)."""
         self._run_graph([_Stage(node, which)])
-
-    def _graph_to(self, rdd: RDD, final: _Stage) -> list:
-        """:meth:`stage_graph` of ``rdd`` with ``final`` appended as the
-        last node, gated on the result stage's dependencies."""
-        stages, result_deps = self.stage_graph(rdd)
-        final.deps = result_deps
-        final.pending = len(result_deps)
-        for dep in result_deps:
-            dep.children.append(final)
-        return stages + [final]
 
     def _start_span(self, stage: _Stage, parent_span):
         attrs = {"num_tasks": stage.num_tasks, "ready_at": stage.ready_s,
@@ -403,9 +352,10 @@ class StageScheduler:
             if not stage.num_tasks:
                 commit(stage)
             for index in range(stage.num_tasks):
+                task = stage.task(index)
                 if inline:
                     try:
-                        output = stage.task(index, stage.span)
+                        output = run_task(context, task, index, stage.span)
                     except BaseException as exc:  # noqa: BLE001 - re-raised
                         failure = exc
                         return
@@ -413,7 +363,7 @@ class StageScheduler:
                     continue
                 try:
                     future = pool.submit_task(functools.partial(
-                        stage.task, index, stage.span))
+                        run_task, context, task, index, stage.span))
                 except RuntimeError as exc:
                     failure = exc
                     return
@@ -505,23 +455,3 @@ class StageScheduler:
                     "were cancelled") from failure
             raise failure
         return nodes[-1].outputs
-
-    def _result_task(self, rdd: RDD, partition_func, index: int,
-                     stage_span):
-        runner = self.context.process_runner
-        # the stage span is the *explicit* parent: under threading this
-        # runs on an executor thread whose span stack is empty
-        with self.context.tracer.span("task", "task", parent=stage_span,
-                                      partition=index) as span:
-            if runner is not None:
-                def attempt():
-                    return runner.run_result(rdd, index,
-                                             partition_func, span)
-            else:
-                def attempt():
-                    return partition_func(rdd.iterator(index))
-            result = run_task_with_retries(self.context, index, attempt)
-            result_bytes = estimate_size(result)
-            span.set(result_bytes=result_bytes)
-        self.context.metrics.add(result_bytes=result_bytes)
-        return result

@@ -49,7 +49,8 @@ from repro.engine import spill as spill_mod
 from repro.engine.batches import RecordBatch, canonical_values
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.metrics import COUNTER_FIELDS, MetricsRegistry
-from repro.engine.rdd import LineageStub
+from repro.engine.lineage import collect_rdds
+from repro.engine.rdd import LineageStub, ResultTask, ShuffleMapTask
 from repro.engine.scheduler import StageScheduler
 from repro.engine.storage import StorageLevel
 from repro.engine.tracing import Tracer
@@ -153,72 +154,8 @@ class WorkerContext:
 
 
 # ----------------------------------------------------------------------
-# tasks
-# ----------------------------------------------------------------------
-
-class ResultTask:
-    """One result-stage task: ``partition_func(rdd.iterator(index))``.
-
-    Every task class answers ``reads() -> (pinned, reads)``: ``pinned``
-    lists the roots the body uses directly (so they never ship as
-    stubs), and ``reads`` lists the ``(rdd, index)`` partitions the body
-    reads through ``iterator``.
-    """
-
-    __slots__ = ("rdd", "index", "partition_func")
-
-    def __init__(self, rdd, index, partition_func):
-        self.rdd = rdd
-        self.index = index
-        self.partition_func = partition_func
-
-    def roots(self):
-        return (self.rdd,)
-
-    def reads(self):
-        return (), [(self.rdd, self.index)]
-
-    def run(self):
-        return self.partition_func(self.rdd.iterator(self.index))
-
-
-class ShuffleMapTask:
-    """One shuffle map task; ``which`` selects the wide parent slot."""
-
-    __slots__ = ("rdd", "which", "parent_index")
-
-    def __init__(self, rdd, which, parent_index):
-        self.rdd = rdd
-        self.which = which
-        self.parent_index = parent_index
-
-    def roots(self):
-        return (self.rdd,)
-
-    def reads(self):
-        parent = self.rdd.dependencies[self.which]
-        return (self.rdd,), [(parent, self.parent_index)]
-
-    def run(self):
-        return self.rdd._map_task(self.which, self.parent_index)
-
-
-# ----------------------------------------------------------------------
 # lineage binding (worker side)
 # ----------------------------------------------------------------------
-
-def lineage_nodes(roots) -> list:
-    """Every RDD reachable from ``roots`` through dependencies."""
-    seen = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen[id(node)] = node
-        stack.extend(node.dependencies)
-    return list(seen.values())
-
 
 def _blank(cls):
     """An uninitialized ``cls``; unpickling then sets its state."""
@@ -240,7 +177,7 @@ def _bind_value(value, context, depth: int = 0) -> None:
 def bind_lineage(roots, context) -> None:
     """Point every unpickled RDD (and context-bound callables hiding
     in their wrapped functions) at ``context``."""
-    for node in lineage_nodes(roots):
+    for node in collect_rdds(*roots):
         node.context = context
         for value in node.__dict__.values():
             _bind_value(value, context)
@@ -439,8 +376,9 @@ class ProcessWorkerPool:
 class ProcessTaskRunner:
     """Driver-side half of the protocol: payloads out, replies merged.
 
-    Owned by a ``backend="process"`` context; dispatcher threads call
-    the ``run_*`` helpers from inside the existing retry/span scaffolding.
+    Owned by a ``backend="process"`` context;
+    :func:`~repro.engine.rdd.run_task` calls :meth:`run` from inside its
+    retry/span scaffolding.
     """
 
     def __init__(self, context):
@@ -449,20 +387,6 @@ class ProcessTaskRunner:
 
     def shutdown(self) -> None:
         self.pool.shutdown()
-
-    # -- task entry points ------------------------------------------------
-
-    def run_result(self, rdd, index, partition_func, parent_span=None):
-        # a reply's arrays decode with dtypes equal to, but not, numpy's
-        # singletons; re-interned, a collected result pickles as the
-        # serial backend's does
-        return canonical_values(self._run(
-            ResultTask(rdd, index, partition_func), parent_span))
-
-    def run_shuffle_map(self, rdd, which, parent_index,
-                        parent_span=None):
-        return self._run(ShuffleMapTask(rdd, which, parent_index),
-                         parent_span)
 
     # -- protocol ---------------------------------------------------------
 
@@ -543,7 +467,7 @@ class ProcessTaskRunner:
         contributions = reply.get("contributions")
         if contributions:
             nodes = {node.rdd_id: node
-                     for node in lineage_nodes(task.roots())}
+                     for node in collect_rdds(*task.roots())}
             for rdd_id, index, data, allow_spill in contributions:
                 context.cache.put(rdd_id, index, canonical_values(data),
                                   allow_spill=allow_spill)
@@ -551,11 +475,17 @@ class ProcessTaskRunner:
                 if node is not None:
                     node._cached_indices.add(index)
 
-    def _run(self, task, parent_span):
+    def run(self, task, parent_span=None):
+        """One round trip of ``task`` (a result or shuffle map task)."""
         payload = self._build_payload(task)
         self.context.metrics.add(task_payload_bytes=len(payload))
         reply = pickle.loads(self.pool.run(payload, self.context.metrics))
         self._absorb(task, reply, parent_span)
         if not reply["ok"]:
             raise reply["error"]
+        if isinstance(task, ResultTask):
+            # a reply's arrays decode with dtypes equal to, but not,
+            # numpy's singletons; re-interned, a collected result
+            # pickles as the serial backend's does
+            return canonical_values(reply["result"])
         return reply["result"]

@@ -12,7 +12,7 @@ from repro.core.aggregates import (
 )
 from repro.core.overlap import expanded_chunks, mean_stencil, stencil
 from repro.engine import ClusterContext
-from repro.errors import ArrayError, MetadataError
+from repro.errors import ArrayError, MetadataError, TaskFailure
 
 
 @pytest.fixture()
@@ -176,6 +176,35 @@ class TestOverlap:
             for j in (0, 6, 12, 19):
                 window = data[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
                 assert values[i, j] == pytest.approx(window.mean())
+
+    def test_mean_stencil_uses_its_window(self, ctx):
+        rng = np.random.default_rng(5)
+        data = rng.random((12, 12))
+        valid = rng.random((12, 12)) < 0.7
+        arr = ArrayRDD.from_numpy(ctx, data, (4, 4), valid=valid)
+        values, got_valid = stencil(arr, mean_stencil(0),
+                                    depth=1).collect_dense()
+        assert np.array_equal(got_valid, valid)
+        assert np.array_equal(values[valid], data[valid])
+        # dense oracle: the mean of the valid cells in each 3x3 window
+        sums = np.zeros((14, 14))
+        counts = np.zeros((14, 14))
+        for di in range(3):
+            for dj in range(3):
+                sums[di:di + 12, dj:dj + 12] += np.where(valid, data, 0.0)
+                counts[di:di + 12, dj:dj + 12] += valid
+        expected = sums[1:13, 1:13] / np.maximum(counts[1:13, 1:13], 1)
+        values, got_valid = stencil(arr, mean_stencil(1),
+                                    depth=1).collect_dense()
+        assert np.array_equal(got_valid, valid)
+        assert np.allclose(values[valid], expected[valid])
+
+    def test_mean_window_wider_than_depth_raises(self, ctx):
+        arr = ArrayRDD.from_numpy(ctx, np.ones((8, 8)), (4, 4))
+        for window in (2, (1, 2)):
+            with pytest.raises(TaskFailure) as excinfo:
+                stencil(arr, mean_stencil(window), depth=1).count_valid()
+            assert isinstance(excinfo.value.cause, ArrayError)
 
     def test_stencil_respects_validity(self, ctx):
         data = np.ones((8, 8))

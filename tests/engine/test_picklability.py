@@ -191,8 +191,8 @@ class TestTaskRoundTrip:
             rdd = TRANSFORMS[name](ctx)
             # materialize pending shuffle stages the way a job would;
             # the reduce side then ships with its map output inline
-            for node, which in ctx.scheduler.shuffle_stages(rdd):
-                node.fetch_buckets(which)
+            for stage in ctx.scheduler.stage_graph(rdd)[0]:
+                stage.node.fetch_buckets(stage.which)
             for index in range(rdd.num_partitions):
                 expected = list(rdd.compute(index))
                 clone = task_loads(task_dumps(

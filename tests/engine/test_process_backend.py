@@ -39,7 +39,7 @@ from repro.engine import (
 )
 from repro.engine.closure import task_dumps, task_loads
 from repro.engine.explain import memory_report
-from repro.engine.lineage import FaultInjector
+from repro.engine.lineage import FaultInjector, collect_rdds
 from repro.engine.partitioner import Partitioner
 from repro.engine.rdd import LineageStub
 from repro.engine.shm import (
@@ -53,8 +53,8 @@ from repro.engine.worker import (
     ResultTask,
     TaskBlockCache,
     WorkerContext,
+    WorkerCrashed,
     bind_lineage,
-    lineage_nodes,
 )
 from repro.errors import EngineError
 from tests.engine.test_scheduler import LOGICAL_FIELDS
@@ -84,6 +84,19 @@ class _KillOnFirstAttempt:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _KillWorker:
+    """A UDF that SIGKILLs the worker process running it, every time
+    (never the driver whose pid it was given)."""
+
+    def __init__(self, driver_pid):
+        self.driver_pid = driver_pid
+
+    def __call__(self, record):
+        if os.getpid() != self.driver_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return record
 
 
 class _HoldUntilReleased:
@@ -118,7 +131,7 @@ class TestWorkerDeath:
                                                       capsys):
         sentinel = str(tmp_path / "crash-once")
         ctx = ClusterContext(num_executors=2, backend="process",
-                             task_retries=3, trace=True)
+                             trace=True)
         prefix = ctx.shm_registry.prefix
         spill_dir = ctx.cache.spill_directory()
         pairs = ctx.parallelize([(i % 5, i) for i in range(60)], 4)
@@ -166,7 +179,7 @@ class TestWorkerDeath:
             expected = sorted(serial.parallelize(records, 4)
                               .reduce_by_key(operator.add).collect())
         with ClusterContext(num_executors=2, backend="process",
-                            task_retries=3, trace=True) as ctx:
+                            trace=True) as ctx:
             pairs = ctx.parallelize(records, 4)
             pairs.map(lambda kv: kv).collect()
             first = _task_pids(ctx.tracer.spans())
@@ -188,17 +201,20 @@ class TestWorkerDeath:
         assert survivor in second and killed not in second
         assert len(second) == 2
 
-    def test_crash_with_no_retries_surfaces(self, tmp_path):
+    def test_crash_on_every_attempt_surfaces(self):
+        """A task whose worker dies on each of its 4 attempts fails the
+        job with the crash as its cause, and leaks no segment."""
         from repro.errors import TaskFailure
 
-        sentinel = str(tmp_path / "crash-once")
-        ctx = ClusterContext(num_executors=2, backend="process",
-                             task_retries=0)
+        ctx = ClusterContext(num_executors=2, backend="process")
         prefix = ctx.shm_registry.prefix
-        killer = _KillOnFirstAttempt(sentinel)
-        with pytest.raises(TaskFailure):
-            ctx.parallelize(range(40), 4).map(killer).collect()
+        with pytest.raises(TaskFailure) as excinfo:
+            ctx.parallelize(range(40), 4).map(
+                _KillWorker(os.getpid())).collect()
+        respawns = ctx.metrics.snapshot().worker_respawns
         ctx.shutdown()
+        assert isinstance(excinfo.value.cause, WorkerCrashed)
+        assert respawns >= 4
         assert leaked_segments(prefix) == []
 
 
@@ -214,7 +230,7 @@ class TestWorkerSlots:
             rdd = ctx.parallelize(range(400), 8).map(lambda x: x * 3)
 
             def call(i):
-                return ctx.process_runner.run_result(rdd, i % 8, list)
+                return ctx.process_runner.run(ResultTask(rdd, i % 8, list))
 
             with ThreadPoolExecutor(6) as callers:
                 got = list(callers.map(call, range(48), timeout=120))
@@ -240,8 +256,7 @@ class TestShutdownLeavesNoWorker:
 
     def test_run_with_a_killed_worker(self, tmp_path):
         before = set(multiprocessing.active_children())
-        ctx = ClusterContext(num_executors=2, backend="process",
-                             task_retries=3)
+        ctx = ClusterContext(num_executors=2, backend="process")
         killer = _KillOnFirstAttempt(str(tmp_path / "crash-once"))
         assert ctx.parallelize(range(40), 4).map(killer).collect() \
             == list(range(40))
@@ -399,7 +414,7 @@ class TestSharedMemoryExchange:
 
 def _committed_buckets(rdd) -> list:
     """Every non-empty bucket the shuffles under ``rdd`` committed."""
-    return [segment for node in lineage_nodes([rdd])
+    return [segment for node in collect_rdds(rdd)
             for buckets in getattr(node, "_buckets", ())
             if buckets is not None
             for bucket in buckets for segment in bucket]
@@ -790,7 +805,7 @@ class TestSlicedPayload:
         with ClusterContext(num_executors=2, backend="process") as ctx:
             # the task reaches the worker before any job ran the map
             # stage: the worker materializes it through fetch_buckets
-            got = ctx.process_runner.run_result(summed(ctx), 1, list)
+            got = ctx.process_runner.run(ResultTask(summed(ctx), 1, list))
         assert pickle.dumps(got) == pickle.dumps(expected)
 
     @pytest.mark.parametrize("name", sorted(PAYLOAD_SCENARIOS))

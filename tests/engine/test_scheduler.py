@@ -13,6 +13,7 @@ wall-clock observations are allowed to differ.
 """
 
 import contextlib
+import operator
 import pickle
 import random
 import threading
@@ -356,6 +357,84 @@ class TestPipelinedScheduling:
             assert result_deps == stages
 
 
+
+def _keyed(ctx, sign=1):
+    return ctx.parallelize([(i % 6, sign * i) for i in range(24)], 3)
+
+
+def _graph(ctx, rdd):
+    """``stage_graph(rdd)`` as positions ``(node, which)``, each stage's
+    dependency positions and ``depends_on``, and the result's deps."""
+    stages, result_deps = ctx.scheduler.stage_graph(rdd)
+    position = {id(stage): i for i, stage in enumerate(stages)}
+    return ([(stage.node, stage.which) for stage in stages],
+            [[position[id(dep)] for dep in stage.deps] for stage in stages],
+            [stage.depends_on() for stage in stages],
+            [position[id(dep)] for dep in result_deps])
+
+
+class TestStageGraphPositions:
+    """Pinned stage positions and edges: parents first, a node's own
+    wide slots after everything beneath them, in slot order."""
+
+    def test_two_wide_slots_each_above_its_own_shuffle(self):
+        with ClusterContext(num_executors=2) as ctx:
+            left = _keyed(ctx).reduce_by_key(operator.add)
+            right = _keyed(ctx, -1).reduce_by_key(operator.add)
+            grouped = cogroup([left.map(_swap), right.map(_swap)],
+                              HashPartitioner(2))
+            positions, deps, depends_on, result = _graph(ctx, grouped)
+        assert positions == [(left, 0), (right, 0), (grouped, 0),
+                             (grouped, 1)]
+        assert deps == [[], [], [0], [1]]
+        assert depends_on == [
+            [], [], [f"{left.shuffle_label(0)}#{left.rdd_id}"],
+            [f"{right.shuffle_label(0)}#{right.rdd_id}"]]
+        assert result == [2, 3]
+
+    def test_fully_cached_subtree_hides_its_shuffle(self):
+        with ClusterContext(num_executors=2) as ctx:
+            cached = _keyed(ctx).reduce_by_key(operator.add).cache()
+            cached.count()
+            assert cached.invalidate_shuffle() == 1
+            above = cached.map(_swap).reduce_by_key(
+                operator.add, partitioner=HashPartitioner(2))
+            positions, deps, depends_on, result = _graph(ctx, above)
+            # the cache hides the dropped map output: the job runs no
+            # stage beneath ``cached``
+            assert sorted(above.collect()) == sorted(
+                _swap(kv) for kv in _folded())
+        assert positions == [(above, 0)]
+        assert deps == [[]] and depends_on == [[]]
+        assert result == [0]
+
+    def test_materialized_shuffle_is_transparent(self):
+        with ClusterContext(num_executors=2) as ctx:
+            first = _keyed(ctx).reduce_by_key(operator.add)
+            first.collect()
+            second = first.map(_swap).reduce_by_key(
+                operator.add, partitioner=HashPartitioner(2))
+            third = second.map(_swap).reduce_by_key(
+                operator.add, partitioner=HashPartitioner(3))
+            positions, deps, depends_on, result = _graph(ctx, third)
+        assert positions == [(second, 0), (third, 0)]
+        assert deps == [[], [0]]
+        assert depends_on == [
+            [], [f"{second.shuffle_label(0)}#{second.rdd_id}"]]
+        assert result == [1]
+
+
+def _swap(kv):
+    return kv[1], kv[0]
+
+
+def _folded():
+    sums = {}
+    for i in range(24):
+        sums[i % 6] = sums.get(i % 6, 0) + i
+    return sorted(sums.items())
+
+
 class TestExecutorPool:
     def test_result_order_preserved(self):
         """Result rows come back in partition order whatever order the
@@ -485,8 +564,7 @@ class TestConcurrencySafety:
             assert all(count == 1 for count in counts.values())
 
     def test_flaky_tasks_retry_under_threads(self):
-        ctx = ClusterContext(num_executors=4, use_threads=True,
-                             task_retries=2)
+        ctx = ClusterContext(num_executors=4, use_threads=True)
         attempts = {}
         guard = threading.Lock()
 
@@ -505,8 +583,7 @@ class TestConcurrencySafety:
         ctx.shutdown()
 
     def test_exhausted_retries_surface_under_threads(self):
-        ctx = ClusterContext(num_executors=4, use_threads=True,
-                             task_retries=1)
+        ctx = ClusterContext(num_executors=4, use_threads=True)
 
         def boom(x):
             if x == 13:

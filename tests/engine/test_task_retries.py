@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.engine import ClusterContext, HashPartitioner
-from repro.errors import EngineError, TaskFailure
+from repro.errors import TaskFailure
 
 
 class Flaky:
@@ -25,7 +25,7 @@ class Flaky:
 
 class TestTaskRetries:
     def test_transient_failure_recovers(self):
-        ctx = ClusterContext(num_executors=2, task_retries=3)
+        ctx = ClusterContext(num_executors=2)
         flaky = Flaky(failures=1)
         got = ctx.parallelize([1, 2, 3], 1).map(flaky).collect()
         assert got == [2, 4, 6]
@@ -34,33 +34,34 @@ class TestTaskRetries:
         assert ctx.metrics.task_retries == 3
 
     def test_exhausted_retries_surface_last_error(self):
-        ctx = ClusterContext(num_executors=2, task_retries=2)
+        ctx = ClusterContext(num_executors=2)
         flaky = Flaky(failures=99)
         with pytest.raises(TaskFailure) as excinfo:
             ctx.parallelize([7], 1).map(flaky).collect()
         assert isinstance(excinfo.value.cause, IOError)
-        # 1 original attempt + 2 retries
-        assert flaky.attempts[7] == 3
-        assert ctx.metrics.task_retries == 2
+        # 1 original attempt + 3 retries
+        assert flaky.attempts[7] == 4
+        assert ctx.metrics.task_retries == 3
 
-    def test_zero_retries_fails_fast(self):
-        ctx = ClusterContext(num_executors=2, task_retries=0)
-        flaky = Flaky(failures=1)
+    def test_always_failing_task_stops_after_four_attempts(self):
+        """The budget is fixed at Spark's ``maxFailures`` of 4: a task
+        that would pass on its fifth attempt fails, one that passes on
+        its fourth recovers."""
+        ctx = ClusterContext(num_executors=2)
+        flaky = Flaky(failures=4)
         with pytest.raises(TaskFailure):
             ctx.parallelize([1], 1).map(flaky).collect()
-        assert flaky.attempts[1] == 1
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(EngineError):
-            ClusterContext(task_retries=-1)
+        assert flaky.attempts[1] == 4
+        assert ctx.parallelize([1], 1).map(Flaky(failures=3)).collect() \
+            == [2]
 
     def test_no_retries_recorded_on_success(self):
-        ctx = ClusterContext(num_executors=2, task_retries=3)
+        ctx = ClusterContext(num_executors=2)
         ctx.parallelize(range(10), 2).map(lambda x: x).collect()
         assert ctx.metrics.task_retries == 0
 
     def test_retry_with_shuffle_downstream(self):
-        ctx = ClusterContext(num_executors=2, task_retries=2)
+        ctx = ClusterContext(num_executors=2)
         flaky = Flaky(failures=1)
         pairs = ctx.parallelize([(1, 2), (1, 3)], 1) \
                    .map(lambda kv: (kv[0], flaky(kv[1])))
@@ -101,8 +102,7 @@ class TestDriverProbeRetries:
     def test_lookup_retry(self, mode, tmp_path):
         part = HashPartitioner(2)
         data = [(k, k * 10) for k in range(8)]
-        with ClusterContext(num_executors=2, task_retries=1,
-                            **BACKENDS[mode]) as ctx:
+        with ClusterContext(num_executors=2, **BACKENDS[mode]) as ctx:
             pairs = ctx.parallelize(data, partitioner=part) \
                        .map_partitions_with_index(
                            FailOnce(tmp_path), preserves_partitioning=True)

@@ -298,7 +298,7 @@ class TestTopDashboard:
                                                    capsys):
         path = str(tmp_path / "crash.trace.jsonl")
         with ClusterContext(num_executors=2, backend="process",
-                            trace=True, task_retries=3) as ctx:
+                            trace=True) as ctx:
             killer = _KillOnFirstAttempt(str(tmp_path / "crash-once"))
             got = sorted(ctx.parallelize(range(40), 4).map(killer)
                          .collect())

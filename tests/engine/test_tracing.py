@@ -253,10 +253,10 @@ class TestCliTrace:
         assert "1 jobs" in out
         assert chrome.exists()
 
-    def test_profile_alias_and_missing_file(self, tmp_path, capsys):
+    def test_trace_missing_file_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
 
     @pytest.mark.parametrize("command", ["trace", "top"])
     def test_foreign_log_exits_2_naming_its_format(self, tmp_path, capsys,
